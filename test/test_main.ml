@@ -19,4 +19,6 @@ let () =
          Test_robust.suites;
          Test_trees.suites;
          Test_ac.suites;
-         Test_plot.suites ])
+         Test_plot.suites;
+         Test_pins.suites;
+         Test_reference.suites ])

@@ -1,0 +1,150 @@
+(* Exact-delay pins: every delay the oracle stack computes on a few
+   seeded nets, recorded bit-for-bit as hex floats.
+
+   The golden table outputs print two or three digits, so a change to
+   the numeric kernels that moves a delay in its last bits would pass
+   them. These pins do not: a refactor of the linear algebra must leave
+   every value below exactly as it was. Update a pin only together with
+   a deliberate change of the numbers, and say so in CHANGES.md.
+
+   Covered: [Delay.Model.max_delay] under first moment, two pole, fast
+   SPICE and default SPICE on three seeded 10-pin MSTs and on their
+   LDRG outputs; the per-step objectives of LDRG runs under two pole
+   and fast SPICE, with candidates scored both on the plain path and
+   on the incremental (Woodbury) path; and one AC analysis point. *)
+
+let tech = Circuit.Technology.table1
+let hex = Printf.sprintf "%h"
+
+let models =
+  Delay.Model.
+    [ ("first-moment", First_moment);
+      ("two-pole", Two_pole);
+      ("fast-spice", Spice fast_spice);
+      ("default-spice", Spice default_spice) ]
+
+let seeds = [ 11; 4242; 90210 ]
+
+let mst seed =
+  let g = Rng.create seed in
+  Routing.mst_of_net
+    (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins:10)
+
+let ldrg ~model r = Nontree.Ldrg.run ~model ~tech r
+
+let fast_spice = Delay.Model.Spice Delay.Model.fast_spice
+
+(* One "name value" line per pinned number, in a fixed order. *)
+let routing_lines () =
+  List.concat_map
+    (fun seed ->
+      let m = mst seed in
+      let routed = (ldrg ~model:fast_spice m).Nontree.Ldrg.final in
+      List.concat_map
+        (fun (label, r) ->
+          List.map
+            (fun (name, model) ->
+              Printf.sprintf "seed %d %s %s %s" seed label name
+                (hex (Delay.Model.max_delay model ~tech r)))
+            models)
+        [ ("mst", m); ("ldrg", routed) ])
+    seeds
+
+let with_incremental enabled f =
+  let prev = Nontree.Incremental.enabled () in
+  Nontree.Incremental.set_enabled enabled;
+  Fun.protect ~finally:(fun () -> Nontree.Incremental.set_enabled prev) f
+
+let ldrg_lines () =
+  List.concat_map
+    (fun (path, incremental) ->
+      with_incremental incremental (fun () ->
+          List.concat_map
+            (fun seed ->
+              List.concat_map
+                (fun (name, model) ->
+                  let trace = ldrg ~model (mst seed) in
+                  List.mapi
+                    (fun k (s : Nontree.Ldrg.step) ->
+                      let u, v = s.edge in
+                      Printf.sprintf "%s seed %d %s step %d (%d,%d) %s" path
+                        seed name k u v (hex s.objective_after))
+                    trace.Nontree.Ldrg.steps)
+                [ ("two-pole", Delay.Model.Two_pole); ("fast-spice", fast_spice) ])
+            seeds))
+    [ ("plain", false); ("incremental", true) ]
+
+let ac_lines () =
+  let nl, _ = Delay.Lumping.circuit_of_routing ~tech (mst 11) in
+  match
+    Spice.Ac.analyze nl ~source:"Vin"
+      ~probe:(Delay.Lumping.vertex_node_name 3) ~frequencies:[ 3e8 ]
+  with
+  | [ p ] ->
+      [ Printf.sprintf "ac seed 11 n3 300MHz %s %s"
+          (hex p.Spice.Ac.response.Complex.re)
+          (hex p.Spice.Ac.response.Complex.im) ]
+  | _ -> Alcotest.fail "one AC point expected"
+
+let check_lines label expected actual =
+  let e = String.concat "\n" expected and a = String.concat "\n" actual in
+  if e <> a then
+    Alcotest.failf "%s pins moved; actual values:\n%s" label a
+
+let routing_pins =
+  [ "seed 11 mst first-moment 0x1.7a079c168edfap-29";
+    "seed 11 mst two-pole 0x1.1ee947d347dabp-29";
+    "seed 11 mst fast-spice 0x1.2c783428a5b5ep-29";
+    "seed 11 mst default-spice 0x1.28f011ada8f9ap-29";
+    "seed 11 ldrg first-moment 0x1.3c8c22beb8a41p-29";
+    "seed 11 ldrg two-pole 0x1.d079a5633a9cap-30";
+    "seed 11 ldrg fast-spice 0x1.de583f0602bebp-30";
+    "seed 11 ldrg default-spice 0x1.d7ddcfc6d6dfbp-30";
+    "seed 4242 mst first-moment 0x1.dbc9abe0a0924p-29";
+    "seed 4242 mst two-pole 0x1.61ccc4baeab38p-29";
+    "seed 4242 mst fast-spice 0x1.6d747ad8cc084p-29";
+    "seed 4242 mst default-spice 0x1.690ae98c04e2p-29";
+    "seed 4242 ldrg first-moment 0x1.86a506e3ef892p-29";
+    "seed 4242 ldrg two-pole 0x1.24150c9e10c82p-29";
+    "seed 4242 ldrg fast-spice 0x1.2ddefad99f11ep-29";
+    "seed 4242 ldrg default-spice 0x1.2a209c622e664p-29";
+    "seed 90210 mst first-moment 0x1.25830984ba9fcp-29";
+    "seed 90210 mst two-pole 0x1.b7dfe4540302fp-30";
+    "seed 90210 mst fast-spice 0x1.cb6a4f0cd2714p-30";
+    "seed 90210 mst default-spice 0x1.c5d716d535c3ap-30";
+    "seed 90210 ldrg first-moment 0x1.04b0184780928p-29";
+    "seed 90210 ldrg two-pole 0x1.7dcd128ad21d6p-30";
+    "seed 90210 ldrg fast-spice 0x1.8b51996579281p-30";
+    "seed 90210 ldrg default-spice 0x1.862a778afe0aap-30" ]
+
+let ldrg_pins =
+  [ "plain seed 11 two-pole step 0 (0,7) 0x1.cd7296661110bp-30";
+    "plain seed 11 fast-spice step 0 (0,7) 0x1.df2e29c678b7bp-30";
+    "plain seed 11 fast-spice step 1 (0,6) 0x1.de583f0602bebp-30";
+    "plain seed 4242 two-pole step 0 (0,9) 0x1.25c16aac49158p-29";
+    "plain seed 4242 two-pole step 1 (0,6) 0x1.24150c9e10c82p-29";
+    "plain seed 4242 fast-spice step 0 (0,9) 0x1.30e32c62a7cecp-29";
+    "plain seed 4242 fast-spice step 1 (0,6) 0x1.2ddefad99f11ep-29";
+    "plain seed 90210 two-pole step 0 (5,6) 0x1.7dcd128ad21d6p-30";
+    "plain seed 90210 fast-spice step 0 (5,6) 0x1.8b51996579281p-30";
+    "incremental seed 11 two-pole step 0 (0,7) 0x1.cd7296661111p-30";
+    "incremental seed 11 fast-spice step 0 (0,7) 0x1.df2e29c678b87p-30";
+    "incremental seed 11 fast-spice step 1 (0,6) 0x1.de583f0602be9p-30";
+    "incremental seed 4242 two-pole step 0 (0,9) 0x1.25c16aac4915ap-29";
+    "incremental seed 4242 two-pole step 1 (0,6) 0x1.24150c9e10c83p-29";
+    "incremental seed 4242 fast-spice step 0 (0,9) 0x1.30e32c62a7ce1p-29";
+    "incremental seed 4242 fast-spice step 1 (0,6) 0x1.2ddefad99f12dp-29";
+    "incremental seed 90210 two-pole step 0 (5,6) 0x1.7dcd128ad21d9p-30";
+    "incremental seed 90210 fast-spice step 0 (5,6) 0x1.8b51996579269p-30" ]
+
+let ac_pins =
+  [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6fdp-3 -0x1.48312f4cbd1cp-2" ]
+
+let suites =
+  [ ( "pins",
+      [ Alcotest.test_case "max_delay bits, MSTs and LDRG outputs" `Quick
+          (fun () -> check_lines "max_delay" routing_pins (routing_lines ()));
+        Alcotest.test_case "LDRG step objectives bits" `Quick (fun () ->
+            check_lines "LDRG step" ldrg_pins (ldrg_lines ()));
+        Alcotest.test_case "AC point bits" `Quick (fun () ->
+            check_lines "AC" ac_pins (ac_lines ())) ] ) ]
