@@ -160,59 +160,7 @@ let run_bechamel () =
       | _ -> Printf.printf "  %-28s (no estimate)\n" name)
     results
 
-(* Dense-vs-sparse backend comparison ------------------------------------ *)
-
 let counter_value name = Obs.Counter.value (Obs.Counter.make name)
-
-type backend_cmp = {
-  cmp_size : int;
-  cmp_nets : int;
-  dense_wall_s : float;
-  sparse_wall_s : float;
-  dense_factorizations : int;
-  sparse_factorizations : int;
-}
-
-(* Head-to-head wall clock of the two matrix backends on the heaviest
-   workload the bench knows: full-profile SPICE delay evaluation at the
-   largest net size. Direct [Delay.Model.max_delay] calls, so neither
-   pass can feed the other through the oracle memo cache. *)
-let run_backend_compare ~seed ~size =
-  progress "Backend comparison: dense vs sparse SPICE eval, %d-pin nets..."
-    size;
-  let tech = Circuit.Technology.table1 in
-  let nets = 4 in
-  let routings =
-    Array.init nets (fun i ->
-        let g = Rng.create (seed + 0xBAC0 + i) in
-        Routing.mst_of_net
-          (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0)
-             ~pins:size))
-  in
-  let model = Delay.Model.Spice Delay.Model.default_spice in
-  let time kind counter =
-    let prev = Numeric.Backend.kind () in
-    Numeric.Backend.set_kind kind;
-    let c0 = counter_value counter in
-    let t0 = Unix.gettimeofday () in
-    Array.iter (fun r -> ignore (Delay.Model.max_delay model ~tech r)) routings;
-    let wall = Unix.gettimeofday () -. t0 in
-    Numeric.Backend.set_kind prev;
-    (wall, counter_value counter - c0)
-  in
-  let dense_wall_s, dense_factorizations =
-    time Numeric.Backend.Dense "lu.factorizations"
-  in
-  let sparse_wall_s, sparse_factorizations =
-    time Numeric.Backend.Sparse "sparse.factorizations"
-  in
-  progress "  dense  %.2fs (%d LU factorizations)" dense_wall_s
-    dense_factorizations;
-  progress "  sparse %.2fs (%d sparse factorizations), speedup %.2fx"
-    sparse_wall_s sparse_factorizations
-    (dense_wall_s /. sparse_wall_s);
-  { cmp_size = size; cmp_nets = nets; dense_wall_s; sparse_wall_s;
-    dense_factorizations; sparse_factorizations }
 
 (* Per-section accounting -------------------------------------------------- *)
 
@@ -231,8 +179,6 @@ let hit_rate s =
   let total = s.cache_hits + s.cache_misses in
   if total = 0 then 0.0 else float_of_int s.cache_hits /. float_of_int total
 
-(* The incremental tallies are snapshotted before the backend
-   comparison runs, so its extra factorisations don't pollute them. *)
 type run_counters = {
   rank1_updates : int;
   inc_hits : int;
@@ -248,14 +194,13 @@ let snapshot_counters () =
     lu_factorizations = counter_value "lu.factorizations";
     sparse_factorizations_total = counter_value "sparse.factorizations" }
 
-let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~matrix_backend
-    ~seed ~trials ~sizes ~total_wall_s ~counters ~backend_cmp sections =
+let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~seed ~trials
+    ~sizes ~total_wall_s ~counters sections =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"nontree-bench-v1\",\n";
   Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
   Printf.bprintf buf "  \"cache_enabled\": %b,\n" cache_enabled;
-  Printf.bprintf buf "  \"matrix_backend\": %S,\n" matrix_backend;
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
   Printf.bprintf buf "  \"trials\": %d,\n" trials;
   Printf.bprintf buf "  \"sizes\": [%s],\n"
@@ -275,23 +220,6 @@ let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~matrix_backend
   Printf.bprintf buf "    \"sparse_factorizations\": %d\n"
     counters.sparse_factorizations_total;
   Buffer.add_string buf "  },\n";
-  (match backend_cmp with
-  | None -> ()
-  | Some c ->
-      Printf.bprintf buf "  \"backend_comparison\": {\n";
-      Printf.bprintf buf "    \"net_size\": %d,\n" c.cmp_size;
-      Printf.bprintf buf "    \"nets\": %d,\n" c.cmp_nets;
-      Printf.bprintf buf "    \"model\": \"spice-default\",\n";
-      Printf.bprintf buf "    \"dense_wall_s\": %.3f,\n" c.dense_wall_s;
-      Printf.bprintf buf "    \"sparse_wall_s\": %.3f,\n" c.sparse_wall_s;
-      Printf.bprintf buf "    \"speedup\": %.2f,\n"
-        (if c.sparse_wall_s > 0.0 then c.dense_wall_s /. c.sparse_wall_s
-         else 0.0);
-      Printf.bprintf buf "    \"dense_lu_factorizations\": %d,\n"
-        c.dense_factorizations;
-      Printf.bprintf buf "    \"sparse_factorizations\": %d\n"
-        c.sparse_factorizations;
-      Buffer.add_string buf "  },\n");
   Buffer.add_string buf "  \"sections\": [\n";
   List.iteri
     (fun i s ->
@@ -321,7 +249,6 @@ let () =
   let no_incremental = ref false in
   let bench_json = ref "BENCH_nontree.json" in
   let metrics_json = ref "" in
-  let matrix_backend = ref "sparse" in
   let spec =
     [ ("--trials", Arg.Set_int trials, "N  trials per net size (default 50)");
       ("--sizes", Arg.Set_string sizes, "CSV  net sizes (default 5,10,20,30)");
@@ -346,10 +273,6 @@ let () =
         Arg.Set_string bench_json,
         "PATH  machine-readable per-section stats (default \
          BENCH_nontree.json; empty string disables)" );
-      ( "--matrix-backend",
-        Arg.Set_string matrix_backend,
-        "KIND  sparse or dense MNA factorisations (default sparse); either \
-         prints the same bytes" );
       ( "--metrics-json",
         Arg.Set_string metrics_json,
         "PATH  nontree-obs-v1 run manifest (counters, histograms, trace \
@@ -377,11 +300,6 @@ let () =
     prerr_endline "bench: --jobs must be >= 1";
     exit 2
   end;
-  (match Numeric.Backend.kind_of_string !matrix_backend with
-  | Some k -> Numeric.Backend.set_kind k
-  | None ->
-      prerr_endline "bench: --matrix-backend must be sparse or dense";
-      exit 2);
   let config =
     { Nontree.Experiment.default with
       trials = !trials;
@@ -440,11 +358,9 @@ let () =
     !seed !trials !sizes
     (Delay.Model.name config.Nontree.Experiment.eval_model);
   Printf.printf
-    "jobs %d, oracle cache %s, incremental scoring %s, matrix backend %s\n\n"
-    !jobs
+    "jobs %d, oracle cache %s, incremental scoring %s\n\n" !jobs
     (if !no_cache then "off" else "on")
-    (if !no_incremental then "off" else "on")
-    !matrix_backend;
+    (if !no_incremental then "off" else "on");
   let run_t0 = Unix.gettimeofday () in
   section "1" (fun () -> run_table1 config);
   section "2" (fun () -> run_table2 config);
@@ -457,20 +373,12 @@ let () =
   section "ext" (fun () -> run_extensions config);
   section "bechamel" (fun () -> run_bechamel ());
   let counters = snapshot_counters () in
-  let backend_cmp =
-    if List.mem "backend" wanted || !only = "" then
-      Some
-        (run_backend_compare ~seed:!seed
-           ~size:(List.fold_left max 5 size_list))
-    else None
-  in
   let total_wall_s = Unix.gettimeofday () -. run_t0 in
   if !bench_json <> "" then begin
     let json =
       json_of_stats ~jobs:!jobs ~cache_enabled:(not !no_cache)
         ~incremental_enabled:(not !no_incremental)
-        ~matrix_backend:!matrix_backend ~seed:!seed
-        ~trials:!trials ~sizes:size_list ~total_wall_s ~counters ~backend_cmp
+        ~seed:!seed ~trials:!trials ~sizes:size_list ~total_wall_s ~counters
         (List.rev !stats)
     in
     let oc = open_out !bench_json in
@@ -490,7 +398,6 @@ let () =
             ("sizes", List (List.map (fun s -> Int s) size_list));
             ("cache_enabled", Bool (not !no_cache));
             ("incremental_enabled", Bool (not !no_incremental));
-            ("matrix_backend", String !matrix_backend);
             ("eval_model",
              String (Delay.Model.name config.Nontree.Experiment.eval_model)) ]
       ~extra:

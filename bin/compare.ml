@@ -23,7 +23,7 @@ let algorithms tech model net =
       (Nontree.Ldrg.run ~model ~tech (Ert.construct ~tech net))
         .Nontree.Ldrg.final ) ]
 
-let finish_observability ~model_name ~matrix_backend ~metrics_json ~trace =
+let finish_observability ~model_name ~metrics_json ~trace =
   if trace then (
     match Obs.span_summary () with
     | Some s -> Printf.eprintf "%s%!" s
@@ -33,17 +33,12 @@ let finish_observability ~model_name ~matrix_backend ~metrics_json ~trace =
   | Some path ->
       Obs.Manifest.write ~path
         ~argv:(Array.to_list Sys.argv)
-        ~meta:
-          [ ("model", Obs.Json.String model_name);
-            ( "matrix_backend",
-              Obs.Json.String (Numeric.Backend.kind_to_string matrix_backend)
-            ) ]
+        ~meta:[ ("model", Obs.Json.String model_name) ]
         ();
       Printf.eprintf "wrote metrics manifest %s\n%!" path
 
-let run net_file model_name matrix_backend metrics_json trace =
+let run net_file model_name metrics_json trace =
   if trace || metrics_json <> None then Obs.set_enabled true;
-  Numeric.Backend.set_kind matrix_backend;
   match Geom.Netfile.read net_file with
   | Error e -> `Error (false, net_file ^ ": " ^ e)
   | Ok net ->
@@ -75,7 +70,7 @@ let run net_file model_name matrix_backend metrics_json trace =
             (Trees.Metrics.radius r /. 1e3)
             (if Routing.is_tree r then "tree" else "graph"))
         rows;
-      finish_observability ~model_name ~matrix_backend ~metrics_json ~trace;
+      finish_observability ~model_name ~metrics_json ~trace;
       `Ok ()
 
 let net_file =
@@ -91,17 +86,6 @@ let model =
         ~doc:
           "moment (all first-moment), spice (SPICE search and eval), or \
            mixed (first-moment search, SPICE eval; default).")
-
-let matrix_backend =
-  Arg.(
-    value
-    & opt
-        (enum [ ("sparse", Numeric.Backend.Sparse); ("dense", Numeric.Backend.Dense) ])
-        Numeric.Backend.Sparse
-    & info [ "matrix-backend" ] ~docv:"KIND"
-        ~doc:
-          "Linear-algebra backend for MNA factorisations: sparse (the \
-           default) or dense. Either prints the same bytes.")
 
 let metrics_json =
   Arg.(
@@ -125,6 +109,6 @@ let cmd =
   Cmd.v
     (Cmd.info "compare" ~doc)
     Term.(
-      ret (const run $ net_file $ model $ matrix_backend $ metrics_json $ trace))
+      ret (const run $ net_file $ model $ metrics_json $ trace))
 
 let () = exit (Cmd.eval cmd)

@@ -102,9 +102,6 @@ let check_bench json =
   (match get "cache_enabled" json with
   | Obs.Json.Bool _ -> ()
   | _ -> fail "\"cache_enabled\" is not a boolean");
-  let backend = expect_string "matrix_backend" (get "matrix_backend" json) in
-  if backend <> "sparse" && backend <> "dense" then
-    fail "matrix_backend %S, want \"sparse\" or \"dense\"" backend;
   List.iteri
     (fun i v -> ignore (expect_int (Printf.sprintf "sizes[%d]" i) v))
     (expect_list "sizes" (get "sizes" json));
@@ -124,31 +121,9 @@ let check_bench json =
       | None -> fail "incremental missing %S" k)
     [ "rank1_updates"; "hits"; "fallbacks"; "lu_factorizations";
       "sparse_factorizations" ];
-  (match Obs.Json.member "backend_comparison" json with
-  | None -> ()
-  | Some cmp ->
-      ignore (expect_obj "backend_comparison" cmp);
-      let m k =
-        match Obs.Json.member k cmp with
-        | Some v -> v
-        | None -> fail "backend_comparison missing %S" k
-      in
-      ignore (expect_string "backend_comparison.model" (m "model"));
-      List.iter
-        (fun k ->
-          if expect_int ("backend_comparison." ^ k) (m k) < 0 then
-            fail "backend_comparison.%s is negative" k)
-        [ "net_size"; "nets"; "dense_lu_factorizations";
-          "sparse_factorizations" ];
-      List.iter
-        (fun k ->
-          if expect_number ("backend_comparison." ^ k) (m k) < 0.0 then
-            fail "backend_comparison.%s is negative" k)
-        [ "dense_wall_s"; "sparse_wall_s"; "speedup" ]);
   let sections = expect_list "sections" (get "sections" json) in
   List.iteri check_bench_section sections;
-  Printf.printf "ok: bench baseline, %d sections, backend %s\n"
-    (List.length sections) backend
+  Printf.printf "ok: bench baseline, %d sections\n" (List.length sections)
 
 let check_manifest json =
   ignore (expect_string "git" (get "git" json));

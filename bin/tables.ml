@@ -89,7 +89,7 @@ let dispatch config table figure ext svg_dir =
 (* Everything the manifest needs to reproduce the run: the knobs that
    feed [config_of] plus the fault and cache switches. *)
 let manifest_meta ~trials ~sizes ~seed ~jobs ~fault_rate ~no_cache
-    ~no_incremental ~matrix_backend =
+    ~no_incremental =
   Obs.Json.
     [ ("seed", Int seed);
       ("jobs", Int jobs);
@@ -97,9 +97,7 @@ let manifest_meta ~trials ~sizes ~seed ~jobs ~fault_rate ~no_cache
       ("sizes", List (List.map (fun s -> Int s) sizes));
       ("fault_rate", Float fault_rate);
       ("cache_enabled", Bool (not no_cache));
-      ("incremental_enabled", Bool (not no_incremental));
-      ( "matrix_backend",
-        String (Numeric.Backend.kind_to_string matrix_backend) ) ]
+      ("incremental_enabled", Bool (not no_incremental)) ]
 
 let write_manifest ~path ~meta =
   let s = Nontree.Oracle.Cache.stats () in
@@ -118,13 +116,12 @@ let write_manifest ~path ~meta =
   Printf.eprintf "wrote metrics manifest %s\n%!" path
 
 let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
-    jobs no_cache no_incremental matrix_backend metrics_json trace log_level =
+    jobs no_cache no_incremental metrics_json trace log_level =
   Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   Logs.set_level log_level;
   if jobs < 1 then `Error (false, "--jobs must be >= 1")
   else begin
     if trace || metrics_json <> None then Obs.set_enabled true;
-    Numeric.Backend.set_kind matrix_backend;
     Nontree_error.Counters.reset ();
     Nontree.Oracle.Cache.reset ();
     Nontree.Oracle.Cache.set_enabled (not no_cache);
@@ -158,7 +155,7 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
         write_manifest ~path
           ~meta:
             (manifest_meta ~trials ~sizes ~seed ~jobs ~fault_rate ~no_cache
-               ~no_incremental ~matrix_backend)
+               ~no_incremental)
     | None -> ());
     result
   end
@@ -243,19 +240,6 @@ let no_incremental =
            greedy loops (enabled by default; incremental runs print the \
            same bytes, only factorisation counts change).")
 
-let matrix_backend =
-  Arg.(
-    value
-    & opt
-        (enum [ ("sparse", Numeric.Backend.Sparse); ("dense", Numeric.Backend.Dense) ])
-        Numeric.Backend.Sparse
-    & info [ "matrix-backend" ] ~docv:"KIND"
-        ~doc:
-          "Linear-algebra backend for MNA factorisations: sparse (CSC + \
-           fill-reducing ordering, the default) or dense LU. Either backend \
-           prints the same bytes; only wall time and factorisation counters \
-           change.")
-
 let metrics_json =
   Arg.(
     value
@@ -299,6 +283,6 @@ let cmd =
       ret
         (const run $ table $ figure $ ext $ trials $ sizes $ seed $ svg_dir
         $ fault_rate $ fault_seed $ jobs $ no_cache $ no_incremental
-        $ matrix_backend $ metrics_json $ trace $ log_level))
+        $ metrics_json $ trace $ log_level))
 
 let () = exit (Cmd.eval cmd)

@@ -33,29 +33,3 @@ let sample config ~baseline ~routing =
   let b = measure baseline in
   let r = Eval.ratio (measure routing) ~baseline:b in
   { Stats.delay_ratio = r.Eval.delay; cost_ratio = r.Eval.cost }
-
-let per_size config ~size f =
-  let samples = Array.to_list (Array.map f (nets config ~size)) in
-  Stats.summarize samples
-
-let per_size_multi config ~size f =
-  let per_net = Array.to_list (Array.map f (nets config ~size)) in
-  let depth =
-    List.fold_left (fun acc l -> Int.max acc (List.length l)) 0 per_net
-  in
-  if depth = 0 then []
-  else begin
-    let padded =
-      List.map
-        (fun l ->
-          match l with
-          | [] -> invalid_arg "Experiment.per_size_multi: empty sample list"
-          | _ ->
-              let last = List.nth l (List.length l - 1) in
-              Array.init depth (fun i ->
-                  if i < List.length l then List.nth l i else last))
-        per_net
-    in
-    List.init depth (fun i ->
-        Stats.summarize (List.map (fun a -> a.(i)) padded))
-  end

@@ -36,17 +36,3 @@ val sample :
   config -> baseline:Routing.t -> routing:Routing.t -> Stats.sample
 (** Evaluates both topologies under [eval_model] and returns the
     normalised sample. *)
-
-val per_size :
-  config -> size:int -> (Geom.Net.t -> Stats.sample) -> Stats.row
-(** Runs one method over all trial nets of a size and aggregates. *)
-
-val per_size_multi :
-  config -> size:int -> (Geom.Net.t -> Stats.sample list) -> Stats.row list
-(** Like {!per_size} for methods that report several samples per net
-    (e.g. LDRG iteration one and iteration two): sample [i] of each
-    net is aggregated into row [i]. Nets that return fewer samples than
-    the maximum are padded with their last sample (a net whose LDRG
-    stopped after one addition contributes that routing to both
-    iteration rows, matching the paper's cumulative per-iteration
-    accounting). *)

@@ -23,8 +23,10 @@ let node_capacitances ~tech r =
    conductances between vertices plus the driver conductance on the
    source pin's diagonal. *)
 let conductance_matrix ~tech r =
-  let n = Routing.num_vertices r in
-  let g = Numeric.Matrix.create n n in
+  let edges = Graphs.Wgraph.edges (Routing.graph r) in
+  let g =
+    Numeric.Sparse.Triplets.create ~capacity:((4 * List.length edges) + 1) ()
+  in
   List.iter
     (fun (e : Graphs.Wgraph.edge) ->
       let cond =
@@ -32,14 +34,14 @@ let conductance_matrix ~tech r =
         /. Technology.wire_resistance_of tech ~length:e.w
              ~width:(Routing.width r e.u e.v)
       in
-      Numeric.Matrix.add_to g e.u e.u cond;
-      Numeric.Matrix.add_to g e.v e.v cond;
-      Numeric.Matrix.add_to g e.u e.v (-.cond);
-      Numeric.Matrix.add_to g e.v e.u (-.cond))
-    (Graphs.Wgraph.edges (Routing.graph r));
-  Numeric.Matrix.add_to g (Routing.source r) (Routing.source r)
+      Numeric.Sparse.Triplets.add g e.u e.u cond;
+      Numeric.Sparse.Triplets.add g e.v e.v cond;
+      Numeric.Sparse.Triplets.add g e.u e.v (-.cond);
+      Numeric.Sparse.Triplets.add g e.v e.u (-.cond))
+    edges;
+  Numeric.Sparse.Triplets.add g (Routing.source r) (Routing.source r)
     (1.0 /. tech.Technology.driver_resistance);
-  g
+  Numeric.Sparse.Csc.of_triplets ~n:(Routing.num_vertices r) g
 
 let first_moments ~tech r =
   let g = conductance_matrix ~tech r in

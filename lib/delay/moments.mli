@@ -21,7 +21,7 @@ val node_capacitances : tech:Circuit.Technology.t -> Routing.t -> float array
     half-capacitances instead of rebuilding. *)
 
 val conductance_matrix :
-  tech:Circuit.Technology.t -> Routing.t -> Numeric.Matrix.t
+  tech:Circuit.Technology.t -> Routing.t -> Numeric.Sparse.Csc.t
 (** The system matrix G: wire conductances plus the driver conductance
     on the source diagonal, over all vertices. A candidate wire is one
     symmetric rank-1 term on top of this — the incremental oracle

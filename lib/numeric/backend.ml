@@ -1,16 +1,3 @@
-type kind = Dense | Sparse
-
-let kind_to_string = function Dense -> "dense" | Sparse -> "sparse"
-
-let kind_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
-
-let current = Atomic.make Sparse
-let set_kind k = Atomic.set current k
-let kind () = Atomic.get current
-
 (* Sparse threshold pivoting refused a matrix that dense full partial
    pivoting then factored. A handful per run is a conditioning
    curiosity; a large count means the sparse path is mistuned and the
@@ -19,31 +6,20 @@ let dense_fallbacks = Obs.Counter.make "sparse.dense_fallbacks"
 
 type t = D of Lu.t | S of Sparse.t
 
-let try_factor_csc ?symbolic ?dense csc =
-  let to_dense () =
-    match dense with Some m -> m | None -> Sparse.Csc.to_matrix csc
-  in
-  match Atomic.get current with
-  | Dense -> Result.map (fun f -> D f) (Lu.try_factor (to_dense ()))
-  | Sparse -> (
-      match Sparse.try_factor ?symbolic csc with
-      | Ok f -> Ok (S f)
-      | Error _ -> (
-          (* Borderline pivots: the dense kernel is the authority on
-             singularity, so its verdict (either way) is final. *)
-          match Lu.try_factor (to_dense ()) with
-          | Ok f ->
-              Obs.Counter.incr dense_fallbacks;
-              Ok (D f)
-          | Error k -> Error k))
+let try_factor ?symbolic csc =
+  match Sparse.try_factor ?symbolic csc with
+  | Ok f -> Ok (S f)
+  | Error _ -> (
+      (* Borderline pivots: the dense kernel is the authority on
+         singularity, so its verdict (either way) is final. *)
+      match Lu.try_factor (Sparse.Csc.to_matrix csc) with
+      | Ok f ->
+          Obs.Counter.incr dense_fallbacks;
+          Ok (D f)
+      | Error k -> Error k)
 
-let try_factor ?symbolic m =
-  match Atomic.get current with
-  | Dense -> Result.map (fun f -> D f) (Lu.try_factor m)
-  | Sparse -> try_factor_csc ?symbolic ~dense:m (Sparse.Csc.of_matrix m)
-
-let factor ?symbolic m =
-  match try_factor ?symbolic m with
+let factor ?symbolic csc =
+  match try_factor ?symbolic csc with
   | Ok f -> f
   | Error k -> raise (Lu.Singular k)
 

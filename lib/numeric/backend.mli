@@ -1,53 +1,30 @@
-(** Matrix-backend dispatch: one factorisation type over the sparse
-    ({!Sparse}) and dense ({!Lu}) kernels.
+(** Factorisation of full MNA and moment systems.
 
-    The process-wide backend kind (set from [--matrix-backend], sparse
-    by default) decides how full MNA systems are factored. The sparse
-    path additionally keeps the dense robustness semantics from the
-    fault-tolerant oracle stack: when threshold partial pivoting gives
-    up on a borderline matrix, {!try_factor} silently retries with the
-    dense kernel — dense full partial pivoting is the authority on
-    singularity, so a system is reported singular under the sparse
-    backend exactly when the dense backend would report it singular.
-    Fallbacks are tallied under [sparse.dense_fallbacks].
+    Every such system is stored as a CSC matrix ({!Sparse.Csc}) and
+    factored by the sparse kernel ({!Sparse}). When threshold partial
+    pivoting gives up on a borderline matrix, {!try_factor} retries
+    with the dense kernel ({!Lu}) on a dense image built for that one
+    call: dense full partial pivoting is the authority on singularity,
+    so a system is reported singular exactly when {!Lu} would report
+    it singular. Fallbacks are tallied under [sparse.dense_fallbacks].
 
     Factorisations are domain-safe to share read-only; per-domain
     solves should thread private workspaces via {!solve_with}. *)
 
-type kind = Dense | Sparse
-
-val set_kind : kind -> unit
-(** Select the process-wide backend (sparse at start-up). *)
-
-val kind : unit -> kind
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
 type t
-(** A factorisation by whichever backend was active when it was made. *)
+(** A sparse factorisation, or a dense one after a pivot fallback. *)
 
-val try_factor : ?symbolic:Sparse.Symbolic.t -> Matrix.t -> (t, int) result
-(** Factor a dense-assembled matrix under the active backend.
-    [symbolic] (used only by the sparse path) supplies a precomputed
-    fill-reducing ordering; see {!Sparse.analyze}. Error codes are
-    those of {!Lu.try_factor}.
+val try_factor : ?symbolic:Sparse.Symbolic.t -> Sparse.Csc.t -> (t, int) result
+(** Factor a matrix. [symbolic] supplies a precomputed fill-reducing
+    ordering (see {!Sparse.analyze}); without it one is computed.
+    Error codes are those of {!Lu.try_factor}: [Error k] a pivot
+    column, [Error (-1)] a non-finite entry.
 
     @raise Invalid_argument when the matrix is not square or [symbolic]
     has the wrong size. *)
 
-val try_factor_csc :
-  ?symbolic:Sparse.Symbolic.t ->
-  ?dense:Matrix.t ->
-  Sparse.Csc.t ->
-  (t, int) result
-(** Factor a triplet-assembled matrix. Under the dense backend (or on
-    sparse pivot-failure fallback) the dense image is taken from
-    [dense] when supplied — callers that already materialised the
-    matrix (e.g. {!Mna}) avoid a CSC expansion — and otherwise from
-    {!Sparse.Csc.to_matrix}. *)
-
-val factor : ?symbolic:Sparse.Symbolic.t -> Matrix.t -> t
-(** @raise Lu.Singular when no usable pivot exists (either kernel). *)
+val factor : ?symbolic:Sparse.Symbolic.t -> Sparse.Csc.t -> t
+(** @raise Lu.Singular when no usable pivot exists. *)
 
 val size : t -> int
 val solve : t -> float array -> float array
@@ -64,5 +41,4 @@ val update :
   (float * float array * float array) list ->
   Lu.Update.t option
 (** Sherman–Morrison–Woodbury extension of a factorisation with rank-1
-    terms — {!Lu.Update.make_with} over this backend's solve, so the
-    incremental scorer's update algebra is backend-independent. *)
+    terms — {!Lu.Update.make_with} over this factorisation's solve. *)

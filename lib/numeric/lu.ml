@@ -2,7 +2,6 @@ type t = {
   n : int;
   lu : float array;  (* packed LU factors, row-major *)
   perm : int array;  (* row permutation: row i of LU is row perm.(i) of A *)
-  sign : float;      (* parity of the permutation *)
   scratch : float array;  (* reused by solve_in_place *)
   anorm1 : float;    (* 1-norm of the original matrix, for rcond *)
 }
@@ -54,7 +53,6 @@ let try_factor_gen ~count m =
     let anorm1 = Array.fold_left Float.max 0.0 col_sums in
     let floor = Float.max pivot_floor (relative_pivot_threshold *. !amax) in
     let perm = Array.init n Fun.id in
-    let sign = ref 1.0 in
     let result = ref None in
     (try
        for k = 0 to n - 1 do
@@ -72,8 +70,7 @@ let try_factor_gen ~count m =
            done;
            let tmp = perm.(k) in
            perm.(k) <- perm.(!p);
-           perm.(!p) <- tmp;
-           sign := -. !sign
+           perm.(!p) <- tmp
          end;
          let pivot = a.((k * n) + k) in
          if abs_float pivot < floor || not (Float.is_finite pivot) then begin
@@ -100,7 +97,7 @@ let try_factor_gen ~count m =
         err
     | None ->
         Ok
-          { n; lu = a; perm; sign = !sign; scratch = Array.make n 0.0; anorm1 }
+          { n; lu = a; perm; scratch = Array.make n 0.0; anorm1 }
   end
 
 let try_factor m = try_factor_gen ~count:true m
@@ -222,27 +219,6 @@ let rcond t =
   end
 
 let solve_matrix m b = solve (factor m) b
-
-let det t =
-  let d = ref t.sign in
-  for i = 0 to t.n - 1 do
-    d := !d *. t.lu.((i * t.n) + i)
-  done;
-  !d
-
-let inverse m =
-  let n = Matrix.rows m in
-  let f = factor m in
-  let inv = Matrix.create n n in
-  for j = 0 to n - 1 do
-    let e = Array.make n 0.0 in
-    e.(j) <- 1.0;
-    let x = solve f e in
-    for i = 0 to n - 1 do
-      Matrix.set inv i j x.(i)
-    done
-  done;
-  inv
 
 (* Low-rank (Sherman–Morrison–Woodbury) updates ------------------------- *)
 

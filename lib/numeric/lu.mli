@@ -66,16 +66,6 @@ val rcond : t -> float
 val solve_matrix : Matrix.t -> float array -> float array
 (** One-shot convenience: factor then solve. *)
 
-val det : t -> float
-(** Determinant of the factored matrix (product of pivots, signed by
-    the permutation parity). *)
-
-val inverse : Matrix.t -> Matrix.t
-(** Full inverse (used only in tests and small resistance-matrix
-    computations).
-
-    @raise Singular when the matrix is singular. *)
-
 (** Low-rank updates of a factored system via the
     Sherman–Morrison–Woodbury identity.
 

@@ -1,9 +1,8 @@
 (** Dense square/rectangular matrices in row-major order.
 
-    Circuit matrices from modified nodal analysis of signal nets are
-    small (tens to a few hundred nodes), so a dense representation with
-    an O(n³) factorisation is both simple and fast enough; the paper's
-    nets peak around 30 pins ≈ a few hundred MNA unknowns. *)
+    Full MNA and moment systems live in {!Sparse.Csc}; dense matrices
+    serve the small k×k Woodbury systems, the dense pivot-failure
+    fallback, AC analysis and test oracles. *)
 
 type t
 
@@ -32,8 +31,8 @@ val map : (float -> float) -> t -> t
 
 val data : t -> float array
 (** The underlying row-major storage (entry (i,j) at [i*cols + j]).
-    Exposed for performance-critical inner loops (the transient
-    integrator); mutating it mutates the matrix. *)
+    Exposed for performance-critical inner loops; mutating it mutates
+    the matrix. *)
 
 val of_arrays : float array array -> t
 val to_arrays : t -> float array array

@@ -19,8 +19,8 @@ let fill_hist =
   Obs.Histogram.make "sparse.fill_ratio"
     ~buckets:[| 1.0; 1.5; 2.0; 3.0; 5.0; 10.0; 25.0 |]
 
-(* Same pivot admissibility as the dense backend (see lu.ml): keeping
-   the floors identical is what makes sparse-vs-dense singularity
+(* Same pivot admissibility as the dense kernel (see lu.ml): keeping
+   the floors identical is what makes sparse and dense singularity
    verdicts agree on everything but threshold-pivoting borderline
    cases, which Backend resolves by retrying densely. *)
 let pivot_floor = 1e-300
@@ -75,14 +75,6 @@ module Triplets = struct
     for k = 0 to t.len - 1 do
       f t.ri.(k) t.ci.(k) t.vs.(k)
     done
-
-  let copy t =
-    {
-      len = t.len;
-      ri = Array.copy t.ri;
-      ci = Array.copy t.ci;
-      vs = Array.copy t.vs;
-    }
 end
 
 module Csc = struct
@@ -107,7 +99,7 @@ module Csc = struct
         invalid_arg "Sparse.Csc.of_triplets: index out of bounds"
     done;
     (* Bucket by column, keeping insertion order within each column so
-       duplicate stamps sum in the same order a dense replay would. *)
+       duplicate stamps sum in the order they were stamped. *)
     let cnt = Array.make (n + 1) 0 in
     for k = 0 to len - 1 do
       cnt.(ci.(k)) <- cnt.(ci.(k)) + 1
@@ -201,6 +193,71 @@ module Csc = struct
       done
     done;
     m
+
+  let iter t f =
+    for j = 0 to t.cols - 1 do
+      for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+        f t.rowind.(p) j t.values.(p)
+      done
+    done
+
+  (* Merge the two sorted row lists of each column. An entry present in
+     only one operand takes only that operand's term: the same float
+     operations a dense [scale]/[add]/[sub] performs, minus the exact
+     additions of zero. *)
+  let lincomb a x b y =
+    if x.rows <> y.rows || x.cols <> y.cols then
+      invalid_arg "Sparse.Csc.lincomb: dimension mismatch";
+    let cap = max (nnz x + nnz y) 1 in
+    let colptr = Array.make (x.cols + 1) 0 in
+    let rowind = Array.make cap 0 and values = Array.make cap 0.0 in
+    let out = ref 0 in
+    let emit i v =
+      if v <> 0.0 then begin
+        rowind.(!out) <- i;
+        values.(!out) <- v;
+        incr out
+      end
+    in
+    for j = 0 to x.cols - 1 do
+      colptr.(j) <- !out;
+      let p = ref x.colptr.(j) and q = ref y.colptr.(j) in
+      let pe = x.colptr.(j + 1) and qe = y.colptr.(j + 1) in
+      while !p < pe || !q < qe do
+        let i = if !p < pe then x.rowind.(!p) else max_int in
+        let k = if !q < qe then y.rowind.(!q) else max_int in
+        if i < k then begin
+          emit i (a *. x.values.(!p));
+          incr p
+        end
+        else if k < i then begin
+          emit k (b *. y.values.(!q));
+          incr q
+        end
+        else begin
+          emit i ((a *. x.values.(!p)) +. (b *. y.values.(!q)));
+          incr p;
+          incr q
+        end
+      done
+    done;
+    colptr.(x.cols) <- !out;
+    { rows = x.rows; cols = x.cols; colptr; rowind; values }
+
+  (* Column-oriented, so each out.(i) accumulates its row's products in
+     ascending column order starting from 0.0. *)
+  let mul_vec_into t x out =
+    if Array.length x <> t.cols || Array.length out <> t.rows then
+      invalid_arg "Sparse.Csc.mul_vec_into: length mismatch";
+    Array.fill out 0 t.rows 0.0;
+    for j = 0 to t.cols - 1 do
+      let xj = Array.unsafe_get x j in
+      for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+        let i = Array.unsafe_get t.rowind p in
+        Array.unsafe_set out i
+          (Array.unsafe_get out i +. (Array.unsafe_get t.values p *. xj))
+      done
+    done
 end
 
 module Symbolic = struct

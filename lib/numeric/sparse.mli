@@ -11,13 +11,12 @@
     whose factor and solve costs are proportional to the factor
     nonzeros, not n³/n².
 
-    Singularity semantics match the dense backend: a pivot smaller
-    than 1e-13 times the largest input entry (or 1e-300 absolutely)
-    yields [Error column], non-finite input entries [Error (-1)].
-    Borderline cases where threshold pivoting gives up but full dense
-    partial pivoting would not are handled one level up:
-    {!Backend.try_factor} retries the dense path before reporting the
-    matrix singular.
+    Singularity floors match the dense {!Lu}: a pivot smaller than
+    1e-13 times the largest input entry (or 1e-300 absolutely) yields
+    [Error column], non-finite input entries [Error (-1)]. Borderline
+    cases where threshold pivoting gives up but full dense partial
+    pivoting would not are handled one level up: {!Backend.try_factor}
+    retries with {!Lu} before reporting the matrix singular.
 
     Factorisations are tallied under the [sparse.factorizations] /
     [sparse.singular] / [sparse.nnz] counters and the
@@ -37,12 +36,7 @@ module Triplets : sig
       @raise Invalid_argument on a negative index. *)
 
   val iter : t -> (int -> int -> float -> unit) -> unit
-  (** Iterate the stamps in insertion order — replaying them into a
-      dense {!Matrix.t} with {!Matrix.add_to} reproduces bit-identical
-      entry values, since duplicate summation happens in the same
-      order. *)
-
-  val copy : t -> t
+  (** Iterate the stamps in insertion order. *)
 end
 
 (** Compressed sparse column matrices: per-column sorted, duplicate-free
@@ -52,15 +46,34 @@ module Csc : sig
 
   val of_triplets : n:int -> Triplets.t -> t
   (** [of_triplets ~n t] is the n×n matrix with duplicate stamps
-      summed (in insertion order, for bit-reproducibility against a
-      dense replay). Exact zeros arising from stamp values are kept in
-      the pattern.
+      summed in insertion order, so an entry's value does not depend
+      on how stamps of other entries interleave. Exact zeros arising
+      from stamp values are kept in the pattern.
       @raise Invalid_argument on a negative [n] or an index ≥ [n]. *)
 
   val of_matrix : Matrix.t -> t
   (** The nonzero entries of a dense matrix. *)
 
   val to_matrix : t -> Matrix.t
+  (** The dense image, for the dense pivot-failure fallback, AC
+      analysis and tests. *)
+
+  val iter : t -> (int -> int -> float -> unit) -> unit
+  (** [iter t f] calls [f row col value] for every stored entry,
+      column by column, rows ascending. *)
+
+  val lincomb : float -> t -> float -> t -> t
+  (** [lincomb a x b y] is a·x + b·y over the union of the two
+      patterns. Each entry is computed as [a *. x_ij +. b *. y_ij],
+      or as the one term whose operand stores the entry; entries that
+      come out exactly zero are dropped, so the pattern is that of the
+      dense result's nonzeros. O(nnz x + nnz y).
+      @raise Invalid_argument on a dimension mismatch. *)
+
+  val mul_vec_into : t -> float array -> float array -> unit
+  (** [mul_vec_into t x out] overwrites [out] with t·x; each row's
+      products are summed from 0.0 in ascending column order. O(nnz).
+      @raise Invalid_argument on a length mismatch. *)
 
   val rows : t -> int
   val cols : t -> int

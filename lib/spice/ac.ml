@@ -60,12 +60,14 @@ let analyze nl ~source ~probe ~frequencies =
   if unknown < 0 then invalid_arg "Ac.analyze: cannot probe ground";
   let b_real = sys.Mna.rhs 0.0 in
   let b = Array.map (fun re -> { Complex.re; im = 0.0 }) b_real in
+  (* AC sweeps are off the routing hot path: dense images suffice. *)
+  let g = Numeric.Sparse.Csc.to_matrix sys.Mna.g_csc in
+  let c = Numeric.Sparse.Csc.to_matrix sys.Mna.c_csc in
   List.map
     (fun freq_hz ->
       let omega = 2.0 *. Float.pi *. freq_hz in
       let a =
-        Numeric.Zmatrix.of_real_pair ~re:sys.Mna.g
-          ~im:(Numeric.Matrix.scale omega sys.Mna.c)
+        Numeric.Zmatrix.of_real_pair ~re:g ~im:(Numeric.Matrix.scale omega c)
       in
       let x = Numeric.Zmatrix.solve a b in
       { freq_hz; response = x.(unknown) })

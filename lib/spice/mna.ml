@@ -5,34 +5,21 @@ module Csc = Numeric.Sparse.Csc
 type t = {
   size : int;
   num_node_unknowns : int;
-  g : Numeric.Matrix.t;
-  c : Numeric.Matrix.t;
   rhs : float -> float array;
   unknown_of_node : int array;
-  g_stamps : Triplets.t;
-  c_stamps : Triplets.t;
   g_csc : Csc.t;
+  c_csc : Csc.t;
   g_sym : Numeric.Sparse.Symbolic.t;
   lhs_sym : Numeric.Sparse.Symbolic.t;
 }
 
-(* Replaying the triplet log into a dense matrix reproduces the exact
-   float values the old direct [add_to] stamping computed: duplicates
-   sum in insertion order either way. [Csc.of_triplets] makes the same
-   ordering guarantee, so the two images of G agree bitwise. *)
-let materialize n trips =
-  let m = Numeric.Matrix.create n n in
-  Triplets.iter trips (fun i j v -> Numeric.Matrix.add_to m i j v);
-  m
-
-(* The sparse caches are computed eagerly — [Mna.t] values are shared
+(* The orderings are computed eagerly — [Mna.t] values are shared
    read-only across worker domains, where a lazy thunk would race.
    [lhs_sym] orders the union pattern of G and C: the transient
    iteration matrix G + C/h (any h, any integration method) and every
    doubled-timestep refactor reuse it. *)
 let finish ~size ~num_node_unknowns ~rhs ~unknown_of_node gt ct =
   let g_csc = Csc.of_triplets ~n:size gt in
-  let g_sym = Numeric.Sparse.analyze g_csc in
   let lhs_sym =
     let u = Triplets.create ~capacity:(Triplets.length gt + Triplets.length ct) () in
     Triplets.iter gt (fun i j _ -> Triplets.add u i j 1.0);
@@ -42,14 +29,11 @@ let finish ~size ~num_node_unknowns ~rhs ~unknown_of_node gt ct =
   {
     size;
     num_node_unknowns;
-    g = materialize size gt;
-    c = materialize size ct;
     rhs;
     unknown_of_node;
-    g_stamps = gt;
-    c_stamps = ct;
     g_csc;
-    g_sym;
+    c_csc = Csc.of_triplets ~n:size ct;
+    g_sym = Numeric.Sparse.analyze g_csc;
     lhs_sym;
   }
 
@@ -136,11 +120,10 @@ let voltage sys x node =
   if u < 0 then 0.0 else x.(u)
 
 (* G is factored in several places (DC operating point, settle probe,
-   incremental base) — one helper keeps them all on the triplet path
-   with the precomputed ordering, handing the dense image over for the
-   backend's dense mode and pivot fallback. *)
+   incremental base) — one helper keeps them all on the precomputed
+   ordering. *)
 let factor_g_result sys =
-  Numeric.Backend.try_factor_csc ~symbolic:sys.g_sym ~dense:sys.g sys.g_csc
+  Numeric.Backend.try_factor ~symbolic:sys.g_sym sys.g_csc
 
 let factor_g sys =
   match factor_g_result sys with
@@ -209,18 +192,23 @@ module Delta = struct
       Triplets.add m j i (-.value)
     end
 
-  (* The extended system replays the base triplet log and appends the
-     delta stamps, so its dense entries match what growing the dense
-     matrices entry-by-entry used to produce, and it gets fresh sparse
-     caches sized for the extended pattern. *)
+  (* The extended matrices start from the base entries, each already
+     the sum of its base stamps, and append the delta stamps in order:
+     every entry sums exactly as if all stamps had been replayed. The
+     orderings are recomputed for the extended pattern. *)
   let extend (sys : base) d =
     if sys.size <> d.base_size then
       invalid_arg "Mna.Delta.extend: delta built from a different system";
     let nt = size d in
-    let gt = Triplets.copy sys.g_stamps in
-    let ct = Triplets.copy sys.c_stamps in
-    List.iter (fun { i; j; value } -> stamp gt i j value) (List.rev d.g_stamps);
-    List.iter (fun { i; j; value } -> stamp ct i j value) (List.rev d.c_stamps);
+    let seed csc stamps =
+      let t =
+        Triplets.create ~capacity:(Csc.nnz csc + (4 * List.length stamps)) ()
+      in
+      Csc.iter csc (Triplets.add t);
+      List.iter (fun { i; j; value } -> stamp t i j value) (List.rev stamps);
+      t
+    in
+    let gt = seed sys.g_csc d.g_stamps and ct = seed sys.c_csc d.c_stamps in
     let rhs t =
       let b = sys.rhs t in
       let out = Array.make nt 0.0 in

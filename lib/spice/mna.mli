@@ -9,23 +9,24 @@
     Ground (node 0) is eliminated; unknown indices therefore run over
     non-ground nodes first, then branches.
 
-    Assembly goes through a triplet stamp log, which feeds both matrix
-    backends: the dense images [g]/[c] (a bit-exact replay of the
-    stamps) and the sparse image [g_csc] with precomputed fill-reducing
-    orderings. The sparse caches are built eagerly so an [Mna.t] can be
-    shared read-only across worker domains. *)
+    G and C are stamped as triplets and kept only in compressed sparse
+    column form, together with precomputed fill-reducing orderings.
+    Everything is built eagerly, so an [Mna.t] can be shared read-only
+    across worker domains. A dense image, where one is needed (AC
+    analysis, tests), is made on demand with
+    {!Numeric.Sparse.Csc.to_matrix}. *)
 
 type t = {
   size : int;  (** total number of unknowns *)
   num_node_unknowns : int;  (** non-ground node count *)
-  g : Numeric.Matrix.t;  (** static (conductance/incidence) part *)
-  c : Numeric.Matrix.t;  (** reactive (capacitance/inductance) part *)
   rhs : float -> float array;  (** b(t) *)
   unknown_of_node : int array;
       (** netlist node id → unknown index; ground maps to -1 *)
-  g_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [g] *)
-  c_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [c] *)
-  g_csc : Numeric.Sparse.Csc.t;  (** sparse image of [g] *)
+  g_csc : Numeric.Sparse.Csc.t;
+      (** static (conductance/incidence) part G; each entry sums its
+          stamps in stamping order *)
+  c_csc : Numeric.Sparse.Csc.t;
+      (** reactive (capacitance/inductance) part C, likewise *)
   g_sym : Numeric.Sparse.Symbolic.t;  (** ordering for G's pattern *)
   lhs_sym : Numeric.Sparse.Symbolic.t;
       (** ordering for the union pattern of G and C — valid for the
@@ -36,8 +37,8 @@ val build : Circuit.Netlist.t -> t
 (** @raise Invalid_argument on an empty circuit (no unknowns). *)
 
 val factor_g_result : t -> (Numeric.Backend.t, int) result
-(** Factor G under the active matrix backend, reusing the precomputed
-    [g_sym] ordering; error codes as {!Numeric.Lu.try_factor}. *)
+(** Factor G with {!Numeric.Backend}, reusing the precomputed [g_sym]
+    ordering; error codes as {!Numeric.Lu.try_factor}. *)
 
 val factor_g : t -> Numeric.Backend.t
 (** @raise Numeric.Lu.Singular when G has no usable pivot. *)
@@ -91,7 +92,8 @@ module Delta : sig
 
   val extend : mna -> t -> mna
   (** The extended system as a plain [Mna.t]: matrices grown and
-      stamped, right-hand side zero-padded, node→unknown map
+      stamped (each entry is the base entry plus the delta stamps, in
+      stamping order), right-hand side zero-padded, node→unknown map
       unchanged.
       @raise Invalid_argument when [d] was built from a system of a
       different size. *)

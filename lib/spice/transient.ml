@@ -1,3 +1,5 @@
+module Csc = Numeric.Sparse.Csc
+
 type method_ = Backward_euler | Trapezoidal
 
 type chunk = {
@@ -9,74 +11,30 @@ type chunk = {
 let dc_operating_point (sys : Mna.t) =
   Numeric.Backend.solve (Mna.factor_g sys) (sys.Mna.rhs 0.0)
 
-(* Compressed sparse rows of a matrix: MNA matrices have a handful of
-   nonzeros per row, so the explicit-side product per timestep is far
-   cheaper sparse than dense. *)
-type csr = {
-  row_start : int array;  (* length n+1 *)
-  col : int array;
-  value : float array;
-}
-
-let csr_of_matrix m =
-  let n = Numeric.Matrix.rows m in
-  let data = Numeric.Matrix.data m in
-  let row_start = Array.make (n + 1) 0 in
-  let cols = ref [] and values = ref [] in
-  let nnz = ref 0 in
-  for i = 0 to n - 1 do
-    row_start.(i) <- !nnz;
-    for j = 0 to n - 1 do
-      let v = data.((i * n) + j) in
-      if v <> 0.0 then begin
-        cols := j :: !cols;
-        values := v :: !values;
-        incr nnz
-      end
-    done
-  done;
-  row_start.(n) <- !nnz;
-  { row_start;
-    col = Array.of_list (List.rev !cols);
-    value = Array.of_list (List.rev !values) }
-
-let csr_mul_into csr x out =
-  let n = Array.length out in
-  for i = 0 to n - 1 do
-    let s = ref 0.0 in
-    for k = csr.row_start.(i) to csr.row_start.(i + 1) - 1 do
-      s :=
-        !s
-        +. (Array.unsafe_get csr.value k
-            *. Array.unsafe_get x (Array.unsafe_get csr.col k))
-    done;
-    Array.unsafe_set out i !s
-  done
-
 let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
   if dt <= 0.0 then invalid_arg "Transient.run: dt must be positive";
   if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
   if Array.length x0 <> sys.Mna.size then
     invalid_arg "Transient.run: state size mismatch";
   let n = sys.Mna.size in
-  let g = sys.Mna.g and c = sys.Mna.c in
+  let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
+  (* Both sides are combined entry by entry in CSC, with the float
+     operations of g_ij + h·c_ij and h·c_ij − g_ij (backward Euler's
+     0·g_ij term adds nothing to h·c_ij); exact zeros are dropped, so
+     the factored pattern is exactly the nonzeros. Its ordering is the
+     precomputed G∪C one, whatever the timestep or method. *)
   let lhs, explicit =
     match method_ with
     | Backward_euler ->
         (* (G + C/h) x' = (C/h) x + b(t') *)
-        let ch = Numeric.Matrix.scale (1.0 /. dt) c in
-        (Numeric.Matrix.add g ch, ch)
+        let h = 1.0 /. dt in
+        (Csc.lincomb 1.0 g h c, Csc.lincomb 0.0 g h c)
     | Trapezoidal ->
         (* (G + 2C/h) x' = (2C/h - G) x + b(t) + b(t') *)
-        let c2h = Numeric.Matrix.scale (2.0 /. dt) c in
-        (Numeric.Matrix.add g c2h, Numeric.Matrix.sub c2h g)
+        let h = 2.0 /. dt in
+        (Csc.lincomb 1.0 g h c, Csc.lincomb (-1.0) g h c)
   in
-  (* The iteration matrix is assembled densely (bit-identical entries
-     under either backend) and factored by the active backend; its
-     pattern is covered by the precomputed G∪C ordering whatever the
-     timestep or method. *)
   let lu = Numeric.Backend.factor ~symbolic:sys.Mna.lhs_sym lhs in
-  let explicit_csr = csr_of_matrix explicit in
   let num_probes = Array.length probes in
   let times = Array.make steps 0.0 in
   let states = Array.init num_probes (fun _ -> Array.make steps 0.0) in
@@ -86,7 +44,7 @@ let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
   for s = 0 to steps - 1 do
     let t' = t0 +. (float_of_int (s + 1) *. dt) in
     let b' = sys.Mna.rhs t' in
-    csr_mul_into explicit_csr x rhs;
+    Csc.mul_vec_into explicit x rhs;
     (match method_ with
     | Backward_euler ->
         for i = 0 to n - 1 do

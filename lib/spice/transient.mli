@@ -1,11 +1,11 @@
 (** Fixed-step transient integration of MNA systems.
 
-    Both methods factor the iteration matrix once and back-substitute
-    per step. The factorisation goes through {!Numeric.Backend}: under
-    the default sparse backend a simulation costs one near-O(nnz)
-    sparse factorisation (near-tree MNA patterns produce little fill)
-    plus an O(nnz) back-substitution per step; under the dense backend
-    the classic O(n³) factorisation plus O(n²) per step:
+    Both methods assemble the iteration matrix and the explicit-side
+    matrix from the system's CSC G and C, factor the former once with
+    {!Numeric.Backend} and back-substitute per step. A simulation costs
+    one near-O(nnz) sparse factorisation (near-tree MNA patterns
+    produce little fill) plus an O(nnz) product and back-substitution
+    per step:
 
     - backward Euler:  (G + C/h)·x' = (C/h)·x + b(t')
     - trapezoidal:     (G + 2C/h)·x' = (2C/h − G)·x + b(t) + b(t')

@@ -42,22 +42,6 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --no-incremental > "$tmpdir/noinc2.out" 2>/dev/null
 diff -u "$tmpdir/jobs2.out" "$tmpdir/noinc2.out"
 
-echo "== smoke: dense backend output matches sparse, jobs 1 and 2 =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --matrix-backend dense > "$tmpdir/dense.out" 2>/dev/null
-diff -u "$tmpdir/seq.out" "$tmpdir/dense.out"
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
-  --matrix-backend dense > "$tmpdir/dense2.out" 2>/dev/null
-diff -u "$tmpdir/jobs2.out" "$tmpdir/dense2.out"
-
-echo "== smoke: dense backend matches sparse under 20% fault injection =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --fault-rate 0.2 --log-level quiet > "$tmpdir/fault_sparse.out" 2>/dev/null
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --fault-rate 0.2 --log-level quiet --matrix-backend dense \
-  > "$tmpdir/fault_dense.out" 2>/dev/null
-diff -u "$tmpdir/fault_sparse.out" "$tmpdir/fault_dense.out"
-
 echo "== incremental scoring cuts full factorizations at least 2x =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
   --metrics-json "$tmpdir/m_on.json" > /dev/null 2>&1
@@ -68,15 +52,10 @@ f_off=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_off.j
 echo "sparse.factorizations: incremental=$f_on, plain=$f_off"
 [ -n "$f_on" ] && [ -n "$f_off" ] && [ "$f_off" -ge $((2 * f_on)) ]
 
-echo "== sparse backend replaces >=90% of dense LU factorizations =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --matrix-backend dense --metrics-json "$tmpdir/m_dense.json" > /dev/null 2>&1
-sparse_f=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
-lu_resid=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
-dense_lu=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_dense.json")
-echo "sparse run: sparse=$sparse_f dense-residual=$lu_resid; dense run: lu=$dense_lu"
-[ -n "$sparse_f" ] && [ -n "$dense_lu" ] && [ $((10 * sparse_f)) -ge $((9 * dense_lu)) ]
-[ -n "$lu_resid" ] && [ $((10 * lu_resid)) -le "$dense_lu" ]
+echo "== dense LU stays a fallback: <=10% of sparse factorizations =="
+lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
+echo "lu.factorizations=$lu_f, sparse.factorizations=$f_on"
+[ -n "$lu_f" ] && [ -n "$f_on" ] && [ $((10 * lu_f)) -le "$f_on" ]
 
 echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
 dune exec bin/obs_check.exe -- BENCH_nontree.json

@@ -481,21 +481,6 @@ let test_experiment_sample () =
   Alcotest.(check bool) "cost ratio >= 1" true
     (sample.Nontree.Stats.cost_ratio >= 1.0 -. 1e-9)
 
-let test_experiment_per_size_multi_padding () =
-  (* Nets alternate between one and two samples; both rows must
-     aggregate over every net. *)
-  let i = ref 0 in
-  let rows =
-    Nontree.Experiment.per_size_multi small_config ~size:5 (fun _ ->
-        incr i;
-        if !i mod 2 = 0 then [ s 0.9 1.1 ] else [ s 0.8 1.2; s 0.7 1.3 ])
-  in
-  Alcotest.(check int) "two rows" 2 (List.length rows);
-  List.iter
-    (fun (row : Nontree.Stats.row) ->
-      Alcotest.(check int) "all nets" 4 row.Nontree.Stats.n)
-    rows
-
 let suites =
   [ ( "nontree",
       [ Alcotest.test_case "ldrg stops without gain" `Quick
@@ -548,6 +533,5 @@ let suites =
         Alcotest.test_case "stats empty" `Quick test_stats_empty_rejected;
         Alcotest.test_case "experiment nets reproducible" `Quick
           test_experiment_nets_reproducible;
-        Alcotest.test_case "experiment sample" `Quick test_experiment_sample;
-        Alcotest.test_case "experiment multi padding" `Quick
-          test_experiment_per_size_multi_padding ] ) ]
+        Alcotest.test_case "experiment sample" `Quick test_experiment_sample
+      ] ) ]

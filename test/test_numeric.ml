@@ -86,19 +86,6 @@ let test_lu_try_factor_rank_deficient () =
   | Error k -> Alcotest.(check int) "infinite input flag" (-1) k
   | Ok _ -> Alcotest.fail "expected Error on an Inf matrix"
 
-let test_lu_det () =
-  let a = Matrix.of_arrays [| [| 3.0; 0.0 |]; [| 0.0; 4.0 |] |] in
-  Alcotest.(check (float 1e-12)) "det diag" 12.0 (Lu.det (Lu.factor a));
-  let b = Matrix.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  Alcotest.(check (float 1e-12)) "det swap" (-1.0) (Lu.det (Lu.factor b))
-
-let test_lu_inverse () =
-  let a = Matrix.of_arrays [| [| 4.0; 7.0 |]; [| 2.0; 6.0 |] |] in
-  let inv = Lu.inverse a in
-  let prod = Matrix.mul a inv in
-  Alcotest.(check (float 1e-10)) "A * A^-1 = I" 0.0
-    (Matrix.max_abs (Matrix.sub prod (Matrix.identity 2)))
-
 (* Random diagonally-dominant systems are well conditioned, so the
    residual must be tiny. *)
 let random_dd_system seed n =
@@ -137,14 +124,6 @@ let prop_lu_solve_in_place_matches =
       let x2 = Array.copy b in
       Lu.solve_in_place f x2;
       Vec.max_abs_diff x1 x2 = 0.0)
-
-let prop_inverse_roundtrip =
-  QCheck.Test.make ~name:"inverse roundtrip" ~count:30
-    QCheck.(pair small_int (int_range 1 15))
-    (fun (seed, n) ->
-      let a, _ = random_dd_system seed n in
-      let inv = Lu.inverse a in
-      Matrix.max_abs (Matrix.sub (Matrix.mul a inv) (Matrix.identity n)) < 1e-8)
 
 let test_lu_rcond () =
   let id = Lu.factor (Matrix.identity 4) in
@@ -296,7 +275,7 @@ let test_lu_update_length_mismatch () =
   | () -> Alcotest.fail "length mismatch accepted"
   | exception Invalid_argument _ -> ()
 
-(* Sparse kernel and backend dispatch ----------------------------------- *)
+(* Sparse kernel and backend ---------------------------------------------- *)
 
 let test_sparse_triplets_sum () =
   let t = Sparse.Triplets.create () in
@@ -312,12 +291,47 @@ let test_sparse_triplets_sum () =
   Alcotest.(check (float 0.0)) "a11" 2.0 (Matrix.get m 1 1);
   Alcotest.(check (float 0.0)) "a10" (-1.0) (Matrix.get m 1 0);
   Alcotest.(check (float 0.0)) "absent entry" 0.0 (Matrix.get m 0 1);
-  (* Replaying the triplet log into a dense matrix is the bit-identity
-     contract the Mna materialisation relies on. *)
-  let replay = Matrix.create 2 2 in
-  Sparse.Triplets.iter t (fun i j v -> Matrix.add_to replay i j v);
-  Alcotest.(check (float 0.0)) "replay matches csc" 0.0
-    (Matrix.max_abs (Matrix.sub replay m))
+  let seen = ref [] in
+  Sparse.Csc.iter csc (fun i j v -> seen := (i, j, v) :: !seen);
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "iter: column by column, rows ascending"
+    [ (0, 0, 1.5); (1, 0, -1.0); (1, 1, 2.0) ]
+    (List.rev !seen)
+
+(* The transient assembles G + hC and hC - G with [lincomb]; it must
+   reproduce the dense [scale]/[add]/[sub] entries bit for bit and keep
+   exactly the dense result's nonzero pattern. *)
+let test_sparse_lincomb_matches_dense () =
+  let g = Sparse.Triplets.create () and c = Sparse.Triplets.create () in
+  List.iter
+    (fun (i, j, v) -> Sparse.Triplets.add g i j v)
+    [ (0, 0, 0.3); (0, 1, -0.3); (1, 0, -0.3); (1, 1, 0.7); (2, 0, 1.0);
+      (0, 2, 1.0); (2, 2, 0.0) ];
+  List.iter
+    (fun (i, j, v) -> Sparse.Triplets.add c i j v)
+    [ (1, 1, 1e-12); (1, 2, 3e-13); (2, 1, 3e-13); (0, 0, 0.0) ];
+  let gs = Sparse.Csc.of_triplets ~n:3 g in
+  let cs = Sparse.Csc.of_triplets ~n:3 c in
+  let gd = Sparse.Csc.to_matrix gs and cd = Sparse.Csc.to_matrix cs in
+  let h = 2.0 /. 1.7e-11 in
+  let check label sparse dense =
+    Alcotest.(check bool) (label ^ ": same entries") true
+      (Matrix.to_arrays (Sparse.Csc.to_matrix sparse) = Matrix.to_arrays dense);
+    Alcotest.(check int) (label ^ ": nonzeros only")
+      (Sparse.Csc.nnz (Sparse.Csc.of_matrix dense))
+      (Sparse.Csc.nnz sparse)
+  in
+  let hc = Matrix.scale h cd in
+  check "g + hc" (Sparse.Csc.lincomb 1.0 gs h cs) (Matrix.add gd hc);
+  check "hc - g" (Sparse.Csc.lincomb (-1.0) gs h cs) (Matrix.sub hc gd);
+  check "hc" (Sparse.Csc.lincomb 0.0 gs h cs) hc
+
+let test_sparse_mul_vec () =
+  let a, x = random_dd_system 5 8 in
+  let out = Array.make 8 nan in
+  Sparse.Csc.mul_vec_into (Sparse.Csc.of_matrix a) x out;
+  Alcotest.(check (float 0.0)) "matches the dense row sums" 0.0
+    (Vec.max_abs_diff out (Matrix.mul_vec a x))
 
 let test_sparse_zero_diagonal_pivot () =
   (* A vsource-style MNA block [[g,1],[1,0]]: the branch row has a zero
@@ -384,48 +398,27 @@ let test_sparse_solve_with_buffer () =
       Alcotest.(check (float 0.0)) "solve_in_place = solve" 0.0
         (Vec.max_abs_diff x z)
 
-let with_backend kind f =
-  let prev = Backend.kind () in
-  Backend.set_kind kind;
-  Fun.protect ~finally:(fun () -> Backend.set_kind prev) f
-
-let test_backend_kind_strings () =
-  Alcotest.(check string) "sparse name" "sparse"
-    (Backend.kind_to_string Backend.Sparse);
-  Alcotest.(check string) "dense name" "dense"
-    (Backend.kind_to_string Backend.Dense);
-  Alcotest.(check bool) "sparse parses" true
-    (Backend.kind_of_string "sparse" = Some Backend.Sparse);
-  Alcotest.(check bool) "dense parses" true
-    (Backend.kind_of_string "dense" = Some Backend.Dense);
-  Alcotest.(check bool) "garbage rejected" true
-    (Backend.kind_of_string "banded" = None)
-
-let test_backend_solves_under_both_kinds () =
+(* Backend factors CSC matrices sparsely and falls back to [Lu] only on
+   a sparse pivot failure, so its solves and its singular verdicts
+   (error codes included) must be [Lu]'s. *)
+let test_backend_solves_match_lu () =
   let a, b = random_dd_system 23 10 in
-  let reference = Lu.solve_matrix a b in
-  List.iter
-    (fun kind ->
-      with_backend kind (fun () ->
-          let x = Backend.solve (Backend.factor a) b in
-          Alcotest.(check bool)
-            (Backend.kind_to_string kind ^ " backend solves")
-            true
-            (Vec.max_abs_diff x reference < 1e-9)))
-    [ Backend.Dense; Backend.Sparse ];
-  Alcotest.(check bool) "kind restored" true (Backend.kind () = Backend.Sparse)
+  let x = Backend.solve (Backend.factor (Sparse.Csc.of_matrix a)) b in
+  Alcotest.(check bool) "solve matches Lu" true
+    (Vec.max_abs_diff x (Lu.solve_matrix a b) < 1e-9)
 
 let test_backend_singular_parity () =
-  let a = Matrix.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   List.iter
-    (fun kind ->
-      with_backend kind (fun () ->
-          match Backend.try_factor a with
-          | Error _ -> ()
-          | Ok _ ->
-              Alcotest.failf "%s backend accepted a singular matrix"
-                (Backend.kind_to_string kind)))
-    [ Backend.Dense; Backend.Sparse ]
+    (fun (label, rows) ->
+      let a = Matrix.of_arrays rows in
+      let verdict = function Ok _ -> "ok" | Error k -> string_of_int k in
+      Alcotest.(check string) label
+        (verdict (Lu.try_factor a))
+        (verdict (Backend.try_factor (Sparse.Csc.of_matrix a))))
+    [ ("rank deficient", [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |]);
+      ("empty column", [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |]);
+      ("non-finite", [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |]);
+      ("regular", [| [| 2.0; 1.0 |]; [| 1.0; 0.0 |] |]) ]
 
 let suites =
   [ ( "numeric",
@@ -440,8 +433,6 @@ let suites =
         Alcotest.test_case "lu rank-deficient detection" `Quick
           test_lu_try_factor_rank_deficient;
         Alcotest.test_case "lu rcond" `Quick test_lu_rcond;
-        Alcotest.test_case "lu det" `Quick test_lu_det;
-        Alcotest.test_case "lu inverse" `Quick test_lu_inverse;
         Alcotest.test_case "lu update known" `Quick test_lu_update_known;
         Alcotest.test_case "lu update drops zero alpha" `Quick
           test_lu_update_zero_alpha_dropped;
@@ -452,7 +443,6 @@ let suites =
           test_lu_update_length_mismatch;
         QCheck_alcotest.to_alcotest prop_lu_residual;
         QCheck_alcotest.to_alcotest prop_lu_solve_in_place_matches;
-        QCheck_alcotest.to_alcotest prop_inverse_roundtrip;
         QCheck_alcotest.to_alcotest prop_lu_transpose_solve;
         Alcotest.test_case "matrix map/scale/frobenius" `Quick
           test_matrix_map_scale_frobenius;
@@ -472,9 +462,10 @@ let suites =
           test_sparse_symbolic_reuse;
         Alcotest.test_case "sparse solve buffers agree" `Quick
           test_sparse_solve_with_buffer;
-        Alcotest.test_case "backend kind strings" `Quick
-          test_backend_kind_strings;
-        Alcotest.test_case "backend solves under both kinds" `Quick
-          test_backend_solves_under_both_kinds;
+        Alcotest.test_case "sparse lincomb matches dense" `Quick
+          test_sparse_lincomb_matches_dense;
+        Alcotest.test_case "sparse mul_vec_into" `Quick test_sparse_mul_vec;
+        Alcotest.test_case "backend solves match lu" `Quick
+          test_backend_solves_match_lu;
         Alcotest.test_case "backend singular parity" `Quick
           test_backend_singular_parity ] ) ]

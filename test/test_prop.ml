@@ -177,7 +177,9 @@ let prop_incremental_moments_match_rebuild g =
       let trial = Routing.add_edge r u v in
       let direct = Delay.Moments.first_moments ~tech trial in
       let lu =
-        Numeric.Lu.factor (Delay.Moments.conductance_matrix ~tech r)
+        Numeric.Lu.factor
+          (Numeric.Sparse.Csc.to_matrix
+             (Delay.Moments.conductance_matrix ~tech r))
       in
       let n = Routing.num_vertices r in
       let length =
@@ -246,37 +248,6 @@ let test_trace_equality model () =
       let on = with_incremental true (fun () -> run_ldrg ~model r) in
       Alcotest.check sig_testable "identical trace" (trace_signature off)
         (trace_signature on))
-    nets
-
-(* Backend trace equality: the sparse and dense matrix backends pick
-   the identical LDRG edge sequence, rounded objectives and evaluation
-   count on table-2 nets — the in-process form of the byte-identical
-   stdout guarantee behind [--matrix-backend]. *)
-
-let with_backend kind f =
-  let prev = Numeric.Backend.kind () in
-  Numeric.Backend.set_kind kind;
-  Fun.protect ~finally:(fun () -> Numeric.Backend.set_kind prev) f
-
-let test_backend_trace_equality model () =
-  Fault.disable ();
-  let nets =
-    Geom.Netgen.uniform_batch
-      ~seed:(1994 + (1_000_003 * 5))
-      ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
-      ~pins:5 ~trials:2
-  in
-  Array.iter
-    (fun net ->
-      let r = Routing.mst_of_net net in
-      let dense =
-        with_backend Numeric.Backend.Dense (fun () -> run_ldrg ~model r)
-      in
-      let sparse =
-        with_backend Numeric.Backend.Sparse (fun () -> run_ldrg ~model r)
-      in
-      Alcotest.check sig_testable "identical trace across backends"
-        (trace_signature dense) (trace_signature sparse))
     nets
 
 (* The incremental path must actually engage (and not fall back) on a
@@ -452,13 +423,6 @@ let suites =
           (fun () ->
             check ~trials:200 "ordering-permutation"
               prop_ordering_is_permutation);
-        Alcotest.test_case "backend trace equal, first-moment" `Quick
-          (test_backend_trace_equality Delay.Model.First_moment);
-        Alcotest.test_case "backend trace equal, two-pole" `Quick
-          (test_backend_trace_equality Delay.Model.Two_pole);
-        Alcotest.test_case "backend trace equal, spice" `Slow
-          (test_backend_trace_equality
-             (Delay.Model.Spice Delay.Model.fast_spice));
         Alcotest.test_case "ldrg trace equal, first-moment" `Quick
           (test_trace_equality Delay.Model.First_moment);
         Alcotest.test_case "ldrg trace equal, two-pole" `Quick

@@ -376,10 +376,13 @@ let test_delta_extend_matches_stamps () =
   Alcotest.(check int) "one appended unknown" (sys.Spice.Mna.size + 1) nt;
   (* Extended G must equal the embedded base plus the same stamps
      g_terms renders as rank-1 outer products. *)
+  let dense = Numeric.Sparse.Csc.to_matrix in
+  let base_g = dense sys.Spice.Mna.g_csc in
+  let ext_g = dense ext.Spice.Mna.g_csc in
   let expect = Numeric.Matrix.create nt nt in
   for i = 0 to sys.Spice.Mna.size - 1 do
     for j = 0 to sys.Spice.Mna.size - 1 do
-      Numeric.Matrix.set expect i j (Numeric.Matrix.get sys.Spice.Mna.g i j)
+      Numeric.Matrix.set expect i j (Numeric.Matrix.get base_g i j)
     done
   done;
   List.iter
@@ -391,15 +394,15 @@ let test_delta_extend_matches_stamps () =
       done)
     (Spice.Mna.Delta.g_terms d);
   Alcotest.(check (float 1e-15)) "G matches rank-1 rendering" 0.0
-    (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext.Spice.Mna.g expect));
+    (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext_g expect));
   Alcotest.(check (float 0.0)) "C stamped on pad diagonal" 2e-12
-    (Numeric.Matrix.get ext.Spice.Mna.c p p);
+    (Numeric.Matrix.get (dense ext.Spice.Mna.c_csc) p p);
   let b = ext.Spice.Mna.rhs 0.5 in
   Alcotest.(check int) "rhs grows" nt (Array.length b);
   Alcotest.(check (float 0.0)) "rhs pad is zero" 0.0 b.(p);
   (* And the DC state through the Woodbury update equals a fresh solve
      of the extended matrix. *)
-  match Numeric.Lu.try_factor sys.Spice.Mna.g with
+  match Numeric.Lu.try_factor base_g with
   | Error _ -> Alcotest.fail "base G did not factor"
   | Ok base -> (
       match
@@ -408,7 +411,7 @@ let test_delta_extend_matches_stamps () =
       | None -> Alcotest.fail "delta update degenerate"
       | Some up ->
           let x_upd = Numeric.Lu.Update.solve up b in
-          let x_fresh = Numeric.Lu.solve_matrix ext.Spice.Mna.g b in
+          let x_fresh = Numeric.Lu.solve_matrix ext_g b in
           Alcotest.(check (float 1e-9)) "DC states agree" 0.0
             (Numeric.Vec.max_abs_diff x_upd x_fresh))
 
