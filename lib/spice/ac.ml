@@ -58,7 +58,7 @@ let analyze nl ~source ~probe ~frequencies =
   in
   let unknown = sys.Mna.unknown_of_node.(probe_node) in
   if unknown < 0 then invalid_arg "Ac.analyze: cannot probe ground";
-  let b_real = sys.Mna.rhs 0.0 in
+  let b_real = Mna.rhs sys 0.0 in
   let b = Array.map (fun re -> { Complex.re; im = 0.0 }) b_real in
   (* AC sweeps are off the routing hot path: dense images suffice. *)
   let g = Numeric.Sparse.Csc.to_matrix sys.Mna.g_csc in

@@ -16,10 +16,19 @@
     analysis, tests), is made on demand with
     {!Numeric.Sparse.Csc.to_matrix}. *)
 
+type source = {
+  row : int;  (** the unknown whose equation the source drives *)
+  sign : float;  (** +1 or -1: the source's orientation in that row *)
+  wave : Circuit.Waveform.t;
+}
+(** One independent-source term of b(t): [sign *. value wave t] added
+    to row [row]. *)
+
 type t = {
   size : int;  (** total number of unknowns *)
   num_node_unknowns : int;  (** non-ground node count *)
-  rhs : float -> float array;  (** b(t) *)
+  sources : source array;
+      (** the terms of b(t), summed in array order (see {!rhs_into}) *)
   unknown_of_node : int array;
       (** netlist node id → unknown index; ground maps to -1 *)
   g_csc : Numeric.Sparse.Csc.t;
@@ -27,7 +36,11 @@ type t = {
           stamps in stamping order *)
   c_csc : Numeric.Sparse.Csc.t;
       (** reactive (capacitance/inductance) part C, likewise *)
-  g_sym : Numeric.Sparse.Symbolic.t;  (** ordering for G's pattern *)
+  g_sym : Numeric.Sparse.Symbolic.t option;
+      (** ordering for G's pattern; [None] on {!Delta.extend}ed
+          systems, whose G is only ever solved through a Woodbury
+          update of the base factorisation — {!factor_g_result} then
+          orders G itself *)
   lhs_sym : Numeric.Sparse.Symbolic.t;
       (** ordering for the union pattern of G and C — valid for the
           transient iteration matrix G + C/h at every timestep *)
@@ -36,9 +49,19 @@ type t = {
 val build : Circuit.Netlist.t -> t
 (** @raise Invalid_argument on an empty circuit (no unknowns). *)
 
+val rhs_into : t -> float -> float array -> unit
+(** [rhs_into sys t b] overwrites [b] (length [size]) with b(t): zeros,
+    then each source term added in array order. Allocates nothing, so
+    the transient can evaluate it every step.
+    @raise Invalid_argument on a length mismatch. *)
+
+val rhs : t -> float -> float array
+(** b(t) in a fresh array. *)
+
 val factor_g_result : t -> (Numeric.Backend.t, int) result
 (** Factor G with {!Numeric.Backend}, reusing the precomputed [g_sym]
-    ordering; error codes as {!Numeric.Lu.try_factor}. *)
+    ordering when there is one; error codes as
+    {!Numeric.Lu.try_factor}. *)
 
 val factor_g : t -> Numeric.Backend.t
 (** @raise Numeric.Lu.Singular when G has no usable pivot. *)
@@ -93,8 +116,8 @@ module Delta : sig
   val extend : mna -> t -> mna
   (** The extended system as a plain [Mna.t]: matrices grown and
       stamped (each entry is the base entry plus the delta stamps, in
-      stamping order), right-hand side zero-padded, node→unknown map
-      unchanged.
+      stamping order), the same sources (so b(t) is the base b(t)
+      zero-padded), node→unknown map unchanged, and no [g_sym].
       @raise Invalid_argument when [d] was built from a system of a
       different size. *)
 end

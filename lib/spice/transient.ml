@@ -8,15 +8,24 @@ type chunk = {
   final : float array;
 }
 
-let dc_operating_point (sys : Mna.t) =
-  Numeric.Backend.solve (Mna.factor_g sys) (sys.Mna.rhs 0.0)
+let steps_counter = Obs.Counter.make "spice.steps"
 
-let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
-  if dt <= 0.0 then invalid_arg "Transient.run: dt must be positive";
-  if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
-  if Array.length x0 <> sys.Mna.size then
-    invalid_arg "Transient.run: state size mismatch";
-  let n = sys.Mna.size in
+let dc_operating_point (sys : Mna.t) =
+  Numeric.Backend.solve (Mna.factor_g sys) (Mna.rhs sys 0.0)
+
+type companion = {
+  sys : Mna.t;
+  method_ : method_;
+  dt : float;
+  lu : Numeric.Backend.t;
+  explicit : Csc.t;
+  (* b(t) at the two ends of a step, swapped after every step. *)
+  mutable b_prev : float array;
+  mutable b_next : float array;
+}
+
+let companion (sys : Mna.t) ~method_ ~dt =
+  if dt <= 0.0 then invalid_arg "Transient.companion: dt must be positive";
   let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
   (* Both sides are combined entry by entry in CSC, with the float
      operations of g_ij + h·c_ij and h·c_ij − g_ij (backward Euler's
@@ -35,35 +44,55 @@ let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
         (Csc.lincomb 1.0 g h c, Csc.lincomb (-1.0) g h c)
   in
   let lu = Numeric.Backend.factor ~symbolic:sys.Mna.lhs_sym lhs in
+  let n = sys.Mna.size in
+  {
+    sys;
+    method_;
+    dt;
+    lu;
+    explicit;
+    b_prev = Array.make n 0.0;
+    b_next = Array.make n 0.0;
+  }
+
+let run cp ~x0 ~t0 ~steps ~probes =
+  if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
+  let sys = cp.sys and dt = cp.dt in
+  let n = sys.Mna.size in
+  if Array.length x0 <> n then invalid_arg "Transient.run: state size mismatch";
+  Obs.Counter.add steps_counter steps;
   let num_probes = Array.length probes in
   let times = Array.make steps 0.0 in
   let states = Array.init num_probes (fun _ -> Array.make steps 0.0) in
-  let x = Array.copy x0 in
-  let rhs = Array.make n 0.0 in
-  let b_prev = ref (sys.Mna.rhs t0) in
+  (* The state and the right-hand side trade places every step: the
+     solve overwrites the right-hand side with the new state. *)
+  let x = ref (Array.copy x0) and rhs = ref (Array.make n 0.0) in
+  Mna.rhs_into sys t0 cp.b_prev;
   for s = 0 to steps - 1 do
     let t' = t0 +. (float_of_int (s + 1) *. dt) in
-    let b' = sys.Mna.rhs t' in
-    Csc.mul_vec_into explicit x rhs;
-    (match method_ with
+    let b' = cp.b_next and r = !rhs in
+    Mna.rhs_into sys t' b';
+    Csc.mul_vec_into cp.explicit !x r;
+    (match cp.method_ with
     | Backward_euler ->
         for i = 0 to n - 1 do
-          Array.unsafe_set rhs i
-            (Array.unsafe_get rhs i +. Array.unsafe_get b' i)
+          Array.unsafe_set r i (Array.unsafe_get r i +. Array.unsafe_get b' i)
         done
     | Trapezoidal ->
-        let bp = !b_prev in
+        let bp = cp.b_prev in
         for i = 0 to n - 1 do
-          Array.unsafe_set rhs i
-            (Array.unsafe_get rhs i +. Array.unsafe_get bp i
+          Array.unsafe_set r i
+            (Array.unsafe_get r i +. Array.unsafe_get bp i
             +. Array.unsafe_get b' i)
         done);
-    Numeric.Backend.solve_in_place lu rhs;
-    Array.blit rhs 0 x 0 n;
-    b_prev := b';
+    Numeric.Backend.solve_in_place cp.lu r;
+    rhs := !x;
+    x := r;
+    cp.b_next <- cp.b_prev;
+    cp.b_prev <- b';
     times.(s) <- t';
     for p = 0 to num_probes - 1 do
-      states.(p).(s) <- x.(probes.(p))
+      states.(p).(s) <- r.(probes.(p))
     done
   done;
-  { times; states; final = x }
+  { times; states; final = !x }

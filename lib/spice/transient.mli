@@ -2,10 +2,11 @@
 
     Both methods assemble the iteration matrix and the explicit-side
     matrix from the system's CSC G and C, factor the former once with
-    {!Numeric.Backend} and back-substitute per step. A simulation costs
-    one near-O(nnz) sparse factorisation (near-tree MNA patterns
-    produce little fill) plus an O(nnz) product and back-substitution
-    per step:
+    {!Numeric.Backend} into a {!companion}, and back-substitute per
+    step. A simulation costs one near-O(nnz) sparse factorisation
+    (near-tree MNA patterns produce little fill), however many chunks
+    it is run in, plus an O(nnz) product and back-substitution per
+    step; the step loop allocates nothing but its recorded output:
 
     - backward Euler:  (G + C/h)·x' = (C/h)·x + b(t')
     - trapezoidal:     (G + 2C/h)·x' = (2C/h − G)·x + b(t) + b(t')
@@ -28,19 +29,26 @@ val dc_operating_point : Mna.t -> float array
     @raise Numeric.Lu.Singular for a structurally defective circuit
     (e.g. a node with no DC path to ground). *)
 
-val run :
-  Mna.t ->
-  method_:method_ ->
-  x0:float array ->
-  t0:float ->
-  dt:float ->
-  steps:int ->
-  probes:int array ->
-  chunk
-(** Integrates [steps] steps of size [dt] from state [x0] at time [t0],
-    recording the unknowns listed in [probes] ([chunk.states.(i).(s)]
-    is probe [i] at step [s]). Continuation is exact: pass [final] and
-    the last time back in to extend a simulation.
+type companion
+(** A system's factored iteration matrix for one method and timestep,
+    plus the step loop's buffers. Mutable scratch: use from one domain
+    at a time. *)
 
-    @raise Invalid_argument on non-positive [dt] or [steps], or a
-    state-size mismatch. *)
+val companion : Mna.t -> method_:method_ -> dt:float -> companion
+(** Assemble and factor the companion system.
+
+    @raise Invalid_argument on a non-positive [dt].
+    @raise Numeric.Lu.Singular when the iteration matrix has no usable
+    pivot. *)
+
+val run :
+  companion -> x0:float array -> t0:float -> steps:int -> probes:int array -> chunk
+(** Integrates [steps] steps of the companion's [dt] from state [x0] at
+    time [t0], recording the unknowns listed in [probes]
+    ([chunk.states.(i).(s)] is probe [i] at step [s]). Continuation is
+    exact: pass [final] and the last time back in, with the same
+    companion, to extend a simulation. Adds [steps] to the always-live
+    [spice.steps] counter.
+
+    @raise Invalid_argument on non-positive [steps] or a state-size
+    mismatch. *)
