@@ -94,6 +94,14 @@ module Symbolic : sig
       0..n-1. *)
 
   val size : t -> int
+
+  val extend : t -> int -> t
+  (** [extend s k] orders a system grown by [k] unknowns, numbered
+      [size s] to [size s + k - 1]: [s]'s order with the new unknowns
+      appended, eliminated last in index order. No pattern is
+      examined, so a system grown by a few appended unknowns keeps
+      its base ordering instead of paying {!analyze} again.
+      @raise Invalid_argument on a negative [k]. *)
 end
 
 val analyze : Csc.t -> Symbolic.t

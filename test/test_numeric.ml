@@ -383,6 +383,24 @@ let test_sparse_symbolic_reuse () =
         (Sparse.factor_nnz f1 >= 12)
   | _ -> Alcotest.fail "well-conditioned system failed to factor"
 
+(* Extending an order appends the new unknowns, eliminated last; it
+   stays a valid order for a system grown by those unknowns. *)
+let test_sparse_symbolic_extend () =
+  let a, _ = random_dd_system 7 6 in
+  let sym = Sparse.analyze (Sparse.Csc.of_matrix a) in
+  let ext = Sparse.Symbolic.extend sym 2 in
+  Alcotest.(check int) "extended size" 8 (Sparse.Symbolic.size ext);
+  Alcotest.(check (array int)) "base order, then the new unknowns"
+    (Array.append (Sparse.Symbolic.order sym) [| 6; 7 |])
+    (Sparse.Symbolic.order ext);
+  let big, b = random_dd_system 8 8 in
+  let csc = Sparse.Csc.of_matrix big in
+  match (Sparse.try_factor csc, Sparse.try_factor ~symbolic:ext csc) with
+  | Ok f1, Ok f2 ->
+      Alcotest.(check (float 1e-12)) "same solution" 0.0
+        (Vec.max_abs_diff (Sparse.solve f1 b) (Sparse.solve f2 b))
+  | _ -> Alcotest.fail "well-conditioned system failed to factor"
+
 let test_sparse_solve_with_buffer () =
   let a, b = random_dd_system 7 9 in
   match Sparse.try_factor (Sparse.Csc.of_matrix a) with
@@ -458,6 +476,8 @@ let suites =
           test_sparse_zero_diagonal_pivot;
         Alcotest.test_case "sparse singular rejection" `Quick
           test_sparse_singular_rejected;
+        Alcotest.test_case "sparse symbolic extend" `Quick
+          test_sparse_symbolic_extend;
         Alcotest.test_case "sparse symbolic reuse" `Quick
           test_sparse_symbolic_reuse;
         Alcotest.test_case "sparse solve buffers agree" `Quick
