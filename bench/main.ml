@@ -263,8 +263,8 @@ let () =
       ("--svg-dir", Arg.Set_string svg_dir, "DIR  figure output (default figures)");
       ( "--jobs",
         Arg.Set_int jobs,
-        "N  worker domains; table contents are identical for any value \
-         (default 1)" );
+        "N  worker domains, at most the core count; table contents are \
+         identical for any value (default 1)" );
       ("--no-cache", Arg.Set no_cache, "  disable the oracle memo cache");
       ( "--no-incremental",
         Arg.Set no_incremental,
@@ -299,6 +299,15 @@ let () =
   if !jobs < 1 then begin
     prerr_endline "bench: --jobs must be >= 1";
     exit 2
+  end;
+  (* More worker domains than cores only slows the run down: OCaml 5
+     minor collections stop every domain. *)
+  let jobs_requested = !jobs in
+  let cores = Domain.recommended_domain_count () in
+  if jobs_requested > cores then begin
+    progress "warning: --jobs %d exceeds the %d available cores; using %d"
+      jobs_requested cores cores;
+    jobs := cores
   end;
   let config =
     { Nontree.Experiment.default with
@@ -394,6 +403,7 @@ let () =
         Obs.Json.
           [ ("seed", Int !seed);
             ("jobs", Int !jobs);
+            ("jobs_requested", Int jobs_requested);
             ("trials", Int !trials);
             ("sizes", List (List.map (fun s -> Int s) size_list));
             ("cache_enabled", Bool (not !no_cache));

@@ -88,11 +88,12 @@ let dispatch config table figure ext svg_dir =
 
 (* Everything the manifest needs to reproduce the run: the knobs that
    feed [config_of] plus the fault and cache switches. *)
-let manifest_meta ~trials ~sizes ~seed ~jobs ~fault_rate ~no_cache
-    ~no_incremental =
+let manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested ~fault_rate
+    ~no_cache ~no_incremental =
   Obs.Json.
     [ ("seed", Int seed);
       ("jobs", Int jobs);
+      ("jobs_requested", Int jobs_requested);
       ("trials", Int trials);
       ("sizes", List (List.map (fun s -> Int s) sizes));
       ("fault_rate", Float fault_rate);
@@ -115,12 +116,25 @@ let write_manifest ~path ~meta =
     ();
   Printf.eprintf "wrote metrics manifest %s\n%!" path
 
+(* More worker domains than cores only slows a run down: OCaml 5 minor
+   collections stop every domain, and the scoring path allocates. *)
+let clamp_jobs requested =
+  let cores = Domain.recommended_domain_count () in
+  if requested <= cores then requested
+  else begin
+    Logs.warn (fun m ->
+        m "--jobs %d exceeds the %d available cores; using %d" requested
+          cores cores);
+    cores
+  end
+
 let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
-    jobs no_cache no_incremental metrics_json trace log_level =
+    jobs_requested no_cache no_incremental metrics_json trace log_level =
   Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   Logs.set_level log_level;
-  if jobs < 1 then `Error (false, "--jobs must be >= 1")
+  if jobs_requested < 1 then `Error (false, "--jobs must be >= 1")
   else begin
+    let jobs = clamp_jobs jobs_requested in
     if trace || metrics_json <> None then Obs.set_enabled true;
     Nontree_error.Counters.reset ();
     Nontree.Oracle.Cache.reset ();
@@ -154,8 +168,8 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
     | Some path ->
         write_manifest ~path
           ~meta:
-            (manifest_meta ~trials ~sizes ~seed ~jobs ~fault_rate ~no_cache
-               ~no_incremental)
+            (manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested
+               ~fault_rate ~no_cache ~no_incremental)
     | None -> ());
     result
   end
@@ -221,7 +235,8 @@ let jobs =
         ~doc:
           "Worker domains for per-net fan-out and candidate scoring. 1 \
            (the default) runs the sequential path; any value produces the \
-           same table contents — only wall time changes.")
+           same table contents — only wall time changes. Values above the \
+           core count are lowered to it, with a warning.")
 
 let no_cache =
   Arg.(

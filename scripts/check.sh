@@ -34,6 +34,11 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   > "$tmpdir/jobs2.out" 2>/dev/null
 diff -u "$tmpdir/seq.out" "$tmpdir/jobs2.out"
 
+echo "== smoke: --jobs above the core count is clamped, output unchanged =="
+dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
+  > "$tmpdir/jobs64.out" 2>/dev/null
+diff -u "$tmpdir/seq.out" "$tmpdir/jobs64.out"
+
 echo "== smoke: --no-incremental output matches incremental, jobs 1 and 2 =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
   --no-incremental > "$tmpdir/noinc.out" 2>/dev/null
