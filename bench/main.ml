@@ -165,12 +165,14 @@ let counter_value name = Obs.Counter.value (Obs.Counter.make name)
 (* Per-section accounting -------------------------------------------------- *)
 
 (* What BENCH_nontree.json records for each section that ran: wall time,
-   how many robust-oracle evaluations it issued, and how the memo cache
-   fared. Counter *deltas*, so sections are independent. *)
+   how many robust-oracle and incremental (Woodbury) evaluations it
+   issued, and how the memo cache fared. Counter *deltas*, so sections
+   are independent. *)
 type section_stats = {
   name : string;
   wall_s : float;
   oracle_calls : int;
+  incremental_evals : int;
   cache_hits : int;
   cache_misses : int;
 }
@@ -194,13 +196,11 @@ let snapshot_counters () =
     lu_factorizations = counter_value "lu.factorizations";
     sparse_factorizations_total = counter_value "sparse.factorizations" }
 
-let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~seed ~trials
-    ~sizes ~total_wall_s ~counters sections =
+let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"nontree-bench-v1\",\n";
   Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"cache_enabled\": %b,\n" cache_enabled;
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
   Printf.bprintf buf "  \"trials\": %d,\n" trials;
   Printf.bprintf buf "  \"sizes\": [%s],\n"
@@ -211,7 +211,6 @@ let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~seed ~trials
      the robust path had to take over, and the full factorization count
      they are meant to suppress. *)
   Printf.bprintf buf "  \"incremental\": {\n";
-  Printf.bprintf buf "    \"enabled\": %b,\n" incremental_enabled;
   Printf.bprintf buf "    \"rank1_updates\": %d,\n" counters.rank1_updates;
   Printf.bprintf buf "    \"hits\": %d,\n" counters.inc_hits;
   Printf.bprintf buf "    \"fallbacks\": %d,\n" counters.inc_fallbacks;
@@ -225,9 +224,10 @@ let json_of_stats ~jobs ~cache_enabled ~incremental_enabled ~seed ~trials
     (fun i s ->
       Printf.bprintf buf
         "    { \"name\": %S, \"wall_s\": %.3f, \"oracle_calls\": %d, \
-         \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f \
-         }%s\n"
-        s.name s.wall_s s.oracle_calls s.cache_hits s.cache_misses
+         \"incremental_evals\": %d, \"cache_hits\": %d, \"cache_misses\": \
+         %d, \"cache_hit_rate\": %.4f }%s\n"
+        s.name s.wall_s s.oracle_calls s.incremental_evals s.cache_hits
+        s.cache_misses
         (hit_rate s)
         (if i = List.length sections - 1 then "" else ","))
     sections;
@@ -245,8 +245,6 @@ let () =
   let accurate = ref false in
   let svg_dir = ref "figures" in
   let jobs = ref 1 in
-  let no_cache = ref false in
-  let no_incremental = ref false in
   let bench_json = ref "BENCH_nontree.json" in
   let metrics_json = ref "" in
   let spec =
@@ -265,10 +263,6 @@ let () =
         Arg.Set_int jobs,
         "N  worker domains, at most the core count; table contents are \
          identical for any value (default 1)" );
-      ("--no-cache", Arg.Set no_cache, "  disable the oracle memo cache");
-      ( "--no-incremental",
-        Arg.Set no_incremental,
-        "  disable incremental (Woodbury) candidate scoring" );
       ( "--bench-json",
         Arg.Set_string bench_json,
         "PATH  machine-readable per-section stats (default \
@@ -322,8 +316,6 @@ let () =
      and --metrics-json report from one source of truth. *)
   Obs.set_enabled true;
   Nontree.Oracle.Cache.reset ();
-  Nontree.Oracle.Cache.set_enabled (not !no_cache);
-  Nontree.Incremental.set_enabled (not !no_incremental);
   let wanted =
     if !only = "" then
       [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "figures"; "ext"; "bechamel" ]
@@ -336,6 +328,7 @@ let () =
          a counter delta, so the run's global tallies survive intact for
          the manifest. *)
       let e0 = Delay.Robust.evaluation_count () in
+      let i0 = counter_value "oracle.incremental_hits" in
       let c0 = Nontree.Oracle.Cache.stats () in
       Obs.span ("bench." ^ name) f;
       let wall_s =
@@ -348,14 +341,16 @@ let () =
         { name;
           wall_s;
           oracle_calls = Delay.Robust.evaluation_count () - e0;
+          incremental_evals = counter_value "oracle.incremental_hits" - i0;
           cache_hits = c1.Nontree.Oracle.Cache.hits - c0.Nontree.Oracle.Cache.hits;
           cache_misses =
             c1.Nontree.Oracle.Cache.misses - c0.Nontree.Oracle.Cache.misses }
       in
       stats := s :: !stats;
       progress
-        "section %s: %.1fs wall, %d oracle calls, cache %d/%d hits (%.1f%%)"
-        name wall_s s.oracle_calls s.cache_hits
+        "section %s: %.1fs wall, %d oracle calls, %d incremental, cache \
+         %d/%d hits (%.1f%%)"
+        name wall_s s.oracle_calls s.incremental_evals s.cache_hits
         (s.cache_hits + s.cache_misses)
         (100.0 *. hit_rate s);
       print_newline ()
@@ -366,10 +361,7 @@ let () =
   Printf.printf "seed %d, %d trials per size, sizes [%s], eval model %s\n"
     !seed !trials !sizes
     (Delay.Model.name config.Nontree.Experiment.eval_model);
-  Printf.printf
-    "jobs %d, oracle cache %s, incremental scoring %s\n\n" !jobs
-    (if !no_cache then "off" else "on")
-    (if !no_incremental then "off" else "on");
+  Printf.printf "jobs %d\n\n" !jobs;
   let run_t0 = Unix.gettimeofday () in
   section "1" (fun () -> run_table1 config);
   section "2" (fun () -> run_table2 config);
@@ -385,10 +377,8 @@ let () =
   let total_wall_s = Unix.gettimeofday () -. run_t0 in
   if !bench_json <> "" then begin
     let json =
-      json_of_stats ~jobs:!jobs ~cache_enabled:(not !no_cache)
-        ~incremental_enabled:(not !no_incremental)
-        ~seed:!seed ~trials:!trials ~sizes:size_list ~total_wall_s ~counters
-        (List.rev !stats)
+      json_of_stats ~jobs:!jobs ~seed:!seed ~trials:!trials ~sizes:size_list
+        ~total_wall_s ~counters (List.rev !stats)
     in
     let oc = open_out !bench_json in
     output_string oc json;
@@ -406,8 +396,6 @@ let () =
             ("jobs_requested", Int jobs_requested);
             ("trials", Int !trials);
             ("sizes", List (List.map (fun s -> Int s) size_list));
-            ("cache_enabled", Bool (not !no_cache));
-            ("incremental_enabled", Bool (not !no_incremental));
             ("eval_model",
              String (Delay.Model.name config.Nontree.Experiment.eval_model)) ]
       ~extra:
@@ -415,8 +403,7 @@ let () =
             Obs.Json.Obj
               [ ("hits", Obs.Json.Int c.Nontree.Oracle.Cache.hits);
                 ("misses", Obs.Json.Int c.Nontree.Oracle.Cache.misses);
-                ("entries", Obs.Json.Int c.Nontree.Oracle.Cache.entries);
-                ("enabled", Obs.Json.Bool (not !no_cache)) ] ) ]
+                ("entries", Obs.Json.Int c.Nontree.Oracle.Cache.entries) ] ) ]
       ();
     progress "wrote %s" !metrics_json
   end;

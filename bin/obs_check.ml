@@ -91,7 +91,7 @@ let check_bench_section i s =
     (fun k ->
       if expect_int (ctx ^ "." ^ k) (m k) < 0 then
         fail "%s.%s is negative" ctx k)
-    [ "oracle_calls"; "cache_hits"; "cache_misses" ];
+    [ "oracle_calls"; "incremental_evals"; "cache_hits"; "cache_misses" ];
   let rate = expect_number (ctx ^ ".cache_hit_rate") (m "cache_hit_rate") in
   if rate < 0.0 || rate > 1.0 then fail "%s.cache_hit_rate not in [0,1]" ctx
 
@@ -99,9 +99,6 @@ let check_bench json =
   List.iter
     (fun k -> ignore (expect_int k (get k json)))
     [ "jobs"; "seed"; "trials" ];
-  (match get "cache_enabled" json with
-  | Obs.Json.Bool _ -> ()
-  | _ -> fail "\"cache_enabled\" is not a boolean");
   List.iteri
     (fun i v -> ignore (expect_int (Printf.sprintf "sizes[%d]" i) v))
     (expect_list "sizes" (get "sizes" json));
@@ -109,9 +106,6 @@ let check_bench json =
     fail "total_wall_s is negative";
   let inc = get "incremental" json in
   ignore (expect_obj "incremental" inc);
-  (match Obs.Json.member "enabled" inc with
-  | Some (Obs.Json.Bool _) -> ()
-  | _ -> fail "incremental.enabled is not a boolean");
   List.iter
     (fun k ->
       match Obs.Json.member k inc with

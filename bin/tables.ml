@@ -87,18 +87,15 @@ let dispatch config table figure ext svg_dir =
   | _ -> `Error (true, "--table, --figure and --ext are mutually exclusive")
 
 (* Everything the manifest needs to reproduce the run: the knobs that
-   feed [config_of] plus the fault and cache switches. *)
-let manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested ~fault_rate
-    ~no_cache ~no_incremental =
+   feed [config_of] plus the fault rate. *)
+let manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested ~fault_rate =
   Obs.Json.
     [ ("seed", Int seed);
       ("jobs", Int jobs);
       ("jobs_requested", Int jobs_requested);
       ("trials", Int trials);
       ("sizes", List (List.map (fun s -> Int s) sizes));
-      ("fault_rate", Float fault_rate);
-      ("cache_enabled", Bool (not no_cache));
-      ("incremental_enabled", Bool (not no_incremental)) ]
+      ("fault_rate", Float fault_rate) ]
 
 let write_manifest ~path ~meta =
   let s = Nontree.Oracle.Cache.stats () in
@@ -110,9 +107,7 @@ let write_manifest ~path ~meta =
           Obs.Json.Obj
             [ ("hits", Obs.Json.Int s.Nontree.Oracle.Cache.hits);
               ("misses", Obs.Json.Int s.Nontree.Oracle.Cache.misses);
-              ("entries", Obs.Json.Int s.Nontree.Oracle.Cache.entries);
-              ("enabled", Obs.Json.Bool (Nontree.Oracle.Cache.enabled ())) ] )
-      ]
+              ("entries", Obs.Json.Int s.Nontree.Oracle.Cache.entries) ] ) ]
     ();
   Printf.eprintf "wrote metrics manifest %s\n%!" path
 
@@ -129,7 +124,7 @@ let clamp_jobs requested =
   end
 
 let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
-    jobs_requested no_cache no_incremental metrics_json trace log_level =
+    jobs_requested metrics_json trace log_level =
   Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   Logs.set_level log_level;
   if jobs_requested < 1 then `Error (false, "--jobs must be >= 1")
@@ -138,8 +133,6 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
     if trace || metrics_json <> None then Obs.set_enabled true;
     Nontree_error.Counters.reset ();
     Nontree.Oracle.Cache.reset ();
-    Nontree.Oracle.Cache.set_enabled (not no_cache);
-    Nontree.Incremental.set_enabled (not no_incremental);
     if fault_rate > 0.0 then
       (* Derive the fault schedule from the experiment seed unless pinned,
          so --seed alone reproduces the whole run, faults included. *)
@@ -169,7 +162,7 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
         write_manifest ~path
           ~meta:
             (manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested
-               ~fault_rate ~no_cache ~no_incremental)
+               ~fault_rate)
     | None -> ());
     result
   end
@@ -238,23 +231,6 @@ let jobs =
            same table contents — only wall time changes. Values above the \
            core count are lowered to it, with a warning.")
 
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the oracle memo cache (enabled by default; cached runs \
-           print the same bytes, a hit/miss summary goes to stderr).")
-
-let no_incremental =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Disable incremental (rank-1 Woodbury) candidate scoring in the \
-           greedy loops (enabled by default; incremental runs print the \
-           same bytes, only factorisation counts change).")
-
 let metrics_json =
   Arg.(
     value
@@ -297,7 +273,6 @@ let cmd =
     Term.(
       ret
         (const run $ table $ figure $ ext $ trials $ sizes $ seed $ svg_dir
-        $ fault_rate $ fault_seed $ jobs $ no_cache $ no_incremental
-        $ metrics_json $ trace $ log_level))
+        $ fault_rate $ fault_seed $ jobs $ metrics_json $ trace $ log_level))
 
 let () = exit (Cmd.eval cmd)

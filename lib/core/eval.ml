@@ -1,10 +1,5 @@
 type t = { delay : float; cost : float }
 
-let measure_result ?policy ~model ~tech r =
-  match Delay.Robust.max_delay ?policy ~model ~tech r with
-  | Ok delay -> Ok { delay; cost = Routing.cost r }
-  | Error e -> Error e
-
 let measure ~model ~tech r =
   { delay = Oracle.Cache.max_delay ~model ~tech r; cost = Routing.cost r }
 

@@ -11,14 +11,6 @@ val measure :
     giving up. Raises [Nontree_error.Error] only when every fallback
     fails. *)
 
-val measure_result :
-  ?policy:Delay.Robust.policy ->
-  model:Delay.Model.t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  (t, Nontree_error.t) result
-(** Non-raising variant of {!measure}. *)
-
 val ratio : t -> baseline:t -> t
 (** Element-wise normalisation: the paper reports every number relative
     to the corresponding baseline topology (MST, Steiner tree or ERT). *)

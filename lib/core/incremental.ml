@@ -21,17 +21,15 @@
    Any numeric degeneracy, injected fault or never-settling probe
    abandons the incremental attempt and re-evaluates the candidate on
    the plain robust path (retry-with-refinement, model degradation),
-   counted under oracle.incremental_fallbacks. Results are published to
-   [Oracle.Cache], so measurement replays hit the cache exactly as they
-   do without incremental scoring. Disabled by default in the library;
-   the binaries enable it unless --no-incremental is given. *)
+   counted under oracle.incremental_fallbacks. Results are memoised in
+   [Oracle.Cache] under their own path tag. On by default. *)
 
 let src =
   Logs.Src.create "nontree.incremental" ~doc:"Incremental candidate scoring"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let enabled_flag = Atomic.make false
+let enabled_flag = Atomic.make true
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 let hits = Obs.Counter.make "oracle.incremental_hits"
@@ -216,22 +214,23 @@ let make_scorer ~model ~tech ~fallback r =
     let wrap compute =
       Some
         (fun edge trial ->
-          match Oracle.Cache.find_delays ~model ~tech trial with
-          | Some ds -> max_sink_delay ds
-          | None -> (
-              match compute edge with
-              | ds ->
-                  Obs.Counter.incr hits;
-                  Oracle.Cache.store_delays ~model ~tech trial ds;
-                  max_sink_delay ds
-              | exception Fall_back why ->
-                  Obs.Counter.incr fallbacks;
-                  Log.info (fun f ->
-                      f "incremental scoring fell back (%s)" why);
-                  fallback trial
-              | exception Numeric.Lu.Singular _ ->
-                  Obs.Counter.incr fallbacks;
-                  fallback trial))
+          (* Memoised under its own tag: a Woodbury value may differ
+             from the plain oracle's in the last bits, so it must never
+             answer a plain lookup. *)
+          match
+            Oracle.Cache.memo ~path:Incremental ~model ~tech trial (fun () ->
+                let ds = compute edge in
+                Obs.Counter.incr hits;
+                ds)
+          with
+          | ds -> max_sink_delay ds
+          | exception Fall_back why ->
+              Obs.Counter.incr fallbacks;
+              Log.info (fun f -> f "incremental scoring fell back (%s)" why);
+              fallback trial
+          | exception Numeric.Lu.Singular _ ->
+              Obs.Counter.incr fallbacks;
+              fallback trial)
     in
     let moment_scorer compute_delays =
       match prepare_moments ~tech r with

@@ -10,15 +10,16 @@
     companion matrix — tied to the candidate's own horizon-derived
     timestep — is still factored fresh.
 
-    Every incremental evaluation consults {!Oracle.Cache} first and
-    publishes its result there, so measurement replays and cached runs
-    behave identically with the scorer on or off. Degenerate updates,
+    Every incremental evaluation is memoised through {!Oracle.Cache}
+    under the [Incremental] path tag, so it is reused by later rounds
+    and runs of the scorer but never answers a plain-oracle lookup.
+    Degenerate updates,
     injected faults, and unsettled probes fall back to the ordinary
     robust objective, counted under [oracle.incremental_fallbacks]. *)
 
 val set_enabled : bool -> unit
-(** Off by default (library semantics unchanged); the binaries enable
-    it unless [--no-incremental] is given. *)
+(** On by default; when off, {!make_scorer} returns [None] and every
+    round runs on the plain objective. *)
 
 val enabled : unit -> bool
 

@@ -27,21 +27,23 @@ let guard objective =
 
 module Cache = struct
   type stats = { hits : int; misses : int; entries : int }
+  type path = Plain | Incremental
 
-  let enabled_flag = Atomic.make false
+  let enabled_flag = Atomic.make true
 
   (* Registry counters, so the manifest's counter section carries the
      cache traffic without extra plumbing; [stats] reads them back. *)
   let hits = Obs.Counter.make "oracle.cache.hits"
   let misses = Obs.Counter.make "oracle.cache.misses"
-  let capacity = Atomic.make 200_000
+
+  (* Once full, new results are computed but not stored. *)
+  let capacity = 200_000
   let lock = Mutex.create ()
 
   let table : (string, (int * float) list) Hashtbl.t = Hashtbl.create 4096
 
   let set_enabled b = Atomic.set enabled_flag b
   let enabled () = Atomic.get enabled_flag
-  let set_capacity n = Atomic.set capacity (max 0 n)
 
   let reset () =
     Mutex.lock lock;
@@ -62,8 +64,8 @@ module Cache = struct
     let s = stats () in
     let total = s.hits + s.misses in
     (* An enabled cache that saw no traffic still reports — with an
-       explicit "n/a" hit rate, never 0/0 = NaN. Only a cache that was
-       never switched on stays silent. *)
+       explicit "n/a" hit rate, never 0/0 = NaN. Only a disabled cache
+       that saw no traffic stays silent. *)
     if total = 0 && not (Atomic.get enabled_flag) then None
     else
       Some
@@ -76,101 +78,58 @@ module Cache = struct
                 (100.0 *. float_of_int s.hits /. float_of_int total))
            s.entries)
 
-  (* The key is an explicit rendering of everything the robust oracle's
-     result depends on: the model (with its full SPICE configuration),
-     the technology constants, the vertex geometry, and the edge set
-     with widths. Floats print as %h (exact hex), so two routings map
-     to one key iff the oracle inputs are bit-identical; the rendering
-     is then digested to keep per-entry memory small. Wgraph stores
-     edges canonically (smaller endpoint first, lexicographic order),
-     so structurally equal routings built along different edit paths
-     produce the same key. *)
-  let render_model buf model =
-    match model with
-    | Delay.Model.Elmore_tree -> Buffer.add_string buf "elmore"
-    | Delay.Model.First_moment -> Buffer.add_string buf "moment1"
-    | Delay.Model.Two_pole -> Buffer.add_string buf "two-pole"
-    | Delay.Model.Spice { options; segmentation; include_inductance } ->
-        Printf.bprintf buf "spice:%s:%d:%d:%s:%b"
-          (match options.Spice.Engine.method_ with
-           | Spice.Transient.Backward_euler -> "be"
-           | Spice.Transient.Trapezoidal -> "tr")
-          options.Spice.Engine.steps_per_chunk
-          options.Spice.Engine.max_extensions
-          (match segmentation with
-           | Delay.Lumping.Fixed n -> Printf.sprintf "f%d" n
-           | Delay.Lumping.Per_length { unit_length; max_segments } ->
-               Printf.sprintf "p%h:%d" unit_length max_segments)
-          include_inductance
+  (* Everything the result depends on, serialised structurally and
+     digested: the producing path, the model (with its full SPICE
+     configuration), the technology constants, the vertex geometry and
+     the edge set with widths. Marshal writes floats bit-exactly, so
+     two routings share a key iff these inputs are bit-identical, and a
+     field added to any of these types is covered without code here.
+     No_sharing makes the bytes depend on values only, not on physical
+     sharing. Wgraph stores edges canonically, so structurally equal
+     routings built along different edit paths produce the same key. *)
+  let key path ~model ~tech r =
+    Digest.string
+      (Marshal.to_string
+         ( path,
+           (model : Delay.Model.t),
+           (tech : Circuit.Technology.t),
+           Routing.num_terminals r,
+           Routing.points r,
+           Routing.widths r )
+         [ Marshal.No_sharing ])
 
-  let render_tech buf (t : Circuit.Technology.t) =
-    Printf.bprintf buf "|%h:%h:%h:%h:%h:%h|" t.driver_resistance
-      t.wire_resistance t.wire_capacitance t.wire_inductance
-      t.sink_capacitance t.layout_side
-
-  let key ~model ~tech r =
-    let buf = Buffer.create 512 in
-    render_model buf model;
-    render_tech buf tech;
-    Printf.bprintf buf "%d/" (Routing.num_terminals r);
-    Array.iter
-      (fun (p : Geom.Point.t) -> Printf.bprintf buf "%h,%h;" p.x p.y)
-      (Routing.points r);
-    Buffer.add_char buf '/';
-    List.iter
-      (fun ((u, v), w) -> Printf.bprintf buf "%d-%d*%h;" u v w)
-      (Routing.widths r);
-    Digest.string (Buffer.contents buf)
-
-  let find k =
+  (* A counted lookup: every probe is exactly one hit or one miss. *)
+  let lookup k =
     Mutex.lock lock;
     let v = Hashtbl.find_opt table k in
     Mutex.unlock lock;
+    Obs.Counter.incr (if Option.is_some v then hits else misses);
     v
 
-  let store k ds =
-    Mutex.lock lock;
-    if Hashtbl.length table < Atomic.get capacity then Hashtbl.replace table k ds;
-    Mutex.unlock lock
-
-  (* External producers (the incremental scorer) publish through the
-     same key and counters the memoised oracle uses, so a routing
-     scored incrementally is a later cache hit for the measurement
-     replays, exactly as a robust-path evaluation would have been. *)
   let find_delays ~model ~tech r =
     if not (Atomic.get enabled_flag) then None
-    else begin
-      match find (key ~model ~tech r) with
-      | Some ds ->
-          Obs.Counter.incr hits;
-          Some ds
-      | None ->
-          Obs.Counter.incr misses;
-          None
-    end
+    else lookup (key Plain ~model ~tech r)
 
-  let store_delays ~model ~tech r ds =
-    if Atomic.get enabled_flag then store (key ~model ~tech r) ds
-
-  let sink_delays ~model ~tech r =
-    if not (Atomic.get enabled_flag) then
-      Delay.Robust.sink_delays_exn ~model ~tech r
+  let memo ?(path = Plain) ~model ~tech r compute =
+    if not (Atomic.get enabled_flag) then compute ()
     else begin
-      let k = key ~model ~tech r in
-      match find k with
-      | Some ds ->
-          Obs.Counter.incr hits;
-          ds
+      let k = key path ~model ~tech r in
+      match lookup k with
+      | Some ds -> ds
       | None ->
-          Obs.Counter.incr misses;
           (* Computed outside the lock; two domains racing on the same
              key both compute the same value, and the second store is a
-             no-op overwrite. Failed evaluations are never cached — a
-             retry under fault injection may still succeed. *)
-          let ds = Delay.Robust.sink_delays_exn ~model ~tech r in
-          store k ds;
+             no-op overwrite. A [compute] that raises stores nothing, so
+             a retry under fault injection may still succeed. *)
+          let ds = compute () in
+          Mutex.lock lock;
+          if Hashtbl.length table < capacity then Hashtbl.replace table k ds;
+          Mutex.unlock lock;
           ds
     end
+
+  let sink_delays ~model ~tech r =
+    memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)
 
   let max_delay ~model ~tech r =
     List.fold_left

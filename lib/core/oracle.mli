@@ -27,30 +27,35 @@ val guard : (Routing.t -> float) -> Routing.t -> float
 
 (** Memo layer over the fault-tolerant oracle.
 
-    The greedy loops re-evaluate identical routings constantly: the
-    per-iteration tables re-run LDRG per iteration bound from scratch,
-    [iteration_samples] replays prefixes of one trace, and CSORG probes
-    overlapping edge sets. The cache keys on everything the oracle
-    result depends on — delay model (including its SPICE configuration),
-    technology constants, vertex geometry, and the edge set with widths
-    — rendered exactly (floats as [%h] hex) and digested. A hit returns
-    the previously computed sink delays bit-identically, so cached and
-    uncached runs print the same bytes.
+    Evaluations repeat: the budget ladder re-scores the same trials,
+    CSORG probes overlapping edge sets, and the harness re-measures
+    routings a search already evaluated. The key is a digest of
+    everything a result depends on, serialised structurally: the
+    producing {!path}, the delay model (including its SPICE
+    configuration), the technology constants, the vertex geometry and
+    the edge set with widths. Floats enter bit-exactly, so a hit
+    returns exactly the value its producer would compute again, and
+    runs with the cache on or off print the same bytes.
 
-    Disabled by default (library semantics unchanged); the binaries
-    enable it unless [--no-cache] is given. Failed evaluations are never
+    Each producer keeps its own entries: an incremental (Woodbury)
+    score never answers a plain-oracle lookup, which may differ from it
+    in the last bits. Enabled by default. Failed evaluations are never
     cached, so retry behaviour under fault injection is unaffected. All
     state is domain-safe: the table is mutex-protected and the counters
     are atomics. *)
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
 
-  val set_enabled : bool -> unit
-  val enabled : unit -> bool
+  (** The producer of a memoised value, part of its key. *)
+  type path =
+    | Plain  (** {!Delay.Robust.sink_delays_exn} *)
+    | Incremental  (** the Woodbury scorer of {!Incremental} *)
 
-  val set_capacity : int -> unit
-  (** Maximum number of entries retained (default 200_000); once full,
-      new results are computed but not stored. *)
+  val set_enabled : bool -> unit
+  (** On by default; switching it off makes {!memo} call its
+      computation directly and count nothing. *)
+
+  val enabled : unit -> bool
 
   val reset : unit -> unit
   (** Drop all entries and zero the hit/miss counters. *)
@@ -63,32 +68,34 @@ module Cache : sig
       rate reads "n/a" (never NaN) when the cache saw no traffic;
       [None] only when the cache is disabled and idle. *)
 
+  val memo :
+    ?path:path ->
+    model:Delay.Model.t ->
+    tech:Circuit.Technology.t ->
+    Routing.t ->
+    (unit -> (int * float) list) ->
+    (int * float) list
+  (** [memo ?path ~model ~tech r compute] returns the sink delays stored
+      for [r] under [path] (default [Plain]), or runs [compute ()] and
+      stores its result. The key is built once; each call counts one
+      hit or one miss. An exception from [compute] propagates and
+      stores nothing. At most 200,000 entries are kept; past that,
+      results are computed but not stored. *)
+
   val find_delays :
     model:Delay.Model.t ->
     tech:Circuit.Technology.t ->
     Routing.t ->
     (int * float) list option
-  (** Cache lookup without evaluation (always [None] when disabled),
-      counting the hit or miss. The incremental scorer probes here
-      before doing any work. *)
-
-  val store_delays :
-    model:Delay.Model.t ->
-    tech:Circuit.Technology.t ->
-    Routing.t ->
-    (int * float) list ->
-    unit
-  (** Publish sink delays computed outside {!sink_delays} (the
-      incremental scorer) under the same key; a no-op when the cache
-      is disabled. *)
+  (** Counted lookup of a [Plain] entry without evaluation (always
+      [None] when disabled). *)
 
   val sink_delays :
     model:Delay.Model.t ->
     tech:Circuit.Technology.t ->
     Routing.t ->
     (int * float) list
-  (** Memoised {!Delay.Robust.sink_delays_exn} (identity when the cache
-      is disabled).
+  (** Memoised {!Delay.Robust.sink_delays_exn}, under [Plain].
       @raise Nontree_error.Error as the underlying oracle does. *)
 
   val max_delay :
@@ -102,4 +109,4 @@ val objective :
   model:Delay.Model.t -> tech:Circuit.Technology.t -> Routing.t -> float
 (** [objective ~model ~tech] is a fresh guarded max-delay objective
     running on the fault-tolerant {!Delay.Robust} path, through
-    {!Cache} when it is enabled. *)
+    {!Cache}. *)

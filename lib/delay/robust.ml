@@ -70,7 +70,6 @@ let evaluation_seconds =
     ~buckets:[| 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
 
 let evaluation_count () = Obs.Counter.value evaluation_counter
-let reset_evaluation_count () = Obs.Counter.set evaluation_counter 0
 
 let sink_delays ?(policy = default_policy) ~model ~tech r =
   if policy.max_attempts < 1 then
@@ -134,14 +133,4 @@ let sink_delays ?(policy = default_policy) ~model ~tech r =
 let sink_delays_exn ?policy ~model ~tech r =
   match sink_delays ?policy ~model ~tech r with
   | Ok ds -> ds
-  | Error e -> Nontree_error.raise_error e
-
-let max_delay ?policy ~model ~tech r =
-  Result.map
-    (List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0)
-    (sink_delays ?policy ~model ~tech r)
-
-let max_delay_exn ?policy ~model ~tech r =
-  match max_delay ?policy ~model ~tech r with
-  | Ok d -> d
   | Error e -> Nontree_error.raise_error e

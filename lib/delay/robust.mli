@@ -53,25 +53,8 @@ val sink_delays_exn :
   (int * float) list
 (** @raise Nontree_error.Error when retries and fallback are exhausted. *)
 
-val max_delay :
-  ?policy:policy ->
-  model:Model.t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  (float, Nontree_error.t) result
-
-val max_delay_exn :
-  ?policy:policy ->
-  model:Model.t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  float
-(** @raise Nontree_error.Error when retries and fallback are exhausted. *)
-
 val evaluation_count : unit -> int
 (** Process-wide number of robust oracle evaluations ({!sink_delays}
-    entries, across all domains) since the last
-    {!reset_evaluation_count} — the oracle-call count the bench
-    harness records next to wall time and cache hit rates. *)
-
-val reset_evaluation_count : unit -> unit
+    entries, across all domains) — the oracle-call count the bench
+    harness records, as deltas, next to wall time and cache hit
+    rates. *)

@@ -22,9 +22,6 @@ echo "== smoke: table 2, 2 worker domains + 5% fault injection =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
   --jobs 2 --fault-rate 0.05 --log-level error
 
-echo "== smoke: table 2, incremental scoring disabled =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --no-incremental
-
 echo "== smoke: --jobs 2 table output matches sequential =="
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -39,28 +36,13 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null
 diff -u "$tmpdir/seq.out" "$tmpdir/jobs64.out"
 
-echo "== smoke: --no-incremental output matches incremental, jobs 1 and 2 =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --no-incremental > "$tmpdir/noinc.out" 2>/dev/null
-diff -u "$tmpdir/seq.out" "$tmpdir/noinc.out"
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
-  --no-incremental > "$tmpdir/noinc2.out" 2>/dev/null
-diff -u "$tmpdir/jobs2.out" "$tmpdir/noinc2.out"
-
-echo "== incremental scoring cuts full factorizations at least 2x =="
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --metrics-json "$tmpdir/m_on.json" > /dev/null 2>&1
-dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
-  --no-incremental --metrics-json "$tmpdir/m_off.json" > /dev/null 2>&1
-f_on=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
-f_off=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_off.json")
-echo "sparse.factorizations: incremental=$f_on, plain=$f_off"
-[ -n "$f_on" ] && [ -n "$f_off" ] && [ "$f_off" -ge $((2 * f_on)) ]
-
 echo "== dense LU stays a fallback: <=10% of sparse factorizations =="
-lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
-echo "lu.factorizations=$lu_f, sparse.factorizations=$f_on"
-[ -n "$lu_f" ] && [ -n "$f_on" ] && [ $((10 * lu_f)) -le "$f_on" ]
+dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
+  --metrics-json "$tmpdir/m.json" > /dev/null 2>&1
+sparse_f=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
+lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
+echo "lu.factorizations=$lu_f, sparse.factorizations=$sparse_f"
+[ -n "$lu_f" ] && [ -n "$sparse_f" ] && [ $((10 * lu_f)) -le "$sparse_f" ]
 
 echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
 dune exec bin/obs_check.exe -- BENCH_nontree.json

@@ -11,16 +11,19 @@ let moment_model = Delay.Model.First_moment
 
 exception Boom of int
 
-(* The cache is process-global and off by default; every cache test
-   must leave it that way for whoever runs next. *)
-let with_cache f =
+(* The cache is process-global; every cache test starts from an empty
+   table and leaves the switch as it found it. *)
+let with_cache_enabled enabled f =
+  let prev = Nontree.Oracle.Cache.enabled () in
   Nontree.Oracle.Cache.reset ();
-  Nontree.Oracle.Cache.set_enabled true;
+  Nontree.Oracle.Cache.set_enabled enabled;
   Fun.protect
     ~finally:(fun () ->
-      Nontree.Oracle.Cache.set_enabled false;
+      Nontree.Oracle.Cache.set_enabled prev;
       Nontree.Oracle.Cache.reset ())
     f
+
+let with_cache f = with_cache_enabled true f
 
 let random_net seed pins =
   let g = Rng.create seed in
@@ -190,30 +193,147 @@ let test_cache_key_discriminates () =
         s.Nontree.Oracle.Cache.misses;
       Alcotest.(check int) "no spurious hits" 0 s.Nontree.Oracle.Cache.hits)
 
-let test_cache_disabled_passthrough () =
-  Nontree.Oracle.Cache.reset ();
-  let r = random_mst 13 5 in
-  ignore (Nontree.Oracle.Cache.sink_delays ~model:moment_model ~tech r);
-  ignore (Nontree.Oracle.Cache.sink_delays ~model:moment_model ~tech r);
-  let s = Nontree.Oracle.Cache.stats () in
-  Alcotest.(check int) "disabled cache records nothing" 0
-    (s.Nontree.Oracle.Cache.hits + s.Nontree.Oracle.Cache.misses
-   + s.Nontree.Oracle.Cache.entries)
-
-let test_cache_hit_by_harness () =
+(* Each variant of the oracle inputs must get its own entry. [memo]
+   is fed a constant computation: the key is under test, not the
+   oracle. *)
+let test_cache_key_coverage () =
   with_cache (fun () ->
-      let config =
-        { Nontree.Experiment.default with trials = 3; sizes = [ 10 ] }
+      let module C = Nontree.Oracle.Cache in
+      let r = random_mst 17 6 in
+      let cfg = Delay.Model.fast_spice in
+      let opts = cfg.Delay.Model.options in
+      let spice ?(options = opts) ?(segmentation = cfg.Delay.Model.segmentation)
+          ?(include_inductance = cfg.Delay.Model.include_inductance) () =
+        Delay.Model.Spice { options; segmentation; include_inductance }
       in
-      let with_cache_rows = Harness.Runs.table2 config in
+      let per_length = Delay.Lumping.Per_length { unit_length = 500.0; max_segments = 4 } in
+      let t = tech in
+      let variants =
+        [ ("base", spice (), t);
+          ("method_",
+           spice
+             ~options:
+               { opts with
+                 Spice.Engine.method_ =
+                   (match opts.Spice.Engine.method_ with
+                    | Spice.Transient.Trapezoidal -> Spice.Transient.Backward_euler
+                    | Spice.Transient.Backward_euler -> Spice.Transient.Trapezoidal) }
+             (),
+           t);
+          ("steps_per_chunk",
+           spice
+             ~options:
+               { opts with
+                 Spice.Engine.steps_per_chunk = opts.Spice.Engine.steps_per_chunk + 1 }
+             (),
+           t);
+          ("max_extensions",
+           spice
+             ~options:
+               { opts with
+                 Spice.Engine.max_extensions = opts.Spice.Engine.max_extensions + 1 }
+             (),
+           t);
+          ("Fixed 3", spice ~segmentation:(Delay.Lumping.Fixed 3) (), t);
+          ("Fixed 4", spice ~segmentation:(Delay.Lumping.Fixed 4) (), t);
+          ("Per_length", spice ~segmentation:per_length (), t);
+          ("Per_length unit_length",
+           spice
+             ~segmentation:
+               (Delay.Lumping.Per_length { unit_length = 501.0; max_segments = 4 })
+             (),
+           t);
+          ("Per_length max_segments",
+           spice
+             ~segmentation:
+               (Delay.Lumping.Per_length { unit_length = 500.0; max_segments = 5 })
+             (),
+           t);
+          ("include_inductance",
+           spice ~include_inductance:(not cfg.Delay.Model.include_inductance) (),
+           t);
+          ("driver_resistance", spice (),
+           { t with driver_resistance = t.driver_resistance *. 2.0 });
+          ("wire_resistance", spice (),
+           { t with wire_resistance = t.wire_resistance *. 2.0 });
+          ("wire_capacitance", spice (),
+           { t with wire_capacitance = t.wire_capacitance *. 2.0 });
+          ("wire_inductance", spice (),
+           { t with wire_inductance = t.wire_inductance *. 2.0 +. 1e-12 });
+          ("sink_capacitance", spice (),
+           { t with sink_capacitance = t.sink_capacitance *. 2.0 });
+          ("layout_side", spice (),
+           { t with layout_side = t.layout_side *. 2.0 }) ]
+      in
+      List.iteri
+        (fun i (name, model, tech) ->
+          let before = (C.stats ()).C.misses in
+          let ds = C.memo ~model ~tech r (fun () -> [ (1, float_of_int i) ]) in
+          Alcotest.(check int) (name ^ " misses") (before + 1) (C.stats ()).C.misses;
+          Alcotest.(check (float 0.0)) (name ^ " computed") (float_of_int i)
+            (snd (List.hd ds)))
+        variants;
+      Alcotest.(check int) "one entry per variant" (List.length variants)
+        (C.stats ()).C.entries;
+      (* The same routing reached by two edit orders shares one key. *)
+      let (a, b), (c, d) =
+        match Routing.candidate_edges r with
+        | e1 :: e2 :: _ -> (e1, e2)
+        | _ -> Alcotest.fail "need two candidate edges"
+      in
+      let one_way = Routing.add_edge (Routing.add_edge r a b) c d in
+      let other_way = Routing.add_edge (Routing.add_edge r c d) a b in
+      let model = spice () in
+      ignore (C.memo ~model ~tech one_way (fun () -> [ (1, 1.0) ]));
+      let hits = (C.stats ()).C.hits in
+      let ds =
+        C.memo ~model ~tech other_way (fun () -> Alcotest.fail "recomputed")
+      in
+      Alcotest.(check int) "second edit order hits" (hits + 1) (C.stats ()).C.hits;
+      Alcotest.(check (float 0.0)) "stored value" 1.0 (snd (List.hd ds));
+      (* Plain and incremental producers keep separate entries. *)
+      let plain = C.memo ~model ~tech r (fun () -> Alcotest.fail "recomputed") in
+      let misses = (C.stats ()).C.misses in
+      let inc = C.memo ~path:C.Incremental ~model ~tech r (fun () -> [ (1, -1.0) ]) in
+      Alcotest.(check int) "incremental tag misses" (misses + 1) (C.stats ()).C.misses;
+      Alcotest.(check (float 0.0)) "plain entry kept" 0.0 (snd (List.hd plain));
+      Alcotest.(check (float 0.0)) "incremental entry" (-1.0) (snd (List.hd inc));
+      Alcotest.(check bool) "plain lookup unchanged" true
+        (C.find_delays ~model ~tech r = Some plain))
+
+let test_cache_disabled_passthrough () =
+  with_cache_enabled false (fun () ->
+      let r = random_mst 13 5 in
+      ignore (Nontree.Oracle.Cache.sink_delays ~model:moment_model ~tech r);
+      ignore (Nontree.Oracle.Cache.sink_delays ~model:moment_model ~tech r);
       let s = Nontree.Oracle.Cache.stats () in
-      Alcotest.(check bool)
-        "iteration replay hits the search's cached evaluations" true
-        (s.Nontree.Oracle.Cache.hits > 0);
-      Nontree.Oracle.Cache.set_enabled false;
-      let without_cache_rows = Harness.Runs.table2 config in
-      Alcotest.(check bool) "rows identical with and without cache" true
-        (with_cache_rows = without_cache_rows))
+      Alcotest.(check int) "disabled cache records nothing" 0
+        (s.Nontree.Oracle.Cache.hits + s.Nontree.Oracle.Cache.misses
+       + s.Nontree.Oracle.Cache.entries))
+
+let with_incremental enabled f =
+  let prev = Nontree.Incremental.enabled () in
+  Nontree.Incremental.set_enabled enabled;
+  Fun.protect ~finally:(fun () -> Nontree.Incremental.set_enabled prev) f
+
+(* With incremental scoring on, the search's Woodbury scores are
+   memoised under their own tag, so the harness's plain replays never
+   read them: the rows are bit-identical with the cache on or off. *)
+let test_cache_hit_by_harness () =
+  with_incremental true (fun () ->
+      with_cache (fun () ->
+          let config =
+            { Nontree.Experiment.default with trials = 3; sizes = [ 10 ] }
+          in
+          let with_cache_rows = Harness.Runs.table2 config in
+          let s = Nontree.Oracle.Cache.stats () in
+          Alcotest.(check bool)
+            "iteration replay hits the search's cached evaluations" true
+            (s.Nontree.Oracle.Cache.hits > 0);
+          Nontree.Oracle.Cache.set_enabled false;
+          let without_cache_rows = Harness.Runs.table2 config in
+          Alcotest.(check bool) "rows identical with and without cache" true
+            (with_cache_rows = without_cache_rows)))
 
 let suites =
   [ ( "pool",
@@ -237,6 +357,7 @@ let suites =
           test_cache_bit_identical_and_hit;
         Alcotest.test_case "cache key discriminates" `Quick
           test_cache_key_discriminates;
+        Alcotest.test_case "cache key coverage" `Quick test_cache_key_coverage;
         Alcotest.test_case "cache disabled passthrough" `Quick
           test_cache_disabled_passthrough;
         Alcotest.test_case "cache hit by harness" `Quick
