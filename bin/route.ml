@@ -57,7 +57,7 @@ let build_routing ~tech ~model net = function
       Ok (fst (Nontree.Wire_sizing.size_greedy ~model ~tech base))
   | a -> Error ("unknown algorithm " ^ a)
 
-let run net_file algorithm model_name svg deck =
+let run_exn net_file algorithm model_name svg deck =
   match Geom.Netfile.read net_file with
   | Error e -> `Error (false, net_file ^ ": " ^ e)
   | Ok net -> (
@@ -113,6 +113,14 @@ let run net_file algorithm model_name svg deck =
                   Printf.printf "SPICE deck written to %s\n" path
               | None -> ());
               `Ok ()))
+
+(* A net the oracles cannot evaluate (e.g. coordinates so large that a
+   wire's length overflows) ends in a one-line diagnostic, not an
+   uncaught exception. *)
+let run net_file algorithm model_name svg deck =
+  try run_exn net_file algorithm model_name svg deck with
+  | Nontree_error.Error e -> `Error (false, Nontree_error.to_string e)
+  | Invalid_argument m -> `Error (false, m)
 
 let net_file =
   Arg.(

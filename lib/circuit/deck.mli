@@ -11,7 +11,8 @@ val number_to_string : float -> string
 (** Engineering-notation rendering, e.g. [1.53e-14] as ["15.3f"]. *)
 
 val parse_number : string -> (float, string) result
-(** Parses ["4.7k"], ["15.3f"], ["3meg"], ["1e-9"], ... *)
+(** Parses ["4.7k"], ["15.3f"], ["3meg"], ["1e-9"], ...; a value that
+    is not finite (["nan"], ["inf"], ["1e999"]) is an error. *)
 
 val to_string :
   ?title:string -> ?directive_cards:string list -> Netlist.t -> string

@@ -23,15 +23,20 @@ let nodes = function
 
 let validate = function
   | Resistor { ohms; pos; neg; _ } ->
-      if ohms <= 0.0 then Error "resistor: non-positive resistance"
+      if not (Float.is_finite ohms) then Error "resistor: non-finite resistance"
+      else if ohms <= 0.0 then Error "resistor: non-positive resistance"
       else if pos = neg then Error "resistor: shorted terminals"
       else Ok ()
   | Capacitor { farads; pos; neg; _ } ->
-      if farads <= 0.0 then Error "capacitor: non-positive capacitance"
+      if not (Float.is_finite farads) then
+        Error "capacitor: non-finite capacitance"
+      else if farads <= 0.0 then Error "capacitor: non-positive capacitance"
       else if pos = neg then Error "capacitor: shorted terminals"
       else Ok ()
   | Inductor { henries; pos; neg; _ } ->
-      if henries <= 0.0 then Error "inductor: non-positive inductance"
+      if not (Float.is_finite henries) then
+        Error "inductor: non-finite inductance"
+      else if henries <= 0.0 then Error "inductor: non-positive inductance"
       else if pos = neg then Error "inductor: shorted terminals"
       else Ok ()
   | Vsource { wave; pos; neg; _ } ->

@@ -19,7 +19,7 @@ val name : t -> string
 val nodes : t -> node * node
 
 val validate : t -> (unit, string) result
-(** Element-level sanity: positive R/C/L values, valid waveform,
+(** Element-level sanity: finite, positive R/C/L values, valid waveform,
     distinct terminals for R/L/V (a shorted source or zero-ohm loop is
     a modelling error; a capacitor across identical nodes is also
     rejected). *)

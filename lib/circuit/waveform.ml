@@ -51,25 +51,38 @@ let value w t =
       end
   | Pwl corners -> pwl_value corners t
 
+let parameters = function
+  | Dc v -> [ v ]
+  | Step { t0; v0; v1 } -> [ t0; v0; v1 ]
+  | Ramp { t0; t1; v0; v1 } -> [ t0; t1; v0; v1 ]
+  | Pulse { v0; v1; delay; rise; fall; width; period } ->
+      [ v0; v1; delay; rise; fall; width; period ]
+  | Pwl corners -> List.concat_map (fun (t, v) -> [ t; v ]) corners
+
 let validate w =
-  match w with
-  | Dc _ | Step _ -> Ok ()
-  | Ramp { t0; t1; _ } ->
-      if t1 >= t0 then Ok () else Error "ramp: t1 < t0"
-  | Pulse { rise; fall; width; period; _ } ->
-      if rise < 0.0 || fall < 0.0 || width < 0.0 then
-        Error "pulse: negative timing parameter"
-      else if period <= 0.0 then Error "pulse: period must be positive"
-      else if rise +. fall +. width > period then
-        Error "pulse: rise+width+fall exceeds period"
-      else Ok ()
-  | Pwl corners ->
-      let rec increasing = function
-        | (t0, _) :: ((t1, _) :: _ as rest) ->
-            if t1 > t0 then increasing rest else Error "pwl: times not increasing"
-        | _ -> Ok ()
-      in
-      if corners = [] then Error "pwl: empty corner list" else increasing corners
+  if not (List.for_all Float.is_finite (parameters w)) then
+    Error "non-finite waveform parameter"
+  else
+    match w with
+    | Dc _ | Step _ -> Ok ()
+    | Ramp { t0; t1; _ } ->
+        if t1 >= t0 then Ok () else Error "ramp: t1 < t0"
+    | Pulse { rise; fall; width; period; _ } ->
+        if rise < 0.0 || fall < 0.0 || width < 0.0 then
+          Error "pulse: negative timing parameter"
+        else if period <= 0.0 then Error "pulse: period must be positive"
+        else if rise +. fall +. width > period then
+          Error "pulse: rise+width+fall exceeds period"
+        else Ok ()
+    | Pwl corners ->
+        let rec increasing = function
+          | (t0, _) :: ((t1, _) :: _ as rest) ->
+              if t1 > t0 then increasing rest
+              else Error "pwl: times not increasing"
+          | _ -> Ok ()
+        in
+        if corners = [] then Error "pwl: empty corner list"
+        else increasing corners
 
 let pp ppf = function
   | Dc v -> Format.fprintf ppf "DC %g" v

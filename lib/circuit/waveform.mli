@@ -30,7 +30,7 @@ val value : t -> float -> float
     values outside the defined range; PULSE repeats with its period). *)
 
 val validate : t -> (unit, string) result
-(** Checks structural invariants (increasing PWL times, positive pulse
-    period, non-negative ramp duration). *)
+(** Checks structural invariants (finite parameters, increasing PWL
+    times, positive pulse period, non-negative ramp duration). *)
 
 val pp : Format.formatter -> t -> unit

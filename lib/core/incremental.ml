@@ -1,22 +1,25 @@
 (* Incremental candidate scoring for the greedy loops.
 
    A greedy round evaluates every absent edge (u,v) against the same
-   base routing; re-stamping and re-factoring the full MNA system per
-   candidate is O(n³) each. Adding one wire, though, is a handful of
-   symmetric rank-1 terms on the base matrices, so this module factors
-   the base once per round and scores each candidate through
-   [Numeric.Lu.Update] (Sherman–Morrison–Woodbury) instead:
+   base routing; re-stamping and re-factoring the full system per
+   candidate is wasted work, because a candidate is the base plus one
+   wire. This module factors the base once per round and scores each
+   candidate as the base plus one conductance between two existing
+   unknowns, solved by Sherman–Morrison ([Numeric.Backend.with_conductance]):
 
-   - moment models: G gains one conductance term, the capacitance
-     vector two half-cap entries — first (and second) moments are
-     low-rank solves against the round's factorisation.
-   - SPICE (RC): the horizon comes from the incremental first moments;
-     the DC operating point and the settled state are Woodbury solves
-     against the round's factored MNA conductance matrix (the added
-     wire's π-segments enter as rank-1 terms, interior nodes as padded
-     unknowns); only the transient's companion matrix — which depends
-     on the candidate's own horizon-derived timestep — is factored
-     fresh, once, by the shared threshold scan.
+   - moment models: G gains the wire's conductance, the capacitance
+     vector two half-cap entries; first (and second) moments are two
+     updated solves against the round's factorisation.
+   - SPICE (RC): the horizon comes from the incremental first moments.
+     At DC the wire's capacitors are open, so its π-chain of n_seg
+     segments is one series conductance 1/(n_seg·seg_r) between its end
+     vertices, and its interior nodes lie evenly between the two end
+     voltages. The DC operating point and the settled state are
+     therefore updated solves against the round's factored MNA G,
+     interpolated onto the interior nodes. Only the transient's
+     companion matrix, which depends on the candidate's own
+     horizon-derived timestep, is factored fresh, once, by the shared
+     threshold scan.
 
    Any numeric degeneracy, injected fault or never-settling probe
    abandons the incremental attempt and re-evaluates the candidate on
@@ -45,21 +48,14 @@ let max_sink_delay ds =
 
 (* Per-round moments context: base conductance factorisation plus the
    base capacitance vector. Shared read-only across worker domains;
-   every candidate builds its own Update. *)
-type moments_ctx = {
-  m_lu : Numeric.Backend.t;
-  m_cap : float array;
-  m_n : int;
-}
+   every candidate builds its own updated solver. *)
+type moments_ctx = { m_lu : Numeric.Backend.t; m_cap : float array }
 
 let prepare_moments ~tech r =
   match Numeric.Backend.try_factor (Delay.Moments.conductance_matrix ~tech r) with
   | Error _ -> None
   | Ok m_lu ->
-      Some
-        { m_lu;
-          m_cap = Delay.Moments.node_capacitances ~tech r;
-          m_n = Routing.num_vertices r }
+      Some { m_lu; m_cap = Delay.Moments.node_capacitances ~tech r }
 
 (* Candidate wires always carry width 1.0 (Routing.add_edge) and
    Manhattan length. *)
@@ -73,27 +69,24 @@ let moment_update ctx ~tech r edge =
     1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width:1.0
   in
   let cap = Circuit.Technology.wire_capacitance_of tech ~length ~width:1.0 in
-  let w = Array.make ctx.m_n 0.0 in
-  w.(u) <- 1.0;
-  w.(v) <- w.(v) -. 1.0;
   let c = Array.copy ctx.m_cap in
   c.(u) <- c.(u) +. (cap /. 2.0);
   c.(v) <- c.(v) +. (cap /. 2.0);
-  match Numeric.Backend.update ctx.m_lu [ (cond, w, w) ] with
+  match Numeric.Backend.with_conductance ctx.m_lu u v cond with
   | None -> fall_back "degenerate moments update"
-  | Some up ->
-      let m1 = Numeric.Lu.Update.solve up c in
+  | Some solve ->
+      let m1 = solve c in
       if not (all_finite m1) then fall_back "non-finite first moments";
-      (up, c, m1)
+      (solve, c, m1)
 
 let first_moment_delays ctx ~tech r edge =
   let _, _, m1 = moment_update ctx ~tech r edge in
   List.map (fun s -> (s, m1.(s))) (Routing.sinks r)
 
 let two_pole_delays ctx ~tech r edge =
-  let up, c, m1 = moment_update ctx ~tech r edge in
+  let solve, c, m1 = moment_update ctx ~tech r edge in
   let rhs = Array.init (Array.length c) (fun i -> c.(i) *. m1.(i)) in
-  let m2 = Numeric.Lu.Update.solve up rhs in
+  let m2 = solve rhs in
   if not (all_finite m2) then fall_back "non-finite second moments";
   let d = Delay.Moments.two_pole_fit ~m1 ~m2 in
   List.map (fun s -> (s, d.(s))) (Routing.sinks r)
@@ -166,11 +159,12 @@ let spice_delays ctx ~tech r edge =
     Delay.Lumping.pi_segments ~segmentation:ctx.cfg.Delay.Model.segmentation
       ~tech ~length:(edge_length r edge) ~width:1.0
   in
+  let iu = ctx.vertex_unknown.(u) and iv = ctx.vertex_unknown.(v) in
   let d = Spice.Mna.Delta.create ctx.sys in
   let chain =
     Array.init (n_seg + 1) (fun s ->
-        if s = 0 then ctx.vertex_unknown.(u)
-        else if s = n_seg then ctx.vertex_unknown.(v)
+        if s = 0 then iu
+        else if s = n_seg then iv
         else Spice.Mna.Delta.fresh_unknown d)
   in
   for s = 0 to n_seg - 1 do
@@ -178,17 +172,28 @@ let spice_delays ctx ~tech r edge =
     Spice.Mna.Delta.add_capacitance d chain.(s) (-1) (seg_c /. 2.0);
     Spice.Mna.Delta.add_capacitance d chain.(s + 1) (-1) (seg_c /. 2.0)
   done;
-  let pad = Spice.Mna.Delta.added_unknowns d in
-  match Numeric.Backend.update ~pad ctx.g_lu (Spice.Mna.Delta.g_terms d) with
+  let g = 1.0 /. (float_of_int n_seg *. seg_r) in
+  match Numeric.Backend.with_conductance ctx.g_lu iu iv g with
   | None -> fall_back "degenerate conductance update"
-  | Some gup -> (
+  | Some solve -> (
       let ext_sys = Spice.Mna.Delta.extend ctx.sys d in
-      let x0 = Numeric.Lu.Update.solve gup (Spice.Mna.rhs ext_sys 0.0) in
-      if not (all_finite x0) then fall_back "non-finite operating point";
-      let xf =
-        Numeric.Lu.Update.solve gup
-          (Spice.Mna.rhs ext_sys (Spice.Engine.settled_time ~horizon))
+      (* The DC state of the base plus the series conductance, with the
+         chain's interior nodes (appended after every base unknown)
+         interpolated between its ends. *)
+      let dc_state t =
+        let x = solve (Spice.Mna.rhs ctx.sys t) in
+        let xt = Array.make ext_sys.Spice.Mna.size 0.0 in
+        Array.blit x 0 xt 0 (Array.length x);
+        let xu = x.(iu) and xv = x.(iv) in
+        for s = 1 to n_seg - 1 do
+          xt.(chain.(s)) <-
+            xu +. ((xv -. xu) *. float_of_int s /. float_of_int n_seg)
+        done;
+        xt
       in
+      let x0 = dc_state 0.0 in
+      if not (all_finite x0) then fall_back "non-finite operating point";
+      let xf = dc_state (Spice.Engine.settled_time ~horizon) in
       if not (all_finite xf) then fall_back "non-finite settled state";
       (* Only the companion matrix is factored fresh: its timestep
          derives from this candidate's horizon, so it cannot be shared
@@ -214,7 +219,7 @@ let make_scorer ~model ~tech ~fallback r =
     let wrap compute =
       Some
         (fun edge trial ->
-          (* Memoised under its own tag: a Woodbury value may differ
+          (* Memoised under its own tag: an updated solve may differ
              from the plain oracle's in the last bits, so it must never
              answer a plain lookup. *)
           match

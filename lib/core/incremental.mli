@@ -1,14 +1,17 @@
-(** Incremental (rank-1 Woodbury) candidate scoring for the greedy
-    loops.
+(** Incremental (single-conductance Sherman–Morrison) candidate
+    scoring for the greedy loops.
 
     A greedy round scores every absent edge against one base routing.
     Instead of rebuilding and re-factoring the moment / MNA systems per
     candidate, this module factors the base once per round and treats
-    each candidate wire as a low-rank update ({!Numeric.Lu.Update},
-    {!Spice.Mna.Delta}): first/second moments and the SPICE operating
-    and settled states become O(n²) solves. Only the transient
-    companion matrix — tied to the candidate's own horizon-derived
-    timestep — is still factored fresh.
+    each candidate wire as one added conductance between two existing
+    unknowns ({!Numeric.Backend.with_conductance}): first/second
+    moments and the SPICE operating and settled states become updated
+    solves. At DC a wire's capacitors are open, so its π-chain is one
+    series conductance and its interior nodes lie evenly between its
+    end voltages. Only the transient companion matrix — tied to the
+    candidate's own horizon-derived timestep and built by
+    {!Spice.Mna.Delta.extend} — is still factored fresh.
 
     Every incremental evaluation is memoised through {!Oracle.Cache}
     under the [Incremental] path tag, so it is reused by later rounds

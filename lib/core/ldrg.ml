@@ -41,7 +41,7 @@ let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
         Obs.Histogram.observe candidates_per_iteration
           (float_of_int (List.length cands));
       (* One round, one scorer: the incremental path factors [current]
-         once here and each candidate below is a low-rank solve. [None]
+         once here and each candidate below is a rank-1 update. [None]
          means this round runs on the plain objective. *)
       let edge_score = scorer current in
       let eval_candidate edge trial =

@@ -47,7 +47,7 @@ val run_objective :
     [scorer] is called once per iteration with the iteration's base
     routing; when it returns [Some score], every candidate of that
     iteration is evaluated as [score edge trial] instead of
-    [objective trial] (the incremental Woodbury path of
+    [objective trial] (the incremental rank-1 update path of
     {!Incremental.make_scorer}). The default returns [None] — all
     evaluations go through [objective]. Either way each candidate
     counts one evaluation.

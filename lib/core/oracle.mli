@@ -37,8 +37,8 @@ val guard : (Routing.t -> float) -> Routing.t -> float
     returns exactly the value its producer would compute again, and
     runs with the cache on or off print the same bytes.
 
-    Each producer keeps its own entries: an incremental (Woodbury)
-    score never answers a plain-oracle lookup, which may differ from it
+    Each producer keeps its own entries: an incremental
+    (Sherman–Morrison) score never answers a plain-oracle lookup, which may differ from it
     in the last bits. Enabled by default. Failed evaluations are never
     cached, so retry behaviour under fault injection is unaffected. All
     state is domain-safe: the table is mutex-protected and the counters
@@ -49,7 +49,7 @@ module Cache : sig
   (** The producer of a memoised value, part of its key. *)
   type path =
     | Plain  (** {!Delay.Robust.sink_delays_exn} *)
-    | Incremental  (** the Woodbury scorer of {!Incremental} *)
+    | Incremental  (** the rank-1 update scorer of {!Incremental} *)
 
   val set_enabled : bool -> unit
   (** On by default; switching it off makes {!memo} call its

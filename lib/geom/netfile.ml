@@ -31,7 +31,10 @@ let of_string text =
             |> List.filter (fun s -> s <> "")
             |> List.map float_of_string_opt
           with
-          | [ Some x; Some y ] -> parse (lineno + 1) (Point.make x y :: acc) rest
+          | [ Some x; Some y ] when Float.is_finite x && Float.is_finite y ->
+              parse (lineno + 1) (Point.make x y :: acc) rest
+          | [ Some _; Some _ ] ->
+              Error (Printf.sprintf "line %d: non-finite coordinate" lineno)
           | _ -> Error (Printf.sprintf "line %d: expected 'x y'" lineno)
         end
   in

@@ -9,6 +9,7 @@ val to_string : Net.t -> string
 val write : string -> Net.t -> unit
 
 val of_string : string -> (Net.t, string) result
-(** Parse errors name the offending line. *)
+(** Parse errors name the offending line; non-finite coordinates
+    ([nan], [inf]) are errors. *)
 
 val read : string -> (Net.t, string) result

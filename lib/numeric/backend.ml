@@ -39,7 +39,40 @@ let solve t b =
   solve_in_place t x;
   x
 
-let update ?pad ?rcond_floor t terms =
-  Lu.Update.make_with ?pad ?rcond_floor ~n:(size t)
-    ~solve_with:(fun ~work b -> solve_with ~work t b)
-    terms
+(* Sherman–Morrison for M = A + g·w·wᵀ, w = e_i − e_j: with z = A⁻¹w
+   and s = 1/g + wᵀz, M⁻¹b = A⁻¹b − z·(wᵀA⁻¹b)/s. A non-finite or zero
+   s, or one that cancels to below 1e-10 of the magnitudes summed into
+   it, means M is numerically singular although s is representable. *)
+let rank1_updates = Obs.Counter.make "lu.rank1_updates"
+
+let with_conductance t i j g =
+  let n = size t in
+  if i < 0 || i >= n || j < 0 || j >= n || i = j then
+    invalid_arg "Backend.with_conductance: bad unknown";
+  if not (Float.is_finite g) then None
+  else begin
+    Obs.Counter.incr rank1_updates;
+    let work = Array.make n 0.0 in
+    let z = Array.make n 0.0 in
+    z.(i) <- 1.0;
+    z.(j) <- -1.0;
+    solve_with ~work t z;
+    let wz = z.(i) -. z.(j) in
+    let inv_g = 1.0 /. g in
+    let s = inv_g +. wz in
+    if
+      (not (Float.is_finite s))
+      || s = 0.0
+      || abs_float s < 1e-10 *. Float.max (abs_float inv_g) (abs_float wz)
+    then None
+    else
+      Some
+        (fun b ->
+          let x = Array.copy b in
+          solve_with ~work t x;
+          let c = (x.(i) -. x.(j)) /. s in
+          for k = 0 to n - 1 do
+            x.(k) <- x.(k) -. (z.(k) *. c)
+          done;
+          x)
+  end

@@ -34,11 +34,20 @@ val solve_with : work:float array -> t -> float array -> unit
 (** In-place solve with a caller-supplied intermediate buffer (length
     n), keeping a shared factorisation read-only. *)
 
-val update :
-  ?pad:int ->
-  ?rcond_floor:float ->
-  t ->
-  (float * float array * float array) list ->
-  Lu.Update.t option
-(** Sherman–Morrison–Woodbury extension of a factorisation with rank-1
-    terms — {!Lu.Update.make_with} over this factorisation's solve. *)
+val with_conductance :
+  t -> int -> int -> float -> (float array -> float array) option
+(** [with_conductance f i j g] is a solver for the factored matrix A
+    plus one conductance [g] between unknowns [i] and [j], i.e.
+    A + g·w·wᵀ with w = e{_i} − e{_j}, by Sherman–Morrison: one solve
+    against [f] builds it, each call then costs one more solve and
+    O(n). No full matrix is factored. [f] stays read-only: the solver
+    carries its own workspace, so a factorisation shared between
+    domains may be updated from each of them, one solver per domain.
+
+    [None] means the updated matrix is numerically singular: [g] is
+    not finite, or the Sherman–Morrison denominator s = 1/g + wᵀA⁻¹w
+    is not finite, zero, or below 1e-10 of max(|1/g|, |wᵀA⁻¹w|).
+    Counts one [lu.rank1_updates] per finite [g].
+
+    @raise Invalid_argument when [i] or [j] is out of range or
+    [i = j]. *)

@@ -1,8 +1,8 @@
 (** Dense square/rectangular matrices in row-major order.
 
     Full MNA and moment systems live in {!Sparse.Csc}; dense matrices
-    serve the small k×k Woodbury systems, the dense pivot-failure
-    fallback, AC analysis and test oracles. *)
+    serve the dense pivot-failure fallback, AC analysis and test
+    oracles. *)
 
 type t
 

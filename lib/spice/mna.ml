@@ -153,7 +153,6 @@ module Delta = struct
     { base_size = sys.size; added = 0; g_stamps = []; c_stamps = [] }
 
   let size d = d.base_size + d.added
-  let added_unknowns d = d.added
   let fresh_unknown d =
     let u = d.base_size + d.added in
     d.added <- d.added + 1;
@@ -173,22 +172,6 @@ module Delta = struct
     check_index d j;
     d.c_stamps <- { i; j; value } :: d.c_stamps
 
-  (* A two-terminal stamp between unknowns i and j is the symmetric
-     rank-1 term v·(e_i − e_j)(e_i − e_j)ᵀ; with one terminal grounded
-     it collapses to the diagonal term v·e_i·e_iᵀ. *)
-  let g_terms d =
-    let nt = size d in
-    List.filter_map
-      (fun { i; j; value } ->
-        if i < 0 && j < 0 then None
-        else begin
-          let w = Array.make nt 0.0 in
-          if i >= 0 then w.(i) <- 1.0;
-          if j >= 0 then w.(j) <- w.(j) -. 1.0;
-          Some (value, w, Array.copy w)
-        end)
-      (List.rev d.g_stamps)
-
   let stamp m i j value =
     if i >= 0 then Triplets.add m i i value;
     if j >= 0 then Triplets.add m j j value;
@@ -202,8 +185,8 @@ module Delta = struct
      every entry sums exactly as if all stamps had been replayed. The
      sources keep their rows, all below the base size. No ordering is
      recomputed: the union order is the base one with the appended
-     unknowns eliminated last, and there is no [g_sym] (G is solved
-     through Woodbury, never factored). *)
+     unknowns eliminated last, and there is no [g_sym] (the incremental
+     scorer solves the base G plus one series conductance instead). *)
   let extend (sys : base) d =
     if sys.size <> d.base_size then
       invalid_arg "Mna.Delta.extend: delta built from a different system";

@@ -38,9 +38,9 @@ type t = {
       (** reactive (capacitance/inductance) part C, likewise *)
   g_sym : Numeric.Sparse.Symbolic.t option;
       (** ordering for G's pattern; [None] on {!Delta.extend}ed
-          systems, whose G is only ever solved through a Woodbury
-          update of the base factorisation — {!factor_g_result} then
-          orders G itself *)
+          systems, whose DC states the incremental scorer derives from
+          the base G plus one series conductance —
+          {!factor_g_result} then orders G itself *)
   lhs_sym : Numeric.Sparse.Symbolic.t;
       (** ordering for the union pattern of G and C — valid for the
           transient iteration matrix G + C/h at every timestep *)
@@ -77,11 +77,11 @@ val voltage : t -> float array -> int -> float
     existing unknowns, ground ([-1]) and freshly appended unknowns
     (internal nodes of an added wire, numbered from [size] upward,
     after every base unknown — node voltages of the base system keep
-    their indices). Consumers pick the representation they need:
-    {!g_terms} renders the static stamps as rank-1 update vectors for
-    {!Numeric.Lu.Update} (DC and settle solves without refactoring),
-    while {!extend} materialises the full extended system for the
-    transient, whose companion matrix depends on the timestep anyway. *)
+    their indices). {!extend} materialises the extended system for the
+    transient, whose companion matrix depends on the timestep anyway.
+    The DC and settle solves of an added wire need no delta: at DC its
+    π-chain is one series conductance between its end unknowns (see
+    {!Numeric.Backend.with_conductance}). *)
 module Delta : sig
   type mna := t
 
@@ -101,17 +101,6 @@ module Delta : sig
 
   val add_capacitance : t -> int -> int -> float -> unit
   (** Same for the reactive matrix (a capacitor). *)
-
-  val added_unknowns : t -> int
-  (** How many unknowns {!fresh_unknown} appended. *)
-
-  val size : t -> int
-  (** Extended system size: base size + added unknowns. *)
-
-  val g_terms : t -> (float * float array * float array) list
-  (** The static stamps as symmetric rank-1 terms over the extended
-      size, in stamping order — ready for [Numeric.Lu.Update.make]
-      with [pad = added_unknowns]. Ground-to-ground stamps vanish. *)
 
   val extend : mna -> t -> mna
   (** The extended system as a plain [Mna.t]: matrices grown and

@@ -91,7 +91,16 @@ let test_netlist_rejects_bad_element () =
     (fun () -> Netlist.resistor nl a Netlist.ground (-5.0));
   Alcotest.check_raises "shorted C"
     (Invalid_argument "Netlist.add: capacitor: shorted terminals") (fun () ->
-      Netlist.capacitor nl a a 1e-12)
+      Netlist.capacitor nl a a 1e-12);
+  Alcotest.check_raises "NaN C"
+    (Invalid_argument "Netlist.add: capacitor: non-finite capacitance")
+    (fun () -> Netlist.capacitor nl a Netlist.ground Float.nan);
+  Alcotest.check_raises "infinite R"
+    (Invalid_argument "Netlist.add: resistor: non-finite resistance")
+    (fun () -> Netlist.resistor nl a Netlist.ground Float.infinity);
+  Alcotest.check_raises "NaN source"
+    (Invalid_argument "Netlist.add: non-finite waveform parameter")
+    (fun () -> Netlist.vsource nl a Netlist.ground (Waveform.Dc Float.nan))
 
 (* Technology --------------------------------------------------------- *)
 
@@ -220,6 +229,17 @@ let test_deck_parse_errors () =
   Alcotest.(check bool) "bad arity" true
     (Result.is_error (Deck.of_string "* t\nR1 a 0\n.end\n"))
 
+let test_deck_rejects_non_finite () =
+  List.iter
+    (fun card ->
+      match Deck.of_string ("* t\nR0 a 0 1k\n" ^ card ^ "\n.end\n") with
+      | Error e ->
+          Alcotest.(check bool) ("names line: " ^ e) true
+            (String.length e > 7 && String.sub e 0 7 = "line 3:")
+      | Ok _ -> Alcotest.failf "accepted %S" card)
+    [ "C1 a 0 nan"; "R1 a 0 1e999"; "L1 a 0 inf"; "R1 a 0 1e305meg";
+      "V1 a 0 DC nan"; "V1 a 0 PWL(0 0 inf 1)" ]
+
 let test_deck_waveform_roundtrips () =
   (* Every waveform constructor must survive print -> parse exactly
      (value-wise at sample times). *)
@@ -332,6 +352,8 @@ let suites =
         Alcotest.test_case "deck parse classic" `Quick test_deck_parse_classic;
         Alcotest.test_case "deck bare dc" `Quick test_deck_parse_bare_dc;
         Alcotest.test_case "deck parse errors" `Quick test_deck_parse_errors;
+        Alcotest.test_case "deck rejects non-finite" `Quick
+          test_deck_rejects_non_finite;
         Alcotest.test_case "deck file roundtrip" `Quick test_deck_file_roundtrip;
         Alcotest.test_case "deck waveform roundtrips" `Quick
           test_deck_waveform_roundtrips;

@@ -171,6 +171,17 @@ let test_netfile_errors () =
   | Error e -> Alcotest.(check bool) "names line" true (contains e "line 2")
   | Ok _ -> Alcotest.fail "expected error"
 
+let test_netfile_rejects_non_finite () =
+  List.iter
+    (fun text ->
+      match Netfile.of_string text with
+      | Error e ->
+          Alcotest.(check bool) ("names line: " ^ e) true
+            (contains e "line 3" && contains e "non-finite")
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [ "0 0\n# pin\nnan nan\n"; "0 0\n\ninf 0\n"; "0 0\n\n5 -inf\n";
+      "0 0\n\n1e999 2\n" ]
+
 let prop_netfile_roundtrip =
   QCheck.Test.make ~name:"netfile roundtrip on random nets" ~count:30
     QCheck.(pair small_int (int_range 2 20))
@@ -202,4 +213,6 @@ let suites =
         Alcotest.test_case "netfile comments" `Quick
           test_netfile_comments_and_blanks;
         Alcotest.test_case "netfile errors" `Quick test_netfile_errors;
+        Alcotest.test_case "netfile rejects non-finite" `Quick
+          test_netfile_rejects_non_finite;
         QCheck_alcotest.to_alcotest prop_netfile_roundtrip ] ) ]

@@ -316,7 +316,7 @@ let with_incremental enabled f =
   Nontree.Incremental.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Nontree.Incremental.set_enabled prev) f
 
-(* With incremental scoring on, the search's Woodbury scores are
+(* With incremental scoring on, the search's incremental scores are
    memoised under their own tag, so the harness's plain replays never
    read them: the rows are bit-identical with the cache on or off. *)
 let test_cache_hit_by_harness () =

@@ -1,5 +1,5 @@
-(* Property-based differential tests for the incremental (Woodbury)
-   scoring stack.
+(* Property-based differential tests for the incremental (rank-1
+   update) scoring stack.
 
    A small shrink-free harness on [lib/rng]: [check ~trials name prop]
    runs [prop] against [trials] independent seeded generators and, on
@@ -48,120 +48,77 @@ let gen_spd g n =
 
 let gen_vec g n = Array.init n (fun _ -> Rng.float_in g (-1.0) 1.0)
 
-(* A rank-1 term with a magnitude away from zero, either sign. *)
-let gen_term g n =
-  let alpha = Rng.float_in g 0.1 2.0 in
-  let alpha = if Rng.bool g then alpha else -.alpha in
-  (alpha, gen_vec g n, gen_vec g n)
-
 let gen_net g =
   let pins = Rng.int_in g 4 9 in
   Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins
 
-(* Dense reference: the represented matrix, built explicitly. *)
-let dense_of base_matrix ~pad terms =
-  let n0 = Numeric.Matrix.rows base_matrix in
-  let nt = n0 + pad in
-  let m = Numeric.Matrix.create nt nt in
-  for i = 0 to n0 - 1 do
-    for j = 0 to n0 - 1 do
-      Numeric.Matrix.set m i j (Numeric.Matrix.get base_matrix i j)
-    done
-  done;
-  List.iter
-    (fun (alpha, u, v) ->
-      for i = 0 to nt - 1 do
-        for j = 0 to nt - 1 do
-          Numeric.Matrix.add_to m i j (alpha *. u.(i) *. v.(j))
-        done
-      done)
-    terms;
+(* Dense reference: A plus one conductance g between unknowns i and j,
+   built explicitly. *)
+let dense_with_conductance a i j g =
+  let m = Numeric.Matrix.copy a in
+  Numeric.Matrix.add_to m i i g;
+  Numeric.Matrix.add_to m j j g;
+  Numeric.Matrix.add_to m i j (-.g);
+  Numeric.Matrix.add_to m j i (-.g);
   m
 
 let rel_err x y =
   let scale = Float.max 1.0 (Numeric.Vec.norm_inf y) in
   Numeric.Vec.max_abs_diff x y /. scale
 
+let factor_dense a = Numeric.Backend.factor (Numeric.Sparse.Csc.of_matrix a)
+
+(* Two distinct unknowns of an n-unknown system. *)
+let gen_pair g n =
+  let i = Rng.int g n in
+  let j = (i + 1 + Rng.int g (n - 1)) mod n in
+  (i, j)
+
 (* Differential properties ---------------------------------------------- *)
 
-(* Woodbury solve vs a fresh LU of the summed matrix: 200 random
-   (SPD-ish matrix, rank-1..3 update) pairs must agree to 1e-9
-   relative. A degenerate [make] (None) is the documented fallback
-   trigger, not a disagreement — the fresh path remains the oracle. *)
+(* Sherman–Morrison solve vs a fresh LU of the updated matrix: 200
+   random (SPD-ish matrix, one conductance of either sign) pairs must
+   agree to 1e-9 relative. A refused update (None) is the documented
+   fallback trigger, not a disagreement — the fresh path remains the
+   oracle. (Sherman–Morrison is the rank-1 case of the Woodbury
+   identity, hence the test's name.) *)
 let prop_woodbury_matches_fresh g =
   let n = Rng.int_in g 2 8 in
   let a = gen_spd g n in
-  let k = Rng.int_in g 1 3 in
-  let terms = List.init k (fun _ -> gen_term g n) in
+  let i, j = gen_pair g n in
+  let c = Rng.float_in g 0.1 2.0 in
+  let c = if Rng.bool g then c else -.c in
   let b = gen_vec g n in
-  match Numeric.Lu.Update.make (Numeric.Lu.factor a) terms with
+  match Numeric.Backend.with_conductance (factor_dense a) i j c with
   | None -> ()
-  | Some up ->
-      let x = Numeric.Lu.Update.solve up b in
-      let fresh = Numeric.Lu.solve_matrix (dense_of a ~pad:0 terms) b in
+  | Some solve ->
+      let x = solve b in
+      let fresh =
+        Numeric.Lu.solve_matrix (dense_with_conductance a i j c) b
+      in
       let err = rel_err x fresh in
       if err > 1e-9 then
-        Alcotest.failf "woodbury vs fresh: n=%d k=%d rel err %.3e" n k err
+        Alcotest.failf "rank-1 vs fresh: n=%d (%d,%d) g=%g rel err %.3e" n i
+          j c err
 
-(* Same, with padded unknowns: the added terms chain through [pad]
-   fresh unknowns the base matrix knows nothing about — the identity
-   trick inside [Update.make] must be invisible in the solution. *)
-let prop_woodbury_pad_matches_fresh g =
-  let n = Rng.int_in g 2 6 in
-  let pad = Rng.int_in g 1 3 in
-  let nt = n + pad in
-  let a = gen_spd g n in
-  (* Chain n-1 -> p0 -> ... -> p_{pad-1} -> 0 with random conductances
-     plus a ground load on every padded node, so the extended matrix is
-     nonsingular. *)
-  let terms = ref [] in
-  let connect i j =
-    let c = Rng.float_in g 0.5 2.0 in
-    let w = Array.make nt 0.0 in
-    w.(i) <- 1.0;
-    w.(j) <- -1.0;
-    terms := (c, w, Array.copy w) :: !terms
-  in
-  let chain = Array.init (pad + 2) (fun s ->
-      if s = 0 then n - 1 else if s = pad + 1 then 0 else n + s - 1)
-  in
-  for s = 0 to pad do
-    connect chain.(s) chain.(s + 1)
-  done;
-  for p = n to nt - 1 do
-    let w = Array.make nt 0.0 in
-    w.(p) <- 1.0;
-    terms := (Rng.float_in g 0.1 1.0, w, Array.copy w) :: !terms
-  done;
-  let terms = !terms in
-  let b = gen_vec g nt in
-  match Numeric.Lu.Update.make ~pad (Numeric.Lu.factor a) terms with
-  | None -> ()
-  | Some up ->
-      let x = Numeric.Lu.Update.solve up b in
-      let fresh = Numeric.Lu.solve_matrix (dense_of a ~pad terms) b in
-      let err = rel_err x fresh in
-      if err > 1e-9 then
-        Alcotest.failf "padded woodbury vs fresh: n=%d pad=%d rel err %.3e" n
-          pad err
-
-(* The deterministic near-singular construction: alpha = -1/(A⁻¹)ᵢᵢ
-   makes the capacitance matrix S exactly zero at k=1, which [make]
-   must detect and refuse — the fallback trigger of the scorer. *)
+(* The deterministic near-singular construction: g = -1/(wᵀA⁻¹w) makes
+   the Sherman–Morrison denominator exactly zero, which the helper must
+   detect and refuse — the fallback trigger of the scorer. *)
 let prop_near_singular_rejected g =
   let n = Rng.int_in g 2 6 in
   let a = gen_spd g n in
-  let lu = Numeric.Lu.factor a in
-  let i = Rng.int g n in
-  let e = Array.make n 0.0 in
-  e.(i) <- 1.0;
-  let x = Numeric.Lu.solve lu e in
-  let alpha = -1.0 /. x.(i) in
-  match Numeric.Lu.Update.make lu [ (alpha, e, Array.copy e) ] with
+  let f = factor_dense a in
+  let i, j = gen_pair g n in
+  let w = Array.make n 0.0 in
+  w.(i) <- 1.0;
+  w.(j) <- -1.0;
+  let z = Numeric.Backend.solve f w in
+  let c = -1.0 /. (z.(i) -. z.(j)) in
+  match Numeric.Backend.with_conductance f i j c with
   | None -> ()
   | Some _ ->
-      Alcotest.failf "singularising update accepted: n=%d i=%d alpha=%h" n i
-        alpha
+      Alcotest.failf "singularising update accepted: n=%d (%d,%d) g=%h" n i j
+        c
 
 (* The moment stamp algebra end to end on random point nets: first
    moments of (MST + one candidate edge) computed through the
@@ -172,16 +129,13 @@ let prop_incremental_moments_match_rebuild g =
   let r = Routing.mst_of_net net in
   match Routing.candidate_edges r with
   | [] -> ()
-  | cands ->
+  | cands -> (
       let u, v = List.nth cands (Rng.int g (List.length cands)) in
       let trial = Routing.add_edge r u v in
       let direct = Delay.Moments.first_moments ~tech trial in
-      let lu =
-        Numeric.Lu.factor
-          (Numeric.Sparse.Csc.to_matrix
-             (Delay.Moments.conductance_matrix ~tech r))
+      let f =
+        Numeric.Backend.factor (Delay.Moments.conductance_matrix ~tech r)
       in
-      let n = Routing.num_vertices r in
       let length =
         Geom.Point.manhattan (Routing.point r u) (Routing.point r v)
       in
@@ -192,20 +146,157 @@ let prop_incremental_moments_match_rebuild g =
       let cap =
         Circuit.Technology.wire_capacitance_of tech ~length ~width:1.0
       in
-      let w = Array.make n 0.0 in
-      w.(u) <- 1.0;
-      w.(v) <- -1.0;
       let c = Delay.Moments.node_capacitances ~tech r in
       c.(u) <- c.(u) +. (cap /. 2.0);
       c.(v) <- c.(v) +. (cap /. 2.0);
-      (match Numeric.Lu.Update.make lu [ (cond, w, Array.copy w) ] with
+      match Numeric.Backend.with_conductance f u v cond with
       | None -> Alcotest.fail "moment update unexpectedly degenerate"
-      | Some up ->
-          let m1 = Numeric.Lu.Update.solve up c in
+      | Some solve ->
+          let m1 = solve c in
           let err = rel_err m1 direct in
           if err > 1e-9 then
             Alcotest.failf "incremental m1 vs rebuild: edge (%d,%d) rel err %.3e"
               u v err)
+
+(* The SPICE scorer end to end: on a random table-2 net (same seed
+   derivation as the experiment harness) and a random absent edge, the
+   incremental score under [default_spice] — whose per-length
+   segmentation gives candidate wires 1–6 π-segments, so the DC series
+   chain and its interpolated interior nodes are exercised — equals the
+   plain oracle's max sink delay of the rebuilt trial to 1e-9
+   relative. The scorer must not fall back. *)
+let prop_incremental_spice_matches_plain g =
+  Fault.disable ();
+  let size = if Rng.bool g then 5 else 10 in
+  let nets =
+    Geom.Netgen.uniform_batch
+      ~seed:(1994 + (1_000_003 * size))
+      ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
+      ~pins:size ~trials:10
+  in
+  let r = Routing.mst_of_net nets.(Rng.int g (Array.length nets)) in
+  let cands = Routing.candidate_edges r in
+  let u, v = List.nth cands (Rng.int g (List.length cands)) in
+  let trial = Routing.add_edge r u v in
+  let model = Delay.Model.Spice Delay.Model.default_spice in
+  let plain =
+    List.fold_left
+      (fun acc (_, d) -> Float.max acc d)
+      0.0
+      (Delay.Robust.sink_delays_exn ~model ~tech trial)
+  in
+  let fallback _ = Alcotest.failf "edge (%d,%d) fell back" u v in
+  let prev = Nontree.Oracle.Cache.enabled () in
+  Nontree.Oracle.Cache.set_enabled false;
+  let score =
+    Fun.protect
+      ~finally:(fun () -> Nontree.Oracle.Cache.set_enabled prev)
+      (fun () ->
+        match Nontree.Incremental.make_scorer ~model ~tech ~fallback r with
+        | None -> Alcotest.fail "no scorer for an RC SPICE model"
+        | Some score -> score (u, v) trial)
+  in
+  let err = abs_float (score -. plain) /. plain in
+  if err > 1e-9 then
+    Alcotest.failf "size %d edge (%d,%d): incremental %h vs plain %h (rel %.3e)"
+      size u v score plain err
+
+(* Parser fuzzing ---------------------------------------------------------- *)
+
+(* Bytes that steer a mutation towards the tokens parsers trip on:
+   digits, signs, exponents, unit suffixes, the letters of "nan" and
+   "inf", separators and card syntax. *)
+let interesting = "0123456789.-+eEnaifmkgtpu() ,\n*#"
+
+(* Whole tokens that overflow or name a non-finite float. *)
+let hostile = [| "nan"; "inf"; "-inf"; "e999"; "1e308"; "9meg"; "0x1p1024" |]
+
+(* One to six single-byte replacements, deletions or insertions (half
+   the new bytes from [interesting], half arbitrary) or insertions of a
+   [hostile] token. *)
+let mutate g text =
+  let byte () =
+    if Rng.bool g then interesting.[Rng.int g (String.length interesting)]
+    else Char.chr (Rng.int g 256)
+  in
+  let s = ref text in
+  for _ = 1 to Rng.int_in g 1 6 do
+    let cur = !s in
+    let n = String.length cur in
+    let pos = Rng.int g (n + 1) in
+    let head = String.sub cur 0 pos in
+    s :=
+      let tail = String.sub cur pos (n - pos) in
+      match Rng.int g 4 with
+      | 0 when pos < n ->
+          head ^ String.make 1 (byte ()) ^ String.sub cur (pos + 1) (n - pos - 1)
+      | 1 when pos < n -> head ^ String.sub cur (pos + 1) (n - pos - 1)
+      | 3 -> head ^ Rng.choose g hostile ^ tail
+      | _ -> head ^ String.make 1 (byte ()) ^ tail
+  done;
+  !s
+
+let require_finite what values =
+  List.iter
+    (fun v -> if not (Float.is_finite v) then Alcotest.failf "%s %h parsed" what v)
+    values
+
+let waveform_values = function
+  | Circuit.Waveform.Dc v -> [ v ]
+  | Step { t0; v0; v1 } -> [ t0; v0; v1 ]
+  | Ramp { t0; t1; v0; v1 } -> [ t0; t1; v0; v1 ]
+  | Pulse { v0; v1; delay; rise; fall; width; period } ->
+      [ v0; v1; delay; rise; fall; width; period ]
+  | Pwl corners -> List.concat_map (fun (t, v) -> [ t; v ]) corners
+
+(* Byte-mutated decks of a lumped routing (with .tran and .probe cards)
+   parse to [Ok] or [Error], never raise, and every [Ok] holds only
+   finite element values, waveform parameters and analysis bounds. *)
+let prop_deck_fuzz g =
+  let r = Routing.mst_of_net (gen_net g) in
+  let nl, sinks =
+    Delay.Lumping.circuit_of_routing ~include_inductance:(Rng.bool g) ~tech r
+  in
+  let text =
+    Circuit.Deck.to_string
+      ~directive_cards:
+        [ Circuit.Deck.tran_card ~step:1e-11 ~stop:1e-8;
+          Circuit.Deck.probe_card sinks ]
+      nl
+  in
+  for _ = 1 to 20 do
+    match Circuit.Deck.of_string_full (mutate g text) with
+    | Error _ -> ()
+    | Ok (nl, d) ->
+        List.iter
+          (function
+            | Circuit.Element.Resistor { ohms = v; _ }
+            | Capacitor { farads = v; _ }
+            | Inductor { henries = v; _ } ->
+                require_finite "element value" [ v ]
+            | Vsource { wave; _ } | Isource { wave; _ } ->
+                require_finite "waveform parameter" (waveform_values wave))
+          (Circuit.Netlist.elements nl);
+        List.iter
+          (function
+            | Circuit.Deck.Tran { step; stop } ->
+                require_finite ".tran bound" [ step; stop ]
+            | Ac { f_start; f_stop; _ } ->
+                require_finite ".ac bound" [ f_start; f_stop ])
+          d.Circuit.Deck.analyses
+  done
+
+(* Byte-mutated net files likewise: [Ok] or [Error], finite pins. *)
+let prop_netfile_fuzz g =
+  let text = Geom.Netfile.to_string (gen_net g) in
+  for _ = 1 to 20 do
+    match Geom.Netfile.of_string (mutate g text) with
+    | Error _ -> ()
+    | Ok net ->
+        Array.iter
+          (fun (p : Geom.Point.t) -> require_finite "pin coordinate" [ p.x; p.y ])
+          (Geom.Net.pins net)
+  done
 
 (* Trace equality: LDRG with incremental scoring on picks the identical
    edge sequence, identical rounded objectives and the same evaluation
@@ -409,7 +500,7 @@ let test_incremental_feeds_cache () =
       Alcotest.(check bool) "incremental scores answered the replay" true
         (s2.C.hits - s1.C.hits >= i1 - i0))
 
-(* Woodbury scores are memoised under their own path tag: after an LDRG
+(* Incremental scores are memoised under their own path tag: after an LDRG
    run, a plain lookup of a scored trial misses and returns the robust
    oracle's value bit for bit, not the incremental score. *)
 let test_incremental_scores_stay_out_of_plain_lookups () =
@@ -484,9 +575,6 @@ let suites =
       [ Alcotest.test_case "woodbury matches fresh LU (200 pairs)" `Quick
           (fun () ->
             check ~trials:200 "woodbury-vs-fresh" prop_woodbury_matches_fresh);
-        Alcotest.test_case "padded woodbury matches fresh LU" `Quick
-          (fun () ->
-            check ~trials:100 "padded-woodbury" prop_woodbury_pad_matches_fresh);
         Alcotest.test_case "near-singular updates rejected" `Quick
           (fun () ->
             check ~trials:100 "near-singular" prop_near_singular_rejected);
@@ -494,9 +582,17 @@ let suites =
           (fun () ->
             check ~trials:60 "moments-differential"
               prop_incremental_moments_match_rebuild);
+        Alcotest.test_case "incremental spice matches plain oracle" `Quick
+          (fun () ->
+            check ~trials:40 "spice-differential"
+              prop_incremental_spice_matches_plain);
         Alcotest.test_case "sparse matches dense (200 stamped systems)" `Quick
           (fun () ->
             check ~trials:200 "sparse-vs-dense" prop_sparse_matches_dense);
+        Alcotest.test_case "deck parser fuzz" `Quick (fun () ->
+            check ~trials:100 "deck-fuzz" prop_deck_fuzz);
+        Alcotest.test_case "net file parser fuzz" `Quick (fun () ->
+            check ~trials:100 "netfile-fuzz" prop_netfile_fuzz);
         Alcotest.test_case "sparse ordering is a permutation" `Quick
           (fun () ->
             check ~trials:200 "ordering-permutation"

@@ -392,63 +392,87 @@ let test_trace_csv_and_append () =
 
 (* Stamp deltas: an added element as rank-1 terms vs the extended
    system. *)
+(* A candidate wire as the incremental scorer stamps it: a chain of
+   three equal π-segments between two existing unknowns, its two
+   interior nodes appended after the base unknowns. *)
 let test_delta_extend_matches_stamps () =
   let nl = Netlist.create () in
   let inp = Netlist.node nl "in" in
+  let mid = Netlist.node nl "mid" in
   let out = Netlist.node nl "out" in
   Netlist.vsource nl inp Netlist.ground step01;
-  Netlist.resistor nl inp out 1e3;
+  Netlist.resistor nl inp mid 1e3;
+  Netlist.resistor nl mid out 2e3;
+  Netlist.resistor nl out Netlist.ground 3e3;
   Netlist.capacitor nl out Netlist.ground 1e-12;
   let sys = Spice.Mna.build nl in
-  let out_u = sys.Spice.Mna.unknown_of_node.(out) in
+  let n = sys.Spice.Mna.size in
+  let iu = sys.Spice.Mna.unknown_of_node.(inp)
+  and iv = sys.Spice.Mna.unknown_of_node.(out) in
+  let n_seg = 3 and seg_g = 1.5e-3 and seg_c = 2e-12 in
   let d = Spice.Mna.Delta.create sys in
-  let p = Spice.Mna.Delta.fresh_unknown d in
-  Spice.Mna.Delta.add_conductance d out_u p 1e-3;
-  Spice.Mna.Delta.add_conductance d p (-1) 5e-4;
-  Spice.Mna.Delta.add_capacitance d p (-1) 2e-12;
+  let chain =
+    Array.init (n_seg + 1) (fun s ->
+        if s = 0 then iu
+        else if s = n_seg then iv
+        else Spice.Mna.Delta.fresh_unknown d)
+  in
+  for s = 0 to n_seg - 1 do
+    Spice.Mna.Delta.add_conductance d chain.(s) chain.(s + 1) seg_g;
+    Spice.Mna.Delta.add_capacitance d chain.(s) (-1) (seg_c /. 2.0);
+    Spice.Mna.Delta.add_capacitance d chain.(s + 1) (-1) (seg_c /. 2.0)
+  done;
   let ext = Spice.Mna.Delta.extend sys d in
   let nt = ext.Spice.Mna.size in
-  Alcotest.(check int) "one appended unknown" (sys.Spice.Mna.size + 1) nt;
-  (* Extended G must equal the embedded base plus the same stamps
-     g_terms renders as rank-1 outer products. *)
+  Alcotest.(check int) "interior unknowns appended" (n + n_seg - 1) nt;
+  Alcotest.(check (list int)) "appended in chain order" [ n; n + 1 ]
+    [ chain.(1); chain.(2) ];
+  (* Extended G must equal the embedded base plus the chain stamps. *)
   let dense = Numeric.Sparse.Csc.to_matrix in
   let base_g = dense sys.Spice.Mna.g_csc in
   let ext_g = dense ext.Spice.Mna.g_csc in
   let expect = Numeric.Matrix.create nt nt in
-  for i = 0 to sys.Spice.Mna.size - 1 do
-    for j = 0 to sys.Spice.Mna.size - 1 do
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
       Numeric.Matrix.set expect i j (Numeric.Matrix.get base_g i j)
     done
   done;
-  List.iter
-    (fun (alpha, u, v) ->
-      for i = 0 to nt - 1 do
-        for j = 0 to nt - 1 do
-          Numeric.Matrix.add_to expect i j (alpha *. u.(i) *. v.(j))
-        done
-      done)
-    (Spice.Mna.Delta.g_terms d);
-  Alcotest.(check (float 1e-15)) "G matches rank-1 rendering" 0.0
+  for s = 0 to n_seg - 1 do
+    let a = chain.(s) and b = chain.(s + 1) in
+    Numeric.Matrix.add_to expect a a seg_g;
+    Numeric.Matrix.add_to expect b b seg_g;
+    Numeric.Matrix.add_to expect a b (-.seg_g);
+    Numeric.Matrix.add_to expect b a (-.seg_g)
+  done;
+  Alcotest.(check (float 1e-15)) "G matches the chain stamps" 0.0
     (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext_g expect));
-  Alcotest.(check (float 0.0)) "C stamped on pad diagonal" 2e-12
-    (Numeric.Matrix.get (dense ext.Spice.Mna.c_csc) p p);
+  Alcotest.(check (float 0.0)) "C stamped on interior diagonal" seg_c
+    (Numeric.Matrix.get (dense ext.Spice.Mna.c_csc) chain.(1) chain.(1));
   let b = Spice.Mna.rhs ext 0.5 in
   Alcotest.(check int) "rhs grows" nt (Array.length b);
-  Alcotest.(check (float 0.0)) "rhs pad is zero" 0.0 b.(p);
-  (* And the DC state through the Woodbury update equals a fresh solve
-     of the extended matrix. *)
-  match Numeric.Lu.try_factor base_g with
-  | Error _ -> Alcotest.fail "base G did not factor"
-  | Ok base -> (
-      match
-        Numeric.Lu.Update.make ~pad:1 base (Spice.Mna.Delta.g_terms d)
-      with
-      | None -> Alcotest.fail "delta update degenerate"
-      | Some up ->
-          let x_upd = Numeric.Lu.Update.solve up b in
-          let x_fresh = Numeric.Lu.solve_matrix ext_g b in
-          Alcotest.(check (float 1e-9)) "DC states agree" 0.0
-            (Numeric.Vec.max_abs_diff x_upd x_fresh))
+  Alcotest.(check (float 0.0)) "rhs interior is zero" 0.0 b.(chain.(1));
+  (* At DC the chain is one series conductance seg_g/n_seg: a fresh
+     solve of the extended G puts its interior nodes evenly between
+     its ends, and agrees on every base unknown with the base G plus
+     that one conductance. *)
+  let x = Numeric.Lu.solve_matrix ext_g b in
+  let xu = x.(iu) and xv = x.(iv) in
+  Alcotest.(check bool) "ends differ" true (abs_float (xu -. xv) > 0.1);
+  for s = 1 to n_seg - 1 do
+    Alcotest.(check (float 1e-12))
+      (Printf.sprintf "interior node %d interpolates" s)
+      (xu +. ((xv -. xu) *. float_of_int s /. float_of_int n_seg))
+      x.(chain.(s))
+  done;
+  match
+    Numeric.Backend.with_conductance
+      (Spice.Mna.factor_g sys) iu iv (seg_g /. float_of_int n_seg)
+  with
+  | None -> Alcotest.fail "series conductance update refused"
+  | Some solve ->
+      Alcotest.(check (float 1e-12)) "base unknowns agree" 0.0
+        (Numeric.Vec.max_abs_diff (solve (Spice.Mna.rhs sys 0.5))
+           (Array.sub x 0 n))
 
 let suites =
   [ ( "spice",
