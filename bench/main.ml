@@ -174,13 +174,15 @@ let counter_value name = Obs.Counter.value (Obs.Counter.make name)
 
 (* What BENCH_nontree.json records for each section that ran: wall time,
    how many robust-oracle and incremental (rank-1 update) evaluations
-   it issued, and how its own memo fared (the bench resets the memo at
-   the start of every section). *)
+   it issued, how many transient steps they integrated, and how its own
+   memo fared (the bench resets the memo at the start of every
+   section). *)
 type section_stats = {
   name : string;
   wall_s : float;
   oracle_calls : int;
   incremental_evals : int;
+  spice_steps : int;
   cache_hits : int;
   cache_misses : int;
 }
@@ -232,11 +234,10 @@ let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
     (fun i s ->
       Printf.bprintf buf
         "    { \"name\": %S, \"wall_s\": %.3f, \"oracle_calls\": %d, \
-         \"incremental_evals\": %d, \"cache_hits\": %d, \"cache_misses\": \
-         %d, \"cache_hit_rate\": %.4f }%s\n"
-        s.name s.wall_s s.oracle_calls s.incremental_evals s.cache_hits
-        s.cache_misses
-        (hit_rate s)
+         \"incremental_evals\": %d, \"spice_steps\": %d, \"cache_hits\": \
+         %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f }%s\n"
+        s.name s.wall_s s.oracle_calls s.incremental_evals s.spice_steps
+        s.cache_hits s.cache_misses (hit_rate s)
         (if i = List.length sections - 1 then "" else ","))
     sections;
   Buffer.add_string buf "  ]\n}\n";
@@ -339,6 +340,7 @@ let () =
       Nontree.Oracle.Cache.reset ();
       let e0 = Delay.Robust.evaluation_count () in
       let i0 = counter_value "oracle.incremental_hits" in
+      let st0 = counter_value "spice.steps" in
       Obs.span ("bench." ^ name) f;
       let wall_s =
         match Obs.Span.find ("bench." ^ name) with
@@ -351,15 +353,16 @@ let () =
           wall_s;
           oracle_calls = Delay.Robust.evaluation_count () - e0;
           incremental_evals = counter_value "oracle.incremental_hits" - i0;
+          spice_steps = counter_value "spice.steps" - st0;
           cache_hits = c.Nontree.Oracle.Cache.hits;
           cache_misses = c.Nontree.Oracle.Cache.misses }
       in
       stats := s :: !stats;
       progress
-        "section %s: %.1fs wall, %d oracle calls, %d incremental, cache \
-         %d/%d hits (%.1f%%)"
-        name wall_s s.oracle_calls s.incremental_evals s.cache_hits
-        (s.cache_hits + s.cache_misses)
+        "section %s: %.1fs wall, %d oracle calls, %d incremental, %d spice \
+         steps, cache %d/%d hits (%.1f%%)"
+        name wall_s s.oracle_calls s.incremental_evals s.spice_steps
+        s.cache_hits (s.cache_hits + s.cache_misses)
         (100.0 *. hit_rate s);
       print_newline ()
     end

@@ -30,10 +30,12 @@ val default_spice : spice_config
 (** Trapezoidal, per-length segmentation, RC only. *)
 
 val fast_spice : spice_config
-(** Coarse stepping and 3 fixed segments per wire — for greedy loops. *)
+(** Coarse stepping (80 steps per chunk) and [Fixed 2] segmentation:
+    two π-segments per wire — for greedy loops. *)
 
 val accurate_spice : spice_config
-(** Fine stepping, 6-segment wires — for reported numbers. *)
+(** Fine stepping (2500 steps per chunk) and one π-segment per 500 µm
+    of wire, at most 10 per wire — for reported numbers. *)
 
 val rlc_spice : spice_config
 (** Like {!default_spice} with the Table 1 wire inductance included. *)

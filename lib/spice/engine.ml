@@ -132,17 +132,29 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
   let target =
     Array.map (fun u -> x0.(u) +. (fraction *. (xf.(u) -. x0.(u)))) idx
   in
-  let found = Array.make num_probes None in
+  (* [marked.(p)]: probe p has reached its target, judged on every new
+     state by [until] with the scan's own [>=]; so after each chunk the
+     marked probes are exactly those the scan has found. Probes that
+     start at their target (degenerate) begin marked, at delay 0. *)
+  let marked = Array.mapi (fun p u -> x0.(u) >= target.(p)) idx in
+  let found = Array.map (fun m -> if m then Some 0.0 else None) marked in
   let prev_v = Array.map (fun u -> x0.(u)) idx in
-  let remaining = ref num_probes in
-  (* Mark probes that already start at their target (degenerate). *)
-  Array.iteri
-    (fun p u ->
-      if x0.(u) >= target.(p) then begin
-        found.(p) <- Some 0.0;
-        decr remaining
-      end)
-    idx;
+  let unmarked =
+    ref (Array.fold_left (fun n m -> if m then n else n + 1) 0 marked)
+  in
+  (* [until] ends a chunk at the step where the last pending probe
+     reaches its target: the scan below sees every crossing in the
+     prefix it is given, and the steps after the last crossing are
+     never integrated. *)
+  let until x =
+    for p = 0 to num_probes - 1 do
+      if (not marked.(p)) && x.(idx.(p)) >= target.(p) then begin
+        marked.(p) <- true;
+        decr unmarked
+      end
+    done;
+    !unmarked = 0
+  in
   let dt = horizon /. float_of_int options.steps_per_chunk in
   let t_ref = input_reference sys ~method_:options.method_ ~dt in
   (* dt is fixed for the whole scan, so every chunk extension reuses
@@ -155,11 +167,11 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
   let chunk_steps = ref options.steps_per_chunk in
   let failure = ref None in
   while
-    !failure = None && !remaining > 0 && !extensions <= options.max_extensions
+    !failure = None && !unmarked > 0 && !extensions <= options.max_extensions
   do
     match
-      Transient.run (Lazy.force companion) ~x0:!x ~t0:!t0 ~steps:!chunk_steps
-        ~probes:idx
+      Transient.run ~until (Lazy.force companion) ~x0:!x ~t0:!t0
+        ~steps:!chunk_steps ~probes:idx
     with
     | exception Numeric.Lu.Singular k ->
         failure := Some (singular_error ~stage:"spice.transient" k)
@@ -184,8 +196,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
                     (* The floor absorbs rounding where a node
                        follows the input within one step (the driven
                        node itself crosses exactly at [t_ref]). *)
-                    found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref));
-                    decr remaining
+                    found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref))
                   end
                   else scan (s + 1) col.(s) chunk.Transient.times.(s)
                 in
@@ -194,7 +205,8 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
               end
             done;
             x := chunk.Transient.final;
-            t0 := !t0 +. (float_of_int !chunk_steps *. dt);
+            let taken = Array.length chunk.Transient.times in
+            t0 := !t0 +. (float_of_int taken *. dt);
             incr extensions;
             (* Double the window each retry so n extensions cover
                2^n horizons. *)

@@ -91,10 +91,16 @@ val threshold_scan_result :
   horizon:float ->
   (float option array, Nontree_error.t) result
 (** The chunked threshold search on an already-built system: starting
-    from state [x0], integrate and extend (doubling the window up to
-    [max_extensions] times) until every probed unknown in [idx] crosses
-    [fraction] of the way from its initial to its settled value [xf];
-    probes that never cross report [None]. Each crossing is reported
+    from state [x0], integrate at dt = [horizon] / [steps_per_chunk]
+    and extend (doubling the window up to [max_extensions] times) until
+    every probed unknown in [idx] crosses [fraction] of the way from
+    its initial to its settled value [xf]; probes that never cross
+    report [None]. The integration stops at the step where the last
+    pending probe crosses ({!Transient.run}'s [until]), so no step
+    after the last crossing is integrated or counted in [spice.steps];
+    the crossings are bit-identical to those of a scan over whole
+    chunks, and [horizon] sets only dt and where the first chunk would
+    end. Each crossing is reported
     relative to {!input_reference} (floored at 0); a probe that starts
     at its target reports 0. This is the core of
     {!threshold_delays_result}, exposed so the incremental oracle can
@@ -115,9 +121,11 @@ val threshold_delays_result :
     from the t=0 operating point, extending (doubling) the simulated
     window until every probe has crossed [fraction] (default 0.5) of
     its final DC value or [max_extensions] is exhausted; unreached
-    probes report [None]. Delays are measured from the input's own 50 %
-    crossing on the solver grid, as {!threshold_scan_result} does. [horizon] is the initial window estimate — a
-    few times the slowest expected time constant.
+    probes report [None]. It is {!threshold_scan_result} on the built
+    system, so it stops at the last crossing and measures delays from
+    the input's own 50 % crossing on the solver grid. [horizon] is the
+    initial window estimate — a few times the slowest expected time
+    constant — and with [steps_per_chunk] sets the timestep.
 
     Waveforms are guarded: any non-finite state value aborts the
     analysis with [Non_finite] rather than scanning garbage for

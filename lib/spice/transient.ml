@@ -55,12 +55,11 @@ let companion (sys : Mna.t) ~method_ ~dt =
     b_next = Array.make n 0.0;
   }
 
-let run cp ~x0 ~t0 ~steps ~probes =
+let run ?until cp ~x0 ~t0 ~steps ~probes =
   if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
   let sys = cp.sys and dt = cp.dt in
   let n = sys.Mna.size in
   if Array.length x0 <> n then invalid_arg "Transient.run: state size mismatch";
-  Obs.Counter.add steps_counter steps;
   let num_probes = Array.length probes in
   let times = Array.make steps 0.0 in
   let states = Array.init num_probes (fun _ -> Array.make steps 0.0) in
@@ -68,7 +67,9 @@ let run cp ~x0 ~t0 ~steps ~probes =
      solve overwrites the right-hand side with the new state. *)
   let x = ref (Array.copy x0) and rhs = ref (Array.make n 0.0) in
   Mna.rhs_into sys t0 cp.b_prev;
-  for s = 0 to steps - 1 do
+  let taken = ref 0 and stop = ref false in
+  while (not !stop) && !taken < steps do
+    let s = !taken in
     let t' = t0 +. (float_of_int (s + 1) *. dt) in
     let b' = cp.b_next and r = !rhs in
     Mna.rhs_into sys t' b';
@@ -93,6 +94,16 @@ let run cp ~x0 ~t0 ~steps ~probes =
     times.(s) <- t';
     for p = 0 to num_probes - 1 do
       states.(p).(s) <- r.(probes.(p))
-    done
+    done;
+    taken := s + 1;
+    match until with Some f -> stop := f r | None -> ()
   done;
-  { times; states; final = !x }
+  let taken = !taken in
+  Obs.Counter.add steps_counter taken;
+  if taken = steps then { times; states; final = !x }
+  else
+    {
+      times = Array.sub times 0 taken;
+      states = Array.map (fun col -> Array.sub col 0 taken) states;
+      final = !x;
+    }

@@ -42,12 +42,24 @@ val companion : Mna.t -> method_:method_ -> dt:float -> companion
     pivot. *)
 
 val run :
-  companion -> x0:float array -> t0:float -> steps:int -> probes:int array -> chunk
-(** Integrates [steps] steps of the companion's [dt] from state [x0] at
-    time [t0], recording the unknowns listed in [probes]
-    ([chunk.states.(i).(s)] is probe [i] at step [s]). Continuation is
-    exact: pass [final] and the last time back in, with the same
-    companion, to extend a simulation. Adds [steps] to the always-live
+  ?until:(float array -> bool) ->
+  companion ->
+  x0:float array ->
+  t0:float ->
+  steps:int ->
+  probes:int array ->
+  chunk
+(** Integrates up to [steps] steps of the companion's [dt] from state
+    [x0] at time [t0], recording the unknowns listed in [probes]
+    ([chunk.states.(i).(s)] is probe [i] at step [s]; step [s] ends at
+    t0 + (s+1)·dt). Continuation is exact: pass [final] and the last
+    time back in, with the same companion, to extend a simulation.
+
+    [until], when given, sees the full new state after every recorded
+    step (a scratch buffer: read it, do not keep or mutate it). When it
+    returns true the chunk ends at that step: [times] and [states] are
+    the exact prefix an untruncated run would record, and [final] is
+    that step's state. Adds the steps taken to the always-live
     [spice.steps] counter.
 
     @raise Invalid_argument on non-positive [steps] or a state-size

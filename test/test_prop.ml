@@ -201,6 +201,131 @@ let prop_incremental_spice_matches_plain g =
     Alcotest.failf "size %d edge (%d,%d): incremental %h vs plain %h (rel %.3e)"
       size u v score plain err
 
+(* Early stopping moves no crossing. The reference integrates every
+   chunk's whole window (doubling, like the engine) and interpolates
+   each probe's first sample at or above its 50 % target against the
+   sample before it, exactly as [Engine.threshold_scan_result] does. *)
+let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
+    =
+  let target =
+    Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
+  in
+  let found =
+    Array.mapi
+      (fun p u -> if x0.(u) >= target.(p) then Some 0.0 else None)
+      idx
+  in
+  let dt = horizon /. float_of_int options.steps_per_chunk in
+  let t_ref = Spice.Engine.input_reference sys ~method_:options.method_ ~dt in
+  let cp = Spice.Transient.companion sys ~method_:options.method_ ~dt in
+  let last = Array.map (fun u -> (x0.(u), 0.0)) idx in
+  let rec go x t0 steps extensions =
+    if Array.exists Option.is_none found && extensions <= options.max_extensions
+    then begin
+      let chunk = Spice.Transient.run cp ~x0:x ~t0 ~steps ~probes:idx in
+      Array.iteri
+        (fun p col ->
+          Array.iteri
+            (fun s v1 ->
+              if found.(p) = None then begin
+                let v0, t_prev = last.(p)
+                and t1 = chunk.Spice.Transient.times.(s) in
+                if v1 >= target.(p) then
+                  let t_cross =
+                    if v1 = v0 then t1
+                    else
+                      t_prev
+                      +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. t_prev))
+                  in
+                  found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref))
+                else last.(p) <- (v1, t1)
+              end)
+            col)
+        chunk.Spice.Transient.states;
+      go chunk.Spice.Transient.final
+        (t0 +. (float_of_int steps *. dt))
+        (steps * 2) (extensions + 1)
+    end
+  in
+  go x0 0.0 options.steps_per_chunk 0;
+  found
+
+(* On a random table-2 net (half the time with one added wire) under
+   the fast or default profile, the engine's scan, whose chunks stop at
+   the last crossing, reports crossings bit-identical to the
+   full-window reference. A quarter of the trials start from a horizon
+   50x too short, so the crossings land in a doubled extension chunk;
+   a quarter start one sink at its settled value, so that probe is at
+   its target from the first instant. *)
+let prop_scan_stops_without_moving_crossings g =
+  let config =
+    if Rng.bool g then Delay.Model.fast_spice else Delay.Model.default_spice
+  in
+  let options = config.Delay.Model.options in
+  let size = [| 5; 10; 20 |].(Rng.int g 3) in
+  let nets =
+    Geom.Netgen.uniform_batch
+      ~seed:(1994 + (1_000_003 * size))
+      ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
+      ~pins:size ~trials:10
+  in
+  let r = Routing.mst_of_net nets.(Rng.int g (Array.length nets)) in
+  let r =
+    if Rng.bool g then
+      let cands = Routing.candidate_edges r in
+      let u, v = List.nth cands (Rng.int g (List.length cands)) in
+      Routing.add_edge r u v
+    else r
+  in
+  let nl, sinks =
+    Delay.Lumping.circuit_of_routing
+      ~segmentation:config.Delay.Model.segmentation ~tech r
+  in
+  let sys = Spice.Mna.build nl in
+  let idx =
+    Array.of_list
+      (List.map
+         (fun name ->
+           match Circuit.Netlist.find_node nl name with
+           | Some node -> sys.Spice.Mna.unknown_of_node.(node)
+           | None -> Alcotest.failf "no sink node %s" name)
+         sinks)
+  in
+  let horizon = Delay.Model.spice_horizon ~tech r in
+  let x0 = Spice.Transient.dc_operating_point sys in
+  let xf =
+    Numeric.Backend.solve (Spice.Mna.factor_g sys)
+      (Spice.Mna.rhs sys (Spice.Engine.settled_time ~horizon))
+  in
+  let case = Rng.int g 4 in
+  let horizon = if case = 0 then horizon /. 50.0 else horizon in
+  let x0 =
+    if case = 1 then begin
+      let x = Array.copy x0 and u = idx.(Rng.int g (Array.length idx)) in
+      x.(u) <- xf.(u);
+      x
+    end
+    else x0
+  in
+  let found =
+    match
+      Spice.Engine.threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon
+    with
+    | Ok found -> found
+    | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
+  in
+  let reference = full_window_scan options sys ~idx ~x0 ~xf ~horizon in
+  let bits = Array.map (Option.map Int64.bits_of_float) in
+  if Array.exists Option.is_none found then
+    Alcotest.failf "size %d: a probe never crossed" size;
+  if bits found <> bits reference then
+    Alcotest.failf "size %d case %d: crossings moved" size case;
+  let latest = Array.fold_left (fun m d -> Float.max m (Option.get d)) 0.0 found in
+  if case = 0 && latest <= horizon then
+    Alcotest.failf "size %d: short horizon crossed in the first chunk" size;
+  if case = 1 && not (Array.mem (Some 0.0) found) then
+    Alcotest.failf "size %d: the settled sink did not report 0" size
+
 (* Parser fuzzing ---------------------------------------------------------- *)
 
 (* Bytes that steer a mutation towards the tokens parsers trip on:
@@ -586,6 +711,10 @@ let suites =
           (fun () ->
             check ~trials:40 "spice-differential"
               prop_incremental_spice_matches_plain);
+        Alcotest.test_case "scan stops without moving crossings" `Quick
+          (fun () ->
+            check ~trials:40 "scan-early-stop"
+              prop_scan_stops_without_moving_crossings);
         Alcotest.test_case "sparse matches dense (200 stamped systems)" `Quick
           (fun () ->
             check ~trials:200 "sparse-vs-dense" prop_sparse_matches_dense);

@@ -328,17 +328,90 @@ let test_input_reference () =
     (reference (Waveform.Ramp { t0 = 0.0; t1 = dt; v0 = 0.0; v1 = 1.0 }))
 
 (* The always-live step counter sees a fast-profile query on an RC net
-   cross within its first chunk: exactly one chunk of 80 steps. *)
+   stop at its crossing: it counts exactly the steps up to the one at
+   which an untruncated run of the same companion first reaches the
+   50 % target, not the whole 80-step chunk. *)
 let test_steps_counter () =
+  let options = Spice.Engine.fast_options and horizon = 4e-9 in
+  let nl = rc_circuit () in
+  let sys = Spice.Mna.build nl in
+  let out =
+    match Netlist.find_node nl "out" with
+    | Some node -> sys.Spice.Mna.unknown_of_node.(node)
+    | None -> Alcotest.fail "no node out"
+  in
+  let x0 = Spice.Transient.dc_operating_point sys in
+  let xf =
+    Numeric.Backend.solve (Spice.Mna.factor_g sys)
+      (Spice.Mna.rhs sys (Spice.Engine.settled_time ~horizon))
+  in
+  let target = x0.(out) +. (0.5 *. (xf.(out) -. x0.(out))) in
+  let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
+  let full =
+    Spice.Transient.run
+      (Spice.Transient.companion sys ~method_:options.Spice.Engine.method_
+         ~dt:(horizon /. float_of_int steps_per_chunk))
+      ~x0 ~t0:0.0 ~steps:steps_per_chunk ~probes:[| out |]
+  in
+  let col = full.Spice.Transient.states.(0) in
+  let rec crossing_step s =
+    if s >= steps_per_chunk then Alcotest.fail "no crossing in the chunk"
+    else if col.(s) >= target then s + 1
+    else crossing_step (s + 1)
+  in
+  let expected = crossing_step 0 in
   let steps = Obs.Counter.make "spice.steps" in
   let before = Obs.Counter.value steps in
   (match
-     Spice.Engine.threshold_delays ~options:Spice.Engine.fast_options
-       (rc_circuit ()) ~probes:[ "out" ] ~horizon:4e-9
+     Spice.Engine.threshold_delays ~options nl ~probes:[ "out" ] ~horizon
    with
   | [ (_, Some _) ] -> ()
   | _ -> Alcotest.fail "expected one crossing");
-  Alcotest.(check int) "spice.steps added" 80 (Obs.Counter.value steps - before)
+  Alcotest.(check bool) "crosses before the chunk ends" true
+    (expected < steps_per_chunk);
+  Alcotest.(check int) "spice.steps added" expected
+    (Obs.Counter.value steps - before)
+
+(* [Transient.run ~until] is an exact prefix of the untruncated chunk:
+   the same time stamps and recorded states up to the stop step, that
+   step's full state as [final], and only those steps counted. A
+   predicate that never fires leaves the chunk whole. *)
+let test_run_until_prefix () =
+  let sys = Spice.Mna.build (rc_circuit ()) in
+  let x0 = Spice.Transient.dc_operating_point sys in
+  let probes = Array.init sys.Spice.Mna.size Fun.id in
+  let run ?until () =
+    Spice.Transient.run ?until
+      (Spice.Transient.companion sys ~method_:Spice.Transient.Trapezoidal
+         ~dt:5e-11)
+      ~x0 ~t0:1e-9 ~steps:80 ~probes
+  in
+  let full = run () in
+  let stop = 23 in
+  let seen = ref 0 in
+  let steps = Obs.Counter.make "spice.steps" in
+  let before = Obs.Counter.value steps in
+  let cut =
+    run
+      ~until:(fun _ ->
+        incr seen;
+        !seen = stop)
+      ()
+  in
+  Alcotest.(check int) "steps counted" stop (Obs.Counter.value steps - before);
+  Alcotest.(check bool) "times are a prefix" true
+    (cut.Spice.Transient.times = Array.sub full.Spice.Transient.times 0 stop);
+  Alcotest.(check bool) "states are a prefix" true
+    (cut.Spice.Transient.states
+    = Array.map (fun col -> Array.sub col 0 stop) full.Spice.Transient.states);
+  Alcotest.(check bool) "final is the stop step's state" true
+    (cut.Spice.Transient.final
+    = Array.map (fun col -> col.(stop - 1)) full.Spice.Transient.states);
+  let whole = run ~until:(fun _ -> false) () in
+  Alcotest.(check bool) "never stopping leaves the chunk whole" true
+    (whole.Spice.Transient.times = full.Spice.Transient.times
+    && whole.Spice.Transient.states = full.Spice.Transient.states
+    && whole.Spice.Transient.final = full.Spice.Transient.final)
 
 (* Measure ------------------------------------------------------------ *)
 
@@ -501,6 +574,8 @@ let suites =
         Alcotest.test_case "input 50% reference" `Quick test_input_reference;
         Alcotest.test_case "spice.steps counts one fast query" `Quick
           test_steps_counter;
+        Alcotest.test_case "run until is an exact prefix" `Quick
+          test_run_until_prefix;
         Alcotest.test_case "crossing interpolates" `Quick
           test_first_crossing_interpolates;
         Alcotest.test_case "crossing none" `Quick test_first_crossing_none;
