@@ -174,7 +174,8 @@ let counter_value name = Obs.Counter.value (Obs.Counter.make name)
 
 (* What BENCH_nontree.json records for each section that ran: wall time,
    how many robust-oracle and incremental (rank-1 update) evaluations
-   it issued, how many transient steps they integrated, and how its own
+   it issued, how many transient steps they integrated, how many sparse
+   factorisations had to retry on the dense kernel, and how its own
    memo fared (the bench resets the memo at the start of every
    section). *)
 type section_stats = {
@@ -183,6 +184,7 @@ type section_stats = {
   oracle_calls : int;
   incremental_evals : int;
   spice_steps : int;
+  dense_fallbacks : int;
   cache_hits : int;
   cache_misses : int;
 }
@@ -234,10 +236,11 @@ let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
     (fun i s ->
       Printf.bprintf buf
         "    { \"name\": %S, \"wall_s\": %.3f, \"oracle_calls\": %d, \
-         \"incremental_evals\": %d, \"spice_steps\": %d, \"cache_hits\": \
-         %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f }%s\n"
+         \"incremental_evals\": %d, \"spice_steps\": %d, \
+         \"dense_fallbacks\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
+         \"cache_hit_rate\": %.4f }%s\n"
         s.name s.wall_s s.oracle_calls s.incremental_evals s.spice_steps
-        s.cache_hits s.cache_misses (hit_rate s)
+        s.dense_fallbacks s.cache_hits s.cache_misses (hit_rate s)
         (if i = List.length sections - 1 then "" else ","))
     sections;
   Buffer.add_string buf "  ]\n}\n";
@@ -341,6 +344,7 @@ let () =
       let e0 = Delay.Robust.evaluation_count () in
       let i0 = counter_value "oracle.incremental_hits" in
       let st0 = counter_value "spice.steps" in
+      let df0 = counter_value "sparse.dense_fallbacks" in
       Obs.span ("bench." ^ name) f;
       let wall_s =
         match Obs.Span.find ("bench." ^ name) with
@@ -354,15 +358,16 @@ let () =
           oracle_calls = Delay.Robust.evaluation_count () - e0;
           incremental_evals = counter_value "oracle.incremental_hits" - i0;
           spice_steps = counter_value "spice.steps" - st0;
+          dense_fallbacks = counter_value "sparse.dense_fallbacks" - df0;
           cache_hits = c.Nontree.Oracle.Cache.hits;
           cache_misses = c.Nontree.Oracle.Cache.misses }
       in
       stats := s :: !stats;
       progress
         "section %s: %.1fs wall, %d oracle calls, %d incremental, %d spice \
-         steps, cache %d/%d hits (%.1f%%)"
+         steps, %d dense fallbacks, cache %d/%d hits (%.1f%%)"
         name wall_s s.oracle_calls s.incremental_evals s.spice_steps
-        s.cache_hits (s.cache_hits + s.cache_misses)
+        s.dense_fallbacks s.cache_hits (s.cache_hits + s.cache_misses)
         (100.0 *. hit_rate s);
       print_newline ()
     end

@@ -1,0 +1,125 @@
+(* bench_diff: compare two nontree-bench-v1 baselines section by section.
+
+     bin/bench_diff.exe OLD.json NEW.json
+     bin/bench_diff.exe --threshold 0.1 OLD.json NEW.json
+
+   Prints, for every section of NEW, its wall time in both files and
+   the change in wall time, oracle calls, incremental evaluations and
+   transient steps. Exit 0 when no section's wall time grew by more
+   than the threshold (a fraction of the old time, default 0.25); 1
+   when one did; 2 on usage, IO or schema errors. Sections whose wall
+   time is under [min_wall] seconds in both files are shown but not
+   gated: at that size a quarter is timer noise. *)
+
+let schema = "nontree-bench-v1"
+let usage = "usage: bench_diff [--threshold F] OLD.json NEW.json"
+let min_wall = 0.5
+
+let die fmt =
+  Printf.ksprintf (fun s -> prerr_endline ("bench_diff: " ^ s); exit 2) fmt
+
+type section = {
+  wall_s : float;
+  oracle_calls : int;
+  incremental_evals : int;
+  spice_steps : int;
+}
+
+let load path =
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> die "%s" e
+  in
+  let json =
+    match Obs.Json.of_string text with
+    | Ok j -> j
+    | Error e -> die "%s: invalid JSON: %s" path e
+  in
+  let field k j =
+    match Obs.Json.member k j with
+    | Some v -> v
+    | None -> die "%s: missing %S" path k
+  in
+  let number k j =
+    match field k j with
+    | Obs.Json.Int i -> float_of_int i
+    | Obs.Json.Float f -> f
+    | _ -> die "%s: %S is not a number" path k
+  in
+  let int k j =
+    match field k j with
+    | Obs.Json.Int i -> i
+    | _ -> die "%s: %S is not an integer" path k
+  in
+  (match field "schema" json with
+  | Obs.Json.String s when s = schema -> ()
+  | _ -> die "%s: schema is not %S" path schema);
+  match field "sections" json with
+  | Obs.Json.List l ->
+      List.map
+        (fun s ->
+          match field "name" s with
+          | Obs.Json.String name ->
+              ( name,
+                { wall_s = number "wall_s" s;
+                  oracle_calls = int "oracle_calls" s;
+                  incremental_evals = int "incremental_evals" s;
+                  spice_steps = int "spice_steps" s } )
+          | _ -> die "%s: a section name is not a string" path)
+        l
+  | _ -> die "%s: \"sections\" is not a list" path
+
+let () =
+  let threshold = ref 0.25 and files = ref [] in
+  Arg.parse
+    [ ( "--threshold",
+        Arg.Set_float threshold,
+        "F  largest allowed wall-time growth, as a fraction (default 0.25)" ) ]
+    (fun f -> files := f :: !files)
+    usage;
+  let old_path, new_path =
+    match List.rev !files with
+    | [ o; n ] -> (o, n)
+    | _ -> die "%s" usage
+  in
+  let old = load old_path and cur = load new_path in
+  Printf.printf "%-10s %9s %9s %8s %13s %18s %14s\n" "section" "old_s" "new_s"
+    "wall" "oracle_calls" "incremental_evals" "spice_steps";
+  let regressions =
+    List.filter
+      (fun (name, n) ->
+        match List.assoc_opt name old with
+        | None ->
+            Printf.printf "%-10s %9s %9.3f   (new section)\n" name "-" n.wall_s;
+            false
+        | Some o ->
+            let growth =
+              if o.wall_s > 0.0 then (n.wall_s -. o.wall_s) /. o.wall_s
+              else if n.wall_s > 0.0 then infinity
+              else 0.0
+            in
+            let gated = Float.max o.wall_s n.wall_s >= min_wall in
+            let regressed = gated && growth > !threshold in
+            Printf.printf "%-10s %9.3f %9.3f %+7.1f%% %+13d %+18d %+14d%s\n"
+              name o.wall_s n.wall_s (100.0 *. growth)
+              (n.oracle_calls - o.oracle_calls)
+              (n.incremental_evals - o.incremental_evals)
+              (n.spice_steps - o.spice_steps)
+              (if regressed then "  REGRESSED" else "");
+            regressed)
+      cur
+  in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name cur) then
+        Printf.printf "%-10s (only in %s)\n" name old_path)
+    old;
+  match regressions with
+  | [] ->
+      Printf.printf "ok: no section's wall time grew by more than %.0f%%\n"
+        (100.0 *. !threshold)
+  | l ->
+      Printf.printf "%d section(s) grew by more than %.0f%%: %s\n"
+        (List.length l) (100.0 *. !threshold)
+        (String.concat ", " (List.map fst l));
+      exit 1

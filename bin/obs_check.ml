@@ -91,8 +91,8 @@ let check_bench_section i s =
     (fun k ->
       if expect_int (ctx ^ "." ^ k) (m k) < 0 then
         fail "%s.%s is negative" ctx k)
-    [ "oracle_calls"; "incremental_evals"; "spice_steps"; "cache_hits";
-      "cache_misses" ];
+    [ "oracle_calls"; "incremental_evals"; "spice_steps"; "dense_fallbacks";
+      "cache_hits"; "cache_misses" ];
   let rate = expect_number (ctx ^ ".cache_hit_rate") (m "cache_hit_rate") in
   if rate < 0.0 || rate > 1.0 then fail "%s.cache_hit_rate not in [0,1]" ctx
 

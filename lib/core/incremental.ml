@@ -1,29 +1,35 @@
-(* Incremental candidate scoring for the greedy loops.
+(* Incremental edit scoring for the greedy loops.
 
-   A greedy round evaluates every absent edge (u,v) against the same
-   base routing; re-stamping and re-factoring the full system per
-   candidate is wasted work, because a candidate is the base plus one
-   wire. This module factors the base once per round and scores each
-   candidate as the base plus one conductance between two existing
-   unknowns, solved by Sherman–Morrison ([Numeric.Backend.with_conductance]):
+   A greedy round evaluates many one-wire edits of the same base
+   routing: LDRG adds an absent edge (u,v), wire sizing widens an
+   existing one. Re-stamping and re-factoring the full system per trial
+   is wasted work. This module factors the base once per round and
+   scores each edit as the base plus one conductance change Δg between
+   two existing unknowns, solved by Sherman–Morrison
+   ([Numeric.Backend.with_conductance]). An edit is the wire it
+   changes, with old and new per-width values: an addition has zero
+   old values, a resize the wire's current ones.
 
-   - moment models: G gains the wire's conductance, the capacitance
-     vector two half-cap entries; first (and second) moments are two
-     updated solves against the round's factorisation.
+   - moment models: G gains Δg = 1/R_new − 1/R_old, the capacitance
+     vector half the capacitance change at each end; first (and
+     second) moments are two updated solves against the round's
+     factorisation.
    - SPICE (RC): the horizon comes from the incremental first moments.
      At DC the wire's capacitors are open, so its π-chain of n_seg
      segments is one series conductance 1/(n_seg·seg_r) between its end
      vertices, and its interior nodes lie evenly between the two end
      voltages. The DC operating point and the settled state are
      therefore updated solves against the round's factored MNA G,
-     interpolated onto the interior nodes. Only the transient's
-     companion matrix, which depends on the candidate's own
-     horizon-derived timestep, is factored fresh, once, by the shared
-     threshold scan.
+     interpolated onto the interior nodes. The transient gets the
+     per-segment stamp changes on the wire's chain: freshly appended
+     interior unknowns for an addition, the chain's existing unknowns
+     for a resize (the segment count depends only on length). Only its
+     companion matrix, which depends on the trial's own horizon-derived
+     timestep, is factored fresh, once, by the shared threshold scan.
 
    Any numeric degeneracy, injected fault or never-settling probe
-   abandons the incremental attempt and re-evaluates the candidate on
-   the plain robust path (retry-with-refinement, model degradation),
+   abandons the incremental attempt and re-evaluates the trial on the
+   plain robust path (retry-with-refinement, model degradation),
    counted under oracle.incremental_fallbacks. Results are memoised in
    [Oracle.Cache] under their own path tag. On by default. *)
 
@@ -46,6 +52,37 @@ let all_finite a = Array.for_all Float.is_finite a
 let max_sink_delay ds =
   List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 ds
 
+type edit = Add of int * int | Resize of (int * int) * float
+
+(* An edit as the wire it stamps: its endpoints, its length, the width
+   it ends with and the width it replaces ([None]: the wire is new).
+   Added wires carry width 1.0 (Routing.add_edge) and Manhattan length;
+   a resized wire is named in canonical order (u < v), the orientation
+   of its lowered chain. *)
+type wire = {
+  u : int;
+  v : int;
+  length : float;
+  width : float;
+  was : float option;
+}
+
+let wire_of_edit r = function
+  | Add (u, v) ->
+      let length =
+        Geom.Point.manhattan (Routing.point r u) (Routing.point r v)
+      in
+      { u; v; length; width = 1.0; was = None }
+  | Resize ((a, b), width) ->
+      let u = Int.min a b and v = Int.max a b in
+      { u; v; length = Routing.edge_length r u v; width;
+        was = Some (Routing.width r u v) }
+
+(* [f new - f old] for a per-width quantity of the wire. A new wire's
+   old values are zero, so its change is [f new] bit for bit. *)
+let change w f =
+  match w.was with None -> f w.width | Some w0 -> f w.width -. f w0
+
 (* Per-round moments context: base conductance factorisation plus the
    base capacitance vector. Shared read-only across worker domains;
    every candidate builds its own updated solver. *)
@@ -57,94 +94,84 @@ let prepare_moments ~tech r =
   | Ok m_lu ->
       Some { m_lu; m_cap = Delay.Moments.node_capacitances ~tech r }
 
-(* Candidate wires always carry width 1.0 (Routing.add_edge) and
-   Manhattan length. *)
-let edge_length r (u, v) =
-  Geom.Point.manhattan (Routing.point r u) (Routing.point r v)
-
-let moment_update ctx ~tech r edge =
-  let length = edge_length r edge in
-  let u, v = edge in
+let moment_update ctx ~tech w =
+  let length = w.length in
   let cond =
-    1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width:1.0
+    change w (fun width ->
+        1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width)
   in
-  let cap = Circuit.Technology.wire_capacitance_of tech ~length ~width:1.0 in
+  let cap =
+    change w (fun width ->
+        Circuit.Technology.wire_capacitance_of tech ~length ~width)
+  in
   let c = Array.copy ctx.m_cap in
-  c.(u) <- c.(u) +. (cap /. 2.0);
-  c.(v) <- c.(v) +. (cap /. 2.0);
-  match Numeric.Backend.with_conductance ctx.m_lu u v cond with
+  c.(w.u) <- c.(w.u) +. (cap /. 2.0);
+  c.(w.v) <- c.(w.v) +. (cap /. 2.0);
+  match Numeric.Backend.with_conductance ctx.m_lu w.u w.v cond with
   | None -> fall_back "degenerate moments update"
   | Some solve ->
       let m1 = solve c in
       if not (all_finite m1) then fall_back "non-finite first moments";
       (solve, c, m1)
 
-let first_moment_delays ctx ~tech r edge =
-  let _, _, m1 = moment_update ctx ~tech r edge in
+let first_moment_delays ctx ~tech r w =
+  let _, _, m1 = moment_update ctx ~tech w in
   List.map (fun s -> (s, m1.(s))) (Routing.sinks r)
 
-let two_pole_delays ctx ~tech r edge =
-  let solve, c, m1 = moment_update ctx ~tech r edge in
+let two_pole_delays ctx ~tech r w =
+  let solve, c, m1 = moment_update ctx ~tech w in
   let rhs = Array.init (Array.length c) (fun i -> c.(i) *. m1.(i)) in
   let m2 = solve rhs in
   if not (all_finite m2) then fall_back "non-finite second moments";
   let d = Delay.Moments.two_pole_fit ~m1 ~m2 in
   List.map (fun s -> (s, d.(s))) (Routing.sinks r)
 
-(* Per-round SPICE context: the base lumped netlist built and its MNA
-   conductance matrix factored once. *)
+(* Per-round SPICE context: the base routing lowered and its MNA
+   conductance matrix factored once, with the unknown of every vertex
+   and the lowered nodes of every existing wire's π-chain. *)
 type spice_ctx = {
   cfg : Delay.Model.spice_config;
   sys : Spice.Mna.t;
   g_lu : Numeric.Backend.t;
   sink_unknowns : int array;  (* probe indices, in sink order *)
   vertex_unknown : int array;  (* routing vertex -> MNA unknown *)
+  chains : ((int * int) * Circuit.Element.node array) array;
+      (* Lumping.lower's chains: wire (u < v) -> its nodes from u to v *)
   mom : moments_ctx;  (* for the horizon estimate *)
 }
 
 let prepare_spice ~tech cfg r =
-  if cfg.Delay.Model.include_inductance then None
-  else
-    match prepare_moments ~tech r with
-    | None -> None
-    | Some mom -> (
-        match
-          let nl, sink_names =
-            Delay.Lumping.circuit_of_routing
-              ~segmentation:cfg.Delay.Model.segmentation
-              ~include_inductance:false ~tech r
-          in
-          let sys = Spice.Mna.build nl in
-          (nl, sink_names, sys)
-        with
-        | exception _ -> None
-        | nl, sink_names, sys -> (
-            match Spice.Mna.factor_g_result sys with
-            | Error _ -> None
-            | Ok g_lu ->
-                let unknown_of name =
-                  match Circuit.Netlist.find_node nl name with
-                  | Some node -> sys.Spice.Mna.unknown_of_node.(node)
-                  | None -> -1
-                in
-                let vertex_unknown =
-                  Array.init (Routing.num_vertices r) (fun i ->
-                      unknown_of (Delay.Lumping.vertex_node_name i))
-                in
-                let sink_unknowns =
-                  Array.of_list (List.map unknown_of sink_names)
-                in
-                if
-                  Array.exists (fun u -> u < 0) vertex_unknown
-                  || Array.exists (fun u -> u < 0) sink_unknowns
-                then None
-                else Some { cfg; sys; g_lu; sink_unknowns; vertex_unknown; mom }
-            ))
+  match prepare_moments ~tech r with
+  | None -> None
+  | Some mom -> (
+      match
+        let l =
+          Delay.Lumping.lower ~segmentation:cfg.Delay.Model.segmentation
+            ~include_inductance:false ~tech r
+        in
+        (l, Spice.Mna.build l.Delay.Lumping.netlist)
+      with
+      | exception _ -> None
+      | l, sys -> (
+          match Spice.Mna.factor_g_result sys with
+          | Error _ -> None
+          | Ok g_lu ->
+              let unknown node = sys.Spice.Mna.unknown_of_node.(node) in
+              let vertex_unknown =
+                Array.map unknown l.Delay.Lumping.vertex_nodes
+              in
+              let sink_unknowns =
+                Array.of_list
+                  (List.map (fun s -> vertex_unknown.(s)) (Routing.sinks r))
+              in
+              Some
+                { cfg; sys; g_lu; sink_unknowns; vertex_unknown;
+                  chains = l.Delay.Lumping.chains; mom }))
 
-let spice_delays ctx ~tech r edge =
+let spice_delays ctx ~tech r w =
   (* Horizon from the trial's first moments — Model.spice_horizon
      computed incrementally. *)
-  let _, _, m1 = moment_update ctx.mom ~tech r edge in
+  let _, _, m1 = moment_update ctx.mom ~tech w in
   let m1max =
     List.fold_left (fun acc s -> Float.max acc m1.(s)) 0.0 (Routing.sinks r)
   in
@@ -154,32 +181,61 @@ let spice_delays ctx ~tech r edge =
   (* The engine consumes one fault draw per threshold query; keep that
      budget identical so --fault-rate schedules stay aligned. *)
   if Fault.draw ~stage:"spice" <> None then fall_back "injected fault";
-  let u, v = edge in
-  let n_seg, seg_r, seg_c =
+  let segments width =
     Delay.Lumping.pi_segments ~segmentation:ctx.cfg.Delay.Model.segmentation
-      ~tech ~length:(edge_length r edge) ~width:1.0
+      ~tech ~length:w.length ~width
   in
-  let iu = ctx.vertex_unknown.(u) and iv = ctx.vertex_unknown.(v) in
+  (* The segment count depends only on length, so a resize restamps the
+     chain it already has; an added wire gets fresh interior unknowns. *)
+  let n_seg, _, _ = segments w.width in
+  let seg_g =
+    change w (fun width ->
+        let _, r, _ = segments width in
+        1.0 /. r)
+  in
+  let seg_c =
+    change w (fun width ->
+        let _, _, c = segments width in
+        c)
+  in
+  let iu = ctx.vertex_unknown.(w.u) and iv = ctx.vertex_unknown.(w.v) in
   let d = Spice.Mna.Delta.create ctx.sys in
   let chain =
-    Array.init (n_seg + 1) (fun s ->
-        if s = 0 then iu
-        else if s = n_seg then iv
-        else Spice.Mna.Delta.fresh_unknown d)
+    match w.was with
+    | Some _ ->
+        let nodes =
+          Array.find_map
+            (fun (e, nodes) -> if e = (w.u, w.v) then Some nodes else None)
+            ctx.chains
+        in
+        Array.map
+          (fun node -> ctx.sys.Spice.Mna.unknown_of_node.(node))
+          (Option.get nodes)
+    | None ->
+        Array.init (n_seg + 1) (fun s ->
+            if s = 0 then iu
+            else if s = n_seg then iv
+            else Spice.Mna.Delta.fresh_unknown d)
   in
   for s = 0 to n_seg - 1 do
-    Spice.Mna.Delta.add_conductance d chain.(s) chain.(s + 1) (1.0 /. seg_r);
+    Spice.Mna.Delta.add_conductance d chain.(s) chain.(s + 1) seg_g;
     Spice.Mna.Delta.add_capacitance d chain.(s) (-1) (seg_c /. 2.0);
     Spice.Mna.Delta.add_capacitance d chain.(s + 1) (-1) (seg_c /. 2.0)
   done;
-  let g = 1.0 /. (float_of_int n_seg *. seg_r) in
+  (* At DC the chain is one series conductance between its ends. *)
+  let g =
+    change w (fun width ->
+        let _, r, _ = segments width in
+        1.0 /. (float_of_int n_seg *. r))
+  in
   match Numeric.Backend.with_conductance ctx.g_lu iu iv g with
   | None -> fall_back "degenerate conductance update"
   | Some solve -> (
       let ext_sys = Spice.Mna.Delta.extend ctx.sys d in
       (* The DC state of the base plus the series conductance, with the
-         chain's interior nodes (appended after every base unknown)
-         interpolated between its ends. *)
+         chain's interior nodes (appended after every base unknown for a
+         new wire, the wire's own for a resized one) interpolated
+         between its ends. *)
       let dc_state t =
         let x = solve (Spice.Mna.rhs ctx.sys t) in
         let xt = Array.make ext_sys.Spice.Mna.size 0.0 in
@@ -218,13 +274,13 @@ let make_scorer ~model ~tech ~fallback r =
   else begin
     let wrap compute =
       Some
-        (fun edge trial ->
+        (fun edit trial ->
           (* Memoised under its own tag: an updated solve may differ
              from the plain oracle's in the last bits, so it must never
              answer a plain lookup. *)
           match
             Oracle.Cache.memo ~path:Incremental ~model ~tech trial (fun () ->
-                let ds = compute edge in
+                let ds = compute (wire_of_edit r edit) in
                 Obs.Counter.incr hits;
                 ds)
           with
@@ -245,12 +301,12 @@ let make_scorer ~model ~tech ~fallback r =
           Obs.Counter.incr fallbacks;
           None
       | Some ctx ->
-          wrap (fun edge ->
+          wrap (fun w ->
               (* Parity with Model.sink_delays_result's injection
                  point for the moment oracles. *)
               if Fault.draw ~stage:"moments" <> None then
                 fall_back "injected fault"
-              else compute_delays ctx ~tech r edge)
+              else compute_delays ctx ~tech r w)
     in
     match model with
     | Delay.Model.First_moment -> moment_scorer first_moment_delays
@@ -260,9 +316,9 @@ let make_scorer ~model ~tech ~fallback r =
         | None ->
             Obs.Counter.incr fallbacks;
             None
-        | Some ctx -> wrap (fun edge -> spice_delays ctx ~tech r edge))
+        | Some ctx -> wrap (fun w -> spice_delays ctx ~tech r w))
     | Delay.Model.Elmore_tree | Delay.Model.Spice _ ->
-        (* Elmore needs trees (candidates never are); RLC wires are not
-           rank-1 on G alone. Unsupported, not a failure. *)
+        (* Elmore needs trees (added wires never leave one); RLC wires
+           are not rank-1 on G alone. Unsupported, not a failure. *)
         None
   end

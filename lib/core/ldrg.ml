@@ -44,11 +44,11 @@ let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
          once here and each candidate below is a rank-1 update. [None]
          means this round runs on the plain objective. *)
       let edge_score = scorer current in
-      let eval_candidate edge trial =
+      let eval_candidate (u, v) trial =
         match edge_score with
         | Some score ->
             Atomic.incr evaluations;
-            score edge trial
+            score (Incremental.Add (u, v)) trial
         | None -> eval trial
       in
       let scored =

@@ -34,7 +34,7 @@ val run_objective :
   ?max_edges:int ->
   ?min_improvement:float ->
   ?candidates:(Routing.t -> (int * int) list) ->
-  ?scorer:(Routing.t -> (int * int -> Routing.t -> float) option) ->
+  ?scorer:(Routing.t -> (Incremental.edit -> Routing.t -> float) option) ->
   objective:(Routing.t -> float) ->
   Routing.t ->
   trace
@@ -46,7 +46,7 @@ val run_objective :
 
     [scorer] is called once per iteration with the iteration's base
     routing; when it returns [Some score], every candidate of that
-    iteration is evaluated as [score edge trial] instead of
+    iteration is evaluated as [score (Add (u, v)) trial] instead of
     [objective trial] (the incremental rank-1 update path of
     {!Incremental.make_scorer}). The default returns [None] — all
     evaluations go through [objective]. Either way each candidate

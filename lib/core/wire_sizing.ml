@@ -22,6 +22,16 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
   let rec loop current current_delay changes count =
     if count >= max_changes then (current, changes)
     else begin
+      (* One round, one scorer, as in LDRG: [current] is factored once
+         and each width trial is a resize edit of it. [None] means this
+         round runs on the plain objective. *)
+      let score =
+        match
+          Incremental.make_scorer ~model ~tech ~fallback:delay_of current
+        with
+        | Some score -> score
+        | None -> fun _ trial -> delay_of trial
+      in
       let best =
         List.fold_left
           (fun best ((u, v), w) ->
@@ -29,7 +39,7 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
             | None -> best
             | Some w' ->
                 let trial = Routing.set_width current u v w' in
-                let d = delay_of trial in
+                let d = score (Incremental.Resize ((u, v), w')) trial in
                 (match best with
                 | Some (_, _, _, d') when d' <= d -> best
                 | _ -> Some ((u, v), w', trial, d)))

@@ -23,6 +23,12 @@ val size_greedy :
     (default widths 1, 2, 3), while any bump improves. Returns the
     sized routing and the applied (edge, new-width) changes in order.
 
+    Each round's width trials are scored incrementally, as resize edits
+    of that round's routing ({!Incremental.make_scorer}); a round the
+    scorer cannot serve, and any trial it gives up on, runs on the
+    plain {!Oracle.objective}. Ties keep the earliest edge of
+    {!Routing.widths}.
+
     @raise Invalid_argument when [widths] is not strictly increasing
     or does not start at 1. *)
 

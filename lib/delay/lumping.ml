@@ -30,10 +30,16 @@ let pi_segments ~segmentation ~tech ~length ~width =
 
 let default_input = Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 }
 
-let circuit_of_routing ?(segmentation = default_segmentation)
-    ?(include_inductance = false) ?(input = default_input) ~tech r =
+type lowered = {
+  netlist : Netlist.t;
+  vertex_nodes : Element.node array;
+  chains : ((int * int) * Element.node array) array;
+}
+
+let lower ?(segmentation = default_segmentation) ?(include_inductance = false)
+    ?(input = default_input) ~tech r =
   let nl = Netlist.create () in
-  let vertex_node =
+  let vertex_nodes =
     Array.init (Routing.num_vertices r) (fun i ->
         Netlist.node nl (vertex_node_name i))
   in
@@ -42,51 +48,58 @@ let circuit_of_routing ?(segmentation = default_segmentation)
      resistor connected to the source pin"). *)
   let drive = Netlist.node nl "drive" in
   Netlist.vsource nl ~name:"Vin" drive Netlist.ground input;
-  Netlist.resistor nl ~name:"Rdrv" drive vertex_node.(0)
+  Netlist.resistor nl ~name:"Rdrv" drive vertex_nodes.(0)
     tech.Technology.driver_resistance;
   (* Sink loading capacitance at every pin of the net. *)
   for i = 0 to Routing.num_terminals r - 1 do
     Netlist.capacitor nl
       ~name:(Printf.sprintf "Cpin%d" i)
-      vertex_node.(i) Netlist.ground tech.Technology.sink_capacitance
+      vertex_nodes.(i) Netlist.ground tech.Technology.sink_capacitance
   done;
   (* Wires: chains of pi-segments. Each segment contributes half its
      capacitance at each end, so interior nodes see the full per-segment
      capacitance and edge endpoints see half. *)
-  List.iter
-    (fun (e : Graphs.Wgraph.edge) ->
-      let width = Routing.width r e.u e.v in
-      let length = e.w in
-      let n_seg, seg_r, seg_c = pi_segments ~segmentation ~tech ~length ~width in
-      let seg_len = length /. float_of_int n_seg in
-      let seg_l = Technology.wire_inductance_of tech ~length:seg_len in
-      let prefix = Printf.sprintf "e%d_%d" e.u e.v in
-      let nodes =
-        Array.init (n_seg + 1) (fun s ->
-            if s = 0 then vertex_node.(e.u)
-            else if s = n_seg then vertex_node.(e.v)
-            else Netlist.fresh_node nl prefix)
-      in
-      for s = 0 to n_seg - 1 do
-        let a = nodes.(s) and b = nodes.(s + 1) in
-        if include_inductance then begin
-          let mid = Netlist.fresh_node nl (prefix ^ "l") in
-          Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a mid
-            seg_r;
-          Netlist.inductor nl ~name:(Printf.sprintf "L%s_%d" prefix s) mid b
-            seg_l
-        end
-        else
-          Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a b seg_r;
-        Netlist.capacitor nl
-          ~name:(Printf.sprintf "C%s_%da" prefix s)
-          a Netlist.ground (seg_c /. 2.0);
-        Netlist.capacitor nl
-          ~name:(Printf.sprintf "C%s_%db" prefix s)
-          b Netlist.ground (seg_c /. 2.0)
-      done)
-    (Graphs.Wgraph.edges (Routing.graph r));
-  let sink_names =
-    List.map (fun i -> vertex_node_name i) (Routing.sinks r)
+  let chains =
+    List.map
+      (fun (e : Graphs.Wgraph.edge) ->
+        let width = Routing.width r e.u e.v in
+        let length = e.w in
+        let n_seg, seg_r, seg_c =
+          pi_segments ~segmentation ~tech ~length ~width
+        in
+        let seg_len = length /. float_of_int n_seg in
+        let seg_l = Technology.wire_inductance_of tech ~length:seg_len in
+        let prefix = Printf.sprintf "e%d_%d" e.u e.v in
+        let nodes =
+          Array.init (n_seg + 1) (fun s ->
+              if s = 0 then vertex_nodes.(e.u)
+              else if s = n_seg then vertex_nodes.(e.v)
+              else Netlist.fresh_node nl prefix)
+        in
+        for s = 0 to n_seg - 1 do
+          let a = nodes.(s) and b = nodes.(s + 1) in
+          if include_inductance then begin
+            let mid = Netlist.fresh_node nl (prefix ^ "l") in
+            Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a mid
+              seg_r;
+            Netlist.inductor nl ~name:(Printf.sprintf "L%s_%d" prefix s) mid b
+              seg_l
+          end
+          else
+            Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a b
+              seg_r;
+          Netlist.capacitor nl
+            ~name:(Printf.sprintf "C%s_%da" prefix s)
+            a Netlist.ground (seg_c /. 2.0);
+          Netlist.capacitor nl
+            ~name:(Printf.sprintf "C%s_%db" prefix s)
+            b Netlist.ground (seg_c /. 2.0)
+        done;
+        ((e.u, e.v), nodes))
+      (Graphs.Wgraph.edges (Routing.graph r))
   in
-  (nl, sink_names)
+  { netlist = nl; vertex_nodes; chains = Array.of_list chains }
+
+let circuit_of_routing ?segmentation ?include_inductance ?input ~tech r =
+  let l = lower ?segmentation ?include_inductance ?input ~tech r in
+  (l.netlist, List.map vertex_node_name (Routing.sinks r))

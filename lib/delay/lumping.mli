@@ -34,7 +34,31 @@ val pi_segments :
 (** [(n_seg, seg_r, seg_c)] for one wire: the segment count and the
     per-segment resistance and capacitance, computed exactly as
     {!circuit_of_routing} stamps them — the incremental oracle uses
-    this to stamp an added wire without rebuilding the netlist. *)
+    this to stamp an edited wire without rebuilding the netlist. *)
+
+type lowered = {
+  netlist : Circuit.Netlist.t;
+  vertex_nodes : Circuit.Element.node array;
+      (** routing vertex [i] → its circuit node (named
+          {!vertex_node_name}[ i]) *)
+  chains : ((int * int) * Circuit.Element.node array) array;
+      (** one entry per wire, in {!Graphs.Wgraph.edges} order: its
+          endpoints [(u, v)] with [u < v], and the nodes of its π-chain
+          from [u] to [v], both ends included ([n_seg + 1] nodes). With
+          inductance the R–L midpoints are not listed. *)
+}
+(** A routing lowered to a netlist, with the nodes the lowering gave
+    each vertex and each wire — what the incremental oracle needs to
+    find a wire's unknowns without looking nodes up by name. *)
+
+val lower :
+  ?segmentation:segmentation ->
+  ?include_inductance:bool ->
+  ?input:Circuit.Waveform.t ->
+  tech:Circuit.Technology.t ->
+  Routing.t ->
+  lowered
+(** The lowering behind {!circuit_of_routing}, same defaults. *)
 
 val circuit_of_routing :
   ?segmentation:segmentation ->

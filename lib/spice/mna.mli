@@ -77,11 +77,12 @@ val voltage : t -> float array -> int -> float
     existing unknowns, ground ([-1]) and freshly appended unknowns
     (internal nodes of an added wire, numbered from [size] upward,
     after every base unknown — node voltages of the base system keep
-    their indices). {!extend} materialises the extended system for the
-    transient, whose companion matrix depends on the timestep anyway.
-    The DC and settle solves of an added wire need no delta: at DC its
-    π-chain is one series conductance between its end unknowns (see
-    {!Numeric.Backend.with_conductance}). *)
+    their indices). A resized wire's stamp changes land on its existing
+    chain unknowns and append nothing. {!extend} materialises the
+    extended system for the transient, whose companion matrix depends
+    on the timestep anyway. The DC and settle solves of an edited wire
+    need no delta: at DC its π-chain is one series conductance between
+    its end unknowns (see {!Numeric.Backend.with_conductance}). *)
 module Delta : sig
   type mna := t
 

@@ -47,6 +47,9 @@ echo "lu.factorizations=$lu_f, sparse.factorizations=$sparse_f"
 echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
 dune exec bin/obs_check.exe -- BENCH_nontree.json
 
+echo "== bench_diff: the committed baseline against itself =="
+dune exec bin/bench_diff.exe -- BENCH_nontree.json BENCH_nontree.json
+
 echo "== smoke: observability manifest is valid, stdout unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --metrics-json "$tmpdir/obs.json" > "$tmpdir/obs.out" 2>/dev/null

@@ -120,51 +120,110 @@ let prop_near_singular_rejected g =
       Alcotest.failf "singularising update accepted: n=%d (%d,%d) g=%h" n i j
         c
 
-(* The moment stamp algebra end to end on random point nets: first
-   moments of (MST + one candidate edge) computed through the
-   incremental update must match [Delay.Moments.first_moments] of the
-   rebuilt trial routing. *)
-let prop_incremental_moments_match_rebuild g =
-  let net = gen_net g in
+(* A random absent edge of [r] added, with the trial routing it
+   yields; [None] when [r] is complete. *)
+let gen_add g r =
+  match Routing.candidate_edges r with
+  | [] -> None
+  | cands ->
+      let u, v = List.nth cands (Rng.int g (List.length cands)) in
+      Some (Nontree.Incremental.Add (u, v), Routing.add_edge r u v)
+
+(* A random one-wire edit of [r] and the trial routing it yields: an
+   absent edge added or, about half the time, an existing wire widened
+   to 2 or 3. *)
+let gen_edit g r =
+  match if Rng.bool g then gen_add g r else None with
+  | Some edit -> edit
+  | None ->
+      let ws = Routing.widths r in
+      let (u, v), _ = List.nth ws (Rng.int g (List.length ws)) in
+      let w = if Rng.bool g then 2.0 else 3.0 in
+      (Nontree.Incremental.Resize ((u, v), w), Routing.set_width r u v w)
+
+let edit_to_string = function
+  | Nontree.Incremental.Add (u, v) -> Printf.sprintf "add (%d,%d)" u v
+  | Nontree.Incremental.Resize ((u, v), w) ->
+      Printf.sprintf "resize (%d,%d) to %g" u v w
+
+(* The base of a round: the net's MST or, half the time, the MST plus
+   one random wire — the non-tree routings wire sizing sees after
+   LDRG. *)
+let gen_base g net =
   let r = Routing.mst_of_net net in
   match Routing.candidate_edges r with
-  | [] -> ()
-  | cands -> (
+  | (_ :: _ as cands) when Rng.bool g ->
       let u, v = List.nth cands (Rng.int g (List.length cands)) in
-      let trial = Routing.add_edge r u v in
-      let direct = Delay.Moments.first_moments ~tech trial in
-      let f =
-        Numeric.Backend.factor (Delay.Moments.conductance_matrix ~tech r)
-      in
-      let length =
-        Geom.Point.manhattan (Routing.point r u) (Routing.point r v)
-      in
-      let cond =
-        1.0
-        /. Circuit.Technology.wire_resistance_of tech ~length ~width:1.0
-      in
-      let cap =
-        Circuit.Technology.wire_capacitance_of tech ~length ~width:1.0
-      in
-      let c = Delay.Moments.node_capacitances ~tech r in
-      c.(u) <- c.(u) +. (cap /. 2.0);
-      c.(v) <- c.(v) +. (cap /. 2.0);
-      match Numeric.Backend.with_conductance f u v cond with
-      | None -> Alcotest.fail "moment update unexpectedly degenerate"
-      | Some solve ->
-          let m1 = solve c in
-          let err = rel_err m1 direct in
-          if err > 1e-9 then
-            Alcotest.failf "incremental m1 vs rebuild: edge (%d,%d) rel err %.3e"
-              u v err)
+      Routing.add_edge r u v
+  | _ -> r
 
-(* The SPICE scorer end to end: on a random table-2 net (same seed
-   derivation as the experiment harness) and a random absent edge, the
-   incremental score under [default_spice] — whose per-length
-   segmentation gives candidate wires 1–6 π-segments, so the DC series
-   chain and its interpolated interior nodes are exercised — equals the
-   plain oracle's max sink delay of the rebuilt trial to 1e-9
-   relative. The scorer must not fall back. *)
+(* The per-sink delays the scorer gives one edit of [r], read back from
+   its memo entry (a fresh memo, so the entry is this score's); fails
+   the test on a fallback. *)
+let incremental_delays ~model r edit trial =
+  let fallback _ = Alcotest.failf "%s fell back" (edit_to_string edit) in
+  let module C = Nontree.Oracle.Cache in
+  let prev = C.enabled () in
+  C.reset ();
+  C.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      C.set_enabled prev;
+      C.reset ())
+    (fun () ->
+      match Nontree.Incremental.make_scorer ~model ~tech ~fallback r with
+      | None -> Alcotest.failf "no scorer for %s" (Delay.Model.name model)
+      | Some score ->
+          ignore (score edit trial);
+          C.memo ~path:C.Incremental ~model ~tech trial (fun () ->
+              Alcotest.fail "the score was not memoised"))
+
+(* Every sink's incremental delay matches the plain oracle's on the
+   rebuilt trial to 1e-9 of the largest. *)
+let check_edit_delays ~model ~what r edit trial =
+  let inc = incremental_delays ~model r edit trial in
+  let plain = Delay.Robust.sink_delays_exn ~model ~tech trial in
+  let scale = List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 plain in
+  List.iter2
+    (fun (s, di) (s', dp) ->
+      if s <> s' then Alcotest.failf "sink order %d vs %d" s s';
+      let err = abs_float (di -. dp) /. scale in
+      if err > 1e-9 then
+        Alcotest.failf "%s %s, %s, sink %d: incremental %h vs plain %h (%.3e)"
+          what (Delay.Model.name model) (edit_to_string edit) s di dp err)
+    inc plain
+
+(* The moment stamp algebra end to end on random point nets. Every
+   trial checks an added wire on the MST under the first moment, then
+   a random edit (an added wire or a widened one) of an MST or a
+   one-loop routing under the first moment or two-pole: the sink delays
+   computed through the incremental update must match the moments of
+   the rebuilt trial routing to 1e-9 relative. *)
+let prop_incremental_moments_match_rebuild g =
+  let net = gen_net g in
+  let mst = Routing.mst_of_net net in
+  Option.iter
+    (fun (edit, trial) ->
+      check_edit_delays ~model:Delay.Model.First_moment ~what:"moments" mst
+        edit trial)
+    (gen_add g mst);
+  let r = gen_base g net in
+  let edit, trial = gen_edit g r in
+  let model =
+    if Rng.bool g then Delay.Model.First_moment else Delay.Model.Two_pole
+  in
+  check_edit_delays ~model ~what:"moments" r edit trial
+
+(* The SPICE scorer end to end on a random table-2 net (same seed
+   derivation as the experiment harness). Every trial checks an added
+   wire on the MST under the default profile (whose per-length
+   segmentation gives wires 1–6 π-segments, so the DC series chain and
+   its interpolated interior nodes are exercised), then a random edit
+   under the fast or the default profile: the base is the MST or the
+   MST with one added wire, and the edit adds a wire or widens an
+   existing one, whose chain is then restamped in place. The
+   incremental sink delays must match the plain oracle's on the
+   rebuilt trial to 1e-9 relative. The scorer must not fall back. *)
 let prop_incremental_spice_matches_plain g =
   Fault.disable ();
   let size = if Rng.bool g then 5 else 10 in
@@ -174,32 +233,20 @@ let prop_incremental_spice_matches_plain g =
       ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
       ~pins:size ~trials:10
   in
-  let r = Routing.mst_of_net nets.(Rng.int g (Array.length nets)) in
-  let cands = Routing.candidate_edges r in
-  let u, v = List.nth cands (Rng.int g (List.length cands)) in
-  let trial = Routing.add_edge r u v in
-  let model = Delay.Model.Spice Delay.Model.default_spice in
-  let plain =
-    List.fold_left
-      (fun acc (_, d) -> Float.max acc d)
-      0.0
-      (Delay.Robust.sink_delays_exn ~model ~tech trial)
+  let net = nets.(Rng.int g (Array.length nets)) in
+  let what = Printf.sprintf "size %d" size in
+  let mst = Routing.mst_of_net net in
+  Option.iter
+    (fun (edit, trial) ->
+      check_edit_delays ~model:(Delay.Model.Spice Delay.Model.default_spice)
+        ~what mst edit trial)
+    (gen_add g mst);
+  let r = gen_base g net in
+  let edit, trial = gen_edit g r in
+  let cfg =
+    if Rng.bool g then Delay.Model.fast_spice else Delay.Model.default_spice
   in
-  let fallback _ = Alcotest.failf "edge (%d,%d) fell back" u v in
-  let prev = Nontree.Oracle.Cache.enabled () in
-  Nontree.Oracle.Cache.set_enabled false;
-  let score =
-    Fun.protect
-      ~finally:(fun () -> Nontree.Oracle.Cache.set_enabled prev)
-      (fun () ->
-        match Nontree.Incremental.make_scorer ~model ~tech ~fallback r with
-        | None -> Alcotest.fail "no scorer for an RC SPICE model"
-        | Some score -> score (u, v) trial)
-  in
-  let err = abs_float (score -. plain) /. plain in
-  if err > 1e-9 then
-    Alcotest.failf "size %d edge (%d,%d): incremental %h vs plain %h (rel %.3e)"
-      size u v score plain err
+  check_edit_delays ~model:(Delay.Model.Spice cfg) ~what r edit trial
 
 (* Early stopping moves no crossing. The reference integrates every
    chunk's whole window (doubling, like the engine) and interpolates
@@ -433,6 +480,15 @@ let with_incremental enabled f =
   Nontree.Incremental.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Nontree.Incremental.set_enabled prev) f
 
+(* The MSTs of the table-2 size-5 and size-10 nets, two per size. *)
+let table2_msts () =
+  let config = { Nontree.Experiment.default with trials = 2 } in
+  List.concat_map
+    (fun size ->
+      Array.to_list
+        (Array.map Routing.mst_of_net (Nontree.Experiment.nets config ~size)))
+    [ 5; 10 ]
+
 let run_ldrg ~model r =
   Nontree.Oracle.Cache.reset ();
   Nontree.Ldrg.run ~model ~tech r
@@ -465,6 +521,23 @@ let test_trace_equality model () =
       Alcotest.check sig_testable "identical trace" (trace_signature off)
         (trace_signature on))
     nets
+
+(* The same for wire sizing: [size_greedy] with incremental scoring on
+   applies the identical width changes as with it off, on the table-2
+   size-5 and size-10 nets. *)
+let size_greedy ~model r =
+  Nontree.Oracle.Cache.reset ();
+  snd (Nontree.Wire_sizing.size_greedy ~model ~tech r)
+
+let test_sizing_trace_equality model () =
+  Fault.disable ();
+  List.iter
+    (fun r ->
+      let off = with_incremental false (fun () -> size_greedy ~model r) in
+      let on = with_incremental true (fun () -> size_greedy ~model r) in
+      Alcotest.(check (list (pair (pair int int) (float 0.0))))
+        "identical width changes" off on)
+    (table2_msts ())
 
 (* The incremental path must actually engage (and not fall back) on a
    clean run — otherwise the trace tests above compare the plain path
@@ -669,18 +742,12 @@ let test_incremental_scores_stay_out_of_plain_lookups () =
    objective. *)
 let test_incremental_cuts_factorizations () =
   Fault.disable ();
-  let config = Nontree.Experiment.default in
-  let model = config.Nontree.Experiment.search_model in
+  let model = Nontree.Experiment.default.Nontree.Experiment.search_model in
   let factorizations = Obs.Counter.make "sparse.factorizations" in
   let count run =
     Nontree.Oracle.Cache.reset ();
     let f0 = Obs.Counter.value factorizations in
-    List.iter
-      (fun size ->
-        Array.iter
-          (fun net -> ignore (run (Routing.mst_of_net net)))
-          (Nontree.Experiment.nets { config with trials = 2 } ~size))
-      [ 5; 10 ];
+    List.iter (fun r -> ignore (run r)) (table2_msts ());
     Obs.Counter.value factorizations - f0
   in
   let incremental =
@@ -693,6 +760,34 @@ let test_incremental_cuts_factorizations () =
   in
   if plain < 2 * incremental then
     Alcotest.failf "sparse.factorizations: incremental %d, plain %d (< 2x)"
+      incremental plain
+
+(* Wire sizing likewise: scoring each round's width trials as resize
+   edits of one factored base must need at most half the sparse
+   factorisations per evaluation of the plain objective (which factors
+   moments, DC, settle and companion for every trial). Evaluations are
+   memo lookups on both paths. *)
+let test_sizing_cuts_factorizations () =
+  Fault.disable ();
+  let model = Nontree.Experiment.default.Nontree.Experiment.search_model in
+  let factorizations = Obs.Counter.make "sparse.factorizations" in
+  let module C = Nontree.Oracle.Cache in
+  let per_eval enabled =
+    with_incremental enabled (fun () ->
+        C.reset ();
+        let f0 = Obs.Counter.value factorizations in
+        List.iter
+          (fun r -> ignore (Nontree.Wire_sizing.size_greedy ~model ~tech r))
+          (table2_msts ());
+        let s = C.stats () in
+        float_of_int (Obs.Counter.value factorizations - f0)
+        /. float_of_int (s.C.hits + s.C.misses))
+  in
+  let incremental = per_eval true and plain = per_eval false in
+  if plain < 2.0 *. incremental then
+    Alcotest.failf
+      "sparse.factorizations per evaluation: incremental %.2f, plain %.2f \
+       (< 2x)"
       incremental plain
 
 let suites =
@@ -739,4 +834,11 @@ let suites =
         Alcotest.test_case "incremental scores stay out of plain lookups" `Quick
           test_incremental_scores_stay_out_of_plain_lookups;
         Alcotest.test_case "incremental cuts sparse factorizations 2x" `Quick
-          test_incremental_cuts_factorizations ] ) ]
+          test_incremental_cuts_factorizations;
+        Alcotest.test_case "sizing trace equal, first-moment" `Quick
+          (test_sizing_trace_equality Delay.Model.First_moment);
+        Alcotest.test_case "sizing trace equal, spice" `Slow
+          (test_sizing_trace_equality
+             (Delay.Model.Spice Delay.Model.fast_spice));
+        Alcotest.test_case "sizing cuts sparse factorizations 2x" `Quick
+          test_sizing_cuts_factorizations ] ) ]
