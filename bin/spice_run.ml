@@ -66,6 +66,15 @@ let simulate deck_file probes tstop_s csv delay plot ac =
                 with
                 | Error e -> Error e
                 | Ok delays ->
+                    (match Spice.Engine.delay_origin nl ~horizon:tstop with
+                    | Some t ->
+                        Printf.printf
+                          "  delay origin: input 50%% crossing at %.4g ns \
+                           (grid-adjusted)\n"
+                          (t *. 1e9)
+                    | None ->
+                        print_endline
+                          "  delay origin: t = 0 (no single step source)");
                     List.iter
                       (fun (name, d) ->
                         match d with

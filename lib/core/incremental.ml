@@ -31,7 +31,8 @@
    abandons the incremental attempt and re-evaluates the trial on the
    plain robust path (retry-with-refinement, model degradation),
    counted under oracle.incremental_fallbacks. Results are memoised in
-   [Oracle.Cache] under their own path tag. On by default. *)
+   [Oracle.Cache] as edit entries, keyed by the round's base digest plus
+   the edit. On by default. *)
 
 let src =
   Logs.Src.create "nontree.incremental" ~doc:"Incremental candidate scoring"
@@ -269,20 +270,49 @@ let spice_delays ctx ~tech r w =
               | None -> fall_back "probe never settled")
             (Routing.sinks r))
 
+(* Fixed width, whatever the routing's size: a tag byte, both
+   endpoints as given, and for a resize the new width's bits. *)
+let edit_key edit =
+  let b = Bytes.create (match edit with Add _ -> 17 | Resize _ -> 25) in
+  let endpoints tag u v =
+    Bytes.set b 0 tag;
+    Bytes.set_int64_le b 1 (Int64.of_int u);
+    Bytes.set_int64_le b 9 (Int64.of_int v)
+  in
+  (match edit with
+  | Add (u, v) -> endpoints 'a' u v
+  | Resize ((u, v), width) ->
+      endpoints 'r' u v;
+      Bytes.set_int64_le b 17 (Int64.bits_of_float width));
+  Bytes.unsafe_to_string b
+
 let make_scorer ~model ~tech ~fallback r =
   if not (Atomic.get enabled_flag) then None
   else begin
     let wrap compute =
+      (* The base is digested once, here on the calling domain: a score
+         depends only on the base, the model, the technology and the
+         edit, so a trial's key is this digest plus the edit's. Eager,
+         not lazy: the scorer runs on worker domains, which must not
+         force one shared suspension. *)
+      let round =
+        if Oracle.Cache.enabled () then
+          Some (Oracle.Cache.round ~model ~tech r)
+        else None
+      in
       Some
         (fun edit trial ->
-          (* Memoised under its own tag: an updated solve may differ
-             from the plain oracle's in the last bits, so it must never
-             answer a plain lookup. *)
+          let score () =
+            let ds = compute (wire_of_edit r edit) in
+            Obs.Counter.incr hits;
+            ds
+          in
+          (* An edit entry, never a plain one: an updated solve may
+             differ from the plain oracle's in the last bits. *)
           match
-            Oracle.Cache.memo ~path:Incremental ~model ~tech trial (fun () ->
-                let ds = compute (wire_of_edit r edit) in
-                Obs.Counter.incr hits;
-                ds)
+            match round with
+            | Some round -> Oracle.Cache.memo_edit round (edit_key edit) score
+            | None -> score ()
           with
           | ds -> max_sink_delay ds
           | exception Fall_back why ->

@@ -16,10 +16,15 @@
     companion matrix, tied to the trial's own horizon-derived timestep,
     is factored fresh.
 
-    Every incremental evaluation is memoised through {!Oracle.Cache}
-    under the [Incremental] path tag, so it is reused by later rounds
-    and runs of the scorer but never answers a plain-oracle lookup.
-    Degenerate updates,
+    Every incremental evaluation is memoised through
+    {!Oracle.Cache.memo_edit}. A score depends only on the round's base,
+    the model, the technology and the edit, so its key is exactly that:
+    the base's digest, taken once per round, plus {!edit_key}. A key
+    costs the same to build whatever the routing's size. Later rounds
+    and runs that score the same edit of the same base (the budget
+    ladder, a replayed search) hit. A trial reached from another base is
+    scored afresh. A plain-oracle lookup is never answered. Degenerate
+    updates,
     injected faults, and unsettled probes fall back to the ordinary
     robust objective, counted under [oracle.incremental_fallbacks]. *)
 
@@ -30,6 +35,11 @@ type edit =
   | Resize of (int * int) * float
       (** an existing wire set to a new width ({!Routing.set_width}) *)
 (** A one-wire change to a round's base routing. *)
+
+val edit_key : edit -> string
+(** The fixed-width encoding of an edit in its memo key: a tag byte,
+    both endpoints as given, and for a [Resize] the bits of the new
+    width. *)
 
 val set_enabled : bool -> unit
 (** On by default; when off, {!make_scorer} returns [None] and every

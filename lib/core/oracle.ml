@@ -27,7 +27,6 @@ let guard objective =
 
 module Cache = struct
   type stats = { hits : int; misses : int; entries : int }
-  type path = Plain | Incremental
 
   let enabled_flag = Atomic.make true
 
@@ -78,25 +77,28 @@ module Cache = struct
                 (100.0 *. float_of_int s.hits /. float_of_int total))
            s.entries)
 
-  (* Everything the result depends on, serialised structurally and
-     digested: the producing path, the model (with its full SPICE
-     configuration), the technology constants, the vertex geometry and
-     the edge set with widths. Marshal writes floats bit-exactly, so
-     two routings share a key iff these inputs are bit-identical, and a
-     field added to any of these types is covered without code here.
-     No_sharing makes the bytes depend on values only, not on physical
-     sharing. Wgraph stores edges canonically, so structurally equal
-     routings built along different edit paths produce the same key. *)
-  let key path ~model ~tech r =
+  (* Everything a routing's result depends on, serialised structurally
+     and digested: the model (with its full SPICE configuration), the
+     technology constants, the vertex geometry and the edge set with
+     widths. Marshal writes floats bit-exactly, so two routings share a
+     digest iff these inputs are bit-identical, and a field added to any
+     of these types is covered without code here. No_sharing makes the
+     bytes depend on values only, not on physical sharing. Wgraph stores
+     edges canonically, so structurally equal routings built along
+     different edit paths produce the same digest. *)
+  let digest ~model ~tech r =
     Digest.string
       (Marshal.to_string
-         ( path,
-           (model : Delay.Model.t),
+         ( (model : Delay.Model.t),
            (tech : Circuit.Technology.t),
            Routing.num_terminals r,
            Routing.points r,
            Routing.widths r )
          [ Marshal.No_sharing ])
+
+  type round = Digest.t
+
+  let round = digest
 
   (* A counted lookup: every probe is exactly one hit or one miss. *)
   let lookup k =
@@ -108,25 +110,33 @@ module Cache = struct
 
   let find_delays ~model ~tech r =
     if not (Atomic.get enabled_flag) then None
-    else lookup (key Plain ~model ~tech r)
+    else lookup (digest ~model ~tech r)
 
-  let memo ?(path = Plain) ~model ~tech r compute =
+  let memo_under k compute =
+    match lookup k with
+    | Some ds -> ds
+    | None ->
+        (* Computed outside the lock; two domains racing on the same key
+           both compute the same value, and the second store is a no-op
+           overwrite. A [compute] that raises stores nothing, so a retry
+           under fault injection may still succeed. *)
+        let ds = compute () in
+        Mutex.lock lock;
+        if Hashtbl.length table < capacity then Hashtbl.replace table k ds;
+        Mutex.unlock lock;
+        ds
+
+  let memo ~model ~tech r compute =
     if not (Atomic.get enabled_flag) then compute ()
-    else begin
-      let k = key path ~model ~tech r in
-      match lookup k with
-      | Some ds -> ds
-      | None ->
-          (* Computed outside the lock; two domains racing on the same
-             key both compute the same value, and the second store is a
-             no-op overwrite. A [compute] that raises stores nothing, so
-             a retry under fault injection may still succeed. *)
-          let ds = compute () in
-          Mutex.lock lock;
-          if Hashtbl.length table < capacity then Hashtbl.replace table k ds;
-          Mutex.unlock lock;
-          ds
-    end
+    else memo_under (digest ~model ~tech r) compute
+
+  (* A plain key is one digest; an edit key is a round's digest followed
+     by the edit's non-empty encoding, so the two never meet. *)
+  let memo_edit round edit compute =
+    if String.length edit = 0 then
+      invalid_arg "Oracle.Cache.memo_edit: empty edit";
+    if not (Atomic.get enabled_flag) then compute ()
+    else memo_under (round ^ edit) compute
 
   let sink_delays ~model ~tech r =
     memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)

@@ -29,31 +29,36 @@ val guard : (Routing.t -> float) -> Routing.t -> float
 
     Evaluations repeat: the budget ladder re-scores the same trials,
     CSORG probes overlapping edge sets, and the harness re-measures
-    routings a search already evaluated. The key is a digest of
-    everything a result depends on, serialised structurally: the
-    producing {!path}, the delay model (including its SPICE
-    configuration), the technology constants, the vertex geometry and
-    the edge set with widths. Floats enter bit-exactly, so a hit
-    returns exactly the value its producer would compute again, and
-    runs with the cache on or off print the same bytes.
+    routings a search already evaluated. Entries come in two kinds,
+    with keys that never meet:
 
-    Each producer keeps its own entries: an incremental
-    (Sherman–Morrison) score never answers a plain-oracle lookup, which may differ from it
-    in the last bits. Enabled by default. Failed evaluations are never
-    cached, so retry behaviour under fault injection is unaffected. All
-    state is domain-safe: the table is mutex-protected and the counters
-    are atomics. *)
+    - {e plain} entries ({!memo}, {!sink_delays}, {!find_delays}) hold
+      the robust oracle's delays for a routing, keyed by a digest of
+      everything they depend on, serialised structurally: the delay
+      model (including its SPICE configuration), the technology
+      constants, the vertex geometry and the edge set with widths.
+      Floats enter bit-exactly, and structurally equal routings share a
+      key however they were built.
+    - {e edit} entries ({!memo_edit}) hold an incremental score of one
+      edit of a greedy round's base, keyed by the base's {!round}
+      digest (taken once per round) plus a fixed-width encoding of the
+      edit, so building a key costs the same whatever the routing's
+      size. A hit is an exact recomputation: the same base, model,
+      technology and edit. The same trial reached from two different
+      bases has two entries.
+
+    So an incremental (Sherman–Morrison) score, which may differ from
+    the plain oracle in the last bits, never answers a plain lookup,
+    and runs with the cache on or off print the same bytes. Enabled by
+    default. Failed evaluations are never cached, so retry behaviour
+    under fault injection is unaffected. All state is domain-safe: the
+    table is mutex-protected and the counters are atomics. *)
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
 
-  (** The producer of a memoised value, part of its key. *)
-  type path =
-    | Plain  (** {!Delay.Robust.sink_delays_exn} *)
-    | Incremental  (** the rank-1 update scorer of {!Incremental} *)
-
   val set_enabled : bool -> unit
-  (** On by default; switching it off makes {!memo} call its
-      computation directly and count nothing. *)
+  (** On by default; switching it off makes {!memo} and {!memo_edit}
+      call their computation directly and count nothing. *)
 
   val enabled : unit -> bool
 
@@ -69,25 +74,41 @@ module Cache : sig
       [None] only when the cache is disabled and idle. *)
 
   val memo :
-    ?path:path ->
     model:Delay.Model.t ->
     tech:Circuit.Technology.t ->
     Routing.t ->
     (unit -> (int * float) list) ->
     (int * float) list
-  (** [memo ?path ~model ~tech r compute] returns the sink delays stored
-      for [r] under [path] (default [Plain]), or runs [compute ()] and
-      stores its result. The key is built once; each call counts one
-      hit or one miss. An exception from [compute] propagates and
-      stores nothing. At most 200,000 entries are kept; past that,
-      results are computed but not stored. *)
+  (** [memo ~model ~tech r compute] returns the plain entry stored for
+      [r], or runs [compute ()] and stores its result. Each call counts
+      one hit or one miss. An exception from [compute] propagates and
+      stores nothing. At most 200,000 entries (of both kinds) are kept;
+      past that, results are computed but not stored. *)
+
+  type round
+  (** The digest of one greedy round's base routing under one model and
+      technology: the prefix of the round's edit keys. *)
+
+  val round :
+    model:Delay.Model.t -> tech:Circuit.Technology.t -> Routing.t -> round
+  (** [round ~model ~tech base] digests [base] as a plain key would.
+      It serialises the whole routing, so take it once per round, and
+      only when the cache is {!enabled}. *)
+
+  val memo_edit :
+    round -> string -> (unit -> (int * float) list) -> (int * float) list
+  (** [memo_edit round edit compute] is {!memo} for an edit entry: its
+      key is [round] followed by [edit], the caller's encoding of one
+      edit of the round's base. Counting, capacity and failure
+      behaviour are {!memo}'s.
+      @raise Invalid_argument if [edit] is empty. *)
 
   val find_delays :
     model:Delay.Model.t ->
     tech:Circuit.Technology.t ->
     Routing.t ->
     (int * float) list option
-  (** Counted lookup of a [Plain] entry without evaluation (always
+  (** Counted lookup of a plain entry without evaluation (always
       [None] when disabled). *)
 
   val sink_delays :
@@ -95,7 +116,7 @@ module Cache : sig
     tech:Circuit.Technology.t ->
     Routing.t ->
     (int * float) list
-  (** Memoised {!Delay.Robust.sink_delays_exn}, under [Plain].
+  (** Memoised {!Delay.Robust.sink_delays_exn}, as a plain entry.
       @raise Nontree_error.Error as the underlying oracle does. *)
 
   val max_delay :

@@ -110,19 +110,38 @@ let transient ?options nl ~tstop ~probes =
    the horizon gives the exact final DC values. *)
 let settled_time ~horizon = 1e6 *. horizon
 
+(* The switch time of a system driven by one Step, the only drive whose
+   delays are measured from a grid-adjusted input crossing. *)
+let step_switch (sys : Mna.t) =
+  match sys.Mna.sources with
+  | [| { Mna.wave = Circuit.Waveform.Step { t0; _ }; _ } |] when t0 >= 0.0 ->
+      Some t0
+  | _ -> None
+
 (* On the solver grid t_n = n·dt a Step switching at t0 still reads v0
    at the last grid time m·dt <= t0 and v1 from the next one on. The
    trapezoidal rule averages b(t_n) and b(t_n+1), so it integrates the
    step as a ramp over that one step, whose 50 % point is m·dt + dt/2;
    backward Euler applies b(t_n+1) whole, a step at m·dt. *)
-let input_reference (sys : Mna.t) ~method_ ~dt =
-  match sys.Mna.sources with
-  | [| { Mna.wave = Circuit.Waveform.Step { t0; _ }; _ } |] when t0 >= 0.0 -> (
+let input_reference sys ~method_ ~dt =
+  match step_switch sys with
+  | None -> 0.0
+  | Some t0 -> (
       let switch = Float.of_int (int_of_float (t0 /. dt)) *. dt in
       match method_ with
       | Transient.Trapezoidal -> switch +. (dt /. 2.0)
       | Transient.Backward_euler -> switch)
-  | _ -> 0.0
+
+(* The threshold scan's fixed timestep. *)
+let scan_dt options ~horizon = horizon /. float_of_int options.steps_per_chunk
+
+let delay_origin ?(options = default_options) nl ~horizon =
+  let sys = Mna.build nl in
+  Option.map
+    (fun _ ->
+      input_reference sys ~method_:options.method_
+        ~dt:(scan_dt options ~horizon))
+    (step_switch sys)
 
 let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
     ~idx ~x0 ~xf ~horizon =
@@ -155,7 +174,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
     done;
     !unmarked = 0
   in
-  let dt = horizon /. float_of_int options.steps_per_chunk in
+  let dt = scan_dt options ~horizon in
   let t_ref = input_reference sys ~method_:options.method_ ~dt in
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their

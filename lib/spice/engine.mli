@@ -81,6 +81,13 @@ val input_reference : Mna.t -> method_:Transient.method_ -> dt:float -> float
     Euler applies b(t_n+1) whole and sees the step at m·[dt]. Any
     other set of sources keeps the t = 0 reference. *)
 
+val delay_origin :
+  ?options:options -> Circuit.Netlist.t -> horizon:float -> float option
+(** Where {!threshold_delays_result} [?options nl ~horizon] measures
+    delays from: [Some t], the {!input_reference} of its timestep, when
+    a single [Step] switching at t0 >= 0 drives [nl]; [None] when
+    delays run from t = 0 (PULSE, PWL, several sources, ...). *)
+
 val threshold_scan_result :
   ?options:options ->
   ?fraction:float ->

@@ -56,4 +56,10 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
 dune exec bin/obs_check.exe -- "$tmpdir/obs.json"
 diff -u "$tmpdir/seq.out" "$tmpdir/obs.out"
 
+echo "== perfbench smoke: evaluation paths reconcile, outputs check =="
+for workload in budget-sweep ldrg-moment; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 0 > /dev/null
+done
+
 echo "all checks passed"

@@ -291,15 +291,42 @@ let test_cache_key_coverage () =
       in
       Alcotest.(check int) "second edit order hits" (hits + 1) (C.stats ()).C.hits;
       Alcotest.(check (float 0.0)) "stored value" 1.0 (snd (List.hd ds));
-      (* Plain and incremental producers keep separate entries. *)
+      (* Plain entries and edit entries (a round's digest plus an edit)
+         keep separate keys. *)
       let plain = C.memo ~model ~tech r (fun () -> Alcotest.fail "recomputed") in
       let misses = (C.stats ()).C.misses in
-      let inc = C.memo ~path:C.Incremental ~model ~tech r (fun () -> [ (1, -1.0) ]) in
-      Alcotest.(check int) "incremental tag misses" (misses + 1) (C.stats ()).C.misses;
+      let edit = Nontree.Incremental.edit_key (Nontree.Incremental.Add (a, b)) in
+      let inc =
+        C.memo_edit (C.round ~model ~tech r) edit (fun () -> [ (1, -1.0) ])
+      in
+      Alcotest.(check int) "edit entry misses" (misses + 1) (C.stats ()).C.misses;
       Alcotest.(check (float 0.0)) "plain entry kept" 0.0 (snd (List.hd plain));
-      Alcotest.(check (float 0.0)) "incremental entry" (-1.0) (snd (List.hd inc));
+      Alcotest.(check (float 0.0)) "edit entry" (-1.0) (snd (List.hd inc));
       Alcotest.(check bool) "plain lookup unchanged" true
-        (C.find_delays ~model ~tech r = Some plain))
+        (C.find_delays ~model ~tech r = Some plain);
+      Alcotest.(check bool) "the edited trial has no plain entry" true
+        (C.find_delays ~model ~tech (Routing.add_edge r a b) = None);
+      (* Each edit of one round keys separately: orientation, kind and
+         width all enter the key. *)
+      let (wu, wv), _ = List.hd (Routing.widths r) in
+      let edits =
+        Nontree.Incremental.
+          [ Add (b, a); Add (c, d); Resize ((wu, wv), 2.0);
+            Resize ((wv, wu), 2.0); Resize ((wu, wv), 3.0) ]
+      in
+      let round = C.round ~model ~tech r in
+      let entries = (C.stats ()).C.entries in
+      List.iteri
+        (fun i e ->
+          let ds =
+            C.memo_edit round (Nontree.Incremental.edit_key e) (fun () ->
+                [ (1, float_of_int i) ])
+          in
+          Alcotest.(check (float 0.0)) "edit computed" (float_of_int i)
+            (snd (List.hd ds)))
+        edits;
+      Alcotest.(check int) "one entry per edit"
+        (entries + List.length edits) (C.stats ()).C.entries)
 
 let test_cache_disabled_passthrough () =
   with_cache_enabled false (fun () ->
@@ -317,7 +344,7 @@ let with_incremental enabled f =
   Fun.protect ~finally:(fun () -> Nontree.Incremental.set_enabled prev) f
 
 (* With incremental scoring on, the search's incremental scores are
-   memoised under their own tag, so the harness's plain replays never
+   memoised as edit entries, so the harness's plain replays never
    read them: the rows are bit-identical with the cache on or off. *)
 let test_cache_hit_by_harness () =
   with_incremental true (fun () ->
@@ -334,6 +361,105 @@ let test_cache_hit_by_harness () =
           let without_cache_rows = Harness.Runs.table2 config in
           Alcotest.(check bool) "rows identical with and without cache" true
             (with_cache_rows = without_cache_rows)))
+
+(* Incremental memo keys: a score is stored under its round's base
+   digest plus the edit. *)
+
+let incremental_scored = Obs.Counter.make "oracle.incremental_hits"
+
+let scorer_exn ~model r =
+  match
+    Nontree.Incremental.make_scorer ~model ~tech
+      ~fallback:(fun _ -> Alcotest.fail "the scorer fell back")
+      r
+  with
+  | Some score -> score
+  | None -> Alcotest.fail "no incremental scorer"
+
+(* The budget ladder's first round scores edits of the same MST that an
+   unbounded run already scored: every one of them (and the baseline)
+   is answered from the memo, and nothing is scored afresh. *)
+let test_budget_round_one_from_memo () =
+  Fault.disable ();
+  with_incremental true (fun () ->
+      with_cache (fun () ->
+          let module C = Nontree.Oracle.Cache in
+          let model = Delay.Model.Two_pole in
+          let mst = random_mst 29 8 in
+          ignore (Nontree.Ldrg.run ~model ~tech mst);
+          let slack = 0.5 *. Routing.cost mst in
+          let shared =
+            List.filter
+              (fun (u, v) ->
+                Geom.Point.manhattan (Routing.point mst u) (Routing.point mst v)
+                <= slack)
+              (Routing.candidate_edges mst)
+          in
+          Alcotest.(check bool) "the budget admits candidates" true
+            (shared <> []);
+          let s0 = C.stats () and i0 = Obs.Counter.value incremental_scored in
+          ignore
+            (Nontree.Ldrg.run_budgeted ~max_edges:1 ~max_cost_ratio:1.5 ~model
+               ~tech mst);
+          let s1 = C.stats () in
+          Alcotest.(check int) "no new incremental scores" i0
+            (Obs.Counter.value incremental_scored);
+          Alcotest.(check int) "no misses" 0 (s1.C.misses - s0.C.misses);
+          Alcotest.(check int) "baseline and every shared candidate hit"
+            (1 + List.length shared) (s1.C.hits - s0.C.hits)))
+
+(* One trial reached from two bases (A+e1 then e2, A+e2 then e1) is two
+   edit entries: a hit is always a recomputation from the same base. *)
+let test_same_trial_two_bases () =
+  Fault.disable ();
+  with_incremental true (fun () ->
+      with_cache (fun () ->
+          let module C = Nontree.Oracle.Cache in
+          let model = Delay.Model.Two_pole in
+          let a = random_mst 31 6 in
+          let e1, e2 =
+            match Routing.candidate_edges a with
+            | e1 :: e2 :: _ -> (e1, e2)
+            | _ -> Alcotest.fail "need two candidate edges"
+          in
+          let add r (u, v) = Routing.add_edge r u v in
+          let i0 = Obs.Counter.value incremental_scored in
+          let score_from base (u, v) =
+            ignore
+              (scorer_exn ~model base (Nontree.Incremental.Add (u, v))
+                 (Routing.add_edge base u v))
+          in
+          score_from (add a e1) e2;
+          score_from (add a e2) e1;
+          let s = C.stats () in
+          Alcotest.(check int) "two misses" 2 s.C.misses;
+          Alcotest.(check int) "no hits" 0 s.C.hits;
+          Alcotest.(check int) "two entries" 2 s.C.entries;
+          Alcotest.(check int) "both scored" (i0 + 2)
+            (Obs.Counter.value incremental_scored)))
+
+(* With the cache off the scorer still scores, but stores and counts
+   nothing. *)
+let test_scorer_without_cache () =
+  Fault.disable ();
+  with_incremental true (fun () ->
+      with_cache_enabled false (fun () ->
+          let module C = Nontree.Oracle.Cache in
+          let r = random_mst 37 6 in
+          let cands = Routing.candidate_edges r in
+          let score = scorer_exn ~model:Delay.Model.Two_pole r in
+          let i0 = Obs.Counter.value incremental_scored in
+          List.iter
+            (fun (u, v) ->
+              ignore
+                (score (Nontree.Incremental.Add (u, v)) (Routing.add_edge r u v)))
+            cands;
+          Alcotest.(check int) "every candidate scored"
+            (i0 + List.length cands)
+            (Obs.Counter.value incremental_scored);
+          let s = C.stats () in
+          Alcotest.(check int) "nothing stored or counted" 0
+            (s.C.hits + s.C.misses + s.C.entries)))
 
 let suites =
   [ ( "pool",
@@ -358,6 +484,12 @@ let suites =
         Alcotest.test_case "cache key discriminates" `Quick
           test_cache_key_discriminates;
         Alcotest.test_case "cache key coverage" `Quick test_cache_key_coverage;
+        Alcotest.test_case "edit keys: budget round one from memo" `Quick
+          test_budget_round_one_from_memo;
+        Alcotest.test_case "edit keys: one trial, two bases" `Quick
+          test_same_trial_two_bases;
+        Alcotest.test_case "edit keys: disabled cache stores nothing" `Quick
+          test_scorer_without_cache;
         Alcotest.test_case "cache disabled passthrough" `Quick
           test_cache_disabled_passthrough;
         Alcotest.test_case "cache hit by harness" `Quick

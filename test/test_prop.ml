@@ -158,8 +158,8 @@ let gen_base g net =
   | _ -> r
 
 (* The per-sink delays the scorer gives one edit of [r], read back from
-   its memo entry (a fresh memo, so the entry is this score's); fails
-   the test on a fallback. *)
+   its memo entry, keyed by [r]'s round digest and the edit (a fresh
+   memo, so the entry is this score's); fails the test on a fallback. *)
 let incremental_delays ~model r edit trial =
   let fallback _ = Alcotest.failf "%s fell back" (edit_to_string edit) in
   let module C = Nontree.Oracle.Cache in
@@ -175,8 +175,9 @@ let incremental_delays ~model r edit trial =
       | None -> Alcotest.failf "no scorer for %s" (Delay.Model.name model)
       | Some score ->
           ignore (score edit trial);
-          C.memo ~path:C.Incremental ~model ~tech trial (fun () ->
-              Alcotest.fail "the score was not memoised"))
+          C.memo_edit (C.round ~model ~tech r)
+            (Nontree.Incremental.edit_key edit)
+            (fun () -> Alcotest.fail "the score was not memoised"))
 
 (* Every sink's incremental delay matches the plain oracle's on the
    rebuilt trial to 1e-9 of the largest. *)
@@ -698,7 +699,7 @@ let test_incremental_feeds_cache () =
       Alcotest.(check bool) "incremental scores answered the replay" true
         (s2.C.hits - s1.C.hits >= i1 - i0))
 
-(* Incremental scores are memoised under their own path tag: after an LDRG
+(* Incremental scores are memoised as edit entries: after an LDRG
    run, a plain lookup of a scored trial misses and returns the robust
    oracle's value bit for bit, not the incremental score. *)
 let test_incremental_scores_stay_out_of_plain_lookups () =

@@ -327,6 +327,31 @@ let test_input_reference () =
   Alcotest.(check (float 0.0)) "ramp keeps t = 0" 0.0
     (reference (Waveform.Ramp { t0 = 0.0; t1 = dt; v0 = 0.0; v1 = 1.0 }))
 
+(* What [spice_run --delay] reports as its time origin: a PULSE-driven
+   deck measures from t = 0; a one-step deck from the input's
+   grid-adjusted 50 % point, half a trapezoidal step of the scan. *)
+let test_delay_origin () =
+  let deck source =
+    match
+      Circuit.Deck.of_string
+        (Printf.sprintf "* rc\nV1 in 0 %s\nR1 in out 1k\nC1 out 0 1p\n.end\n"
+           source)
+    with
+    | Ok nl -> nl
+    | Error e -> Alcotest.fail e
+  in
+  let horizon = 10e-9 in
+  let pulse = deck "PULSE(0 1 0 0.01n 0.01n 50n 100n)" in
+  Alcotest.(check (option (float 0.0))) "PULSE deck: t = 0" None
+    (Spice.Engine.delay_origin pulse ~horizon);
+  let dt =
+    horizon
+    /. float_of_int Spice.Engine.default_options.Spice.Engine.steps_per_chunk
+  in
+  Alcotest.(check (option (float 0.0))) "one step: grid-adjusted 50 % point"
+    (Some (dt /. 2.0))
+    (Spice.Engine.delay_origin (deck "STEP(0 0 1)") ~horizon)
+
 (* The always-live step counter sees a fast-profile query on an RC net
    stop at its crossing: it counts exactly the steps up to the one at
    which an untruncated run of the same companion first reaches the
@@ -572,6 +597,7 @@ let suites =
         Alcotest.test_case "threshold already settled" `Quick
           test_threshold_already_settled;
         Alcotest.test_case "input 50% reference" `Quick test_input_reference;
+        Alcotest.test_case "delay origin of a PULSE deck" `Quick test_delay_origin;
         Alcotest.test_case "spice.steps counts one fast query" `Quick
           test_steps_counter;
         Alcotest.test_case "run until is an exact prefix" `Quick
