@@ -51,6 +51,12 @@ let value w t =
       end
   | Pwl corners -> pwl_value corners t
 
+let settled = function
+  | Dc v -> v
+  | Step { v1; _ } | Ramp { v1; _ } | Pulse { v1; _ } -> v1
+  | Pwl corners -> (
+      match List.rev corners with [] -> 0.0 | (_, v) :: _ -> v)
+
 let parameters = function
   | Dc v -> [ v ]
   | Step { t0; v0; v1 } -> [ t0; v0; v1 ]

@@ -29,6 +29,12 @@ val value : t -> float -> float
 (** [value w t] evaluates the waveform at time [t] (clamped to the end
     values outside the defined range; PULSE repeats with its period). *)
 
+val settled : t -> float
+(** The level a threshold delay settles toward: the DC level, [v1] of
+    a step, ramp or PULSE (a PULSE's first plateau, since a periodic
+    pulse never settles), and a PWL's last value. Step, ramp and PWL
+    hold it for good after their last corner. *)
+
 val validate : t -> (unit, string) result
 (** Checks structural invariants (finite parameters, increasing PWL
     times, positive pulse period, non-negative ramp duration). *)

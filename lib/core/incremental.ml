@@ -21,11 +21,13 @@
      voltages. The DC operating point and the settled state are
      therefore updated solves against the round's factored MNA G,
      interpolated onto the interior nodes. The transient gets the
-     per-segment stamp changes on the wire's chain: freshly appended
-     interior unknowns for an addition, the chain's existing unknowns
-     for a resize (the segment count depends only on length). Only its
-     companion matrix, which depends on the trial's own horizon-derived
-     timestep, is factored fresh, once, by the shared threshold scan.
+     per-segment stamp changes on the wire's chain as plain
+     [Transient.stamps]: freshly appended interior unknowns for an
+     addition, the chain's existing unknowns for a resize (the segment
+     count depends only on length). The shared threshold scan assembles
+     the companion straight from the base matrices and these stamps
+     and factors it, once: it depends on the trial's own
+     horizon-derived timestep. No extended system is built.
 
    Any numeric degeneracy, injected fault or never-settling probe
    abandons the incremental attempt and re-evaluates the trial on the
@@ -200,7 +202,8 @@ let spice_delays ctx ~tech r w =
         c)
   in
   let iu = ctx.vertex_unknown.(w.u) and iv = ctx.vertex_unknown.(w.v) in
-  let d = Spice.Mna.Delta.create ctx.sys in
+  let n = ctx.sys.Spice.Mna.size in
+  let added = if w.was = None then n_seg - 1 else 0 in
   let chain =
     match w.was with
     | Some _ ->
@@ -214,15 +217,19 @@ let spice_delays ctx ~tech r w =
           (Option.get nodes)
     | None ->
         Array.init (n_seg + 1) (fun s ->
-            if s = 0 then iu
-            else if s = n_seg then iv
-            else Spice.Mna.Delta.fresh_unknown d)
+            if s = 0 then iu else if s = n_seg then iv else n + s - 1)
   in
-  for s = 0 to n_seg - 1 do
-    Spice.Mna.Delta.add_conductance d chain.(s) chain.(s + 1) seg_g;
-    Spice.Mna.Delta.add_capacitance d chain.(s) (-1) (seg_c /. 2.0);
-    Spice.Mna.Delta.add_capacitance d chain.(s + 1) (-1) (seg_c /. 2.0)
-  done;
+  (* Each segment's conductance, then its two half capacitors. *)
+  let stamp i j value = { Spice.Transient.i; j; value } in
+  let stamps =
+    {
+      Spice.Transient.added;
+      g = Array.init n_seg (fun s -> stamp chain.(s) chain.(s + 1) seg_g);
+      c =
+        Array.init (2 * n_seg) (fun k ->
+            stamp chain.((k / 2) + (k mod 2)) (-1) (seg_c /. 2.0));
+    }
+  in
   (* At DC the chain is one series conductance between its ends. *)
   let g =
     change w (fun width ->
@@ -232,15 +239,14 @@ let spice_delays ctx ~tech r w =
   match Numeric.Backend.with_conductance ctx.g_lu iu iv g with
   | None -> fall_back "degenerate conductance update"
   | Some solve -> (
-      let ext_sys = Spice.Mna.Delta.extend ctx.sys d in
       (* The DC state of the base plus the series conductance, with the
          chain's interior nodes (appended after every base unknown for a
          new wire, the wire's own for a resized one) interpolated
          between its ends. *)
-      let dc_state t =
-        let x = solve (Spice.Mna.rhs ctx.sys t) in
-        let xt = Array.make ext_sys.Spice.Mna.size 0.0 in
-        Array.blit x 0 xt 0 (Array.length x);
+      let dc_state b =
+        let x = solve b in
+        let xt = Array.make (n + added) 0.0 in
+        Array.blit x 0 xt 0 n;
         let xu = x.(iu) and xv = x.(iv) in
         for s = 1 to n_seg - 1 do
           xt.(chain.(s)) <-
@@ -248,17 +254,17 @@ let spice_delays ctx ~tech r w =
         done;
         xt
       in
-      let x0 = dc_state 0.0 in
+      let x0 = dc_state (Spice.Mna.rhs ctx.sys 0.0) in
       if not (all_finite x0) then fall_back "non-finite operating point";
-      let xf = dc_state (Spice.Engine.settled_time ~horizon) in
+      let xf = dc_state (Spice.Mna.settled_rhs ctx.sys) in
       if not (all_finite xf) then fall_back "non-finite settled state";
       (* Only the companion matrix is factored fresh: its timestep
          derives from this candidate's horizon, so it cannot be shared
          across candidates. *)
       match
         Spice.Engine.threshold_scan_result
-          ~options:ctx.cfg.Delay.Model.options ext_sys ~idx:ctx.sink_unknowns
-          ~x0 ~xf ~horizon
+          ~options:ctx.cfg.Delay.Model.options ~stamps ctx.sys
+          ~idx:ctx.sink_unknowns ~x0 ~xf ~horizon
       with
       | Error e -> fall_back (Nontree_error.to_string e)
       | Ok found ->

@@ -10,11 +10,12 @@
     SPICE operating and settled states become updated solves. At DC a
     wire's capacitors are open, so its π-chain is one series
     conductance and its interior nodes lie evenly between its end
-    voltages. The transient restamps the wire's π-chain through
-    {!Spice.Mna.Delta}: on fresh interior unknowns for an added wire,
-    on the chain's existing unknowns for a resized one. Only its
+    voltages. The transient restamps the wire's π-chain as
+    {!Spice.Transient.stamps}: on fresh interior unknowns for an added
+    wire, on the chain's existing unknowns for a resized one. Only its
     companion matrix, tied to the trial's own horizon-derived timestep,
-    is factored fresh.
+    is assembled (from the base matrices and those stamps, in one
+    pass) and factored fresh.
 
     Every incremental evaluation is memoised through
     {!Oracle.Cache.memo_edit}. A score depends only on the round's base,

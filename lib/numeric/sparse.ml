@@ -194,55 +194,20 @@ module Csc = struct
     done;
     m
 
-  let iter t f =
-    for j = 0 to t.cols - 1 do
-      for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-        f t.rowind.(p) j t.values.(p)
-      done
-    done
-
-  (* Merge the two sorted row lists of each column. An entry present in
-     only one operand takes only that operand's term: the same float
-     operations a dense [scale]/[add]/[sub] performs, minus the exact
-     additions of zero. *)
-  let lincomb a x b y =
-    if x.rows <> y.rows || x.cols <> y.cols then
-      invalid_arg "Sparse.Csc.lincomb: dimension mismatch";
-    let cap = max (nnz x + nnz y) 1 in
-    let colptr = Array.make (x.cols + 1) 0 in
-    let rowind = Array.make cap 0 and values = Array.make cap 0.0 in
-    let out = ref 0 in
-    let emit i v =
-      if v <> 0.0 then begin
-        rowind.(!out) <- i;
-        values.(!out) <- v;
-        incr out
-      end
-    in
-    for j = 0 to x.cols - 1 do
-      colptr.(j) <- !out;
-      let p = ref x.colptr.(j) and q = ref y.colptr.(j) in
-      let pe = x.colptr.(j + 1) and qe = y.colptr.(j + 1) in
-      while !p < pe || !q < qe do
-        let i = if !p < pe then x.rowind.(!p) else max_int in
-        let k = if !q < qe then y.rowind.(!q) else max_int in
-        if i < k then begin
-          emit i (a *. x.values.(!p));
-          incr p
-        end
-        else if k < i then begin
-          emit k (b *. y.values.(!q));
-          incr q
-        end
-        else begin
-          emit i ((a *. x.values.(!p)) +. (b *. y.values.(!q)));
-          incr p;
-          incr q
-        end
+  let of_columns ~n ~colptr ~rowind ~values =
+    let bad () = invalid_arg "Sparse.Csc.of_columns: malformed columns" in
+    if n < 0 || Array.length colptr <> n + 1 || colptr.(0) <> 0 then bad ();
+    let nz = colptr.(n) in
+    if nz > Array.length rowind || nz > Array.length values then bad ();
+    for j = 0 to n - 1 do
+      let lo = colptr.(j) and hi = colptr.(j + 1) in
+      if hi < lo then bad ();
+      for p = lo to hi - 1 do
+        let i = rowind.(p) in
+        if i < 0 || i >= n || (p > lo && rowind.(p - 1) >= i) then bad ()
       done
     done;
-    colptr.(x.cols) <- !out;
-    { rows = x.rows; cols = x.cols; colptr; rowind; values }
+    { rows = n; cols = n; colptr; rowind; values }
 
   (* Column-oriented, so each out.(i) accumulates its row's products in
      ascending column order starting from 0.0. Unchecked accesses: the
@@ -316,30 +281,40 @@ let analyze (a : Csc.t) =
       push a.Csc.rowind.(p) j
     done
   done;
+  (* Sort each adjacency list in place by [before] — insertion sort:
+     MNA rows have few neighbours. *)
+  let sort_segment lo hi before =
+    for k = lo + 1 to hi - 1 do
+      let v = adj.(k) in
+      let p = ref k in
+      while !p > lo && before v adj.(!p - 1) do
+        adj.(!p) <- adj.(!p - 1);
+        decr p
+      done;
+      adj.(!p) <- v
+    done
+  in
   (* Dedup each adjacency list (A and Aᵀ overlap on symmetric
      patterns) and recompute degrees. *)
   let udeg = Array.make (max n 1) 0 in
   for i = 0 to n - 1 do
     let lo = adjptr.(i) and hi = next.(i) in
-    let seg = Array.sub adj lo (hi - lo) in
-    Array.sort compare seg;
+    sort_segment lo hi (fun u v -> u < v);
     let out = ref lo in
-    Array.iter
-      (fun v ->
-        if !out = lo || adj.(!out - 1) <> v then begin
-          adj.(!out) <- v;
-          incr out
-        end)
-      seg;
+    for k = lo to hi - 1 do
+      let v = adj.(k) in
+      if !out = lo || adj.(!out - 1) <> v then begin
+        adj.(!out) <- v;
+        incr out
+      end
+    done;
     udeg.(i) <- !out - lo
   done;
   (* Neighbour order: ascending (degree, index) — the classic CM
      tie-break, and a total order so the result is deterministic. *)
   let by_deg u v = if udeg.(u) = udeg.(v) then compare u v else compare udeg.(u) (udeg.(v)) in
   for i = 0 to n - 1 do
-    let seg = Array.sub adj (adjptr.(i)) udeg.(i) in
-    Array.sort by_deg seg;
-    Array.blit seg 0 adj (adjptr.(i)) udeg.(i)
+    sort_segment adjptr.(i) (adjptr.(i) + udeg.(i)) (fun u v -> by_deg u v < 0)
   done;
   let visited = Array.make (max n 1) false in
   let order = Array.make (max n 1) 0 in

@@ -42,7 +42,16 @@ end
 (** Compressed sparse column matrices: per-column sorted, duplicate-free
     row indices. *)
 module Csc : sig
-  type t
+  type t = private {
+    rows : int;
+    cols : int;
+    colptr : int array;  (** length [cols + 1]; column j is
+                             [colptr.(j)] to [colptr.(j+1) - 1] *)
+    rowind : int array;  (** row indices, ascending within a column *)
+    values : float array;
+  }
+  (** Readable, so assembly loops can merge columns directly; built
+      only through the constructors below. *)
 
   val of_triplets : n:int -> Triplets.t -> t
   (** [of_triplets ~n t] is the n×n matrix with duplicate stamps
@@ -58,17 +67,15 @@ module Csc : sig
   (** The dense image, for the dense pivot-failure fallback, AC
       analysis and tests. *)
 
-  val iter : t -> (int -> int -> float -> unit) -> unit
-  (** [iter t f] calls [f row col value] for every stored entry,
-      column by column, rows ascending. *)
-
-  val lincomb : float -> t -> float -> t -> t
-  (** [lincomb a x b y] is a·x + b·y over the union of the two
-      patterns. Each entry is computed as [a *. x_ij +. b *. y_ij],
-      or as the one term whose operand stores the entry; entries that
-      come out exactly zero are dropped, so the pattern is that of the
-      dense result's nonzeros. O(nnz x + nnz y).
-      @raise Invalid_argument on a dimension mismatch. *)
+  val of_columns :
+    n:int -> colptr:int array -> rowind:int array -> values:float array -> t
+  (** The n×n matrix whose column j holds rows [rowind.(p)] with values
+      [values.(p)] for [p] from [colptr.(j)] to [colptr.(j+1) - 1]. The
+      arrays are taken, not copied; [rowind] and [values] may be longer
+      than [colptr.(n)].
+      @raise Invalid_argument unless [colptr] has length n+1, starts at
+      0 and never decreases, and each column's rows ascend strictly
+      within 0..n-1. *)
 
   val mul_vec_into : t -> float array -> float array -> unit
   (** [mul_vec_into t x out] overwrites [out] with t·x; each row's

@@ -105,11 +105,6 @@ let transient ?options nl ~tstop ~probes =
   | Ok t -> t
   | Error e -> Nontree_error.raise_error e
 
-(* All supported settling waveforms (Step/Ramp/Pwl/Dc) are constant
-   after their last corner, so evaluating the sources this far beyond
-   the horizon gives the exact final DC values. *)
-let settled_time ~horizon = 1e6 *. horizon
-
 (* The switch time of a system driven by one Step, the only drive whose
    delays are measured from a grid-adjusted input crossing. *)
 let step_switch (sys : Mna.t) =
@@ -143,95 +138,76 @@ let delay_origin ?(options = default_options) nl ~horizon =
         ~dt:(scan_dt options ~horizon))
     (step_switch sys)
 
-let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
-    ~idx ~x0 ~xf ~horizon =
+let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
+    ?stamps sys ~idx ~x0 ~xf ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan: horizon must be positive";
   let num_probes = Array.length idx in
   let target =
     Array.map (fun u -> x0.(u) +. (fraction *. (xf.(u) -. x0.(u)))) idx
   in
-  (* [marked.(p)]: probe p has reached its target, judged on every new
-     state by [until] with the scan's own [>=]; so after each chunk the
-     marked probes are exactly those the scan has found. Probes that
-     start at their target (degenerate) begin marked, at delay 0. *)
-  let marked = Array.mapi (fun p u -> x0.(u) >= target.(p)) idx in
-  let found = Array.map (fun m -> if m then Some 0.0 else None) marked in
-  let prev_v = Array.map (fun u -> x0.(u)) idx in
-  let unmarked =
-    ref (Array.fold_left (fun n m -> if m then n else n + 1) 0 marked)
-  in
-  (* [until] ends a chunk at the step where the last pending probe
-     reaches its target: the scan below sees every crossing in the
-     prefix it is given, and the steps after the last crossing are
-     never integrated. *)
-  let until x =
-    for p = 0 to num_probes - 1 do
-      if (not marked.(p)) && x.(idx.(p)) >= target.(p) then begin
-        marked.(p) <- true;
-        decr unmarked
-      end
-    done;
-    !unmarked = 0
-  in
   let dt = scan_dt options ~horizon in
   let t_ref = input_reference sys ~method_:options.method_ ~dt in
+  (* Probes that start at their target (degenerate) report delay 0. *)
+  let found =
+    Array.mapi (fun p u -> if x0.(u) >= target.(p) then Some 0.0 else None) idx
+  in
+  let pending =
+    ref (Array.fold_left (fun n f -> if f = None then n + 1 else n) 0 found)
+  in
+  (* Each pending probe's previous sample; every probe shares its time,
+     the previous step's (t = 0 before the first). *)
+  let prev_v = Array.map (fun u -> x0.(u)) idx in
+  let prev_t = [| 0.0 |] in
+  (* Judge every new state as it is computed: a probe crosses at the
+     first sample at or above its target, interpolated linearly against
+     the sample before it. The loop ends at the step where the last
+     pending probe crosses, so no later step is integrated. *)
+  let on_step t1 x =
+    for p = 0 to num_probes - 1 do
+      if found.(p) = None then begin
+        let v1 = x.(idx.(p)) in
+        if v1 >= target.(p) then begin
+          let v0 = prev_v.(p) and t0 = prev_t.(0) in
+          let t_cross =
+            if v1 = v0 then t1
+            else t0 +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. t0))
+          in
+          (* The floor absorbs rounding where a node follows the input
+             within one step (the driven node itself crosses exactly
+             at [t_ref]). *)
+          found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref));
+          decr pending
+        end
+        else prev_v.(p) <- v1
+      end
+    done;
+    prev_t.(0) <- t1;
+    !pending = 0
+  in
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
      targets never builds it. *)
-  let companion = lazy (Transient.companion sys ~method_:options.method_ ~dt) in
-  let x = ref x0 in
-  let t0 = ref 0.0 in
-  let extensions = ref 0 in
-  let chunk_steps = ref options.steps_per_chunk in
-  let failure = ref None in
-  while
-    !failure = None && !unmarked > 0 && !extensions <= options.max_extensions
-  do
-    match
-      Transient.run ~until (Lazy.force companion) ~x0:!x ~t0:!t0
-        ~steps:!chunk_steps ~probes:idx
-    with
-    | exception Numeric.Lu.Singular k ->
-        failure := Some (singular_error ~stage:"spice.transient" k)
-    | chunk -> (
-        match check_finite ~stage:"spice.transient" chunk.Transient.final with
-        | Error e -> failure := Some e
-        | Ok () ->
-            for p = 0 to num_probes - 1 do
-              if found.(p) = None then begin
-                let col = chunk.Transient.states.(p) in
-                let rec scan s prev prev_t =
-                  if s >= Array.length col then prev_v.(p) <- prev
-                  else if col.(s) >= target.(p) then begin
-                    let v0 = prev and v1 = col.(s) in
-                    let t1 = chunk.Transient.times.(s) in
-                    let t_cross =
-                      if v1 = v0 then t1
-                      else
-                        prev_t
-                        +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. prev_t))
-                    in
-                    (* The floor absorbs rounding where a node
-                       follows the input within one step (the driven
-                       node itself crosses exactly at [t_ref]). *)
-                    found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref))
-                  end
-                  else scan (s + 1) col.(s) chunk.Transient.times.(s)
-                in
-                scan 0 prev_v.(p) !t0;
-                ()
-              end
-            done;
-            x := chunk.Transient.final;
-            let taken = Array.length chunk.Transient.times in
-            t0 := !t0 +. (float_of_int taken *. dt);
-            incr extensions;
-            (* Double the window each retry so n extensions cover
-               2^n horizons. *)
-            chunk_steps := !chunk_steps * 2)
-  done;
-  match !failure with Some e -> Error e | None -> Ok found
+  let companion =
+    lazy (Transient.companion ?stamps sys ~method_:options.method_ ~dt)
+  in
+  let rec extend x t0 steps extensions =
+    if !pending = 0 || extensions > options.max_extensions then Ok found
+    else
+      match
+        Transient.loop (Lazy.force companion) ~x0:x ~t0 ~steps ~on_step
+      with
+      | exception Numeric.Lu.Singular k ->
+          Error (singular_error ~stage:"spice.transient" k)
+      | x, taken ->
+          let* () = check_finite ~stage:"spice.transient" x in
+          (* Double the window each retry so n extensions cover 2^n
+             horizons. *)
+          extend x
+            (t0 +. (float_of_int taken *. dt))
+            (steps * 2) (extensions + 1)
+  in
+  extend x0 0.0 options.steps_per_chunk 0
 
 let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
     ~probes ~horizon =
@@ -240,23 +216,16 @@ let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
   match injected_fault ~horizon with
   | Some e -> Error e
   | None -> (
-      match
-        let sys = Mna.build nl in
-        let idx = probe_indices nl sys probes in
-        let x0 = Transient.dc_operating_point sys in
-        (sys, idx, x0)
-      with
-      | exception Numeric.Lu.Singular k ->
-          Error (singular_error ~stage:"spice.dc" k)
-      | sys, idx, x0 ->
+      let sys = Mna.build nl in
+      let idx = probe_indices nl sys probes in
+      (* One factorisation of G serves the operating point and the
+         settled state. *)
+      match Mna.factor_g_result sys with
+      | Error k -> Error (singular_error ~stage:"spice.dc" k)
+      | Ok lu ->
+          let x0 = Numeric.Backend.solve lu (Mna.rhs sys 0.0) in
           let* () = check_finite ~stage:"spice.dc" x0 in
-          (* Final values: DC with sources settled. *)
-          let t_settled = settled_time ~horizon in
-          let* xf =
-            match Mna.factor_g_result sys with
-            | Error k -> Error (singular_error ~stage:"spice.settle" k)
-            | Ok lu -> Ok (Numeric.Backend.solve lu (Mna.rhs sys t_settled))
-          in
+          let xf = Numeric.Backend.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
           let* found =
             threshold_scan_result ~options ~fraction sys ~idx ~x0 ~xf ~horizon

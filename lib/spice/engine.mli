@@ -2,7 +2,10 @@
 
     This is the "SPICE" the rest of the repository calls: given a
     netlist it computes operating points, transient traces, and the 50 %
-    threshold delays that define the paper's delay metric t(n_i).
+    threshold delays that define the paper's delay metric t(n_i). A
+    threshold query factors G once (operating point and settled state)
+    and its companion once, and scans crossings as the step loop
+    produces states, stopping at the last one.
 
     Every analysis comes in two flavours: a [_result] variant that
     reports operational failures (singular MNA matrices, non-finite
@@ -65,11 +68,6 @@ val transient_result :
   probes:string list ->
   (Trace.t, Nontree_error.t) result
 
-val settled_time : horizon:float -> float
-(** The time at which every supported source waveform has reached its
-    final value — where the threshold targets' DC endpoint is
-    evaluated (10⁶ × horizon). *)
-
 val input_reference : Mna.t -> method_:Transient.method_ -> dt:float -> float
 (** The time the input crosses its own 50 % point on the solver grid
     t_n = n·[dt], from which the threshold search measures every delay
@@ -91,29 +89,29 @@ val delay_origin :
 val threshold_scan_result :
   ?options:options ->
   ?fraction:float ->
+  ?stamps:Transient.stamps ->
   Mna.t ->
   idx:int array ->
   x0:float array ->
   xf:float array ->
   horizon:float ->
   (float option array, Nontree_error.t) result
-(** The chunked threshold search on an already-built system: starting
-    from state [x0], integrate at dt = [horizon] / [steps_per_chunk]
-    and extend (doubling the window up to [max_extensions] times) until
-    every probed unknown in [idx] crosses [fraction] of the way from
-    its initial to its settled value [xf]; probes that never cross
-    report [None]. The integration stops at the step where the last
-    pending probe crosses ({!Transient.run}'s [until]), so no step
-    after the last crossing is integrated or counted in [spice.steps];
-    the crossings are bit-identical to those of a scan over whole
-    chunks, and [horizon] sets only dt and where the first chunk would
-    end. Each crossing is reported
-    relative to {!input_reference} (floored at 0); a probe that starts
-    at its target reports 0. This is the core of
-    {!threshold_delays_result}, exposed so the incremental oracle can
-    run the identical scan on a rank-1-extended system without
-    rebuilding the netlist. No fault is injected here — the callers
-    own that draw.
+(** The chunked threshold search on an already-built system, grown by
+    [stamps] when given ([x0] and [xf] then have the grown length):
+    from state [x0], integrate at dt = [horizon] / [steps_per_chunk],
+    doubling the window up to [max_extensions] times, until every
+    probed unknown in [idx] crosses [fraction] of the way from [x0] to
+    its settled value [xf]; probes that never cross report [None].
+    {!Transient.loop} hands over each new state: a crossing is
+    interpolated linearly between a probe's first sample at or above
+    its target and the sample before, and the loop stops at the step
+    where the last pending probe crosses, recording nothing. [horizon]
+    sets only dt. Each crossing is reported relative to
+    {!input_reference} (floored at 0); a probe that starts at its
+    target reports 0. This is the core of {!threshold_delays_result},
+    exposed so the incremental oracle can scan an edited wire's stamps
+    without rebuilding the netlist. No fault is injected here: the
+    callers own that draw.
 
     @raise Invalid_argument on a non-positive [horizon]. *)
 
@@ -128,7 +126,10 @@ val threshold_delays_result :
     from the t=0 operating point, extending (doubling) the simulated
     window until every probe has crossed [fraction] (default 0.5) of
     its final DC value or [max_extensions] is exhausted; unreached
-    probes report [None]. It is {!threshold_scan_result} on the built
+    probes report [None]. The final values are the DC solution with
+    every source at its {!Circuit.Waveform.settled} level (a PULSE at
+    its first plateau), solved against the same factorisation of G as
+    the operating point. It is {!threshold_scan_result} on the built
     system, so it stops at the last crossing and measures delays from
     the input's own 50 % crossing on the solver grid. [horizon] is the
     initial window estimate — a few times the slowest expected time

@@ -31,9 +31,6 @@ let final_value ~values =
   if n = 0 then invalid_arg "Measure.final_value: empty waveform";
   values.(n - 1)
 
-let threshold_delay ~times ~values ~fraction ~vfinal =
-  first_crossing ~times ~values ~level:(fraction *. vfinal)
-
 let rise_time ~times ~values ~vfinal =
   match
     ( first_crossing ~times ~values ~level:(0.1 *. vfinal),

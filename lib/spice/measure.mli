@@ -17,12 +17,6 @@ val first_crossing :
 val final_value : values:float array -> float
 (** Last sample. @raise Invalid_argument on an empty waveform. *)
 
-val threshold_delay :
-  times:float array -> values:float array -> fraction:float ->
-  vfinal:float -> float option
-(** Delay to [fraction]·[vfinal] (e.g. fraction 0.5 for the paper's
-    measure), assuming a rise from 0. *)
-
 val rise_time :
   times:float array -> values:float array -> vfinal:float -> float option
 (** 10 %–90 % rise time, when both crossings exist. *)

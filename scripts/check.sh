@@ -57,7 +57,9 @@ dune exec bin/obs_check.exe -- "$tmpdir/obs.json"
 diff -u "$tmpdir/seq.out" "$tmpdir/obs.out"
 
 echo "== perfbench smoke: evaluation paths reconcile, outputs check =="
-for workload in budget-sweep ldrg-moment; do
+# ldrg-spice and wire-size score added and resized wires through the
+# transient's stamp assembly, under the outputs check.
+for workload in budget-sweep ldrg-moment ldrg-spice wire-size; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
     --trace 0 > /dev/null
 done

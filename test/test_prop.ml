@@ -342,8 +342,7 @@ let prop_scan_stops_without_moving_crossings g =
   let horizon = Delay.Model.spice_horizon ~tech r in
   let x0 = Spice.Transient.dc_operating_point sys in
   let xf =
-    Numeric.Backend.solve (Spice.Mna.factor_g sys)
-      (Spice.Mna.rhs sys (Spice.Engine.settled_time ~horizon))
+    Numeric.Backend.solve (Spice.Mna.factor_g sys) (Spice.Mna.settled_rhs sys)
   in
   let case = Rng.int g 4 in
   let horizon = if case = 0 then horizon /. 50.0 else horizon in
@@ -766,8 +765,8 @@ let test_incremental_cuts_factorizations () =
 (* Wire sizing likewise: scoring each round's width trials as resize
    edits of one factored base must need at most half the sparse
    factorisations per evaluation of the plain objective (which factors
-   moments, DC, settle and companion for every trial). Evaluations are
-   memo lookups on both paths. *)
+   moments, G (once, for DC and settle) and companion for every trial).
+   Evaluations are memo lookups on both paths. *)
 let test_sizing_cuts_factorizations () =
   Fault.disable ();
   let model = Nontree.Experiment.default.Nontree.Experiment.search_model in

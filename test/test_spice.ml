@@ -352,6 +352,31 @@ let test_delay_origin () =
     (Some (dt /. 2.0))
     (Spice.Engine.delay_origin (deck "STEP(0 0 1)") ~horizon)
 
+(* A periodic PULSE settles at its first plateau: the deck of
+   test/golden/spice_pulse.cir with a 50 ns pulse every 100 ns reads the
+   golden's delay, bit for bit that of the golden's 1 s pulse, instead
+   of a target taken wherever the period lands 10⁶ horizons out. *)
+let test_pulse_settles_at_plateau () =
+  let delay source =
+    let nl =
+      match
+        Circuit.Deck.of_string
+          (Printf.sprintf
+             "* rc\nV1 in 0 %s\nR1 in out 1k\nC1 out 0 1p\n.end\n" source)
+      with
+      | Ok nl -> nl
+      | Error e -> Alcotest.fail e
+    in
+    match Spice.Engine.threshold_delays nl ~probes:[ "out" ] ~horizon:10e-9 with
+    | [ (_, Some t) ] -> t
+    | _ -> Alcotest.fail "expected one crossing"
+  in
+  let periodic = delay "PULSE(0 1 0 0.01n 0.01n 50n 100n)" in
+  Alcotest.(check string) "the golden's 0.7015 ns" "0.7015"
+    (Printf.sprintf "%.4g" (periodic *. 1e9));
+  Alcotest.(check (float 0.0)) "same as the golden's long pulse"
+    (delay "PULSE(0 1 0 0.01n 0.01n 1 2)") periodic
+
 (* The always-live step counter sees a fast-profile query on an RC net
    stop at its crossing: it counts exactly the steps up to the one at
    which an untruncated run of the same companion first reaches the
@@ -367,8 +392,7 @@ let test_steps_counter () =
   in
   let x0 = Spice.Transient.dc_operating_point sys in
   let xf =
-    Numeric.Backend.solve (Spice.Mna.factor_g sys)
-      (Spice.Mna.rhs sys (Spice.Engine.settled_time ~horizon))
+    Numeric.Backend.solve (Spice.Mna.factor_g sys) (Spice.Mna.settled_rhs sys)
   in
   let target = x0.(out) +. (0.5 *. (xf.(out) -. x0.(out))) in
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
@@ -397,46 +421,42 @@ let test_steps_counter () =
   Alcotest.(check int) "spice.steps added" expected
     (Obs.Counter.value steps - before)
 
-(* [Transient.run ~until] is an exact prefix of the untruncated chunk:
-   the same time stamps and recorded states up to the stop step, that
-   step's full state as [final], and only those steps counted. A
-   predicate that never fires leaves the chunk whole. *)
-let test_run_until_prefix () =
+(* A loop stopped early is an exact prefix of [run]'s chunk: the
+   callback sees the same times and states, in order, the stopped
+   loop returns the stop step's full state, and only its steps are
+   counted. *)
+let test_stopped_loop_prefix () =
   let sys = Spice.Mna.build (rc_circuit ()) in
   let x0 = Spice.Transient.dc_operating_point sys in
   let probes = Array.init sys.Spice.Mna.size Fun.id in
-  let run ?until () =
-    Spice.Transient.run ?until
-      (Spice.Transient.companion sys ~method_:Spice.Transient.Trapezoidal
-         ~dt:5e-11)
-      ~x0 ~t0:1e-9 ~steps:80 ~probes
+  let companion () =
+    Spice.Transient.companion sys ~method_:Spice.Transient.Trapezoidal
+      ~dt:5e-11
   in
-  let full = run () in
+  let full =
+    Spice.Transient.run (companion ()) ~x0 ~t0:1e-9 ~steps:80 ~probes
+  in
   let stop = 23 in
-  let seen = ref 0 in
+  let seen = ref [] in
   let steps = Obs.Counter.make "spice.steps" in
   let before = Obs.Counter.value steps in
-  let cut =
-    run
-      ~until:(fun _ ->
-        incr seen;
-        !seen = stop)
-      ()
+  let final, taken =
+    Spice.Transient.loop (companion ()) ~x0 ~t0:1e-9 ~steps:80
+      ~on_step:(fun t x ->
+        seen := (t, Array.copy x) :: !seen;
+        List.length !seen = stop)
   in
+  let seen = Array.of_list (List.rev !seen) in
+  Alcotest.(check int) "steps taken" stop taken;
   Alcotest.(check int) "steps counted" stop (Obs.Counter.value steps - before);
   Alcotest.(check bool) "times are a prefix" true
-    (cut.Spice.Transient.times = Array.sub full.Spice.Transient.times 0 stop);
+    (Array.map fst seen = Array.sub full.Spice.Transient.times 0 stop);
   Alcotest.(check bool) "states are a prefix" true
-    (cut.Spice.Transient.states
+    (Array.init (Array.length probes) (fun p ->
+         Array.map (fun (_, x) -> x.(p)) seen)
     = Array.map (fun col -> Array.sub col 0 stop) full.Spice.Transient.states);
   Alcotest.(check bool) "final is the stop step's state" true
-    (cut.Spice.Transient.final
-    = Array.map (fun col -> col.(stop - 1)) full.Spice.Transient.states);
-  let whole = run ~until:(fun _ -> false) () in
-  Alcotest.(check bool) "never stopping leaves the chunk whole" true
-    (whole.Spice.Transient.times = full.Spice.Transient.times
-    && whole.Spice.Transient.states = full.Spice.Transient.states
-    && whole.Spice.Transient.final = full.Spice.Transient.final)
+    (final = Array.map (fun col -> col.(stop - 1)) full.Spice.Transient.states)
 
 (* Measure ------------------------------------------------------------ *)
 
@@ -488,74 +508,138 @@ let test_trace_csv_and_append () =
     (Invalid_argument "Trace.append: probe mismatch") (fun () ->
       ignore (Spice.Trace.append t1 mismatched))
 
-(* Stamp deltas: an added element as rank-1 terms vs the extended
-   system. *)
-(* A candidate wire as the incremental scorer stamps it: a chain of
-   three equal π-segments between two existing unknowns, its two
-   interior nodes appended after the base unknowns. *)
-let test_delta_extend_matches_stamps () =
+(* Companion assembly ------------------------------------------------ *)
+
+(* The dense reference of [Transient.assemble]: the base G and C
+   embedded in the grown size, the stamps added in order, then
+   G + hC and hC - G (hC for backward Euler) formed densely. The sparse
+   pair must equal it entry for entry, bit for bit, and store exactly
+   its nonzeros. *)
+let check_assembly ?stamps ~what sys =
+  let open Numeric in
+  let n = sys.Spice.Mna.size in
+  let added, g_stamps, c_stamps =
+    match stamps with
+    | None -> (0, [||], [||])
+    | Some st -> Spice.Transient.(st.added, st.g, st.c)
+  in
+  let nt = n + added in
+  let grown csc st =
+    let base = Sparse.Csc.to_matrix csc in
+    let m = Matrix.create nt nt in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        Matrix.set m i j (Matrix.get base i j)
+      done
+    done;
+    Array.iter
+      (fun { Spice.Transient.i; j; value } ->
+        if i >= 0 then Matrix.add_to m i i value;
+        if j >= 0 then Matrix.add_to m j j value;
+        if i >= 0 && j >= 0 then begin
+          Matrix.add_to m i j (-.value);
+          Matrix.add_to m j i (-.value)
+        end)
+      st;
+    m
+  in
+  let gd = grown sys.Spice.Mna.g_csc g_stamps
+  and cd = grown sys.Spice.Mna.c_csc c_stamps in
+  let dt = 1.7e-11 in
+  let check label sparse dense =
+    Alcotest.(check bool) (what ^ ", " ^ label ^ ": same entries") true
+      (Matrix.to_arrays (Sparse.Csc.to_matrix sparse) = Matrix.to_arrays dense);
+    Alcotest.(check int) (what ^ ", " ^ label ^ ": nonzeros only")
+      (Sparse.Csc.nnz (Sparse.Csc.of_matrix dense))
+      (Sparse.Csc.nnz sparse)
+  in
+  let lhs, explicit =
+    Spice.Transient.assemble ?stamps sys ~method_:Spice.Transient.Trapezoidal
+      ~dt
+  in
+  let hc = Matrix.scale (2.0 /. dt) cd in
+  check "trapezoidal g + hc" lhs (Matrix.add gd hc);
+  check "trapezoidal hc - g" explicit (Matrix.sub hc gd);
+  let lhs, explicit =
+    Spice.Transient.assemble ?stamps sys
+      ~method_:Spice.Transient.Backward_euler ~dt
+  in
+  let hc = Matrix.scale (1.0 /. dt) cd in
+  check "backward euler g + hc" lhs (Matrix.add gd hc);
+  check "backward euler hc" explicit hc;
+  (gd, cd)
+
+(* Without stamps: a voltage source (G-only entries, a zero branch
+   diagonal), a floating capacitor (C-only off-diagonal entries) and
+   an inductor (a C-only branch diagonal) next to entries stored in
+   both. *)
+let test_companion_plain_matches_dense () =
   let nl = Netlist.create () in
   let inp = Netlist.node nl "in" in
-  let mid = Netlist.node nl "mid" in
-  let out = Netlist.node nl "out" in
+  let a = Netlist.node nl "a" in
+  let b = Netlist.node nl "b" in
   Netlist.vsource nl inp Netlist.ground step01;
-  Netlist.resistor nl inp mid 1e3;
-  Netlist.resistor nl mid out 2e3;
-  Netlist.resistor nl out Netlist.ground 3e3;
-  Netlist.capacitor nl out Netlist.ground 1e-12;
-  let sys = Spice.Mna.build nl in
-  let n = sys.Spice.Mna.size in
-  let iu = sys.Spice.Mna.unknown_of_node.(inp)
-  and iv = sys.Spice.Mna.unknown_of_node.(out) in
-  let n_seg = 3 and seg_g = 1.5e-3 and seg_c = 2e-12 in
-  let d = Spice.Mna.Delta.create sys in
-  let chain =
-    Array.init (n_seg + 1) (fun s ->
-        if s = 0 then iu
-        else if s = n_seg then iv
-        else Spice.Mna.Delta.fresh_unknown d)
+  Netlist.resistor nl inp a 1e3;
+  Netlist.capacitor nl a b 3e-13;
+  Netlist.inductor nl a b 1e-9;
+  Netlist.resistor nl b Netlist.ground 2e3;
+  Netlist.capacitor nl b Netlist.ground 1e-12;
+  ignore (check_assembly ~what:"no stamps" (Spice.Mna.build nl))
+
+(* A chain of resistors with a grounded capacitor at every node and a
+   load at its end: the base a resize edits. *)
+let chain_circuit () =
+  let nl = Netlist.create () in
+  let inp = Netlist.node nl "in" in
+  Netlist.vsource nl inp Netlist.ground step01;
+  let nodes =
+    Array.init 4 (fun k -> Netlist.node nl (Printf.sprintf "c%d" k))
   in
-  for s = 0 to n_seg - 1 do
-    Spice.Mna.Delta.add_conductance d chain.(s) chain.(s + 1) seg_g;
-    Spice.Mna.Delta.add_capacitance d chain.(s) (-1) (seg_c /. 2.0);
-    Spice.Mna.Delta.add_capacitance d chain.(s + 1) (-1) (seg_c /. 2.0)
+  Netlist.resistor nl inp nodes.(0) 1e2;
+  for k = 0 to 2 do
+    Netlist.resistor nl nodes.(k) nodes.(k + 1) 1e3;
+    Netlist.capacitor nl nodes.(k) Netlist.ground 1e-13
   done;
-  let ext = Spice.Mna.Delta.extend sys d in
-  let nt = ext.Spice.Mna.size in
-  Alcotest.(check int) "interior unknowns appended" (n + n_seg - 1) nt;
-  Alcotest.(check (list int)) "appended in chain order" [ n; n + 1 ]
-    [ chain.(1); chain.(2) ];
-  (* Extended G must equal the embedded base plus the chain stamps. *)
-  let dense = Numeric.Sparse.Csc.to_matrix in
-  let base_g = dense sys.Spice.Mna.g_csc in
-  let ext_g = dense ext.Spice.Mna.g_csc in
-  let expect = Numeric.Matrix.create nt nt in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Numeric.Matrix.set expect i j (Numeric.Matrix.get base_g i j)
-    done
-  done;
-  for s = 0 to n_seg - 1 do
-    let a = chain.(s) and b = chain.(s + 1) in
-    Numeric.Matrix.add_to expect a a seg_g;
-    Numeric.Matrix.add_to expect b b seg_g;
-    Numeric.Matrix.add_to expect a b (-.seg_g);
-    Numeric.Matrix.add_to expect b a (-.seg_g)
-  done;
-  Alcotest.(check (float 1e-15)) "G matches the chain stamps" 0.0
-    (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext_g expect));
-  Alcotest.(check (float 0.0)) "C stamped on interior diagonal" seg_c
-    (Numeric.Matrix.get (dense ext.Spice.Mna.c_csc) chain.(1) chain.(1));
-  let b = Spice.Mna.rhs ext 0.5 in
-  Alcotest.(check int) "rhs grows" nt (Array.length b);
-  Alcotest.(check (float 0.0)) "rhs interior is zero" 0.0 b.(chain.(1));
-  (* At DC the chain is one series conductance seg_g/n_seg: a fresh
-     solve of the extended G puts its interior nodes evenly between
-     its ends, and agrees on every base unknown with the base G plus
-     that one conductance. *)
-  let x = Numeric.Lu.solve_matrix ext_g b in
+  Netlist.capacitor nl nodes.(3) Netlist.ground 1e-12;
+  Netlist.resistor nl nodes.(3) Netlist.ground 3e3;
+  let sys = Spice.Mna.build nl in
+  (sys, Array.map (fun node -> sys.Spice.Mna.unknown_of_node.(node)) nodes)
+
+(* The stamps of a wire's π-chain, as the incremental scorer builds
+   them. *)
+let chain_stamps ~added chain ~seg_g ~seg_c =
+  let n_seg = Array.length chain - 1 in
+  {
+    Spice.Transient.added;
+    g =
+      Array.init n_seg (fun s ->
+          { Spice.Transient.i = chain.(s); j = chain.(s + 1); value = seg_g });
+    c =
+      Array.init (2 * n_seg) (fun k ->
+          { Spice.Transient.i = chain.((k / 2) + (k mod 2)); j = -1;
+            value = seg_c /. 2.0 });
+  }
+
+(* An added 3-segment wire between two existing unknowns, its two
+   interior nodes appended after the base unknowns. *)
+let test_companion_add_matches_dense () =
+  let sys, nodes = chain_circuit () in
+  let n = sys.Spice.Mna.size in
+  let iu = nodes.(0) and iv = nodes.(3) in
+  let n_seg = 3 and seg_g = 1.5e-3 and seg_c = 2e-12 in
+  let chain = [| iu; n; n + 1; iv |] in
+  let stamps = chain_stamps ~added:(n_seg - 1) chain ~seg_g ~seg_c in
+  let gd, _ = check_assembly ~stamps ~what:"add" sys in
+  (* At DC the chain is one series conductance seg_g/n_seg: a dense
+     solve of the grown G puts its interior nodes evenly between its
+     ends, and agrees on every base unknown with the base G plus that
+     one conductance. *)
+  let b = Array.make (n + n_seg - 1) 0.0 in
+  Spice.Mna.rhs_into sys 0.5 b;
+  Alcotest.(check (float 0.0)) "rhs interior is zero" 0.0 b.(n);
+  let x = Numeric.Lu.solve_matrix gd b in
   let xu = x.(iu) and xv = x.(iv) in
-  Alcotest.(check bool) "ends differ" true (abs_float (xu -. xv) > 0.1);
+  Alcotest.(check bool) "ends differ" true (abs_float (xu -. xv) > 1e-3);
   for s = 1 to n_seg - 1 do
     Alcotest.(check (float 1e-12))
       (Printf.sprintf "interior node %d interpolates" s)
@@ -571,6 +655,63 @@ let test_delta_extend_matches_stamps () =
       Alcotest.(check (float 1e-12)) "base unknowns agree" 0.0
         (Numeric.Vec.max_abs_diff (solve (Spice.Mna.rhs sys 0.5))
            (Array.sub x 0 n))
+
+(* A resize restamps an existing chain with the change in its values,
+   here a narrowing (negative changes); a change that cancels a base
+   conductance exactly must drop those entries. *)
+let test_companion_resize_matches_dense () =
+  let sys, nodes = chain_circuit () in
+  ignore
+    (check_assembly ~what:"resize"
+       ~stamps:(chain_stamps ~added:0 nodes ~seg_g:(-0.4e-3) ~seg_c:(-5e-14))
+       sys);
+  (* Three stamps at one position, whose sum depends on its order. *)
+  let ordered =
+    {
+      Spice.Transient.added = 0;
+      g =
+        Array.map
+          (fun value -> { Spice.Transient.i = nodes.(1); j = nodes.(2); value })
+          [| 0.1; 0.2; 0.3 |];
+      c = [||];
+    }
+  in
+  ignore (check_assembly ~what:"ordered resize" ~stamps:ordered sys);
+  let cancel =
+    {
+      Spice.Transient.added = 0;
+      g = [| { Spice.Transient.i = nodes.(0); j = nodes.(1); value = -1e-3 } |];
+      c = [||];
+    }
+  in
+  let gd, _ = check_assembly ~what:"cancelling resize" ~stamps:cancel sys in
+  Alcotest.(check bool) "the coupling cancels exactly" true
+    (Numeric.Matrix.get gd nodes.(0) nodes.(1) = 0.0)
+
+(* One ordering per system: wherever C is diagonal, as on every lowered
+   routing, the G∪C order is G's own. *)
+let test_single_order_is_g_order () =
+  let tech = Circuit.Technology.table1 in
+  List.iter
+    (fun pins ->
+      let nets =
+        Geom.Netgen.uniform_batch ~seed:(4242 + pins)
+          ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
+          ~pins ~trials:2
+      in
+      Array.iter
+        (fun net ->
+          let nl, _ =
+            Delay.Lumping.circuit_of_routing ~tech (Routing.mst_of_net net)
+          in
+          let sys = Spice.Mna.build nl in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%d pins: G∪C order = G order" pins)
+            (Numeric.Sparse.Symbolic.order
+               (Numeric.Sparse.analyze sys.Spice.Mna.g_csc))
+            (Numeric.Sparse.Symbolic.order sys.Spice.Mna.sym))
+        nets)
+    [ 10; 30 ]
 
 let suites =
   [ ( "spice",
@@ -598,17 +739,25 @@ let suites =
           test_threshold_already_settled;
         Alcotest.test_case "input 50% reference" `Quick test_input_reference;
         Alcotest.test_case "delay origin of a PULSE deck" `Quick test_delay_origin;
+        Alcotest.test_case "PULSE settles at its first plateau" `Quick
+          test_pulse_settles_at_plateau;
         Alcotest.test_case "spice.steps counts one fast query" `Quick
           test_steps_counter;
-        Alcotest.test_case "run until is an exact prefix" `Quick
-          test_run_until_prefix;
+        Alcotest.test_case "stopped loop is a prefix of run" `Quick
+          test_stopped_loop_prefix;
         Alcotest.test_case "crossing interpolates" `Quick
           test_first_crossing_interpolates;
         Alcotest.test_case "crossing none" `Quick test_first_crossing_none;
         Alcotest.test_case "crossing exact sample" `Quick
           test_first_crossing_exact_sample;
-        Alcotest.test_case "delta extend matches stamps" `Quick
-          test_delta_extend_matches_stamps;
+        Alcotest.test_case "plain companion matches dense" `Quick
+          test_companion_plain_matches_dense;
+        Alcotest.test_case "added-wire companion matches dense" `Quick
+          test_companion_add_matches_dense;
+        Alcotest.test_case "resized-wire companion matches dense" `Quick
+          test_companion_resize_matches_dense;
+        Alcotest.test_case "one ordering serves G and companion" `Quick
+          test_single_order_is_g_order;
         Alcotest.test_case "rise time" `Quick test_rise_time;
         Alcotest.test_case "trace csv/append" `Quick test_trace_csv_and_append
       ] ) ]
