@@ -6,7 +6,7 @@
    is wasted work. This module factors the base once per round and
    scores each edit as the base plus one conductance change Δg between
    two existing unknowns, solved by Sherman–Morrison
-   ([Numeric.Backend.with_conductance]). An edit is the wire it
+   ([Numeric.Sparse.with_conductance]). An edit is the wire it
    changes, with old and new per-width values: an addition has zero
    old values, a resize the wire's current ones.
 
@@ -29,10 +29,12 @@
      and factors it, once: it depends on the trial's own
      horizon-derived timestep. No extended system is built.
 
-   Any numeric degeneracy, injected fault or never-settling probe
-   abandons the incremental attempt and re-evaluates the trial on the
-   plain robust path (retry-with-refinement, model degradation),
-   counted under oracle.incremental_fallbacks. Results are memoised in
+   Any numeric degeneracy (a companion the sparse kernel refuses
+   included), injected fault or never-settling probe abandons the
+   incremental attempt and re-evaluates the trial on the plain robust
+   path (retry-with-refinement, model degradation), counted under
+   oracle.incremental_fallbacks; a base that will not factor sends the
+   whole round there. Results are memoised in
    [Oracle.Cache] as edit entries, keyed by the round's base digest plus
    the edit. On by default. *)
 
@@ -89,10 +91,10 @@ let change w f =
 (* Per-round moments context: base conductance factorisation plus the
    base capacitance vector. Shared read-only across worker domains;
    every candidate builds its own updated solver. *)
-type moments_ctx = { m_lu : Numeric.Backend.t; m_cap : float array }
+type moments_ctx = { m_lu : Numeric.Sparse.t; m_cap : float array }
 
 let prepare_moments ~tech r =
-  match Numeric.Backend.try_factor (Delay.Moments.conductance_matrix ~tech r) with
+  match Numeric.Sparse.try_factor (Delay.Moments.conductance_matrix ~tech r) with
   | Error _ -> None
   | Ok m_lu ->
       Some { m_lu; m_cap = Delay.Moments.node_capacitances ~tech r }
@@ -110,7 +112,7 @@ let moment_update ctx ~tech w =
   let c = Array.copy ctx.m_cap in
   c.(w.u) <- c.(w.u) +. (cap /. 2.0);
   c.(w.v) <- c.(w.v) +. (cap /. 2.0);
-  match Numeric.Backend.with_conductance ctx.m_lu w.u w.v cond with
+  match Numeric.Sparse.with_conductance ctx.m_lu w.u w.v cond with
   | None -> fall_back "degenerate moments update"
   | Some solve ->
       let m1 = solve c in
@@ -135,7 +137,7 @@ let two_pole_delays ctx ~tech r w =
 type spice_ctx = {
   cfg : Delay.Model.spice_config;
   sys : Spice.Mna.t;
-  g_lu : Numeric.Backend.t;
+  g_lu : Numeric.Sparse.t;
   sink_unknowns : int array;  (* probe indices, in sink order *)
   vertex_unknown : int array;  (* routing vertex -> MNA unknown *)
   chains : ((int * int) * Circuit.Element.node array) array;
@@ -236,7 +238,7 @@ let spice_delays ctx ~tech r w =
         let _, r, _ = segments width in
         1.0 /. (float_of_int n_seg *. r))
   in
-  match Numeric.Backend.with_conductance ctx.g_lu iu iv g with
+  match Numeric.Sparse.with_conductance ctx.g_lu iu iv g with
   | None -> fall_back "degenerate conductance update"
   | Some solve -> (
       (* The DC state of the base plus the series conductance, with the
@@ -325,7 +327,7 @@ let make_scorer ~model ~tech ~fallback r =
               Obs.Counter.incr fallbacks;
               Log.info (fun f -> f "incremental scoring fell back (%s)" why);
               fallback trial
-          | exception Numeric.Lu.Singular _ ->
+          | exception Numeric.Sparse.Singular _ ->
               Obs.Counter.incr fallbacks;
               fallback trial)
     in

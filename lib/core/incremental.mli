@@ -6,7 +6,7 @@
     re-factoring the moment / MNA systems per trial, this module
     factors the base once per round and treats each edit as one
     conductance change between two existing unknowns
-    ({!Numeric.Backend.with_conductance}): first/second moments and the
+    ({!Numeric.Sparse.with_conductance}): first/second moments and the
     SPICE operating and settled states become updated solves. At DC a
     wire's capacitors are open, so its π-chain is one series
     conductance and its interior nodes lie evenly between its end
@@ -25,9 +25,9 @@
     and runs that score the same edit of the same base (the budget
     ladder, a replayed search) hit. A trial reached from another base is
     scored afresh. A plain-oracle lookup is never answered. Degenerate
-    updates,
-    injected faults, and unsettled probes fall back to the ordinary
-    robust objective, counted under [oracle.incremental_fallbacks]. *)
+    updates, factorisations the sparse kernel refuses, injected faults
+    and unsettled probes fall back to the ordinary robust objective,
+    counted under [oracle.incremental_fallbacks]. *)
 
 type edit =
   | Add of int * int

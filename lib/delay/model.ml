@@ -73,7 +73,8 @@ let spice_sink_delays_result ~horizon_scale config ~tech r =
     let horizon = spice_horizon ~tech r *. horizon_scale in
     (nl, sink_names, horizon)
   with
-  | exception Numeric.Lu.Singular k -> Error (singular ~stage:"spice.horizon" k)
+  | exception Numeric.Sparse.Singular k ->
+      Error (singular ~stage:"spice.horizon" k)
   | nl, sink_names, horizon ->
       if not (Float.is_finite horizon && horizon > 0.0) then
         Error (Nontree_error.Non_finite { stage = "spice.horizon"; value = horizon })
@@ -108,7 +109,7 @@ let sink_delays_result ?(horizon_scale = 1.0) model ~tech r =
       | None -> (
           match Moments.sink_delays ~tech r with
           | ds -> finite_delays ~stage:"moments" ds
-          | exception Numeric.Lu.Singular k ->
+          | exception Numeric.Sparse.Singular k ->
               Error (singular ~stage:"moments" k)))
   | Two_pole -> (
       match injected ~stage:"moments" with
@@ -118,7 +119,7 @@ let sink_delays_result ?(horizon_scale = 1.0) model ~tech r =
           | d ->
               finite_delays ~stage:"two-pole"
                 (List.map (fun v -> (v, d.(v))) (Routing.sinks r))
-          | exception Numeric.Lu.Singular k ->
+          | exception Numeric.Sparse.Singular k ->
               Error (singular ~stage:"two-pole" k)))
   | Spice config -> spice_sink_delays_result ~horizon_scale config ~tech r
 
@@ -126,10 +127,6 @@ let sink_delays model ~tech r =
   match sink_delays_result model ~tech r with
   | Ok ds -> ds
   | Error e -> Nontree_error.raise_error e
-
-let max_delay_result ?horizon_scale model ~tech r =
-  let* ds = sink_delays_result ?horizon_scale model ~tech r in
-  Ok (List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 ds)
 
 let max_delay model ~tech r =
   List.fold_left

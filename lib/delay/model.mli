@@ -61,14 +61,6 @@ val sink_delays :
 
     @raise Nontree_error.Error on any operational failure. *)
 
-val max_delay_result :
-  ?horizon_scale:float ->
-  t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  (float, Nontree_error.t) result
-(** The objective t(G) = max over sinks, as a result. *)
-
 val max_delay : t -> tech:Circuit.Technology.t -> Routing.t -> float
 (** The objective t(G) = max over sinks.
 

@@ -46,7 +46,7 @@ let conductance_matrix ~tech r =
 let first_moments ~tech r =
   let g = conductance_matrix ~tech r in
   let c = node_capacitances ~tech r in
-  Numeric.Backend.solve (Numeric.Backend.factor g) c
+  Numeric.Sparse.solve (Numeric.Sparse.factor g) c
 
 let sink_delays ~tech r =
   let m = first_moments ~tech r in
@@ -58,16 +58,16 @@ let max_delay ~tech r =
 let higher_moments ~tech r ~order =
   if order < 1 then invalid_arg "Moments.higher_moments: order < 1";
   let g = conductance_matrix ~tech r in
-  let lu = Numeric.Backend.factor g in
+  let lu = Numeric.Sparse.factor g in
   let c = node_capacitances ~tech r in
   let n = Array.length c in
   let result = Array.make order [||] in
   (* m_1 = G^-1 c; m_{k+1} = G^-1 (C .* m_k). *)
-  let current = ref (Numeric.Backend.solve lu c) in
+  let current = ref (Numeric.Sparse.solve lu c) in
   result.(0) <- !current;
   for k = 1 to order - 1 do
     let rhs = Array.init n (fun i -> c.(i) *. !current.(i)) in
-    current := Numeric.Backend.solve lu rhs;
+    current := Numeric.Sparse.solve lu rhs;
     result.(k) <- !current
   done;
   result

@@ -31,7 +31,7 @@ val first_moments : tech:Circuit.Technology.t -> Routing.t -> float array
 (** Per-vertex first moment (the generalised Elmore delay), for any
     connected routing graph.
 
-    @raise Numeric.Lu.Singular on a malformed topology. *)
+    @raise Numeric.Sparse.Singular on a malformed topology. *)
 
 val sink_delays : tech:Circuit.Technology.t -> Routing.t -> (int * float) list
 

@@ -3,9 +3,8 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type policy = { max_attempts : int; allow_fallback : bool }
-
-let default_policy = { max_attempts = 3; allow_fallback = true }
+(* Attempts with the primary oracle before degrading. *)
+let max_attempts = 3
 
 (* Each refined attempt halves the timestep (doubling steps_per_chunk),
    adds pi-segments, and doubles the transient horizon: the three knobs
@@ -71,9 +70,7 @@ let evaluation_seconds =
 
 let evaluation_count () = Obs.Counter.value evaluation_counter
 
-let sink_delays ?(policy = default_policy) ~model ~tech r =
-  if policy.max_attempts < 1 then
-    invalid_arg "Robust.sink_delays: max_attempts must be >= 1";
+let sink_delays ~model ~tech r =
   Obs.Counter.incr evaluation_counter;
   Obs.timed evaluation_seconds @@ fun () ->
   (* Domain-local window: an evaluation runs on one domain, so this
@@ -88,11 +85,11 @@ let sink_delays ?(policy = default_policy) ~model ~tech r =
         ~tech r
     with
     | Ok ds -> Ok ds
-    | Error e when retryable e && n < policy.max_attempts ->
+    | Error e when retryable e && n < max_attempts ->
         Nontree_error.Counters.incr_retries ();
         Log.info (fun f ->
             f "oracle %s attempt %d/%d failed (%s); retrying refined"
-              (Model.name model) n policy.max_attempts
+              (Model.name model) n max_attempts
               (Nontree_error.to_string e));
         attempt (n + 1)
     | Error e -> Error e
@@ -100,7 +97,7 @@ let sink_delays ?(policy = default_policy) ~model ~tech r =
   let result =
     match attempt 1 with
     | Ok ds -> Ok ds
-    | Error e when retryable e && policy.allow_fallback ->
+    | Error e when retryable e ->
         let rec fall last_err = function
           | [] -> Error last_err
           | m :: rest -> (
@@ -130,7 +127,7 @@ let sink_delays ?(policy = default_policy) ~model ~tech r =
             (Nontree_error.to_string e)));
   result
 
-let sink_delays_exn ?policy ~model ~tech r =
-  match sink_delays ?policy ~model ~tech r with
+let sink_delays_exn ~model ~tech r =
+  match sink_delays ~model ~tech r with
   | Ok ds -> ds
   | Error e -> Nontree_error.raise_error e

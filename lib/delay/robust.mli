@@ -6,9 +6,9 @@
     a whole 50-net × 4-size experiment. This layer guarantees that one
     bad evaluation costs at most a logged fallback:
 
-    + the primary oracle is attempted up to [max_attempts] times, each
-      retry with halved timestep, extra π-segments and a doubled
-      transient horizon ({!refine_spice});
+    + the primary oracle is attempted up to 3 times, each retry with
+      halved timestep, extra π-segments and a doubled transient horizon
+      ({!refine_spice});
     + on continued failure it degrades SPICE → first moment → Elmore
       (trees only), recording each degradation in
       {!Nontree_error.Counters};
@@ -19,14 +19,6 @@
     runs the unmodified oracle, so results are bit-identical to calling
     {!Model.sink_delays} directly. Diagnostics go to the [nontree.robust]
     [Logs] source. *)
-
-type policy = {
-  max_attempts : int;  (** attempts with the primary oracle, >= 1 *)
-  allow_fallback : bool;  (** degrade to cheaper oracles on failure *)
-}
-
-val default_policy : policy
-(** 3 attempts, fallback enabled. *)
 
 val refine_spice : Model.spice_config -> attempt:int -> Model.spice_config
 (** The refinement schedule (exposed for tests): attempt [n] runs with
@@ -39,14 +31,12 @@ val fallback_chain : Model.t -> Routing.t -> Model.t list
     Elmore appears only for tree routings. *)
 
 val sink_delays :
-  ?policy:policy ->
   model:Model.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   ((int * float) list, Nontree_error.t) result
 
 val sink_delays_exn :
-  ?policy:policy ->
   model:Model.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->

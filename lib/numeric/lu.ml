@@ -7,9 +7,9 @@ type t = {
 
 exception Singular of int
 
-(* Every dense factorisation lands here. In a run that is the sparse
-   kernel's pivot fallback in [Backend]; full systems are otherwise
-   counted under [sparse.factorizations]. *)
+(* Every dense factorisation lands here. Only tests run this kernel,
+   so a routing run reads 0 (or, when nothing links this module, has
+   no such counter). *)
 let factorizations = Obs.Counter.make "lu.factorizations"
 let singular_factorizations = Obs.Counter.make "lu.singular"
 
@@ -92,16 +92,12 @@ let try_factor m =
 let factor m =
   match try_factor m with Ok t -> t | Error k -> raise (Singular k)
 
-(* [work] is the intermediate-vector buffer. [solve_in_place] passes
-   the factorisation's own scratch; callers solving a factorisation
-   shared between worker domains pass a private buffer instead, so it
-   stays read-only during their solves. *)
-let solve_with ~work t b =
+let solve_in_place t b =
   let n = t.n in
   if Array.length b <> n then invalid_arg "Lu.solve: length mismatch";
   let lu = t.lu in
   (* Apply permutation. *)
-  let y = work in
+  let y = t.scratch in
   for i = 0 to n - 1 do
     y.(i) <- b.(t.perm.(i))
   done;
@@ -124,10 +120,6 @@ let solve_with ~work t b =
     Array.unsafe_set y i (!s /. Array.unsafe_get lu (row + i))
   done;
   Array.blit y 0 b 0 n
-
-let solve_in_place t b = solve_with ~work:t.scratch t b
-
-let size t = t.n
 
 let solve t b =
   let x = Array.copy b in

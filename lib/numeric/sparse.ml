@@ -19,10 +19,10 @@ let fill_hist =
   Obs.Histogram.make "sparse.fill_ratio"
     ~buckets:[| 1.0; 1.5; 2.0; 3.0; 5.0; 10.0; 25.0 |]
 
-(* Same pivot admissibility as the dense kernel (see lu.ml): keeping
-   the floors identical is what makes sparse and dense singularity
-   verdicts agree on everything but threshold-pivoting borderline
-   cases, which Backend resolves by retrying densely. *)
+(* The same floors as the dense reference kernel (see lu.ml). The two
+   verdicts still differ on borderline matrices, because whether a
+   pivot clears 1e-13 depends on the pivot order; this kernel's verdict
+   is final. *)
 let pivot_floor = 1e-300
 let relative_pivot_threshold = 1e-13
 
@@ -629,3 +629,49 @@ let solve t b =
   let x = Array.copy b in
   solve_in_place t x;
   x
+
+exception Singular of int
+
+let factor ?symbolic a =
+  match try_factor ?symbolic a with
+  | Ok f -> f
+  | Error k -> raise (Singular k)
+
+(* Sherman–Morrison for M = A + g·w·wᵀ, w = e_i − e_j: with z = A⁻¹w
+   and s = 1/g + wᵀz, M⁻¹b = A⁻¹b − z·(wᵀA⁻¹b)/s. A non-finite or zero
+   s, or one that cancels to below 1e-10 of the magnitudes summed into
+   it, means M is numerically singular although s is representable.
+   The counter keeps its older name: benchmark reports read it. *)
+let rank1_updates = Obs.Counter.make "lu.rank1_updates"
+
+let with_conductance t i j g =
+  let n = size t in
+  if i < 0 || i >= n || j < 0 || j >= n || i = j then
+    invalid_arg "Sparse.with_conductance: bad unknown";
+  if not (Float.is_finite g) then None
+  else begin
+    Obs.Counter.incr rank1_updates;
+    let work = Array.make n 0.0 in
+    let z = Array.make n 0.0 in
+    z.(i) <- 1.0;
+    z.(j) <- -1.0;
+    solve_with ~work t z;
+    let wz = z.(i) -. z.(j) in
+    let inv_g = 1.0 /. g in
+    let s = inv_g +. wz in
+    if
+      (not (Float.is_finite s))
+      || s = 0.0
+      || abs_float s < 1e-10 *. Float.max (abs_float inv_g) (abs_float wz)
+    then None
+    else
+      Some
+        (fun b ->
+          let x = Array.copy b in
+          solve_with ~work t x;
+          let c = (x.(i) -. x.(j)) /. s in
+          for k = 0 to n - 1 do
+            x.(k) <- x.(k) -. (z.(k) *. c)
+          done;
+          x)
+  end

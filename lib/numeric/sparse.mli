@@ -2,8 +2,8 @@
 
     The MNA systems this repository factors are lumped distributed-RC
     routing nets — a spanning tree plus a handful of chord edges — so
-    their conductance matrices carry O(n) nonzeros while the dense
-    {!Lu} pays O(n³) to factor and O(n²) per solve. This module is the
+    their conductance matrices carry O(n) nonzeros while a dense LU
+    pays O(n³) to factor and O(n²) per solve. This module is the
     sparse counterpart: compressed sparse column storage built from
     triplet stamps, a reverse Cuthill–McKee fill-reducing ordering
     (reusable across factorisations of the same pattern), and a
@@ -11,12 +11,14 @@
     whose factor and solve costs are proportional to the factor
     nonzeros, not n³/n².
 
-    Singularity floors match the dense {!Lu}: a pivot smaller than
-    1e-13 times the largest input entry (or 1e-300 absolutely) yields
-    [Error column], non-finite input entries [Error (-1)]. Borderline
-    cases where threshold pivoting gives up but full dense partial
-    pivoting would not are handled one level up: {!Backend.try_factor}
-    retries with {!Lu} before reporting the matrix singular.
+    This is the only factorisation the routing stack runs; the dense
+    kernel in [lu.ml] is kept as a reference for tests. A pivot smaller
+    than 1e-13 times the largest input entry (or 1e-300 absolutely)
+    yields [Error column], non-finite input entries [Error (-1)]. The
+    floors are the dense kernel's, but on borderline matrices the two
+    kernels can still disagree either way, because whether a pivot
+    clears the floor depends on the pivot order. The verdict given here
+    is final: there is no retry with another pivoting rule.
 
     Factorisations are tallied under the [sparse.factorizations] /
     [sparse.singular] / [sparse.nnz] counters and the
@@ -64,8 +66,7 @@ module Csc : sig
   (** The nonzero entries of a dense matrix. *)
 
   val to_matrix : t -> Matrix.t
-  (** The dense image, for the dense pivot-failure fallback, AC
-      analysis and tests. *)
+  (** The dense image, for AC analysis and tests. *)
 
   val of_columns :
     n:int -> colptr:int array -> rowind:int array -> values:float array -> t
@@ -131,6 +132,15 @@ val try_factor : ?symbolic:Symbolic.t -> Csc.t -> (t, int) result
     @raise Invalid_argument on a non-square matrix or a [symbolic] of
     the wrong size. *)
 
+exception Singular of int
+(** Raised by {!factor} with {!try_factor}'s error code: the pivot
+    column, or [-1] for a non-finite input entry. A singular MNA or
+    moment system means a malformed circuit, e.g. a floating node. *)
+
+val factor : ?symbolic:Symbolic.t -> Csc.t -> t
+(** {!try_factor}, raising.
+    @raise Singular when no usable pivot exists. *)
+
 val size : t -> int
 
 val factor_nnz : t -> int
@@ -148,3 +158,21 @@ val solve_in_place : t -> float array -> unit
     domain-safe; one caller at a time). *)
 
 val solve : t -> float array -> float array
+
+val with_conductance :
+  t -> int -> int -> float -> (float array -> float array) option
+(** [with_conductance f i j g] is a solver for the factored matrix A
+    plus one conductance [g] between unknowns [i] and [j], i.e.
+    A + g·w·wᵀ with w = e{_i} − e{_j}, by Sherman–Morrison: one solve
+    against [f] builds it, each call then costs one more solve and
+    O(n). No full matrix is factored. [f] stays read-only: the solver
+    carries its own workspace, so a factorisation shared between
+    domains may be updated from each of them, one solver per domain.
+
+    [None] means the updated matrix is numerically singular: [g] is
+    not finite, or the Sherman–Morrison denominator s = 1/g + wᵀA⁻¹w
+    is not finite, zero, or below 1e-10 of max(|1/g|, |wᵀA⁻¹w|).
+    Counts one [lu.rank1_updates] per finite [g].
+
+    @raise Invalid_argument when [i] or [j] is out of range or
+    [i = j]. *)

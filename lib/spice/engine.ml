@@ -48,7 +48,7 @@ let dc_result nl =
     let x = Transient.dc_operating_point sys in
     (sys, x)
   with
-  | exception Numeric.Lu.Singular k -> Error (singular_error ~stage:"spice.dc" k)
+  | exception Numeric.Sparse.Singular k -> Error (singular_error ~stage:"spice.dc" k)
   | sys, x ->
       let* () = check_finite ~stage:"spice.dc" x in
       let result = ref [] in
@@ -87,7 +87,7 @@ let transient_result ?(options = default_options) nl ~tstop ~probes =
     in
     (idx, x0, chunk)
   with
-  | exception Numeric.Lu.Singular k ->
+  | exception Numeric.Sparse.Singular k ->
       Error (singular_error ~stage:"spice.transient" k)
   | idx, x0, chunk ->
       let* () = check_finite ~stage:"spice.transient" chunk.Transient.final in
@@ -197,7 +197,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
       match
         Transient.loop (Lazy.force companion) ~x0:x ~t0 ~steps ~on_step
       with
-      | exception Numeric.Lu.Singular k ->
+      | exception Numeric.Sparse.Singular k ->
           Error (singular_error ~stage:"spice.transient" k)
       | x, taken ->
           let* () = check_finite ~stage:"spice.transient" x in
@@ -223,9 +223,9 @@ let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
       match Mna.factor_g_result sys with
       | Error k -> Error (singular_error ~stage:"spice.dc" k)
       | Ok lu ->
-          let x0 = Numeric.Backend.solve lu (Mna.rhs sys 0.0) in
+          let x0 = Numeric.Sparse.solve lu (Mna.rhs sys 0.0) in
           let* () = check_finite ~stage:"spice.dc" x0 in
-          let xf = Numeric.Backend.solve lu (Mna.settled_rhs sys) in
+          let xf = Numeric.Sparse.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
           let* found =
             threshold_scan_result ~options ~fraction sys ~idx ~x0 ~xf ~horizon

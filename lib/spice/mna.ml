@@ -134,9 +134,5 @@ let voltage sys x node =
 (* G is factored in several places (DC operating point and settle,
    incremental base) — one helper keeps them all on the precomputed
    ordering. *)
-let factor_g_result sys = Numeric.Backend.try_factor ~symbolic:sys.sym sys.g_csc
-
-let factor_g sys =
-  match factor_g_result sys with
-  | Ok f -> f
-  | Error k -> raise (Numeric.Lu.Singular k)
+let factor_g_result sys = Numeric.Sparse.try_factor ~symbolic:sys.sym sys.g_csc
+let factor_g sys = Numeric.Sparse.factor ~symbolic:sys.sym sys.g_csc

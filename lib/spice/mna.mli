@@ -66,13 +66,12 @@ val settled_rhs : t -> float array
     b whose DC solution is the state a threshold delay settles
     toward. *)
 
-val factor_g_result : t -> (Numeric.Backend.t, int) result
-(** Factor G with {!Numeric.Backend} on the precomputed [sym]
-    ordering; error codes as
-    {!Numeric.Lu.try_factor}. *)
+val factor_g_result : t -> (Numeric.Sparse.t, int) result
+(** Factor G with {!Numeric.Sparse} on the precomputed [sym]
+    ordering; error codes as {!Numeric.Sparse.try_factor}. *)
 
-val factor_g : t -> Numeric.Backend.t
-(** @raise Numeric.Lu.Singular when G has no usable pivot. *)
+val factor_g : t -> Numeric.Sparse.t
+(** @raise Numeric.Sparse.Singular when G has no usable pivot. *)
 
 val voltage : t -> float array -> int -> float
 (** [voltage sys x node] extracts a node voltage from a solution

@@ -15,14 +15,14 @@ type chunk = {
 let steps_counter = Obs.Counter.make "spice.steps"
 
 let dc_operating_point (sys : Mna.t) =
-  Numeric.Backend.solve (Mna.factor_g sys) (Mna.rhs sys 0.0)
+  Numeric.Sparse.solve (Mna.factor_g sys) (Mna.rhs sys 0.0)
 
 type companion = {
   sys : Mna.t;
   size : int;
   method_ : method_;
   dt : float;
-  lu : Numeric.Backend.t;
+  lu : Numeric.Sparse.t;
   explicit : Csc.t;
   (* b(t) at the two ends of a step, swapped after every step. *)
   mutable b_prev : float array;
@@ -163,7 +163,7 @@ let companion ?(stamps = no_stamps) (sys : Mna.t) ~method_ ~dt =
   (* The precomputed G∪C ordering, whatever the timestep or method;
      appended unknowns are eliminated last. *)
   let symbolic = Numeric.Sparse.Symbolic.extend sys.Mna.sym stamps.added in
-  let lu = Numeric.Backend.factor ~symbolic lhs in
+  let lu = Numeric.Sparse.factor ~symbolic lhs in
   let size = sys.Mna.size + stamps.added in
   let b_prev = Array.make size 0.0 and b_next = Array.make size 0.0 in
   { sys; size; method_; dt; lu; explicit; b_prev; b_next }
@@ -195,7 +195,7 @@ let loop cp ~x0 ~t0 ~steps ~on_step =
             (Array.unsafe_get r i +. Array.unsafe_get bp i
             +. Array.unsafe_get b' i)
         done);
-    Numeric.Backend.solve_in_place cp.lu r;
+    Numeric.Sparse.solve_in_place cp.lu r;
     rhs := !x;
     x := r;
     cp.b_next <- cp.b_prev;

@@ -3,7 +3,7 @@
     Both methods assemble the iteration matrix and the explicit-side
     matrix in one pass over the system's CSC G and C, optionally grown
     by a small set of {!stamps} (an edited wire), factor the former
-    once with {!Numeric.Backend} into a {!companion}, and
+    once with {!Numeric.Sparse} into a {!companion}, and
     back-substitute per step. A simulation costs one near-O(nnz) sparse
     factorisation (near-tree MNA patterns produce little fill), however
     many chunks it is run in, plus an O(nnz) product and
@@ -44,7 +44,7 @@ type chunk = {
 val dc_operating_point : Mna.t -> float array
 (** Solves G·x = b(0): capacitors open, inductors shorted.
 
-    @raise Numeric.Lu.Singular for a structurally defective circuit
+    @raise Numeric.Sparse.Singular for a structurally defective circuit
     (e.g. a node with no DC path to ground). *)
 
 type companion
@@ -77,7 +77,7 @@ val companion :
     ordering, appended unknowns eliminated last.
 
     @raise Invalid_argument as {!assemble}.
-    @raise Numeric.Lu.Singular when the iteration matrix has no usable
+    @raise Numeric.Sparse.Singular when the iteration matrix has no usable
     pivot. *)
 
 val loop :

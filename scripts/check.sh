@@ -36,13 +36,14 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null
 diff -u "$tmpdir/seq.out" "$tmpdir/jobs64.out"
 
-echo "== dense LU stays a fallback: <=10% of sparse factorizations =="
+echo "== dense LU never runs in a routing run =="
+# The key is absent when nothing links the dense kernel.
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
   --metrics-json "$tmpdir/m.json" > /dev/null 2>&1
 sparse_f=$(sed -n 's/.*"sparse.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
 lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
-echo "lu.factorizations=$lu_f, sparse.factorizations=$sparse_f"
-[ -n "$lu_f" ] && [ -n "$sparse_f" ] && [ $((10 * lu_f)) -le "$sparse_f" ]
+echo "lu.factorizations=${lu_f:-absent}, sparse.factorizations=$sparse_f"
+[ -n "$sparse_f" ] && [ "$sparse_f" -gt 0 ] && [ "${lu_f:-0}" -eq 0 ]
 
 echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
 dune exec bin/obs_check.exe -- BENCH_nontree.json

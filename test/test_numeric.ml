@@ -209,7 +209,7 @@ let test_lu_update_known () =
   (* [[2,1],[1,3]] plus a unit conductance between 0 and 1 is
      [[3,0],[0,4]]; it maps [1,1] to [3,4]. *)
   let a = Matrix.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  (match Backend.with_conductance (Backend.factor (Sparse.Csc.of_matrix a)) 0 1 1.0 with
+  (match Sparse.with_conductance (Sparse.factor (Sparse.Csc.of_matrix a)) 0 1 1.0 with
   | None -> Alcotest.fail "well-conditioned update refused"
   | Some solve ->
       let x = solve [| 3.0; 4.0 |] in
@@ -219,8 +219,8 @@ let test_lu_update_known () =
   List.iter
     (fun (seed, n, i, j, g) ->
       let a, b = random_dd_system seed n in
-      let base = Backend.factor (Sparse.Csc.of_matrix a) in
-      match Backend.with_conductance base i j g with
+      let base = Sparse.factor (Sparse.Csc.of_matrix a) in
+      match Sparse.with_conductance base i j g with
       | None -> Alcotest.failf "seed %d: well-conditioned update refused" seed
       | Some solve ->
           let x = solve b in
@@ -232,43 +232,43 @@ let test_lu_update_known () =
           Alcotest.(check (float 0.0)) "second solve identical" 0.0
             (Vec.max_abs_diff (solve b) x);
           Alcotest.(check (float 1e-9)) "base still solves A" 0.0
-            (Vec.max_abs_diff (Backend.solve base b) (Lu.solve_matrix a b)))
+            (Vec.max_abs_diff (Sparse.solve base b) (Lu.solve_matrix a b)))
     [ (3, 2, 0, 1, 1.0); (5, 7, 6, 2, 0.25); (11, 12, 3, 9, 40.0) ]
 
 let test_lu_update_singularising_rejected () =
   (* g = −1/(wᵀA⁻¹w) zeroes the Sherman–Morrison denominator: the
      updated matrix is exactly singular and the helper must refuse. *)
   let a, _ = random_dd_system 17 6 in
-  let base = Backend.factor (Sparse.Csc.of_matrix a) in
+  let base = Sparse.factor (Sparse.Csc.of_matrix a) in
   let i = 1 and j = 4 in
   let w = Array.make 6 0.0 in
   w.(i) <- 1.0;
   w.(j) <- -1.0;
-  let z = Backend.solve base w in
+  let z = Sparse.solve base w in
   let g = -1.0 /. (z.(i) -. z.(j)) in
   Alcotest.(check bool) "singularising g refused" true
-    (Backend.with_conductance base i j g = None);
+    (Sparse.with_conductance base i j g = None);
   List.iter
     (fun g ->
       Alcotest.(check bool) (Printf.sprintf "g = %g refused" g) true
-        (Backend.with_conductance base i j g = None))
+        (Sparse.with_conductance base i j g = None))
     [ nan; infinity; neg_infinity ]
 
 let test_lu_update_length_mismatch () =
-  let base = Backend.factor (Sparse.Csc.of_matrix (Matrix.identity 2)) in
+  let base = Sparse.factor (Sparse.Csc.of_matrix (Matrix.identity 2)) in
   let raises what f =
     match f () with
     | _ -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  raises "i = j" (fun () -> ignore (Backend.with_conductance base 1 1 1.0));
+  raises "i = j" (fun () -> ignore (Sparse.with_conductance base 1 1 1.0));
   raises "out-of-range unknown" (fun () ->
-      ignore (Backend.with_conductance base 0 2 1.0));
-  match Backend.with_conductance base 0 1 1.0 with
+      ignore (Sparse.with_conductance base 0 2 1.0));
+  match Sparse.with_conductance base 0 1 1.0 with
   | None -> Alcotest.fail "well-conditioned update refused"
   | Some solve -> raises "short rhs" (fun () -> ignore (solve [| 1.0 |]))
 
-(* Sparse kernel and backend ---------------------------------------------- *)
+(* Sparse kernel ---------------------------------------------------------- *)
 
 let test_sparse_triplets_sum () =
   let t = Sparse.Triplets.create () in
@@ -323,7 +323,11 @@ let test_sparse_singular_rejected () =
   (* A structurally empty column can never produce a pivot. *)
   let z = Matrix.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
   (match Sparse.try_factor (Sparse.Csc.of_matrix z) with
-  | Error _ -> ()
+  | Error k -> (
+      match Sparse.factor (Sparse.Csc.of_matrix z) with
+      | exception Sparse.Singular k' ->
+          Alcotest.(check int) "factor raises the same column" k k'
+      | _ -> Alcotest.fail "factor accepted an empty column")
   | Ok _ -> Alcotest.fail "expected Error on an empty column");
   let nan_m = Matrix.of_arrays [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |] in
   match Sparse.try_factor (Sparse.Csc.of_matrix nan_m) with
@@ -384,23 +388,29 @@ let test_sparse_solve_with_buffer () =
       Alcotest.(check (float 0.0)) "solve_in_place = solve" 0.0
         (Vec.max_abs_diff x z)
 
-(* Backend factors CSC matrices sparsely and falls back to [Lu] only on
-   a sparse pivot failure, so its solves and its singular verdicts
-   (error codes included) must be [Lu]'s. *)
-let test_backend_solves_match_lu () =
+(* The routing stack factors with [Sparse] alone; [Lu] is the
+   reference it is checked against. *)
+let test_sparse_solves_match_lu () =
   let a, b = random_dd_system 23 10 in
-  let x = Backend.solve (Backend.factor (Sparse.Csc.of_matrix a)) b in
+  let x = Sparse.solve (Sparse.factor (Sparse.Csc.of_matrix a)) b in
   Alcotest.(check bool) "solve matches Lu" true
     (Vec.max_abs_diff x (Lu.solve_matrix a b) < 1e-9)
 
-let test_backend_singular_parity () =
+(* On these clear-cut matrices both kernels must reach the same
+   verdict. The column a refusal reports is each kernel's own: it
+   depends on the elimination order. *)
+let test_sparse_singular_verdicts () =
   List.iter
     (fun (label, rows) ->
       let a = Matrix.of_arrays rows in
-      let verdict = function Ok _ -> "ok" | Error k -> string_of_int k in
+      let verdict = function
+        | Ok _ -> "ok"
+        | Error -1 -> "non-finite"
+        | Error _ -> "singular"
+      in
       Alcotest.(check string) label
         (verdict (Lu.try_factor a))
-        (verdict (Backend.try_factor (Sparse.Csc.of_matrix a))))
+        (verdict (Sparse.try_factor (Sparse.Csc.of_matrix a))))
     [ ("rank deficient", [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |]);
       ("empty column", [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |]);
       ("non-finite", [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |]);
@@ -446,7 +456,7 @@ let suites =
         Alcotest.test_case "sparse solve buffers agree" `Quick
           test_sparse_solve_with_buffer;
         Alcotest.test_case "sparse mul_vec_into" `Quick test_sparse_mul_vec;
-        Alcotest.test_case "backend solves match lu" `Quick
-          test_backend_solves_match_lu;
-        Alcotest.test_case "backend singular parity" `Quick
-          test_backend_singular_parity ] ) ]
+        Alcotest.test_case "sparse solves match lu" `Quick
+          test_sparse_solves_match_lu;
+        Alcotest.test_case "sparse verdicts match lu" `Quick
+          test_sparse_singular_verdicts ] ) ]

@@ -96,16 +96,23 @@ let test_scripted_degradation_order () =
 
 let test_bounded_retries () =
   with_clean_faults (fun () ->
-      let r = random_routing 7 6 in
+      (* A non-tree routing's fallback chain is [First_moment] alone, so
+         faults on every draw exhaust it: 3 SPICE attempts, then one
+         first-moment evaluation. *)
+      let tree = random_routing 7 6 in
+      let u, v = List.hd (Routing.candidate_edges tree) in
+      let r = Routing.add_edge tree u v in
       Fault.script (List.init 10 (fun _ -> Some Fault.Nan_value));
-      let policy = { Delay.Robust.max_attempts = 3; allow_fallback = false } in
-      (match Delay.Robust.sink_delays ~policy ~model:fast ~tech r with
-      | Ok _ -> Alcotest.fail "expected failure with fallback disabled"
+      (match Delay.Robust.sink_delays ~model:fast ~tech r with
+      | Ok _ -> Alcotest.fail "expected failure once the chain is exhausted"
       | Error (Nontree_error.Non_finite _) -> ()
       | Error e -> Alcotest.fail ("unexpected error " ^ Nontree_error.to_string e));
       let s = counters () in
-      Alcotest.(check int) "exactly max_attempts - 1 retries" 2 s.retries;
-      Alcotest.(check int) "one draw per attempt" 3 s.faults_injected;
+      Alcotest.(check int) "exactly 2 refined retries" 2 s.retries;
+      Alcotest.(check int) "one moment fallback" 1 s.moment_fallbacks;
+      Alcotest.(check int) "no elmore fallback" 0 s.elmore_fallbacks;
+      Alcotest.(check int) "one draw per attempt and fallback" 4
+        s.faults_injected;
       Alcotest.(check int) "nothing survived" 0 s.faults_survived;
       Alcotest.(check int) "counted as oracle error" 1 s.oracle_errors)
 

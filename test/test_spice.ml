@@ -238,20 +238,38 @@ let test_transient_continuation () =
     (Printf.sprintf "chunked = full (err %.2e)" !worst)
     true (!worst < 1e-12)
 
-let test_floating_node_rejected () =
-  (* A capacitor-only node has no DC path: G is singular. *)
+(* A capacitor-only node has no DC path: G is singular. *)
+let floating_node_circuit () =
   let nl = Netlist.create () in
   let a = Netlist.node nl "a" in
   let b = Netlist.node nl "b" in
   Netlist.vsource nl a Netlist.ground (Waveform.Dc 1.0);
   Netlist.capacitor nl a b 1e-12;
   Netlist.capacitor nl b Netlist.ground 1e-12;
+  nl
+
+let test_floating_node_rejected () =
+  let nl = floating_node_circuit () in
   (match Spice.Engine.dc nl with
   | exception Nontree_error.Error (Nontree_error.Singular_matrix _) -> ()
   | _ -> Alcotest.fail "expected singular matrix");
   match Spice.Engine.dc_result nl with
   | Error (Nontree_error.Singular_matrix _) -> ()
   | _ -> Alcotest.fail "expected Singular_matrix from dc_result"
+
+(* The sparse kernel's refusal is final: no dense factorisation runs
+   behind it. *)
+let test_singular_runs_no_dense_factorization () =
+  let singular = Obs.Counter.make "sparse.singular" in
+  let dense = Obs.Counter.make "lu.factorizations" in
+  let s0 = Obs.Counter.value singular and d0 = Obs.Counter.value dense in
+  (match Spice.Engine.dc_result (floating_node_circuit ()) with
+  | Error (Nontree_error.Singular_matrix _) -> ()
+  | _ -> Alcotest.fail "expected Singular_matrix from dc_result");
+  Alcotest.(check bool) "sparse.singular rises" true
+    (Obs.Counter.value singular > s0);
+  Alcotest.(check int) "lu.factorizations unchanged" d0
+    (Obs.Counter.value dense)
 
 let test_engine_argument_validation () =
   let nl = rc_circuit () in
@@ -392,7 +410,7 @@ let test_steps_counter () =
   in
   let x0 = Spice.Transient.dc_operating_point sys in
   let xf =
-    Numeric.Backend.solve (Spice.Mna.factor_g sys) (Spice.Mna.settled_rhs sys)
+    Numeric.Sparse.solve (Spice.Mna.factor_g sys) (Spice.Mna.settled_rhs sys)
   in
   let target = x0.(out) +. (0.5 *. (xf.(out) -. x0.(out))) in
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
@@ -647,7 +665,7 @@ let test_companion_add_matches_dense () =
       x.(chain.(s))
   done;
   match
-    Numeric.Backend.with_conductance
+    Numeric.Sparse.with_conductance
       (Spice.Mna.factor_g sys) iu iv (seg_g /. float_of_int n_seg)
   with
   | None -> Alcotest.fail "series conductance update refused"
@@ -731,6 +749,8 @@ let suites =
           test_transient_continuation;
         Alcotest.test_case "floating node rejected" `Quick
           test_floating_node_rejected;
+        Alcotest.test_case "singular system runs no dense LU" `Quick
+          test_singular_runs_no_dense_factorization;
         Alcotest.test_case "engine validation" `Quick
           test_engine_argument_validation;
         Alcotest.test_case "max_delay failure path" `Quick
