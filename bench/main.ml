@@ -195,16 +195,18 @@ type run_counters = {
   rank1_updates : int;
   inc_hits : int;
   inc_fallbacks : int;
-  lu_factorizations : int;
   sparse_factorizations_total : int;
+  refactors : int;
+  refactor_fallbacks : int;
 }
 
 let snapshot_counters () =
   { rank1_updates = counter_value "lu.rank1_updates";
     inc_hits = counter_value "oracle.incremental_hits";
     inc_fallbacks = counter_value "oracle.incremental_fallbacks";
-    lu_factorizations = counter_value "lu.factorizations";
-    sparse_factorizations_total = counter_value "sparse.factorizations" }
+    sparse_factorizations_total = counter_value "sparse.factorizations";
+    refactors = counter_value "sparse.refactors";
+    refactor_fallbacks = counter_value "sparse.refactor_fallbacks" }
 
 let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
   let buf = Buffer.create 1024 in
@@ -218,16 +220,18 @@ let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
   Printf.bprintf buf "  \"total_wall_s\": %.3f,\n" total_wall_s;
   (* Run-level incremental-scoring tallies: how many rank-1 updates
      were built, how many candidate evaluations they served, how often
-     the robust path had to take over, and the full factorization count
-     they are meant to suppress. *)
+     the robust path had to take over, the sparse factorisations run,
+     and how many of those refactored on a round's record or declined
+     from it to the full kernel. *)
   Printf.bprintf buf "  \"incremental\": {\n";
   Printf.bprintf buf "    \"rank1_updates\": %d,\n" counters.rank1_updates;
   Printf.bprintf buf "    \"hits\": %d,\n" counters.inc_hits;
   Printf.bprintf buf "    \"fallbacks\": %d,\n" counters.inc_fallbacks;
-  Printf.bprintf buf "    \"lu_factorizations\": %d,\n"
-    counters.lu_factorizations;
-  Printf.bprintf buf "    \"sparse_factorizations\": %d\n"
+  Printf.bprintf buf "    \"sparse_factorizations\": %d,\n"
     counters.sparse_factorizations_total;
+  Printf.bprintf buf "    \"refactors\": %d,\n" counters.refactors;
+  Printf.bprintf buf "    \"refactor_fallbacks\": %d\n"
+    counters.refactor_fallbacks;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"sections\": [\n";
   List.iteri

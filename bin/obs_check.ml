@@ -114,8 +114,8 @@ let check_bench json =
           if expect_int ("incremental." ^ k) v < 0 then
             fail "incremental.%s is negative" k
       | None -> fail "incremental missing %S" k)
-    [ "rank1_updates"; "hits"; "fallbacks"; "lu_factorizations";
-      "sparse_factorizations" ];
+    [ "rank1_updates"; "hits"; "fallbacks"; "sparse_factorizations";
+      "refactors"; "refactor_fallbacks" ];
   let sections = expect_list "sections" (get "sections" json) in
   List.iteri check_bench_section sections;
   Printf.printf "ok: bench baseline, %d sections\n" (List.length sections)

@@ -27,7 +27,11 @@
      count depends only on length). The shared threshold scan assembles
      the companion straight from the base matrices and these stamps
      and factors it, once: it depends on the trial's own
-     horizon-derived timestep. No extended system is built.
+     horizon-derived timestep. The factorisation is a numeric-only
+     refactor on the record of the round's G factorisation (C is
+     diagonal, so G's reach is the companion's); a wire that appends
+     more than one unknown declines to the full kernel. No extended
+     system is built.
 
    Any numeric degeneracy (a companion the sparse kernel refuses
    included), injected fault or never-settling probe abandons the
@@ -158,9 +162,15 @@ let prepare_spice ~tech cfg r =
       with
       | exception _ -> None
       | l, sys -> (
-          match Spice.Mna.factor_g_result sys with
+          match
+            Numeric.Sparse.try_factor_recording ~symbolic:sys.Spice.Mna.sym
+              sys.Spice.Mna.g_csc
+          with
           | Error _ -> None
-          | Ok g_lu ->
+          | Ok (g_lu, sym) ->
+              (* C is diagonal on a lowered routing, so G's record is
+                 every companion's: each candidate refactors on it. *)
+              let sys = { sys with Spice.Mna.sym } in
               let unknown node = sys.Spice.Mna.unknown_of_node.(node) in
               let vertex_unknown =
                 Array.map unknown l.Delay.Lumping.vertex_nodes
@@ -260,9 +270,10 @@ let spice_delays ctx ~tech r w =
       if not (all_finite x0) then fall_back "non-finite operating point";
       let xf = dc_state (Spice.Mna.settled_rhs ctx.sys) in
       if not (all_finite xf) then fall_back "non-finite settled state";
-      (* Only the companion matrix is factored fresh: its timestep
-         derives from this candidate's horizon, so it cannot be shared
-         across candidates. *)
+      (* Only the companion matrix is factored per candidate, refactored
+         on the round's record: its timestep derives from this
+         candidate's horizon, so it cannot be shared across
+         candidates. *)
       match
         Spice.Engine.threshold_scan_result
           ~options:ctx.cfg.Delay.Model.options ~stamps ctx.sys

@@ -15,7 +15,9 @@
     wire, on the chain's existing unknowns for a resized one. Only its
     companion matrix, tied to the trial's own horizon-derived timestep,
     is assembled (from the base matrices and those stamps, in one
-    pass) and factored fresh.
+    pass) and factored per trial: refactored numerically on the record
+    of the round's G factorisation when the wire appends at most one
+    unknown (every fast-profile trial), by the full kernel otherwise.
 
     Every incremental evaluation is memoised through
     {!Oracle.Cache.memo_edit}. A score depends only on the round's base,

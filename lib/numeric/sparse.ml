@@ -19,7 +19,7 @@ let fill_hist =
   Obs.Histogram.make "sparse.fill_ratio"
     ~buckets:[| 1.0; 1.5; 2.0; 3.0; 5.0; 10.0; 25.0 |]
 
-(* The same floors as the dense reference kernel (see lu.ml). The two
+(* The same floors as the dense reference kernel (test/lu.ml). The two
    verdicts still differ on borderline matrices, because whether a
    pivot clears 1e-13 depends on the pivot order; this kernel's verdict
    is final. *)
@@ -229,15 +229,31 @@ module Csc = struct
 end
 
 module Symbolic = struct
-  type t = { n : int; q : int array }
+  (* A factorisation's symbolic record, for numeric-only
+     refactorisation: each step's pivot row and structural reach in
+     topological order (the reach as if no entry had cancelled to an
+     exact zero), with the pattern of the matrix it factored, which a
+     refactored column must repeat. *)
+  type record = {
+    steps : int;
+    colptr : int array;
+    rowind : int array;
+    pivots : int array;
+    rptr : int array;  (* step k's reach is reach.(rptr.(k) .. rptr.(k+1)-1) *)
+    reach : int array;
+  }
+
+  type t = { n : int; q : int array; record : record option }
 
   let order t = Array.copy t.q
   let size t = t.n
 
   let extend t k =
     if k < 0 then invalid_arg "Sparse.Symbolic.extend: negative count";
-    let n = t.n + k in
-    { n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i) }
+    if k = 0 then t
+    else
+      let n = t.n + k in
+      { t with n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i) }
 end
 
 (* Reverse Cuthill–McKee on pattern(A + Aᵀ): BFS from a
@@ -369,7 +385,7 @@ let analyze (a : Csc.t) =
   for k = 0 to n - 1 do
     q.(k) <- order.(n - 1 - k)
   done;
-  { Symbolic.n; q = (if n = 0 then [||] else q) }
+  { Symbolic.n; q = (if n = 0 then [||] else q); record = None }
 
 type t = {
   n : int;
@@ -391,6 +407,27 @@ type t = {
 let size t = t.n
 let factor_nnz t = t.lp.(t.n) + t.up.(t.n) + t.n
 
+type parts = {
+  p : int array;
+  q : int array;
+  udiag : float array;
+  l : (int * float) array array;
+  u : (int * float) array array;
+}
+
+let parts (t : t) =
+  let column ptr rows vals k =
+    Array.init (ptr.(k + 1) - ptr.(k)) (fun m ->
+        (rows.(ptr.(k) + m), vals.(ptr.(k) + m)))
+  in
+  {
+    p = Array.sub t.p 0 t.n;
+    q = Array.sub t.q 0 t.n;
+    udiag = Array.sub t.udiag 0 t.n;
+    l = Array.init t.n (column t.lp t.li t.lx);
+    u = Array.init t.n (column t.up t.ui t.ux);
+  }
+
 (* Growable int/float parallel array for the factor columns. *)
 type buf = { mutable bi : int array; mutable bx : float array; mutable blen : int }
 
@@ -409,7 +446,291 @@ let buf_push b i x =
   b.bx.(b.blen) <- x;
   b.blen <- b.blen + 1
 
-let try_factor ?symbolic (a : Csc.t) =
+(* Each domain factors in its own workspace, kept between calls, so a
+   factorisation allocates only the factor it returns: the dense
+   scatter vector [x] (all zero between steps), the depth-first
+   search's marks and stacks, the row-to-step map [pinv], and growable
+   buffers for L and U. A mark equal to [gen] means "visited at the
+   current step"; [gen] only grows, so marks never need clearing. *)
+type work = {
+  mutable cap : int;
+  mutable x : float array;
+  mutable mark : int array;
+  mutable gen : int;
+  mutable stack : int array;
+  mutable pstack : int array;
+  mutable topo : int array;
+  mutable pinv : int array;
+  l : buf;
+  u : buf;
+}
+
+let work_key =
+  Domain.DLS.new_key (fun () ->
+      { cap = 0; x = [||]; mark = [||]; gen = 0; stack = [||]; pstack = [||];
+        topo = [||]; pinv = [||]; l = buf_create 64; u = buf_create 64 })
+
+(* The calling domain's workspace for an n×n factorisation: x zero, no
+   row pivotal yet, buffers empty. *)
+let workspace n =
+  let w = Domain.DLS.get work_key in
+  if w.cap < n then begin
+    let cap = max n (2 * w.cap) in
+    w.cap <- cap;
+    w.x <- Array.make cap 0.0;
+    w.mark <- Array.make cap (-1);
+    w.stack <- Array.make cap 0;
+    w.pstack <- Array.make cap 0;
+    w.topo <- Array.make cap 0;
+    w.pinv <- Array.make cap (-1)
+  end;
+  Array.fill w.x 0 n 0.0;
+  Array.fill w.pinv 0 n (-1);
+  w.l.blen <- 0;
+  w.u.blen <- 0;
+  w
+
+(* Reach of A(:,col) through the columns of L computed so far:
+   iterative DFS with per-node resume positions, emitting a topological
+   order into topo.(top..n-1). Returns top. L's row indices are still
+   original rows here. *)
+let dfs_reach w (a : Csc.t) ~lp ~col ~n =
+  w.gen <- w.gen + 1;
+  let gen = w.gen in
+  let mark = w.mark and pinv = w.pinv and li = w.l.bi in
+  let stack = w.stack and pstack = w.pstack and topo = w.topo in
+  let top = ref n in
+  for pa = a.Csc.colptr.(col) to a.Csc.colptr.(col + 1) - 1 do
+    let root = a.Csc.rowind.(pa) in
+    if mark.(root) <> gen then begin
+      let head = ref 0 in
+      stack.(0) <- root;
+      while !head >= 0 do
+        let i = stack.(!head) in
+        if mark.(i) <> gen then begin
+          mark.(i) <- gen;
+          pstack.(!head) <- (if pinv.(i) >= 0 then lp.(pinv.(i)) else 0)
+        end;
+        let advanced = ref false in
+        if pinv.(i) >= 0 then begin
+          let stop = lp.(pinv.(i) + 1) in
+          let pp = ref pstack.(!head) in
+          while (not !advanced) && !pp < stop do
+            let r = li.(!pp) in
+            incr pp;
+            if mark.(r) <> gen then begin
+              pstack.(!head) <- !pp;
+              incr head;
+              stack.(!head) <- r;
+              advanced := true
+            end
+          done
+        end;
+        if not !advanced then begin
+          decr head;
+          decr top;
+          topo.(!top) <- i
+        end
+      done
+    end
+  done;
+  !top
+
+type step = Pivoted | No_pivot | Declined
+
+(* One elimination step, whichever source gave its reach: scatter
+   A(:,col) into x, solve x = L⁻¹A(:,col) through the L columns of the
+   pivotal rows in reach.(lo..hi-1), a topological order; choose the
+   pivot by threshold partial pivoting (the diagonal when within
+   [pivot_tolerance] of the column maximum); then emit U (pivotal rows,
+   in elimination positions) and L (non-pivotal rows, original indices
+   for now, scaled by the pivot), clearing x as it goes.
+
+   A full factorisation passes [expect = -1] and [extra = -1]. A
+   refactor passes the recorded pivot row and the appended row riding
+   along outside the recorded reach (or -1), and declines when the
+   record no longer describes the column: that row is not finite or
+   could win the pivot or raise the column maximum, the rule picks
+   another row, or an L entry of the record cancels to an exact zero
+   (the full kernel would drop it, and later reaches with it). A pivot
+   below the floor is [No_pivot] either way: up to it, both kernels
+   computed the same. *)
+let eliminate w (a : Csc.t) ~lp ~up ~p ~udiag ~floor ~k ~col ~reach ~lo ~hi
+    ~expect ~extra =
+  let x = w.x and pinv = w.pinv in
+  for pa = a.Csc.colptr.(col) to a.Csc.colptr.(col + 1) - 1 do
+    x.(a.Csc.rowind.(pa)) <- a.Csc.values.(pa)
+  done;
+  let li = w.l.bi and lx = w.l.bx in
+  let diagonal = ref false in
+  for t = lo to hi - 1 do
+    let i = reach.(t) in
+    if i = col then diagonal := true;
+    let ti = pinv.(i) in
+    if ti >= 0 then begin
+      let xi = x.(i) in
+      if xi <> 0.0 then
+        for pp = lp.(ti) to lp.(ti + 1) - 1 do
+          let r = li.(pp) in
+          x.(r) <- x.(r) -. (lx.(pp) *. xi)
+        done
+    end
+  done;
+  let piv = ref (-1) and pmax = ref 0.0 in
+  for t = lo to hi - 1 do
+    let i = reach.(t) in
+    if pinv.(i) < 0 then begin
+      let av = abs_float x.(i) in
+      if av > !pmax then begin
+        pmax := av;
+        piv := i
+      end
+    end
+  done;
+  let xe = if extra >= 0 then x.(extra) else 0.0 in
+  if (not (Float.is_finite xe)) || (xe <> 0.0 && abs_float xe >= !pmax) then
+    Declined
+  else begin
+    if !piv >= 0 && !diagonal && pinv.(col) < 0 then begin
+      let ad = abs_float x.(col) in
+      if ad >= pivot_tolerance *. !pmax then piv := col
+    end;
+    let piv = !piv in
+    let pivot = if piv >= 0 then x.(piv) else 0.0 in
+    if piv < 0 || abs_float pivot < floor || not (Float.is_finite pivot) then
+      No_pivot
+    else if expect >= 0 && piv <> expect then Declined
+    else begin
+      p.(k) <- piv;
+      pinv.(piv) <- k;
+      udiag.(k) <- pivot;
+      let cancelled = ref false in
+      for t = lo to hi - 1 do
+        let i = reach.(t) in
+        let xi = x.(i) in
+        if i <> piv then begin
+          let ti = pinv.(i) in
+          if xi = 0.0 then cancelled := !cancelled || ti < 0
+          else if ti >= 0 then buf_push w.u ti xi
+          else buf_push w.l i (xi /. pivot)
+        end;
+        x.(i) <- 0.0
+      done;
+      if xe <> 0.0 then buf_push w.l extra (xe /. pivot);
+      if extra >= 0 then x.(extra) <- 0.0;
+      lp.(k + 1) <- w.l.blen;
+      up.(k + 1) <- w.u.blen;
+      if expect >= 0 && !cancelled then Declined else Pivoted
+    end
+  end
+
+type outcome = Factored | Singular_at of int
+
+(* Every step's reach by depth-first search. *)
+let factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag =
+  let rec go k =
+    if k = n then Factored
+    else
+      let col = q.(k) in
+      let top = dfs_reach w a ~lp ~col ~n in
+      match
+        eliminate w a ~lp ~up ~p ~udiag ~floor ~k ~col ~reach:w.topo ~lo:top
+          ~hi:n ~expect:(-1) ~extra:(-1)
+      with
+      | Pivoted -> go (k + 1)
+      | No_pivot | Declined -> Singular_at col
+  in
+  go 0
+
+(* The symbolic record of a finished factorisation with pivots [p]:
+   each step's reach by depth-first search through L's structural
+   pattern, in which every non-pivotal row of a reach is an entry even
+   where its value cancelled to zero. A companion G + hC has the
+   structure without the cancellation (G's floating routing tree
+   cancels exactly at the driven node), so this, not G's numeric
+   reach, is the reach its full factorisation would take. Reuses the
+   workspace's L buffer and [pinv]. *)
+let record_reach w (a : Csc.t) ~q ~p ~n =
+  Array.fill w.pinv 0 n (-1);
+  w.l.blen <- 0;
+  let lp = Array.make (n + 1) 0 and rptr = Array.make (n + 1) 0 in
+  let reach = buf_create (4 * n) in
+  for k = 0 to n - 1 do
+    let top = dfs_reach w a ~lp ~col:q.(k) ~n in
+    w.pinv.(p.(k)) <- k;
+    for t = top to n - 1 do
+      let i = w.topo.(t) in
+      buf_push reach i 0.0;
+      if w.pinv.(i) < 0 then buf_push w.l i 0.0
+    done;
+    lp.(k + 1) <- w.l.blen;
+    rptr.(k + 1) <- reach.blen
+  done;
+  {
+    Symbolic.steps = n;
+    colptr = a.Csc.colptr;
+    rowind = a.Csc.rowind;
+    pivots = p;
+    rptr;
+    reach = Array.sub reach.bi 0 reach.blen;
+  }
+
+(* Numeric-only refactorisation on a record of the same base pattern:
+   the base steps walk their recorded reach, a single appended row
+   riding along; the appended column, eliminated last, runs the
+   depth-first search. [None] declines: the record does not describe
+   the matrix (see [eliminate]), a column's base rows differ from the
+   recorded pattern, or more than one unknown was appended (their rows'
+   places in the base L columns would steer the last appended column's
+   reach). *)
+let refactor w (a : Csc.t) (r : Symbolic.record) ~q ~n ~floor ~lp ~up ~p
+    ~udiag =
+  let steps = r.Symbolic.steps in
+  let extra = if n > steps then steps else -1 in
+  let rec base k =
+    if k = steps then appended ()
+    else begin
+      let col = q.(k) in
+      (* Base rows come first (rows ascend) and must be exactly the
+         recorded ones; only the appended row may follow. *)
+      let pa = ref a.Csc.colptr.(col) and pe = a.Csc.colptr.(col + 1) in
+      let ra = ref r.Symbolic.colptr.(col) in
+      let re = r.Symbolic.colptr.(col + 1) in
+      while
+        !ra < re && !pa < pe && a.Csc.rowind.(!pa) = r.Symbolic.rowind.(!ra)
+      do
+        incr pa;
+        incr ra
+      done;
+      if !ra < re || (!pa < pe && a.Csc.rowind.(!pa) < steps) then None
+      else
+        match
+          eliminate w a ~lp ~up ~p ~udiag ~floor ~k ~col
+            ~reach:r.Symbolic.reach ~lo:r.Symbolic.rptr.(k)
+            ~hi:r.Symbolic.rptr.(k + 1) ~expect:r.Symbolic.pivots.(k) ~extra
+        with
+        | Pivoted -> base (k + 1)
+        | No_pivot -> Some (Singular_at col)
+        | Declined -> None
+    end
+  and appended () =
+    if extra < 0 then Some Factored
+    else begin
+      let top = dfs_reach w a ~lp ~col:extra ~n in
+      match
+        eliminate w a ~lp ~up ~p ~udiag ~floor ~k:steps ~col:extra
+          ~reach:w.topo ~lo:top ~hi:n ~expect:(-1) ~extra:(-1)
+      with
+      | Pivoted -> Some Factored
+      | No_pivot | Declined -> Some (Singular_at extra)
+    end
+  in
+  if n - steps > 1 then None else base 0
+
+let refactors = Obs.Counter.make "sparse.refactors"
+let refactor_fallbacks = Obs.Counter.make "sparse.refactor_fallbacks"
+
+let factor_symbolic ~recording ?symbolic (a : Csc.t) =
   let n = Csc.rows a in
   if Csc.cols a <> n then invalid_arg "Sparse.factor: matrix not square";
   Obs.Counter.incr factorizations;
@@ -427,161 +748,75 @@ let try_factor ?symbolic (a : Csc.t) =
     Error (-1)
   end
   else begin
-    let q =
+    let sym =
       match symbolic with
       | Some s ->
           if s.Symbolic.n <> n then
             invalid_arg "Sparse.factor: symbolic size mismatch";
-          s.Symbolic.q
-      | None -> (analyze a).Symbolic.q
+          s
+      | None -> analyze a
     in
+    let q = sym.Symbolic.q in
     let floor = Float.max pivot_floor (relative_pivot_threshold *. !amax) in
-    let pinv = Array.make (max n 1) (-1) in
     let p = Array.make (max n 1) 0 in
     let udiag = Array.make (max n 1) 0.0 in
     let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
-    let lbuf = buf_create ((2 * anz) + n) and ubuf = buf_create ((2 * anz) + n) in
-    (* Workspaces for the per-column sparse triangular solve. L's row
-       indices stay original until the final remap, so [mark]/[x] are
-       indexed by original row. *)
-    let x = Array.make (max n 1) 0.0 in
-    let mark = Array.make (max n 1) (-1) in
-    let stack = Array.make (max n 1) 0 in
-    let pstack = Array.make (max n 1) 0 in
-    let topo = Array.make (max n 1) 0 in
-    let err = ref None in
-    let k = ref 0 in
-    while !err = None && !k < n do
-      let col = q.(!k) in
-      (* Reach of A(:,col) through the columns of L already computed:
-         iterative DFS with per-node resume positions, emitting a
-         topological order into topo.(top..n-1). *)
-      let top = ref n in
-      for pa = a.Csc.colptr.(col) to a.Csc.colptr.(col + 1) - 1 do
-        let root = a.Csc.rowind.(pa) in
-        if mark.(root) <> !k then begin
-          let head = ref 0 in
-          stack.(0) <- root;
-          while !head >= 0 do
-            let i = stack.(!head) in
-            if mark.(i) <> !k then begin
-              mark.(i) <- !k;
-              pstack.(!head) <- (if pinv.(i) >= 0 then lp.(pinv.(i)) else 0)
-            end;
-            let advanced = ref false in
-            if pinv.(i) >= 0 then begin
-              let stop = lp.(pinv.(i) + 1) in
-              let pp = ref pstack.(!head) in
-              while (not !advanced) && !pp < stop do
-                let r = lbuf.bi.(!pp) in
-                incr pp;
-                if mark.(r) <> !k then begin
-                  pstack.(!head) <- !pp;
-                  incr head;
-                  stack.(!head) <- r;
-                  advanced := true
-                end
-              done
-            end;
-            if not !advanced then begin
-              decr head;
-              decr top;
-              topo.(!top) <- i
-            end
-          done
-        end
-      done;
-      (* Numeric solve x = L⁻¹ A(:,col) on the reach (x is all-zero
-         outside: every touched entry is cleared below). *)
-      for pa = a.Csc.colptr.(col) to a.Csc.colptr.(col + 1) - 1 do
-        x.(a.Csc.rowind.(pa)) <- a.Csc.values.(pa)
-      done;
-      for t = !top to n - 1 do
-        let i = topo.(t) in
-        let ti = pinv.(i) in
-        if ti >= 0 then begin
-          let xi = x.(i) in
-          if xi <> 0.0 then
-            for pp = lp.(ti) to lp.(ti + 1) - 1 do
-              x.(lbuf.bi.(pp)) <- x.(lbuf.bi.(pp)) -. (lbuf.bx.(pp) *. xi)
-            done
-        end
-      done;
-      (* Threshold partial pivoting over the non-pivotal reach rows,
-         preferring the diagonal when competitive. *)
-      let piv = ref (-1) and pmax = ref 0.0 in
-      for t = !top to n - 1 do
-        let i = topo.(t) in
-        if pinv.(i) < 0 then begin
-          let av = abs_float x.(i) in
-          if av > !pmax then begin
-            pmax := av;
-            piv := i
-          end
-        end
-      done;
-      if !piv >= 0 && mark.(col) = !k && pinv.(col) < 0 then begin
-        let ad = abs_float x.(col) in
-        if ad >= pivot_tolerance *. !pmax then piv := col
-      end;
-      let pivot = if !piv >= 0 then x.(!piv) else 0.0 in
-      if !piv < 0 || abs_float pivot < floor || not (Float.is_finite pivot)
-      then begin
+    let w = workspace n in
+    let outcome =
+      match sym.Symbolic.record with
+      | Some r when not recording -> (
+          match refactor w a r ~q ~n ~floor ~lp ~up ~p ~udiag with
+          | Some outcome ->
+              Obs.Counter.incr refactors;
+              outcome
+          | None ->
+              Obs.Counter.incr refactor_fallbacks;
+              factor_full (workspace n) a ~q ~n ~floor ~lp ~up ~p ~udiag)
+      | _ -> factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag
+    in
+    match outcome with
+    | Singular_at col ->
         Obs.Counter.incr singular_factorizations;
-        err := Some col
-      end
-      else begin
-        p.(!k) <- !piv;
-        pinv.(!piv) <- !k;
-        udiag.(!k) <- pivot;
-        (* Emit U (pivotal rows, in elimination positions) and L
-           (non-pivotal rows, original indices for now, scaled by the
-           pivot), clearing x as we go. *)
-        for t = !top to n - 1 do
-          let i = topo.(t) in
-          let xi = x.(i) in
-          if i <> !piv then begin
-            let ti = pinv.(i) in
-            if ti >= 0 then begin
-              if xi <> 0.0 then buf_push ubuf ti xi
-            end
-            else if xi <> 0.0 then buf_push lbuf i (xi /. pivot)
-          end;
-          x.(i) <- 0.0
-        done;
-        lp.(!k + 1) <- lbuf.blen;
-        up.(!k + 1) <- ubuf.blen;
-        incr k
-      end
-    done;
-    match !err with
-    | Some c -> Error c
-    | None ->
+        Error col
+    | Factored ->
+        let l = w.l and u = w.u in
         (* Remap L's row indices to pivot positions: every row is
            pivotal by now. *)
-        for pp = 0 to lbuf.blen - 1 do
-          lbuf.bi.(pp) <- pinv.(lbuf.bi.(pp))
+        let li = Array.sub l.bi 0 (max l.blen 1) in
+        for pp = 0 to l.blen - 1 do
+          li.(pp) <- w.pinv.(li.(pp))
         done;
         let f =
           {
             n;
             lp;
-            li = Array.sub lbuf.bi 0 (max lbuf.blen 1);
-            lx = Array.sub lbuf.bx 0 (max lbuf.blen 1);
+            li;
+            lx = Array.sub l.bx 0 (max l.blen 1);
             up;
-            ui = Array.sub ubuf.bi 0 (max ubuf.blen 1);
-            ux = Array.sub ubuf.bx 0 (max ubuf.blen 1);
+            ui = Array.sub u.bi 0 (max u.blen 1);
+            ux = Array.sub u.bx 0 (max u.blen 1);
             udiag;
             p;
-            q = Array.copy q;
+            q;
             scratch = Array.make (max n 1) 0.0;
           }
         in
         if Obs.enabled () && anz > 0 then
           Obs.Histogram.observe fill_hist
             (float_of_int (factor_nnz f) /. float_of_int anz);
-        Ok f
+        let sym =
+          if recording then
+            { sym with Symbolic.record = Some (record_reach w a ~q ~p ~n) }
+          else sym
+        in
+        Ok (f, sym)
   end
+
+let try_factor ?symbolic a =
+  Result.map fst (factor_symbolic ~recording:false ?symbolic a)
+
+let try_factor_recording ?symbolic a =
+  factor_symbolic ~recording:true ?symbolic a
 
 (* PAQ = LU: permute b by P, solve Ly = b̄ then Uz = y in elimination
    order, scatter back through Q. Unchecked accesses: [b] and [work]

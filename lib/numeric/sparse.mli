@@ -9,10 +9,16 @@
     (reusable across factorisations of the same pattern), and a
     left-looking (Gilbert–Peierls) LU with threshold partial pivoting
     whose factor and solve costs are proportional to the factor
-    nonzeros, not n³/n².
+    nonzeros, not n³/n². A factorisation can be recorded (each step's
+    reach and pivot) and later matrices of that pattern, grown by at
+    most one appended unknown, refactored numerically on the record,
+    bit-identical to a full factorisation; anything the record does
+    not describe declines to the full kernel. Each domain factors in
+    its own reused workspace, so a factorisation allocates only the
+    factor it returns.
 
     This is the only factorisation the routing stack runs; the dense
-    kernel in [lu.ml] is kept as a reference for tests. A pivot smaller
+    kernel in the tests' [lu.ml] is kept as a reference. A pivot smaller
     than 1e-13 times the largest input entry (or 1e-300 absolutely)
     yields [Error column], non-finite input entries [Error (-1)]. The
     floors are the dense kernel's, but on borderline matrices the two
@@ -21,7 +27,8 @@
     is final: there is no retry with another pivoting rule.
 
     Factorisations are tallied under the [sparse.factorizations] /
-    [sparse.singular] / [sparse.nnz] counters and the
+    [sparse.singular] / [sparse.nnz] counters, refactors under
+    [sparse.refactors] / [sparse.refactor_fallbacks], and fill in the
     [sparse.fill_ratio] histogram on the {!Obs} registry. *)
 
 (** Triplet (coordinate-form) accumulation: the natural output of MNA
@@ -88,11 +95,13 @@ module Csc : sig
   val nnz : t -> int
 end
 
-(** Symbolic analysis: the fill-reducing elimination order, computed
-    once per sparsity pattern and reusable across every numeric
-    factorisation of a same-sized system (the ordering is just a
+(** Symbolic factorisation: the fill-reducing elimination order,
+    computed once per sparsity pattern and reusable across every
+    numeric factorisation of a same-sized system (the ordering is just a
     column permutation, so reuse is safe — merely suboptimal — even if
-    the pattern has drifted). *)
+    the pattern has drifted); and, when taken from a factorisation by
+    {!try_factor_recording}, that factorisation's record: each step's
+    reach in topological order and its pivot row. *)
 module Symbolic : sig
   type t
 
@@ -106,9 +115,10 @@ module Symbolic : sig
   val extend : t -> int -> t
   (** [extend s k] orders a system grown by [k] unknowns, numbered
       [size s] to [size s + k - 1]: [s]'s order with the new unknowns
-      appended, eliminated last in index order. No pattern is
-      examined, so a system grown by a few appended unknowns keeps
-      its base ordering instead of paying {!analyze} again.
+      appended, eliminated last in index order, and [s]'s record, if
+      any. No pattern is examined, so a system grown by a few appended
+      unknowns keeps its base ordering instead of paying {!analyze}
+      again.
       @raise Invalid_argument on a negative [k]. *)
 end
 
@@ -129,8 +139,35 @@ val try_factor : ?symbolic:Symbolic.t -> Csc.t -> (t, int) result
     unless [symbolic] provides the ordering. [Error k] reports the
     original column whose best available pivot fell below the
     threshold, [Error (-1)] a non-finite input entry.
+
+    When [symbolic] carries a record (from {!try_factor_recording},
+    possibly {!Symbolic.extend}ed), the matrix is refactored
+    numerically: each base step walks its recorded reach instead of
+    searching for it, a single appended unknown's row rides along as a
+    non-pivotal row, and the appended column, eliminated last, searches
+    its own reach. The refactor declines to the full kernel, counted
+    under [sparse.refactor_fallbacks], when a column's base rows differ
+    from the recorded pattern, an L entry of the record cancels to an
+    exact zero, the pivot rule picks another row, the appended row's
+    value is not finite or reaches the base rows' maximum, or more than
+    one unknown was appended.
+    Either way the factors are bit for bit the full kernel's, and the
+    verdict is the same; a refactor that gives it counts under
+    [sparse.refactors]. Both count once under [sparse.factorizations].
     @raise Invalid_argument on a non-square matrix or a [symbolic] of
     the wrong size. *)
+
+val try_factor_recording :
+  ?symbolic:Symbolic.t -> Csc.t -> (t * Symbolic.t, int) result
+(** {!try_factor} by the full kernel, also returning the symbolic
+    factorisation it took: [symbolic]'s (or {!analyze}'s) order plus a
+    record of each step's pivot row and structural reach, the reach the
+    factorisation would take if no entry had cancelled to an exact
+    zero. A matrix with the same pattern (or that pattern grown by one
+    appended unknown) refactors on it; a lowered routing's G records
+    the reach of every companion G + hC, since its C is diagonal (G's
+    own floating tree cancels exactly at the driven node, the companion
+    does not). *)
 
 exception Singular of int
 (** Raised by {!factor} with {!try_factor}'s error code: the pivot
@@ -146,6 +183,19 @@ val size : t -> int
 val factor_nnz : t -> int
 (** Nonzeros of L + U, diagonal included — the fill the ordering was
     meant to contain. *)
+
+type parts = {
+  p : int array;  (** [p.(k)]: the original row pivotal at step [k] *)
+  q : int array;  (** [q.(k)]: the original column eliminated at step [k] *)
+  udiag : float array;  (** U's diagonal, by step *)
+  l : (int * float) array array;
+      (** per step, L's strictly lower entries as (step of the row,
+          value), in storage order *)
+  u : (int * float) array array;  (** U's strictly upper entries, likewise *)
+}
+
+val parts : t -> parts
+(** A copy of the factors, for comparing two factorisations. *)
 
 val solve_with : work:float array -> t -> float array -> unit
 (** [solve_with ~work t b] overwrites [b] with A⁻¹b, using [work]

@@ -44,7 +44,9 @@ type t = {
           and C: used to factor G and the transient iteration matrix
           G + C/h at every timestep. The ordering ignores the diagonal,
           so where C is diagonal (every lowered routing) it equals
-          [Numeric.Sparse.analyze g_csc]. *)
+          [Numeric.Sparse.analyze g_csc]. {!build} gives a bare
+          ordering; the incremental scorer substitutes its round's
+          recorded G factorisation, on which companions refactor. *)
 }
 
 val build : Circuit.Netlist.t -> t

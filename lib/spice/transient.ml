@@ -23,7 +23,7 @@ type companion = {
   method_ : method_;
   dt : float;
   lu : Numeric.Sparse.t;
-  explicit : Csc.t;
+  c_scaled : Csc.t;  (* the explicit side: 2hC′ trapezoidal, hC′ backward Euler *)
   (* b(t) at the two ends of a step, swapped after every step. *)
   mutable b_prev : float array;
   mutable b_next : float array;
@@ -61,18 +61,22 @@ let expand ~size stamps =
     stamps;
   (keys, vals, !len)
 
-(* One pass over the columns writes G' + h·C' and k·G' + h·C'; see
-   [assemble] for how each entry sums. *)
-let combine (sys : Mna.t) stamps ~h ~k =
+(* One pass over the columns writes G' + h·C' and s·C'; see [assemble]
+   for how each entry sums. *)
+let combine (sys : Mna.t) stamps ~h ~s =
   let n = sys.Mna.size in
   let nt = n + stamps.added in
   let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
   let gk, gv, gn = expand ~size:nt stamps.g in
   let ck, cv, cn = expand ~size:nt stamps.c in
-  let cap = max 1 (Csc.nnz g + Csc.nnz c + gn + cn) in
-  let make () = (Array.make (nt + 1) 0, Array.make cap 0, Array.make cap 0.0) in
-  let ((colptr, rowind, values) as lhs) = make () in
-  let ((colptr', rowind', values') as rhs) = make () in
+  let make cap =
+    let cap = max 1 cap in
+    (Array.make (nt + 1) 0, Array.make cap 0, Array.make cap 0.0)
+  in
+  let ((colptr, rowind, values) as lhs) =
+    make (Csc.nnz g + Csc.nnz c + gn + cn)
+  in
+  let ((colptr', rowind', values') as rhs) = make (Csc.nnz c + cn) in
   let out = ref 0 and out' = ref 0 in
   let sg = ref 0 and sc = ref 0 in
   let grow = g.Csc.rowind and gval = g.Csc.values in
@@ -121,11 +125,7 @@ let combine (sys : Mna.t) stamps ~h ~k =
         if !has_g && !has_c then !gx +. (h *. !cx)
         else if !has_g then !gx
         else h *. !cx
-      and v' =
-        if !has_g && !has_c then (k *. !gx) +. (h *. !cx)
-        else if !has_g then k *. !gx
-        else h *. !cx
-      in
+      and v' = if !has_c then s *. !cx else 0.0 in
       if v <> 0.0 then begin
         rowind.(!out) <- r;
         values.(!out) <- v;
@@ -151,22 +151,25 @@ let assemble ?(stamps = no_stamps) (sys : Mna.t) ~method_ ~dt =
     invalid_arg "Transient.assemble: negative appended unknowns";
   match method_ with
   | Backward_euler ->
-      (* (G + C/h) x' = (C/h) x + b(t'); the explicit side's 0·g term
-         adds nothing to h·c. *)
-      combine sys stamps ~h:(1.0 /. dt) ~k:0.0
+      (* (G + C/dt) x' = (C/dt) x + b(t') *)
+      let h = 1.0 /. dt in
+      combine sys stamps ~h ~s:h
   | Trapezoidal ->
-      (* (G + 2C/h) x' = (2C/h - G) x + b(t) + b(t') *)
-      combine sys stamps ~h:(2.0 /. dt) ~k:(-1.0)
+      (* (G + hC) x' = (hC - G) x + b(t) + b(t') with h = 2/dt, which
+         is (G + hC)(x' + x) = 2hC x + b(t) + b(t'). *)
+      let h = 2.0 /. dt in
+      combine sys stamps ~h ~s:(2.0 *. h)
 
 let companion ?(stamps = no_stamps) (sys : Mna.t) ~method_ ~dt =
-  let lhs, explicit = assemble ~stamps sys ~method_ ~dt in
+  let lhs, c_scaled = assemble ~stamps sys ~method_ ~dt in
   (* The precomputed G∪C ordering, whatever the timestep or method;
-     appended unknowns are eliminated last. *)
+     appended unknowns are eliminated last. A recorded [sym] (an
+     incremental round's G) makes this a numeric-only refactor. *)
   let symbolic = Numeric.Sparse.Symbolic.extend sys.Mna.sym stamps.added in
   let lu = Numeric.Sparse.factor ~symbolic lhs in
   let size = sys.Mna.size + stamps.added in
   let b_prev = Array.make size 0.0 and b_next = Array.make size 0.0 in
-  { sys; size; method_; dt; lu; explicit; b_prev; b_next }
+  { sys; size; method_; dt; lu; c_scaled; b_prev; b_next }
 
 let loop cp ~x0 ~t0 ~steps ~on_step =
   if steps <= 0 then invalid_arg "Transient.loop: steps must be positive";
@@ -182,7 +185,7 @@ let loop cp ~x0 ~t0 ~steps ~on_step =
     let t' = t0 +. (float_of_int (s + 1) *. dt) in
     let b' = cp.b_next and r = !rhs in
     Mna.rhs_into cp.sys t' b';
-    Csc.mul_vec_into cp.explicit !x r;
+    Csc.mul_vec_into cp.c_scaled !x r;
     (match cp.method_ with
     | Backward_euler ->
         for i = 0 to n - 1 do
@@ -196,6 +199,14 @@ let loop cp ~x0 ~t0 ~steps ~on_step =
             +. Array.unsafe_get b' i)
         done);
     Numeric.Sparse.solve_in_place cp.lu r;
+    (* The trapezoidal solve gave x' + x. *)
+    (match cp.method_ with
+    | Backward_euler -> ()
+    | Trapezoidal ->
+        let x = !x in
+        for i = 0 to n - 1 do
+          Array.unsafe_set r i (Array.unsafe_get r i -. Array.unsafe_get x i)
+        done);
     rhs := !x;
     x := r;
     cp.b_next <- cp.b_prev;

@@ -1,17 +1,20 @@
 (** Fixed-step transient integration of MNA systems.
 
     Both methods assemble the iteration matrix and the explicit-side
-    matrix in one pass over the system's CSC G and C, optionally grown
-    by a small set of {!stamps} (an edited wire), factor the former
-    once with {!Numeric.Sparse} into a {!companion}, and
-    back-substitute per step. A simulation costs one near-O(nnz) sparse
-    factorisation (near-tree MNA patterns produce little fill), however
-    many chunks it is run in, plus an O(nnz) product and
+    matrix (the scaled C) in one pass over the system's CSC G and C,
+    optionally grown by a small set of {!stamps} (an edited wire),
+    factor the former once with {!Numeric.Sparse} into a {!companion}
+    (refactored numerically when the system's [sym] carries a record),
+    and back-substitute per step. A simulation costs one near-O(nnz)
+    sparse factorisation (near-tree MNA patterns produce little fill),
+    however many chunks it is run in, plus an O(nnz(C)) product and
     back-substitution per step; a step allocates only the boxed time
-    it hands to the callback:
+    it hands to the callback. With A = G + hC:
 
-    - backward Euler:  (G + C/h)·x' = (C/h)·x + b(t')
-    - trapezoidal:     (G + 2C/h)·x' = (2C/h − G)·x + b(t) + b(t')
+    - backward Euler (h = 1/dt):  A·x' = hC·x + b(t')
+    - trapezoidal (h = 2/dt):     A·x' = (hC − G)·x + b(t) + b(t'),
+      solved as A·y = 2hC·x + b(t) + b(t') and x' = y − x, since
+      (hC − G)·x = 2hC·x − A·x; only C enters the product.
 
     One step loop, {!loop}, hands each new state to a callback; {!run}
     records probes over it for waveforms.
@@ -59,14 +62,15 @@ val assemble :
   dt:float ->
   Numeric.Sparse.Csc.t * Numeric.Sparse.Csc.t
 (** The unfactored iteration matrix G′ + hC′ and explicit-side matrix
-    hC′ − G′ (hC′ for backward Euler; h = 2/dt trapezoidal, 1/dt
-    backward Euler), G′ and C′ being the system's matrices grown by
-    [stamps] (default none), both written in one pass over the columns.
-    Each entry of G′ (likewise C′) is the base entry when stored, then
-    the stamps in order, summed left to right; a combined entry takes
-    only the term of the operand that stores it; exact zeros are
-    dropped. These are the float operations of stamping G′ and C′ as
-    triplets and combining them entry by entry.
+    2hC′ (hC′ for backward Euler; h = 2/dt trapezoidal, 1/dt backward
+    Euler), G′ and C′ being the system's matrices grown by [stamps]
+    (default none), both written in one pass over the columns. Each
+    entry of G′ (likewise C′) is the base entry when stored, then the
+    stamps in order, summed left to right; a combined entry takes only
+    the term of the operand that stores it; the explicit side scales
+    C′'s entry by 2h (h); exact zeros are dropped. These are the float
+    operations of stamping G′ and C′ as triplets and combining them
+    entry by entry.
 
     @raise Invalid_argument on a non-positive [dt], a negative [added]
     or a stamp index outside -1 .. size + added - 1. *)
@@ -74,7 +78,9 @@ val assemble :
 val companion :
   ?stamps:stamps -> Mna.t -> method_:method_ -> dt:float -> companion
 (** Factor {!assemble}'s iteration matrix on the system's [sym]
-    ordering, appended unknowns eliminated last.
+    ordering, appended unknowns eliminated last; when [sym] carries a
+    record (see {!Numeric.Sparse.try_factor_recording}) the factor is
+    a numeric-only refactor, bit-identical to a full one.
 
     @raise Invalid_argument as {!assemble}.
     @raise Numeric.Sparse.Singular when the iteration matrix has no usable

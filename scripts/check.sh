@@ -45,6 +45,12 @@ lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
 echo "lu.factorizations=${lu_f:-absent}, sparse.factorizations=$sparse_f"
 [ -n "$sparse_f" ] && [ "$sparse_f" -gt 0 ] && [ "${lu_f:-0}" -eq 0 ]
 
+echo "== candidates refactor on their round's record, none declines =="
+refactors=$(sed -n 's/.*"sparse.refactors": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
+declines=$(sed -n 's/.*"sparse.refactor_fallbacks": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
+echo "sparse.refactors=$refactors, sparse.refactor_fallbacks=$declines"
+[ -n "$refactors" ] && [ "$refactors" -gt 0 ] && [ "$declines" = 0 ]
+
 echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
 dune exec bin/obs_check.exe -- BENCH_nontree.json
 

@@ -416,6 +416,143 @@ let test_sparse_singular_verdicts () =
       ("non-finite", [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |]);
       ("regular", [| [| 2.0; 1.0 |]; [| 1.0; 0.0 |] |]) ]
 
+(* Refactorisation on a record ------------------------------------------ *)
+
+(* Bit for bit the same factorisation: the same row and column orders,
+   the same U diagonal bits, and per step the same (row, value bits)
+   sets in L and in U. *)
+let same_factors f1 f2 =
+  let a = Sparse.parts f1 and b = Sparse.parts f2 in
+  let bits = Array.map Int64.bits_of_float in
+  let sets =
+    Array.map (fun column ->
+        List.sort compare
+          (Array.to_list
+             (Array.map (fun (i, v) -> (i, Int64.bits_of_float v)) column)))
+  in
+  a.p = b.p && a.q = b.q
+  && bits a.udiag = bits b.udiag
+  && sets a.l = sets b.l && sets a.u = sets b.u
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+(* [f ()] with how much each named counter rose while it ran. *)
+let counting names f =
+  let before = List.map counter names in
+  let r = f () in
+  (r, List.map2 (fun name b -> counter name - b) names before)
+
+let refactor_counters =
+  [ "sparse.refactors"; "sparse.refactor_fallbacks"; "sparse.singular" ]
+
+(* A ring of [n] unknowns (a path unless [closed]): diagonal [diag],
+   unit couplings to its neighbours (a cycle fills under any order, so
+   its reaches reach past their roots), grown by [extra] unknowns whose
+   entries [links] lists as (row, column, value). *)
+let ring ?(closed = true) ?(extra = 0) ?(links = []) ~diag n =
+  let m = Matrix.create (n + extra) (n + extra) in
+  for i = 0 to n - 1 do
+    Matrix.set m i i diag;
+    if closed || i < n - 1 then begin
+      let j = (i + 1) mod n in
+      Matrix.set m i j 1.0;
+      Matrix.set m j i 1.0
+    end
+  done;
+  List.iter (fun (i, j, v) -> Matrix.add_to m i j v) links;
+  Sparse.Csc.of_matrix m
+
+(* [b] factored on [a]'s record (grown by [extra] unknowns) and by the
+   full kernel on the same order: the verdicts and factors must agree
+   bit for bit. Returns the counter changes of the refactor. *)
+let refactor_against_full ?(extra = 0) ~what a b =
+  let sym = Sparse.analyze a in
+  let recorded =
+    match Sparse.try_factor_recording ~symbolic:sym a with
+    | Ok (_, s) -> s
+    | Error k -> Alcotest.failf "%s: base refused at column %d" what k
+  in
+  let full = Sparse.try_factor ~symbolic:(Sparse.Symbolic.extend sym extra) b in
+  let refactored, counts =
+    counting refactor_counters (fun () ->
+        Sparse.try_factor ~symbolic:(Sparse.Symbolic.extend recorded extra) b)
+  in
+  (match (full, refactored) with
+  | Ok f1, Ok f2 ->
+      Alcotest.(check bool) (what ^ ": same factors") true (same_factors f1 f2)
+  | Error k1, Error k2 -> Alcotest.(check int) (what ^ ": same column") k1 k2
+  | _ -> Alcotest.failf "%s: verdicts differ" what);
+  counts
+
+(* A dense 3×3 on [a]'s order (c0, c1, c2) whose second step cancels
+   exactly in a non-pivotal row: with pivots on the diagonal,
+   x(c2) = 0.5 - (1/2)·1 at step 1. *)
+let cancelling_3x3 a =
+  let q = Sparse.Symbolic.order (Sparse.analyze a) in
+  let m = Matrix.create 3 3 in
+  List.iter
+    (fun (i, j, v) -> Matrix.set m q.(i) q.(j) v)
+    [ (0, 0, 2.0); (1, 0, 1.0); (2, 0, 1.0); (0, 1, 1.0); (1, 1, 4.0);
+      (2, 1, 0.5); (0, 2, 1.0); (1, 2, 1.0); (2, 2, 4.0) ];
+  Sparse.Csc.of_matrix m
+
+(* Same pattern, new values, one appended unknown: refactored, no
+   decline. A record keeps an entry that cancelled in its own
+   factorisation, as G's floating tree does at the driven node, so a
+   matrix without the cancellation refactors on it. *)
+let test_sparse_refactor_matches () =
+  let a, _ = random_dd_system 31 9 and b, _ = random_dd_system 32 9 in
+  Alcotest.(check (list int)) "dense pattern refactors" [ 1; 0; 0 ]
+    (refactor_against_full ~what:"dense" (Sparse.Csc.of_matrix a)
+       (Sparse.Csc.of_matrix b));
+  let b, _ = random_dd_system 6 3 in
+  let b = Sparse.Csc.of_matrix b in
+  Alcotest.(check (list int)) "a cancelled base entry refactors" [ 1; 0; 0 ]
+    (refactor_against_full ~what:"cancelled base" (cancelling_3x3 b) b);
+  let chain = [ (0, 6, -1.0); (6, 0, -1.0); (6, 5, -1.0); (5, 6, -1.0) ] in
+  Alcotest.(check (list int)) "one appended unknown refactors" [ 1; 0; 0 ]
+    (refactor_against_full ~extra:1 ~what:"appended"
+       (ring ~diag:4.0 6)
+       (ring ~extra:1 ~links:((6, 6, 3.0) :: chain) ~diag:5.0 6))
+
+(* Each case the record cannot describe declines to the full kernel,
+   counted once, with the full kernel's factors. *)
+let test_sparse_refactor_declines () =
+  let declines ~what ?extra a b =
+    Alcotest.(check (list int)) what [ 0; 1; 0 ]
+      (refactor_against_full ?extra ~what a b)
+  in
+  let a, _ = random_dd_system 5 3 in
+  let a = Sparse.Csc.of_matrix a in
+  declines ~what:"exact zero" a (cancelling_3x3 a);
+  (* Tiny diagonals on a path move every pivot off the diagonal. *)
+  declines ~what:"pivot change" (ring ~closed:false ~diag:4.0 6)
+    (ring ~closed:false ~diag:1e-3 6);
+  let base = ring ~diag:4.0 6 in
+  (* The appended row outweighs column 0's diagonal tenfold, so the
+     full kernel pivots on it. *)
+  declines ~what:"appended row wins the pivot" ~extra:1 base
+    (ring ~extra:1 ~diag:4.0 6
+       ~links:
+         [ (6, 0, -100.0); (0, 6, -1.0); (6, 6, 3.0); (6, 5, -1.0);
+           (5, 6, -1.0) ]);
+  declines ~what:"foreign record" base
+    (ring ~links:[ (0, 3, 1.0); (3, 0, 1.0) ] ~diag:4.0 6);
+  declines ~what:"two appended unknowns" ~extra:2 base
+    (ring ~extra:2 ~diag:4.0 6
+       ~links:
+         [ (0, 6, -1.0); (6, 0, -1.0); (6, 6, 3.0); (6, 7, -1.0);
+           (7, 6, -1.0); (7, 7, 3.0); (7, 5, -1.0); (5, 7, -1.0) ])
+
+(* A singular matrix on a record: the refactor gives the full kernel's
+   column and counts the singular verdict once. *)
+let test_sparse_refactor_singular () =
+  let m rows = Sparse.Csc.of_matrix (Matrix.of_arrays rows) in
+  Alcotest.(check (list int)) "refactor verdict, counted once" [ 1; 0; 1 ]
+    (refactor_against_full ~what:"singular"
+       (m [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |])
+       (m [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |]))
+
 let suites =
   [ ( "numeric",
       [ Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -459,4 +596,10 @@ let suites =
         Alcotest.test_case "sparse solves match lu" `Quick
           test_sparse_solves_match_lu;
         Alcotest.test_case "sparse verdicts match lu" `Quick
-          test_sparse_singular_verdicts ] ) ]
+          test_sparse_singular_verdicts;
+        Alcotest.test_case "sparse refactor matches full kernel" `Quick
+          test_sparse_refactor_matches;
+        Alcotest.test_case "sparse refactor declines" `Quick
+          test_sparse_refactor_declines;
+        Alcotest.test_case "sparse refactor singular verdict" `Quick
+          test_sparse_refactor_singular ] ) ]

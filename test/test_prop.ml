@@ -94,7 +94,7 @@ let prop_woodbury_matches_fresh g =
   | Some solve ->
       let x = solve b in
       let fresh =
-        Numeric.Lu.solve_matrix (dense_with_conductance a i j c) b
+        Lu.solve_matrix (dense_with_conductance a i j c) b
       in
       let err = rel_err x fresh in
       if err > 1e-9 then
@@ -615,7 +615,7 @@ let prop_sparse_matches_dense g =
       Float.nan;
   let csc = Numeric.Sparse.Csc.of_triplets ~n t in
   let dense = materialize_triplets n t in
-  let dense_r = Numeric.Lu.try_factor dense in
+  let dense_r = Lu.try_factor dense in
   let sparse_r = Numeric.Sparse.try_factor csc in
   match (dense_r, sparse_r) with
   | Error dk, Error sk ->
@@ -628,7 +628,7 @@ let prop_sparse_matches_dense g =
         Alcotest.failf "both kernels accepted a defective system: n=%d roll=%d"
           n roll;
       let b = gen_vec g n in
-      let xd = Numeric.Lu.solve df b in
+      let xd = Lu.solve df b in
       let xs = Numeric.Sparse.solve sf b in
       let err = rel_err xs xd in
       if err > 1e-9 then
@@ -637,6 +637,89 @@ let prop_sparse_matches_dense g =
       Alcotest.failf "sparse rejected (column %d) what dense accepted: n=%d" k n
   | Error k, Ok _ ->
       Alcotest.failf "sparse accepted what dense rejected (column %d): n=%d" k n
+
+(* Every companion an incremental round factors, refactored on the
+   record of its round's G, is the full kernel's factorisation bit for
+   bit: each Add and Resize companion of a random 5–30-pin MST (half
+   the time plus one wire, a second LDRG round's base, whose cycle
+   fills), under both methods at a random timestep. Under the fast
+   profile an added wire appends one unknown and refactors; under the
+   default profile it appends several and declines. *)
+let prop_refactor_matches_full g =
+  let pins = Rng.int_in g 5 30 in
+  let r =
+    gen_base g (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins)
+  in
+  let segmentation =
+    if Rng.bool g then Delay.Model.fast_spice.Delay.Model.segmentation
+    else Delay.Lumping.default_segmentation
+  in
+  let l = Delay.Lumping.lower ~segmentation ~include_inductance:false ~tech r in
+  let sys = Spice.Mna.build l.Delay.Lumping.netlist in
+  let open Numeric.Sparse in
+  let recorded =
+    match try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc with
+    | Ok (_, s) -> s
+    | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
+  in
+  let n = sys.Spice.Mna.size in
+  let unknown node = sys.Spice.Mna.unknown_of_node.(node) in
+  let vertex v = unknown l.Delay.Lumping.vertex_nodes.(v) in
+  let segments length width =
+    Delay.Lumping.pi_segments ~segmentation ~tech ~length ~width
+  in
+  let adds =
+    List.map
+      (fun (u, v) ->
+        let length =
+          Geom.Point.manhattan (Routing.point r u) (Routing.point r v)
+        in
+        let n_seg, seg_r, seg_c = segments length 1.0 in
+        let chain =
+          Array.init (n_seg + 1) (fun s ->
+              if s = 0 then vertex u else if s = n_seg then vertex v
+              else n + s - 1)
+        in
+        Test_spice.chain_stamps ~added:(n_seg - 1) chain ~seg_g:(1.0 /. seg_r)
+          ~seg_c)
+      (Routing.candidate_edges r)
+  in
+  let resizes =
+    Array.to_list
+      (Array.map
+         (fun ((u, v), nodes) ->
+           let length = Routing.edge_length r u v in
+           let _, r0, c0 = segments length (Routing.width r u v) in
+           let _, r1, c1 = segments length (Rng.float_in g 0.5 3.0) in
+           Test_spice.chain_stamps ~added:0 (Array.map unknown nodes)
+             ~seg_g:((1.0 /. r1) -. (1.0 /. r0))
+             ~seg_c:(c1 -. c0))
+         l.Delay.Lumping.chains)
+  in
+  let dt = 10.0 ** Rng.float_in g (-13.0) (-9.0) in
+  let (), counts =
+    Test_numeric.counting Test_numeric.refactor_counters (fun () ->
+        List.iter
+          (fun (stamps : Spice.Transient.stamps) ->
+            List.iter
+              (fun method_ ->
+                let lhs, _ = Spice.Transient.assemble ~stamps sys ~method_ ~dt in
+                let grown s = Symbolic.extend s stamps.Spice.Transient.added in
+                match
+                  ( try_factor ~symbolic:(grown sys.Spice.Mna.sym) lhs,
+                    try_factor ~symbolic:(grown recorded) lhs )
+                with
+                | Ok f1, Ok f2 when Test_numeric.same_factors f1 f2 -> ()
+                | Error k1, Error k2 when k1 = k2 -> ()
+                | _ ->
+                    failwith
+                      (Printf.sprintf "refactor differs: %d pins, dt %h" pins dt))
+              Spice.Transient.[ Backward_euler; Trapezoidal ])
+          (adds @ resizes))
+  in
+  match counts with
+  | [ refactors; _; _ ] when refactors > 0 -> ()
+  | _ -> failwith "no companion refactored"
 
 (* The fill-reducing ordering is a permutation of the columns for any
    pattern — asymmetric stamps, empty rows, disconnected components. *)
@@ -818,6 +901,9 @@ let suites =
             check ~trials:100 "deck-fuzz" prop_deck_fuzz);
         Alcotest.test_case "net file parser fuzz" `Quick (fun () ->
             check ~trials:100 "netfile-fuzz" prop_netfile_fuzz);
+        Alcotest.test_case "refactor matches full factor bitwise" `Quick
+          (fun () ->
+            check ~trials:12 "refactor-vs-full" prop_refactor_matches_full);
         Alcotest.test_case "sparse ordering is a permutation" `Quick
           (fun () ->
             check ~trials:200 "ordering-permutation"

@@ -529,10 +529,10 @@ let test_trace_csv_and_append () =
 (* Companion assembly ------------------------------------------------ *)
 
 (* The dense reference of [Transient.assemble]: the base G and C
-   embedded in the grown size, the stamps added in order, then
-   G + hC and hC - G (hC for backward Euler) formed densely. The sparse
-   pair must equal it entry for entry, bit for bit, and store exactly
-   its nonzeros. *)
+   embedded in the grown size, the stamps added in order, then G + hC
+   and the explicit side 2hC (hC for backward Euler) formed densely.
+   The sparse pair must equal it entry for entry, bit for bit, and
+   store exactly its nonzeros. *)
 let check_assembly ?stamps ~what sys =
   let open Numeric in
   let n = sys.Spice.Mna.size in
@@ -575,9 +575,9 @@ let check_assembly ?stamps ~what sys =
     Spice.Transient.assemble ?stamps sys ~method_:Spice.Transient.Trapezoidal
       ~dt
   in
-  let hc = Matrix.scale (2.0 /. dt) cd in
-  check "trapezoidal g + hc" lhs (Matrix.add gd hc);
-  check "trapezoidal hc - g" explicit (Matrix.sub hc gd);
+  let h = 2.0 /. dt in
+  check "trapezoidal g + hc" lhs (Matrix.add gd (Matrix.scale h cd));
+  check "trapezoidal 2hc" explicit (Matrix.scale (2.0 *. h) cd);
   let lhs, explicit =
     Spice.Transient.assemble ?stamps sys
       ~method_:Spice.Transient.Backward_euler ~dt
@@ -655,7 +655,7 @@ let test_companion_add_matches_dense () =
   let b = Array.make (n + n_seg - 1) 0.0 in
   Spice.Mna.rhs_into sys 0.5 b;
   Alcotest.(check (float 0.0)) "rhs interior is zero" 0.0 b.(n);
-  let x = Numeric.Lu.solve_matrix gd b in
+  let x = Lu.solve_matrix gd b in
   let xu = x.(iu) and xv = x.(iv) in
   Alcotest.(check bool) "ends differ" true (abs_float (xu -. xv) > 1e-3);
   for s = 1 to n_seg - 1 do
