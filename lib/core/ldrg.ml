@@ -20,8 +20,12 @@ let candidates_per_iteration =
   Obs.Histogram.make "ldrg.candidates"
     ~buckets:[| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0 |]
 
+(* The relative improvement an addition must achieve to be taken,
+   guarding against float noise (as in [Wire_sizing]). *)
+let min_improvement = 1e-9
+
 let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
-    ?(min_improvement = 1e-9) ?(candidates = Routing.candidate_edges)
+    ?(candidates = Routing.candidate_edges)
     ?(scorer = fun _ -> None) ~objective initial =
   let evaluations = Atomic.make 0 in
   let eval r =

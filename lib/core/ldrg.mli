@@ -32,16 +32,15 @@ type trace = {
 val run_objective :
   ?pool:Pool.t ->
   ?max_edges:int ->
-  ?min_improvement:float ->
   ?candidates:(Routing.t -> (int * int) list) ->
   ?scorer:(Routing.t -> (Incremental.edit -> Routing.t -> float) option) ->
   objective:(Routing.t -> float) ->
   Routing.t ->
   trace
 (** Greedy loop under an arbitrary objective. [max_edges] caps the
-    number of additions (default: unlimited); [min_improvement] is the
-    relative improvement an addition must achieve to be taken (default
-    1e-9, guarding against float noise); [candidates] defaults to
+    number of additions (default: unlimited); an addition is taken only
+    when it improves the objective by a relative 1e-9, which guards
+    against float noise; [candidates] defaults to
     {!Routing.candidate_edges} — every absent vertex pair.
 
     [scorer] is called once per iteration with the iteration's base

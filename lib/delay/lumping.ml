@@ -28,8 +28,6 @@ let pi_segments ~segmentation ~tech ~length ~width =
   let seg_c = Technology.wire_capacitance_of tech ~length:seg_len ~width in
   (n_seg, seg_r, seg_c)
 
-let default_input = Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 }
-
 type lowered = {
   netlist : Netlist.t;
   vertex_nodes : Element.node array;
@@ -37,17 +35,18 @@ type lowered = {
 }
 
 let lower ?(segmentation = default_segmentation) ?(include_inductance = false)
-    ?(input = default_input) ~tech r =
+    ~tech r =
   let nl = Netlist.create () in
   let vertex_nodes =
     Array.init (Routing.num_vertices r) (fun i ->
         Netlist.node nl (vertex_node_name i))
   in
-  (* Driver: ideal step through the driver resistance into the source
-     pin, as in the paper ("the root of the tree is driven by a
-     resistor connected to the source pin"). *)
+  (* Driver: an ideal 0→1 V step at t = 0 through the driver resistance
+     into the source pin, as in the paper ("the root of the tree is
+     driven by a resistor connected to the source pin"). *)
   let drive = Netlist.node nl "drive" in
-  Netlist.vsource nl ~name:"Vin" drive Netlist.ground input;
+  Netlist.vsource nl ~name:"Vin" drive Netlist.ground
+    (Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 });
   Netlist.resistor nl ~name:"Rdrv" drive vertex_nodes.(0)
     tech.Technology.driver_resistance;
   (* Sink loading capacitance at every pin of the net. *)
@@ -100,6 +99,6 @@ let lower ?(segmentation = default_segmentation) ?(include_inductance = false)
   in
   { netlist = nl; vertex_nodes; chains = Array.of_list chains }
 
-let circuit_of_routing ?segmentation ?include_inductance ?input ~tech r =
-  let l = lower ?segmentation ?include_inductance ?input ~tech r in
+let circuit_of_routing ?segmentation ?include_inductance ~tech r =
+  let l = lower ?segmentation ?include_inductance ~tech r in
   (l.netlist, List.map vertex_node_name (Routing.sinks r))

@@ -54,7 +54,6 @@ type lowered = {
 val lower :
   ?segmentation:segmentation ->
   ?include_inductance:bool ->
-  ?input:Circuit.Waveform.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   lowered
@@ -63,7 +62,6 @@ val lower :
 val circuit_of_routing :
   ?segmentation:segmentation ->
   ?include_inductance:bool ->
-  ?input:Circuit.Waveform.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   Circuit.Netlist.t * string list
@@ -72,4 +70,5 @@ val circuit_of_routing :
 
     Defaults: {!default_segmentation}, no inductance (the RC model the
     Elmore comparisons assume; pass [~include_inductance:true] for the
-    full Table 1 RLC model), and a 0→1 V ideal step at t=0. *)
+    full Table 1 RLC model). The net is driven by a 0→1 V ideal step at
+    t = 0 (source ["Vin"]) through the driver resistance. *)

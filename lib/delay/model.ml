@@ -41,10 +41,6 @@ let spice_horizon ~tech r =
 
 let ( let* ) = Result.bind
 
-let singular ~stage k =
-  if k < 0 then Nontree_error.Non_finite { stage; value = Float.nan }
-  else Nontree_error.Singular_matrix { stage; column = k }
-
 let finite_delays ~stage ds =
   let rec go = function
     | [] -> Ok ds
@@ -74,7 +70,7 @@ let spice_sink_delays_result ~horizon_scale config ~tech r =
     (nl, sink_names, horizon)
   with
   | exception Numeric.Sparse.Singular k ->
-      Error (singular ~stage:"spice.horizon" k)
+      Error (Nontree_error.singular ~stage:"spice.horizon" k)
   | nl, sink_names, horizon ->
       if not (Float.is_finite horizon && horizon > 0.0) then
         Error (Nontree_error.Non_finite { stage = "spice.horizon"; value = horizon })
@@ -110,7 +106,7 @@ let sink_delays_result ?(horizon_scale = 1.0) model ~tech r =
           match Moments.sink_delays ~tech r with
           | ds -> finite_delays ~stage:"moments" ds
           | exception Numeric.Sparse.Singular k ->
-              Error (singular ~stage:"moments" k)))
+              Error (Nontree_error.singular ~stage:"moments" k)))
   | Two_pole -> (
       match injected ~stage:"moments" with
       | Some e -> Error e
@@ -120,7 +116,7 @@ let sink_delays_result ?(horizon_scale = 1.0) model ~tech r =
               finite_delays ~stage:"two-pole"
                 (List.map (fun v -> (v, d.(v))) (Routing.sinks r))
           | exception Numeric.Sparse.Singular k ->
-              Error (singular ~stage:"two-pole" k)))
+              Error (Nontree_error.singular ~stage:"two-pole" k)))
   | Spice config -> spice_sink_delays_result ~horizon_scale config ~tech r
 
 let sink_delays model ~tech r =

@@ -8,6 +8,10 @@ exception Error of t
 
 let raise_error e = raise (Error e)
 
+let singular ~stage k =
+  if k < 0 then Non_finite { stage; value = Float.nan }
+  else Singular_matrix { stage; column = k }
+
 let to_string = function
   | Singular_matrix { stage; column } ->
       if column < 0 then

@@ -36,6 +36,11 @@ exception Error of t
 
 val raise_error : t -> 'a
 
+val singular : stage:string -> int -> t
+(** A sparse factorisation's refusal code [k] as a typed error:
+    [Non_finite] for [k = -1] (a non-finite input entry),
+    [Singular_matrix] at column [k] otherwise. *)
+
 val to_string : t -> string
 (** One-line, human-readable rendering — what binaries print before
     exiting nonzero. *)

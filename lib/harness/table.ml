@@ -57,36 +57,3 @@ let render ~title ~baseline rows =
         group)
     (group_by_label rows);
   Buffer.contents buf
-
-let render_simple ~title ~baseline rows =
-  render ~title ~baseline
-    (List.map (fun (size, row) -> { label = ""; size; row = Some row }) rows)
-
-let markdown ~title ~baseline rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "### %s\n\n" title);
-  Buffer.add_string buf
-    (Printf.sprintf "_Normalised to %s._\n\n" baseline);
-  Buffer.add_string buf
-    "| Stage | Size | Delay (all) | Cost (all) | % Winners | Delay (winners) | Cost (winners) |\n";
-  Buffer.add_string buf "|---|---|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      match r.row with
-      | None ->
-          Buffer.add_string buf
-            (Printf.sprintf "| %s | %d | NA | NA | NA | NA | NA |\n" r.label
-               r.size)
-      | Some row ->
-          Buffer.add_string buf
-            (Printf.sprintf "| %s | %d | %.2f | %.2f | %.0f | %s | %s |\n"
-               r.label r.size row.Nontree.Stats.all_delay
-               row.Nontree.Stats.all_cost row.Nontree.Stats.pct_winners
-               (match row.Nontree.Stats.win_delay with
-               | None -> "NA"
-               | Some x -> Printf.sprintf "%.2f" x)
-               (match row.Nontree.Stats.win_cost with
-               | None -> "NA"
-               | Some x -> Printf.sprintf "%.2f" x)))
-    rows;
-  Buffer.contents buf

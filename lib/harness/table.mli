@@ -11,12 +11,3 @@ val render :
 (** A text table with the paper's columns:
     net size | All-cases Delay/Cost | % Winners | Winners-only Delay/Cost,
     one block per distinct label, noting the normalisation baseline. *)
-
-val render_simple :
-  title:string -> baseline:string -> (int * Nontree.Stats.row) list -> string
-(** Single-block variant for tables without iteration splits. *)
-
-val markdown :
-  title:string -> baseline:string -> iter_row list -> string
-(** The same data as a GitHub-flavoured markdown table (used to build
-    EXPERIMENTS.md). *)

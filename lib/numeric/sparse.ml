@@ -160,40 +160,6 @@ module Csc = struct
       colptr;
     }
 
-  let of_matrix m =
-    let rows = Matrix.rows m and cols = Matrix.cols m in
-    let a = Matrix.data m in
-    let nnz = ref 0 in
-    for k = 0 to (rows * cols) - 1 do
-      if a.(k) <> 0.0 then incr nnz
-    done;
-    let colptr = Array.make (cols + 1) 0 in
-    let rowind = Array.make (max !nnz 1) 0 in
-    let values = Array.make (max !nnz 1) 0.0 in
-    let out = ref 0 in
-    for j = 0 to cols - 1 do
-      colptr.(j) <- !out;
-      for i = 0 to rows - 1 do
-        let v = a.((i * cols) + j) in
-        if v <> 0.0 then begin
-          rowind.(!out) <- i;
-          values.(!out) <- v;
-          incr out
-        end
-      done
-    done;
-    colptr.(cols) <- !out;
-    { rows; cols; colptr; rowind; values }
-
-  let to_matrix t =
-    let m = Matrix.create t.rows t.cols in
-    for j = 0 to t.cols - 1 do
-      for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-        Matrix.set m t.rowind.(p) j t.values.(p)
-      done
-    done;
-    m
-
   let of_columns ~n ~colptr ~rowind ~values =
     let bad () = invalid_arg "Sparse.Csc.of_columns: malformed columns" in
     if n < 0 || Array.length colptr <> n + 1 || colptr.(0) <> 0 then bad ();

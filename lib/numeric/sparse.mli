@@ -69,12 +69,6 @@ module Csc : sig
       from stamp values are kept in the pattern.
       @raise Invalid_argument on a negative [n] or an index ≥ [n]. *)
 
-  val of_matrix : Matrix.t -> t
-  (** The nonzero entries of a dense matrix. *)
-
-  val to_matrix : t -> Matrix.t
-  (** The dense image, for AC analysis and tests. *)
-
   val of_columns :
     n:int -> colptr:int array -> rowind:int array -> values:float array -> t
   (** The n×n matrix whose column j holds rows [rowind.(p)] with values

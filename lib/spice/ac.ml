@@ -48,6 +48,31 @@ let excitation_netlist nl ~source =
     invalid_arg ("Ac.analyze: no voltage source named " ^ source);
   rebuilt
 
+module Sparse = Numeric.Sparse
+
+(* (G + jωC)(xr + j·xi) = b with b real, as the real system
+   [G −ωC; ωC G]·[xr; xi] = [b; 0]: unknown u's real part is unknown u,
+   its imaginary part unknown n + u. *)
+let embed (sys : Mna.t) omega =
+  let n = sys.Mna.size in
+  let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
+  let capacity = 2 * (Sparse.Csc.nnz g + Sparse.Csc.nnz c) in
+  let t = Sparse.Triplets.create ~capacity () in
+  let iter (m : Sparse.Csc.t) f =
+    for j = 0 to n - 1 do
+      for p = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+        f m.rowind.(p) j m.values.(p)
+      done
+    done
+  in
+  iter g (fun i j v ->
+      Sparse.Triplets.add t i j v;
+      Sparse.Triplets.add t (n + i) (n + j) v);
+  iter c (fun i j v ->
+      Sparse.Triplets.add t i (n + j) (-.(omega *. v));
+      Sparse.Triplets.add t (n + i) j (omega *. v));
+  Sparse.Csc.of_triplets ~n:(2 * n) t
+
 let analyze nl ~source ~probe ~frequencies =
   let excited = excitation_netlist nl ~source in
   let sys = Mna.build excited in
@@ -58,19 +83,24 @@ let analyze nl ~source ~probe ~frequencies =
   in
   let unknown = sys.Mna.unknown_of_node.(probe_node) in
   if unknown < 0 then invalid_arg "Ac.analyze: cannot probe ground";
-  let b_real = Mna.rhs sys 0.0 in
-  let b = Array.map (fun re -> { Complex.re; im = 0.0 }) b_real in
-  (* AC sweeps are off the routing hot path: dense images suffice. *)
-  let g = Numeric.Sparse.Csc.to_matrix sys.Mna.g_csc in
-  let c = Numeric.Sparse.Csc.to_matrix sys.Mna.c_csc in
+  let n = sys.Mna.size in
+  let b = Array.append (Mna.rhs sys 0.0) (Array.make n 0.0) in
+  (* The embedding keeps exact zeros, so its pattern does not depend
+     on ω and the sweep shares one ordering. *)
+  let symbolic = Sparse.analyze (embed sys 1.0) in
   List.map
     (fun freq_hz ->
-      let omega = 2.0 *. Float.pi *. freq_hz in
-      let a =
-        Numeric.Zmatrix.of_real_pair ~re:g ~im:(Numeric.Matrix.scale omega c)
-      in
-      let x = Numeric.Zmatrix.solve a b in
-      { freq_hz; response = x.(unknown) })
+      let a = embed sys (2.0 *. Float.pi *. freq_hz) in
+      match Sparse.try_factor ~symbolic a with
+      | Error k ->
+          (* Column k of the embedding is unknown k mod n's real or
+             imaginary part; -1 (a non-finite entry) stays -1. *)
+          Nontree_error.raise_error
+            (Nontree_error.singular ~stage:"spice.ac" (k mod n))
+      | Ok lu ->
+          let x = Sparse.solve lu b in
+          let response = { Complex.re = x.(unknown); im = x.(n + unknown) } in
+          { freq_hz; response })
     frequencies
 
 let magnitude_db p = 20.0 *. log10 (Complex.norm p.response)

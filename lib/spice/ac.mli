@@ -4,7 +4,12 @@
     a sweep, with one chosen independent voltage source driven at
     1 V∠0° and every other source turned off — SPICE's [.AC] with an
     ACMAG of 1 on the source of interest. Everything in these circuits
-    is linear, so this is exact. *)
+    is linear, so this is exact.
+
+    Each frequency is solved on {!Numeric.Sparse} as the real system
+    [G −ωC; ωC G]·[xr; xi] = [b; 0] (x = xr + j·xi), assembled from the
+    MNA system's CSC G and C; its pattern does not depend on ω, so a
+    sweep computes one ordering. *)
 
 type point = {
   freq_hz : float;
@@ -30,7 +35,12 @@ val analyze :
     source with a unit phasor and records the probed node.
 
     @raise Invalid_argument when [source] is not a voltage source of
-    the netlist or [probe] is not a node. *)
+    the netlist or [probe] is not a node.
+    @raise Nontree_error.Error with [Singular_matrix] (stage
+    ["spice.ac"], [column] the unknown whose real or imaginary part
+    found no usable pivot) when G + jωC is singular at some frequency,
+    e.g. on a node pair floating free of every source and capacitor;
+    [Non_finite] when an element value is not finite. *)
 
 val magnitude_db : point -> float
 (** 20·log₁₀ |response|. *)

@@ -1,11 +1,6 @@
-type options = {
-  method_ : Transient.method_;
-  steps_per_chunk : int;
-  max_extensions : int;
-}
+type options = { steps_per_chunk : int; max_extensions : int }
 
-let default_options =
-  { method_ = Transient.Trapezoidal; steps_per_chunk = 600; max_extensions = 12 }
+let default_options = { steps_per_chunk = 600; max_extensions = 12 }
 
 let fast_options = { default_options with steps_per_chunk = 80 }
 let accurate_options = { default_options with steps_per_chunk = 2500 }
@@ -14,10 +9,6 @@ let accurate_options = { default_options with steps_per_chunk = 2500 }
    that never settle) travel as [Nontree_error.t] results so the
    robustness layer can retry or degrade; argument-shape errors remain
    Invalid_argument. *)
-
-let singular_error ~stage k =
-  if k < 0 then Nontree_error.Non_finite { stage; value = Float.nan }
-  else Nontree_error.Singular_matrix { stage; column = k }
 
 let check_finite ~stage arr =
   let n = Array.length arr in
@@ -48,7 +39,8 @@ let dc_result nl =
     let x = Transient.dc_operating_point sys in
     (sys, x)
   with
-  | exception Numeric.Sparse.Singular k -> Error (singular_error ~stage:"spice.dc" k)
+  | exception Numeric.Sparse.Singular k ->
+      Error (Nontree_error.singular ~stage:"spice.dc" k)
   | sys, x ->
       let* () = check_finite ~stage:"spice.dc" x in
       let result = ref [] in
@@ -82,13 +74,13 @@ let transient_result ?(options = default_options) nl ~tstop ~probes =
     let dt = tstop /. float_of_int options.steps_per_chunk in
     let chunk =
       Transient.run
-        (Transient.companion sys ~method_:options.method_ ~dt)
+        (Transient.companion sys ~dt)
         ~x0 ~t0:0.0 ~steps:options.steps_per_chunk ~probes:idx
     in
     (idx, x0, chunk)
   with
   | exception Numeric.Sparse.Singular k ->
-      Error (singular_error ~stage:"spice.transient" k)
+      Error (Nontree_error.singular ~stage:"spice.transient" k)
   | idx, x0, chunk ->
       let* () = check_finite ~stage:"spice.transient" chunk.Transient.final in
       (* Prepend the t=0 operating point so traces start at time zero. *)
@@ -116,16 +108,13 @@ let step_switch (sys : Mna.t) =
 (* On the solver grid t_n = n·dt a Step switching at t0 still reads v0
    at the last grid time m·dt <= t0 and v1 from the next one on. The
    trapezoidal rule averages b(t_n) and b(t_n+1), so it integrates the
-   step as a ramp over that one step, whose 50 % point is m·dt + dt/2;
-   backward Euler applies b(t_n+1) whole, a step at m·dt. *)
-let input_reference sys ~method_ ~dt =
+   step as a ramp over that one step, whose 50 % point is m·dt + dt/2. *)
+let input_reference sys ~dt =
   match step_switch sys with
   | None -> 0.0
-  | Some t0 -> (
+  | Some t0 ->
       let switch = Float.of_int (int_of_float (t0 /. dt)) *. dt in
-      match method_ with
-      | Transient.Trapezoidal -> switch +. (dt /. 2.0)
-      | Transient.Backward_euler -> switch)
+      switch +. (dt /. 2.0)
 
 (* The threshold scan's fixed timestep. *)
 let scan_dt options ~horizon = horizon /. float_of_int options.steps_per_chunk
@@ -134,20 +123,19 @@ let delay_origin ?(options = default_options) nl ~horizon =
   let sys = Mna.build nl in
   Option.map
     (fun _ ->
-      input_reference sys ~method_:options.method_
-        ~dt:(scan_dt options ~horizon))
+      input_reference sys ~dt:(scan_dt options ~horizon))
     (step_switch sys)
 
-let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
-    ?stamps sys ~idx ~x0 ~xf ~horizon =
+let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
+    ~xf ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan: horizon must be positive";
   let num_probes = Array.length idx in
   let target =
-    Array.map (fun u -> x0.(u) +. (fraction *. (xf.(u) -. x0.(u)))) idx
+    Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
   in
   let dt = scan_dt options ~horizon in
-  let t_ref = input_reference sys ~method_:options.method_ ~dt in
+  let t_ref = input_reference sys ~dt in
   (* Probes that start at their target (degenerate) report delay 0. *)
   let found =
     Array.mapi (fun p u -> if x0.(u) >= target.(p) then Some 0.0 else None) idx
@@ -188,9 +176,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
      targets never builds it. *)
-  let companion =
-    lazy (Transient.companion ?stamps sys ~method_:options.method_ ~dt)
-  in
+  let companion = lazy (Transient.companion ?stamps sys ~dt) in
   let rec extend x t0 steps extensions =
     if !pending = 0 || extensions > options.max_extensions then Ok found
     else
@@ -198,7 +184,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
         Transient.loop (Lazy.force companion) ~x0:x ~t0 ~steps ~on_step
       with
       | exception Numeric.Sparse.Singular k ->
-          Error (singular_error ~stage:"spice.transient" k)
+          Error (Nontree_error.singular ~stage:"spice.transient" k)
       | x, taken ->
           let* () = check_finite ~stage:"spice.transient" x in
           (* Double the window each retry so n extensions cover 2^n
@@ -209,8 +195,7 @@ let threshold_scan_result ?(options = default_options) ?(fraction = 0.5)
   in
   extend x0 0.0 options.steps_per_chunk 0
 
-let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
-    ~probes ~horizon =
+let threshold_delays_result ?(options = default_options) nl ~probes ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_delays: horizon must be positive";
   match injected_fault ~horizon with
@@ -221,34 +206,18 @@ let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
       (* One factorisation of G serves the operating point and the
          settled state. *)
       match Mna.factor_g_result sys with
-      | Error k -> Error (singular_error ~stage:"spice.dc" k)
+      | Error k -> Error (Nontree_error.singular ~stage:"spice.dc" k)
       | Ok lu ->
           let x0 = Numeric.Sparse.solve lu (Mna.rhs sys 0.0) in
           let* () = check_finite ~stage:"spice.dc" x0 in
           let xf = Numeric.Sparse.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
           let* found =
-            threshold_scan_result ~options ~fraction sys ~idx ~x0 ~xf ~horizon
+            threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon
           in
           Ok (List.mapi (fun p name -> (name, found.(p))) probes))
 
-let threshold_delays ?options ?fraction nl ~probes ~horizon =
-  match threshold_delays_result ?options ?fraction nl ~probes ~horizon with
+let threshold_delays ?options nl ~probes ~horizon =
+  match threshold_delays_result ?options nl ~probes ~horizon with
   | Ok r -> r
-  | Error e -> Nontree_error.raise_error e
-
-let max_delay_result ?options ?fraction nl ~probes ~horizon =
-  let* delays = threshold_delays_result ?options ?fraction nl ~probes ~horizon in
-  List.fold_left
-    (fun acc (name, d) ->
-      let* acc = acc in
-      match d with
-      | Some t -> Ok (Float.max acc t)
-      | None ->
-          Error (Nontree_error.Probe_never_settled { probe = name; horizon }))
-    (Ok 0.0) delays
-
-let max_delay ?options ?fraction nl ~probes ~horizon =
-  match max_delay_result ?options ?fraction nl ~probes ~horizon with
-  | Ok d -> d
   | Error e -> Nontree_error.raise_error e

@@ -4,8 +4,8 @@
     netlist it computes operating points, transient traces, and the 50 %
     threshold delays that define the paper's delay metric t(n_i). A
     threshold query factors G once (operating point and settled state)
-    and its companion once, and scans crossings as the step loop
-    produces states, stopping at the last one.
+    and its trapezoidal companion once, and scans crossings as the step
+    loop produces states, stopping at the last one.
 
     Every analysis comes in two flavours: a [_result] variant that
     reports operational failures (singular MNA matrices, non-finite
@@ -17,7 +17,6 @@
     queries occasionally fail on purpose. *)
 
 type options = {
-  method_ : Transient.method_;  (** integration method (default trapezoidal) *)
   steps_per_chunk : int;
       (** timesteps per simulation chunk; also sets the step size of a
           fixed-horizon transient *)
@@ -27,7 +26,7 @@ type options = {
 }
 
 val default_options : options
-(** Trapezoidal, 600 steps per chunk, 12 extensions. *)
+(** 600 steps per chunk, 12 extensions. *)
 
 val fast_options : options
 (** Coarser (80 steps per chunk) — used inside greedy routing loops
@@ -68,16 +67,15 @@ val transient_result :
   probes:string list ->
   (Trace.t, Nontree_error.t) result
 
-val input_reference : Mna.t -> method_:Transient.method_ -> dt:float -> float
+val input_reference : Mna.t -> dt:float -> float
 (** The time the input crosses its own 50 % point on the solver grid
     t_n = n·[dt], from which the threshold search measures every delay
     (the standard 50 %-in to 50 %-out delay). Defined for a system
     driven by a single [Step] switching at t0 >= 0 — every oracle
     netlist has one at t = 0: with m·[dt] the last grid time not after
     t0, the trapezoidal rule averages b(t_n) and b(t_n+1) and so sees a
-    one-step ramp crossing 50 % at m·[dt] + [dt]/2, while backward
-    Euler applies b(t_n+1) whole and sees the step at m·[dt]. Any
-    other set of sources keeps the t = 0 reference. *)
+    one-step ramp crossing 50 % at m·[dt] + [dt]/2. Any other set of
+    sources keeps the t = 0 reference. *)
 
 val delay_origin :
   ?options:options -> Circuit.Netlist.t -> horizon:float -> float option
@@ -88,7 +86,6 @@ val delay_origin :
 
 val threshold_scan_result :
   ?options:options ->
-  ?fraction:float ->
   ?stamps:Transient.stamps ->
   Mna.t ->
   idx:int array ->
@@ -100,8 +97,8 @@ val threshold_scan_result :
     [stamps] when given ([x0] and [xf] then have the grown length):
     from state [x0], integrate at dt = [horizon] / [steps_per_chunk],
     doubling the window up to [max_extensions] times, until every
-    probed unknown in [idx] crosses [fraction] of the way from [x0] to
-    its settled value [xf]; probes that never cross report [None].
+    probed unknown in [idx] crosses halfway from [x0] to its settled
+    value [xf]; probes that never cross report [None].
     {!Transient.loop} hands over each new state: a crossing is
     interpolated linearly between a probe's first sample at or above
     its target and the sample before, and the loop stops at the step
@@ -117,15 +114,13 @@ val threshold_scan_result :
 
 val threshold_delays_result :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
   ((string * float option) list, Nontree_error.t) result
 (** [threshold_delays_result nl ~probes ~horizon] runs the transient
     from the t=0 operating point, extending (doubling) the simulated
-    window until every probe has crossed [fraction] (default 0.5) of
-    its final DC value or [max_extensions] is exhausted; unreached
+    window until every probe has crossed 50 % of its final DC value or [max_extensions] is exhausted; unreached
     probes report [None]. The final values are the DC solution with
     every source at its {!Circuit.Waveform.settled} level (a PULSE at
     its first plateau), solved against the same factorisation of G as
@@ -142,7 +137,6 @@ val threshold_delays_result :
 
 val threshold_delays :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
@@ -150,26 +144,3 @@ val threshold_delays :
 (** Legacy variant of {!threshold_delays_result}.
 
     @raise Nontree_error.Error on operational failure. *)
-
-val max_delay_result :
-  ?options:options ->
-  ?fraction:float ->
-  Circuit.Netlist.t ->
-  probes:string list ->
-  horizon:float ->
-  (float, Nontree_error.t) result
-(** Maximum threshold delay across [probes] — the paper's objective
-    t(G) = max_i t(n_i). A probe that never settles is an error
-    ([Probe_never_settled]), not a silent [None]. *)
-
-val max_delay :
-  ?options:options ->
-  ?fraction:float ->
-  Circuit.Netlist.t ->
-  probes:string list ->
-  horizon:float ->
-  float
-(** Legacy variant of {!max_delay_result}.
-
-    @raise Nontree_error.Error when some probe never settles (the
-    simulation window was exhausted) or the system is singular. *)

@@ -86,7 +86,7 @@ let build nl =
   (* One ordering, computed eagerly — [Mna.t] values are shared
      read-only across worker domains, where a lazy thunk would race. It
      orders the union pattern of G and C, so the transient iteration
-     matrix G + C/h (any h, any integration method) reuses it; G's
+     matrix G + hC (any timestep) reuses it; G's
      pattern is a subset, and the RCM ignores the diagonal, so wherever
      C is diagonal (every lowered routing) it is exactly G's own
      ordering too. *)

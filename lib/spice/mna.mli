@@ -13,9 +13,7 @@
     column form, together with one precomputed fill-reducing ordering
     that serves both G and the transient's iteration matrix.
     Everything is built eagerly, so an [Mna.t] can be shared read-only
-    across worker domains. A dense image, where one is needed (AC
-    analysis, tests), is made on demand with
-    {!Numeric.Sparse.Csc.to_matrix}. Elements added on top of a built
+    across worker domains. Elements added on top of a built
     system (an edited wire) are not re-assembled here: they reach the
     transient as {!Transient.stamps}. *)
 

@@ -1,6 +1,5 @@
 module Csc = Numeric.Sparse.Csc
 
-type method_ = Backward_euler | Trapezoidal
 type stamp = { i : int; j : int; value : float }
 type stamps = { added : int; g : stamp array; c : stamp array }
 
@@ -20,10 +19,9 @@ let dc_operating_point (sys : Mna.t) =
 type companion = {
   sys : Mna.t;
   size : int;
-  method_ : method_;
   dt : float;
   lu : Numeric.Sparse.t;
-  c_scaled : Csc.t;  (* the explicit side: 2hC′ trapezoidal, hC′ backward Euler *)
+  c_scaled : Csc.t;  (* the explicit side, 2hC′ *)
   (* b(t) at the two ends of a step, swapped after every step. *)
   mutable b_prev : float array;
   mutable b_next : float array;
@@ -61,9 +59,10 @@ let expand ~size stamps =
     stamps;
   (keys, vals, !len)
 
-(* One pass over the columns writes G' + h·C' and s·C'; see [assemble]
+(* One pass over the columns writes G' + h·C' and 2h·C'; see [assemble]
    for how each entry sums. *)
-let combine (sys : Mna.t) stamps ~h ~s =
+let combine (sys : Mna.t) stamps ~h =
+  let s = 2.0 *. h in
   let n = sys.Mna.size in
   let nt = n + stamps.added in
   let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
@@ -145,31 +144,24 @@ let combine (sys : Mna.t) stamps ~h ~s =
   in
   (csc lhs, csc rhs)
 
-let assemble ?(stamps = no_stamps) (sys : Mna.t) ~method_ ~dt =
+let assemble ?(stamps = no_stamps) (sys : Mna.t) ~dt =
   if dt <= 0.0 then invalid_arg "Transient.assemble: dt must be positive";
   if stamps.added < 0 then
     invalid_arg "Transient.assemble: negative appended unknowns";
-  match method_ with
-  | Backward_euler ->
-      (* (G + C/dt) x' = (C/dt) x + b(t') *)
-      let h = 1.0 /. dt in
-      combine sys stamps ~h ~s:h
-  | Trapezoidal ->
-      (* (G + hC) x' = (hC - G) x + b(t) + b(t') with h = 2/dt, which
-         is (G + hC)(x' + x) = 2hC x + b(t) + b(t'). *)
-      let h = 2.0 /. dt in
-      combine sys stamps ~h ~s:(2.0 *. h)
+  (* (G + hC) x' = (hC - G) x + b(t) + b(t') with h = 2/dt, which is
+     (G + hC)(x' + x) = 2hC x + b(t) + b(t'). *)
+  combine sys stamps ~h:(2.0 /. dt)
 
-let companion ?(stamps = no_stamps) (sys : Mna.t) ~method_ ~dt =
-  let lhs, c_scaled = assemble ~stamps sys ~method_ ~dt in
-  (* The precomputed G∪C ordering, whatever the timestep or method;
+let companion ?(stamps = no_stamps) (sys : Mna.t) ~dt =
+  let lhs, c_scaled = assemble ~stamps sys ~dt in
+  (* The precomputed G∪C ordering, whatever the timestep;
      appended unknowns are eliminated last. A recorded [sym] (an
      incremental round's G) makes this a numeric-only refactor. *)
   let symbolic = Numeric.Sparse.Symbolic.extend sys.Mna.sym stamps.added in
   let lu = Numeric.Sparse.factor ~symbolic lhs in
   let size = sys.Mna.size + stamps.added in
   let b_prev = Array.make size 0.0 and b_next = Array.make size 0.0 in
-  { sys; size; method_; dt; lu; c_scaled; b_prev; b_next }
+  { sys; size; dt; lu; c_scaled; b_prev; b_next }
 
 let loop cp ~x0 ~t0 ~steps ~on_step =
   if steps <= 0 then invalid_arg "Transient.loop: steps must be positive";
@@ -186,28 +178,18 @@ let loop cp ~x0 ~t0 ~steps ~on_step =
     let b' = cp.b_next and r = !rhs in
     Mna.rhs_into cp.sys t' b';
     Csc.mul_vec_into cp.c_scaled !x r;
-    (match cp.method_ with
-    | Backward_euler ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get r i +. Array.unsafe_get b' i)
-        done
-    | Trapezoidal ->
-        let bp = cp.b_prev in
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i
-            (Array.unsafe_get r i +. Array.unsafe_get bp i
-            +. Array.unsafe_get b' i)
-        done);
+    let bp = cp.b_prev in
+    for i = 0 to n - 1 do
+      Array.unsafe_set r i
+        (Array.unsafe_get r i +. Array.unsafe_get bp i +. Array.unsafe_get b' i)
+    done;
     Numeric.Sparse.solve_in_place cp.lu r;
-    (* The trapezoidal solve gave x' + x. *)
-    (match cp.method_ with
-    | Backward_euler -> ()
-    | Trapezoidal ->
-        let x = !x in
-        for i = 0 to n - 1 do
-          Array.unsafe_set r i (Array.unsafe_get r i -. Array.unsafe_get x i)
-        done);
-    rhs := !x;
+    (* The solve gave x' + x. *)
+    let prev = !x in
+    for i = 0 to n - 1 do
+      Array.unsafe_set r i (Array.unsafe_get r i -. Array.unsafe_get prev i)
+    done;
+    rhs := prev;
     x := r;
     cp.b_next <- cp.b_prev;
     cp.b_prev <- b';

@@ -1,7 +1,8 @@
-(** Fixed-step transient integration of MNA systems.
+(** Fixed-step transient integration of MNA systems by the trapezoidal
+    rule.
 
-    Both methods assemble the iteration matrix and the explicit-side
-    matrix (the scaled C) in one pass over the system's CSC G and C,
+    It assembles the iteration matrix and the explicit-side matrix (the
+    scaled C) in one pass over the system's CSC G and C,
     optionally grown by a small set of {!stamps} (an edited wire),
     factor the former once with {!Numeric.Sparse} into a {!companion}
     (refactored numerically when the system's [sym] carries a record),
@@ -9,21 +10,14 @@
     sparse factorisation (near-tree MNA patterns produce little fill),
     however many chunks it is run in, plus an O(nnz(C)) product and
     back-substitution per step; a step allocates only the boxed time
-    it hands to the callback. With A = G + hC:
-
-    - backward Euler (h = 1/dt):  A·x' = hC·x + b(t')
-    - trapezoidal (h = 2/dt):     A·x' = (hC − G)·x + b(t) + b(t'),
-      solved as A·y = 2hC·x + b(t) + b(t') and x' = y − x, since
-      (hC − G)·x = 2hC·x − A·x; only C enters the product.
+    it hands to the callback. With A = G + hC and h = 2/dt, a step is
+    A·x' = (hC − G)·x + b(t) + b(t'), solved as
+    A·y = 2hC·x + b(t) + b(t') and x' = y − x, since
+    (hC − G)·x = 2hC·x − A·x; only C enters the product. The rule is
+    second-order accurate.
 
     One step loop, {!loop}, hands each new state to a callback; {!run}
-    records probes over it for waveforms.
-
-    Trapezoidal is second-order accurate and is the default everywhere;
-    backward Euler is kept for its robustness to discontinuities and
-    for convergence tests. *)
-
-type method_ = Backward_euler | Trapezoidal
+    records probes over it for waveforms. *)
 
 type stamp = { i : int; j : int; value : float }
 (** A resistor or capacitor between unknowns [i] and [j] ([-1] for
@@ -51,24 +45,22 @@ val dc_operating_point : Mna.t -> float array
     (e.g. a node with no DC path to ground). *)
 
 type companion
-(** A system's factored iteration matrix for one method and timestep,
+(** A system's factored iteration matrix for one timestep,
     plus the step loop's buffers. Mutable scratch: use from one domain
     at a time. *)
 
 val assemble :
   ?stamps:stamps ->
   Mna.t ->
-  method_:method_ ->
   dt:float ->
   Numeric.Sparse.Csc.t * Numeric.Sparse.Csc.t
 (** The unfactored iteration matrix G′ + hC′ and explicit-side matrix
-    2hC′ (hC′ for backward Euler; h = 2/dt trapezoidal, 1/dt backward
-    Euler), G′ and C′ being the system's matrices grown by [stamps]
+    2hC′ (h = 2/dt), G′ and C′ being the system's matrices grown by [stamps]
     (default none), both written in one pass over the columns. Each
     entry of G′ (likewise C′) is the base entry when stored, then the
     stamps in order, summed left to right; a combined entry takes only
     the term of the operand that stores it; the explicit side scales
-    C′'s entry by 2h (h); exact zeros are dropped. These are the float
+    C′'s entry by 2h; exact zeros are dropped. These are the float
     operations of stamping G′ and C′ as triplets and combining them
     entry by entry.
 
@@ -76,7 +68,7 @@ val assemble :
     or a stamp index outside -1 .. size + added - 1. *)
 
 val companion :
-  ?stamps:stamps -> Mna.t -> method_:method_ -> dt:float -> companion
+  ?stamps:stamps -> Mna.t -> dt:float -> companion
 (** Factor {!assemble}'s iteration matrix on the system's [sym]
     ordering, appended unknowns eliminated last; when [sym] carries a
     record (see {!Numeric.Sparse.try_factor_recording}) the factor is

@@ -63,6 +63,33 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
 dune exec bin/obs_check.exe -- "$tmpdir/obs.json"
 diff -u "$tmpdir/seq.out" "$tmpdir/obs.out"
 
+echo "== smoke: spice_run AC sweep; a singular AC system is a typed error =="
+# spice_run writes ac_<probe>.csv to the current directory, so both
+# sweeps run inside the tmpdir.
+root=$PWD
+spice_run="$root/_build/default/bin/spice_run.exe"
+(cd "$tmpdir" && "$spice_run" "$root/test/golden/spice_pulse.cir" --ac V1) \
+  > "$tmpdir/ac.out"
+grep "3dB bandwidth" "$tmpdir/ac.out"
+# A resistor pair floating free of the driven net: G + jωC is singular.
+cat > "$tmpdir/floating.cir" <<'DECK'
+* floating resistor pair
+V1 in 0 DC 1
+R1 in out 1k
+C1 out 0 1p
+R2 a b 1k
+.probe out
+.end
+DECK
+status=0
+(cd "$tmpdir" && "$spice_run" floating.cir --ac V1) > /dev/null \
+  2> "$tmpdir/ac.err" || status=$?
+cat "$tmpdir/ac.err"
+grep -q "simulation failed: singular matrix in spice.ac" "$tmpdir/ac.err"
+# Typed failures exit 124 (cmdliner's code for a term error); an
+# uncaught exception would exit 125.
+[ "$status" -eq 124 ]
+
 echo "== perfbench smoke: evaluation paths reconcile, outputs check =="
 # ldrg-spice and wire-size score added and resized wires through the
 # transient's stamp assembly, under the outputs check.

@@ -1,5 +1,3 @@
-module Matrix = Numeric.Matrix
-
 type t = {
   n : int;
   lu : float array;  (* packed LU factors, row-major *)

@@ -17,7 +17,7 @@ exception Singular of int
 (** Raised (with the offending pivot column, or [-1] for non-finite
     input entries) when no usable pivot exists. *)
 
-val try_factor : Numeric.Matrix.t -> (t, int) result
+val try_factor : Matrix.t -> (t, int) result
 (** [try_factor m] is the [Result]-returning factorisation: [Error k]
     reports the pivot column whose scaled pivot fell below threshold,
     [Error (-1)] a non-finite input entry. Pivot selection is identical
@@ -25,7 +25,7 @@ val try_factor : Numeric.Matrix.t -> (t, int) result
 
     @raise Invalid_argument when the matrix is not square. *)
 
-val factor : Numeric.Matrix.t -> t
+val factor : Matrix.t -> t
 (** @raise Singular when no usable pivot exists.
     @raise Invalid_argument when the matrix is not square. *)
 
@@ -38,5 +38,5 @@ val solve_in_place : t -> float array -> unit
 (** Like {!solve} but overwrites [b] with the solution, using the
     factorisation's own scratch buffer (one caller at a time). *)
 
-val solve_matrix : Numeric.Matrix.t -> float array -> float array
+val solve_matrix : Matrix.t -> float array -> float array
 (** One-shot convenience: factor then solve. *)

@@ -189,6 +189,105 @@ let test_routing_bandwidth_improves () =
       (bw_graph >= 0.95 *. bw_mst)
   end
 
+(* A resistor pair floating free of the driven net: G is singular there
+   and C does not cover it, so G + jωC has no usable pivot. The sweep
+   must report it as a typed error, as the transient does. *)
+let test_singular_deck () =
+  let deck =
+    "* floating resistor pair\n\
+     V1 in 0 DC 1\n\
+     R1 in out 1k\n\
+     C1 out 0 1p\n\
+     R2 a b 1k\n\
+     .end\n"
+  in
+  match Circuit.Deck.of_string deck with
+  | Error e -> Alcotest.fail e
+  | Ok nl -> (
+      match
+        Spice.Ac.analyze nl ~source:"V1" ~probe:"out" ~frequencies:[ 1e6 ]
+      with
+      | exception
+          Nontree_error.Error
+            (Nontree_error.Singular_matrix { stage = "spice.ac"; _ }) ->
+          ()
+      | _ -> Alcotest.fail "expected Singular_matrix in spice.ac")
+
+(* The sparse sweep against the dense LU on the same real embedding
+   [G −ωC; ωC G]·[xr; xi] = [b; 0], at every node of a routing's
+   lowering (a tree, and its non-tree LDRG output) and of a series RLC
+   stage, over 1e5–1e11 Hz. Each circuit has the one source Vin, so b
+   is its unit drive. *)
+let test_matches_dense_reference () =
+  let tech = Circuit.Technology.table1 in
+  let mst =
+    Routing.mst_of_net
+      (Geom.Netgen.uniform (Rng.create 11)
+         ~region:(Geom.Rect.square 10_000.0) ~pins:10)
+  in
+  let trace = Nontree.Ldrg.run ~model:Delay.Model.Two_pole ~tech mst in
+  Alcotest.(check bool) "LDRG adds a wire" true (trace.Nontree.Ldrg.steps <> []);
+  let routed r = fst (Delay.Lumping.circuit_of_routing ~tech r) in
+  let rlc =
+    let nl = Netlist.create () in
+    let inp = Netlist.node nl "in" in
+    let mid = Netlist.node nl "mid" in
+    let out = Netlist.node nl "out" in
+    Netlist.vsource nl ~name:"Vin" inp Netlist.ground (Waveform.Dc 0.0);
+    Netlist.resistor nl inp mid 0.6324555;
+    Netlist.inductor nl mid out 1e-9;
+    Netlist.capacitor nl out Netlist.ground 1e-10;
+    nl
+  in
+  let freqs =
+    Spice.Ac.log_frequencies ~f_start:1e5 ~f_stop:1e11 ~points_per_decade:2
+  in
+  List.iter
+    (fun (what, nl) ->
+      let sys = Spice.Mna.build nl in
+      let n = sys.Spice.Mna.size in
+      let g = Matrix.of_csc sys.Spice.Mna.g_csc
+      and c = Matrix.of_csc sys.Spice.Mna.c_csc in
+      let b = Array.make (2 * n) 0.0 in
+      Array.iter
+        (fun { Spice.Mna.row; sign; _ } -> b.(row) <- b.(row) +. sign)
+        sys.Spice.Mna.sources;
+      let dense =
+        List.map
+          (fun f ->
+            let omega = 2.0 *. Float.pi *. f in
+            let a = Matrix.create (2 * n) (2 * n) in
+            for i = 0 to n - 1 do
+              for j = 0 to n - 1 do
+                Matrix.set a i j (Matrix.get g i j);
+                Matrix.set a (n + i) (n + j) (Matrix.get g i j);
+                Matrix.set a i (n + j) (-.(omega *. Matrix.get c i j));
+                Matrix.set a (n + i) j (omega *. Matrix.get c i j)
+              done
+            done;
+            Lu.solve_matrix a b)
+          freqs
+      in
+      for node = 1 to Netlist.num_nodes nl - 1 do
+        let u = sys.Spice.Mna.unknown_of_node.(node) in
+        let sweep =
+          Spice.Ac.analyze nl ~source:"Vin" ~probe:(Netlist.node_name nl node)
+            ~frequencies:freqs
+        in
+        List.iter2
+          (fun (p : Spice.Ac.point) x ->
+            let expected = { Complex.re = x.(u); im = x.(n + u) } in
+            let err =
+              Complex.norm (Complex.sub p.Spice.Ac.response expected)
+              /. Complex.norm expected
+            in
+            if not (err <= 1e-12) then
+              Alcotest.failf "%s, node %s, %.3g Hz: relative error %.3e" what
+                (Netlist.node_name nl node) p.Spice.Ac.freq_hz err)
+          sweep dense
+      done)
+    [ ("MST", routed mst); ("LDRG", routed trace.Nontree.Ldrg.final); ("RLC", rlc) ]
+
 let suites =
   [ ( "ac",
       [ Alcotest.test_case "log frequencies" `Quick test_log_frequencies;
@@ -203,4 +302,8 @@ let suites =
           test_other_sources_silenced;
         Alcotest.test_case "csv" `Quick test_csv;
         Alcotest.test_case "routing bandwidth improves" `Quick
-          test_routing_bandwidth_improves ] ) ]
+          test_routing_bandwidth_improves;
+        Alcotest.test_case "ac singular deck is a typed error" `Quick
+          test_singular_deck;
+        Alcotest.test_case "ac matches dense reference" `Quick
+          test_matches_dense_reference ] ) ]

@@ -47,21 +47,6 @@ let test_render_groups_blocks () =
   Alcotest.(check bool) "block order" true
     (idx "Iteration One" < idx "Iteration Two")
 
-let test_render_simple_and_markdown () =
-  let simple =
-    Harness.Table.render_simple ~title:"S" ~baseline:"MST"
-      [ (5, row 0.9 1.1 60.0); (10, row 0.8 1.2 80.0) ]
-  in
-  Alcotest.(check bool) "simple has data" true (contains simple "0.90");
-  let md =
-    Harness.Table.markdown ~title:"M" ~baseline:"MST"
-      [ { Harness.Table.label = "x"; size = 5; row = Some (row 0.9 1.1 60.0) };
-        { Harness.Table.label = "y"; size = 5; row = None } ]
-  in
-  Alcotest.(check bool) "md header" true (contains md "| Stage | Size |");
-  Alcotest.(check bool) "md NA" true (contains md "| y | 5 | NA");
-  Alcotest.(check bool) "md value" true (contains md "0.90")
-
 (* Harness runs with the cheap oracle ----------------------------------- *)
 
 let find_rows label rows =
@@ -202,8 +187,6 @@ let suites =
   [ ( "harness",
       [ Alcotest.test_case "render groups blocks" `Quick
           test_render_groups_blocks;
-        Alcotest.test_case "render simple + markdown" `Quick
-          test_render_simple_and_markdown;
         Alcotest.test_case "table2 (cheap oracle)" `Quick test_table2_cheap;
         Alcotest.test_case "table5 (cheap oracle)" `Quick test_table5_cheap;
         Alcotest.test_case "table6 (cheap oracle)" `Quick test_table6_cheap;

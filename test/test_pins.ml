@@ -138,7 +138,7 @@ let ldrg_pins =
     "incremental seed 90210 fast-spice step 0 (5,6) 0x1.8505573e12fe2p-30" ]
 
 let ac_pins =
-  [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6fdp-3 -0x1.48312f4cbd1cp-2" ]
+  [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6f1p-3 -0x1.48312f4cbd1b2p-2" ]
 
 let suites =
   [ ( "pins",

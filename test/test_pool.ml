@@ -210,16 +210,6 @@ let test_cache_key_coverage () =
       let t = tech in
       let variants =
         [ ("base", spice (), t);
-          ("method_",
-           spice
-             ~options:
-               { opts with
-                 Spice.Engine.method_ =
-                   (match opts.Spice.Engine.method_ with
-                    | Spice.Transient.Trapezoidal -> Spice.Transient.Backward_euler
-                    | Spice.Transient.Backward_euler -> Spice.Transient.Trapezoidal) }
-             (),
-           t);
           ("steps_per_chunk",
            spice
              ~options:

@@ -26,13 +26,13 @@ let check ?(seed = 0xD1FF) ~trials name prop =
    exactly the shape [Delay.Moments.conductance_matrix] produces, and
    comfortably well-conditioned at these sizes. *)
 let gen_spd g n =
-  let a = Numeric.Matrix.create n n in
+  let a = Matrix.create n n in
   let connect i j =
     let c = Rng.float_in g 0.5 2.0 in
-    Numeric.Matrix.add_to a i i c;
-    Numeric.Matrix.add_to a j j c;
-    Numeric.Matrix.add_to a i j (-.c);
-    Numeric.Matrix.add_to a j i (-.c)
+    Matrix.add_to a i i c;
+    Matrix.add_to a j j c;
+    Matrix.add_to a i j (-.c);
+    Matrix.add_to a j i (-.c)
   in
   for i = 1 to n - 1 do
     connect i (Rng.int g i)
@@ -42,7 +42,7 @@ let gen_spd g n =
     if i <> j then connect i j
   done;
   for i = 0 to n - 1 do
-    Numeric.Matrix.add_to a i i (Rng.float_in g 0.1 1.0)
+    Matrix.add_to a i i (Rng.float_in g 0.1 1.0)
   done;
   a
 
@@ -55,18 +55,18 @@ let gen_net g =
 (* Dense reference: A plus one conductance g between unknowns i and j,
    built explicitly. *)
 let dense_with_conductance a i j g =
-  let m = Numeric.Matrix.copy a in
-  Numeric.Matrix.add_to m i i g;
-  Numeric.Matrix.add_to m j j g;
-  Numeric.Matrix.add_to m i j (-.g);
-  Numeric.Matrix.add_to m j i (-.g);
+  let m = Matrix.copy a in
+  Matrix.add_to m i i g;
+  Matrix.add_to m j j g;
+  Matrix.add_to m i j (-.g);
+  Matrix.add_to m j i (-.g);
   m
 
 let rel_err x y =
-  let scale = Float.max 1.0 (Numeric.Vec.norm_inf y) in
-  Numeric.Vec.max_abs_diff x y /. scale
+  let scale = Array.fold_left (fun m v -> Float.max m (abs_float v)) 1.0 y in
+  Matrix.max_abs_diff x y /. scale
 
-let factor_sparse a = Numeric.Sparse.factor (Numeric.Sparse.Csc.of_matrix a)
+let factor_sparse a = Numeric.Sparse.factor (Matrix.to_csc a)
 
 (* Two distinct unknowns of an n-unknown system. *)
 let gen_pair g n =
@@ -264,8 +264,8 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
       idx
   in
   let dt = horizon /. float_of_int options.steps_per_chunk in
-  let t_ref = Spice.Engine.input_reference sys ~method_:options.method_ ~dt in
-  let cp = Spice.Transient.companion sys ~method_:options.method_ ~dt in
+  let t_ref = Spice.Engine.input_reference sys ~dt in
+  let cp = Spice.Transient.companion sys ~dt in
   let last = Array.map (fun u -> (x0.(u), 0.0)) idx in
   let rec go x t0 steps extensions =
     if Array.exists Option.is_none found && extensions <= options.max_extensions
@@ -593,8 +593,8 @@ let gen_stamped g n =
   t
 
 let materialize_triplets n t =
-  let m = Numeric.Matrix.create n n in
-  Numeric.Sparse.Triplets.iter t (fun i j v -> Numeric.Matrix.add_to m i j v);
+  let m = Matrix.create n n in
+  Numeric.Sparse.Triplets.iter t (fun i j v -> Matrix.add_to m i j v);
   m
 
 (* 200 random stamped systems through both kernels. Most trials are
@@ -642,7 +642,7 @@ let prop_sparse_matches_dense g =
    record of its round's G, is the full kernel's factorisation bit for
    bit: each Add and Resize companion of a random 5–30-pin MST (half
    the time plus one wire, a second LDRG round's base, whose cycle
-   fills), under both methods at a random timestep. Under the fast
+   fills), at a random timestep. Under the fast
    profile an added wire appends one unknown and refactors; under the
    default profile it appends several and declines. *)
 let prop_refactor_matches_full g =
@@ -701,20 +701,17 @@ let prop_refactor_matches_full g =
     Test_numeric.counting Test_numeric.refactor_counters (fun () ->
         List.iter
           (fun (stamps : Spice.Transient.stamps) ->
-            List.iter
-              (fun method_ ->
-                let lhs, _ = Spice.Transient.assemble ~stamps sys ~method_ ~dt in
-                let grown s = Symbolic.extend s stamps.Spice.Transient.added in
-                match
-                  ( try_factor ~symbolic:(grown sys.Spice.Mna.sym) lhs,
-                    try_factor ~symbolic:(grown recorded) lhs )
-                with
-                | Ok f1, Ok f2 when Test_numeric.same_factors f1 f2 -> ()
-                | Error k1, Error k2 when k1 = k2 -> ()
-                | _ ->
-                    failwith
-                      (Printf.sprintf "refactor differs: %d pins, dt %h" pins dt))
-              Spice.Transient.[ Backward_euler; Trapezoidal ])
+            let lhs, _ = Spice.Transient.assemble ~stamps sys ~dt in
+            let grown s = Symbolic.extend s stamps.Spice.Transient.added in
+            match
+              ( try_factor ~symbolic:(grown sys.Spice.Mna.sym) lhs,
+                try_factor ~symbolic:(grown recorded) lhs )
+            with
+            | Ok f1, Ok f2 when Test_numeric.same_factors f1 f2 -> ()
+            | Error k1, Error k2 when k1 = k2 -> ()
+            | _ ->
+                failwith
+                  (Printf.sprintf "refactor differs: %d pins, dt %h" pins dt))
           (adds @ resizes))
   in
   match counts with

@@ -98,28 +98,6 @@ let test_rc_ramp_trapezoidal () =
     (rc_ramp_analytic ~tau:1e-9 ~tr)
     1e-5 "trapezoidal RC ramp"
 
-let test_trapezoidal_beats_euler () =
-  let tr = 0.5e-9 in
-  let nl = rc_ramp_circuit tr in
-  let run method_ =
-    let options =
-      { Spice.Engine.default_options with method_; steps_per_chunk = 200 }
-    in
-    let trace = Spice.Engine.transient nl ~tstop:5e-9 ~probes:[ "out" ] ~options in
-    let v = Spice.Trace.signal trace "out" in
-    let err = ref 0.0 in
-    Array.iteri
-      (fun i t ->
-        err := Float.max !err (abs_float (v.(i) -. rc_ramp_analytic ~tau:1e-9 ~tr t)))
-      trace.Spice.Trace.times;
-    !err
-  in
-  let e_trap = run Spice.Transient.Trapezoidal in
-  let e_be = run Spice.Transient.Backward_euler in
-  Alcotest.(check bool)
-    (Printf.sprintf "trap %.2e << euler %.2e" e_trap e_be)
-    true (e_trap < 0.2 *. e_be)
-
 let test_rc_50_delay () =
   (* 50 % crossing of a first-order RC step is RC·ln 2 ≈ 0.693 ns. *)
   let nl = rc_circuit () in
@@ -214,7 +192,7 @@ let test_transient_continuation () =
   let probes = [| 1 |] in
   let dt = 5e-9 /. 1000.0 in
   let companion () =
-    Spice.Transient.companion sys ~method_:Spice.Transient.Trapezoidal ~dt
+    Spice.Transient.companion sys ~dt
   in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:0.0 ~steps:1000 ~probes
@@ -289,8 +267,8 @@ let test_engine_argument_validation () =
 
 let test_max_delay_failure_path () =
   (* tau = 1 s but the search window tops out after two doublings of a
-     1 ns horizon: the threshold is unreachable and max_delay must fail
-     loudly rather than return garbage. *)
+     1 ns horizon: the threshold is unreachable, and the probe must
+     report no crossing rather than a garbage delay. *)
   let nl = Netlist.create () in
   let inp = Netlist.node nl "in" in
   let out = Netlist.node nl "out" in
@@ -298,17 +276,12 @@ let test_max_delay_failure_path () =
   Netlist.resistor nl inp out 1e3;
   Netlist.capacitor nl out Netlist.ground 1e-3;
   let options = { Spice.Engine.fast_options with max_extensions = 2 } in
-  (match
-     Spice.Engine.max_delay ~options nl ~probes:[ "out" ] ~horizon:1e-9
-   with
-  | exception Nontree_error.Error (Nontree_error.Probe_never_settled _) -> ()
-  | _ -> Alcotest.fail "expected Probe_never_settled");
   match
-    Spice.Engine.max_delay_result ~options nl ~probes:[ "out" ] ~horizon:1e-9
+    Spice.Engine.threshold_delays_result ~options nl ~probes:[ "out" ]
+      ~horizon:1e-9
   with
-  | Error (Nontree_error.Probe_never_settled { probe; _ }) ->
-      Alcotest.(check string) "failing probe named" "out" probe
-  | _ -> Alcotest.fail "expected Probe_never_settled from max_delay_result"
+  | Ok [ ("out", None) ] -> ()
+  | _ -> Alcotest.fail "expected the unreachable probe to report None"
 
 let test_threshold_already_settled () =
   (* A DC source: every node is at its final value from t=0, so the
@@ -324,21 +297,18 @@ let test_threshold_already_settled () =
   | _ -> Alcotest.fail "expected an immediate crossing"
 
 (* Where the solver's input crosses 50 %: the trapezoidal rule sees a
-   step as a one-step ramp, backward Euler as a step at the last grid
-   time before it switches; any other drive keeps t = 0. *)
+   step as a one-step ramp; any other drive keeps t = 0. *)
 let test_input_reference () =
   let dt = 1e-11 in
-  let reference ?(method_ = Spice.Transient.Trapezoidal) wave =
+  let reference wave =
     let nl = Netlist.create () in
     let inp = Netlist.node nl "in" in
     Netlist.vsource nl inp Netlist.ground wave;
     Netlist.resistor nl inp Netlist.ground 1e3;
-    Spice.Engine.input_reference (Spice.Mna.build nl) ~method_ ~dt
+    Spice.Engine.input_reference (Spice.Mna.build nl) ~dt
   in
   Alcotest.(check (float 0.0)) "trapezoidal, step at 0" (dt /. 2.0)
     (reference step01);
-  Alcotest.(check (float 0.0)) "backward Euler, step at 0" 0.0
-    (reference ~method_:Spice.Transient.Backward_euler step01);
   Alcotest.(check (float 1e-24)) "trapezoidal, step between grid times"
     (2.5 *. dt)
     (reference (Waveform.Step { t0 = 2.5 *. dt; v0 = 0.0; v1 = 1.0 }));
@@ -416,7 +386,7 @@ let test_steps_counter () =
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
   let full =
     Spice.Transient.run
-      (Spice.Transient.companion sys ~method_:options.Spice.Engine.method_
+      (Spice.Transient.companion sys
          ~dt:(horizon /. float_of_int steps_per_chunk))
       ~x0 ~t0:0.0 ~steps:steps_per_chunk ~probes:[| out |]
   in
@@ -448,8 +418,7 @@ let test_stopped_loop_prefix () =
   let x0 = Spice.Transient.dc_operating_point sys in
   let probes = Array.init sys.Spice.Mna.size Fun.id in
   let companion () =
-    Spice.Transient.companion sys ~method_:Spice.Transient.Trapezoidal
-      ~dt:5e-11
+    Spice.Transient.companion sys ~dt:5e-11
   in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:1e-9 ~steps:80 ~probes
@@ -530,11 +499,10 @@ let test_trace_csv_and_append () =
 
 (* The dense reference of [Transient.assemble]: the base G and C
    embedded in the grown size, the stamps added in order, then G + hC
-   and the explicit side 2hC (hC for backward Euler) formed densely.
+   and the explicit side 2hC formed densely.
    The sparse pair must equal it entry for entry, bit for bit, and
    store exactly its nonzeros. *)
 let check_assembly ?stamps ~what sys =
-  let open Numeric in
   let n = sys.Spice.Mna.size in
   let added, g_stamps, c_stamps =
     match stamps with
@@ -543,7 +511,7 @@ let check_assembly ?stamps ~what sys =
   in
   let nt = n + added in
   let grown csc st =
-    let base = Sparse.Csc.to_matrix csc in
+    let base = Matrix.of_csc csc in
     let m = Matrix.create nt nt in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
@@ -566,25 +534,15 @@ let check_assembly ?stamps ~what sys =
   let dt = 1.7e-11 in
   let check label sparse dense =
     Alcotest.(check bool) (what ^ ", " ^ label ^ ": same entries") true
-      (Matrix.to_arrays (Sparse.Csc.to_matrix sparse) = Matrix.to_arrays dense);
+      (Matrix.to_arrays (Matrix.of_csc sparse) = Matrix.to_arrays dense);
     Alcotest.(check int) (what ^ ", " ^ label ^ ": nonzeros only")
-      (Sparse.Csc.nnz (Sparse.Csc.of_matrix dense))
-      (Sparse.Csc.nnz sparse)
+      (Numeric.Sparse.Csc.nnz (Matrix.to_csc dense))
+      (Numeric.Sparse.Csc.nnz sparse)
   in
-  let lhs, explicit =
-    Spice.Transient.assemble ?stamps sys ~method_:Spice.Transient.Trapezoidal
-      ~dt
-  in
+  let lhs, explicit = Spice.Transient.assemble ?stamps sys ~dt in
   let h = 2.0 /. dt in
   check "trapezoidal g + hc" lhs (Matrix.add gd (Matrix.scale h cd));
   check "trapezoidal 2hc" explicit (Matrix.scale (2.0 *. h) cd);
-  let lhs, explicit =
-    Spice.Transient.assemble ?stamps sys
-      ~method_:Spice.Transient.Backward_euler ~dt
-  in
-  let hc = Matrix.scale (1.0 /. dt) cd in
-  check "backward euler g + hc" lhs (Matrix.add gd hc);
-  check "backward euler hc" explicit hc;
   (gd, cd)
 
 (* Without stamps: a voltage source (G-only entries, a zero branch
@@ -671,7 +629,7 @@ let test_companion_add_matches_dense () =
   | None -> Alcotest.fail "series conductance update refused"
   | Some solve ->
       Alcotest.(check (float 1e-12)) "base unknowns agree" 0.0
-        (Numeric.Vec.max_abs_diff (solve (Spice.Mna.rhs sys 0.5))
+        (Matrix.max_abs_diff (solve (Spice.Mna.rhs sys 0.5))
            (Array.sub x 0 n))
 
 (* A resize restamps an existing chain with the change in its values,
@@ -704,7 +662,7 @@ let test_companion_resize_matches_dense () =
   in
   let gd, _ = check_assembly ~what:"cancelling resize" ~stamps:cancel sys in
   Alcotest.(check bool) "the coupling cancels exactly" true
-    (Numeric.Matrix.get gd nodes.(0) nodes.(1) = 0.0)
+    (Matrix.get gd nodes.(0) nodes.(1) = 0.0)
 
 (* One ordering per system: wherever C is diagonal, as on every lowered
    routing, the G∪C order is G's own. *)
@@ -739,7 +697,6 @@ let suites =
         Alcotest.test_case "rc charging (trap)" `Quick
           test_rc_charging_trapezoidal;
         Alcotest.test_case "rc ramp (trap)" `Quick test_rc_ramp_trapezoidal;
-        Alcotest.test_case "trap beats euler" `Quick test_trapezoidal_beats_euler;
         Alcotest.test_case "rc 50% delay = RC ln2" `Quick test_rc_50_delay;
         Alcotest.test_case "horizon extension" `Quick test_horizon_extension;
         Alcotest.test_case "rlc overshoot" `Quick test_rlc_underdamped;
