@@ -10,9 +10,8 @@ let run_ac nl probes source =
   let freqs =
     Spice.Ac.log_frequencies ~f_start:1e5 ~f_stop:1e11 ~points_per_decade:10
   in
-  List.iter
-    (fun probe ->
-      let sweep = Spice.Ac.analyze nl ~source ~probe ~frequencies:freqs in
+  List.iter2
+    (fun probe sweep ->
       (match Spice.Ac.bandwidth_3db sweep with
       | Some bw ->
           Printf.printf "  %-12s 3dB bandwidth %.4g MHz\n" probe (bw /. 1e6)
@@ -23,6 +22,7 @@ let run_ac nl probes source =
       close_out oc;
       Printf.printf "  sweep written to %s\n" path)
     probes
+    (Spice.Ac.analyze nl ~source ~probes ~frequencies:freqs)
 
 let simulate deck_file probes tstop_s csv delay plot ac =
   match Circuit.Deck.read_file_full deck_file with
@@ -74,7 +74,8 @@ let simulate deck_file probes tstop_s csv delay plot ac =
                           (t *. 1e9)
                     | None ->
                         print_endline
-                          "  delay origin: t = 0 (no single step source)");
+                          "  delay origin: t = 0 (no single rising step, \
+                           PULSE or PWL source)");
                     List.iter
                       (fun (name, d) ->
                         match d with

@@ -35,7 +35,8 @@ let () =
   in
   let sweep r =
     let nl, _ = Delay.Lumping.circuit_of_routing ~tech r in
-    Spice.Ac.analyze nl ~source:"Vin" ~probe ~frequencies:freqs
+    List.hd
+      (Spice.Ac.analyze nl ~source:"Vin" ~probes:[ probe ] ~frequencies:freqs)
   in
   let s_mst = sweep mst and s_graph = sweep graph in
   let report name s =

@@ -5,23 +5,28 @@
    existing one. Re-stamping and re-factoring the full system per trial
    is wasted work. This module factors the base once per round and
    scores each edit as the base plus one conductance change Δg between
-   two existing unknowns, solved by Sherman–Morrison
-   ([Numeric.Sparse.with_conductance]). An edit is the wire it
-   changes, with old and new per-width values: an addition has zero
-   old values, a resize the wire's current ones.
+   two existing unknowns, by a Sherman–Morrison correction of a solve
+   against the base ([Numeric.Sparse.with_conductance]). An edit is the
+   wire it changes, with old and new per-width values: an addition has
+   zero old values, a resize the wire's current ones.
 
    - moment models: G gains Δg = 1/R_new − 1/R_old, the capacitance
      vector half the capacitance change at each end; first (and
-     second) moments are two updated solves against the round's
-     factorisation.
-   - SPICE (RC): the horizon comes from the incremental first moments.
-     At DC the wire's capacitors are open, so its π-chain of n_seg
-     segments is one series conductance 1/(n_seg·seg_r) between its end
-     vertices, and its interior nodes lie evenly between the two end
-     voltages. The DC operating point and the settled state are
-     therefore updated solves against the round's factored MNA G,
-     interpolated onto the interior nodes. The transient gets the
-     per-segment stamp changes on the wire's chain as plain
+     second) moments are two corrected solves against the round's
+     factorisation, in the candidate's own workspace.
+   - SPICE (RC): the round's base MNA system is stamped straight from
+     the routing ([Delay.Lumping.system]), no netlist in between, and
+     its G factored, recording the factorisation, inside one
+     [incremental.prepare] span. The horizon comes from the incremental
+     first moments. At DC the wire's capacitors are open, so its
+     π-chain of n_seg segments is one series conductance
+     1/(n_seg·seg_r) between its end vertices, and its interior nodes
+     lie evenly between the two end voltages. The round solves the
+     base's operating point and settled state once; each candidate
+     corrects both for its conductance (O(n), no solve beyond the
+     correction's own) and interpolates them onto the interior
+     nodes. The transient gets the per-segment stamp changes on the
+     wire's chain as plain
      [Transient.stamps]: freshly appended interior unknowns for an
      addition, the chain's existing unknowns for a resize (the segment
      count depends only on length). The shared threshold scan assembles
@@ -116,9 +121,19 @@ let moment_update ctx ~tech w =
   let c = Array.copy ctx.m_cap in
   c.(w.u) <- c.(w.u) +. (cap /. 2.0);
   c.(w.v) <- c.(w.v) +. (cap /. 2.0);
-  match Numeric.Sparse.with_conductance ctx.m_lu w.u w.v cond with
+  (* The candidate's own workspace, for the correction's solve and its
+     own: the round's factorisation is shared with every worker
+     domain. *)
+  let work = Array.make (Array.length c) 0.0 in
+  match Numeric.Sparse.with_conductance ~work ctx.m_lu w.u w.v cond with
   | None -> fall_back "degenerate moments update"
-  | Some solve ->
+  | Some correct ->
+      let solve b =
+        let x = Array.copy b in
+        Numeric.Sparse.solve_with ~work ctx.m_lu x;
+        correct x;
+        x
+      in
       let m1 = solve c in
       if not (all_finite m1) then fall_back "non-finite first moments";
       (solve, c, m1)
@@ -135,17 +150,20 @@ let two_pole_delays ctx ~tech r w =
   let d = Delay.Moments.two_pole_fit ~m1 ~m2 in
   List.map (fun s -> (s, d.(s))) (Routing.sinks r)
 
-(* Per-round SPICE context: the base routing lowered and its MNA
-   conductance matrix factored once, with the unknown of every vertex
-   and the lowered nodes of every existing wire's π-chain. *)
+(* Per-round SPICE context: the base routing's MNA system, stamped
+   straight from the routing, with its conductance matrix factored and
+   its operating point and settled state solved once per round (every
+   candidate only corrects them), and the unknowns of every existing
+   wire's π-chain. Routing vertex i is unknown i. *)
 type spice_ctx = {
   cfg : Delay.Model.spice_config;
   sys : Spice.Mna.t;
   g_lu : Numeric.Sparse.t;
-  sink_unknowns : int array;  (* probe indices, in sink order *)
-  vertex_unknown : int array;  (* routing vertex -> MNA unknown *)
-  chains : ((int * int) * Circuit.Element.node array) array;
-      (* Lumping.lower's chains: wire (u < v) -> its nodes from u to v *)
+  x0 : float array;  (* the base's G⁻¹ b(0) *)
+  xf : float array;  (* the base's G⁻¹ b(settled) *)
+  sinks : int array;  (* probe unknowns, in sink order *)
+  chains : ((int * int) * int array) array;
+      (* Lumping.system's chains: wire (u < v) -> its unknowns from u to v *)
   mom : moments_ctx;  (* for the horizon estimate *)
 }
 
@@ -154,14 +172,11 @@ let prepare_spice ~tech cfg r =
   | None -> None
   | Some mom -> (
       match
-        let l =
-          Delay.Lumping.lower ~segmentation:cfg.Delay.Model.segmentation
-            ~include_inductance:false ~tech r
-        in
-        (l, Spice.Mna.build l.Delay.Lumping.netlist)
+        Delay.Lumping.system ~segmentation:cfg.Delay.Model.segmentation
+          ~include_inductance:false ~tech r
       with
       | exception _ -> None
-      | l, sys -> (
+      | { Delay.Lumping.mna = sys; chains } -> (
           match
             Numeric.Sparse.try_factor_recording ~symbolic:sys.Spice.Mna.sym
               sys.Spice.Mna.g_csc
@@ -171,17 +186,13 @@ let prepare_spice ~tech cfg r =
               (* C is diagonal on a lowered routing, so G's record is
                  every companion's: each candidate refactors on it. *)
               let sys = { sys with Spice.Mna.sym } in
-              let unknown node = sys.Spice.Mna.unknown_of_node.(node) in
-              let vertex_unknown =
-                Array.map unknown l.Delay.Lumping.vertex_nodes
-              in
-              let sink_unknowns =
-                Array.of_list
-                  (List.map (fun s -> vertex_unknown.(s)) (Routing.sinks r))
-              in
+              (* Not yet shared, so the factorisation's own scratch is
+                 safe here. *)
+              let x0 = Numeric.Sparse.solve g_lu (Spice.Mna.rhs sys 0.0) in
+              let xf = Numeric.Sparse.solve g_lu (Spice.Mna.settled_rhs sys) in
               Some
-                { cfg; sys; g_lu; sink_unknowns; vertex_unknown;
-                  chains = l.Delay.Lumping.chains; mom }))
+                { cfg; sys; g_lu; x0; xf;
+                  sinks = Array.of_list (Routing.sinks r); chains; mom }))
 
 let spice_delays ctx ~tech r w =
   (* Horizon from the trial's first moments — Model.spice_horizon
@@ -213,20 +224,16 @@ let spice_delays ctx ~tech r w =
         let _, _, c = segments width in
         c)
   in
-  let iu = ctx.vertex_unknown.(w.u) and iv = ctx.vertex_unknown.(w.v) in
+  let iu = w.u and iv = w.v in
   let n = ctx.sys.Spice.Mna.size in
   let added = if w.was = None then n_seg - 1 else 0 in
   let chain =
     match w.was with
     | Some _ ->
-        let nodes =
-          Array.find_map
-            (fun (e, nodes) -> if e = (w.u, w.v) then Some nodes else None)
-            ctx.chains
-        in
-        Array.map
-          (fun node -> ctx.sys.Spice.Mna.unknown_of_node.(node))
-          (Option.get nodes)
+        Option.get
+          (Array.find_map
+             (fun (e, chain) -> if e = (w.u, w.v) then Some chain else None)
+             ctx.chains)
     | None ->
         Array.init (n_seg + 1) (fun s ->
             if s = 0 then iu else if s = n_seg then iv else n + s - 1)
@@ -248,27 +255,29 @@ let spice_delays ctx ~tech r w =
         let _, r, _ = segments width in
         1.0 /. (float_of_int n_seg *. r))
   in
-  match Numeric.Sparse.with_conductance ctx.g_lu iu iv g with
+  match
+    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) ctx.g_lu iu iv g
+  with
   | None -> fall_back "degenerate conductance update"
-  | Some solve -> (
-      (* The DC state of the base plus the series conductance, with the
-         chain's interior nodes (appended after every base unknown for a
-         new wire, the wire's own for a resized one) interpolated
-         between its ends. *)
-      let dc_state b =
-        let x = solve b in
-        let xt = Array.make (n + added) 0.0 in
-        Array.blit x 0 xt 0 n;
+  | Some correct -> (
+      (* The DC state of the base plus the series conductance: the
+         round's base solution, corrected, with the chain's interior
+         nodes (appended after every base unknown for a new wire, the
+         wire's own for a resized one) interpolated between its ends. *)
+      let dc_state base =
+        let x = Array.make (n + added) 0.0 in
+        Array.blit base 0 x 0 n;
+        correct x;
         let xu = x.(iu) and xv = x.(iv) in
         for s = 1 to n_seg - 1 do
-          xt.(chain.(s)) <-
+          x.(chain.(s)) <-
             xu +. ((xv -. xu) *. float_of_int s /. float_of_int n_seg)
         done;
-        xt
+        x
       in
-      let x0 = dc_state (Spice.Mna.rhs ctx.sys 0.0) in
+      let x0 = dc_state ctx.x0 in
       if not (all_finite x0) then fall_back "non-finite operating point";
-      let xf = dc_state (Spice.Mna.settled_rhs ctx.sys) in
+      let xf = dc_state ctx.xf in
       if not (all_finite xf) then fall_back "non-finite settled state";
       (* Only the companion matrix is factored per candidate, refactored
          on the round's record: its timestep derives from this
@@ -277,7 +286,7 @@ let spice_delays ctx ~tech r w =
       match
         Spice.Engine.threshold_scan_result
           ~options:ctx.cfg.Delay.Model.options ~stamps ctx.sys
-          ~idx:ctx.sink_unknowns ~x0 ~xf ~horizon
+          ~idx:ctx.sinks ~x0 ~xf ~horizon
       with
       | Error e -> fall_back (Nontree_error.to_string e)
       | Ok found ->
@@ -342,8 +351,11 @@ let make_scorer ~model ~tech ~fallback r =
               Obs.Counter.incr fallbacks;
               fallback trial)
     in
+    (* A round's set-up, apart from its candidates' scoring in the
+       manifest's spans. *)
+    let prepare f = Obs.span "incremental.prepare" f in
     let moment_scorer compute_delays =
-      match prepare_moments ~tech r with
+      match prepare (fun () -> prepare_moments ~tech r) with
       | None ->
           (* The base would not factor; the whole round takes the
              robust path. *)
@@ -361,7 +373,7 @@ let make_scorer ~model ~tech ~fallback r =
     | Delay.Model.First_moment -> moment_scorer first_moment_delays
     | Delay.Model.Two_pole -> moment_scorer two_pole_delays
     | Delay.Model.Spice cfg when not cfg.Delay.Model.include_inductance -> (
-        match prepare_spice ~tech cfg r with
+        match prepare (fun () -> prepare_spice ~tech cfg r) with
         | None ->
             Obs.Counter.incr fallbacks;
             None

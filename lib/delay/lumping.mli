@@ -5,7 +5,13 @@
     is expanded into a chain of lumped π-segments; the source pin is
     driven by the driver resistance from an ideal step source; and a
     sink loading capacitance sits at every pin. Wire widths from the
-    WSORG formulation scale resistance down and capacitance up. *)
+    WSORG formulation scale resistance down and capacitance up.
+
+    The lowering comes in two forms with one numbering: {!system}
+    stamps the MNA system straight from the routing, which is what
+    every delay oracle simulates, and {!circuit_of_routing} writes the
+    same circuit as a named netlist, for deck export ([route --deck]),
+    [spice_run] and the tests. *)
 
 type segmentation =
   | Fixed of int  (** every edge becomes exactly this many π-segments *)
@@ -33,31 +39,9 @@ val pi_segments :
   int * float * float
 (** [(n_seg, seg_r, seg_c)] for one wire: the segment count and the
     per-segment resistance and capacitance, computed exactly as
-    {!circuit_of_routing} stamps them — the incremental oracle uses
-    this to stamp an edited wire without rebuilding the netlist. *)
-
-type lowered = {
-  netlist : Circuit.Netlist.t;
-  vertex_nodes : Circuit.Element.node array;
-      (** routing vertex [i] → its circuit node (named
-          {!vertex_node_name}[ i]) *)
-  chains : ((int * int) * Circuit.Element.node array) array;
-      (** one entry per wire, in {!Graphs.Wgraph.edges} order: its
-          endpoints [(u, v)] with [u < v], and the nodes of its π-chain
-          from [u] to [v], both ends included ([n_seg + 1] nodes). With
-          inductance the R–L midpoints are not listed. *)
-}
-(** A routing lowered to a netlist, with the nodes the lowering gave
-    each vertex and each wire — what the incremental oracle needs to
-    find a wire's unknowns without looking nodes up by name. *)
-
-val lower :
-  ?segmentation:segmentation ->
-  ?include_inductance:bool ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  lowered
-(** The lowering behind {!circuit_of_routing}, same defaults. *)
+    {!system} and {!circuit_of_routing} stamp them — the incremental
+    oracle uses this to stamp an edited wire without rebuilding the
+    system. *)
 
 val circuit_of_routing :
   ?segmentation:segmentation ->
@@ -72,3 +56,35 @@ val circuit_of_routing :
     Elmore comparisons assume; pass [~include_inductance:true] for the
     full Table 1 RLC model). The net is driven by a 0→1 V ideal step at
     t = 0 (source ["Vin"]) through the driver resistance. *)
+
+type system = {
+  mna : Spice.Mna.t;
+      (** routing vertex [i] is unknown [i]; the driven node is unknown
+          [num_vertices], the source's branch [mna.num_node_unknowns] *)
+  chains : ((int * int) * int array) array;
+      (** one entry per wire, in {!Graphs.Wgraph.edges} order: its
+          endpoints [(u, v)] with [u < v], and the unknowns of its
+          π-chain from [u] to [v], both ends included ([n_seg + 1]
+          unknowns). With inductance the R–L midpoints are not
+          listed. *)
+}
+(** A routing's MNA system with the unknowns of every wire — what the
+    incremental oracle needs to restamp a wire. *)
+
+val system :
+  ?segmentation:segmentation ->
+  ?include_inductance:bool ->
+  tech:Circuit.Technology.t ->
+  Routing.t ->
+  system
+(** [system ~tech r] is [Spice.Mna.build (fst (circuit_of_routing ~tech
+    r))] (same defaults) built without the netlist: the same unknowns,
+    sources and [unknown_of_node], and G and C stamped in the same
+    order, so their CSC images and the ordering are bit for bit the
+    same. The ordering is [Numeric.Sparse.analyze] of G, which is the
+    G∪C ordering because C is diagonal.
+
+    @raise Invalid_argument when an element value (a segment's R, C or
+    L, [Rdrv] or the sink load) is not finite and positive — a
+    zero-length or overflowing wire — as the netlist refuses such an
+    element. *)

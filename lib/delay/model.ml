@@ -61,33 +61,36 @@ let injected ~stage =
       Some (Nontree_error.Non_finite { stage = stage ^ ".injected"; value = Float.nan })
 
 let spice_sink_delays_result ~horizon_scale config ~tech r =
-  match
-    let nl, sink_names =
-      Lumping.circuit_of_routing ~segmentation:config.segmentation
-        ~include_inductance:config.include_inductance ~tech r
-    in
-    let horizon = spice_horizon ~tech r *. horizon_scale in
-    (nl, sink_names, horizon)
-  with
+  match spice_horizon ~tech r *. horizon_scale with
   | exception Numeric.Sparse.Singular k ->
       Error (Nontree_error.singular ~stage:"spice.horizon" k)
-  | nl, sink_names, horizon ->
+  | horizon ->
       if not (Float.is_finite horizon && horizon > 0.0) then
         Error (Nontree_error.Non_finite { stage = "spice.horizon"; value = horizon })
       else
-        let* delays =
-          Spice.Engine.threshold_delays_result ~options:config.options nl
-            ~probes:sink_names ~horizon
+        let sinks = Routing.sinks r in
+        (* The system is stamped straight from the routing, after the
+           engine's fault draw; routing vertex v is unknown v. *)
+        let* found =
+          Spice.Engine.threshold_system_result ~options:config.options
+            ~horizon (fun () ->
+              let s =
+                Lumping.system ~segmentation:config.segmentation
+                  ~include_inductance:config.include_inductance ~tech r
+              in
+              (s.Lumping.mna, Array.of_list sinks))
         in
-        let rec combine acc vs ds =
-          match (vs, ds) with
-          | [], [] -> Ok (List.rev acc)
-          | v :: vs, (_, Some t) :: ds -> combine ((v, t) :: acc) vs ds
-          | _ :: _, (probe, None) :: _ ->
-              Error (Nontree_error.Probe_never_settled { probe; horizon })
-          | _ -> invalid_arg "Model: sink/probe length mismatch"
+        let rec combine acc p = function
+          | [] -> Ok (List.rev acc)
+          | v :: vs -> (
+              match found.(p) with
+              | Some t -> combine ((v, t) :: acc) (p + 1) vs
+              | None ->
+                  Error
+                    (Nontree_error.Probe_never_settled
+                       { probe = Lumping.vertex_node_name v; horizon }))
         in
-        let* ds = combine [] (Routing.sinks r) delays in
+        let* ds = combine [] 0 sinks in
         finite_delays ~stage:"spice.delays" ds
 
 let sink_delays_result ?(horizon_scale = 1.0) model ~tech r =

@@ -845,14 +845,13 @@ let factor ?symbolic a =
    The counter keeps its older name: benchmark reports read it. *)
 let rank1_updates = Obs.Counter.make "lu.rank1_updates"
 
-let with_conductance t i j g =
+let with_conductance ~work t i j g =
   let n = size t in
   if i < 0 || i >= n || j < 0 || j >= n || i = j then
     invalid_arg "Sparse.with_conductance: bad unknown";
   if not (Float.is_finite g) then None
   else begin
     Obs.Counter.incr rank1_updates;
-    let work = Array.make n 0.0 in
     let z = Array.make n 0.0 in
     z.(i) <- 1.0;
     z.(j) <- -1.0;
@@ -867,12 +866,11 @@ let with_conductance t i j g =
     then None
     else
       Some
-        (fun b ->
-          let x = Array.copy b in
-          solve_with ~work t x;
+        (fun x ->
+          if Array.length x < n then
+            invalid_arg "Sparse.with_conductance: array too short";
           let c = (x.(i) -. x.(j)) /. s in
           for k = 0 to n - 1 do
             x.(k) <- x.(k) -. (z.(k) *. c)
-          done;
-          x)
+          done)
   end

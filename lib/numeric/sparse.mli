@@ -204,14 +204,19 @@ val solve_in_place : t -> float array -> unit
 val solve : t -> float array -> float array
 
 val with_conductance :
-  t -> int -> int -> float -> (float array -> float array) option
-(** [with_conductance f i j g] is a solver for the factored matrix A
-    plus one conductance [g] between unknowns [i] and [j], i.e.
-    A + g·w·wᵀ with w = e{_i} − e{_j}, by Sherman–Morrison: one solve
-    against [f] builds it, each call then costs one more solve and
-    O(n). No full matrix is factored. [f] stays read-only: the solver
-    carries its own workspace, so a factorisation shared between
-    domains may be updated from each of them, one solver per domain.
+  work:float array -> t -> int -> int -> float -> (float array -> unit) option
+(** [with_conductance ~work f i j g] corrects solves against the factored
+    matrix A into solves against A plus one conductance [g] between
+    unknowns [i] and [j], i.e. A + g·w·wᵀ with w = e{_i} − e{_j}, by
+    Sherman–Morrison: one solve against [f] (z = A⁻¹w) builds the
+    correction, and applying it to x = A⁻¹b, which overwrites the
+    first n entries of [x] with (A + g·w·wᵀ)⁻¹b, costs O(n) and no
+    solve. So a right-hand side shared by many conductance changes is
+    solved against [f] once; entries of [x] past n are left alone. No
+    full matrix is factored. [f] stays read-only: the one solve runs in
+    the caller's [work] (length at least n), as {!solve_with}'s do, so
+    a factorisation shared between domains may be updated from each of
+    them, one workspace per domain.
 
     [None] means the updated matrix is numerically singular: [g] is
     not finite, or the Sherman–Morrison denominator s = 1/g + wᵀA⁻¹w
@@ -219,4 +224,5 @@ val with_conductance :
     Counts one [lu.rank1_updates] per finite [g].
 
     @raise Invalid_argument when [i] or [j] is out of range or
-    [i = j]. *)
+    [i = j] or [work] is shorter than n, and (from the correction)
+    when [x] is shorter than n. *)

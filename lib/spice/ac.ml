@@ -73,35 +73,49 @@ let embed (sys : Mna.t) omega =
       Sparse.Triplets.add t (n + i) j (omega *. v));
   Sparse.Csc.of_triplets ~n:(2 * n) t
 
-let analyze nl ~source ~probe ~frequencies =
+let analyze nl ~source ~probes ~frequencies =
   let excited = excitation_netlist nl ~source in
   let sys = Mna.build excited in
-  let probe_node =
-    match Circuit.Netlist.find_node excited probe with
-    | Some node -> node
-    | None -> invalid_arg ("Ac.analyze: unknown probe node " ^ probe)
+  let unknowns =
+    List.map
+      (fun probe ->
+        let node =
+          match Circuit.Netlist.find_node excited probe with
+          | Some node -> node
+          | None -> invalid_arg ("Ac.analyze: unknown probe node " ^ probe)
+        in
+        let unknown = sys.Mna.unknown_of_node.(node) in
+        if unknown < 0 then invalid_arg "Ac.analyze: cannot probe ground";
+        unknown)
+      probes
   in
-  let unknown = sys.Mna.unknown_of_node.(probe_node) in
-  if unknown < 0 then invalid_arg "Ac.analyze: cannot probe ground";
   let n = sys.Mna.size in
   let b = Array.append (Mna.rhs sys 0.0) (Array.make n 0.0) in
   (* The embedding keeps exact zeros, so its pattern does not depend
      on ω and the sweep shares one ordering. *)
   let symbolic = Sparse.analyze (embed sys 1.0) in
+  (* One factorisation and solve per frequency yields every node, so
+     every probe reads the same solution. *)
+  let solutions =
+    List.map
+      (fun freq_hz ->
+        let a = embed sys (2.0 *. Float.pi *. freq_hz) in
+        match Sparse.try_factor ~symbolic a with
+        | Error k ->
+            (* Column k of the embedding is unknown k mod n's real or
+               imaginary part; -1 (a non-finite entry) stays -1. *)
+            Nontree_error.raise_error
+              (Nontree_error.singular ~stage:"spice.ac" (k mod n))
+        | Ok lu -> (freq_hz, Sparse.solve lu b))
+      frequencies
+  in
   List.map
-    (fun freq_hz ->
-      let a = embed sys (2.0 *. Float.pi *. freq_hz) in
-      match Sparse.try_factor ~symbolic a with
-      | Error k ->
-          (* Column k of the embedding is unknown k mod n's real or
-             imaginary part; -1 (a non-finite entry) stays -1. *)
-          Nontree_error.raise_error
-            (Nontree_error.singular ~stage:"spice.ac" (k mod n))
-      | Ok lu ->
-          let x = Sparse.solve lu b in
-          let response = { Complex.re = x.(unknown); im = x.(n + unknown) } in
-          { freq_hz; response })
-    frequencies
+    (fun u ->
+      List.map
+        (fun (freq_hz, x) ->
+          { freq_hz; response = { Complex.re = x.(u); im = x.(n + u) } })
+        solutions)
+    unknowns
 
 let magnitude_db p = 20.0 *. log10 (Complex.norm p.response)
 

@@ -28,14 +28,16 @@ val log_frequencies :
 val analyze :
   Circuit.Netlist.t ->
   source:string ->
-  probe:string ->
+  probes:string list ->
   frequencies:float list ->
-  sweep
-(** [analyze nl ~source ~probe ~frequencies] drives the named voltage
-    source with a unit phasor and records the probed node.
+  sweep list
+(** [analyze nl ~source ~probes ~frequencies] drives the named voltage
+    source with a unit phasor and records every probed node: one sweep
+    per probe, in [probes] order, all read from one build, one ordering
+    and one factorisation and solve per frequency.
 
     @raise Invalid_argument when [source] is not a voltage source of
-    the netlist or [probe] is not a node.
+    the netlist or a probe is not a node.
     @raise Nontree_error.Error with [Singular_matrix] (stage
     ["spice.ac"], [column] the unknown whose real or imaginary part
     found no usable pivot) when G + jωC is singular at some frequency,

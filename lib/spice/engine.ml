@@ -97,34 +97,87 @@ let transient ?options nl ~tstop ~probes =
   | Ok t -> t
   | Error e -> Nontree_error.raise_error e
 
-(* The switch time of a system driven by one Step, the only drive whose
-   delays are measured from a grid-adjusted input crossing. *)
-let step_switch (sys : Mna.t) =
-  match sys.Mna.sources with
-  | [| { Mna.wave = Circuit.Waveform.Step { t0; _ }; _ } |] when t0 >= 0.0 ->
-      Some t0
-  | _ -> None
-
 (* On the solver grid t_n = n·dt a Step switching at t0 still reads v0
    at the last grid time m·dt <= t0 and v1 from the next one on. The
    trapezoidal rule averages b(t_n) and b(t_n+1), so it integrates the
    step as a ramp over that one step, whose 50 % point is m·dt + dt/2. *)
-let input_reference sys ~dt =
-  match step_switch sys with
-  | None -> 0.0
-  | Some t0 ->
-      let switch = Float.of_int (int_of_float (t0 /. dt)) *. dt in
-      switch +. (dt /. 2.0)
+let step_reference ~t0 ~dt =
+  let switch = Float.of_int (int_of_float (t0 /. dt)) *. dt in
+  switch +. (dt /. 2.0)
+
+(* The first time a rising PULSE or PWL reaches [level] (its value at
+   t = 0 is below it). *)
+let first_crossing wave ~level =
+  match wave with
+  | Circuit.Waveform.Pulse { delay; rise; _ } -> Some (delay +. (rise /. 2.0))
+  | Circuit.Waveform.Pwl corners ->
+      (* From the last corner at or before t = 0 (the line through
+         (0, value at 0) before the first later one) onward. *)
+      let rec walk (ta, va) = function
+        | (tb, vb) :: rest when tb <= 0.0 -> walk (tb, vb) rest
+        | _ when va >= level -> Some (Float.max ta 0.0)
+        | [] -> None
+        | (tb, vb) :: rest ->
+            if vb >= level then
+              Some (ta +. ((level -. va) /. (vb -. va) *. (tb -. ta)))
+            else walk (tb, vb) rest
+      in
+      walk (0.0, Circuit.Waveform.value wave 0.0) corners
+  | _ -> None
+
+(* The solver sees a PULSE or PWL through its samples b(t_n), joined
+   linearly by the trapezoidal rule, as it sees a Step: the input's 50 %
+   point is where that polyline first crosses halfway from the value at
+   t = 0 to the settled one, between the last sample below and the
+   first at or above it — a sample or two after the waveform's own
+   crossing. [None] for a falling or flat drive, or one whose edge the
+   grid steps over (back below 50 % by the next samples). *)
+let grid_reference wave ~dt =
+  let value n = Circuit.Waveform.value wave (Float.of_int n *. dt) in
+  let v_start = value 0 in
+  let v_end = Circuit.Waveform.settled wave in
+  if not (v_end > v_start) then None
+  else
+    let level = v_start +. (0.5 *. (v_end -. v_start)) in
+    Option.bind (first_crossing wave ~level) (fun tc ->
+        (* Samples before the waveform's own crossing are below the
+           level; back off a sample where rounding put one past it. *)
+        let n = ref (Int.max 1 (int_of_float (tc /. dt))) in
+        while !n > 1 && value (!n - 1) >= level do
+          decr n
+        done;
+        let rec first n tries =
+          if tries = 0 then None
+          else if value n >= level then Some n
+          else first (n + 1) (tries - 1)
+        in
+        Option.map
+          (fun n ->
+            let v0 = value (n - 1) and v1 = value n in
+            (Float.of_int (n - 1) *. dt) +. ((level -. v0) /. (v1 -. v0) *. dt))
+          (first !n 3))
+
+(* Where delays are measured from: a single Step switching at t0 >= 0,
+   or a single rising PULSE (delay >= 0) or PWL source, crosses 50 % on
+   the grid; anything else measures from t = 0. *)
+let origin (sys : Mna.t) ~dt =
+  match sys.Mna.sources with
+  | [| { Mna.wave = Circuit.Waveform.Step { t0; _ }; _ } |] when t0 >= 0.0 ->
+      Some (step_reference ~t0 ~dt)
+  | [| { Mna.wave = Circuit.Waveform.Pulse { delay; _ } as wave; _ } |]
+    when delay >= 0.0 ->
+      grid_reference wave ~dt
+  | [| { Mna.wave = Circuit.Waveform.Pwl _ as wave; _ } |] ->
+      grid_reference wave ~dt
+  | _ -> None
+
+let input_reference sys ~dt = Option.value ~default:0.0 (origin sys ~dt)
 
 (* The threshold scan's fixed timestep. *)
 let scan_dt options ~horizon = horizon /. float_of_int options.steps_per_chunk
 
 let delay_origin ?(options = default_options) nl ~horizon =
-  let sys = Mna.build nl in
-  Option.map
-    (fun _ ->
-      input_reference sys ~dt:(scan_dt options ~horizon))
-    (step_switch sys)
+  origin (Mna.build nl) ~dt:(scan_dt options ~horizon)
 
 let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
     ~xf ~horizon =
@@ -195,14 +248,13 @@ let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
   in
   extend x0 0.0 options.steps_per_chunk 0
 
-let threshold_delays_result ?(options = default_options) nl ~probes ~horizon =
+let threshold_system_result ?(options = default_options) ~horizon build =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_delays: horizon must be positive";
   match injected_fault ~horizon with
   | Some e -> Error e
   | None -> (
-      let sys = Mna.build nl in
-      let idx = probe_indices nl sys probes in
+      let sys, idx = build () in
       (* One factorisation of G serves the operating point and the
          settled state. *)
       match Mna.factor_g_result sys with
@@ -212,10 +264,15 @@ let threshold_delays_result ?(options = default_options) nl ~probes ~horizon =
           let* () = check_finite ~stage:"spice.dc" x0 in
           let xf = Numeric.Sparse.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
-          let* found =
-            threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon
-          in
-          Ok (List.mapi (fun p name -> (name, found.(p))) probes))
+          threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon)
+
+let threshold_delays_result ?options nl ~probes ~horizon =
+  let* found =
+    threshold_system_result ?options ~horizon (fun () ->
+        let sys = Mna.build nl in
+        (sys, probe_indices nl sys probes))
+  in
+  Ok (List.mapi (fun p name -> (name, found.(p))) probes)
 
 let threshold_delays ?options nl ~probes ~horizon =
   match threshold_delays_result ?options nl ~probes ~horizon with

@@ -5,7 +5,12 @@
     threshold delays that define the paper's delay metric t(n_i). A
     threshold query factors G once (operating point and settled state)
     and its trapezoidal companion once, and scans crossings as the step
-    loop produces states, stopping at the last one.
+    loop produces states, stopping at the last one. The delay oracles
+    skip the netlist: they hand {!threshold_system_result} an MNA
+    system stamped straight from the routing, and the incremental
+    scorer hands {!threshold_scan_result} a round's base system, its
+    corrected operating point and settled state, and an edit's
+    stamps.
 
     Every analysis comes in two flavours: a [_result] variant that
     reports operational failures (singular MNA matrices, non-finite
@@ -70,19 +75,27 @@ val transient_result :
 val input_reference : Mna.t -> dt:float -> float
 (** The time the input crosses its own 50 % point on the solver grid
     t_n = n·[dt], from which the threshold search measures every delay
-    (the standard 50 %-in to 50 %-out delay). Defined for a system
-    driven by a single [Step] switching at t0 >= 0 — every oracle
-    netlist has one at t = 0: with m·[dt] the last grid time not after
-    t0, the trapezoidal rule averages b(t_n) and b(t_n+1) and so sees a
-    one-step ramp crossing 50 % at m·[dt] + [dt]/2. Any other set of
-    sources keeps the t = 0 reference. *)
+    (the standard 50 %-in to 50 %-out delay). The trapezoidal rule
+    averages b(t_n) and b(t_n+1), so it sees the input as the polyline
+    through its grid samples, and the reference is where that polyline
+    crosses.
+    - A single [Step] switching at t0 >= 0 (every oracle's drive, at
+      t = 0): with m·[dt] the last grid time not after t0, a one-step
+      ramp crossing at m·[dt] + [dt]/2.
+    - A single rising [Pulse] (delay >= 0) or [Pwl]: the crossing
+      halfway from its value at t = 0 to its
+      {!Circuit.Waveform.settled} level, interpolated between the last
+      sample below that level and the first at or above it.
+    Any other set of sources — a falling or flat drive, a [Ramp],
+    several sources, or an edge the grid steps over within a sample or
+    two — keeps the t = 0 reference. *)
 
 val delay_origin :
   ?options:options -> Circuit.Netlist.t -> horizon:float -> float option
 (** Where {!threshold_delays_result} [?options nl ~horizon] measures
-    delays from: [Some t], the {!input_reference} of its timestep, when
-    a single [Step] switching at t0 >= 0 drives [nl]; [None] when
-    delays run from t = 0 (PULSE, PWL, several sources, ...). *)
+    delays from: [Some t], the {!input_reference} of its timestep,
+    when a single Step, PULSE or PWL source drives [nl] and has one;
+    [None] when delays run from t = 0. *)
 
 val threshold_scan_result :
   ?options:options ->
@@ -112,28 +125,49 @@ val threshold_scan_result :
 
     @raise Invalid_argument on a non-positive [horizon]. *)
 
+val threshold_system_result :
+  ?options:options ->
+  horizon:float ->
+  (unit -> Mna.t * int array) ->
+  (float option array, Nontree_error.t) result
+(** [threshold_system_result ~horizon build] is the threshold query on
+    the system [build ()] returns with its probed unknowns: it draws
+    this query's fault ({!Fault}) first and calls [build] only when
+    none is injected, then factors G once, solves the operating point
+    (stage ["spice.dc"]) and the settled state (["spice.settle"])
+    against that factorisation, and runs {!threshold_scan_result};
+    each probe's delay comes back in [build]'s order. The plain SPICE
+    oracle builds the system straight from a routing
+    ([Delay.Lumping.system]); {!threshold_delays_result} builds it
+    from a netlist.
+
+    @raise Invalid_argument on a non-positive [horizon], before the
+    fault draw. *)
+
 val threshold_delays_result :
   ?options:options ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
   ((string * float option) list, Nontree_error.t) result
-(** [threshold_delays_result nl ~probes ~horizon] runs the transient
-    from the t=0 operating point, extending (doubling) the simulated
-    window until every probe has crossed 50 % of its final DC value or [max_extensions] is exhausted; unreached
+(** [threshold_delays_result nl ~probes ~horizon] is
+    {!threshold_system_result} on [Mna.build nl] and the named probes:
+    it runs the transient from the t=0 operating point, extending
+    (doubling) the simulated window until every probe has crossed 50 %
+    of its final DC value or [max_extensions] is exhausted; unreached
     probes report [None]. The final values are the DC solution with
     every source at its {!Circuit.Waveform.settled} level (a PULSE at
-    its first plateau), solved against the same factorisation of G as
-    the operating point. It is {!threshold_scan_result} on the built
-    system, so it stops at the last crossing and measures delays from
-    the input's own 50 % crossing on the solver grid. [horizon] is the
-    initial window estimate — a few times the slowest expected time
-    constant — and with [steps_per_chunk] sets the timestep.
+    its first plateau). It stops at the last crossing and measures
+    delays from {!input_reference}. [horizon] is the initial window
+    estimate — a few times the slowest expected time constant — and
+    with [steps_per_chunk] sets the timestep.
 
     Waveforms are guarded: any non-finite state value aborts the
     analysis with [Non_finite] rather than scanning garbage for
     threshold crossings; singular factorisations surface as
-    [Singular_matrix]. *)
+    [Singular_matrix].
+
+    @raise Invalid_argument for an unknown probe name. *)
 
 val threshold_delays :
   ?options:options ->

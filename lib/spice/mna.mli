@@ -7,7 +7,10 @@
 
     where x = (v, i). This module builds G, C and b from a netlist.
     Ground (node 0) is eliminated; unknown indices therefore run over
-    non-ground nodes first, then branches.
+    non-ground nodes first, then branches. The delay oracles do not go
+    through a netlist: [Delay.Lumping.system] fills this record
+    straight from a routing, bit for bit what {!build} makes of the
+    routing's netlist.
 
     G and C are stamped as triplets and kept only in compressed sparse
     column form, together with one precomputed fill-reducing ordering
@@ -42,7 +45,8 @@ type t = {
           and C: used to factor G and the transient iteration matrix
           G + C/h at every timestep. The ordering ignores the diagonal,
           so where C is diagonal (every lowered routing) it equals
-          [Numeric.Sparse.analyze g_csc]. {!build} gives a bare
+          [Numeric.Sparse.analyze g_csc], which is what
+          [Delay.Lumping.system] computes. {!build} gives a bare
           ordering; the incremental scorer substitutes its round's
           recorded G factorisation, on which companions refactor. *)
 }

@@ -90,6 +90,17 @@ grep -q "simulation failed: singular matrix in spice.ac" "$tmpdir/ac.err"
 # uncaught exception would exit 125.
 [ "$status" -eq 124 ]
 
+echo "== smoke: route --deck, then spice_run --delay on the exported deck =="
+# The oracles no longer build netlists; decks are where one is still
+# written. An 8-pin net has 7 sinks, each must report one delay.
+dune exec bin/netgen.exe -- --pins 8 --seed 3 -o "$tmpdir/net8.txt"
+dune exec bin/route.exe -- "$tmpdir/net8.txt" --deck "$tmpdir/net8.cir" \
+  > /dev/null
+"$spice_run" "$tmpdir/net8.cir" --delay > "$tmpdir/deck.out"
+sink_delays=$(grep -c "50% delay" "$tmpdir/deck.out")
+echo "sink delays reported: $sink_delays"
+[ "$sink_delays" -eq 7 ]
+
 echo "== perfbench smoke: evaluation paths reconcile, outputs check =="
 # ldrg-spice and wire-size score added and resized wires through the
 # transient's stamp assembly, under the outputs check.

@@ -13,6 +13,12 @@ let rc_lowpass () =
   Netlist.capacitor nl out Netlist.ground 1e-12;
   nl
 
+(* The sweep of one probe. *)
+let analyze nl ~source ~probe ~frequencies =
+  match Spice.Ac.analyze nl ~source ~probes:[ probe ] ~frequencies with
+  | [ sweep ] -> sweep
+  | _ -> Alcotest.fail "one sweep per probe expected"
+
 let test_log_frequencies () =
   let fs = Spice.Ac.log_frequencies ~f_start:1.0 ~f_stop:1000.0 ~points_per_decade:1 in
   Alcotest.(check int) "4 points" 4 (List.length fs);
@@ -27,7 +33,7 @@ let test_rc_magnitude_analytic () =
   let nl = rc_lowpass () in
   let rc = 1e3 *. 1e-12 in
   let freqs = Spice.Ac.log_frequencies ~f_start:1e6 ~f_stop:1e10 ~points_per_decade:5 in
-  let sweep = Spice.Ac.analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
+  let sweep = analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
   List.iter
     (fun (p : Spice.Ac.point) ->
       let omega = 2.0 *. Float.pi *. p.Spice.Ac.freq_hz in
@@ -44,7 +50,7 @@ let test_rc_phase_analytic () =
   let rc = 1e3 *. 1e-12 in
   (* At the pole frequency the phase is -45 degrees. *)
   let f_pole = 1.0 /. (2.0 *. Float.pi *. rc) in
-  match Spice.Ac.analyze nl ~source:"Vin" ~probe:"out" ~frequencies:[ f_pole ] with
+  match analyze nl ~source:"Vin" ~probe:"out" ~frequencies:[ f_pole ] with
   | [ p ] ->
       Alcotest.(check bool) "phase -45" true
         (abs_float (Spice.Ac.phase_deg p -. -45.0) < 0.01)
@@ -57,7 +63,7 @@ let test_rc_bandwidth () =
   let freqs =
     Spice.Ac.log_frequencies ~f_start:1e6 ~f_stop:1e10 ~points_per_decade:20
   in
-  let sweep = Spice.Ac.analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
+  let sweep = analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
   match Spice.Ac.bandwidth_3db sweep with
   | Some bw ->
       Alcotest.(check bool)
@@ -82,7 +88,7 @@ let test_rlc_resonance_peak () =
     Spice.Ac.log_frequencies ~f_start:(f0 /. 100.0) ~f_stop:(f0 *. 100.0)
       ~points_per_decade:40
   in
-  let sweep = Spice.Ac.analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
+  let sweep = analyze nl ~source:"Vin" ~probe:"out" ~frequencies:freqs in
   let peak_f, peak_db =
     List.fold_left
       (fun (bf, bm) p ->
@@ -100,12 +106,12 @@ let test_unknown_source_and_probe () =
   let nl = rc_lowpass () in
   Alcotest.(check bool) "unknown source" true
     (try
-       ignore (Spice.Ac.analyze nl ~source:"Vxx" ~probe:"out" ~frequencies:[ 1e6 ]);
+       ignore (analyze nl ~source:"Vxx" ~probe:"out" ~frequencies:[ 1e6 ]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "unknown probe" true
     (try
-       ignore (Spice.Ac.analyze nl ~source:"Vin" ~probe:"nope" ~frequencies:[ 1e6 ]);
+       ignore (analyze nl ~source:"Vin" ~probe:"nope" ~frequencies:[ 1e6 ]);
        false
      with Invalid_argument _ -> true)
 
@@ -133,8 +139,12 @@ let test_other_sources_silenced () =
     nl
   in
   let f = [ 1e8 ] in
-  let with_src = Spice.Ac.analyze (build true) ~source:"Vin" ~probe:"out" ~frequencies:f in
-  let without = Spice.Ac.analyze (build false) ~source:"Vin" ~probe:"out" ~frequencies:f in
+  let with_src =
+    analyze (build true) ~source:"Vin" ~probe:"out" ~frequencies:f
+  in
+  let without =
+    analyze (build false) ~source:"Vin" ~probe:"out" ~frequencies:f
+  in
   match (with_src, without) with
   | [ a ], [ b ] ->
       Alcotest.(check bool) "zeroed source acts as short" true
@@ -144,7 +154,7 @@ let test_other_sources_silenced () =
 
 let test_csv () =
   let nl = rc_lowpass () in
-  let sweep = Spice.Ac.analyze nl ~source:"Vin" ~probe:"out" ~frequencies:[ 1e6; 1e7 ] in
+  let sweep = analyze nl ~source:"Vin" ~probe:"out" ~frequencies:[ 1e6; 1e7 ] in
   let csv = Spice.Ac.to_csv sweep in
   Alcotest.(check bool) "header + 2 rows" true
     (List.length (String.split_on_char '\n' (String.trim csv)) = 3)
@@ -175,7 +185,7 @@ let test_routing_bandwidth_improves () =
         Spice.Ac.log_frequencies ~f_start:1e6 ~f_stop:1e11 ~points_per_decade:10
       in
       let sweep =
-        Spice.Ac.analyze nl ~source:"Vin"
+        analyze nl ~source:"Vin"
           ~probe:(Delay.Lumping.vertex_node_name worst) ~frequencies:freqs
       in
       match Spice.Ac.bandwidth_3db sweep with
@@ -205,7 +215,7 @@ let test_singular_deck () =
   | Error e -> Alcotest.fail e
   | Ok nl -> (
       match
-        Spice.Ac.analyze nl ~source:"V1" ~probe:"out" ~frequencies:[ 1e6 ]
+        analyze nl ~source:"V1" ~probe:"out" ~frequencies:[ 1e6 ]
       with
       | exception
           Nontree_error.Error
@@ -268,24 +278,26 @@ let test_matches_dense_reference () =
             Lu.solve_matrix a b)
           freqs
       in
-      for node = 1 to Netlist.num_nodes nl - 1 do
-        let u = sys.Spice.Mna.unknown_of_node.(node) in
-        let sweep =
-          Spice.Ac.analyze nl ~source:"Vin" ~probe:(Netlist.node_name nl node)
-            ~frequencies:freqs
-        in
-        List.iter2
-          (fun (p : Spice.Ac.point) x ->
-            let expected = { Complex.re = x.(u); im = x.(n + u) } in
-            let err =
-              Complex.norm (Complex.sub p.Spice.Ac.response expected)
-              /. Complex.norm expected
-            in
-            if not (err <= 1e-12) then
-              Alcotest.failf "%s, node %s, %.3g Hz: relative error %.3e" what
-                (Netlist.node_name nl node) p.Spice.Ac.freq_hz err)
-          sweep dense
-      done)
+      (* One sweep serves every node. *)
+      let nodes = List.init (Netlist.num_nodes nl - 1) (fun k -> k + 1) in
+      List.iter2
+        (fun node sweep ->
+          let u = sys.Spice.Mna.unknown_of_node.(node) in
+          List.iter2
+            (fun (p : Spice.Ac.point) x ->
+              let expected = { Complex.re = x.(u); im = x.(n + u) } in
+              let err =
+                Complex.norm (Complex.sub p.Spice.Ac.response expected)
+                /. Complex.norm expected
+              in
+              if not (err <= 1e-12) then
+                Alcotest.failf "%s, node %s, %.3g Hz: relative error %.3e"
+                  what (Netlist.node_name nl node) p.Spice.Ac.freq_hz err)
+            sweep dense)
+        nodes
+        (Spice.Ac.analyze nl ~source:"Vin"
+           ~probes:(List.map (Netlist.node_name nl) nodes)
+           ~frequencies:freqs))
     [ ("MST", routed mst); ("LDRG", routed trace.Nontree.Ldrg.final); ("RLC", rlc) ]
 
 let suites =

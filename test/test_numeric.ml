@@ -137,14 +137,25 @@ let with_conductance_dense a i j g =
   Matrix.add_to m j i (-.g);
   m
 
+(* The update, its one solve in a fresh workspace. *)
+let update f i j g =
+  Sparse.with_conductance ~work:(Array.make (Sparse.size f) 0.0) f i j g
+
+(* A solve against [f], corrected for the added conductance. *)
+let corrected_solve f correct b =
+  let x = Sparse.solve f b in
+  correct x;
+  x
+
 let test_lu_update_known () =
   (* [[2,1],[1,3]] plus a unit conductance between 0 and 1 is
      [[3,0],[0,4]]; it maps [1,1] to [3,4]. *)
   let a = Matrix.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  (match Sparse.with_conductance (Sparse.factor (Matrix.to_csc a)) 0 1 1.0 with
+  let f = Sparse.factor (Matrix.to_csc a) in
+  (match update f 0 1 1.0 with
   | None -> Alcotest.fail "well-conditioned update refused"
-  | Some solve ->
-      let x = solve [| 3.0; 4.0 |] in
+  | Some correct ->
+      let x = corrected_solve f correct [| 3.0; 4.0 |] in
       Alcotest.(check (float 1e-12)) "x0" 1.0 x.(0);
       Alcotest.(check (float 1e-12)) "x1" 1.0 x.(1));
   (* Random systems against a fresh dense LU of the updated matrix. *)
@@ -152,15 +163,16 @@ let test_lu_update_known () =
     (fun (seed, n, i, j, g) ->
       let a, b = random_dd_system seed n in
       let base = Sparse.factor (Matrix.to_csc a) in
-      match Sparse.with_conductance base i j g with
+      match update base i j g with
       | None -> Alcotest.failf "seed %d: well-conditioned update refused" seed
-      | Some solve ->
+      | Some correct ->
+          let solve = corrected_solve base correct in
           let x = solve b in
           let fresh = Lu.solve_matrix (with_conductance_dense a i j g) b in
           Alcotest.(check (float 1e-9))
             (Printf.sprintf "seed %d agrees with a fresh LU" seed)
             0.0 (Matrix.max_abs_diff x fresh);
-          (* The solver is reusable and leaves the base untouched. *)
+          (* The correction is reusable and leaves the base untouched. *)
           Alcotest.(check (float 0.0)) "second solve identical" 0.0
             (Matrix.max_abs_diff (solve b) x);
           Alcotest.(check (float 1e-9)) "base still solves A" 0.0
@@ -179,11 +191,11 @@ let test_lu_update_singularising_rejected () =
   let z = Sparse.solve base w in
   let g = -1.0 /. (z.(i) -. z.(j)) in
   Alcotest.(check bool) "singularising g refused" true
-    (Sparse.with_conductance base i j g = None);
+    (update base i j g = None);
   List.iter
     (fun g ->
       Alcotest.(check bool) (Printf.sprintf "g = %g refused" g) true
-        (Sparse.with_conductance base i j g = None))
+        (update base i j g = None))
     [ nan; infinity; neg_infinity ]
 
 let test_lu_update_length_mismatch () =
@@ -193,12 +205,12 @@ let test_lu_update_length_mismatch () =
     | _ -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  raises "i = j" (fun () -> ignore (Sparse.with_conductance base 1 1 1.0));
+  raises "i = j" (fun () -> ignore (update base 1 1 1.0));
   raises "out-of-range unknown" (fun () ->
-      ignore (Sparse.with_conductance base 0 2 1.0));
-  match Sparse.with_conductance base 0 1 1.0 with
+      ignore (update base 0 2 1.0));
+  match update base 0 1 1.0 with
   | None -> Alcotest.fail "well-conditioned update refused"
-  | Some solve -> raises "short rhs" (fun () -> ignore (solve [| 1.0 |]))
+  | Some correct -> raises "short solution" (fun () -> correct [| 1.0 |])
 
 (* Sparse kernel ---------------------------------------------------------- *)
 

@@ -132,6 +132,38 @@ let test_span_summary () =
 
 (* JSON ------------------------------------------------------------------ *)
 
+(* Each LDRG round's set-up (the scorer's base build and factorisation)
+   is its own [incremental.prepare] span, a sibling of the round's
+   [ldrg.iteration], not a part of it: one per round. *)
+let test_round_prepare_span () =
+  Obs.Span.reset ();
+  let tech = Circuit.Technology.table1 in
+  let mst =
+    Routing.mst_of_net
+      (Geom.Netgen.uniform (Rng.create 11)
+         ~region:(Geom.Rect.square 10_000.0) ~pins:8)
+  in
+  with_obs_enabled (fun () ->
+      ignore
+        (Nontree.Ldrg.run ~max_edges:2
+           ~model:(Delay.Model.Spice Delay.Model.fast_spice) ~tech mst));
+  let spans = Obs.Span.all () in
+  let named name =
+    List.filter (fun (sp : Obs.Span.t) -> sp.Obs.Span.name = name) spans
+  in
+  let prepares = named "incremental.prepare"
+  and iterations = named "ldrg.iteration" in
+  Alcotest.(check bool) "rounds ran" true (iterations <> []);
+  Alcotest.(check int) "one set-up per round" (List.length iterations)
+    (List.length prepares);
+  List.iter
+    (fun (sp : Obs.Span.t) ->
+      Alcotest.(check bool) "set-up outside the round's scoring" true
+        (List.for_all
+           (fun (it : Obs.Span.t) -> sp.Obs.Span.parent <> Some it.Obs.Span.id)
+           iterations))
+    prepares
+
 let test_json_roundtrip () =
   let v =
     Obs.Json.(
@@ -337,7 +369,9 @@ let suites =
       [ Alcotest.test_case "nesting and parents" `Quick test_span_nesting;
         Alcotest.test_case "recorded on raise" `Quick test_span_records_on_raise;
         Alcotest.test_case "disabled no-op" `Quick test_span_disabled_noop;
-        Alcotest.test_case "summary" `Quick test_span_summary ] );
+        Alcotest.test_case "summary" `Quick test_span_summary;
+        Alcotest.test_case "round set-up span" `Quick test_round_prepare_span
+      ] );
     ( "obs.json",
       [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "parser edges" `Quick test_json_parser_edges;

@@ -78,9 +78,9 @@ let ac_lines () =
   let nl, _ = Delay.Lumping.circuit_of_routing ~tech (mst 11) in
   match
     Spice.Ac.analyze nl ~source:"Vin"
-      ~probe:(Delay.Lumping.vertex_node_name 3) ~frequencies:[ 3e8 ]
+      ~probes:[ Delay.Lumping.vertex_node_name 3 ] ~frequencies:[ 3e8 ]
   with
-  | [ p ] ->
+  | [ [ p ] ] ->
       [ Printf.sprintf "ac seed 11 n3 300MHz %s %s"
           (hex p.Spice.Ac.response.Complex.re)
           (hex p.Spice.Ac.response.Complex.im) ]

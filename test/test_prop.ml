@@ -89,10 +89,14 @@ let prop_woodbury_matches_fresh g =
   let c = Rng.float_in g 0.1 2.0 in
   let c = if Rng.bool g then c else -.c in
   let b = gen_vec g n in
-  match Numeric.Sparse.with_conductance (factor_sparse a) i j c with
+  let f = factor_sparse a in
+  match
+    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) f i j c
+  with
   | None -> ()
-  | Some solve ->
-      let x = solve b in
+  | Some correct ->
+      let x = Numeric.Sparse.solve f b in
+      correct x;
       let fresh =
         Lu.solve_matrix (dense_with_conductance a i j c) b
       in
@@ -114,7 +118,9 @@ let prop_near_singular_rejected g =
   w.(j) <- -1.0;
   let z = Numeric.Sparse.solve f w in
   let c = -1.0 /. (z.(i) -. z.(j)) in
-  match Numeric.Sparse.with_conductance f i j c with
+  match
+    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) f i j c
+  with
   | None -> ()
   | Some _ ->
       Alcotest.failf "singularising update accepted: n=%d (%d,%d) g=%h" n i j
@@ -638,6 +644,128 @@ let prop_sparse_matches_dense g =
   | Error k, Ok _ ->
       Alcotest.failf "sparse accepted what dense rejected (column %d): n=%d" k n
 
+(* The three segmentation profiles the oracles use. *)
+let segmentations =
+  [ Delay.Model.fast_spice.Delay.Model.segmentation;
+    Delay.Model.default_spice.Delay.Model.segmentation;
+    Delay.Model.accurate_spice.Delay.Model.segmentation ]
+
+(* A random 5–30-pin MST, plus one wire half the time, with one wire
+   resized. *)
+let gen_sized_routing g =
+  let pins = Rng.int_in g 5 30 in
+  let r =
+    gen_base g (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins)
+  in
+  let ws = Routing.widths r in
+  let (u, v), _ = List.nth ws (Rng.int g (List.length ws)) in
+  Routing.set_width r u v (Rng.float_in g 0.5 3.0)
+
+let same_bits what a b =
+  if
+    Array.length a <> Array.length b
+    || not
+         (Array.for_all2
+            (fun x y ->
+              Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+            a b)
+  then failwith (what ^ " differs")
+
+let same_csc what (a : Numeric.Sparse.Csc.t) (b : Numeric.Sparse.Csc.t) =
+  if a.colptr <> b.colptr || a.rowind <> b.rowind then
+    failwith (what ^ " pattern differs");
+  same_bits (what ^ " values") a.values b.values
+
+(* The system stamped straight from a routing is the netlist's, bit for
+   bit: on a random routing, under every segmentation profile, RC and
+   RLC, [Lumping.system] and [Mna.build] of [circuit_of_routing] agree
+   on the unknown counts, [unknown_of_node], the sources, G and C (CSC
+   arrays, values by their bits) and the ordering; each wire's chain
+   runs between its end vertices through that wire's netlist nodes. *)
+let prop_system_matches_netlist g =
+  let r = gen_sized_routing g in
+  List.iter
+    (fun segmentation ->
+      List.iter
+        (fun include_inductance ->
+          let nl, _ =
+            Delay.Lumping.circuit_of_routing ~segmentation ~include_inductance
+              ~tech r
+          in
+          let a = Spice.Mna.build nl in
+          let { Delay.Lumping.mna = b; chains } =
+            Delay.Lumping.system ~segmentation ~include_inductance ~tech r
+          in
+          let open Spice.Mna in
+          if a.size <> b.size || a.num_node_unknowns <> b.num_node_unknowns then
+            failwith "unknown counts differ";
+          if a.unknown_of_node <> b.unknown_of_node then
+            failwith "unknown_of_node differs";
+          let sources sys =
+            Array.map
+              (fun s -> (s.row, Int64.bits_of_float s.sign, s.wave))
+              sys.sources
+          in
+          if sources a <> sources b then failwith "sources differ";
+          same_csc "G" a.g_csc b.g_csc;
+          same_csc "C" a.c_csc b.c_csc;
+          if
+            Numeric.Sparse.Symbolic.order a.sym
+            <> Numeric.Sparse.Symbolic.order b.sym
+          then failwith "ordering differs";
+          Array.iter
+            (fun ((u, v), chain) ->
+              let last = Array.length chain - 1 in
+              if chain.(0) <> u || chain.(last) <> v then
+                failwith "chain ends differ";
+              let prefix = Printf.sprintf "e%d_%d_" u v in
+              for s = 1 to last - 1 do
+                let name = Circuit.Netlist.node_name nl (chain.(s) + 1) in
+                if not (String.starts_with ~prefix name) then
+                  failwith
+                    (Printf.sprintf "chain node %s is not %s's" name prefix)
+              done)
+            chains)
+        [ false; true ])
+    segmentations
+
+(* The plain SPICE oracle, which simulates the system stamped straight
+   from the routing, reports bit for bit the delays the engine gives
+   the routing's netlist at the same horizon, under the fast and the
+   default profile, RC and RLC. *)
+let prop_plain_oracle_matches_netlist g =
+  Fault.disable ();
+  let r = gen_sized_routing g in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun include_inductance ->
+          let cfg = { cfg with Delay.Model.include_inductance } in
+          let oracle =
+            match
+              Delay.Model.sink_delays_result (Delay.Model.Spice cfg) ~tech r
+            with
+            | Ok ds -> List.map snd ds
+            | Error e -> failwith (Nontree_error.to_string e)
+          in
+          let nl, probes =
+            Delay.Lumping.circuit_of_routing
+              ~segmentation:cfg.Delay.Model.segmentation ~include_inductance
+              ~tech r
+          in
+          let netlist =
+            match
+              Spice.Engine.threshold_delays_result
+                ~options:cfg.Delay.Model.options nl ~probes
+                ~horizon:(Delay.Model.spice_horizon ~tech r)
+            with
+            | Ok ds -> List.map (fun (_, d) -> Option.get d) ds
+            | Error e -> failwith (Nontree_error.to_string e)
+          in
+          same_bits "delays" (Array.of_list oracle) (Array.of_list netlist))
+        [ false; true ])
+    [ Delay.Model.fast_spice; Delay.Model.default_spice ]
+
 (* Every companion an incremental round factors, refactored on the
    record of its round's G, is the full kernel's factorisation bit for
    bit: each Add and Resize companion of a random 5–30-pin MST (half
@@ -654,8 +782,10 @@ let prop_refactor_matches_full g =
     if Rng.bool g then Delay.Model.fast_spice.Delay.Model.segmentation
     else Delay.Lumping.default_segmentation
   in
-  let l = Delay.Lumping.lower ~segmentation ~include_inductance:false ~tech r in
-  let sys = Spice.Mna.build l.Delay.Lumping.netlist in
+  let l =
+    Delay.Lumping.system ~segmentation ~include_inductance:false ~tech r
+  in
+  let sys = l.Delay.Lumping.mna in
   let open Numeric.Sparse in
   let recorded =
     match try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc with
@@ -663,8 +793,6 @@ let prop_refactor_matches_full g =
     | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
   in
   let n = sys.Spice.Mna.size in
-  let unknown node = sys.Spice.Mna.unknown_of_node.(node) in
-  let vertex v = unknown l.Delay.Lumping.vertex_nodes.(v) in
   let segments length width =
     Delay.Lumping.pi_segments ~segmentation ~tech ~length ~width
   in
@@ -677,8 +805,7 @@ let prop_refactor_matches_full g =
         let n_seg, seg_r, seg_c = segments length 1.0 in
         let chain =
           Array.init (n_seg + 1) (fun s ->
-              if s = 0 then vertex u else if s = n_seg then vertex v
-              else n + s - 1)
+              if s = 0 then u else if s = n_seg then v else n + s - 1)
         in
         Test_spice.chain_stamps ~added:(n_seg - 1) chain ~seg_g:(1.0 /. seg_r)
           ~seg_c)
@@ -687,11 +814,11 @@ let prop_refactor_matches_full g =
   let resizes =
     Array.to_list
       (Array.map
-         (fun ((u, v), nodes) ->
+         (fun ((u, v), chain) ->
            let length = Routing.edge_length r u v in
            let _, r0, c0 = segments length (Routing.width r u v) in
            let _, r1, c1 = segments length (Rng.float_in g 0.5 3.0) in
-           Test_spice.chain_stamps ~added:0 (Array.map unknown nodes)
+           Test_spice.chain_stamps ~added:0 chain
              ~seg_g:((1.0 /. r1) -. (1.0 /. r0))
              ~seg_c:(c1 -. c0))
          l.Delay.Lumping.chains)
@@ -901,6 +1028,13 @@ let suites =
         Alcotest.test_case "refactor matches full factor bitwise" `Quick
           (fun () ->
             check ~trials:12 "refactor-vs-full" prop_refactor_matches_full);
+        Alcotest.test_case "routing system equals netlist build bitwise" `Quick
+          (fun () ->
+            check ~trials:30 "system-vs-netlist" prop_system_matches_netlist);
+        Alcotest.test_case "plain oracle equals netlist threshold bitwise"
+          `Quick (fun () ->
+            check ~trials:6 "oracle-vs-netlist"
+              prop_plain_oracle_matches_netlist);
         Alcotest.test_case "sparse ordering is a permutation" `Quick
           (fun () ->
             check ~trials:200 "ordering-permutation"

@@ -11,12 +11,11 @@ open Circuit
    the input's own 50 % point on the solver grid, which cancels the
    one-step ramp the trapezoidal rule makes of the step, so what is
    left is the integration error itself. *)
-let test_rc_step (label, options) () =
+let rc_t50 ~wave (label, options) () =
   let r = 1e3 and c = 1e-12 in
   let nl = Netlist.create () in
   let inp = Netlist.node nl "in" and out = Netlist.node nl "out" in
-  Netlist.vsource nl inp Netlist.ground
-    (Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 });
+  Netlist.vsource nl inp Netlist.ground wave;
   Netlist.resistor nl inp out r;
   Netlist.capacitor nl out Netlist.ground c;
   let horizon = 4.0 *. r *. c in
@@ -30,6 +29,20 @@ let test_rc_step (label, options) () =
         true
         (abs_float (t -. expected) <= tolerance)
   | _ -> Alcotest.fail "one crossing expected"
+
+let test_rc_step = rc_t50 ~wave:(Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 })
+
+(* The same stage driven by a PULSE whose 1 ps rise is a thousandth of
+   RC, 0.2 ns after t = 0: its delay runs from the PULSE's own 50 %
+   crossing on the solver grid, so it reads RC ln 2 within the step's
+   tolerance (a ramp of rise tr delays the output by tr/2 plus a
+   relative O(tr/RC)² — here 1e-7 — beyond RC ln 2). *)
+let test_rc_pulse =
+  rc_t50
+    ~wave:
+      (Waveform.Pulse
+         { v0 = 0.0; v1 = 1.0; delay = 0.2e-9; rise = 1e-12; fall = 1e-12;
+           width = 1.0; period = 2.0 })
 
 (* An RC ladder: pins on a line, so the MST is the chain 0-1-2-3 with
    wires of 1000, 2000 and 3000 um. Under the pi model each wire puts
@@ -204,6 +217,12 @@ let suites =
           (test_rc_step ("default", Spice.Engine.default_options));
         Alcotest.test_case "rc step t50 = RC ln 2, accurate" `Quick
           (test_rc_step ("accurate", Spice.Engine.accurate_options));
+        Alcotest.test_case "rc pulse t50 = RC ln 2, fast" `Quick
+          (test_rc_pulse ("fast", Spice.Engine.fast_options));
+        Alcotest.test_case "rc pulse t50 = RC ln 2, default" `Quick
+          (test_rc_pulse ("default", Spice.Engine.default_options));
+        Alcotest.test_case "rc pulse t50 = RC ln 2, accurate" `Quick
+          (test_rc_pulse ("accurate", Spice.Engine.accurate_options));
         Alcotest.test_case "rc ladder first moment = Elmore sum" `Quick
           test_ladder_first_moment;
         Alcotest.test_case "π-segment convergence, 10-pin MST" `Quick

@@ -219,7 +219,8 @@ let prop_degenerate_nets_never_crash =
 
 (* A Steiner point coincident with a pin creates a zero-length edge and
    an infinite conductance stamp; the robust path must degrade to
-   Elmore rather than crash or return garbage. *)
+   Elmore rather than crash or return garbage, under the first moment
+   and under fast SPICE, whose system stamps a zero-ohm segment. *)
 let prop_zero_length_edges_never_crash =
   QCheck.Test.make ~name:"zero-length edges: robust oracle survives"
     ~count:30
@@ -240,12 +241,14 @@ let prop_zero_length_edges_never_crash =
         Routing.with_points ~source:0
           ~num_terminals:(Routing.num_terminals r) dup edges
       in
-      match
-        Delay.Robust.sink_delays ~model:Delay.Model.First_moment ~tech r'
-      with
-      | Ok ds -> List.for_all (fun (_, d) -> Float.is_finite d && d > 0.0) ds
-      | Error (Nontree_error.Invalid_net _) -> true
-      | Error _ -> true)
+      List.for_all
+        (fun model ->
+          match Delay.Robust.sink_delays ~model ~tech r' with
+          | Ok ds ->
+              List.for_all (fun (_, d) -> Float.is_finite d && d > 0.0) ds
+          | Error (Nontree_error.Invalid_net _) -> true
+          | Error _ -> true)
+        [ Delay.Model.First_moment; Delay.Model.Spice Delay.Model.fast_spice ])
 
 (* Whole-run fault injection ------------------------------------------- *)
 

@@ -315,9 +315,11 @@ let test_input_reference () =
   Alcotest.(check (float 0.0)) "ramp keeps t = 0" 0.0
     (reference (Waveform.Ramp { t0 = 0.0; t1 = dt; v0 = 0.0; v1 = 1.0 }))
 
-(* What [spice_run --delay] reports as its time origin: a PULSE-driven
-   deck measures from t = 0; a one-step deck from the input's
-   grid-adjusted 50 % point, half a trapezoidal step of the scan. *)
+(* What [spice_run --delay] reports as its time origin: the input's
+   grid-adjusted 50 % point — half a trapezoidal step of the scan for a
+   step or a PULSE that rises within one step, the sampled edge's own
+   crossing for one that rises over several, a PWL likewise — and
+   t = 0 for a falling drive. *)
 let test_delay_origin () =
   let deck source =
     match
@@ -329,16 +331,25 @@ let test_delay_origin () =
     | Error e -> Alcotest.fail e
   in
   let horizon = 10e-9 in
-  let pulse = deck "PULSE(0 1 0 0.01n 0.01n 50n 100n)" in
-  Alcotest.(check (option (float 0.0))) "PULSE deck: t = 0" None
-    (Spice.Engine.delay_origin pulse ~horizon);
+  let origin source = Spice.Engine.delay_origin (deck source) ~horizon in
   let dt =
     horizon
     /. float_of_int Spice.Engine.default_options.Spice.Engine.steps_per_chunk
   in
+  Alcotest.(check (option (float 0.0))) "PULSE within one step: dt/2"
+    (Some (dt /. 2.0))
+    (origin "PULSE(0 1 0 0.01n 0.01n 50n 100n)");
+  Alcotest.(check (option (float 1e-21))) "PULSE over several steps"
+    (Some 1.05e-9)
+    (origin "PULSE(0 1 1n 0.1n 0.1n 50n 100n)");
+  Alcotest.(check (option (float 1e-21))) "PWL over several steps"
+    (Some 1.05e-9)
+    (origin "PWL(0 0 1n 0 1.1n 1)");
+  Alcotest.(check (option (float 0.0))) "falling PULSE: t = 0" None
+    (origin "PULSE(1 0 0 0.01n 0.01n 50n 100n)");
   Alcotest.(check (option (float 0.0))) "one step: grid-adjusted 50 % point"
     (Some (dt /. 2.0))
-    (Spice.Engine.delay_origin (deck "STEP(0 0 1)") ~horizon)
+    (origin "STEP(0 0 1)")
 
 (* A periodic PULSE settles at its first plateau: the deck of
    test/golden/spice_pulse.cir with a 50 ns pulse every 100 ns reads the
@@ -360,7 +371,7 @@ let test_pulse_settles_at_plateau () =
     | _ -> Alcotest.fail "expected one crossing"
   in
   let periodic = delay "PULSE(0 1 0 0.01n 0.01n 50n 100n)" in
-  Alcotest.(check string) "the golden's 0.7015 ns" "0.7015"
+  Alcotest.(check string) "the golden's 0.6932 ns" "0.6932"
     (Printf.sprintf "%.4g" (periodic *. 1e9));
   Alcotest.(check (float 0.0)) "same as the golden's long pulse"
     (delay "PULSE(0 1 0 0.01n 0.01n 1 2)") periodic
@@ -622,15 +633,17 @@ let test_companion_add_matches_dense () =
       (xu +. ((xv -. xu) *. float_of_int s /. float_of_int n_seg))
       x.(chain.(s))
   done;
+  let g_lu = Spice.Mna.factor_g sys in
   match
-    Numeric.Sparse.with_conductance
-      (Spice.Mna.factor_g sys) iu iv (seg_g /. float_of_int n_seg)
+    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) g_lu iu iv
+      (seg_g /. float_of_int n_seg)
   with
   | None -> Alcotest.fail "series conductance update refused"
-  | Some solve ->
+  | Some correct ->
+      let xs = Numeric.Sparse.solve g_lu (Spice.Mna.rhs sys 0.5) in
+      correct xs;
       Alcotest.(check (float 1e-12)) "base unknowns agree" 0.0
-        (Matrix.max_abs_diff (solve (Spice.Mna.rhs sys 0.5))
-           (Array.sub x 0 n))
+        (Matrix.max_abs_diff xs (Array.sub x 0 n))
 
 (* A resize restamps an existing chain with the change in its values,
    here a narrowing (negative changes); a change that cancels a base
