@@ -75,7 +75,7 @@ let simulate deck_file probes tstop_s csv delay plot ac =
                     | None ->
                         print_endline
                           "  delay origin: t = 0 (no single rising step, \
-                           PULSE or PWL source)");
+                           RAMP, PULSE or PWL source)");
                     List.iter
                       (fun (name, d) ->
                         match d with

@@ -29,14 +29,14 @@
      wire's chain as plain
      [Transient.stamps]: freshly appended interior unknowns for an
      addition, the chain's existing unknowns for a resize (the segment
-     count depends only on length). The shared threshold scan assembles
-     the companion straight from the base matrices and these stamps
-     and factors it, once: it depends on the trial's own
-     horizon-derived timestep. The factorisation is a numeric-only
-     refactor on the record of the round's G factorisation (C is
-     diagonal, so G's reach is the companion's); a wire that appends
-     more than one unknown declines to the full kernel. No extended
-     system is built.
+     count depends only on length). The round compiles its base once
+     ([Transient.compile]): the G ∪ C pattern slot by slot, and the
+     plan of the round's recorded G factorisation (C is diagonal, so
+     G's reach is the companion's). The shared threshold scan writes
+     each trial's companion into that pattern and refactors it on the
+     plan, once: it depends on the trial's own horizon-derived
+     timestep. A wire that appends more than one unknown declines to
+     the full kernel. No extended system is built.
 
    Any numeric degeneracy (a companion the sparse kernel refuses
    included), injected fault or never-settling probe abandons the
@@ -155,15 +155,22 @@ let two_pole_delays ctx ~tech r w =
    its operating point and settled state solved once per round (every
    candidate only corrects them), and the unknowns of every existing
    wire's π-chain. Routing vertex i is unknown i. *)
+module Wires = Hashtbl.Make (Int)
+
 type spice_ctx = {
   cfg : Delay.Model.spice_config;
   sys : Spice.Mna.t;
+  pattern : Spice.Transient.pattern;
+      (* sys compiled: every candidate's companion fills its slots and
+         refactors on its plan *)
   g_lu : Numeric.Sparse.t;
   x0 : float array;  (* the base's G⁻¹ b(0) *)
   xf : float array;  (* the base's G⁻¹ b(settled) *)
   sinks : int array;  (* probe unknowns, in sink order *)
-  chains : ((int * int) * int array) array;
-      (* Lumping.system's chains: wire (u < v) -> its unknowns from u to v *)
+  chains : int array Wires.t;
+      (* Lumping.system's chains, keyed u·vertices + v for the wire
+         (u < v): its unknowns from u to v *)
+  vertices : int;
   mom : moments_ctx;  (* for the horizon estimate *)
 }
 
@@ -184,15 +191,23 @@ let prepare_spice ~tech cfg r =
           | Error _ -> None
           | Ok (g_lu, sym) ->
               (* C is diagonal on a lowered routing, so G's record is
-                 every companion's: each candidate refactors on it. *)
+                 every companion's: the round compiles it once into the
+                 plan each candidate refactors on. *)
               let sys = { sys with Spice.Mna.sym } in
               (* Not yet shared, so the factorisation's own scratch is
                  safe here. *)
               let x0 = Numeric.Sparse.solve g_lu (Spice.Mna.rhs sys 0.0) in
               let xf = Numeric.Sparse.solve g_lu (Spice.Mna.settled_rhs sys) in
+              let vertices = Routing.num_vertices r in
+              let index = Wires.create (Array.length chains) in
+              Array.iter
+                (fun ((u, v), chain) ->
+                  Wires.replace index ((u * vertices) + v) chain)
+                chains;
               Some
-                { cfg; sys; g_lu; x0; xf;
-                  sinks = Array.of_list (Routing.sinks r); chains; mom }))
+                { cfg; sys; pattern = Spice.Transient.compile sys; g_lu; x0; xf;
+                  sinks = Array.of_list (Routing.sinks r); chains = index;
+                  vertices; mom }))
 
 let spice_delays ctx ~tech r w =
   (* Horizon from the trial's first moments — Model.spice_horizon
@@ -229,11 +244,7 @@ let spice_delays ctx ~tech r w =
   let added = if w.was = None then n_seg - 1 else 0 in
   let chain =
     match w.was with
-    | Some _ ->
-        Option.get
-          (Array.find_map
-             (fun (e, chain) -> if e = (w.u, w.v) then Some chain else None)
-             ctx.chains)
+    | Some _ -> Wires.find ctx.chains ((w.u * ctx.vertices) + w.v)
     | None ->
         Array.init (n_seg + 1) (fun s ->
             if s = 0 then iu else if s = n_seg then iv else n + s - 1)
@@ -280,12 +291,12 @@ let spice_delays ctx ~tech r w =
       let xf = dc_state ctx.xf in
       if not (all_finite xf) then fall_back "non-finite settled state";
       (* Only the companion matrix is factored per candidate, refactored
-         on the round's record: its timestep derives from this
+         on the round's plan: its timestep derives from this
          candidate's horizon, so it cannot be shared across
          candidates. *)
       match
         Spice.Engine.threshold_scan_result
-          ~options:ctx.cfg.Delay.Model.options ~stamps ctx.sys
+          ~options:ctx.cfg.Delay.Model.options ~stamps ctx.pattern
           ~idx:ctx.sinks ~x0 ~xf ~horizon
       with
       | Error e -> fall_back (Nontree_error.to_string e)
@@ -314,6 +325,11 @@ let edit_key edit =
       Bytes.set_int64_le b 17 (Int64.bits_of_float width));
   Bytes.unsafe_to_string b
 
+(* [r] with the edit applied: only a fallback reads it. *)
+let apply r = function
+  | Add (u, v) -> Routing.add_edge r u v
+  | Resize ((u, v), width) -> Routing.set_width r u v width
+
 let make_scorer ~model ~tech ~fallback r =
   if not (Atomic.get enabled_flag) then None
   else begin
@@ -329,7 +345,7 @@ let make_scorer ~model ~tech ~fallback r =
         else None
       in
       Some
-        (fun edit trial ->
+        (fun edit ->
           let score () =
             let ds = compute (wire_of_edit r edit) in
             Obs.Counter.incr hits;
@@ -346,10 +362,10 @@ let make_scorer ~model ~tech ~fallback r =
           | exception Fall_back why ->
               Obs.Counter.incr fallbacks;
               Log.info (fun f -> f "incremental scoring fell back (%s)" why);
-              fallback trial
+              fallback (apply r edit)
           | exception Numeric.Sparse.Singular _ ->
               Obs.Counter.incr fallbacks;
-              fallback trial)
+              fallback (apply r edit))
     in
     (* A round's set-up, apart from its candidates' scoring in the
        manifest's spans. *)

@@ -14,10 +14,11 @@
     {!Spice.Transient.stamps}: on fresh interior unknowns for an added
     wire, on the chain's existing unknowns for a resized one. Only its
     companion matrix, tied to the trial's own horizon-derived timestep,
-    is assembled (from the base matrices and those stamps, in one
-    pass) and factored per trial: refactored numerically on the record
-    of the round's G factorisation when the wire appends at most one
-    unknown (every fast-profile trial), by the full kernel otherwise.
+    is written per trial, slot by slot into the pattern the round
+    compiled ({!Spice.Transient.compile}), and factored: refactored on
+    the plan compiled from the round's recorded G factorisation when
+    the wire appends at most one unknown (every fast-profile trial), by
+    the full kernel otherwise.
 
     Every incremental evaluation is memoised through
     {!Oracle.Cache.memo_edit}. A score depends only on the round's base,
@@ -55,16 +56,18 @@ val make_scorer :
   tech:Circuit.Technology.t ->
   fallback:(Routing.t -> float) ->
   Routing.t ->
-  (edit -> Routing.t -> float) option
+  (edit -> float) option
 (** [make_scorer ~model ~tech ~fallback base] prepares one greedy
     round: factor [base]'s systems once and return a per-trial scorer
-    [score edit trial] giving the max sink delay of [trial], which must
-    be [base] with [edit] applied. Returns [None] — meaning "use the
-    plain objective for this round" — when scoring is disabled, the
-    model is unsupported ([Elmore_tree], RLC SPICE), or the base system
-    fails to factor. On any per-trial failure the scorer evaluates
-    [fallback trial] instead; pass the same guarded objective the round
-    uses for non-incremental evaluations so failure semantics and
-    counters match exactly.
+    [score edit] giving the max sink delay of [base] with [edit]
+    applied. No trial routing is built unless it is read: on any
+    per-trial failure the scorer applies the edit
+    ({!Routing.add_edge}, {!Routing.set_width}) and evaluates
+    [fallback] on the result instead; pass the same guarded objective
+    the round uses for non-incremental evaluations so failure semantics
+    and counters match exactly. Returns [None] — meaning "use the plain
+    objective for this round" — when scoring is disabled, the model is
+    unsupported ([Elmore_tree], RLC SPICE), or the base system fails to
+    factor.
 
     @raise Not_found when a [Resize] names a wire [base] lacks. *)

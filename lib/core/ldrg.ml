@@ -48,32 +48,31 @@ let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
          once here and each candidate below is a rank-1 update. [None]
          means this round runs on the plain objective. *)
       let edge_score = scorer current in
-      let eval_candidate (u, v) trial =
+      (* A trial routing is built only where it is read: by the plain
+         objective, or once for the round's winner below. *)
+      let eval_candidate (u, v) =
         match edge_score with
         | Some score ->
             Atomic.incr evaluations;
-            score (Incremental.Add (u, v)) trial
-        | None -> eval trial
+            score (Incremental.Add (u, v))
+        | None -> eval (Routing.add_edge current u v)
       in
       let scored =
         Obs.span "ldrg.iteration" (fun () ->
-            Pool.map pool
-              (fun (u, v) ->
-                let trial = Routing.add_edge current u v in
-                ((u, v), trial, eval_candidate (u, v) trial))
-              cands)
+            Pool.map pool (fun edge -> (edge, eval_candidate edge)) cands)
       in
       let best =
         List.fold_left
-          (fun best ((_, _, obj) as cand) ->
+          (fun best ((_, obj) as cand) ->
             match best with
-            | Some (_, _, obj') when obj' <= obj -> best
+            | Some (_, obj') when obj' <= obj -> best
             | _ -> Some cand)
           None scored
       in
       match best with
-      | Some (edge, trial, obj)
+      | Some (((u, v) as edge), obj)
         when obj < current_obj *. (1.0 -. min_improvement) ->
+          let trial = Routing.add_edge current u v in
           let step =
             { edge;
               objective_before = current_obj;

@@ -33,7 +33,7 @@ val run_objective :
   ?pool:Pool.t ->
   ?max_edges:int ->
   ?candidates:(Routing.t -> (int * int) list) ->
-  ?scorer:(Routing.t -> (Incremental.edit -> Routing.t -> float) option) ->
+  ?scorer:(Routing.t -> (Incremental.edit -> float) option) ->
   objective:(Routing.t -> float) ->
   Routing.t ->
   trace
@@ -45,11 +45,12 @@ val run_objective :
 
     [scorer] is called once per iteration with the iteration's base
     routing; when it returns [Some score], every candidate of that
-    iteration is evaluated as [score (Add (u, v)) trial] instead of
-    [objective trial] (the incremental rank-1 update path of
-    {!Incremental.make_scorer}). The default returns [None] — all
-    evaluations go through [objective]. Either way each candidate
-    counts one evaluation.
+    iteration is evaluated as [score (Add (u, v))] instead of
+    [objective] on the trial routing (the incremental rank-1 update
+    path of {!Incremental.make_scorer}), and no trial routing is built
+    for it; the iteration's winner is built once. The default returns
+    [None] — all evaluations go through [objective]. Either way each
+    candidate counts one evaluation.
 
     [pool] (default {!Pool.sequential}) scores the candidate edges of
     each iteration concurrently. The selection is deterministic for any

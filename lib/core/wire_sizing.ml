@@ -25,12 +25,13 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
       (* One round, one scorer, as in LDRG: [current] is factored once
          and each width trial is a resize edit of it. [None] means this
          round runs on the plain objective. *)
-      let score =
-        match
-          Incremental.make_scorer ~model ~tech ~fallback:delay_of current
-        with
-        | Some score -> score
-        | None -> fun _ trial -> delay_of trial
+      let scorer =
+        Incremental.make_scorer ~model ~tech ~fallback:delay_of current
+      in
+      let score (u, v) w' =
+        match scorer with
+        | Some score -> score (Incremental.Resize ((u, v), w'))
+        | None -> delay_of (Routing.set_width current u v w')
       in
       let best =
         List.fold_left
@@ -38,16 +39,18 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
             match next_width widths w with
             | None -> best
             | Some w' ->
-                let trial = Routing.set_width current u v w' in
-                let d = score (Incremental.Resize ((u, v), w')) trial in
+                let d = score (u, v) w' in
                 (match best with
-                | Some (_, _, _, d') when d' <= d -> best
-                | _ -> Some ((u, v), w', trial, d)))
+                | Some (_, _, d') when d' <= d -> best
+                | _ -> Some ((u, v), w', d)))
           None (Routing.widths current)
       in
       match best with
-      | Some (edge, w', trial, d) when d < current_delay *. (1.0 -. 1e-9) ->
-          loop trial d ((edge, w') :: changes) (count + 1)
+      | Some (((u, v) as edge), w', d)
+        when d < current_delay *. (1.0 -. 1e-9) ->
+          (* The winner's routing, built once. *)
+          loop (Routing.set_width current u v w') d ((edge, w') :: changes)
+            (count + 1)
       | _ -> (current, changes)
     end
   in

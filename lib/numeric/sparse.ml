@@ -78,6 +78,10 @@ module Triplets = struct
 end
 
 module Csc = struct
+  type entries = { cols : int array; rows : int array; vals : float array }
+
+  let no_entries : entries = { cols = [||]; rows = [||]; vals = [||] }
+
   type t = {
     rows : int;
     cols : int;
@@ -86,9 +90,9 @@ module Csc = struct
     values : float array;  (* length nnz *)
   }
 
-  let rows t = t.rows
-  let cols t = t.cols
-  let nnz t = t.colptr.(t.cols)
+  let rows (t : t) = t.rows
+  let cols (t : t) = t.cols
+  let nnz (t : t) = t.colptr.(t.cols)
 
   let of_triplets ~n (t : Triplets.t) =
     if n < 0 then invalid_arg "Sparse.Csc.of_triplets: negative size";
@@ -160,20 +164,98 @@ module Csc = struct
       colptr;
     }
 
-  let of_columns ~n ~colptr ~rowind ~values =
-    let bad () = invalid_arg "Sparse.Csc.of_columns: malformed columns" in
-    if n < 0 || Array.length colptr <> n + 1 || colptr.(0) <> 0 then bad ();
-    let nz = colptr.(n) in
-    if nz > Array.length rowind || nz > Array.length values then bad ();
+  (* One merge of two sorted columns per column: each union slot's
+     index in [a]'s and [b]'s storage, or -1. *)
+  let union (a : t) (b : t) =
+    let n = a.cols in
+    if a.rows <> n || b.rows <> n || b.cols <> n then
+      invalid_arg "Sparse.Csc.union: size mismatch";
+    let cap = max 1 (nnz a + nnz b) in
+    let colptr = Array.make (n + 1) 0 in
+    let rowind = Array.make cap 0 in
+    let asrc = Array.make cap (-1) and bsrc = Array.make cap (-1) in
+    let out = ref 0 in
     for j = 0 to n - 1 do
-      let lo = colptr.(j) and hi = colptr.(j + 1) in
-      if hi < lo then bad ();
-      for p = lo to hi - 1 do
-        let i = rowind.(p) in
-        if i < 0 || i >= n || (p > lo && rowind.(p - 1) >= i) then bad ()
+      colptr.(j) <- !out;
+      let p = ref a.colptr.(j) and pe = a.colptr.(j + 1) in
+      let q = ref b.colptr.(j) and qe = b.colptr.(j + 1) in
+      while !p < pe || !q < qe do
+        let ra = if !p < pe then a.rowind.(!p) else max_int in
+        let rb = if !q < qe then b.rowind.(!q) else max_int in
+        let r = min ra rb in
+        rowind.(!out) <- r;
+        if ra = r then begin
+          asrc.(!out) <- !p;
+          incr p
+        end;
+        if rb = r then begin
+          bsrc.(!out) <- !q;
+          incr q
+        end;
+        incr out
       done
     done;
-    { rows = n; cols = n; colptr; rowind; values }
+    colptr.(n) <- !out;
+    let len = max !out 1 in
+    ( { rows = n; cols = n; colptr; rowind = Array.sub rowind 0 len;
+        values = Array.make len 0.0 },
+      Array.sub asrc 0 len,
+      Array.sub bsrc 0 len )
+
+  let grow (p : t) values ~n (e : entries) =
+    let m = Array.length e.cols in
+    let pn = p.cols and pnz = nnz p in
+    if n < pn || Array.length values < pnz then
+      invalid_arg "Sparse.Csc.grow: size mismatch";
+    if Array.length e.rows <> m || Array.length e.vals <> m then
+      invalid_arg "Sparse.Csc.grow: entries of unequal lengths";
+    let rec no_zero k = k = pnz || (values.(k) <> 0.0 && no_zero (k + 1)) in
+    if m = 0 && n = pn && no_zero 0 then { p with values }
+    else begin
+      let bad () = invalid_arg "Sparse.Csc.grow: malformed entries" in
+      let cap = max 1 (pnz + m) in
+      let colptr = Array.make (n + 1) 0 in
+      let rowind = Array.make cap 0 and vals = Array.make cap 0.0 in
+      let out = ref 0 and k = ref 0 in
+      for j = 0 to n - 1 do
+        colptr.(j) <- !out;
+        let s = ref (if j < pn then p.colptr.(j) else 0) in
+        let se = if j < pn then p.colptr.(j + 1) else 0 in
+        let prev = ref (-1) in
+        while !s < se || (!k < m && e.cols.(!k) = j) do
+          if
+            !s < se
+            && not (!k < m && e.cols.(!k) = j && e.rows.(!k) <= p.rowind.(!s))
+          then begin
+            let v = values.(!s) in
+            if v <> 0.0 then begin
+              rowind.(!out) <- p.rowind.(!s);
+              vals.(!out) <- v;
+              incr out
+            end;
+            incr s
+          end
+          else begin
+            let r = e.rows.(!k) in
+            if r <= !prev || r >= n || (!s < se && p.rowind.(!s) = r) then
+              bad ();
+            let v = e.vals.(!k) in
+            if v <> 0.0 then begin
+              rowind.(!out) <- r;
+              vals.(!out) <- v;
+              incr out
+            end;
+            prev := r;
+            incr k
+          end
+        done;
+        if !k < m && e.cols.(!k) < j then bad ()
+      done;
+      if !k < m then bad ();
+      colptr.(n) <- !out;
+      let fit a = if !out >= cap then a else Array.sub a 0 (max !out 1) in
+      { rows = n; cols = n; colptr; rowind = fit rowind; values = fit vals }
+    end
 
   (* Column-oriented, so each out.(i) accumulates its row's products in
      ascending column order starting from 0.0. Unchecked accesses: the
@@ -219,7 +301,8 @@ module Symbolic = struct
     if k = 0 then t
     else
       let n = t.n + k in
-      { t with n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i) }
+      { n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i);
+        record = None }
 end
 
 (* Reverse Cuthill–McKee on pattern(A + Aᵀ): BFS from a
@@ -502,27 +585,17 @@ let dfs_reach w (a : Csc.t) ~lp ~col ~n =
   done;
   !top
 
-type step = Pivoted | No_pivot | Declined
+type step = Pivoted | No_pivot
 
-(* One elimination step, whichever source gave its reach: scatter
-   A(:,col) into x, solve x = L⁻¹A(:,col) through the L columns of the
-   pivotal rows in reach.(lo..hi-1), a topological order; choose the
-   pivot by threshold partial pivoting (the diagonal when within
-   [pivot_tolerance] of the column maximum); then emit U (pivotal rows,
-   in elimination positions) and L (non-pivotal rows, original indices
-   for now, scaled by the pivot), clearing x as it goes.
-
-   A full factorisation passes [expect = -1] and [extra = -1]. A
-   refactor passes the recorded pivot row and the appended row riding
-   along outside the recorded reach (or -1), and declines when the
-   record no longer describes the column: that row is not finite or
-   could win the pivot or raise the column maximum, the rule picks
-   another row, or an L entry of the record cancels to an exact zero
-   (the full kernel would drop it, and later reaches with it). A pivot
-   below the floor is [No_pivot] either way: up to it, both kernels
-   computed the same. *)
-let eliminate w (a : Csc.t) ~lp ~up ~p ~udiag ~floor ~k ~col ~reach ~lo ~hi
-    ~expect ~extra =
+(* One elimination step: scatter A(:,col) into x, solve
+   x = L⁻¹A(:,col) through the L columns of the pivotal rows in
+   reach.(lo..hi-1), a topological order; choose the pivot by threshold
+   partial pivoting (the diagonal when within [pivot_tolerance] of the
+   column maximum); then emit U (pivotal rows, in elimination
+   positions) and L (non-pivotal rows, original indices for now, scaled
+   by the pivot), clearing x as it goes. Exact zeros are not stored. A
+   pivot below the floor is [No_pivot]. *)
+let eliminate w (a : Csc.t) ~lp ~up ~p ~udiag ~floor ~k ~col ~reach ~lo ~hi =
   let x = w.x and pinv = w.pinv in
   for pa = a.Csc.colptr.(col) to a.Csc.colptr.(col + 1) - 1 do
     x.(a.Csc.rowind.(pa)) <- a.Csc.values.(pa)
@@ -553,41 +626,30 @@ let eliminate w (a : Csc.t) ~lp ~up ~p ~udiag ~floor ~k ~col ~reach ~lo ~hi
       end
     end
   done;
-  let xe = if extra >= 0 then x.(extra) else 0.0 in
-  if (not (Float.is_finite xe)) || (xe <> 0.0 && abs_float xe >= !pmax) then
-    Declined
+  if !piv >= 0 && !diagonal && pinv.(col) < 0 then begin
+    let ad = abs_float x.(col) in
+    if ad >= pivot_tolerance *. !pmax then piv := col
+  end;
+  let piv = !piv in
+  let pivot = if piv >= 0 then x.(piv) else 0.0 in
+  if piv < 0 || abs_float pivot < floor || not (Float.is_finite pivot) then
+    No_pivot
   else begin
-    if !piv >= 0 && !diagonal && pinv.(col) < 0 then begin
-      let ad = abs_float x.(col) in
-      if ad >= pivot_tolerance *. !pmax then piv := col
-    end;
-    let piv = !piv in
-    let pivot = if piv >= 0 then x.(piv) else 0.0 in
-    if piv < 0 || abs_float pivot < floor || not (Float.is_finite pivot) then
-      No_pivot
-    else if expect >= 0 && piv <> expect then Declined
-    else begin
-      p.(k) <- piv;
-      pinv.(piv) <- k;
-      udiag.(k) <- pivot;
-      let cancelled = ref false in
-      for t = lo to hi - 1 do
-        let i = reach.(t) in
-        let xi = x.(i) in
-        if i <> piv then begin
-          let ti = pinv.(i) in
-          if xi = 0.0 then cancelled := !cancelled || ti < 0
-          else if ti >= 0 then buf_push w.u ti xi
-          else buf_push w.l i (xi /. pivot)
-        end;
-        x.(i) <- 0.0
-      done;
-      if xe <> 0.0 then buf_push w.l extra (xe /. pivot);
-      if extra >= 0 then x.(extra) <- 0.0;
-      lp.(k + 1) <- w.l.blen;
-      up.(k + 1) <- w.u.blen;
-      if expect >= 0 && !cancelled then Declined else Pivoted
-    end
+    p.(k) <- piv;
+    pinv.(piv) <- k;
+    udiag.(k) <- pivot;
+    for t = lo to hi - 1 do
+      let i = reach.(t) in
+      let xi = x.(i) in
+      if i <> piv && xi <> 0.0 then begin
+        let ti = pinv.(i) in
+        if ti >= 0 then buf_push w.u ti xi else buf_push w.l i (xi /. pivot)
+      end;
+      x.(i) <- 0.0
+    done;
+    lp.(k + 1) <- w.l.blen;
+    up.(k + 1) <- w.u.blen;
+    Pivoted
   end
 
 type outcome = Factored | Singular_at of int
@@ -601,10 +663,10 @@ let factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag =
       let top = dfs_reach w a ~lp ~col ~n in
       match
         eliminate w a ~lp ~up ~p ~udiag ~floor ~k ~col ~reach:w.topo ~lo:top
-          ~hi:n ~expect:(-1) ~extra:(-1)
+          ~hi:n
       with
       | Pivoted -> go (k + 1)
-      | No_pivot | Declined -> Singular_at col
+      | No_pivot -> Singular_at col
   in
   go 0
 
@@ -641,60 +703,72 @@ let record_reach w (a : Csc.t) ~q ~p ~n =
     reach = Array.sub reach.bi 0 reach.blen;
   }
 
-(* Numeric-only refactorisation on a record of the same base pattern:
-   the base steps walk their recorded reach, a single appended row
-   riding along; the appended column, eliminated last, runs the
-   depth-first search. [None] declines: the record does not describe
-   the matrix (see [eliminate]), a column's base rows differ from the
-   recorded pattern, or more than one unknown was appended (their rows'
-   places in the base L columns would steer the last appended column's
-   reach). *)
-let refactor w (a : Csc.t) (r : Symbolic.record) ~q ~n ~floor ~lp ~up ~p
-    ~udiag =
-  let steps = r.Symbolic.steps in
-  let extra = if n > steps then steps else -1 in
-  let rec base k =
-    if k = steps then appended ()
-    else begin
-      let col = q.(k) in
-      (* Base rows come first (rows ascend) and must be exactly the
-         recorded ones; only the appended row may follow. *)
-      let pa = ref a.Csc.colptr.(col) and pe = a.Csc.colptr.(col + 1) in
-      let ra = ref r.Symbolic.colptr.(col) in
-      let re = r.Symbolic.colptr.(col + 1) in
-      while
-        !ra < re && !pa < pe && a.Csc.rowind.(!pa) = r.Symbolic.rowind.(!ra)
-      do
-        incr pa;
-        incr ra
-      done;
-      if !ra < re || (!pa < pe && a.Csc.rowind.(!pa) < steps) then None
-      else
-        match
-          eliminate w a ~lp ~up ~p ~udiag ~floor ~k ~col
-            ~reach:r.Symbolic.reach ~lo:r.Symbolic.rptr.(k)
-            ~hi:r.Symbolic.rptr.(k + 1) ~expect:r.Symbolic.pivots.(k) ~extra
-        with
-        | Pivoted -> base (k + 1)
-        | No_pivot -> Some (Singular_at col)
-        | Declined -> None
-    end
-  and appended () =
-    if extra < 0 then Some Factored
-    else begin
-      let top = dfs_reach w a ~lp ~col:extra ~n in
-      match
-        eliminate w a ~lp ~up ~p ~udiag ~floor ~k:steps ~col:extra
-          ~reach:w.topo ~lo:top ~hi:n ~expect:(-1) ~extra:(-1)
-      with
-      | Pivoted -> Some Factored
-      | No_pivot | Declined -> Some (Singular_at extra)
-    end
-  in
-  if n - steps > 1 then None else base 0
-
 let refactors = Obs.Counter.make "sparse.refactors"
 let refactor_fallbacks = Obs.Counter.make "sparse.refactor_fallbacks"
+
+(* The largest absolute value among [values.(0 .. len-1)], folded into
+   [amax], and the exact zeros among them, counted in [zeros]; false
+   when one is not finite. *)
+let scan_values ?(zeros = ref 0) values len amax =
+  let finite = ref true in
+  for k = 0 to len - 1 do
+    let v = values.(k) in
+    if not (Float.is_finite v) then finite := false;
+    if v = 0.0 then incr zeros;
+    let av = abs_float v in
+    if av > !amax then amax := av
+  done;
+  !finite
+
+let pivot_floor_of amax =
+  Float.max pivot_floor (relative_pivot_threshold *. amax)
+
+(* The full kernel on [a] in [sym]'s order, its factor packaged and its
+   verdict counted. *)
+let factor_ordered ~recording (sym : Symbolic.t) (a : Csc.t) ~floor =
+  let n = Csc.rows a in
+  let q = sym.Symbolic.q in
+  let p = Array.make (max n 1) 0 in
+  let udiag = Array.make (max n 1) 0.0 in
+  let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
+  let w = workspace n in
+  match factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag with
+  | Singular_at col ->
+      Obs.Counter.incr singular_factorizations;
+      Error col
+  | Factored ->
+      let l = w.l and u = w.u in
+      (* Remap L's row indices to pivot positions: every row is pivotal
+         by now. *)
+      let li = Array.sub l.bi 0 (max l.blen 1) in
+      for pp = 0 to l.blen - 1 do
+        li.(pp) <- w.pinv.(li.(pp))
+      done;
+      let f =
+        {
+          n;
+          lp;
+          li;
+          lx = Array.sub l.bx 0 (max l.blen 1);
+          up;
+          ui = Array.sub u.bi 0 (max u.blen 1);
+          ux = Array.sub u.bx 0 (max u.blen 1);
+          udiag;
+          p;
+          q;
+          scratch = Array.make (max n 1) 0.0;
+        }
+      in
+      let anz = Csc.nnz a in
+      if Obs.enabled () && anz > 0 then
+        Obs.Histogram.observe fill_hist
+          (float_of_int (factor_nnz f) /. float_of_int anz);
+      let sym =
+        if recording then
+          { sym with Symbolic.record = Some (record_reach w a ~q ~p ~n) }
+        else sym
+      in
+      Ok (f, sym)
 
 let factor_symbolic ~recording ?symbolic (a : Csc.t) =
   let n = Csc.rows a in
@@ -702,18 +776,12 @@ let factor_symbolic ~recording ?symbolic (a : Csc.t) =
   Obs.Counter.incr factorizations;
   let anz = Csc.nnz a in
   Obs.Counter.add nnz_counter anz;
-  let amax = ref 0.0 and finite = ref true in
-  for k = 0 to anz - 1 do
-    let v = a.Csc.values.(k) in
-    if not (Float.is_finite v) then finite := false;
-    let av = abs_float v in
-    if av > !amax then amax := av
-  done;
-  if not !finite then begin
+  let amax = ref 0.0 in
+  if not (scan_values a.Csc.values anz amax) then begin
     Obs.Counter.incr singular_factorizations;
     Error (-1)
   end
-  else begin
+  else
     let sym =
       match symbolic with
       | Some s ->
@@ -722,67 +790,408 @@ let factor_symbolic ~recording ?symbolic (a : Csc.t) =
           s
       | None -> analyze a
     in
-    let q = sym.Symbolic.q in
-    let floor = Float.max pivot_floor (relative_pivot_threshold *. !amax) in
-    let p = Array.make (max n 1) 0 in
-    let udiag = Array.make (max n 1) 0.0 in
-    let lp = Array.make (n + 1) 0 and up = Array.make (n + 1) 0 in
-    let w = workspace n in
-    let outcome =
-      match sym.Symbolic.record with
-      | Some r when not recording -> (
-          match refactor w a r ~q ~n ~floor ~lp ~up ~p ~udiag with
-          | Some outcome ->
-              Obs.Counter.incr refactors;
-              outcome
-          | None ->
-              Obs.Counter.incr refactor_fallbacks;
-              factor_full (workspace n) a ~q ~n ~floor ~lp ~up ~p ~udiag)
-      | _ -> factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag
-    in
-    match outcome with
-    | Singular_at col ->
-        Obs.Counter.incr singular_factorizations;
-        Error col
-    | Factored ->
-        let l = w.l and u = w.u in
-        (* Remap L's row indices to pivot positions: every row is
-           pivotal by now. *)
-        let li = Array.sub l.bi 0 (max l.blen 1) in
-        for pp = 0 to l.blen - 1 do
-          li.(pp) <- w.pinv.(li.(pp))
-        done;
-        let f =
-          {
-            n;
-            lp;
-            li;
-            lx = Array.sub l.bx 0 (max l.blen 1);
-            up;
-            ui = Array.sub u.bi 0 (max u.blen 1);
-            ux = Array.sub u.bx 0 (max u.blen 1);
-            udiag;
-            p;
-            q;
-            scratch = Array.make (max n 1) 0.0;
-          }
-        in
-        if Obs.enabled () && anz > 0 then
-          Obs.Histogram.observe fill_hist
-            (float_of_int (factor_nnz f) /. float_of_int anz);
-        let sym =
-          if recording then
-            { sym with Symbolic.record = Some (record_reach w a ~q ~p ~n) }
-          else sym
-        in
-        Ok (f, sym)
-  end
+    factor_ordered ~recording sym a ~floor:(pivot_floor_of !amax)
 
 let try_factor ?symbolic a =
   Result.map fst (factor_symbolic ~recording:false ?symbolic a)
 
 let try_factor_recording ?symbolic a =
   factor_symbolic ~recording:true ?symbolic a
+
+(* A record compiled into flat arrays of positions. Step k scatters
+   column q.(k) of [pattern]; updates through the L columns
+   ucol.(t) of the rows urow.(t) already pivotal, for t in
+   uptr.(k) .. uptr.(k+1)-1, in the record's topological order; picks
+   its pivot among the other rows of its reach, cand.(cptr.(k) ..
+   cptr.(k+1)-1) in the same order (its own row among them when
+   [diag.(k)]); and emits U at the update rows' steps and L for every
+   candidate but the pivot: L column k's base rows are
+   lrow.(blp.(k) .. blp.(k+1)-1), original indices, whose steps are
+   lstep. An appended unknown's entry in an L column follows its base
+   rows. *)
+type plan = {
+  sym : Symbolic.t;
+  pattern : Csc.t;
+  steps : int;
+  qinv : int array;
+  pivots : int array;
+  pinv : int array;
+  uptr : int array;
+  urow : int array;
+  ucol : int array;
+  cptr : int array;
+  cand : int array;
+  diag : bool array;
+  blp : int array;
+  lrow : int array;
+  lstep : int array;
+  p_grown : int array;
+  q_grown : int array;
+}
+
+let same_pattern (a : Csc.t) (r : Symbolic.record) =
+  let n = r.Symbolic.steps in
+  a.Csc.cols = n
+  && Array.length r.Symbolic.colptr = n + 1
+  && (let same = ref true in
+      for j = 0 to n do
+        if a.Csc.colptr.(j) <> r.Symbolic.colptr.(j) then same := false
+      done;
+      if !same then
+        for t = 0 to a.Csc.colptr.(n) - 1 do
+          if a.Csc.rowind.(t) <> r.Symbolic.rowind.(t) then same := false
+        done;
+      !same)
+
+let plan (s : Symbolic.t) (pattern : Csc.t) =
+  match s.Symbolic.record with
+  | Some r when r.Symbolic.steps > 0 && same_pattern pattern r ->
+      let n = r.Symbolic.steps in
+      let q = s.Symbolic.q and pivots = r.Symbolic.pivots in
+      let qinv = Array.make n 0 and pinv = Array.make n 0 in
+      Array.iteri (fun k c -> qinv.(c) <- k) q;
+      Array.iteri (fun k i -> pinv.(i) <- k) pivots;
+      let upd = buf_create (2 * n) and cand = buf_create (2 * n) in
+      let lb = buf_create (2 * n) in
+      let uptr = Array.make (n + 1) 0 and cptr = Array.make (n + 1) 0 in
+      let blp = Array.make (n + 1) 0 and diag = Array.make n false in
+      for k = 0 to n - 1 do
+        for t = r.Symbolic.rptr.(k) to r.Symbolic.rptr.(k + 1) - 1 do
+          let i = r.Symbolic.reach.(t) in
+          if pinv.(i) < k then buf_push upd i 0.0
+          else begin
+            buf_push cand i 0.0;
+            if i = q.(k) then diag.(k) <- true;
+            if i <> pivots.(k) then buf_push lb i 0.0
+          end
+        done;
+        uptr.(k + 1) <- upd.blen;
+        cptr.(k + 1) <- cand.blen;
+        blp.(k + 1) <- lb.blen
+      done;
+      let rows b = Array.sub b.bi 0 (max b.blen 1) in
+      let steps_of b = Array.init (max b.blen 1) (fun t -> pinv.(b.bi.(t))) in
+      Some
+        {
+          sym = { s with Symbolic.record = None };
+          pattern;
+          steps = n;
+          qinv;
+          pivots;
+          pinv;
+          uptr;
+          urow = rows upd;
+          ucol = steps_of upd;
+          cptr;
+          cand = rows cand;
+          diag;
+          blp;
+          lrow = rows lb;
+          lstep = steps_of lb;
+          p_grown = Array.append pivots [| n |];
+          q_grown = Array.append q [| n |];
+        }
+  | _ -> None
+
+(* The plan run on [values] (the pattern's slots) and the entries [e]
+   of at most one appended unknown a = steps: its row's entries in base
+   columns, scattered at the step of their column, then its column.
+   The appended row rides along: updated through the L columns that
+   hold it, stored after their base rows, never in a base reach (a
+   non-pivotal leaf does not change the order of the rows around it).
+   The appended column, eliminated last, searches its reach through
+   the new L as [dfs_reach] does. [None] declines: the appended row is
+   not finite or reaches the base rows' maximum (it could win the pivot
+   or move the threshold), the rule picks another pivot than the
+   record's, or an L entry of the record cancels to an exact zero (the
+   full kernel would drop it, and with it part of later reaches). A
+   pivot below the floor is the full kernel's verdict too: up to it
+   both computed the same. *)
+let run_plan pl values (e : Csc.entries) ~n ~floor =
+  let steps = pl.steps in
+  let grown = n > steps in
+  let a = steps in
+  let w = workspace (steps + 1) in
+  let x = w.x in
+  let ecols = e.Csc.cols and erows = e.Csc.rows and evals = e.Csc.vals in
+  let m = Array.length ecols in
+  let na =
+    let t = ref 0 in
+    while !t < m && ecols.(!t) < steps do incr t done;
+    !t
+  in
+  let pc = pl.pattern.Csc.colptr and pr = pl.pattern.Csc.rowind in
+  let q = pl.sym.Symbolic.q and qinv = pl.qinv and pivots = pl.pivots in
+  let uptr = pl.uptr and urow = pl.urow and ucol = pl.ucol in
+  let cptr = pl.cptr and cand = pl.cand and diag = pl.diag in
+  let blp = pl.blp and lrow = pl.lrow and lstep = pl.lstep in
+  let lcap = max 1 (blp.(steps) + if grown then steps else 0) in
+  let ucap = max 1 (uptr.(steps) + if grown then steps else 0) in
+  let lx = Array.make lcap 0.0 in
+  let li = if grown then Array.make lcap 0 else lstep in
+  let lp = if grown then Array.make (n + 1) 0 else blp in
+  let ui = Array.make ucap 0 and ux = Array.make ucap 0.0 in
+  let up = Array.make (n + 1) 0 and udiag = Array.make n 0.0 in
+  (* x -= xi · L(:,j): its base rows, then the appended row's entry
+     when the column holds one. Unchecked accesses: the plan's rows and
+     positions come from a record of this pattern, all below steps + 1
+     and within the L arrays sized from it. *)
+  let update j xi =
+    let b = blp.(j) and f = lp.(j) in
+    let len = blp.(j + 1) - b in
+    for t = 0 to len - 1 do
+      let r = Array.unsafe_get lrow (b + t) in
+      Array.unsafe_set x r
+        (Array.unsafe_get x r -. (Array.unsafe_get lx (f + t) *. xi))
+    done;
+    if lp.(j + 1) - f > len then x.(a) <- x.(a) -. (lx.(f + len) *. xi)
+  in
+  (* 0 while the base steps run, then 1 declined or 2 singular at
+     column [failed]. *)
+  let verdict = ref 0 and failed = ref 0 in
+  let uo = ref 0 and k = ref 0 in
+  while !verdict = 0 && !k < steps do
+    let k' = !k in
+    let col = q.(k') in
+    for s = pc.(col) to pc.(col + 1) - 1 do
+      x.(pr.(s)) <- values.(s)
+    done;
+    for t = 0 to na - 1 do
+      if qinv.(ecols.(t)) = k' then x.(a) <- evals.(t)
+    done;
+    for t = uptr.(k') to uptr.(k' + 1) - 1 do
+      let xi = x.(urow.(t)) in
+      if xi <> 0.0 then update ucol.(t) xi
+    done;
+    let piv = ref (-1) and pmax = ref 0.0 in
+    for t = cptr.(k') to cptr.(k' + 1) - 1 do
+      let i = cand.(t) in
+      let av = abs_float x.(i) in
+      if av > !pmax then begin
+        pmax := av;
+        piv := i
+      end
+    done;
+    let xe = x.(a) in
+    if (not (Float.is_finite xe)) || (xe <> 0.0 && abs_float xe >= !pmax)
+    then verdict := 1
+    else begin
+      if
+        !piv >= 0 && diag.(k')
+        && abs_float x.(col) >= pivot_tolerance *. !pmax
+      then piv := col;
+      let piv = !piv in
+      let pivot = if piv >= 0 then x.(piv) else 0.0 in
+      if piv < 0 || abs_float pivot < floor || not (Float.is_finite pivot)
+      then begin
+        verdict := 2;
+        failed := col
+      end
+      else if piv <> pivots.(k') then verdict := 1
+      else begin
+        udiag.(k') <- pivot;
+        for t = uptr.(k') to uptr.(k' + 1) - 1 do
+          let i = urow.(t) in
+          let xi = x.(i) in
+          if xi <> 0.0 then begin
+            ui.(!uo) <- ucol.(t);
+            ux.(!uo) <- xi;
+            incr uo
+          end;
+          x.(i) <- 0.0
+        done;
+        up.(k' + 1) <- !uo;
+        let f = lp.(k') and b = blp.(k') in
+        let o = ref 0 in
+        for t = cptr.(k') to cptr.(k' + 1) - 1 do
+          let i = cand.(t) in
+          if i <> piv then begin
+            let xi = x.(i) in
+            if xi = 0.0 then verdict := 1;
+            lx.(f + !o) <- xi /. pivot;
+            if grown then li.(f + !o) <- lstep.(b + !o);
+            incr o
+          end;
+          x.(i) <- 0.0
+        done;
+        if grown then begin
+          if xe <> 0.0 then begin
+            lx.(f + !o) <- xe /. pivot;
+            li.(f + !o) <- a;
+            incr o
+          end;
+          x.(a) <- 0.0;
+          lp.(k' + 1) <- f + !o
+        end;
+        incr k
+      end
+    end
+  done;
+  if !verdict = 0 && grown then begin
+    (* The appended column's reach, searched from its rows. *)
+    w.gen <- w.gen + 1;
+    let gen = w.gen in
+    let mark = w.mark and stack = w.stack and pstack = w.pstack in
+    let topo = w.topo and pinv = pl.pinv in
+    let top = ref n in
+    for t = na to m - 1 do
+      let root = erows.(t) in
+      if mark.(root) <> gen then begin
+        let head = ref 0 in
+        stack.(0) <- root;
+        while !head >= 0 do
+          let i = stack.(!head) in
+          if mark.(i) <> gen then begin
+            mark.(i) <- gen;
+            pstack.(!head) <- 0
+          end;
+          let advanced = ref false in
+          if i <> a then begin
+            let j = pinv.(i) in
+            let b = blp.(j) and f = lp.(j) in
+            let len = blp.(j + 1) - b and stop = lp.(j + 1) - f in
+            let pp = ref pstack.(!head) in
+            while (not !advanced) && !pp < stop do
+              let r = if !pp < len then lrow.(b + !pp) else a in
+              incr pp;
+              if mark.(r) <> gen then begin
+                pstack.(!head) <- !pp;
+                incr head;
+                stack.(!head) <- r;
+                advanced := true
+              end
+            done
+          end;
+          if not !advanced then begin
+            decr head;
+            decr top;
+            topo.(!top) <- i
+          end
+        done
+      end
+    done;
+    for t = na to m - 1 do
+      x.(erows.(t)) <- evals.(t)
+    done;
+    let diagonal = ref false in
+    for t = !top to n - 1 do
+      let i = topo.(t) in
+      if i = a then diagonal := true
+      else begin
+        let xi = x.(i) in
+        if xi <> 0.0 then update pinv.(i) xi
+      end
+    done;
+    (* The appended row is the only non-pivotal one left. *)
+    let pivot = x.(a) in
+    if
+      (not !diagonal) || abs_float pivot <= 0.0
+      || abs_float pivot < floor || not (Float.is_finite pivot)
+    then begin
+      verdict := 2;
+      failed := a
+    end
+    else begin
+      udiag.(steps) <- pivot;
+      for t = !top to n - 1 do
+        let i = topo.(t) in
+        let xi = x.(i) in
+        if i <> a && xi <> 0.0 then begin
+          ui.(!uo) <- pinv.(i);
+          ux.(!uo) <- xi;
+          incr uo
+        end;
+        x.(i) <- 0.0
+      done;
+      lp.(n) <- lp.(steps);
+      up.(n) <- !uo
+    end
+  end;
+  match !verdict with
+  | 1 -> None
+  | 2 -> Some (Error !failed)
+  | _ ->
+      Some
+        (Ok
+           {
+             n;
+             lp;
+             li;
+             lx;
+             up;
+             ui;
+             ux;
+             udiag;
+             p = (if grown then pl.p_grown else pivots);
+             q = (if grown then pl.q_grown else q);
+             scratch = Array.make n 0.0;
+           })
+
+(* The entries the plan takes: at most one appended unknown, whose row
+   entries in base columns come first and whose column comes last,
+   every entry sorted by column then row. *)
+let plan_fits pl (e : Csc.entries) ~n =
+  let steps = pl.steps in
+  let m = Array.length e.Csc.cols in
+  n - steps <= 1
+  && (m = 0 || n > steps)
+  &&
+  let ok = ref true in
+  for t = 0 to m - 1 do
+    let c = e.Csc.cols.(t) and r = e.Csc.rows.(t) in
+    if r < 0 || r > steps || c < 0 || c > steps then ok := false
+    else if c < steps && r <> steps then ok := false
+    else if
+      t > 0
+      && (e.Csc.cols.(t - 1) > c
+         || (e.Csc.cols.(t - 1) = c && e.Csc.rows.(t - 1) >= r))
+    then ok := false
+  done;
+  !ok
+
+let refactor pl values ~n (e : Csc.entries) =
+  let steps = pl.steps in
+  let m = Array.length e.Csc.cols in
+  let pnz = Csc.nnz pl.pattern in
+  if
+    n < steps || Array.length values < pnz
+    || Array.length e.Csc.rows <> m
+    || Array.length e.Csc.vals <> m
+  then invalid_arg "Sparse.refactor: size mismatch";
+  Obs.Counter.incr factorizations;
+  let amax = ref 0.0 and zeros = ref 0 in
+  let finite = scan_values values pnz amax ~zeros in
+  let finite = scan_values e.Csc.vals m amax ~zeros && finite in
+  let anz = pnz + m - !zeros in
+  Obs.Counter.add nnz_counter anz;
+  if not finite then begin
+    Obs.Counter.incr singular_factorizations;
+    Error (-1)
+  end
+  else begin
+    let floor = pivot_floor_of !amax in
+    match
+      if !zeros = 0 && plan_fits pl e ~n then run_plan pl values e ~n ~floor
+      else None
+    with
+    | Some (Ok f) ->
+        Obs.Counter.incr refactors;
+        if Obs.enabled () && anz > 0 then
+          Obs.Histogram.observe fill_hist
+            (float_of_int (factor_nnz f) /. float_of_int anz);
+        Ok f
+    | Some (Error col) ->
+        Obs.Counter.incr refactors;
+        Obs.Counter.incr singular_factorizations;
+        Error col
+    | None ->
+        Obs.Counter.incr refactor_fallbacks;
+        let a = Csc.grow pl.pattern values ~n e in
+        Result.map fst
+          (factor_ordered ~recording:false
+             (Symbolic.extend pl.sym (n - steps))
+             a ~floor)
+  end
 
 (* PAQ = LU: permute b by P, solve Ly = b̄ then Uz = y in elimination
    order, scatter back through Q. Unchecked accesses: [b] and [work]

@@ -10,12 +10,12 @@
     left-looking (Gilbert–Peierls) LU with threshold partial pivoting
     whose factor and solve costs are proportional to the factor
     nonzeros, not n³/n². A factorisation can be recorded (each step's
-    reach and pivot) and later matrices of that pattern, grown by at
-    most one appended unknown, refactored numerically on the record,
-    bit-identical to a full factorisation; anything the record does
-    not describe declines to the full kernel. Each domain factors in
-    its own reused workspace, so a factorisation allocates only the
-    factor it returns.
+    reach and pivot) and compiled into a flat {!plan} on which later
+    matrices of that pattern, grown by at most one appended unknown,
+    refactor numerically, bit-identical to a full factorisation;
+    anything the plan does not describe declines to the full kernel.
+    Each domain factors in its own reused workspace, so a factorisation
+    allocates little beyond the factor it returns.
 
     This is the only factorisation the routing stack runs; the dense
     kernel in the tests' [lu.ml] is kept as a reference. A pivot smaller
@@ -69,15 +69,29 @@ module Csc : sig
       from stamp values are kept in the pattern.
       @raise Invalid_argument on a negative [n] or an index ≥ [n]. *)
 
-  val of_columns :
-    n:int -> colptr:int array -> rowind:int array -> values:float array -> t
-  (** The n×n matrix whose column j holds rows [rowind.(p)] with values
-      [values.(p)] for [p] from [colptr.(j)] to [colptr.(j+1) - 1]. The
-      arrays are taken, not copied; [rowind] and [values] may be longer
-      than [colptr.(n)].
-      @raise Invalid_argument unless [colptr] has length n+1, starts at
-      0 and never decreases, and each column's rows ascend strictly
-      within 0..n-1. *)
+  type entries = { cols : int array; rows : int array; vals : float array }
+  (** Entries outside a pattern, at (rows.(k), cols.(k)) with value
+      vals.(k), sorted by column, then row. *)
+
+  val no_entries : entries
+
+  val union : t -> t -> t * int array * int array
+  (** [union a b] is the union pattern of two n×n matrices (its values
+      are zeros: a pattern, not a matrix) with each slot's index in
+      [a]'s storage and in [b]'s, or -1 where that matrix stores
+      nothing: one merge per column, done once so that later matrices
+      of the pattern are written slot by slot.
+      @raise Invalid_argument unless both are n×n. *)
+
+  val grow : t -> float array -> n:int -> entries -> t
+  (** [grow p values ~n e] is the n×n matrix (n at least [p]'s size)
+      holding [values.(s)] in [p]'s slot [s] and [e]'s entries, with
+      exact zeros dropped. It shares [p]'s pattern arrays (and takes
+      [values], not a copy) when [e] is empty, [n] is [p]'s size and no
+      value is zero.
+      @raise Invalid_argument when [values] is shorter than [p]'s
+      nonzeros, [n] is smaller than [p]'s size, or [e]'s entries are
+      unsorted, out of range or inside [p]'s pattern. *)
 
   val mul_vec_into : t -> float array -> float array -> unit
   (** [mul_vec_into t x out] overwrites [out] with t·x; each row's
@@ -107,12 +121,12 @@ module Symbolic : sig
   val size : t -> int
 
   val extend : t -> int -> t
-  (** [extend s k] orders a system grown by [k] unknowns, numbered
+  (** [extend s k] orders a system grown by [k > 0] unknowns, numbered
       [size s] to [size s + k - 1]: [s]'s order with the new unknowns
-      appended, eliminated last in index order, and [s]'s record, if
-      any. No pattern is examined, so a system grown by a few appended
+      appended, eliminated last in index order, without a record. No
+      pattern is examined, so a system grown by a few appended
       unknowns keeps its base ordering instead of paying {!analyze}
-      again.
+      again. [extend s 0] is [s].
       @raise Invalid_argument on a negative [k]. *)
 end
 
@@ -129,39 +143,55 @@ type t
     largest entry wins). *)
 
 val try_factor : ?symbolic:Symbolic.t -> Csc.t -> (t, int) result
-(** [try_factor csc] factors the matrix, running {!analyze} first
-    unless [symbolic] provides the ordering. [Error k] reports the
+(** [try_factor csc] factors the matrix with the full kernel, running
+    {!analyze} first unless [symbolic] provides the ordering (a record
+    it carries is not used here; see {!plan}). [Error k] reports the
     original column whose best available pivot fell below the
     threshold, [Error (-1)] a non-finite input entry.
-
-    When [symbolic] carries a record (from {!try_factor_recording},
-    possibly {!Symbolic.extend}ed), the matrix is refactored
-    numerically: each base step walks its recorded reach instead of
-    searching for it, a single appended unknown's row rides along as a
-    non-pivotal row, and the appended column, eliminated last, searches
-    its own reach. The refactor declines to the full kernel, counted
-    under [sparse.refactor_fallbacks], when a column's base rows differ
-    from the recorded pattern, an L entry of the record cancels to an
-    exact zero, the pivot rule picks another row, the appended row's
-    value is not finite or reaches the base rows' maximum, or more than
-    one unknown was appended.
-    Either way the factors are bit for bit the full kernel's, and the
-    verdict is the same; a refactor that gives it counts under
-    [sparse.refactors]. Both count once under [sparse.factorizations].
     @raise Invalid_argument on a non-square matrix or a [symbolic] of
     the wrong size. *)
 
 val try_factor_recording :
   ?symbolic:Symbolic.t -> Csc.t -> (t * Symbolic.t, int) result
-(** {!try_factor} by the full kernel, also returning the symbolic
-    factorisation it took: [symbolic]'s (or {!analyze}'s) order plus a
-    record of each step's pivot row and structural reach, the reach the
-    factorisation would take if no entry had cancelled to an exact
-    zero. A matrix with the same pattern (or that pattern grown by one
-    appended unknown) refactors on it; a lowered routing's G records
-    the reach of every companion G + hC, since its C is diagonal (G's
-    own floating tree cancels exactly at the driven node, the companion
-    does not). *)
+(** {!try_factor}, also returning the symbolic factorisation it took:
+    [symbolic]'s (or {!analyze}'s) order plus a record of each step's
+    pivot row and structural reach, the reach the factorisation would
+    take if no entry had cancelled to an exact zero, and the factored
+    matrix's pattern. A lowered routing's G records the reach of every
+    companion G + hC, since its C is diagonal (G's own floating tree
+    cancels exactly at the driven node, the companion does not). *)
+
+type plan
+(** A record compiled for numeric refactorisation: per step, the
+    scatter of its column, the L-column updates in the record's
+    topological order, the threshold-pivot check and the L/U emits,
+    all by position. Read-only once built, so one plan serves every
+    worker domain. *)
+
+val plan : Symbolic.t -> Csc.t -> plan option
+(** [plan s pattern] compiles [s]'s record for matrices stored in
+    [pattern]'s slots (values ignored). [None] when [s] carries no
+    record or [pattern] is not the recorded matrix's pattern. *)
+
+val refactor : plan -> float array -> n:int -> Csc.entries -> (t, int) result
+(** [refactor plan values ~n e] factors the n×n matrix
+    [Csc.grow pattern values ~n e] ([pattern] the plan's) as
+    {!try_factor} would on the plan's order with the appended unknowns
+    eliminated last, and with the same verdict, bit for bit. With at
+    most one appended unknown it runs the plan straight through: the
+    appended row rides along as a non-pivotal row, and the appended
+    column, eliminated last, searches its own reach. It declines to the
+    full kernel, counted under [sparse.refactor_fallbacks], when an
+    input value is an exact zero, an entry of [e] lies outside the
+    appended row and column, more than one unknown was appended, the
+    appended row's value is not finite or reaches the base rows'
+    maximum, the pivot rule picks another row than the record's, or an
+    L entry of the record cancels to an exact zero. A plan run that
+    gives the verdict counts under [sparse.refactors]; either way it
+    counts once under [sparse.factorizations].
+    @raise Invalid_argument when [values] is shorter than the
+    pattern's nonzeros or [n] is smaller than the plan's size, and
+    (on the decline path) as {!Csc.grow}. *)
 
 exception Singular of int
 (** Raised by {!factor} with {!try_factor}'s error code: the pivot

@@ -74,7 +74,7 @@ let transient_result ?(options = default_options) nl ~tstop ~probes =
     let dt = tstop /. float_of_int options.steps_per_chunk in
     let chunk =
       Transient.run
-        (Transient.companion sys ~dt)
+        (Transient.companion (Transient.compile sys) ~dt)
         ~x0 ~t0:0.0 ~steps:options.steps_per_chunk ~probes:idx
     in
     (idx, x0, chunk)
@@ -105,10 +105,12 @@ let step_reference ~t0 ~dt =
   let switch = Float.of_int (int_of_float (t0 /. dt)) *. dt in
   switch +. (dt /. 2.0)
 
-(* The first time a rising PULSE or PWL reaches [level] (its value at
-   t = 0 is below it). *)
+(* The first time a rising RAMP, PULSE or PWL reaches [level] (its
+   value at t = 0 is below it). *)
 let first_crossing wave ~level =
   match wave with
+  | Circuit.Waveform.Ramp { t0; t1; v0; v1 } ->
+      Some (t0 +. ((level -. v0) /. (v1 -. v0) *. (t1 -. t0)))
   | Circuit.Waveform.Pulse { delay; rise; _ } -> Some (delay +. (rise /. 2.0))
   | Circuit.Waveform.Pwl corners ->
       (* From the last corner at or before t = 0 (the line through
@@ -125,7 +127,7 @@ let first_crossing wave ~level =
       walk (0.0, Circuit.Waveform.value wave 0.0) corners
   | _ -> None
 
-(* The solver sees a PULSE or PWL through its samples b(t_n), joined
+(* The solver sees a RAMP, PULSE or PWL through its samples b(t_n), joined
    linearly by the trapezoidal rule, as it sees a Step: the input's 50 %
    point is where that polyline first crosses halfway from the value at
    t = 0 to the settled one, between the last sample below and the
@@ -158,12 +160,15 @@ let grid_reference wave ~dt =
           (first !n 3))
 
 (* Where delays are measured from: a single Step switching at t0 >= 0,
-   or a single rising PULSE (delay >= 0) or PWL source, crosses 50 % on
-   the grid; anything else measures from t = 0. *)
+   or a single rising RAMP (t0 >= 0), PULSE (delay >= 0) or PWL source,
+   crosses 50 % on the grid; anything else measures from t = 0. *)
 let origin (sys : Mna.t) ~dt =
   match sys.Mna.sources with
   | [| { Mna.wave = Circuit.Waveform.Step { t0; _ }; _ } |] when t0 >= 0.0 ->
       Some (step_reference ~t0 ~dt)
+  | [| { Mna.wave = Circuit.Waveform.Ramp { t0; _ } as wave; _ } |]
+    when t0 >= 0.0 ->
+      grid_reference wave ~dt
   | [| { Mna.wave = Circuit.Waveform.Pulse { delay; _ } as wave; _ } |]
     when delay >= 0.0 ->
       grid_reference wave ~dt
@@ -179,8 +184,8 @@ let scan_dt options ~horizon = horizon /. float_of_int options.steps_per_chunk
 let delay_origin ?(options = default_options) nl ~horizon =
   origin (Mna.build nl) ~dt:(scan_dt options ~horizon)
 
-let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
-    ~xf ~horizon =
+let threshold_scan_result ?(options = default_options) ?stamps pattern ~idx
+    ~x0 ~xf ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan: horizon must be positive";
   let num_probes = Array.length idx in
@@ -188,7 +193,7 @@ let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
     Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
   in
   let dt = scan_dt options ~horizon in
-  let t_ref = input_reference sys ~dt in
+  let t_ref = input_reference (Transient.system pattern) ~dt in
   (* Probes that start at their target (degenerate) report delay 0. *)
   let found =
     Array.mapi (fun p u -> if x0.(u) >= target.(p) then Some 0.0 else None) idx
@@ -229,7 +234,7 @@ let threshold_scan_result ?(options = default_options) ?stamps sys ~idx ~x0
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
      targets never builds it. *)
-  let companion = lazy (Transient.companion ?stamps sys ~dt) in
+  let companion = lazy (Transient.companion ?stamps pattern ~dt) in
   let rec extend x t0 steps extensions =
     if !pending = 0 || extensions > options.max_extensions then Ok found
     else
@@ -264,7 +269,8 @@ let threshold_system_result ?(options = default_options) ~horizon build =
           let* () = check_finite ~stage:"spice.dc" x0 in
           let xf = Numeric.Sparse.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
-          threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon)
+          threshold_scan_result ~options (Transient.compile sys) ~idx ~x0 ~xf
+            ~horizon)
 
 let threshold_delays_result ?options nl ~probes ~horizon =
   let* found =

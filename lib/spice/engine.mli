@@ -8,9 +8,9 @@
     loop produces states, stopping at the last one. The delay oracles
     skip the netlist: they hand {!threshold_system_result} an MNA
     system stamped straight from the routing, and the incremental
-    scorer hands {!threshold_scan_result} a round's base system, its
-    corrected operating point and settled state, and an edit's
-    stamps.
+    scorer hands {!threshold_scan_result} a round's compiled base
+    system, its corrected operating point and settled state, and an
+    edit's stamps.
 
     Every analysis comes in two flavours: a [_result] variant that
     reports operational failures (singular MNA matrices, non-finite
@@ -82,32 +82,35 @@ val input_reference : Mna.t -> dt:float -> float
     - A single [Step] switching at t0 >= 0 (every oracle's drive, at
       t = 0): with m·[dt] the last grid time not after t0, a one-step
       ramp crossing at m·[dt] + [dt]/2.
-    - A single rising [Pulse] (delay >= 0) or [Pwl]: the crossing
-      halfway from its value at t = 0 to its
+    - A single rising [Ramp] (t0 >= 0), [Pulse] (delay >= 0) or [Pwl]:
+      the crossing halfway from its value at t = 0 to its
       {!Circuit.Waveform.settled} level, interpolated between the last
       sample below that level and the first at or above it.
-    Any other set of sources — a falling or flat drive, a [Ramp],
-    several sources, or an edge the grid steps over within a sample or
-    two — keeps the t = 0 reference. *)
+    Any other set of sources — a falling or flat drive, several
+    sources, or an edge the grid steps over within a sample or two —
+    keeps the t = 0 reference. *)
 
 val delay_origin :
   ?options:options -> Circuit.Netlist.t -> horizon:float -> float option
 (** Where {!threshold_delays_result} [?options nl ~horizon] measures
     delays from: [Some t], the {!input_reference} of its timestep,
-    when a single Step, PULSE or PWL source drives [nl] and has one;
+    when a single Step, RAMP, PULSE or PWL source drives [nl] and has
+    one;
     [None] when delays run from t = 0. *)
 
 val threshold_scan_result :
   ?options:options ->
   ?stamps:Transient.stamps ->
-  Mna.t ->
+  Transient.pattern ->
   idx:int array ->
   x0:float array ->
   xf:float array ->
   horizon:float ->
   (float option array, Nontree_error.t) result
-(** The chunked threshold search on an already-built system, grown by
-    [stamps] when given ([x0] and [xf] then have the grown length):
+(** The chunked threshold search on an already-built system, compiled
+    ({!Transient.compile}) so that one round's candidates share its
+    pattern and refactor plan, grown by [stamps] when given ([x0] and
+    [xf] then have the grown length):
     from state [x0], integrate at dt = [horizon] / [steps_per_chunk],
     doubling the window up to [max_extensions] times, until every
     probed unknown in [idx] crosses halfway from [x0] to its settled

@@ -48,7 +48,8 @@ type t = {
           [Numeric.Sparse.analyze g_csc], which is what
           [Delay.Lumping.system] computes. {!build} gives a bare
           ordering; the incremental scorer substitutes its round's
-          recorded G factorisation, on which companions refactor. *)
+          recorded G factorisation, which [Transient.compile] turns
+          into the plan its companions refactor on. *)
 }
 
 val build : Circuit.Netlist.t -> t

@@ -27,141 +27,237 @@ type companion = {
   mutable b_next : float array;
 }
 
-(* Two-terminal stamps as matrix entries, the way [Mna.build] stamps a
-   resistor or capacitor (the value at (i,i) and (j,j), its negation at
-   (i,j) and (j,i), ground skipped), keyed col·size + row and sorted
-   stably by key: entries at one position keep stamping order. *)
-let expand ~size stamps =
-  let keys = Array.make (4 * Array.length stamps) 0 in
-  let vals = Array.make (4 * Array.length stamps) 0.0 in
-  let len = ref 0 in
-  let push r c v =
-    let key = (c * size) + r and p = ref !len in
-    while !p > 0 && keys.(!p - 1) > key do
-      keys.(!p) <- keys.(!p - 1);
-      vals.(!p) <- vals.(!p - 1);
-      decr p
-    done;
-    keys.(!p) <- key;
-    vals.(!p) <- v;
-    incr len
-  in
-  Array.iter
-    (fun { i; j; value } ->
-      if i < -1 || i >= size || j < -1 || j >= size then
-        invalid_arg "Transient.assemble: stamp index out of range";
-      if i >= 0 then push i i value;
-      if j >= 0 then push j j value;
-      if i >= 0 && j >= 0 then begin
-        push i j (-.value);
-        push j i (-.value)
-      end)
-    stamps;
-  (keys, vals, !len)
+type pattern = {
+  base : Mna.t;
+  lhs : Csc.t;  (* the union pattern of G and C *)
+  gsrc : int array;  (* per slot: its index in G's storage, or -1 *)
+  csrc : int array;  (* likewise in C's *)
+  plan : Numeric.Sparse.plan option;
+}
 
-(* One pass over the columns writes G' + h·C' and 2h·C'; see [assemble]
-   for how each entry sums. *)
-let combine (sys : Mna.t) stamps ~h =
-  let s = 2.0 *. h in
-  let n = sys.Mna.size in
-  let nt = n + stamps.added in
-  let g = sys.Mna.g_csc and c = sys.Mna.c_csc in
-  let gk, gv, gn = expand ~size:nt stamps.g in
-  let ck, cv, cn = expand ~size:nt stamps.c in
-  let make cap =
-    let cap = max 1 cap in
-    (Array.make (nt + 1) 0, Array.make cap 0, Array.make cap 0.0)
+let compile (sys : Mna.t) =
+  let lhs, gsrc, csrc = Csc.union sys.Mna.g_csc sys.Mna.c_csc in
+  { base = sys; lhs; gsrc; csrc; plan = Numeric.Sparse.plan sys.Mna.sym lhs }
+
+let system p = p.base
+
+(* The entries a stamp set touches, in order of first touch: each
+   position's slot in the pattern (or -1 outside it), its key
+   col·size + row, and its G and C sums, each started from the base
+   value when the pattern stores one and taking the stamps in stamping
+   order. One per domain, reused: a fill runs on one domain and does
+   not keep it. *)
+type touched = {
+  mutable len : int;
+  mutable slot : int array;
+  mutable key : int array;
+  mutable gx : float array;
+  mutable cx : float array;
+  mutable has_g : bool array;
+  mutable has_c : bool array;
+}
+
+let touched_key =
+  Domain.DLS.new_key (fun () ->
+      { len = 0; slot = [||]; key = [||]; gx = [||]; cx = [||]; has_g = [||];
+        has_c = [||] })
+
+let touch p (stamps : stamps) ~nt =
+  let n = p.base.Mna.size in
+  let t = Domain.DLS.get touched_key in
+  let cap = 4 * (Array.length stamps.g + Array.length stamps.c) in
+  if Array.length t.slot < cap then begin
+    t.slot <- Array.make cap 0;
+    t.key <- Array.make cap 0;
+    t.gx <- Array.make cap 0.0;
+    t.cx <- Array.make cap 0.0;
+    t.has_g <- Array.make cap false;
+    t.has_c <- Array.make cap false
+  end;
+  t.len <- 0;
+  let gval = p.base.Mna.g_csc.Csc.values in
+  let cval = p.base.Mna.c_csc.Csc.values in
+  let colptr = p.lhs.Csc.colptr and rowind = p.lhs.Csc.rowind in
+  let find r c =
+    let key = (c * nt) + r in
+    let k = ref 0 in
+    while !k < t.len && t.key.(!k) <> key do incr k done;
+    if !k < t.len then !k
+    else begin
+      let s =
+        if r < n && c < n then begin
+          let s = ref colptr.(c) and hi = colptr.(c + 1) in
+          while !s < hi && rowind.(!s) <> r do incr s done;
+          if !s < hi then !s else -1
+        end
+        else -1
+      in
+      let k = t.len in
+      t.len <- k + 1;
+      t.slot.(k) <- s;
+      t.key.(k) <- key;
+      let gs = if s >= 0 then p.gsrc.(s) else -1 in
+      let cs = if s >= 0 then p.csrc.(s) else -1 in
+      t.has_g.(k) <- gs >= 0;
+      t.gx.(k) <- (if gs >= 0 then gval.(gs) else 0.0);
+      t.has_c.(k) <- cs >= 0;
+      t.cx.(k) <- (if cs >= 0 then cval.(cs) else 0.0);
+      k
+    end
   in
-  let ((colptr, rowind, values) as lhs) =
-    make (Csc.nnz g + Csc.nnz c + gn + cn)
+  let add sums has r c v =
+    let k = find r c in
+    sums.(k) <- (if has.(k) then sums.(k) +. v else v);
+    has.(k) <- true
   in
-  let ((colptr', rowind', values') as rhs) = make (Csc.nnz c + cn) in
-  let out = ref 0 and out' = ref 0 in
-  let sg = ref 0 and sc = ref 0 in
-  let grow = g.Csc.rowind and gval = g.Csc.values in
-  let crow = c.Csc.rowind and cval = c.Csc.values in
-  for j = 0 to nt - 1 do
-    colptr.(j) <- !out;
-    colptr'.(j) <- !out';
-    (* Cursors: base G and C column j, then its stamp entries, whose
-       keys run from j·nt (row 0) to below (j+1)·nt. *)
-    let p = ref (if j < n then g.Csc.colptr.(j) else 0) in
-    let pe = if j < n then g.Csc.colptr.(j + 1) else 0 in
-    let q = ref (if j < n then c.Csc.colptr.(j) else 0) in
-    let qe = if j < n then c.Csc.colptr.(j + 1) else 0 in
-    let col = j * nt in
-    let ge = ref !sg and ce = ref !sc in
-    while !ge < gn && gk.(!ge) < col + nt do incr ge done;
-    while !ce < cn && ck.(!ce) < col + nt do incr ce done;
-    while !p < pe || !q < qe || !sg < !ge || !sc < !ce do
-      let r = if !p < pe then grow.(!p) else max_int in
-      let r = if !sg < !ge then min r (gk.(!sg) - col) else r in
-      let r = if !q < qe then min r crow.(!q) else r in
-      let r = if !sc < !ce then min r (ck.(!sc) - col) else r in
-      let has_g = ref false and gx = ref 0.0 in
-      if !p < pe && grow.(!p) = r then begin
-        has_g := true;
-        gx := gval.(!p);
-        incr p
-      end;
-      while !sg < !ge && gk.(!sg) = col + r do
-        gx := if !has_g then !gx +. gv.(!sg) else gv.(!sg);
-        has_g := true;
-        incr sg
-      done;
-      let has_c = ref false and cx = ref 0.0 in
-      if !q < qe && crow.(!q) = r then begin
-        has_c := true;
-        cx := cval.(!q);
-        incr q
-      end;
-      while !sc < !ce && ck.(!sc) = col + r do
-        cx := if !has_c then !cx +. cv.(!sc) else cv.(!sc);
-        has_c := true;
-        incr sc
-      done;
-      let v =
-        if !has_g && !has_c then !gx +. (h *. !cx)
-        else if !has_g then !gx
-        else h *. !cx
-      and v' = if !has_c then s *. !cx else 0.0 in
-      if v <> 0.0 then begin
-        rowind.(!out) <- r;
-        values.(!out) <- v;
-        incr out
-      end;
-      if v' <> 0.0 then begin
-        rowind'.(!out') <- r;
-        values'.(!out') <- v';
-        incr out'
-      end
-    done
+  (* A two-terminal element as [Mna.build] stamps it: the value at
+     (i,i) and (j,j), its negation at (i,j) and (j,i), ground
+     skipped. *)
+  let stamp sums has { i; j; value } =
+    if i < -1 || i >= nt || j < -1 || j >= nt then
+      invalid_arg "Transient.assemble: stamp index out of range";
+    if i >= 0 then add sums has i i value;
+    if j >= 0 then add sums has j j value;
+    if i >= 0 && j >= 0 then begin
+      add sums has i j (-.value);
+      add sums has j i (-.value)
+    end
+  in
+  Array.iter (stamp t.gx t.has_g) stamps.g;
+  Array.iter (stamp t.cx t.has_c) stamps.c;
+  t
+
+(* A combined entry takes only the term of the operand that stores
+   it. *)
+let combine ~h ~has_g gx ~has_c cx =
+  if has_g && has_c then gx +. (h *. cx) else if has_g then gx else h *. cx
+
+(* The touched positions outside a pattern — outside G ∪ C for the
+   iteration matrix, valued G′ + hC′; outside C for the explicit side,
+   valued 2hC′ — sorted by key (few: an edited wire's appended
+   unknowns). *)
+let entries p t ~nt ~h ~explicit =
+  let outside k =
+    if explicit then
+      t.has_c.(k) && (t.slot.(k) < 0 || p.csrc.(t.slot.(k)) < 0)
+    else t.slot.(k) < 0
+  in
+  let m = ref 0 in
+  for k = 0 to t.len - 1 do
+    if outside k then incr m
   done;
-  colptr.(nt) <- !out;
-  colptr'.(nt) <- !out';
-  let csc (colptr, rowind, values) =
-    Csc.of_columns ~n:nt ~colptr ~rowind ~values
-  in
-  (csc lhs, csc rhs)
+  if !m = 0 then Csc.no_entries
+  else begin
+    let ks = Array.make !m 0 and m = ref 0 in
+    for k = 0 to t.len - 1 do
+      if outside k then begin
+        let s = ref !m in
+        while !s > 0 && t.key.(ks.(!s - 1)) > t.key.(k) do
+          ks.(!s) <- ks.(!s - 1);
+          decr s
+        done;
+        ks.(!s) <- k;
+        incr m
+      end
+    done;
+    let value k =
+      if explicit then 2.0 *. h *. t.cx.(k)
+      else combine ~h ~has_g:t.has_g.(k) t.gx.(k) ~has_c:t.has_c.(k) t.cx.(k)
+    in
+    {
+      Csc.cols = Array.map (fun k -> t.key.(k) / nt) ks;
+      rows = Array.map (fun k -> t.key.(k) mod nt) ks;
+      vals = Array.map value ks;
+    }
+  end
 
-let assemble ?(stamps = no_stamps) (sys : Mna.t) ~dt =
+(* One companion's values: the iteration matrix G′ + hC′ slot by slot
+   of the pattern, the explicit side 2hC′ slot by slot of C, and the
+   entries of either outside its pattern. *)
+type filled = {
+  nt : int;
+  lhs_values : float array;
+  lhs_extra : Csc.entries;
+  rhs_values : float array;
+  rhs_extra : Csc.entries;
+}
+
+let fill ?(stamps = no_stamps) p ~dt =
   if dt <= 0.0 then invalid_arg "Transient.assemble: dt must be positive";
   if stamps.added < 0 then
     invalid_arg "Transient.assemble: negative appended unknowns";
   (* (G + hC) x' = (hC - G) x + b(t) + b(t') with h = 2/dt, which is
      (G + hC)(x' + x) = 2hC x + b(t) + b(t'). *)
-  combine sys stamps ~h:(2.0 /. dt)
+  let h = 2.0 /. dt in
+  let s = 2.0 *. h in
+  let nt = p.base.Mna.size + stamps.added in
+  let gval = p.base.Mna.g_csc.Csc.values in
+  let cval = p.base.Mna.c_csc.Csc.values in
+  let nz = Csc.nnz p.lhs in
+  let lhs_values = Array.make (max nz 1) 0.0 in
+  for k = 0 to nz - 1 do
+    let gs = p.gsrc.(k) and cs = p.csrc.(k) in
+    lhs_values.(k) <-
+      (if gs < 0 then h *. cval.(cs)
+       else if cs < 0 then gval.(gs)
+       else gval.(gs) +. (h *. cval.(cs)))
+  done;
+  let cnz = Csc.nnz p.base.Mna.c_csc in
+  let rhs_values = Array.make (max cnz 1) 0.0 in
+  for k = 0 to cnz - 1 do
+    rhs_values.(k) <- s *. cval.(k)
+  done;
+  if stamps.g = [||] && stamps.c = [||] then
+    { nt; lhs_values; lhs_extra = Csc.no_entries; rhs_values;
+      rhs_extra = Csc.no_entries }
+  else begin
+    let t = touch p stamps ~nt in
+    for k = 0 to t.len - 1 do
+      let sl = t.slot.(k) in
+      if sl >= 0 then begin
+        lhs_values.(sl) <-
+          combine ~h ~has_g:t.has_g.(k) t.gx.(k) ~has_c:t.has_c.(k) t.cx.(k);
+        if t.has_c.(k) && p.csrc.(sl) >= 0 then
+          rhs_values.(p.csrc.(sl)) <- s *. t.cx.(k)
+      end
+    done;
+    {
+      nt;
+      lhs_values;
+      lhs_extra = entries p t ~nt ~h ~explicit:false;
+      rhs_values;
+      rhs_extra = entries p t ~nt ~h ~explicit:true;
+    }
+  end
 
-let companion ?(stamps = no_stamps) (sys : Mna.t) ~dt =
-  let lhs, c_scaled = assemble ~stamps sys ~dt in
-  (* The precomputed G∪C ordering, whatever the timestep;
-     appended unknowns are eliminated last. A recorded [sym] (an
-     incremental round's G) makes this a numeric-only refactor. *)
-  let symbolic = Numeric.Sparse.Symbolic.extend sys.Mna.sym stamps.added in
-  let lu = Numeric.Sparse.factor ~symbolic lhs in
-  let size = sys.Mna.size + stamps.added in
-  let b_prev = Array.make size 0.0 and b_next = Array.make size 0.0 in
-  { sys; size; dt; lu; c_scaled; b_prev; b_next }
+let explicit_side p f =
+  Csc.grow p.base.Mna.c_csc f.rhs_values ~n:f.nt f.rhs_extra
+
+let assemble ?stamps p ~dt =
+  let f = fill ?stamps p ~dt in
+  (Csc.grow p.lhs f.lhs_values ~n:f.nt f.lhs_extra, explicit_side p f)
+
+let companion ?stamps p ~dt =
+  let f = fill ?stamps p ~dt in
+  let sys = p.base in
+  let lu =
+    match p.plan with
+    | Some plan -> (
+        match Numeric.Sparse.refactor plan f.lhs_values ~n:f.nt f.lhs_extra with
+        | Ok lu -> lu
+        | Error k -> raise (Numeric.Sparse.Singular k))
+    | None ->
+        (* The precomputed G∪C ordering, whatever the timestep;
+           appended unknowns are eliminated last. *)
+        let added = f.nt - sys.Mna.size in
+        Numeric.Sparse.factor
+          ~symbolic:(Numeric.Sparse.Symbolic.extend sys.Mna.sym added)
+          (Csc.grow p.lhs f.lhs_values ~n:f.nt f.lhs_extra)
+  in
+  let b_prev = Array.make f.nt 0.0 and b_next = Array.make f.nt 0.0 in
+  { sys; size = f.nt; dt; lu; c_scaled = explicit_side p f; b_prev; b_next }
+
+let factor cp = cp.lu
 
 let loop cp ~x0 ~t0 ~steps ~on_step =
   if steps <= 0 then invalid_arg "Transient.loop: steps must be positive";

@@ -1,12 +1,13 @@
 (** Fixed-step transient integration of MNA systems by the trapezoidal
     rule.
 
-    It assembles the iteration matrix and the explicit-side matrix (the
-    scaled C) in one pass over the system's CSC G and C,
-    optionally grown by a small set of {!stamps} (an edited wire),
-    factor the former once with {!Numeric.Sparse} into a {!companion}
-    (refactored numerically when the system's [sym] carries a record),
-    and back-substitute per step. A simulation costs one near-O(nnz)
+    A system is compiled once into a {!pattern} (G ∪ C, slot by slot);
+    each companion writes the iteration matrix and the explicit-side
+    matrix (the scaled C) into it, optionally grown by a small set of
+    {!stamps} (an edited wire), factors the former once with
+    {!Numeric.Sparse} into a {!companion} (refactored on a compiled
+    plan when the system's [sym] carries a record), and
+    back-substitutes per step. A simulation costs one near-O(nnz)
     sparse factorisation (near-tree MNA patterns produce little fill),
     however many chunks it is run in, plus an O(nnz(C)) product and
     back-substitution per step; a step allocates only the boxed time
@@ -49,34 +50,53 @@ type companion
     plus the step loop's buffers. Mutable scratch: use from one domain
     at a time. *)
 
+type pattern
+(** A system compiled once for all its companions: the union pattern
+    of G and C with each slot's G and C source, and, when the system's
+    [sym] carries a record (see {!Numeric.Sparse.try_factor_recording})
+    of that pattern, the record's refactor plan
+    ({!Numeric.Sparse.plan}). Read-only: one pattern serves every
+    worker domain. *)
+
+val compile : Mna.t -> pattern
+(** One merge of G's and C's columns, and the plan when there is a
+    record. O(nnz). *)
+
+val system : pattern -> Mna.t
+
 val assemble :
   ?stamps:stamps ->
-  Mna.t ->
+  pattern ->
   dt:float ->
   Numeric.Sparse.Csc.t * Numeric.Sparse.Csc.t
 (** The unfactored iteration matrix G′ + hC′ and explicit-side matrix
-    2hC′ (h = 2/dt), G′ and C′ being the system's matrices grown by [stamps]
-    (default none), both written in one pass over the columns. Each
-    entry of G′ (likewise C′) is the base entry when stored, then the
-    stamps in order, summed left to right; a combined entry takes only
-    the term of the operand that stores it; the explicit side scales
-    C′'s entry by 2h; exact zeros are dropped. These are the float
+    2hC′ (h = 2/dt) that {!companion} factors and steps with, G′ and C′
+    being the system's matrices grown by [stamps] (default none). Each
+    slot of the pattern is written as the G and C values it stores; an
+    entry the stamps touch sums the base entry when stored, then the
+    stamps in order, left to right; a combined entry takes only the
+    term of the operand that stores it; the explicit side scales C′'s
+    entry by 2h; entries outside the pattern (appended unknowns) are
+    added sorted; exact zeros are dropped. These are the float
     operations of stamping G′ and C′ as triplets and combining them
     entry by entry.
 
     @raise Invalid_argument on a non-positive [dt], a negative [added]
     or a stamp index outside -1 .. size + added - 1. *)
 
-val companion :
-  ?stamps:stamps -> Mna.t -> dt:float -> companion
+val companion : ?stamps:stamps -> pattern -> dt:float -> companion
 (** Factor {!assemble}'s iteration matrix on the system's [sym]
-    ordering, appended unknowns eliminated last; when [sym] carries a
-    record (see {!Numeric.Sparse.try_factor_recording}) the factor is
-    a numeric-only refactor, bit-identical to a full one.
+    ordering, appended unknowns eliminated last. With a plan the values
+    are refactored on it without building the matrix
+    ({!Numeric.Sparse.refactor}), bit-identical to a full
+    factorisation, which runs when the plan declines or there is none.
 
     @raise Invalid_argument as {!assemble}.
     @raise Numeric.Sparse.Singular when the iteration matrix has no usable
     pivot. *)
+
+val factor : companion -> Numeric.Sparse.t
+(** The companion's factored iteration matrix. *)
 
 val loop :
   companion ->

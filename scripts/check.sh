@@ -45,7 +45,7 @@ lu_f=$(sed -n 's/.*"lu.factorizations": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
 echo "lu.factorizations=${lu_f:-absent}, sparse.factorizations=$sparse_f"
 [ -n "$sparse_f" ] && [ "$sparse_f" -gt 0 ] && [ "${lu_f:-0}" -eq 0 ]
 
-echo "== candidates refactor on their round's record, none declines =="
+echo "== candidates refactor on their round's plan, none declines =="
 refactors=$(sed -n 's/.*"sparse.refactors": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
 declines=$(sed -n 's/.*"sparse.refactor_fallbacks": \([0-9]*\).*/\1/p' "$tmpdir/m.json")
 echo "sparse.refactors=$refactors, sparse.refactor_fallbacks=$declines"
@@ -100,6 +100,21 @@ dune exec bin/route.exe -- "$tmpdir/net8.txt" --deck "$tmpdir/net8.cir" \
 sink_delays=$(grep -c "50% delay" "$tmpdir/deck.out")
 echo "sink delays reported: $sink_delays"
 [ "$sink_delays" -eq 7 ]
+
+echo "== smoke: a single-RAMP deck measures delays from its grid 50% crossing =="
+cat > "$tmpdir/ramp.cir" <<'DECK'
+* rc ramp
+V1 in 0 RAMP(0.2n 0.3n 0 1)
+R1 in out 1k
+C1 out 0 1p
+.probe out
+.tran 0.01n 10n
+.end
+DECK
+"$spice_run" "$tmpdir/ramp.cir" --delay > "$tmpdir/ramp.out"
+cat "$tmpdir/ramp.out"
+grep -q "delay origin: input 50% crossing at .* ns (grid-adjusted)" \
+  "$tmpdir/ramp.out"
 
 echo "== perfbench smoke: evaluation paths reconcile, outputs check =="
 # ldrg-spice and wire-size score added and resized wires through the

@@ -416,8 +416,7 @@ let test_same_trial_two_bases () =
           let i0 = Obs.Counter.value incremental_scored in
           let score_from base (u, v) =
             ignore
-              (scorer_exn ~model base (Nontree.Incremental.Add (u, v))
-                 (Routing.add_edge base u v))
+              (scorer_exn ~model base (Nontree.Incremental.Add (u, v)))
           in
           score_from (add a e1) e2;
           score_from (add a e2) e1;
@@ -442,7 +441,7 @@ let test_scorer_without_cache () =
           List.iter
             (fun (u, v) ->
               ignore
-                (score (Nontree.Incremental.Add (u, v)) (Routing.add_edge r u v)))
+                (score (Nontree.Incremental.Add (u, v))))
             cands;
           Alcotest.(check int) "every candidate scored"
             (i0 + List.length cands)

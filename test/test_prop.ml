@@ -166,7 +166,7 @@ let gen_base g net =
 (* The per-sink delays the scorer gives one edit of [r], read back from
    its memo entry, keyed by [r]'s round digest and the edit (a fresh
    memo, so the entry is this score's); fails the test on a fallback. *)
-let incremental_delays ~model r edit trial =
+let incremental_delays ~model r edit =
   let fallback _ = Alcotest.failf "%s fell back" (edit_to_string edit) in
   let module C = Nontree.Oracle.Cache in
   let prev = C.enabled () in
@@ -180,7 +180,7 @@ let incremental_delays ~model r edit trial =
       match Nontree.Incremental.make_scorer ~model ~tech ~fallback r with
       | None -> Alcotest.failf "no scorer for %s" (Delay.Model.name model)
       | Some score ->
-          ignore (score edit trial);
+          ignore (score edit);
           C.memo_edit (C.round ~model ~tech r)
             (Nontree.Incremental.edit_key edit)
             (fun () -> Alcotest.fail "the score was not memoised"))
@@ -188,7 +188,7 @@ let incremental_delays ~model r edit trial =
 (* Every sink's incremental delay matches the plain oracle's on the
    rebuilt trial to 1e-9 of the largest. *)
 let check_edit_delays ~model ~what r edit trial =
-  let inc = incremental_delays ~model r edit trial in
+  let inc = incremental_delays ~model r edit in
   let plain = Delay.Robust.sink_delays_exn ~model ~tech trial in
   let scale = List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 plain in
   List.iter2
@@ -271,7 +271,7 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
   in
   let dt = horizon /. float_of_int options.steps_per_chunk in
   let t_ref = Spice.Engine.input_reference sys ~dt in
-  let cp = Spice.Transient.companion sys ~dt in
+  let cp = Spice.Transient.companion (Spice.Transient.compile sys) ~dt in
   let last = Array.map (fun u -> (x0.(u), 0.0)) idx in
   let rec go x t0 steps extensions =
     if Array.exists Option.is_none found && extensions <= options.max_extensions
@@ -362,7 +362,8 @@ let prop_scan_stops_without_moving_crossings g =
   in
   let found =
     match
-      Spice.Engine.threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon
+      Spice.Engine.threshold_scan_result ~options
+        (Spice.Transient.compile sys) ~idx ~x0 ~xf ~horizon
     with
     | Ok found -> found
     | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
@@ -766,33 +767,11 @@ let prop_plain_oracle_matches_netlist g =
         [ false; true ])
     [ Delay.Model.fast_spice; Delay.Model.default_spice ]
 
-(* Every companion an incremental round factors, refactored on the
-   record of its round's G, is the full kernel's factorisation bit for
-   bit: each Add and Resize companion of a random 5–30-pin MST (half
-   the time plus one wire, a second LDRG round's base, whose cycle
-   fills), at a random timestep. Under the fast
-   profile an added wire appends one unknown and refactors; under the
-   default profile it appends several and declines. *)
-let prop_refactor_matches_full g =
-  let pins = Rng.int_in g 5 30 in
-  let r =
-    gen_base g (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins)
-  in
-  let segmentation =
-    if Rng.bool g then Delay.Model.fast_spice.Delay.Model.segmentation
-    else Delay.Lumping.default_segmentation
-  in
-  let l =
-    Delay.Lumping.system ~segmentation ~include_inductance:false ~tech r
-  in
-  let sys = l.Delay.Lumping.mna in
-  let open Numeric.Sparse in
-  let recorded =
-    match try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc with
-    | Ok (_, s) -> s
-    | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
-  in
-  let n = sys.Spice.Mna.size in
+(* The stamps of every Add (fresh interior unknowns) and every Resize
+   (to a random width, on the wire's own chain) an incremental round
+   scores on the lowered routing [l] of [r]. *)
+let round_edits g ~segmentation r (l : Delay.Lumping.system) =
+  let n = l.Delay.Lumping.mna.Spice.Mna.size in
   let segments length width =
     Delay.Lumping.pi_segments ~segmentation ~tech ~length ~width
   in
@@ -823,27 +802,177 @@ let prop_refactor_matches_full g =
              ~seg_c:(c1 -. c0))
          l.Delay.Lumping.chains)
   in
+  adds @ resizes
+
+(* A random 5–30-pin round base: its MST or, half the time, the MST
+   plus one wire (a second LDRG round's base, whose cycle fills). *)
+let gen_round g =
+  let pins = Rng.int_in g 5 30 in
+  gen_base g (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins)
+
+(* [cp]'s factor, or the column the kernel refused. *)
+let companion_factor ?stamps pattern ~dt =
+  match Spice.Transient.companion ?stamps pattern ~dt with
+  | cp -> Ok (Spice.Transient.factor cp)
+  | exception Numeric.Sparse.Singular k -> Error k
+
+(* Every companion an incremental round factors, refactored on the
+   plan compiled from its round's G record, is the full kernel's
+   factorisation bit for bit: each Add and Resize companion of a random
+   5–30-pin base at a random timestep. Under the fast profile an added
+   wire appends one unknown and refactors; under the default profile it
+   appends several and declines. *)
+let prop_refactor_matches_full g =
+  let r = gen_round g in
+  let pins = Routing.num_terminals r in
+  let segmentation =
+    if Rng.bool g then Delay.Model.fast_spice.Delay.Model.segmentation
+    else Delay.Lumping.default_segmentation
+  in
+  let l =
+    Delay.Lumping.system ~segmentation ~include_inductance:false ~tech r
+  in
+  let sys = l.Delay.Lumping.mna in
+  let open Numeric.Sparse in
+  let recorded =
+    match
+      try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc
+    with
+    | Ok (_, s) -> s
+    | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
+  in
+  let plain = Spice.Transient.compile sys in
+  let round = Spice.Transient.compile { sys with Spice.Mna.sym = recorded } in
   let dt = 10.0 ** Rng.float_in g (-13.0) (-9.0) in
   let (), counts =
     Test_numeric.counting Test_numeric.refactor_counters (fun () ->
         List.iter
           (fun (stamps : Spice.Transient.stamps) ->
-            let lhs, _ = Spice.Transient.assemble ~stamps sys ~dt in
+            let lhs, _ = Spice.Transient.assemble ~stamps plain ~dt in
             let grown s = Symbolic.extend s stamps.Spice.Transient.added in
             match
               ( try_factor ~symbolic:(grown sys.Spice.Mna.sym) lhs,
-                try_factor ~symbolic:(grown recorded) lhs )
+                companion_factor ~stamps round ~dt )
             with
             | Ok f1, Ok f2 when Test_numeric.same_factors f1 f2 -> ()
             | Error k1, Error k2 when k1 = k2 -> ()
             | _ ->
                 failwith
                   (Printf.sprintf "refactor differs: %d pins, dt %h" pins dt))
-          (adds @ resizes))
+          (round_edits g ~segmentation r l))
   in
   match counts with
   | [ refactors; _; _ ] when refactors > 0 -> ()
   | _ -> failwith "no companion refactored"
+
+let same_csc what (a : Numeric.Sparse.Csc.t) (b : Numeric.Sparse.Csc.t) =
+  let open Numeric.Sparse.Csc in
+  let nz = nnz a in
+  let bits v = Array.map Int64.bits_of_float (Array.sub v 0 nz) in
+  if
+    not
+      (rows a = rows b && nnz b = nz && a.colptr = b.colptr
+      && Array.sub a.rowind 0 nz = Array.sub b.rowind 0 nz
+      && bits a.values = bits b.values)
+  then failwith (what ^ ": compiled companion differs from the reference")
+
+(* The compiled round end to end: on a random 5–30-pin base under the
+   fast and the default segmentation, every Add and Resize companion at
+   a random timestep, written into the round's compiled pattern, equals
+   the reference sort-merge assembly entry for entry, bit for bit (both
+   sides), and its factor — refactored on the round's plan, or the full
+   kernel where that declines — is the full kernel's on the reference
+   matrix, through [Sparse.parts]. Three companions must decline: one
+   whose wire segment cancels to an exact zero, one whose first
+   eliminated column's diagonal shrinks until the pivot rule picks
+   another row, and an addition that appends two unknowns (a default-
+   profile wire of three segments). *)
+let prop_compiled_round_matches_reference g =
+  let r = gen_round g in
+  let dt = 10.0 ** Rng.float_in g (-13.0) (-9.0) in
+  let open Numeric.Sparse in
+  List.iter
+    (fun segmentation ->
+      let l =
+        Delay.Lumping.system ~segmentation ~include_inductance:false ~tech r
+      in
+      let sys = l.Delay.Lumping.mna in
+      let n = sys.Spice.Mna.size in
+      let recorded =
+        match
+          try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc
+        with
+        | Ok (_, s) -> s
+        | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
+      in
+      let round =
+        Spice.Transient.compile { sys with Spice.Mna.sym = recorded }
+      in
+      let check ?(declines = false) what (stamps : Spice.Transient.stamps) =
+        let ref_lhs, ref_rhs = Assemble.companion ~stamps sys ~dt in
+        let lhs, rhs = Spice.Transient.assemble ~stamps round ~dt in
+        same_csc (what ^ " iteration matrix") lhs ref_lhs;
+        same_csc (what ^ " explicit side") rhs ref_rhs;
+        let full =
+          try_factor
+            ~symbolic:(Symbolic.extend sys.Spice.Mna.sym stamps.added)
+            ref_lhs
+        in
+        let compiled, counts =
+          Test_numeric.counting Test_numeric.refactor_counters (fun () ->
+              companion_factor ~stamps round ~dt)
+        in
+        (match (full, compiled) with
+        | Ok f1, Ok f2 when Test_numeric.same_factors f1 f2 -> ()
+        | Error k1, Error k2 when k1 = k2 -> ()
+        | _ -> failwith (what ^ ": factor differs from the full kernel's"));
+        match counts with
+        | [ 0; 1; _ ] when declines -> ()
+        | _ when declines -> failwith (what ^ ": did not decline")
+        | _ -> ()
+      in
+      List.iter (check "edit") (round_edits g ~segmentation r l);
+      let g_entry i j =
+        let c = sys.Spice.Mna.g_csc in
+        let open Numeric.Sparse.Csc in
+        let rec find p =
+          if p >= c.colptr.(j + 1) then 0.0
+          else if c.rowind.(p) = i then c.values.(p)
+          else find (p + 1)
+        in
+        find c.colptr.(j)
+      in
+      let stamp i j value = { Spice.Transient.i; j; value } in
+      let only_g g = { Spice.Transient.added = 0; g; c = [||] } in
+      (* A segment removed by its own negation: (a, b) and (b, a) sum to
+         an exact zero. *)
+      let (_, chain) = l.Delay.Lumping.chains.(0) in
+      check ~declines:true "cancelled segment"
+        (only_g [| stamp chain.(0) chain.(1) (g_entry chain.(0) chain.(1)) |]);
+      (* The first eliminated column's diagonal at a thousandth of
+         itself: a neighbour wins the threshold pivot. *)
+      let q0 = (Symbolic.order sys.Spice.Mna.sym).(0) in
+      let c_entry =
+        let c = sys.Spice.Mna.c_csc in
+        let open Numeric.Sparse.Csc in
+        let rec find p =
+          if p >= c.colptr.(q0 + 1) then 0.0
+          else if c.rowind.(p) = q0 then c.values.(p)
+          else find (p + 1)
+        in
+        find c.colptr.(q0)
+      in
+      let d = g_entry q0 q0 +. (2.0 /. dt *. c_entry) in
+      if d > 0.0 then
+        check ~declines:true "moved pivot"
+          (only_g [| stamp q0 (-1) (-0.999 *. d) |]);
+      (* Two appended unknowns. *)
+      let u, v = List.hd (Routing.candidate_edges r) in
+      check ~declines:true "two appended unknowns"
+        (Test_spice.chain_stamps ~added:2 [| u; n; n + 1; v |] ~seg_g:1e-3
+           ~seg_c:1e-14))
+    [ Delay.Model.fast_spice.Delay.Model.segmentation;
+      Delay.Lumping.default_segmentation ]
 
 (* The fill-reducing ordering is a permutation of the columns for any
    pattern — asymmetric stamps, empty rows, disconnected components. *)
@@ -1028,6 +1157,10 @@ let suites =
         Alcotest.test_case "refactor matches full factor bitwise" `Quick
           (fun () ->
             check ~trials:12 "refactor-vs-full" prop_refactor_matches_full);
+        Alcotest.test_case "compiled round matches reference assembly bitwise"
+          `Quick (fun () ->
+            check ~trials:12 "compiled-round"
+              prop_compiled_round_matches_reference);
         Alcotest.test_case "routing system equals netlist build bitwise" `Quick
           (fun () ->
             check ~trials:30 "system-vs-netlist" prop_system_matches_netlist);

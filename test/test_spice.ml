@@ -192,7 +192,7 @@ let test_transient_continuation () =
   let probes = [| 1 |] in
   let dt = 5e-9 /. 1000.0 in
   let companion () =
-    Spice.Transient.companion sys ~dt
+    Spice.Transient.companion (Spice.Transient.compile sys) ~dt
   in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:0.0 ~steps:1000 ~probes
@@ -297,7 +297,8 @@ let test_threshold_already_settled () =
   | _ -> Alcotest.fail "expected an immediate crossing"
 
 (* Where the solver's input crosses 50 %: the trapezoidal rule sees a
-   step as a one-step ramp; any other drive keeps t = 0. *)
+   step as a one-step ramp, and a Ramp through its grid samples, the
+   same ramp when it rises within one step. *)
 let test_input_reference () =
   let dt = 1e-11 in
   let reference wave =
@@ -312,14 +313,14 @@ let test_input_reference () =
   Alcotest.(check (float 1e-24)) "trapezoidal, step between grid times"
     (2.5 *. dt)
     (reference (Waveform.Step { t0 = 2.5 *. dt; v0 = 0.0; v1 = 1.0 }));
-  Alcotest.(check (float 0.0)) "ramp keeps t = 0" 0.0
+  Alcotest.(check (float 0.0)) "ramp: its grid 50% crossing" (dt /. 2.0)
     (reference (Waveform.Ramp { t0 = 0.0; t1 = dt; v0 = 0.0; v1 = 1.0 }))
 
 (* What [spice_run --delay] reports as its time origin: the input's
    grid-adjusted 50 % point — half a trapezoidal step of the scan for a
    step or a PULSE that rises within one step, the sampled edge's own
-   crossing for one that rises over several, a PWL likewise — and
-   t = 0 for a falling drive. *)
+   crossing for one that rises over several, a PWL or RAMP likewise —
+   and t = 0 for a falling drive. *)
 let test_delay_origin () =
   let deck source =
     match
@@ -347,6 +348,11 @@ let test_delay_origin () =
     (origin "PWL(0 0 1n 0 1.1n 1)");
   Alcotest.(check (option (float 0.0))) "falling PULSE: t = 0" None
     (origin "PULSE(1 0 0 0.01n 0.01n 50n 100n)");
+  Alcotest.(check (option (float 1e-21))) "RAMP over several steps"
+    (Some 1.05e-9)
+    (origin "RAMP(1n 1.1n 0 1)");
+  Alcotest.(check (option (float 0.0))) "falling RAMP: t = 0" None
+    (origin "RAMP(0 1n 1 0)");
   Alcotest.(check (option (float 0.0))) "one step: grid-adjusted 50 % point"
     (Some (dt /. 2.0))
     (origin "STEP(0 0 1)")
@@ -397,7 +403,7 @@ let test_steps_counter () =
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
   let full =
     Spice.Transient.run
-      (Spice.Transient.companion sys
+      (Spice.Transient.companion (Spice.Transient.compile sys)
          ~dt:(horizon /. float_of_int steps_per_chunk))
       ~x0 ~t0:0.0 ~steps:steps_per_chunk ~probes:[| out |]
   in
@@ -429,7 +435,7 @@ let test_stopped_loop_prefix () =
   let x0 = Spice.Transient.dc_operating_point sys in
   let probes = Array.init sys.Spice.Mna.size Fun.id in
   let companion () =
-    Spice.Transient.companion sys ~dt:5e-11
+    Spice.Transient.companion (Spice.Transient.compile sys) ~dt:5e-11
   in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:1e-9 ~steps:80 ~probes
@@ -550,7 +556,9 @@ let check_assembly ?stamps ~what sys =
       (Numeric.Sparse.Csc.nnz (Matrix.to_csc dense))
       (Numeric.Sparse.Csc.nnz sparse)
   in
-  let lhs, explicit = Spice.Transient.assemble ?stamps sys ~dt in
+  let lhs, explicit =
+    Spice.Transient.assemble ?stamps (Spice.Transient.compile sys) ~dt
+  in
   let h = 2.0 /. dt in
   check "trapezoidal g + hc" lhs (Matrix.add gd (Matrix.scale h cd));
   check "trapezoidal 2hc" explicit (Matrix.scale (2.0 *. h) cd);
