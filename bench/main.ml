@@ -338,8 +338,7 @@ let () =
   let section name f =
     if List.mem name wanted then begin
       (* Each section starts from an empty memo, so its hits and entries
-         are its own (a full run would otherwise fill the 200k-entry cap
-         during table 3). Wall time comes from the "bench.<name>" span;
+         are its own. Wall time comes from the "bench.<name>" span;
          the evaluation counts are counter deltas, so the run's global
          tallies survive intact for the manifest. *)
       Nontree.Oracle.Cache.reset ();

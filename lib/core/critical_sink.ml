@@ -20,7 +20,7 @@ let weighted_delay ~model ~tech ~alphas r =
 let ldrg ?pool ?max_edges ~model ~tech ~alphas initial =
   check_alphas alphas initial;
   Ldrg.run_objective ?pool ?max_edges
-    ~objective:(Oracle.guard (fun r -> weighted_delay ~model ~tech ~alphas r))
+    ~objective:(weighted_delay ~model ~tech ~alphas)
     initial
 
 let ert_seed ~tech ~alphas net = Ert.construct_weighted ~tech ~alphas net

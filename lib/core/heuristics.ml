@@ -25,26 +25,22 @@ let h1 ?(max_iterations = max_int) ~model ~tech initial =
             (current, steps)
           else begin
             let trial = Routing.add_edge current source w in
-            match Nontree_error.protect (fun () -> sink_delays trial) with
-            | Error _ ->
-                (* A candidate that cannot be evaluated even after retry
-                   and fallback is simply not taken. *)
-                Nontree_error.Counters.incr_dropped_evaluations ();
-                (current, steps)
-            | Ok trial_delays ->
-            let before = max_of current_delays in
-            let after = max_of trial_delays in
-            if after < before *. (1.0 -. 1e-9) then begin
-              let step =
-                { Ldrg.edge = (source, w);
-                  objective_before = before;
-                  objective_after = after;
-                  cost_before = Routing.cost current;
-                  cost_after = Routing.cost trial }
-              in
-              loop trial trial_delays (step :: steps) (iter + 1)
-            end
-            else (current, steps)
+            match Oracle.candidate (fun () -> sink_delays trial) with
+            | None -> (current, steps)
+            | Some trial_delays ->
+                let before = max_of current_delays in
+                let after = max_of trial_delays in
+                if after < before *. (1.0 -. 1e-9) then begin
+                  let step =
+                    { Ldrg.edge = (source, w);
+                      objective_before = before;
+                      objective_after = after;
+                      cost_before = Routing.cost current;
+                      cost_after = Routing.cost trial }
+                  in
+                  loop trial trial_delays (step :: steps) (iter + 1)
+                end
+                else (current, steps)
           end
     end
   in

@@ -38,14 +38,8 @@
      timestep. A wire that appends more than one unknown declines to
      the full kernel. No extended system is built.
 
-   Any numeric degeneracy (a companion the sparse kernel refuses
-   included), injected fault or never-settling probe abandons the
-   incremental attempt and re-evaluates the trial on the plain robust
-   path (retry-with-refinement, model degradation), counted under
-   oracle.incremental_fallbacks; a base that will not factor sends the
-   whole round there. Results are memoised in
-   [Oracle.Cache] as edit entries, keyed by the round's base digest plus
-   the edit. On by default. *)
+   Fallbacks and memo keys are as incremental.mli states; a fallback
+   that fails too raises to the greedy loop's candidate rule. *)
 
 let src =
   Logs.Src.create "nontree.incremental" ~doc:"Incremental candidate scoring"
@@ -213,10 +207,10 @@ let spice_delays ctx ~tech r w =
   (* Horizon from the trial's first moments — Model.spice_horizon
      computed incrementally. *)
   let _, _, m1 = moment_update ctx.mom ~tech w in
-  let m1max =
-    List.fold_left (fun acc s -> Float.max acc m1.(s)) 0.0 (Routing.sinks r)
+  let horizon =
+    Delay.Model.horizon_of_max_moment
+      (List.fold_left (fun acc s -> Float.max acc m1.(s)) 0.0 (Routing.sinks r))
   in
-  let horizon = 4.0 *. m1max in
   if not (Float.is_finite horizon && horizon > 0.0) then
     fall_back "degenerate horizon";
   (* The engine consumes one fault draw per threshold query; keep that
@@ -325,7 +319,6 @@ let edit_key edit =
       Bytes.set_int64_le b 17 (Int64.bits_of_float width));
   Bytes.unsafe_to_string b
 
-(* [r] with the edit applied: only a fallback reads it. *)
 let apply r = function
   | Add (u, v) -> Routing.add_edge r u v
   | Resize ((u, v), width) -> Routing.set_width r u v width

@@ -13,53 +13,49 @@ type trace = {
   evaluations : int;
 }
 
-(* Candidate edges scored per greedy iteration, across every algorithm
-   that funnels through [run_objective] (LDRG, SLDRG, budgeted LDRG,
-   CSORG): the fan-out the parallel pool has to chew through. *)
+(* Candidates scored per round of [search] (LDRG, SLDRG, budgeted LDRG,
+   CSORG, wire sizing): the fan-out the parallel pool chews through. *)
 let candidates_per_iteration =
   Obs.Histogram.make "ldrg.candidates"
     ~buckets:[| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0 |]
 
-(* The relative improvement an addition must achieve to be taken,
-   guarding against float noise (as in [Wire_sizing]). *)
+(* The relative improvement a move must make, against float noise. *)
 let min_improvement = 1e-9
 
-let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
-    ?(candidates = Routing.candidate_edges)
-    ?(scorer = fun _ -> None) ~objective initial =
+let edge_of = function
+  | Incremental.Add (u, v) | Incremental.Resize ((u, v), _) -> (u, v)
+
+let search ?(pool = Pool.sequential) ?(max_moves = max_int)
+    ?(scorer = fun _ -> None) ~moves ~objective initial =
   let evaluations = Atomic.make 0 in
-  let eval r =
-    Atomic.incr evaluations;
-    objective r
-  in
-  let rec loop current current_obj steps added =
-    if added >= max_edges then (current, steps)
+  let rec loop current current_obj taken count =
+    if count >= max_moves then (current, taken)
     else begin
-      (* Candidates of one iteration are scored independently (in
-         parallel under [pool]); the fold below then selects the
-         minimum keeping the *earliest* candidate on ties, so the
-         winner — and hence the whole trace — is the one the original
-         sequential fold picked, for any worker count. *)
-      let cands = candidates current in
+      let edits = moves current in
       if Obs.enabled () then
         Obs.Histogram.observe candidates_per_iteration
-          (float_of_int (List.length cands));
+          (float_of_int (List.length edits));
       (* One round, one scorer: the incremental path factors [current]
-         once here and each candidate below is a rank-1 update. [None]
-         means this round runs on the plain objective. *)
-      let edge_score = scorer current in
-      (* A trial routing is built only where it is read: by the plain
-         objective, or once for the round's winner below. *)
-      let eval_candidate (u, v) =
-        match edge_score with
-        | Some score ->
-            Atomic.incr evaluations;
-            score (Incremental.Add (u, v))
-        | None -> eval (Routing.add_edge current u v)
+         once here and each candidate is a one-conductance update.
+         [None]: this round runs on the plain objective. *)
+      let score = scorer current in
+      (* The failure rule, on either path: a failed candidate is dropped
+         (logged and counted by [Oracle.candidate]) and never selected. *)
+      let eval_candidate edit =
+        Atomic.incr evaluations;
+        Option.value ~default:Float.infinity
+          (Oracle.candidate (fun () ->
+               match score with
+               | Some score -> score edit
+               | None -> objective (Incremental.apply current edit)))
       in
+      (* Candidates are scored independently (in parallel under [pool]);
+         the fold then keeps the minimum, the *earliest* candidate on
+         ties, so the winner (and hence the whole trace) is the
+         sequential fold's for any worker count. *)
       let scored =
         Obs.span "ldrg.iteration" (fun () ->
-            Pool.map pool (fun edge -> (edge, eval_candidate edge)) cands)
+            Pool.map pool (fun edit -> (edit, eval_candidate edit)) edits)
       in
       let best =
         List.fold_left
@@ -70,30 +66,44 @@ let run_objective ?(pool = Pool.sequential) ?(max_edges = max_int)
           None scored
       in
       match best with
-      | Some (((u, v) as edge), obj)
-        when obj < current_obj *. (1.0 -. min_improvement) ->
-          let trial = Routing.add_edge current u v in
+      | Some (edit, obj) when obj < current_obj *. (1.0 -. min_improvement) ->
+          (* The winner's routing, built once. *)
+          let trial = Incremental.apply current edit in
           let step =
-            { edge;
+            { edge = edge_of edit;
               objective_before = current_obj;
               objective_after = obj;
               cost_before = Routing.cost current;
               cost_after = Routing.cost trial }
           in
-          loop trial obj (step :: steps) (added + 1)
-      | _ -> (current, steps)
+          loop trial obj ((edit, step) :: taken) (count + 1)
+      | _ -> (current, taken)
     end
   in
-  let initial_obj = eval initial in
-  let final, steps = loop initial initial_obj [] 0 in
-  { initial; final; steps = List.rev steps;
-    evaluations = Atomic.get evaluations }
+  (* The baseline is evaluated directly: its typed error propagates. *)
+  Atomic.incr evaluations;
+  let final, taken = loop initial (objective initial) [] 0 in
+  let edits, steps = List.split (List.rev taken) in
+  ( { initial; final; steps; evaluations = Atomic.get evaluations }, edits )
 
-let run ?pool ?max_edges ?candidates ~model ~tech initial =
-  let objective = Oracle.objective ~model ~tech in
-  run_objective ?pool ?max_edges ?candidates
+let search_delay ?pool ?max_moves ~moves ~model ~tech initial =
+  let objective = Oracle.Cache.max_delay ~model ~tech in
+  search ?pool ?max_moves ~moves
     ~scorer:(Incremental.make_scorer ~model ~tech ~fallback:objective)
     ~objective initial
+
+let adds candidates r =
+  List.map (fun (u, v) -> Incremental.Add (u, v)) (candidates r)
+
+let run_objective ?pool ?max_edges ?(candidates = Routing.candidate_edges)
+    ~objective initial =
+  fst (search ?pool ?max_moves:max_edges ~moves:(adds candidates) ~objective
+         initial)
+
+let run ?pool ?max_edges ?(candidates = Routing.candidate_edges) ~model ~tech
+    initial =
+  fst (search_delay ?pool ?max_moves:max_edges ~moves:(adds candidates) ~model
+         ~tech initial)
 
 let run_budgeted ?pool ?max_edges ~max_cost_ratio ~model ~tech initial =
   if max_cost_ratio < 1.0 then
@@ -106,10 +116,7 @@ let run_budgeted ?pool ?max_edges ~max_cost_ratio ~model ~tech initial =
         Geom.Point.manhattan (Routing.point r u) (Routing.point r v) <= slack)
       (Routing.candidate_edges r)
   in
-  let objective = Oracle.objective ~model ~tech in
-  run_objective ?pool ?max_edges ~candidates
-    ~scorer:(Incremental.make_scorer ~model ~tech ~fallback:objective)
-    ~objective initial
+  run ?pool ?max_edges ~candidates ~model ~tech initial
 
 let routing_after trace k =
   let rec apply r steps k =

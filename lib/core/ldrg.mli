@@ -12,10 +12,11 @@
 
     The objective t is pluggable: the paper's t(G) (max sink delay
     under SPICE) via {!run}, or anything else (e.g. the CSORG weighted
-    sum) via {!run_objective}. *)
+    sum) via {!run_objective}. Wire sizing runs the same loop,
+    {!search}, with resizes as its moves. *)
 
 type step = {
-  edge : int * int;  (** the added edge *)
+  edge : int * int;  (** the added (or resized) wire *)
   objective_before : float;
   objective_after : float;
   cost_before : float;
@@ -29,35 +30,58 @@ type trace = {
   evaluations : int;  (** number of objective evaluations performed *)
 }
 
+val search :
+  ?pool:Pool.t ->
+  ?max_moves:int ->
+  ?scorer:(Routing.t -> (Incremental.edit -> float) option) ->
+  moves:(Routing.t -> Incremental.edit list) ->
+  objective:(Routing.t -> float) ->
+  Routing.t ->
+  trace * Incremental.edit list
+(** The greedy loop: while some of a round's [moves] lowers the
+    objective by a relative 1e-9 (a guard against float noise), take
+    the best, at most [max_moves] times (default: unlimited). Returns
+    the trace (a step's [edge] is its edit's wire) and the taken edits.
+
+    [scorer] is called once per round with its base routing; when it
+    returns [Some score] the round's candidates are [score edit] (the
+    incremental path of {!Incremental.make_scorer}), otherwise (the
+    default) [objective] of {!Incremental.apply}. Each candidate and the
+    baseline count one evaluation.
+
+    The failure rule: the baseline is evaluated directly, so its
+    {!Nontree_error.Error} propagates. Every candidate goes through
+    {!Oracle.candidate}: a failed one is counted once, never selected,
+    and leaves the trace of a search without it.
+
+    [pool] (default {!Pool.sequential}) scores a round's candidates
+    concurrently; ties keep the earliest candidate, so the trace is the
+    sequential one for any worker count. [objective] and [scorer] must
+    be safe to call from several domains at once. Each round records
+    an [ldrg.iteration] span and an [ldrg.candidates] observation. *)
+
+val search_delay :
+  ?pool:Pool.t ->
+  ?max_moves:int ->
+  moves:(Routing.t -> Incremental.edit list) ->
+  model:Delay.Model.t ->
+  tech:Circuit.Technology.t ->
+  Routing.t ->
+  trace * Incremental.edit list
+(** {!search} on the model's maximum sink delay
+    ({!Oracle.Cache.max_delay}), scored by {!Incremental.make_scorer}
+    with that objective as its fallback. *)
+
 val run_objective :
   ?pool:Pool.t ->
   ?max_edges:int ->
   ?candidates:(Routing.t -> (int * int) list) ->
-  ?scorer:(Routing.t -> (Incremental.edit -> float) option) ->
   objective:(Routing.t -> float) ->
   Routing.t ->
   trace
-(** Greedy loop under an arbitrary objective. [max_edges] caps the
-    number of additions (default: unlimited); an addition is taken only
-    when it improves the objective by a relative 1e-9, which guards
-    against float noise; [candidates] defaults to
-    {!Routing.candidate_edges} — every absent vertex pair.
-
-    [scorer] is called once per iteration with the iteration's base
-    routing; when it returns [Some score], every candidate of that
-    iteration is evaluated as [score (Add (u, v))] instead of
-    [objective] on the trial routing (the incremental rank-1 update
-    path of {!Incremental.make_scorer}), and no trial routing is built
-    for it; the iteration's winner is built once. The default returns
-    [None] — all evaluations go through [objective]. Either way each
-    candidate counts one evaluation.
-
-    [pool] (default {!Pool.sequential}) scores the candidate edges of
-    each iteration concurrently. The selection is deterministic for any
-    worker count: results come back in candidate order and ties keep
-    the earliest candidate, so the trace equals the sequential one.
-    The [objective] must therefore be safe to call from several domains
-    at once — the {!Oracle} objectives are. *)
+(** {!search} adding the [candidates] wires (default:
+    {!Routing.candidate_edges}, every absent vertex pair), at most
+    [max_edges] of them, under any objective. *)
 
 val run :
   ?pool:Pool.t ->
@@ -67,8 +91,8 @@ val run :
   tech:Circuit.Technology.t ->
   Routing.t ->
   trace
-(** {!run_objective} with the paper's objective: the model's maximum
-    source→sink delay. *)
+(** LDRG with the paper's objective: {!search_delay} adding wires, the
+    [candidates] of {!run_objective}. *)
 
 val run_budgeted :
   ?pool:Pool.t ->

@@ -14,10 +14,9 @@ type trace = {
 
 let run ?(tolerance = 1e-3) ~model ~tech initial =
   let evaluations = ref 0 in
-  let robust = Oracle.objective ~model ~tech in
   let objective r =
     incr evaluations;
-    robust r
+    Oracle.Cache.max_delay ~model ~tech r
   in
   let baseline = objective initial in
   let ceiling = baseline *. (1.0 +. tolerance) in
@@ -32,16 +31,16 @@ let run ?(tolerance = 1e-3) ~model ~tech initial =
         (fun (e : Graphs.Wgraph.edge) ->
           match Routing.remove_edge current e.u e.v with
           | exception Invalid_argument _ -> None (* would disconnect *)
-          | trial ->
-              let obj = objective trial in
-              if obj <= ceiling then
-                Some
-                  ( trial,
-                    { edge = (e.u, e.v);
-                      objective_before = current_obj;
-                      objective_after = obj;
-                      cost_saved = e.w } )
-              else None)
+          | trial -> (
+              match Oracle.candidate (fun () -> objective trial) with
+              | Some obj when obj <= ceiling ->
+                  Some
+                    ( trial,
+                      { edge = (e.u, e.v);
+                        objective_before = current_obj;
+                        objective_after = obj;
+                        cost_saved = e.w } )
+              | _ -> None))
         candidates
     in
     match removal with

@@ -11,6 +11,10 @@ val wire_area : Routing.t -> float
 (** Σ length × width — the silicon area cost that replaces raw
     wirelength once widths vary. *)
 
+val resizes : widths:float list -> Routing.t -> Incremental.edit list
+(** {!size_greedy}'s moves: each wire below the widest width bumped to
+    its next one, in {!Routing.widths} order. *)
+
 val size_greedy :
   ?widths:float list ->
   ?max_changes:int ->
@@ -23,11 +27,10 @@ val size_greedy :
     (default widths 1, 2, 3), while any bump improves. Returns the
     sized routing and the applied (edge, new-width) changes in order.
 
-    Each round's width trials are scored incrementally, as resize edits
-    of that round's routing ({!Incremental.make_scorer}); a round the
-    scorer cannot serve, and any trial it gives up on, runs on the
-    plain {!Oracle.objective}. Ties keep the earliest edge of
-    {!Routing.widths}.
+    It is LDRG's loop, {!Ldrg.search_delay}, on {!resizes}: width
+    trials are scored incrementally as resize edits, on the plain
+    oracle where the scorer gives up; a failed trial is dropped, a
+    failed baseline raises, and ties keep the earliest edge.
 
     @raise Invalid_argument when [widths] is not strictly increasing
     or does not start at 1. *)

@@ -34,10 +34,10 @@ let name = function
   | Spice { include_inductance = true; _ } -> "spice-rlc"
   | Spice _ -> "spice"
 
-let spice_horizon ~tech r =
-  (* t50 of a single-pole response is ~0.69 m1; a 4x window comfortably
-     covers realistic pole spreads, and the engine doubles on demand. *)
-  4.0 *. Moments.max_delay ~tech r
+(* t50 of a single-pole response is ~0.69 m1; a 4x window comfortably
+   covers realistic pole spreads, and the engine doubles on demand. *)
+let horizon_of_max_moment m1 = 4.0 *. m1
+let spice_horizon ~tech r = horizon_of_max_moment (Moments.max_delay ~tech r)
 
 let ( let* ) = Result.bind
 

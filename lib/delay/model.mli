@@ -66,7 +66,13 @@ val max_delay : t -> tech:Circuit.Technology.t -> Routing.t -> float
 
     @raise Nontree_error.Error on any operational failure. *)
 
+val horizon_of_max_moment : float -> float
+(** [horizon_of_max_moment m1] is the initial transient window for a
+    routing whose slowest sink has first moment [m1]: a small multiple
+    of it (the engine extends the window if the estimate is short).
+    The one horizon rule: {!spice_horizon} and the incremental scorer
+    both apply it. *)
+
 val spice_horizon : tech:Circuit.Technology.t -> Routing.t -> float
-(** Initial transient window used for SPICE runs: a small multiple of
-    the slowest first moment (the engine extends it if the estimate is
-    short). *)
+(** Initial transient window used for SPICE runs:
+    {!horizon_of_max_moment} of the routing's first moments. *)

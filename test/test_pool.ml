@@ -450,6 +450,189 @@ let test_scorer_without_cache () =
           Alcotest.(check int) "nothing stored or counted" 0
             (s.C.hits + s.C.misses + s.C.entries)))
 
+(* Memo bound -------------------------------------------------------------- *)
+
+(* Far past 200,000 distinct keys the memo still stores: a fresh key
+   hits on its second lookup, so does the oldest of the last
+   [generation] stores, and the two generations never hold more than
+   twice [generation] entries. *)
+let test_cache_bounded_generations () =
+  with_cache (fun () ->
+      let module C = Nontree.Oracle.Cache in
+      let round = C.round ~model:moment_model ~tech (random_mst 3 4) in
+      let value i = [ (1, float_of_int i) ] in
+      let store i = ignore (C.memo_edit round (string_of_int i) (fun () -> value i)) in
+      let keys = 200_001 in
+      for i = 1 to keys do
+        store i
+      done;
+      Alcotest.(check bool) "at most two generations after 200,001 keys" true
+        ((C.stats ()).C.entries <= 2 * C.generation);
+      let fresh = keys + 1 in
+      store fresh;
+      let hits key =
+        let s0 = C.stats () in
+        let ds =
+          C.memo_edit round (string_of_int key) (fun () ->
+              Alcotest.failf "key %d was not kept" key)
+        in
+        Alcotest.(check bool) "the stored value" true (ds = value key);
+        Alcotest.(check int) "one hit" 1 ((C.stats ()).C.hits - s0.C.hits)
+      in
+      hits fresh;
+      hits (fresh - C.generation + 1);
+      Alcotest.(check bool) "entries bounded" true
+        ((C.stats ()).C.entries <= 2 * C.generation))
+
+(* The greedy loop's failure rule ------------------------------------------ *)
+
+(* Each search runs [Ldrg.search] on one of the two move kinds (LDRG's
+   additions, wire sizing's resizes), on one of the two scoring paths,
+   under a sequential or a 2-domain pool. An objective that fails on
+   chosen routings scripts the failures: a failing baseline must raise
+   the typed error (and [Runs.protect_net] drop the net); a failing
+   candidate must be counted once, never selected, and leave the trace
+   of a search in which it is absent. *)
+
+let failure_model = Delay.Model.Two_pole
+let scripted = Nontree_error.Invalid_net "scripted failure"
+let same a b = Routing.widths a = Routing.widths b
+
+let failing_search ~incremental ~pool ~moves ~fails r =
+  let objective x =
+    if fails x then Nontree_error.raise_error scripted
+    else Nontree.Oracle.Cache.max_delay ~model:failure_model ~tech x
+  in
+  (* The incremental path fails on the same trials, through its own
+     scorer rather than the fallback. *)
+  let scorer base =
+    if not incremental then None
+    else
+      Option.map
+        (fun score edit ->
+          if fails (Nontree.Incremental.apply base edit) then
+            Nontree_error.raise_error scripted
+          else score edit)
+        (Nontree.Incremental.make_scorer ~model:failure_model ~tech
+           ~fallback:objective base)
+  in
+  Nontree.Ldrg.search ~pool ~moves ~scorer ~objective r
+
+let add_moves r =
+  List.map (fun (u, v) -> Nontree.Incremental.Add (u, v)) (Routing.candidate_edges r)
+
+let resize_moves = Nontree.Wire_sizing.resizes ~widths:[ 1.0; 2.0; 3.0 ]
+
+let test_failure_rule ~moves ~incremental ~jobs () =
+  Fault.disable ();
+  let counters () = Nontree_error.Counters.snapshot () in
+  with_incremental true @@ fun () ->
+  with_cache @@ fun () ->
+  Pool.with_pool ~jobs @@ fun pool ->
+  let r = random_mst 17 7 in
+  let run ?(fails = fun _ -> false) ?(moves = moves) () =
+    failing_search ~incremental ~pool ~moves ~fails r
+  in
+  let i0 = Obs.Counter.value incremental_scored in
+  let clean, clean_edits = run () in
+  Alcotest.(check bool) "scored on the chosen path" incremental
+    (Obs.Counter.value incremental_scored > i0);
+  let first =
+    match clean_edits with
+    | e :: _ -> e
+    | [] -> Alcotest.fail "the clean search takes no move"
+  in
+  (* A failing baseline: the typed error propagates, and the harness
+     drops the net, while no candidate is counted. *)
+  let baseline x = same x r in
+  (match Nontree_error.protect (fun () -> run ~fails:baseline ()) with
+  | Error (Nontree_error.Invalid_net _) -> ()
+  | Error e -> Alcotest.failf "unexpected error %s" (Nontree_error.to_string e)
+  | Ok _ -> Alcotest.fail "a failing baseline must raise");
+  let c0 = counters () in
+  (match Harness.Runs.protect_net ~what:"failure rule" (fun () -> run ~fails:baseline ()) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a failing baseline must drop the net");
+  let c1 = counters () in
+  Alcotest.(check int) "net dropped" 1 (c1.dropped_nets - c0.dropped_nets);
+  Alcotest.(check int) "no candidate dropped" 0
+    (c1.dropped_evaluations - c0.dropped_evaluations);
+  (* The clean run's first winner fails in its round. *)
+  let trial = Nontree.Incremental.apply r first in
+  let failed, failed_edits = run ~fails:(same trial) () in
+  let c2 = counters () in
+  Alcotest.(check int) "the failure counted once" 1
+    (c2.dropped_evaluations - c1.dropped_evaluations);
+  (match failed_edits with
+  | e :: _ when e = first -> Alcotest.fail "the failed candidate was selected"
+  | _ -> ());
+  let absent, absent_edits =
+    run
+      ~moves:(fun x ->
+        if same x r then List.filter (fun e -> e <> first) (moves x) else moves x)
+      ()
+  in
+  Alcotest.(check bool) "the trace of a search without it" true
+    (steps_of failed = steps_of absent
+    && same failed.Nontree.Ldrg.final absent.Nontree.Ldrg.final
+    && failed_edits = absent_edits);
+  Alcotest.(check int) "one more evaluation than without it"
+    (absent.Nontree.Ldrg.evaluations + 1) failed.Nontree.Ldrg.evaluations;
+  Alcotest.(check bool) "and a different search than the clean one" true
+    (steps_of failed <> steps_of clean)
+
+(* The same baseline rule through the real oracle stack: faults on every
+   draw exhaust retry and fallback on a non-tree routing, so LDRG and
+   wire sizing raise the typed error before scoring any candidate. *)
+let test_baseline_faults_drop_net ~incremental ~jobs () =
+  with_incremental incremental @@ fun () ->
+  with_cache @@ fun () ->
+  Pool.with_pool ~jobs @@ fun pool ->
+  let tree = random_mst 17 7 in
+  let u, v = List.hd (Routing.candidate_edges tree) in
+  let r = Routing.add_edge tree u v in
+  let model = Delay.Model.Spice Delay.Model.fast_spice in
+  let fails what f =
+    Fault.script (List.init 20 (fun _ -> Some Fault.Nan_value));
+    Fun.protect ~finally:Fault.disable (fun () ->
+        let c0 = Nontree_error.Counters.snapshot () in
+        (match Harness.Runs.protect_net ~what f with
+        | None -> ()
+        | Some _ -> Alcotest.failf "%s: a failing baseline must drop the net" what);
+        let c1 = Nontree_error.Counters.snapshot () in
+        Alcotest.(check int) (what ^ ": net dropped") 1
+          (c1.dropped_nets - c0.dropped_nets);
+        Alcotest.(check int) (what ^ ": no candidate dropped") 0
+          (c1.dropped_evaluations - c0.dropped_evaluations))
+  in
+  fails "ldrg" (fun () -> Nontree.Ldrg.run ~pool ~model ~tech r);
+  fails "wire sizing" (fun () -> Nontree.Wire_sizing.size_greedy ~model ~tech r)
+
+let failure_rule_cases =
+  List.concat_map
+    (fun (kind, moves) ->
+      List.concat_map
+        (fun (path, incremental) ->
+          List.map
+            (fun jobs ->
+              Alcotest.test_case
+                (Printf.sprintf "failure rule, %s, %s, j%d" kind path jobs)
+                `Quick
+                (test_failure_rule ~moves ~incremental ~jobs))
+            [ 1; 2 ])
+        [ ("plain", false); ("incr", true) ])
+    [ ("ldrg", add_moves); ("sizing", resize_moves) ]
+  @ List.concat_map
+      (fun (path, incremental) ->
+        List.map
+          (fun jobs ->
+            Alcotest.test_case
+              (Printf.sprintf "failing baseline, %s, j%d" path jobs)
+              `Quick
+              (test_baseline_faults_drop_net ~incremental ~jobs))
+          [ 1; 2 ])
+      [ ("plain", false); ("incr", true) ]
+
 let suites =
   [ ( "pool",
       [ Alcotest.test_case "map = List.map, any worker count" `Quick
@@ -482,4 +665,7 @@ let suites =
         Alcotest.test_case "cache disabled passthrough" `Quick
           test_cache_disabled_passthrough;
         Alcotest.test_case "cache hit by harness" `Quick
-          test_cache_hit_by_harness ] ) ]
+          test_cache_hit_by_harness;
+        Alcotest.test_case "cache keeps storing past 200k keys" `Quick
+          test_cache_bounded_generations ]
+      @ failure_rule_cases ) ]

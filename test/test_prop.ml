@@ -1093,7 +1093,7 @@ let test_incremental_cuts_factorizations () =
   let plain =
     count (fun r ->
         Nontree.Ldrg.run_objective
-          ~objective:(Nontree.Oracle.objective ~model ~tech) r)
+          ~objective:(Nontree.Oracle.Cache.max_delay ~model ~tech) r)
   in
   if plain < 2 * incremental then
     Alcotest.failf "sparse.factorizations: incremental %d, plain %d (< 2x)"
