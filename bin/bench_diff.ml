@@ -3,11 +3,13 @@
      bin/bench_diff.exe OLD.json NEW.json
      bin/bench_diff.exe --threshold 0.1 OLD.json NEW.json
 
-   Prints, for every section of NEW, its wall time in both files and
-   the change in wall time, oracle calls, incremental evaluations and
-   transient steps. Exit 0 when no section's wall time grew by more
-   than the threshold (a fraction of the old time, default 0.25); 1
-   when one did; 2 on usage, IO or schema errors. Sections whose wall
+   Prints, for every section of NEW, its wall time in both files; the
+   change in wall time, oracle calls, incremental evaluations,
+   transient steps and memo hits; and the transient steps per
+   evaluation (a memo lookup) in both files. Exit 0 when no section's
+   wall time grew by more than the threshold (a fraction of the old
+   time, default 0.25); 1 when one did; 2 on usage, IO or schema
+   errors. Sections whose wall
    time is under [min_wall] seconds in both files are shown but not
    gated: at that size a quarter is timer noise. *)
 
@@ -23,7 +25,15 @@ type section = {
   oracle_calls : int;
   incremental_evals : int;
   spice_steps : int;
+  cache_hits : int;
+  cache_misses : int;
 }
+
+(* Transient steps per evaluation: every evaluation is one memo lookup. *)
+let steps_per_eval s =
+  let evals = s.cache_hits + s.cache_misses in
+  if evals = 0 then "-"
+  else Printf.sprintf "%.2f" (float_of_int s.spice_steps /. float_of_int evals)
 
 let load path =
   let text =
@@ -64,7 +74,9 @@ let load path =
                 { wall_s = number "wall_s" s;
                   oracle_calls = int "oracle_calls" s;
                   incremental_evals = int "incremental_evals" s;
-                  spice_steps = int "spice_steps" s } )
+                  spice_steps = int "spice_steps" s;
+                  cache_hits = int "cache_hits" s;
+                  cache_misses = int "cache_misses" s } )
           | _ -> die "%s: a section name is not a string" path)
         l
   | _ -> die "%s: \"sections\" is not a list" path
@@ -83,8 +95,9 @@ let () =
     | _ -> die "%s" usage
   in
   let old = load old_path and cur = load new_path in
-  Printf.printf "%-10s %9s %9s %8s %13s %18s %14s\n" "section" "old_s" "new_s"
-    "wall" "oracle_calls" "incremental_evals" "spice_steps";
+  Printf.printf "%-10s %9s %9s %8s %13s %18s %14s %11s %17s\n" "section"
+    "old_s" "new_s" "wall" "oracle_calls" "incremental_evals" "spice_steps"
+    "cache_hits" "steps/eval";
   let regressions =
     List.filter
       (fun (name, n) ->
@@ -100,11 +113,14 @@ let () =
             in
             let gated = Float.max o.wall_s n.wall_s >= min_wall in
             let regressed = gated && growth > !threshold in
-            Printf.printf "%-10s %9.3f %9.3f %+7.1f%% %+13d %+18d %+14d%s\n"
+            Printf.printf
+              "%-10s %9.3f %9.3f %+7.1f%% %+13d %+18d %+14d %+11d %17s%s\n"
               name o.wall_s n.wall_s (100.0 *. growth)
               (n.oracle_calls - o.oracle_calls)
               (n.incremental_evals - o.incremental_evals)
               (n.spice_steps - o.spice_steps)
+              (n.cache_hits - o.cache_hits)
+              (steps_per_eval o ^ " -> " ^ steps_per_eval n)
               (if regressed then "  REGRESSED" else "");
             regressed)
       cur

@@ -36,7 +36,9 @@
      each trial's companion into that pattern and refactors it on the
      plan, once: it depends on the trial's own horizon-derived
      timestep. A wire that appends more than one unknown declines to
-     the full kernel. No extended system is built.
+     the full kernel. No extended system is built. The scan takes the
+     greedy loop's cutoff and stops once the trial cannot come in
+     under it.
 
    Fallbacks and memo keys are as incremental.mli states; a fallback
    that fails too raises to the greedy loop's candidate rule. *)
@@ -203,7 +205,7 @@ let prepare_spice ~tech cfg r =
                   sinks = Array.of_list (Routing.sinks r); chains = index;
                   vertices; mom }))
 
-let spice_delays ctx ~tech r w =
+let spice_delays ctx ~tech r ~cutoff w =
   (* Horizon from the trial's first moments — Model.spice_horizon
      computed incrementally. *)
   let _, _, m1 = moment_update ctx.mom ~tech w in
@@ -290,18 +292,20 @@ let spice_delays ctx ~tech r w =
          candidates. *)
       match
         Spice.Engine.threshold_scan_result
-          ~options:ctx.cfg.Delay.Model.options ~stamps ctx.pattern
+          ~options:ctx.cfg.Delay.Model.options ~stamps ~cutoff ctx.pattern
           ~idx:ctx.sinks ~x0 ~xf ~horizon
       with
       | Error e -> fall_back (Nontree_error.to_string e)
-      | Ok found ->
-          List.mapi
-            (fun i s ->
-              match found.(i) with
-              | Some t when Float.is_finite t -> (s, t)
-              | Some _ -> fall_back "non-finite delay"
-              | None -> fall_back "probe never settled")
-            (Routing.sinks r))
+      | Ok (Spice.Engine.Above b) -> Spice.Engine.Above b
+      | Ok (Spice.Engine.Exact found) ->
+          Spice.Engine.Exact
+            (List.mapi
+               (fun i s ->
+                 match found.(i) with
+                 | Some t when Float.is_finite t -> (s, t)
+                 | Some _ -> fall_back "non-finite delay"
+                 | None -> fall_back "probe never settled")
+               (Routing.sinks r)))
 
 (* Fixed width, whatever the routing's size: a tag byte, both
    endpoints as given, and for a resize the new width's bits. *)
@@ -323,6 +327,8 @@ let apply r = function
   | Add (u, v) -> Routing.add_edge r u v
   | Resize ((u, v), width) -> Routing.set_width r u v width
 
+type scorer = Exact of (edit -> float) | Cut of (cutoff:float -> edit -> float)
+
 let make_scorer ~model ~tech ~fallback r =
   if not (Atomic.get enabled_flag) then None
   else begin
@@ -337,28 +343,29 @@ let make_scorer ~model ~tech ~fallback r =
           Some (Oracle.Cache.round ~model ~tech r)
         else None
       in
-      Some
-        (fun edit ->
-          let score () =
-            let ds = compute (wire_of_edit r edit) in
-            Obs.Counter.incr hits;
-            ds
-          in
-          (* An edit entry, never a plain one: an updated solve may
-             differ from the plain oracle's in the last bits. *)
-          match
-            match round with
-            | Some round -> Oracle.Cache.memo_edit round (edit_key edit) score
-            | None -> score ()
-          with
-          | ds -> max_sink_delay ds
-          | exception Fall_back why ->
-              Obs.Counter.incr fallbacks;
-              Log.info (fun f -> f "incremental scoring fell back (%s)" why);
-              fallback (apply r edit)
-          | exception Numeric.Sparse.Singular _ ->
-              Obs.Counter.incr fallbacks;
-              fallback (apply r edit))
+      fun ~cutoff edit ->
+        let score () =
+          let ds = compute ~cutoff (wire_of_edit r edit) in
+          Obs.Counter.incr hits;
+          ds
+        in
+        (* An edit entry, never a plain one: an updated solve may
+           differ from the plain oracle's in the last bits. *)
+        match
+          match round with
+          | Some round ->
+              Oracle.Cache.memo_edit ~cutoff round (edit_key edit) score
+          | None -> score ()
+        with
+        | Spice.Engine.Exact ds -> max_sink_delay ds
+        | Spice.Engine.Above b -> b
+        | exception Fall_back why ->
+            Obs.Counter.incr fallbacks;
+            Log.info (fun f -> f "incremental scoring fell back (%s)" why);
+            fallback (apply r edit)
+        | exception Numeric.Sparse.Singular _ ->
+            Obs.Counter.incr fallbacks;
+            fallback (apply r edit)
     in
     (* A round's set-up, apart from its candidates' scoring in the
        manifest's spans. *)
@@ -371,12 +378,15 @@ let make_scorer ~model ~tech ~fallback r =
           Obs.Counter.incr fallbacks;
           None
       | Some ctx ->
-          wrap (fun w ->
-              (* Parity with Model.sink_delays_result's injection
-                 point for the moment oracles. *)
-              if Fault.draw ~stage:"moments" <> None then
-                fall_back "injected fault"
-              else compute_delays ctx ~tech r w)
+          let score =
+            wrap (fun ~cutoff:_ w ->
+                (* Parity with Model.sink_delays_result's injection
+                   point for the moment oracles. *)
+                if Fault.draw ~stage:"moments" <> None then
+                  fall_back "injected fault"
+                else Spice.Engine.Exact (compute_delays ctx ~tech r w))
+          in
+          Some (Exact (score ~cutoff:Float.infinity))
     in
     match model with
     | Delay.Model.First_moment -> moment_scorer first_moment_delays
@@ -386,7 +396,7 @@ let make_scorer ~model ~tech ~fallback r =
         | None ->
             Obs.Counter.incr fallbacks;
             None
-        | Some ctx -> wrap (fun w -> spice_delays ctx ~tech r w))
+        | Some ctx -> Some (Cut (wrap (spice_delays ctx ~tech r))))
     | Delay.Model.Elmore_tree | Delay.Model.Spice _ ->
         (* Elmore needs trees (added wires never leave one); RLC wires
            are not rank-1 on G alone. Unsupported, not a failure. *)

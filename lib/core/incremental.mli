@@ -27,7 +27,10 @@
     costs the same to build whatever the routing's size. Later rounds
     and runs that score the same edit of the same base (the budget
     ladder, a replayed search) hit. A trial reached from another base is
-    scored afresh. A plain-oracle lookup is never answered. Degenerate
+    scored afresh. A SPICE trial whose scan was cut is stored as its
+    bound, which answers any later lookup with a lower cutoff; one with
+    a cutoff at or above the bound scores the trial again and replaces
+    the entry. A plain-oracle lookup is never answered. Degenerate
     updates, factorisations the sparse kernel refuses, injected faults
     and unsettled probes fall back to the ordinary robust objective,
     counted under [oracle.incremental_fallbacks]. *)
@@ -54,16 +57,30 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
+type scorer =
+  | Exact of (edit -> float)
+      (** [score edit] is the trial's max sink delay (the moment
+          models) *)
+  | Cut of (cutoff:float -> edit -> float)
+      (** [score ~cutoff edit] is the trial's max sink delay when that
+          is at most [cutoff]; otherwise it may be a bound b with
+          [cutoff] < b ≤ the delay, from a transient scan stopped once
+          the trial could not come in under [cutoff]
+          ({!Spice.Engine.threshold_scan_result}) (the SPICE models) *)
+(** One round's per-trial scorer. Only the SPICE scorer takes a cutoff:
+    a moment score costs too little for a cutoff to save anything. *)
+
 val make_scorer :
   model:Delay.Model.t ->
   tech:Circuit.Technology.t ->
   fallback:(Routing.t -> float) ->
   Routing.t ->
-  (edit -> float) option
+  scorer option
 (** [make_scorer ~model ~tech ~fallback base] prepares one greedy
     round: factor [base]'s systems once and return a per-trial scorer
-    [score edit] giving the max sink delay of [base] with [edit]
-    applied. No trial routing is built unless it is read: on any
+    giving the max sink delay of [base] with an edit applied, or for
+    {!Cut}, a bound above the cutoff. No trial routing is built unless
+    it is read: on any
     per-trial failure the scorer {!apply}s the edit and evaluates
     [fallback] (the round's plain objective) on the result instead; an
     exception from [fallback] propagates to the greedy loop. Returns

@@ -25,6 +25,11 @@ let min_improvement = 1e-9
 let edge_of = function
   | Incremental.Add (u, v) | Incremental.Resize ((u, v), _) -> (u, v)
 
+(* Lower an atomic running minimum to [x]. *)
+let rec lower bound x =
+  let cur = Atomic.get bound in
+  if x < cur && not (Atomic.compare_and_set bound cur x) then lower bound x
+
 let search ?(pool = Pool.sequential) ?(max_moves = max_int)
     ?(scorer = fun _ -> None) ~moves ~objective initial =
   let evaluations = Atomic.make 0 in
@@ -38,16 +43,31 @@ let search ?(pool = Pool.sequential) ?(max_moves = max_int)
       (* One round, one scorer: the incremental path factors [current]
          once here and each candidate is a one-conductance update.
          [None]: this round runs on the plain objective. *)
-      let score = scorer current in
+      let score =
+        match scorer current with
+        | None -> fun edit -> objective (Incremental.apply current edit)
+        | Some (Incremental.Exact score) -> score
+        | Some (Incremental.Cut score) ->
+            (* τ′: no candidate scoring above it can win the round, as it
+               neither makes the improvement nor beats (or ties) a score
+               already in. A cut candidate's bound exceeds the τ′ it
+               started under, so lowering τ′ by it is a no-op, and the
+               winner is never cut: its score and the trace are the
+               uncut loop's under any schedule. *)
+            let bound =
+              Atomic.make (current_obj *. (1.0 -. min_improvement))
+            in
+            fun edit ->
+              let s = score ~cutoff:(Atomic.get bound) edit in
+              lower bound s;
+              s
+      in
       (* The failure rule, on either path: a failed candidate is dropped
          (logged and counted by [Oracle.candidate]) and never selected. *)
       let eval_candidate edit =
         Atomic.incr evaluations;
         Option.value ~default:Float.infinity
-          (Oracle.candidate (fun () ->
-               match score with
-               | Some score -> score edit
-               | None -> objective (Incremental.apply current edit)))
+          (Oracle.candidate (fun () -> score edit))
       in
       (* Candidates are scored independently (in parallel under [pool]);
          the fold then keeps the minimum, the *earliest* candidate on

@@ -33,7 +33,7 @@ type trace = {
 val search :
   ?pool:Pool.t ->
   ?max_moves:int ->
-  ?scorer:(Routing.t -> (Incremental.edit -> float) option) ->
+  ?scorer:(Routing.t -> Incremental.scorer option) ->
   moves:(Routing.t -> Incremental.edit list) ->
   objective:(Routing.t -> float) ->
   Routing.t ->
@@ -44,10 +44,20 @@ val search :
     the trace (a step's [edge] is its edit's wire) and the taken edits.
 
     [scorer] is called once per round with its base routing; when it
-    returns [Some score] the round's candidates are [score edit] (the
+    returns a scorer the round's candidates are scored by it (the
     incremental path of {!Incremental.make_scorer}), otherwise (the
-    default) [objective] of {!Incremental.apply}. Each candidate and the
-    baseline count one evaluation.
+    default) by [objective] of {!Incremental.apply}. Each candidate and
+    the baseline count one evaluation.
+
+    A {!Incremental.Cut} scorer gets each candidate's cutoff: the round's
+    running bound τ′, the smaller of the improvement threshold
+    τ·(1 − 1e-9) (τ the round's objective) and the best score in so far,
+    read once as the candidate starts. A candidate above it can neither
+    win nor tie, so the scorer may stop early and return a bound over
+    it. The winner is never cut, and the trace, the taken edits and the
+    evaluation count are those of the same search with every cutoff
+    infinite, for any worker count; which losers are cut, and so the
+    transient steps taken, depends on the schedule.
 
     The failure rule: the baseline is evaluated directly, so its
     {!Nontree_error.Error} propagates. Every candidate goes through

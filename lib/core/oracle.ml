@@ -96,50 +96,82 @@ module Cache = struct
 
   let round = digest
 
-  (* A counted lookup: every probe is exactly one hit or one miss. *)
-  let lookup k =
+  type score = (int * float) list Spice.Engine.bounded
+
+  let answers ~cutoff = function
+    | Spice.Engine.Exact _ -> true
+    | Spice.Engine.Above b -> b > cutoff
+
+  (* What a lookup found: an entry that answers it, a bound too low to
+     answer it in the generation that holds it, or nothing. *)
+  type found = Hit of score | Stale of (string, score) Hashtbl.t | Absent
+
+  (* A counted lookup: every probe is exactly one hit or one miss. An
+     exact entry answers any cutoff, a bound only a lower one. *)
+  let lookup ~cutoff k =
     Mutex.lock lock;
-    let v =
+    let found =
       match Hashtbl.find_opt !young k with
-      | None -> Hashtbl.find_opt !old k
-      | found -> found
+      | Some e -> if answers ~cutoff e then Hit e else Stale !young
+      | None -> (
+          match Hashtbl.find_opt !old k with
+          | Some e -> if answers ~cutoff e then Hit e else Stale !old
+          | None -> Absent)
     in
     Mutex.unlock lock;
-    Obs.Counter.incr (if Option.is_some v then hits else misses);
-    v
+    Obs.Counter.incr (match found with Hit _ -> hits | _ -> misses);
+    found
+
+  let memo_under ~cutoff k compute =
+    match lookup ~cutoff k with
+    | Hit e -> e
+    | (Stale _ | Absent) as miss ->
+        (* Computed outside the lock; two domains racing on the same key
+           both compute a valid answer, and the second store overwrites
+           the first. A [compute] that raises stores nothing, so a retry
+           under fault injection may still succeed. *)
+        let e = compute () in
+        Mutex.lock lock;
+        (match miss with
+        | Stale tbl when tbl == !young || tbl == !old ->
+            (* A refined bound stays in its generation, so refining
+               never moves the generations' turnover. *)
+            Hashtbl.replace tbl k e
+        | _ ->
+            if Hashtbl.length !young >= generation then (
+              old := !young;
+              young := Hashtbl.create 4096);
+            Hashtbl.replace !young k e);
+        Mutex.unlock lock;
+        e
+
+  (* Plain keys never meet edit keys, and only edit entries are
+     bounds. *)
+  let exact = function
+    | Spice.Engine.Exact ds -> ds
+    | Spice.Engine.Above _ -> assert false
 
   let find_delays ~model ~tech r =
     if not (Atomic.get enabled_flag) then None
-    else lookup (digest ~model ~tech r)
-
-  let memo_under k compute =
-    match lookup k with
-    | Some ds -> ds
-    | None ->
-        (* Computed outside the lock; two domains racing on the same key
-           both compute the same value, and the second store is a no-op
-           overwrite. A [compute] that raises stores nothing, so a retry
-           under fault injection may still succeed. *)
-        let ds = compute () in
-        Mutex.lock lock;
-        if Hashtbl.length !young >= generation then (
-          old := !young;
-          young := Hashtbl.create 4096);
-        Hashtbl.replace !young k ds;
-        Mutex.unlock lock;
-        ds
+    else
+      match lookup ~cutoff:Float.infinity (digest ~model ~tech r) with
+      | Hit e -> Some (exact e)
+      | Stale _ | Absent -> None
 
   let memo ~model ~tech r compute =
     if not (Atomic.get enabled_flag) then compute ()
-    else memo_under (digest ~model ~tech r) compute
+    else
+      exact
+        (memo_under ~cutoff:Float.infinity (digest ~model ~tech r) (fun () ->
+             Spice.Engine.Exact (compute ())))
 
   (* A plain key is one digest; an edit key is a round's digest followed
      by the edit's non-empty encoding, so the two never meet. *)
-  let memo_edit round edit compute =
+  let memo_edit ~cutoff round edit compute =
     if String.length edit = 0 then
       invalid_arg "Oracle.Cache.memo_edit: empty edit";
     if not (Atomic.get enabled_flag) then compute ()
-    else memo_under (round ^ edit) compute
+    else memo_under ~cutoff (round ^ edit) compute
 
   let sink_delays ~model ~tech r =
     memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)

@@ -41,7 +41,9 @@ val candidate : (unit -> 'a) -> 'a option
       edit, so building a key costs the same whatever the routing's
       size. A hit is an exact recomputation: the same base, model,
       technology and edit. The same trial reached from two different
-      bases has two entries.
+      bases has two entries. A SPICE trial whose scan was cut at a
+      cutoff holds the bound it was cut at, which answers lookups
+      with lower cutoffs only ({!memo_edit}).
 
     So an incremental (Sherman–Morrison) score, which may differ from
     the plain oracle in the last bits, never answers a plain lookup,
@@ -98,12 +100,21 @@ module Cache : sig
       It serialises the whole routing, so take it once per round, and
       only when the cache is {!enabled}. *)
 
+  type score = (int * float) list Spice.Engine.bounded
+  (** An edit entry: a trial's exact per-sink delays, or [Above b], a
+      lower bound on its largest delay from a scan cut at a cutoff
+      under [b] ({!Spice.Engine.threshold_scan_result}). *)
+
   val memo_edit :
-    round -> string -> (unit -> (int * float) list) -> (int * float) list
-  (** [memo_edit round edit compute] is {!memo} for an edit entry: its
-      key is [round] followed by [edit], the caller's encoding of one
-      edit of the round's base. Counting, capacity and failure
-      behaviour are {!memo}'s.
+    cutoff:float -> round -> string -> (unit -> score) -> score
+  (** [memo_edit ~cutoff round edit compute] is {!memo} for an edit
+      entry: its key is [round] followed by [edit], the caller's
+      encoding of one edit of the round's base. An exact entry answers
+      any lookup, and [Above b] one whose [cutoff] is below [b]: a
+      hit (an infinite [cutoff] asks for exact delays). Otherwise the lookup is a miss, and
+      [compute ()] runs and replaces the entry, in the generation that
+      held it. So every call is one hit or one miss. Capacity and
+      failure behaviour are {!memo}'s.
       @raise Invalid_argument if [edit] is empty. *)
 
   val find_delays :

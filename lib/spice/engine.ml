@@ -184,8 +184,10 @@ let scan_dt options ~horizon = horizon /. float_of_int options.steps_per_chunk
 let delay_origin ?(options = default_options) nl ~horizon =
   origin (Mna.build nl) ~dt:(scan_dt options ~horizon)
 
-let threshold_scan_result ?(options = default_options) ?stamps pattern ~idx
-    ~x0 ~xf ~horizon =
+type 'a bounded = Exact of 'a | Above of float
+
+let threshold_scan_result ?(options = default_options) ?stamps
+    ?(cutoff = Float.infinity) pattern ~idx ~x0 ~xf ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan: horizon must be positive";
   let num_probes = Array.length idx in
@@ -205,10 +207,15 @@ let threshold_scan_result ?(options = default_options) ?stamps pattern ~idx
      the previous step's (t = 0 before the first). *)
   let prev_v = Array.map (fun u -> x0.(u)) idx in
   let prev_t = [| 0.0 |] in
+  (* Set when the scan stops before its last crossing: a pending probe
+     crosses no earlier than the step it is still below its target at,
+     so the largest delay is at least that step's time past [t_ref]. *)
+  let above = ref None in
   (* Judge every new state as it is computed: a probe crosses at the
      first sample at or above its target, interpolated linearly against
      the sample before it. The loop ends at the step where the last
-     pending probe crosses, so no later step is integrated. *)
+     pending probe crosses, or where a pending one's delay is already
+     past [cutoff], so no later step is integrated. *)
   let on_step t1 x =
     for p = 0 to num_probes - 1 do
       if found.(p) = None then begin
@@ -229,27 +236,31 @@ let threshold_scan_result ?(options = default_options) ?stamps pattern ~idx
       end
     done;
     prev_t.(0) <- t1;
-    !pending = 0
+    if !pending > 0 && t1 -. t_ref > cutoff then above := Some (t1 -. t_ref);
+    !pending = 0 || Option.is_some !above
   in
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
      targets never builds it. *)
   let companion = lazy (Transient.companion ?stamps pattern ~dt) in
   let rec extend x t0 steps extensions =
-    if !pending = 0 || extensions > options.max_extensions then Ok found
-    else
-      match
-        Transient.loop (Lazy.force companion) ~x0:x ~t0 ~steps ~on_step
-      with
-      | exception Numeric.Sparse.Singular k ->
-          Error (Nontree_error.singular ~stage:"spice.transient" k)
-      | x, taken ->
-          let* () = check_finite ~stage:"spice.transient" x in
-          (* Double the window each retry so n extensions cover 2^n
-             horizons. *)
-          extend x
-            (t0 +. (float_of_int taken *. dt))
-            (steps * 2) (extensions + 1)
+    match !above with
+    | Some bound -> Ok (Above bound)
+    | None when !pending = 0 || extensions > options.max_extensions ->
+        Ok (Exact found)
+    | None -> (
+        match
+          Transient.loop (Lazy.force companion) ~x0:x ~t0 ~steps ~on_step
+        with
+        | exception Numeric.Sparse.Singular k ->
+            Error (Nontree_error.singular ~stage:"spice.transient" k)
+        | x, taken ->
+            let* () = check_finite ~stage:"spice.transient" x in
+            (* Double the window each retry so n extensions cover 2^n
+               horizons. *)
+            extend x
+              (t0 +. (float_of_int taken *. dt))
+              (steps * 2) (extensions + 1))
   in
   extend x0 0.0 options.steps_per_chunk 0
 
@@ -269,8 +280,13 @@ let threshold_system_result ?(options = default_options) ~horizon build =
           let* () = check_finite ~stage:"spice.dc" x0 in
           let xf = Numeric.Sparse.solve lu (Mna.settled_rhs sys) in
           let* () = check_finite ~stage:"spice.settle" xf in
-          threshold_scan_result ~options (Transient.compile sys) ~idx ~x0 ~xf
-            ~horizon)
+          match
+            threshold_scan_result ~options (Transient.compile sys) ~idx ~x0
+              ~xf ~horizon
+          with
+          | Ok (Exact found) -> Ok found
+          | Ok (Above _) -> assert false (* no cutoff, no cut *)
+          | Error e -> Error e)
 
 let threshold_delays_result ?options nl ~probes ~horizon =
   let* found =

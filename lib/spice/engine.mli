@@ -5,7 +5,8 @@
     threshold delays that define the paper's delay metric t(n_i). A
     threshold query factors G once (operating point and settled state)
     and its trapezoidal companion once, and scans crossings as the step
-    loop produces states, stopping at the last one. The delay oracles
+    loop produces states, stopping at the last one, or, given a cutoff,
+    once the largest delay is known to exceed it. The delay oracles
     skip the netlist: they hand {!threshold_system_result} an MNA
     system stamped straight from the routing, and the incremental
     scorer hands {!threshold_scan_result} a round's compiled base
@@ -98,15 +99,25 @@ val delay_origin :
     one;
     [None] when delays run from t = 0. *)
 
+type 'a bounded =
+  | Exact of 'a
+  | Above of float
+      (** the query's largest delay is at least this, which exceeds
+          the query's cutoff *)
+(** The answer to a query with a cutoff: the result itself, or a lower
+    bound on its largest delay once that delay is known to exceed the
+    cutoff. *)
+
 val threshold_scan_result :
   ?options:options ->
   ?stamps:Transient.stamps ->
+  ?cutoff:float ->
   Transient.pattern ->
   idx:int array ->
   x0:float array ->
   xf:float array ->
   horizon:float ->
-  (float option array, Nontree_error.t) result
+  (float option array bounded, Nontree_error.t) result
 (** The chunked threshold search on an already-built system, compiled
     ({!Transient.compile}) so that one round's candidates share its
     pattern and refactor plan, grown by [stamps] when given ([x0] and
@@ -119,7 +130,17 @@ val threshold_scan_result :
     interpolated linearly between a probe's first sample at or above
     its target and the sample before, and the loop stops at the step
     where the last pending probe crosses, recording nothing. [horizon]
-    sets only dt. Each crossing is reported relative to
+    sets only dt.
+
+    [cutoff] (default infinity) stops a scan that cannot come in at or
+    under it: at the first step t_k where some probe is still below its
+    target and t_k − t_ref > [cutoff] (t_ref the {!input_reference}),
+    the scan returns [Above (t_k − t_ref)]. That probe crosses no
+    earlier than t_k, so the bound b satisfies [cutoff] < b ≤ the
+    largest delay. Otherwise the result is [Exact], with the same bits
+    and the same steps as a scan without the cutoff; a largest delay
+    equal to [cutoff] is never cut. The state at a cut is checked for
+    finiteness as at a chunk's end. Each crossing is reported relative to
     {!input_reference} (floored at 0); a probe that starts at its
     target reports 0. This is the core of {!threshold_delays_result},
     exposed so the incremental oracle can scan an edited wire's stamps

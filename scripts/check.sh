@@ -31,6 +31,17 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   > "$tmpdir/jobs2.out" 2>/dev/null
 diff -u "$tmpdir/seq.out" "$tmpdir/jobs2.out"
 
+echo "== smoke: --jobs 2 budget ladder and wire sizing match sequential =="
+# Under the pool, which losing candidates a search cuts short depends
+# on the schedule; what it prints must not.
+for ext in budget wsorg; do
+  dune exec bin/tables.exe -- --ext "$ext" --trials 2 \
+    > "$tmpdir/$ext.seq.out" 2>/dev/null
+  dune exec bin/tables.exe -- --ext "$ext" --trials 2 --jobs 2 \
+    > "$tmpdir/$ext.jobs2.out" 2>/dev/null
+  diff -u "$tmpdir/$ext.seq.out" "$tmpdir/$ext.jobs2.out"
+done
+
 echo "== smoke: --jobs above the core count is clamped, output unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null

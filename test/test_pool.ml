@@ -287,11 +287,13 @@ let test_cache_key_coverage () =
       let misses = (C.stats ()).C.misses in
       let edit = Nontree.Incremental.edit_key (Nontree.Incremental.Add (a, b)) in
       let inc =
-        C.memo_edit (C.round ~model ~tech r) edit (fun () -> [ (1, -1.0) ])
+        C.memo_edit ~cutoff:infinity (C.round ~model ~tech r) edit (fun () ->
+            Spice.Engine.Exact [ (1, -1.0) ])
       in
       Alcotest.(check int) "edit entry misses" (misses + 1) (C.stats ()).C.misses;
       Alcotest.(check (float 0.0)) "plain entry kept" 0.0 (snd (List.hd plain));
-      Alcotest.(check (float 0.0)) "edit entry" (-1.0) (snd (List.hd inc));
+      Alcotest.(check bool) "edit entry" true
+        (inc = Spice.Engine.Exact [ (1, -1.0) ]);
       Alcotest.(check bool) "plain lookup unchanged" true
         (C.find_delays ~model ~tech r = Some plain);
       Alcotest.(check bool) "the edited trial has no plain entry" true
@@ -309,11 +311,11 @@ let test_cache_key_coverage () =
       List.iteri
         (fun i e ->
           let ds =
-            C.memo_edit round (Nontree.Incremental.edit_key e) (fun () ->
-                [ (1, float_of_int i) ])
+            C.memo_edit ~cutoff:infinity round (Nontree.Incremental.edit_key e)
+              (fun () -> Spice.Engine.Exact [ (1, float_of_int i) ])
           in
-          Alcotest.(check (float 0.0)) "edit computed" (float_of_int i)
-            (snd (List.hd ds)))
+          Alcotest.(check bool) "edit computed" true
+            (ds = Spice.Engine.Exact [ (1, float_of_int i) ]))
         edits;
       Alcotest.(check int) "one entry per edit"
         (entries + List.length edits) (C.stats ()).C.entries)
@@ -363,7 +365,8 @@ let scorer_exn ~model r =
       ~fallback:(fun _ -> Alcotest.fail "the scorer fell back")
       r
   with
-  | Some score -> score
+  | Some (Nontree.Incremental.Exact score) -> score
+  | Some (Nontree.Incremental.Cut score) -> score ~cutoff:Float.infinity
   | None -> Alcotest.fail "no incremental scorer"
 
 (* The budget ladder's first round scores edits of the same MST that an
@@ -450,6 +453,48 @@ let test_scorer_without_cache () =
           Alcotest.(check int) "nothing stored or counted" 0
             (s.C.hits + s.C.misses + s.C.entries)))
 
+(* A cut trial's entry is a bound: it answers a lookup with a lower
+   cutoff as one hit; a lookup with a cutoff at or above it is one miss
+   that recomputes the trial and replaces the entry. Every lookup is
+   one hit or one miss. *)
+let test_cache_bound_entries () =
+  with_cache (fun () ->
+      let module C = Nontree.Oracle.Cache in
+      let round = C.round ~model:moment_model ~tech (random_mst 5 4) in
+      let lookups = ref 0 and computed = ref 0 in
+      let lookup ?(key = "edit") ~cutoff value =
+        incr lookups;
+        C.memo_edit ~cutoff round key (fun () ->
+            incr computed;
+            value)
+      in
+      let exact = Spice.Engine.Exact [ (1, 3.0) ] in
+      let check what ~hits ~misses ~computes ?(entries = 1) result expected =
+        let s = C.stats () in
+        Alcotest.(check bool) (what ^ ": answer") true (result = expected);
+        Alcotest.(check int) (what ^ ": hits") hits s.C.hits;
+        Alcotest.(check int) (what ^ ": misses") misses s.C.misses;
+        Alcotest.(check int) (what ^ ": computed") computes !computed;
+        Alcotest.(check int) (what ^ ": entries") entries s.C.entries;
+        Alcotest.(check int) (what ^ ": hits + misses = lookups") !lookups
+          (s.C.hits + s.C.misses)
+      in
+      let cut = lookup ~cutoff:1.0 (Spice.Engine.Above 2.0) in
+      check "first lookup" ~hits:0 ~misses:1 ~computes:1 cut
+        (Spice.Engine.Above 2.0);
+      check "lower cutoff" ~hits:1 ~misses:1 ~computes:1
+        (lookup ~cutoff:1.5 exact) (Spice.Engine.Above 2.0);
+      check "cutoff equal to the bound" ~hits:1 ~misses:2 ~computes:2
+        (lookup ~cutoff:2.0 exact) exact;
+      check "the exact entry replaced the bound" ~hits:2 ~misses:2 ~computes:2
+        (lookup ~cutoff:Float.infinity (Spice.Engine.Above 9.0)) exact;
+      (* No bound answers an infinite cutoff. *)
+      ignore (lookup ~cutoff:3.0 (Spice.Engine.Above 5.0) ~key:"other");
+      check "a bound never answers an infinite cutoff" ~hits:2 ~misses:4
+        ~computes:4 ~entries:2
+        (lookup ~cutoff:Float.infinity exact ~key:"other")
+        exact)
+
 (* Memo bound -------------------------------------------------------------- *)
 
 (* Far past 200,000 distinct keys the memo still stores: a fresh key
@@ -460,8 +505,12 @@ let test_cache_bounded_generations () =
   with_cache (fun () ->
       let module C = Nontree.Oracle.Cache in
       let round = C.round ~model:moment_model ~tech (random_mst 3 4) in
-      let value i = [ (1, float_of_int i) ] in
-      let store i = ignore (C.memo_edit round (string_of_int i) (fun () -> value i)) in
+      let value i = Spice.Engine.Exact [ (1, float_of_int i) ] in
+      let store i =
+        ignore
+          (C.memo_edit ~cutoff:infinity round (string_of_int i) (fun () ->
+               value i))
+      in
       let keys = 200_001 in
       for i = 1 to keys do
         store i
@@ -473,7 +522,7 @@ let test_cache_bounded_generations () =
       let hits key =
         let s0 = C.stats () in
         let ds =
-          C.memo_edit round (string_of_int key) (fun () ->
+          C.memo_edit ~cutoff:infinity round (string_of_int key) (fun () ->
               Alcotest.failf "key %d was not kept" key)
         in
         Alcotest.(check bool) "the stored value" true (ds = value key);
@@ -508,11 +557,22 @@ let failing_search ~incremental ~pool ~moves ~fails r =
   let scorer base =
     if not incremental then None
     else
+      let fail_on edit =
+        if fails (Nontree.Incremental.apply base edit) then
+          Nontree_error.raise_error scripted
+      in
       Option.map
-        (fun score edit ->
-          if fails (Nontree.Incremental.apply base edit) then
-            Nontree_error.raise_error scripted
-          else score edit)
+        (function
+          | Nontree.Incremental.Exact score ->
+              Nontree.Incremental.Exact
+                (fun edit ->
+                  fail_on edit;
+                  score edit)
+          | Nontree.Incremental.Cut score ->
+              Nontree.Incremental.Cut
+                (fun ~cutoff edit ->
+                  fail_on edit;
+                  score ~cutoff edit))
         (Nontree.Incremental.make_scorer ~model:failure_model ~tech
            ~fallback:objective base)
   in
@@ -666,6 +726,8 @@ let suites =
           test_cache_disabled_passthrough;
         Alcotest.test_case "cache hit by harness" `Quick
           test_cache_hit_by_harness;
+        Alcotest.test_case "cache bound entries" `Quick
+          test_cache_bound_entries;
         Alcotest.test_case "cache keeps storing past 200k keys" `Quick
           test_cache_bounded_generations ]
       @ failure_rule_cases ) ]

@@ -179,11 +179,18 @@ let incremental_delays ~model r edit =
     (fun () ->
       match Nontree.Incremental.make_scorer ~model ~tech ~fallback r with
       | None -> Alcotest.failf "no scorer for %s" (Delay.Model.name model)
-      | Some score ->
-          ignore (score edit);
-          C.memo_edit (C.round ~model ~tech r)
-            (Nontree.Incremental.edit_key edit)
-            (fun () -> Alcotest.fail "the score was not memoised"))
+      | Some scorer -> (
+          (match scorer with
+          | Nontree.Incremental.Exact score -> ignore (score edit)
+          | Nontree.Incremental.Cut score ->
+              ignore (score ~cutoff:Float.infinity edit));
+          match
+            C.memo_edit ~cutoff:infinity (C.round ~model ~tech r)
+              (Nontree.Incremental.edit_key edit)
+              (fun () -> Alcotest.fail "the score was not memoised")
+          with
+          | Spice.Engine.Exact ds -> ds
+          | Spice.Engine.Above _ -> Alcotest.fail "an uncut score was a bound"))
 
 (* Every sink's incremental delay matches the plain oracle's on the
    rebuilt trial to 1e-9 of the largest. *)
@@ -304,14 +311,23 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
   go x0 0.0 options.steps_per_chunk 0;
   found
 
-(* On a random table-2 net (half the time with one added wire) under
-   the fast or default profile, the engine's scan, whose chunks stop at
-   the last crossing, reports crossings bit-identical to the
-   full-window reference. A quarter of the trials start from a horizon
-   50x too short, so the crossings land in a doubled extension chunk;
-   a quarter start one sink at its settled value, so that probe is at
-   its target from the first instant. *)
-let prop_scan_stops_without_moving_crossings g =
+(* A threshold query on a random table-2 net (half the time with one
+   added wire) under the fast or default profile. A quarter of the
+   cases start from a horizon 50x too short, so the crossings land in a
+   doubled extension chunk; a quarter start one sink at its settled
+   value, so that probe is at its target from the first instant. *)
+type scan_case = {
+  options : Spice.Engine.options;
+  sys : Spice.Mna.t;
+  idx : int array;
+  x0 : float array;
+  xf : float array;
+  horizon : float;
+  size : int;
+  case : int;
+}
+
+let gen_scan_case g =
   let config =
     if Rng.bool g then Delay.Model.fast_spice else Delay.Model.default_spice
   in
@@ -360,13 +376,27 @@ let prop_scan_stops_without_moving_crossings g =
     end
     else x0
   in
+  { options; sys; idx; x0; xf; horizon; size; case }
+
+let scan ?cutoff c =
+  match
+    Spice.Engine.threshold_scan_result ~options:c.options ?cutoff
+      (Spice.Transient.compile c.sys) ~idx:c.idx ~x0:c.x0 ~xf:c.xf
+      ~horizon:c.horizon
+  with
+  | Ok found -> found
+  | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
+
+(* The engine's scan, whose chunks stop at the last crossing, reports
+   crossings bit-identical to the full-window reference. *)
+let prop_scan_stops_without_moving_crossings g =
+  let ({ options; sys; idx; x0; xf; horizon; size; case } as c) =
+    gen_scan_case g
+  in
   let found =
-    match
-      Spice.Engine.threshold_scan_result ~options
-        (Spice.Transient.compile sys) ~idx ~x0 ~xf ~horizon
-    with
-    | Ok found -> found
-    | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
+    match scan c with
+    | Spice.Engine.Exact found -> found
+    | Spice.Engine.Above _ -> Alcotest.fail "a scan without cutoff was cut"
   in
   let reference = full_window_scan options sys ~idx ~x0 ~xf ~horizon in
   let bits = Array.map (Option.map Int64.bits_of_float) in
@@ -379,6 +409,61 @@ let prop_scan_stops_without_moving_crossings g =
     Alcotest.failf "size %d: short horizon crossed in the first chunk" size;
   if case = 1 && not (Array.mem (Some 0.0) found) then
     Alcotest.failf "size %d: the settled sink did not report 0" size
+
+let spice_steps = Obs.Counter.make "spice.steps"
+
+(* A scan's answer and the transient steps it took. *)
+let counted_scan ?cutoff c =
+  let s0 = Obs.Counter.value spice_steps in
+  let found = scan ?cutoff c in
+  (found, Obs.Counter.value spice_steps - s0)
+
+(* On the same queries, a cutoff at or above the scan's largest delay
+   (equal to it included) changes nothing: the same bits in the same
+   steps. A cutoff below it either changes nothing, or stops the scan
+   in fewer steps with a bound b, cutoff < b <= the largest delay; one
+   more than a step below the largest delay always stops it. *)
+let prop_scan_cutoff_exact_or_bound g =
+  let c = gen_scan_case g in
+  let bits = Array.map (Option.map Int64.bits_of_float) in
+  let found, steps =
+    match counted_scan c with
+    | Spice.Engine.Exact found, steps -> (found, steps)
+    | Spice.Engine.Above _, _ -> Alcotest.fail "a scan without cutoff was cut"
+  in
+  let latest =
+    Array.fold_left (fun m d -> Float.max m (Option.get d)) 0.0 found
+  in
+  let unchanged what = function
+    | Spice.Engine.Exact f, n when bits f = bits found && n = steps -> ()
+    | Spice.Engine.Exact _, n ->
+        Alcotest.failf "%s: %d steps, not %d, or moved crossings" what n steps
+    | Spice.Engine.Above b, _ ->
+        Alcotest.failf "%s: cut at %h under a largest delay of %h" what b
+          latest
+  in
+  let bound what cutoff = function
+    | Spice.Engine.Above b, n ->
+        if not (cutoff < b && b <= latest && n < steps) then
+          Alcotest.failf "%s: bound %h (%d steps) for cutoff %h, delay %h \
+                          (%d steps)" what b n cutoff latest steps
+    | exact -> unchanged what exact
+  in
+  List.iter
+    (fun (what, cutoff) -> unchanged what (counted_scan ~cutoff c))
+    [ ("cutoff = delay", latest);
+      ("cutoff above delay", Float.succ latest *. 1.5);
+      ("infinite cutoff", Float.infinity) ];
+  let below = Rng.float g latest in
+  bound "cutoff below delay" below (counted_scan ~cutoff:below c);
+  let dt = c.horizon /. float_of_int c.options.Spice.Engine.steps_per_chunk in
+  if latest > dt then begin
+    let cutoff = Rng.float g (latest -. dt) in
+    match counted_scan ~cutoff c with
+    | Spice.Engine.Exact _, _ ->
+        Alcotest.failf "cutoff %h, a step under delay %h: not cut" cutoff latest
+    | cut -> bound "cutoff a step below delay" cutoff cut
+  end
 
 (* Parser fuzzing ---------------------------------------------------------- *)
 
@@ -571,6 +656,100 @@ let test_incremental_engages () =
     (Obs.Counter.value fallbacks - f0);
   Alcotest.(check bool) "rank-1 updates recorded" true
     (Obs.Counter.value updates - u0 > 0)
+
+(* The greedy loop's cutoff is exact. On a random MST of 6 to 15 pins
+   under fast SPICE, each search (LDRG, the X6 budget ladder 1.05x to
+   unbounded on one memo, SLDRG from the net's Steiner tree, and wire
+   sizing), under the sequential pool and a 2-domain pool, takes the
+   same steps to the same routing, with the same edits, evaluation
+   count and objective bits, as the same search whose scorer ignores
+   every cutoff; each side starts from an empty memo. The cut side
+   takes fewer transient steps. *)
+
+let uncut scorer base =
+  Option.map
+    (function
+      | Nontree.Incremental.Cut score ->
+          Nontree.Incremental.Cut
+            (fun ~cutoff:_ edit -> score ~cutoff:Float.infinity edit)
+      | exact -> exact)
+    (scorer base)
+
+let search_signature ((t : Nontree.Ldrg.trace), edits) =
+  ( List.map
+      (fun (s : Nontree.Ldrg.step) ->
+        ( s.edge,
+          List.map Int64.bits_of_float
+            [ s.objective_before; s.objective_after; s.cost_before;
+              s.cost_after ] ))
+      t.steps,
+    Routing.widths t.final,
+    edits,
+    t.evaluations )
+
+let prop_cutoff_keeps_searches g =
+  Fault.disable ();
+  let pins = Rng.int_in g 6 15 in
+  let net =
+    Geom.Netgen.uniform g
+      ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
+      ~pins
+  in
+  let model = Delay.Model.Spice Delay.Model.fast_spice in
+  let objective = Nontree.Oracle.Cache.max_delay ~model ~tech in
+  let cut = Nontree.Incremental.make_scorer ~model ~tech ~fallback:objective in
+  let mst = Routing.mst_of_net net in
+  let adds candidates r =
+    List.map (fun (u, v) -> Nontree.Incremental.Add (u, v)) (candidates r)
+  in
+  (* Ldrg.run_budgeted's admission rule. *)
+  let within ratio r =
+    let slack = (ratio *. Routing.cost mst) -. Routing.cost r in
+    List.filter
+      (fun (u, v) ->
+        Geom.Point.manhattan (Routing.point r u) (Routing.point r v) <= slack)
+      (Routing.candidate_edges r)
+  in
+  let searches =
+    List.map
+      (fun ratio -> (Printf.sprintf "budget %g" ratio, mst, adds (within ratio)))
+      [ 1.05; 1.1; 1.2; 1.5 ]
+    @ [ ("ldrg", mst, adds Routing.candidate_edges);
+        ( "sldrg",
+          Nontree.Sldrg.initial_tree net,
+          adds Routing.candidate_edges );
+        ("sizing", mst, Nontree.Wire_sizing.resizes ~widths:[ 1.0; 2.0; 3.0 ])
+      ]
+  in
+  let run_all pool scorer =
+    Nontree.Oracle.Cache.reset ();
+    let s0 = Obs.Counter.value spice_steps in
+    let results =
+      List.map
+        (fun (what, initial, moves) ->
+          ( what,
+            search_signature
+              (Nontree.Ldrg.search ~pool ~moves ~scorer ~objective initial) ))
+        searches
+    in
+    (results, Obs.Counter.value spice_steps - s0)
+  in
+  with_incremental true @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs @@ fun pool ->
+      let exact, exact_steps = run_all pool (uncut cut) in
+      let bounded, bounded_steps = run_all pool cut in
+      List.iter2
+        (fun (what, e) (_, b) ->
+          if e <> b then
+            Alcotest.failf "%d pins, %s, jobs %d: the cut search differs" pins
+              what jobs)
+        exact bounded;
+      if bounded_steps >= exact_steps then
+        Alcotest.failf "%d pins, jobs %d: %d steps cut, %d uncut" pins jobs
+          bounded_steps exact_steps)
+    [ 1; 2 ]
 
 (* Sparse vs dense kernel differentials ---------------------------------- *)
 
@@ -1147,6 +1326,9 @@ let suites =
           (fun () ->
             check ~trials:40 "scan-early-stop"
               prop_scan_stops_without_moving_crossings);
+        Alcotest.test_case "scan cutoff is exact or a bound" `Quick
+          (fun () ->
+            check ~trials:40 "scan-cutoff" prop_scan_cutoff_exact_or_bound);
         Alcotest.test_case "sparse matches dense (200 stamped systems)" `Quick
           (fun () ->
             check ~trials:200 "sparse-vs-dense" prop_sparse_matches_dense);
@@ -1178,6 +1360,8 @@ let suites =
           (test_trace_equality Delay.Model.Two_pole);
         Alcotest.test_case "ldrg trace equal, spice" `Slow
           (test_trace_equality (Delay.Model.Spice Delay.Model.fast_spice));
+        Alcotest.test_case "cutoff keeps every search's trace" `Quick
+          (fun () -> check ~trials:4 "cutoff-searches" prop_cutoff_keeps_searches);
         Alcotest.test_case "incremental path engages" `Slow
           test_incremental_engages;
         Alcotest.test_case "incremental feeds the oracle cache" `Quick
