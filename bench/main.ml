@@ -25,85 +25,19 @@ let progress fmt =
 
 (* Sections ------------------------------------------------------------- *)
 
-let run_table1 config = print_string (Harness.Runs.table1 config)
+let flag = function
+  | Harness.Runs.Table n -> Printf.sprintf "--table %d" n
+  | Harness.Runs.Figure n -> Printf.sprintf "--figure %d" n
+  | Harness.Runs.Ext e -> "--ext " ^ e
 
-let run_table2 config =
-  progress "Table 2: LDRG vs MST (SPICE oracle, the expensive one)...";
-  let rows = Harness.Runs.table2 config in
-  print_string
-    (Harness.Table.render ~title:"Table 2: LDRG Algorithm Statistics"
-       ~baseline:"the MST routing" rows)
-
-let run_table3 config =
-  progress "Table 3: SLDRG vs Steiner tree...";
-  let rows = Harness.Runs.table3 config in
-  print_string
-    (Harness.Table.render ~title:"Table 3: SLDRG Algorithm Statistics"
-       ~baseline:"the Iterated-1-Steiner tree" rows)
-
-let run_table4 config =
-  progress "Table 4: H1 heuristic...";
-  let rows = Harness.Runs.table4 config in
-  print_string
-    (Harness.Table.render ~title:"Table 4: H1 Heuristic Statistics"
-       ~baseline:"the MST routing" rows)
-
-let run_table5 config =
-  progress "Table 5: H2 and H3 heuristics...";
-  let h2, h3 = Harness.Runs.table5 config in
-  print_string
-    (Harness.Table.render ~title:"Table 5a: H2 Heuristic Statistics"
-       ~baseline:"the MST routing" h2);
-  print_newline ();
-  print_string
-    (Harness.Table.render ~title:"Table 5b: H3 Heuristic Statistics"
-       ~baseline:"the MST routing" h3)
-
-let run_table6 config =
-  progress "Table 6: ERT vs MST...";
-  let rows = Harness.Runs.table6 config in
-  print_string
-    (Harness.Table.render ~title:"Table 6: Elmore Routing Tree Statistics"
-       ~baseline:"the MST routing" rows)
-
-let run_table7 config =
-  progress "Table 7: ERT-seeded LDRG vs ERT...";
-  let rows = Harness.Runs.table7 config in
-  print_string
-    (Harness.Table.render
-       ~title:"Table 7: ERT-Based LDRG Algorithm Statistics"
-       ~baseline:"the ERT routing" rows)
-
-let run_figures config ~svg_dir =
-  progress "Figures 1, 2, 3 and 5...";
-  (try Unix.mkdir svg_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  List.iter
-    (fun fig ->
-      let f = fig config in
-      print_string (Harness.Runs.render_figure f);
-      let paths = Harness.Runs.save_figure_svgs ~dir:svg_dir f in
-      List.iter (fun p -> Printf.printf "  svg: %s\n" p) paths;
-      print_newline ())
-    [ Harness.Runs.figure1; Harness.Runs.figure2; Harness.Runs.figure3;
-      Harness.Runs.figure5 ]
-
-let run_extensions config =
-  progress "Extension experiments (Section 5)...";
-  print_string (Harness.Runs.ext_csorg config);
-  print_newline ();
-  print_string (Harness.Runs.ext_wsorg config);
-  print_newline ();
-  print_string (Harness.Runs.ext_oracle config);
-  print_newline ();
-  print_string (Harness.Runs.ext_rlc config);
-  print_newline ();
-  print_string (Harness.Runs.ext_trees config);
-  print_newline ();
-  print_string (Harness.Runs.ext_budget config);
-  print_newline ();
-  print_string (Harness.Runs.ext_prune config);
-  print_newline ();
-  print_string (Harness.Runs.ext_sensitivity config)
+(* A paper section: each of its artefacts prints what tables.exe prints
+   for it, a blank line apart. *)
+let run_paper_section config ~svg_dir name =
+  List.filter (fun a -> a.Harness.Runs.section = name) Harness.Runs.artefacts
+  |> List.iteri (fun i a ->
+         progress "section %s: %s..." name (flag a.Harness.Runs.selector);
+         if i > 0 then print_newline ();
+         print_string (a.Harness.Runs.render config ~svg_dir))
 
 (* Bechamel timing of the algorithm kernels ------------------------------ *)
 
@@ -252,22 +186,45 @@ let json_of_stats ~jobs ~seed ~trials ~sizes ~total_wall_s ~counters sections =
 
 let () =
   let trials = ref 50 in
-  let sizes = ref "5,10,20,30" in
+  let sizes = ref [ 5; 10; 20; 30 ] in
   let seed = ref 1994 in
-  let only = ref "" in
+  let sections = Harness.Runs.sections @ [ "bechamel" ] in
+  let wanted = ref sections in
   let quick = ref false in
   let accurate = ref false in
   let svg_dir = ref "figures" in
   let jobs = ref 1 in
   let bench_json = ref "BENCH_nontree.json" in
   let metrics_json = ref "" in
+  let csv s =
+    String.split_on_char ',' s |> List.map String.trim
+    |> List.filter (fun s -> s <> "")
+  in
+  (* Both lists are checked as they are parsed, so a bad one stops the
+     run before anything runs or is written. *)
+  let set_sizes s =
+    try sizes := List.map int_of_string (csv s)
+    with Failure _ ->
+      raise (Arg.Bad ("--sizes expects comma-separated integers, not " ^ s))
+  in
+  let set_only s =
+    match List.filter (fun n -> not (List.mem n sections)) (csv s) with
+    | [] -> wanted := (match csv s with [] -> sections | names -> names)
+    | unknown ->
+        raise
+          (Arg.Bad
+             (Printf.sprintf "--only: unknown section %s (sections: %s)"
+                (String.concat "," unknown) (String.concat "," sections)))
+  in
   let spec =
     [ ("--trials", Arg.Set_int trials, "N  trials per net size (default 50)");
-      ("--sizes", Arg.Set_string sizes, "CSV  net sizes (default 5,10,20,30)");
+      ("--sizes", Arg.String set_sizes, "CSV  net sizes (default 5,10,20,30)");
       ("--seed", Arg.Set_int seed, "N  experiment seed (default 1994)");
       ( "--only",
-        Arg.Set_string only,
-        "LIST  subset to run, e.g. 2,3,figures,ext,bechamel" );
+        Arg.String set_only,
+        "LIST  subset of sections to run: "
+        ^ String.concat "," sections
+        ^ " (default all)" );
       ("--quick", Arg.Set quick, "  reduced scale (12 trials, sizes 5,10,20)");
       ( "--accurate",
         Arg.Set accurate,
@@ -292,51 +249,36 @@ let () =
     "nontree benchmark harness";
   if !quick then begin
     trials := 12;
-    sizes := "5,10,20"
+    sizes := [ 5; 10; 20 ]
   end;
-  let size_list =
-    String.split_on_char ',' !sizes
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.map int_of_string
-  in
   let eval_model =
     if !accurate then Delay.Model.Spice Delay.Model.accurate_spice
     else Delay.Model.Spice Delay.Model.fast_spice
   in
-  if !jobs < 1 then begin
-    prerr_endline "bench: --jobs must be >= 1";
-    exit 2
-  end;
-  (* More worker domains than cores only slows the run down: OCaml 5
-     minor collections stop every domain. *)
+  Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   let jobs_requested = !jobs in
-  let cores = Domain.recommended_domain_count () in
-  if jobs_requested > cores then begin
-    progress "warning: --jobs %d exceeds the %d available cores; using %d"
-      jobs_requested cores cores;
-    jobs := cores
-  end;
+  let jobs =
+    match Harness.Runs.clamp_jobs jobs_requested with
+    | Ok jobs -> jobs
+    | Error e ->
+        prerr_endline ("bench: " ^ e);
+        exit 2
+  in
   let config =
     { Nontree.Experiment.default with
       trials = !trials;
-      sizes = size_list;
+      sizes = !sizes;
       seed = !seed;
       eval_model;
-      jobs = !jobs }
+      jobs }
   in
   (* The bench always records spans: per-section wall time below comes
      from the same span log the manifest serialises, so BENCH_nontree.json
      and --metrics-json report from one source of truth. *)
   Obs.set_enabled true;
-  let wanted =
-    if !only = "" then
-      [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "figures"; "ext"; "bechamel" ]
-    else String.split_on_char ',' !only |> List.map String.trim
-  in
   let stats = ref [] in
   let section name f =
-    if List.mem name wanted then begin
+    if List.mem name !wanted then begin
       (* Each section starts from an empty memo, so its hits and entries
          are its own. Wall time comes from the "bench.<name>" span;
          the evaluation counts are counter deltas, so the run's global
@@ -374,25 +316,21 @@ let () =
   Printf.printf
     "Non-Tree Routing (McCoy & Robins, DATE 1994) -- reproduction harness\n";
   Printf.printf "seed %d, %d trials per size, sizes [%s], eval model %s\n"
-    !seed !trials !sizes
+    !seed !trials
+    (String.concat "," (List.map string_of_int !sizes))
     (Delay.Model.name config.Nontree.Experiment.eval_model);
-  Printf.printf "jobs %d\n\n" !jobs;
+  Printf.printf "jobs %d\n\n" jobs;
   let run_t0 = Unix.gettimeofday () in
-  section "1" (fun () -> run_table1 config);
-  section "2" (fun () -> run_table2 config);
-  section "3" (fun () -> run_table3 config);
-  section "4" (fun () -> run_table4 config);
-  section "5" (fun () -> run_table5 config);
-  section "6" (fun () -> run_table6 config);
-  section "7" (fun () -> run_table7 config);
-  section "figures" (fun () -> run_figures config ~svg_dir:!svg_dir);
-  section "ext" (fun () -> run_extensions config);
-  section "bechamel" (fun () -> run_bechamel ());
+  List.iter
+    (fun name ->
+      section name (fun () -> run_paper_section config ~svg_dir:!svg_dir name))
+    Harness.Runs.sections;
+  section "bechamel" run_bechamel;
   let counters = snapshot_counters () in
   let total_wall_s = Unix.gettimeofday () -. run_t0 in
   if !bench_json <> "" then begin
     let json =
-      json_of_stats ~jobs:!jobs ~seed:!seed ~trials:!trials ~sizes:size_list
+      json_of_stats ~jobs ~seed:!seed ~trials:!trials ~sizes:!sizes
         ~total_wall_s ~counters (List.rev !stats)
     in
     let oc = open_out !bench_json in
@@ -408,10 +346,10 @@ let () =
       ~meta:
         Obs.Json.
           [ ("seed", Int !seed);
-            ("jobs", Int !jobs);
+            ("jobs", Int jobs);
             ("jobs_requested", Int jobs_requested);
             ("trials", Int !trials);
-            ("sizes", List (List.map (fun s -> Int s) size_list));
+            ("sizes", List (List.map (fun s -> Int s) !sizes));
             ("eval_model",
              String (Delay.Model.name config.Nontree.Experiment.eval_model)) ]
       ~extra:

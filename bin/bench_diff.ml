@@ -11,11 +11,17 @@
    time, default 0.25); 1 when one did; 2 on usage, IO or schema
    errors. Sections whose wall
    time is under [min_wall] seconds in both files are shown but not
-   gated: at that size a quarter is timer noise. *)
+   gated: at that size a quarter is timer noise.
+
+   The bechamel section's count deltas print as "-": Bechamel repeats
+   each kernel as often as its time quota allows, so its counts differ
+   between two runs of one build. Its wall time is shown and gated like
+   any other section's. *)
 
 let schema = "nontree-bench-v1"
 let usage = "usage: bench_diff [--threshold F] OLD.json NEW.json"
 let min_wall = 0.5
+let repeats_by_time name = name = "bechamel"
 
 let die fmt =
   Printf.ksprintf (fun s -> prerr_endline ("bench_diff: " ^ s); exit 2) fmt
@@ -113,13 +119,17 @@ let () =
             in
             let gated = Float.max o.wall_s n.wall_s >= min_wall in
             let regressed = gated && growth > !threshold in
+            let delta count =
+              if repeats_by_time name then "-"
+              else Printf.sprintf "%+d" (count n - count o)
+            in
             Printf.printf
-              "%-10s %9.3f %9.3f %+7.1f%% %+13d %+18d %+14d %+11d %17s%s\n"
+              "%-10s %9.3f %9.3f %+7.1f%% %13s %18s %14s %11s %17s%s\n"
               name o.wall_s n.wall_s (100.0 *. growth)
-              (n.oracle_calls - o.oracle_calls)
-              (n.incremental_evals - o.incremental_evals)
-              (n.spice_steps - o.spice_steps)
-              (n.cache_hits - o.cache_hits)
+              (delta (fun s -> s.oracle_calls))
+              (delta (fun s -> s.incremental_evals))
+              (delta (fun s -> s.spice_steps))
+              (delta (fun s -> s.cache_hits))
               (steps_per_eval o ^ " -> " ^ steps_per_eval n)
               (if regressed then "  REGRESSED" else "");
             regressed)

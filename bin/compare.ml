@@ -23,6 +23,15 @@ let algorithms tech model net =
       (Nontree.Ldrg.run ~model ~tech (Ert.construct ~tech net))
         .Nontree.Ldrg.final ) ]
 
+(* --model: each name's (search, evaluation) model pair. *)
+let models =
+  [ ("moment", (Delay.Model.First_moment, Delay.Model.First_moment));
+    ( "spice",
+      ( Delay.Model.Spice Delay.Model.fast_spice,
+        Delay.Model.Spice Delay.Model.default_spice ) );
+    ("mixed", (Delay.Model.First_moment, Delay.Model.Spice Delay.Model.fast_spice))
+  ]
+
 let finish_observability ~model_name ~metrics_json ~trace =
   if trace then (
     match Obs.span_summary () with
@@ -43,14 +52,7 @@ let run net_file model_name metrics_json trace =
   | Error e -> `Error (false, net_file ^ ": " ^ e)
   | Ok net ->
       let tech = Circuit.Technology.table1 in
-      let search, eval =
-        match model_name with
-        | "moment" -> (Delay.Model.First_moment, Delay.Model.First_moment)
-        | "spice" ->
-            ( Delay.Model.Spice Delay.Model.fast_spice,
-              Delay.Model.Spice Delay.Model.default_spice )
-        | _ -> (Delay.Model.First_moment, Delay.Model.Spice Delay.Model.fast_spice)
-      in
+      let search, eval = List.assoc model_name models in
       let rows = algorithms tech search net in
       let mst = List.assoc "MST" rows in
       let base_delay = Delay.Model.max_delay eval ~tech mst in
@@ -81,7 +83,8 @@ let net_file =
 
 let model =
   Arg.(
-    value & opt string "mixed"
+    value
+    & opt (enum (List.map (fun (name, _) -> (name, name)) models)) "mixed"
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:
           "moment (all first-moment), spice (SPICE search and eval), or \

@@ -9,79 +9,25 @@ open Cmdliner
 let config_of trials sizes seed jobs =
   { Nontree.Experiment.default with trials; sizes; seed; jobs }
 
-let dispatch config table figure ext svg_dir =
+(* The artefact the flags select, as a lookup in the one list both
+   drivers print from. *)
+let lookup table figure ext =
+  let find selector missing =
+    match
+      List.find_opt
+        (fun a -> a.Harness.Runs.selector = selector)
+        Harness.Runs.artefacts
+    with
+    | Some a -> `Ok a
+    | None -> `Error (false, missing)
+  in
   match (table, figure, ext) with
-  | Some t, None, None -> (
-      match t with
-      | 1 -> print_string (Harness.Runs.table1 config); `Ok ()
-      | 2 ->
-          print_string
-            (Harness.Table.render ~title:"Table 2: LDRG Algorithm Statistics"
-               ~baseline:"the MST routing" (Harness.Runs.table2 config));
-          `Ok ()
-      | 3 ->
-          print_string
-            (Harness.Table.render ~title:"Table 3: SLDRG Algorithm Statistics"
-               ~baseline:"the Iterated-1-Steiner tree"
-               (Harness.Runs.table3 config));
-          `Ok ()
-      | 4 ->
-          print_string
-            (Harness.Table.render ~title:"Table 4: H1 Heuristic Statistics"
-               ~baseline:"the MST routing" (Harness.Runs.table4 config));
-          `Ok ()
-      | 5 ->
-          let h2, h3 = Harness.Runs.table5 config in
-          print_string
-            (Harness.Table.render ~title:"Table 5a: H2 Heuristic Statistics"
-               ~baseline:"the MST routing" h2);
-          print_string
-            (Harness.Table.render ~title:"Table 5b: H3 Heuristic Statistics"
-               ~baseline:"the MST routing" h3);
-          `Ok ()
-      | 6 ->
-          print_string
-            (Harness.Table.render
-               ~title:"Table 6: Elmore Routing Tree Statistics"
-               ~baseline:"the MST routing" (Harness.Runs.table6 config));
-          `Ok ()
-      | 7 ->
-          print_string
-            (Harness.Table.render
-               ~title:"Table 7: ERT-Based LDRG Algorithm Statistics"
-               ~baseline:"the ERT routing" (Harness.Runs.table7 config));
-          `Ok ()
-      | n -> `Error (false, Printf.sprintf "no table %d in the paper" n))
-  | None, Some f, None -> (
-      let pick =
-        match f with
-        | 1 -> Some Harness.Runs.figure1
-        | 2 -> Some Harness.Runs.figure2
-        | 3 -> Some Harness.Runs.figure3
-        | 5 -> Some Harness.Runs.figure5
-        | _ -> None
-      in
-      match pick with
-      | None -> `Error (false, Printf.sprintf "no figure %d (1, 2, 3 or 5)" f)
-      | Some fig ->
-          let result = fig config in
-          print_string (Harness.Runs.render_figure result);
-          (try Unix.mkdir svg_dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          List.iter (Printf.printf "svg: %s\n")
-            (Harness.Runs.save_figure_svgs ~dir:svg_dir result);
-          `Ok ())
-  | None, None, Some e -> (
-      match e with
-      | "csorg" -> print_string (Harness.Runs.ext_csorg config); `Ok ()
-      | "wsorg" -> print_string (Harness.Runs.ext_wsorg config); `Ok ()
-      | "oracle" -> print_string (Harness.Runs.ext_oracle config); `Ok ()
-      | "rlc" -> print_string (Harness.Runs.ext_rlc config); `Ok ()
-      | "trees" -> print_string (Harness.Runs.ext_trees config); `Ok ()
-      | "budget" -> print_string (Harness.Runs.ext_budget config); `Ok ()
-      | "prune" -> print_string (Harness.Runs.ext_prune config); `Ok ()
-      | "sensitivity" -> print_string (Harness.Runs.ext_sensitivity config); `Ok ()
-      | e -> `Error (false, "unknown extension " ^ e))
+  | Some t, None, None ->
+      find (Harness.Runs.Table t) (Printf.sprintf "no table %d in the paper" t)
+  | None, Some f, None ->
+      find (Harness.Runs.Figure f)
+        (Printf.sprintf "no figure %d (1, 2, 3 or 5)" f)
+  | None, None, Some e -> find (Harness.Runs.Ext e) ("unknown extension " ^ e)
   | None, None, None ->
       `Error (true, "pick one of --table, --figure or --ext")
   | _ -> `Error (true, "--table, --figure and --ext are mutually exclusive")
@@ -111,61 +57,53 @@ let write_manifest ~path ~meta =
     ();
   Printf.eprintf "wrote metrics manifest %s\n%!" path
 
-(* More worker domains than cores only slows a run down: OCaml 5 minor
-   collections stop every domain, and the scoring path allocates. *)
-let clamp_jobs requested =
-  let cores = Domain.recommended_domain_count () in
-  if requested <= cores then requested
-  else begin
-    Logs.warn (fun m ->
-        m "--jobs %d exceeds the %d available cores; using %d" requested
-          cores cores);
-    cores
-  end
-
 let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
     jobs_requested metrics_json trace log_level =
   Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   Logs.set_level log_level;
-  if jobs_requested < 1 then `Error (false, "--jobs must be >= 1")
-  else begin
-    let jobs = clamp_jobs jobs_requested in
-    if trace || metrics_json <> None then Obs.set_enabled true;
-    Nontree_error.Counters.reset ();
-    Nontree.Oracle.Cache.reset ();
-    if fault_rate > 0.0 then
-      (* Derive the fault schedule from the experiment seed unless pinned,
-         so --seed alone reproduces the whole run, faults included. *)
-      Fault.enable_uniform ~rate:fault_rate
-        ~seed:(match fault_seed with Some s -> s | None -> seed + 0x5EED)
-    else Fault.disable ();
-    let config = config_of trials sizes seed jobs in
-    let result =
-      try dispatch config table figure ext svg_dir
-      with Nontree_error.Error e ->
-        `Error (false, "oracle failure: " ^ Nontree_error.to_string e)
-    in
-    (match Harness.Runs.robustness_summary () with
-    | Some line -> Printf.eprintf "%s\n%!" line
-    | None -> ());
-    (match Nontree.Oracle.Cache.summary () with
-    | Some line -> Printf.eprintf "%s\n%!" line
-    | None -> ());
-    if trace then (
-      match Obs.span_summary () with
-      | Some s -> Printf.eprintf "%s%!" s
+  match Harness.Runs.clamp_jobs jobs_requested with
+  | Error e -> `Error (false, e)
+  | Ok jobs ->
+      if trace || metrics_json <> None then Obs.set_enabled true;
+      Nontree_error.Counters.reset ();
+      Nontree.Oracle.Cache.reset ();
+      if fault_rate > 0.0 then
+        (* Derive the fault schedule from the experiment seed unless pinned,
+           so --seed alone reproduces the whole run, faults included. *)
+        Fault.enable_uniform ~rate:fault_rate
+          ~seed:(match fault_seed with Some s -> s | None -> seed + 0x5EED)
+      else Fault.disable ();
+      let config = config_of trials sizes seed jobs in
+      let result =
+        match lookup table figure ext with
+        | `Error _ as e -> e
+        | `Ok a -> (
+            try
+              print_string (a.Harness.Runs.render config ~svg_dir);
+              `Ok ()
+            with Nontree_error.Error e ->
+              `Error (false, "oracle failure: " ^ Nontree_error.to_string e))
+      in
+      (match Harness.Runs.robustness_summary () with
+      | Some line -> Printf.eprintf "%s\n%!" line
       | None -> ());
-    (* Write the manifest even when dispatch errored: a partial run's
-       counters are exactly what post-mortems want. *)
-    (match metrics_json with
-    | Some path ->
-        write_manifest ~path
-          ~meta:
-            (manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested
-               ~fault_rate)
-    | None -> ());
-    result
-  end
+      (match Nontree.Oracle.Cache.summary () with
+      | Some line -> Printf.eprintf "%s\n%!" line
+      | None -> ());
+      if trace then (
+        match Obs.span_summary () with
+        | Some s -> Printf.eprintf "%s%!" s
+        | None -> ());
+      (* Write the manifest even when the run errored: a partial run's
+         counters are exactly what post-mortems want. *)
+      (match metrics_json with
+      | Some path ->
+          write_manifest ~path
+            ~meta:
+              (manifest_meta ~trials ~sizes ~seed ~jobs ~jobs_requested
+                 ~fault_rate)
+      | None -> ());
+      result
 
 let table =
   Arg.(

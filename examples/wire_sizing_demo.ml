@@ -51,9 +51,9 @@ let () =
   (* The Section 5.2 observation: doubling a width is exactly a merged
      pair of parallel wires. *)
   let e = List.hd (Graphs.Wgraph.edges (Routing.graph mst)) in
+  let u = e.Graphs.Wgraph.u and v = e.Graphs.Wgraph.v in
   Printf.printf
-    "merged-parallel check on edge %d-%d: doubled width gives %.3f ns\n"
-    e.Graphs.Wgraph.u e.Graphs.Wgraph.v
-    (Nontree.Wire_sizing.merge_parallel_delay ~model:moment ~tech mst
-       (e.Graphs.Wgraph.u, e.Graphs.Wgraph.v)
+    "merged-parallel check on edge %d-%d: doubled width gives %.3f ns\n" u v
+    (Delay.Model.max_delay moment ~tech
+       (Routing.set_width mst u v (2.0 *. Routing.width mst u v))
     *. 1e9)

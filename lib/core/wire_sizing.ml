@@ -31,8 +31,3 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
     List.map
       (function Incremental.Resize (e, w) -> (e, w) | Add _ -> assert false)
       edits )
-
-let merge_parallel_delay ~model ~tech r (u, v) =
-  let current = Routing.width r u v in
-  Oracle.Cache.max_delay ~model ~tech
-    (Routing.set_width r u v (2.0 *. current))

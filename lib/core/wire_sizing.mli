@@ -4,8 +4,7 @@
     width-2w wire, so the non-tree idea generalises to a width function
     w : E → ℝ. Wider wires have lower resistance and higher
     capacitance; widening near the source usually pays. This module
-    provides the greedy discrete sizing pass and the parallel-merge
-    observation as code. *)
+    provides the greedy discrete sizing pass. *)
 
 val wire_area : Routing.t -> float
 (** Σ length × width — the silicon area cost that replaces raw
@@ -34,16 +33,3 @@ val size_greedy :
 
     @raise Invalid_argument when [widths] is not strictly increasing
     or does not start at 1. *)
-
-val merge_parallel_delay :
-  model:Delay.Model.t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  int * int ->
-  float
-(** Delay of the routing in which the given *existing* edge is doubled
-    in width — the "merged parallel wire" equivalent of adding a second
-    identical wire alongside it. Demonstrates the Section 5.2
-    equivalence; tested against an explicitly duplicated wire.
-
-    @raise Not_found when the edge is absent. *)

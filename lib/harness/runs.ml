@@ -37,13 +37,6 @@ let map_nets pool ~what f nets =
     (Pool.map pool (fun net -> protect_net ~what (fun () -> f net))
        (Array.to_list nets))
 
-let measure config r =
-  Nontree.Eval.measure ~model:config.Nontree.Experiment.eval_model
-    ~tech:config.Nontree.Experiment.tech r
-
-let sample_pair config ~baseline ~routing =
-  Nontree.Experiment.sample config ~baseline ~routing
-
 let unit_sample = { Nontree.Stats.delay_ratio = 1.0; cost_ratio = 1.0 }
 
 let table1 config =
@@ -54,52 +47,52 @@ let table1 config =
 
 (* Per-iteration aggregation ------------------------------------------- *)
 
+let iteration_labels = [ "Iteration One"; "Iteration Two" ]
+let iterations = List.length iteration_labels
+
 (* For each net: samples.(k) = effect of edge k+1 relative to the
    routing after k edges; reached.(k) says whether the greedy loop
    actually added that edge. *)
-let iteration_samples config ~iterations (trace : Nontree.Ldrg.trace) =
+let iteration_samples config (trace : Nontree.Ldrg.trace) =
   let steps = List.length trace.Nontree.Ldrg.steps in
   Array.init iterations (fun i ->
       let k = i + 1 in
       if steps >= k then
-        ( sample_pair config
+        ( Nontree.Experiment.sample config
             ~baseline:(Nontree.Ldrg.routing_after trace (k - 1))
             ~routing:(Nontree.Ldrg.routing_after trace k),
           true )
       else (unit_sample, false))
 
-let iteration_rows ~iterations ~labels traces =
-  List.init iterations (fun i ->
+(* One summary per iteration, [None] when no net reached it. *)
+let iteration_rows traces =
+  Array.init iterations (fun i ->
       let per_net = List.map (fun a -> a.(i)) traces in
-      let reached = List.exists snd per_net in
-      let row =
-        if reached then Some (Nontree.Stats.summarize (List.map fst per_net))
-        else None
-      in
-      (List.nth labels i, row))
+      if List.exists snd per_net then
+        Some (Nontree.Stats.summarize (List.map fst per_net))
+      else None)
 
-let per_iteration_table config ~iterations ~labels ~algorithm =
+(* Rows label by label, so each iteration block lists every size. *)
+let per_iteration_table config ~algorithm =
   with_pool config (fun pool ->
-      List.concat_map
-        (fun size ->
-          let nets = Nontree.Experiment.nets config ~size in
-          let traces =
-            map_nets pool ~what:(Printf.sprintf "size %d" size)
-              (fun net ->
-                iteration_samples config ~iterations (algorithm pool net))
-              nets
-          in
-          List.map
-            (fun (label, row) -> { Table.label; size; row })
-            (iteration_rows ~iterations ~labels traces))
-        config.Nontree.Experiment.sizes)
-  (* Group rows so each iteration block lists every size. *)
-  |> List.stable_sort (fun a b ->
-         compare
-           (List.assoc a.Table.label
-              (List.mapi (fun i l -> (l, i)) labels))
-           (List.assoc b.Table.label
-              (List.mapi (fun i l -> (l, i)) labels)))
+      let by_size =
+        List.map
+          (fun size ->
+            let nets = Nontree.Experiment.nets config ~size in
+            ( size,
+              iteration_rows
+                (map_nets pool ~what:(Printf.sprintf "size %d" size)
+                   (fun net -> iteration_samples config (algorithm pool net))
+                   nets) ))
+          config.Nontree.Experiment.sizes
+      in
+      List.concat
+        (List.mapi
+           (fun i label ->
+             List.map
+               (fun (size, rows) -> { Table.label; size; row = rows.(i) })
+               by_size)
+           iteration_labels))
 
 let simple_table config ~algorithm =
   with_pool config (fun pool ->
@@ -110,7 +103,7 @@ let simple_table config ~algorithm =
             map_nets pool ~what:(Printf.sprintf "size %d" size)
               (fun net ->
                 let baseline, routing = algorithm pool net in
-                sample_pair config ~baseline ~routing)
+                Nontree.Experiment.sample config ~baseline ~routing)
               nets
           in
           let row =
@@ -122,12 +115,9 @@ let simple_table config ~algorithm =
 
 (* Tables --------------------------------------------------------------- *)
 
-let iteration_labels = [ "Iteration One"; "Iteration Two"; "Iteration Three" ]
-
-let table2 ?(iterations = 2) config =
+let table2 config =
   Obs.span "harness.table2" @@ fun () ->
-  per_iteration_table config ~iterations
-    ~labels:iteration_labels
+  per_iteration_table config
     ~algorithm:(fun pool net ->
       Nontree.Ldrg.run ~pool ~model:config.Nontree.Experiment.search_model
         ~tech:config.Nontree.Experiment.tech
@@ -142,10 +132,9 @@ let table3 config =
       in
       (trace.Nontree.Ldrg.initial, trace.Nontree.Ldrg.final))
 
-let table4 ?(iterations = 2) config =
+let table4 config =
   Obs.span "harness.table4" @@ fun () ->
-  per_iteration_table config ~iterations
-    ~labels:iteration_labels
+  per_iteration_table config
     ~algorithm:(fun _pool net ->
       (* H1 adds at most one predetermined edge per iteration — nothing
          to score in parallel; its speedup comes from the per-net
@@ -197,13 +186,17 @@ type figure = {
 }
 
 let figure_of_trace config ~id ~description (trace : Nontree.Ldrg.trace) =
-  let base = measure config trace.Nontree.Ldrg.initial in
-  let final = measure config trace.Nontree.Ldrg.final in
+  let measure =
+    Nontree.Eval.measure ~model:config.Nontree.Experiment.eval_model
+      ~tech:config.Nontree.Experiment.tech
+  in
+  let base = measure trace.Nontree.Ldrg.initial in
+  let final = measure trace.Nontree.Ldrg.final in
   let stages =
     List.mapi
       (fun k _ ->
         let r = Nontree.Ldrg.routing_after trace (k + 1) in
-        let m = measure config r in
+        let m = measure r in
         (m.Nontree.Eval.delay, m.Nontree.Eval.cost))
       trace.Nontree.Ldrg.steps
   in
@@ -367,7 +360,15 @@ let save_figure_svgs ~dir f =
 
 (* Extensions ------------------------------------------------------------ *)
 
-let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+(* [map_nets]'s per-net results, each the report's fields as a list,
+   read as columns: [columns rows i] is field [i] of every kept net, in
+   net order. A yes/no field holds 1.0 for yes, so its [sum] counts. *)
+let columns rows i = List.map (fun row -> List.nth row i) rows
+
+(* Summed from the last net to the first, the order these reports have
+   always summed in: the printed digits depend on it. *)
+let sum l = List.fold_left ( +. ) 0.0 (List.rev l)
+let mean l = sum l /. float_of_int (List.length l)
 
 (* [mean] of an empty list is 0/0 = nan; when fault injection drops
    every net of an extension experiment, say so instead of printing
@@ -388,46 +389,39 @@ let ext_csorg config =
     List.assoc v
       (Delay.Model.sink_delays config.Nontree.Experiment.eval_model ~tech r)
   in
-  let ratios_ldrg = ref [] and ratios_cs = ref [] and ratios_ert = ref [] in
-  let ratios_sert = ref [] in
-  let cost_cs = ref [] in
-  List.iter
-    (fun (rl, rc, re, rs, cc) ->
-      ratios_ldrg := rl :: !ratios_ldrg;
-      ratios_cs := rc :: !ratios_cs;
-      ratios_ert := re :: !ratios_ert;
-      ratios_sert := rs :: !ratios_sert;
-      cost_cs := cc :: !cost_cs)
-    (map_nets pool ~what:"ext csorg"
-       (fun net ->
-         (* The critical sink: farthest pin from the source. *)
-         let src = Geom.Net.source net in
-         let critical = ref 1 in
-         for v = 2 to Geom.Net.num_sinks net do
-           if
-             Geom.Point.manhattan src (Geom.Net.pin net v)
-             > Geom.Point.manhattan src (Geom.Net.pin net !critical)
-           then critical := v
-         done;
-         let critical = !critical in
-         let alphas = Nontree.Critical_sink.one_hot net ~critical in
-         let mst = Routing.mst_of_net net in
-         let base = spice_sink_delay mst critical in
-         let ldrg =
-           (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
-         in
-         let cs =
-           (Nontree.Critical_sink.ldrg ~pool ~model:search ~tech ~alphas mst)
-             .Nontree.Ldrg.final
-         in
-         let ert_w = Nontree.Critical_sink.ert_seed ~tech ~alphas net in
-         let sert = Ert.construct_critical ~tech ~critical net in
-         ( spice_sink_delay ldrg critical /. base,
-           spice_sink_delay cs critical /. base,
-           spice_sink_delay ert_w critical /. base,
-           spice_sink_delay sert critical /. base,
-           Routing.cost cs /. Routing.cost mst ))
-       nets);
+  let col =
+    columns
+      (map_nets pool ~what:"ext csorg"
+         (fun net ->
+           (* The critical sink: farthest pin from the source. *)
+           let src = Geom.Net.source net in
+           let critical = ref 1 in
+           for v = 2 to Geom.Net.num_sinks net do
+             if
+               Geom.Point.manhattan src (Geom.Net.pin net v)
+               > Geom.Point.manhattan src (Geom.Net.pin net !critical)
+             then critical := v
+           done;
+           let critical = !critical in
+           let alphas = Nontree.Critical_sink.one_hot net ~critical in
+           let mst = Routing.mst_of_net net in
+           let base = spice_sink_delay mst critical in
+           let ldrg =
+             (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
+           in
+           let cs =
+             (Nontree.Critical_sink.ldrg ~pool ~model:search ~tech ~alphas mst)
+               .Nontree.Ldrg.final
+           in
+           let ert_w = Nontree.Critical_sink.ert_seed ~tech ~alphas net in
+           let sert = Ert.construct_critical ~tech ~critical net in
+           [ spice_sink_delay ldrg critical /. base;
+             spice_sink_delay cs critical /. base;
+             spice_sink_delay ert_w critical /. base;
+             spice_sink_delay sert critical /. base;
+             Routing.cost cs /. Routing.cost mst ])
+         nets)
+  in
   Printf.sprintf
     "Extension X1 -- CSORG, critical-sink routing (Section 5.1)\n\
     \  %d nets of %d pins; criticality one-hot on the farthest sink;\n\
@@ -436,9 +430,9 @@ let ext_csorg config =
     \    critical-sink LDRG           : %s   (cost ratio %s)\n\
     \    criticality-weighted ERT     : %s\n\
     \    SERT-C (direct first wire)   : %s\n"
-    (Array.length nets) size (mean_fmt !ratios_ldrg) (mean_fmt !ratios_cs)
-    (mean_fmt ~decimals:2 !cost_cs)
-    (mean_fmt !ratios_ert) (mean_fmt !ratios_sert)
+    (Array.length nets) size (mean_fmt (col 0)) (mean_fmt (col 1))
+    (mean_fmt ~decimals:2 (col 4))
+    (mean_fmt (col 2)) (mean_fmt (col 3))
 
 let ext_wsorg config =
   Obs.span "harness.ext_wsorg" @@ fun () ->
@@ -448,35 +442,29 @@ let ext_wsorg config =
   let nets = Nontree.Experiment.nets config ~size in
   let search = Delay.Model.First_moment in
   let delay r = Delay.Model.max_delay config.Nontree.Experiment.eval_model ~tech r in
-  let d_sized = ref [] and d_ldrg = ref [] and d_both = ref [] in
-  let a_sized = ref [] and a_both = ref [] in
-  List.iter
-    (fun (ds, dl, db, asz, ab) ->
-      d_sized := ds :: !d_sized;
-      d_ldrg := dl :: !d_ldrg;
-      d_both := db :: !d_both;
-      a_sized := asz :: !a_sized;
-      a_both := ab :: !a_both)
-    (map_nets pool ~what:"ext wsorg"
-       (fun net ->
-         let mst = Routing.mst_of_net net in
-         let base_delay = delay mst in
-         let base_len = Routing.cost mst in
-         let sized, _ =
-           Nontree.Wire_sizing.size_greedy ~model:search ~tech mst
-         in
-         let ldrg =
-           (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
-         in
-         let both, _ =
-           Nontree.Wire_sizing.size_greedy ~model:search ~tech ldrg
-         in
-         ( delay sized /. base_delay,
-           delay ldrg /. base_delay,
-           delay both /. base_delay,
-           Nontree.Wire_sizing.wire_area sized /. base_len,
-           Nontree.Wire_sizing.wire_area both /. base_len ))
-       nets);
+  let col =
+    columns
+      (map_nets pool ~what:"ext wsorg"
+         (fun net ->
+           let mst = Routing.mst_of_net net in
+           let base_delay = delay mst in
+           let base_len = Routing.cost mst in
+           let sized, _ =
+             Nontree.Wire_sizing.size_greedy ~model:search ~tech mst
+           in
+           let ldrg =
+             (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
+           in
+           let both, _ =
+             Nontree.Wire_sizing.size_greedy ~model:search ~tech ldrg
+           in
+           [ delay sized /. base_delay;
+             delay ldrg /. base_delay;
+             delay both /. base_delay;
+             Nontree.Wire_sizing.wire_area sized /. base_len;
+             Nontree.Wire_sizing.wire_area both /. base_len ])
+         nets)
+  in
   Printf.sprintf
     "Extension X2 -- WSORG, wire sizing (Section 5.2)\n\
     \  %d nets of %d pins; widths in {1,2,3}; SPICE delay vs MST, silicon\n\
@@ -484,10 +472,10 @@ let ext_wsorg config =
     \    MST + greedy sizing          : delay %s, area %s\n\
     \    LDRG graph                   : delay %s\n\
     \    LDRG + greedy sizing         : delay %s, area %s\n"
-    (Array.length nets) size (mean_fmt !d_sized)
-    (mean_fmt ~decimals:2 !a_sized)
-    (mean_fmt !d_ldrg) (mean_fmt !d_both)
-    (mean_fmt ~decimals:2 !a_both)
+    (Array.length nets) size (mean_fmt (col 0))
+    (mean_fmt ~decimals:2 (col 3))
+    (mean_fmt (col 1)) (mean_fmt (col 2))
+    (mean_fmt ~decimals:2 (col 4))
 
 let ext_oracle config =
   Obs.span "harness.ext_oracle" @@ fun () ->
@@ -505,31 +493,28 @@ let ext_oracle config =
         let lines =
           List.map
             (fun (name, oracle) ->
-              let delays = ref [] and costs = ref [] and evals = ref [] in
-              List.iter
-                (fun (d, c, e) ->
-                  delays := d :: !delays;
-                  costs := c :: !costs;
-                  evals := e :: !evals)
-                (map_nets pool ~what:"ext oracle"
-                   (fun net ->
-                     let mst = Routing.mst_of_net net in
-                     let trace =
-                       Nontree.Ldrg.run ~pool ~model:oracle ~tech mst
-                     in
-                     let s =
-                       sample_pair config ~baseline:mst
-                         ~routing:trace.Nontree.Ldrg.final
-                     in
-                     ( s.Nontree.Stats.delay_ratio,
-                       s.Nontree.Stats.cost_ratio,
-                       float_of_int trace.Nontree.Ldrg.evaluations ))
-                   nets);
+              let col =
+                columns
+                  (map_nets pool ~what:"ext oracle"
+                     (fun net ->
+                       let mst = Routing.mst_of_net net in
+                       let trace =
+                         Nontree.Ldrg.run ~pool ~model:oracle ~tech mst
+                       in
+                       let s =
+                         Nontree.Experiment.sample config ~baseline:mst
+                           ~routing:trace.Nontree.Ldrg.final
+                       in
+                       [ s.Nontree.Stats.delay_ratio;
+                         s.Nontree.Stats.cost_ratio;
+                         float_of_int trace.Nontree.Ldrg.evaluations ])
+                     nets)
+              in
               Printf.sprintf
                 "    %-14s: delay %s, cost %s, oracle calls %s" name
-                (mean_fmt !delays)
-                (mean_fmt ~decimals:2 !costs)
-                (mean_fmt ~decimals:0 !evals))
+                (mean_fmt (col 0))
+                (mean_fmt ~decimals:2 (col 1))
+                (mean_fmt ~decimals:0 (col 2)))
             oracles
         in
         Printf.sprintf "  size %d (%d nets):\n%s" size (Array.length nets)
@@ -548,29 +533,24 @@ let ext_rlc config =
   let nets = Nontree.Experiment.nets config ~size in
   let rc = Delay.Model.Spice Delay.Model.default_spice in
   let rlc = Delay.Model.Spice Delay.Model.rlc_spice in
-  let mst_shift = ref [] and ldrg_shift = ref [] in
-  let agree = ref 0 and kept = ref 0 in
-  List.iter
-    (fun (ms, ls, ag) ->
-      mst_shift := ms :: !mst_shift;
-      ldrg_shift := ls :: !ldrg_shift;
-      incr kept;
-      if ag then incr agree)
-    (map_nets pool ~what:"ext rlc"
-       (fun net ->
-         let mst = Routing.mst_of_net net in
-         let graph =
-           (Nontree.Ldrg.run ~pool
-              ~model:config.Nontree.Experiment.search_model ~tech mst)
-             .Nontree.Ldrg.final
-         in
-         let d model r = Delay.Model.max_delay model ~tech r in
-         let mst_rc = d rc mst and mst_rlc = d rlc mst in
-         let g_rc = d rc graph and g_rlc = d rlc graph in
-         ( mst_rlc /. mst_rc,
-           g_rlc /. g_rc,
-           g_rc < mst_rc = (g_rlc < mst_rlc) ))
-       nets);
+  let col =
+    columns
+      (map_nets pool ~what:"ext rlc"
+         (fun net ->
+           let mst = Routing.mst_of_net net in
+           let graph =
+             (Nontree.Ldrg.run ~pool
+                ~model:config.Nontree.Experiment.search_model ~tech mst)
+               .Nontree.Ldrg.final
+           in
+           let d model r = Delay.Model.max_delay model ~tech r in
+           let mst_rc = d rc mst and mst_rlc = d rlc mst in
+           let g_rc = d rc graph and g_rlc = d rlc graph in
+           [ mst_rlc /. mst_rc;
+             g_rlc /. g_rc;
+             Bool.to_float (g_rc < mst_rc = (g_rlc < mst_rlc)) ])
+         nets)
+  in
   Printf.sprintf
     "Extension X4 -- RC vs RLC evaluation (Table 1 inductance, 492 fH/um)\n\
     \  %d nets of %d pins.\n\
@@ -578,14 +558,18 @@ let ext_rlc config =
     \    RLC/RC delay ratio, LDRG topologies : %s\n\
     \    LDRG-vs-MST winner agreement        : %d/%d nets\n"
     (Array.length nets) size
-    (mean_fmt ~decimals:5 !mst_shift)
-    (mean_fmt ~decimals:5 !ldrg_shift)
-    !agree !kept
+    (mean_fmt ~decimals:5 (col 0))
+    (mean_fmt ~decimals:5 (col 1))
+    (int_of_float (sum (col 2)))
+    (List.length (col 2))
 
 let ext_trees config =
   Obs.span "harness.ext_trees" @@ fun () ->
   with_pool config @@ fun pool ->
   let tech = config.Nontree.Experiment.tech in
+  let measure =
+    Nontree.Eval.measure ~model:config.Nontree.Experiment.eval_model ~tech
+  in
   let size = 10 in
   let nets = Nontree.Experiment.nets config ~size in
   let seeds =
@@ -597,37 +581,35 @@ let ext_trees config =
   let lines =
     List.map
       (fun (name, build) ->
-        let seed_delay = ref [] and seed_cost = ref [] in
-        let ldrg_gain = ref [] and win = ref 0 in
-        List.iter
-          (fun (sd, sc, lg, w) ->
-            seed_delay := sd :: !seed_delay;
-            seed_cost := sc :: !seed_cost;
-            ldrg_gain := lg :: !ldrg_gain;
-            if w then incr win)
-          (map_nets pool ~what:"ext trees"
-             (fun net ->
-               let mst = Routing.mst_of_net net in
-               let base = measure config mst in
-               let seed_tree = build net in
-               let sm = measure config seed_tree in
-               let trace =
-                 Nontree.Ldrg.run ~pool
-                   ~model:config.Nontree.Experiment.search_model ~tech
-                   seed_tree
-               in
-               let fm = measure config trace.Nontree.Ldrg.final in
-               ( sm.Nontree.Eval.delay /. base.Nontree.Eval.delay,
-                 sm.Nontree.Eval.cost /. base.Nontree.Eval.cost,
-                 fm.Nontree.Eval.delay /. sm.Nontree.Eval.delay,
-                 fm.Nontree.Eval.delay
-                 < sm.Nontree.Eval.delay *. (1.0 -. 1e-9) ))
-             nets);
+        let col =
+          columns
+            (map_nets pool ~what:"ext trees"
+               (fun net ->
+                 let mst = Routing.mst_of_net net in
+                 let base = measure mst in
+                 let seed_tree = build net in
+                 let sm = measure seed_tree in
+                 let trace =
+                   Nontree.Ldrg.run ~pool
+                     ~model:config.Nontree.Experiment.search_model ~tech
+                     seed_tree
+                 in
+                 let fm = measure trace.Nontree.Ldrg.final in
+                 [ sm.Nontree.Eval.delay /. base.Nontree.Eval.delay;
+                   sm.Nontree.Eval.cost /. base.Nontree.Eval.cost;
+                   fm.Nontree.Eval.delay /. sm.Nontree.Eval.delay;
+                   Bool.to_float
+                     (fm.Nontree.Eval.delay
+                     < sm.Nontree.Eval.delay *. (1.0 -. 1e-9)) ])
+               nets)
+        in
         Printf.sprintf
           "    %-15s delay %s cost %s (vs MST) | LDRG on it: x%s delay, wins %d/%d"
-          name (mean_fmt !seed_delay)
-          (mean_fmt ~decimals:2 !seed_cost)
-          (mean_fmt !ldrg_gain) !win (Array.length nets))
+          name (mean_fmt (col 0))
+          (mean_fmt ~decimals:2 (col 1))
+          (mean_fmt (col 2))
+          (int_of_float (sum (col 3)))
+          (Array.length nets))
       seeds
   in
   Printf.sprintf
@@ -645,31 +627,29 @@ let ext_budget config =
   let lines =
     List.map
       (fun budget ->
-        let delays = ref [] and costs = ref [] in
-        List.iter
-          (fun (d, c) ->
-            delays := d :: !delays;
-            costs := c :: !costs)
-          (map_nets pool ~what:"ext budget"
-             (fun net ->
-               let mst = Routing.mst_of_net net in
-               let trace =
-                 if budget = infinity then
-                   Nontree.Ldrg.run ~pool
-                     ~model:config.Nontree.Experiment.search_model ~tech mst
-                 else
-                   Nontree.Ldrg.run_budgeted ~pool ~max_cost_ratio:budget
-                     ~model:config.Nontree.Experiment.search_model ~tech mst
-               in
-               let s =
-                 sample_pair config ~baseline:mst
-                   ~routing:trace.Nontree.Ldrg.final
-               in
-               (s.Nontree.Stats.delay_ratio, s.Nontree.Stats.cost_ratio))
-             nets);
+        let col =
+          columns
+            (map_nets pool ~what:"ext budget"
+               (fun net ->
+                 let mst = Routing.mst_of_net net in
+                 let trace =
+                   if budget = infinity then
+                     Nontree.Ldrg.run ~pool
+                       ~model:config.Nontree.Experiment.search_model ~tech mst
+                   else
+                     Nontree.Ldrg.run_budgeted ~pool ~max_cost_ratio:budget
+                       ~model:config.Nontree.Experiment.search_model ~tech mst
+                 in
+                 let s =
+                   Nontree.Experiment.sample config ~baseline:mst
+                     ~routing:trace.Nontree.Ldrg.final
+                 in
+                 [ s.Nontree.Stats.delay_ratio; s.Nontree.Stats.cost_ratio ])
+               nets)
+        in
         Printf.sprintf "    budget %-8s delay %s, cost %s"
           (if budget = infinity then "inf" else Printf.sprintf "%.2fx" budget)
-          (mean_fmt !delays) (mean_fmt !costs))
+          (mean_fmt (col 0)) (mean_fmt (col 1)))
       budgets
   in
   Printf.sprintf
@@ -683,43 +663,39 @@ let ext_prune config =
   Obs.span "harness.ext_prune" @@ fun () ->
   with_pool config @@ fun pool ->
   let tech = config.Nontree.Experiment.tech in
+  let measure =
+    Nontree.Eval.measure ~model:config.Nontree.Experiment.eval_model ~tech
+  in
   let size = 10 in
   let nets = Nontree.Experiment.nets config ~size in
   let search = config.Nontree.Experiment.search_model in
-  let d_ldrg = ref [] and c_ldrg = ref [] in
-  let d_pruned = ref [] and c_pruned = ref [] in
-  let removed = ref 0 in
-  List.iter
-    (fun (dl, cl, dp, cp, rm) ->
-      d_ldrg := dl :: !d_ldrg;
-      c_ldrg := cl :: !c_ldrg;
-      d_pruned := dp :: !d_pruned;
-      c_pruned := cp :: !c_pruned;
-      removed := !removed + rm)
-    (map_nets pool ~what:"ext prune"
-       (fun net ->
-         let mst = Routing.mst_of_net net in
-         let base = measure config mst in
-         let ldrg =
-           (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
-         in
-         let prune = Nontree.Prune.run ~model:search ~tech ldrg in
-         let lm = measure config ldrg in
-         let pm = measure config prune.Nontree.Prune.final in
-         ( lm.Nontree.Eval.delay /. base.Nontree.Eval.delay,
-           lm.Nontree.Eval.cost /. base.Nontree.Eval.cost,
-           pm.Nontree.Eval.delay /. base.Nontree.Eval.delay,
-           pm.Nontree.Eval.cost /. base.Nontree.Eval.cost,
-           List.length prune.Nontree.Prune.removals ))
-       nets);
+  let col =
+    columns
+      (map_nets pool ~what:"ext prune"
+         (fun net ->
+           let mst = Routing.mst_of_net net in
+           let base = measure mst in
+           let ldrg =
+             (Nontree.Ldrg.run ~pool ~model:search ~tech mst).Nontree.Ldrg.final
+           in
+           let prune = Nontree.Prune.run ~model:search ~tech ldrg in
+           let lm = measure ldrg in
+           let pm = measure prune.Nontree.Prune.final in
+           [ lm.Nontree.Eval.delay /. base.Nontree.Eval.delay;
+             lm.Nontree.Eval.cost /. base.Nontree.Eval.cost;
+             pm.Nontree.Eval.delay /. base.Nontree.Eval.delay;
+             pm.Nontree.Eval.cost /. base.Nontree.Eval.cost;
+             float_of_int (List.length prune.Nontree.Prune.removals) ])
+         nets)
+  in
   Printf.sprintf
     "Extension X7 -- delay-preserving pruning after LDRG (%d nets of %d pins)\n\
     \  remove edges while the delay stays within 0.1%%; vs MST.\n\
     \    LDRG            : delay %s, cost %s\n\
     \    LDRG + prune    : delay %s, cost %s  (%.1f edges removed/net)\n"
-    (Array.length nets) size (mean_fmt !d_ldrg) (mean_fmt !c_ldrg)
-    (mean_fmt !d_pruned) (mean_fmt !c_pruned)
-    (float_of_int !removed /. float_of_int (Array.length nets))
+    (Array.length nets) size (mean_fmt (col 0)) (mean_fmt (col 1))
+    (mean_fmt (col 2)) (mean_fmt (col 3))
+    (sum (col 4) /. float_of_int (Array.length nets))
 
 let ext_sensitivity config =
   Obs.span "harness.ext_sensitivity" @@ fun () ->
@@ -736,29 +712,28 @@ let ext_sensitivity config =
       (fun rd ->
         let tech = { base_tech with Circuit.Technology.driver_resistance = rd } in
         let local = { config with Nontree.Experiment.tech = tech } in
-        let delays = ref [] and costs = ref [] and wins = ref 0 in
-        List.iter
-          (fun (d, c, w) ->
-            delays := d :: !delays;
-            costs := c :: !costs;
-            if w then incr wins)
-          (map_nets pool ~what:"ext sensitivity"
-             (fun net ->
-               let mst = Routing.mst_of_net net in
-               let trace =
-                 Nontree.Ldrg.run ~pool
-                   ~model:local.Nontree.Experiment.search_model ~tech mst
-               in
-               let s =
-                 sample_pair local ~baseline:mst
-                   ~routing:trace.Nontree.Ldrg.final
-               in
-               ( s.Nontree.Stats.delay_ratio,
-                 s.Nontree.Stats.cost_ratio,
-                 Nontree.Stats.winner s ))
-             nets);
+        let col =
+          columns
+            (map_nets pool ~what:"ext sensitivity"
+               (fun net ->
+                 let mst = Routing.mst_of_net net in
+                 let trace =
+                   Nontree.Ldrg.run ~pool
+                     ~model:local.Nontree.Experiment.search_model ~tech mst
+                 in
+                 let s =
+                   Nontree.Experiment.sample local ~baseline:mst
+                     ~routing:trace.Nontree.Ldrg.final
+                 in
+                 [ s.Nontree.Stats.delay_ratio;
+                   s.Nontree.Stats.cost_ratio;
+                   Bool.to_float (Nontree.Stats.winner s) ])
+               nets)
+        in
         Printf.sprintf "    driver %5.0f Ohm : delay %s, cost %s, wins %d/%d"
-          rd (mean_fmt !delays) (mean_fmt !costs) !wins (Array.length nets))
+          rd (mean_fmt (col 0)) (mean_fmt (col 1))
+          (int_of_float (sum (col 2)))
+          (Array.length nets))
       drivers
   in
   Printf.sprintf
@@ -768,3 +743,95 @@ let ext_sensitivity config =
     \  drivers punish the added capacitance.\n%s\n"
     (Array.length nets) size
     (String.concat "\n" lines)
+
+(* The artefacts ---------------------------------------------------------- *)
+
+type selector = Table of int | Figure of int | Ext of string
+
+type artefact = {
+  selector : selector;
+  section : string;
+  render : config -> svg_dir:string -> string;
+}
+
+let table n render =
+  { selector = Table n;
+    section = string_of_int n;
+    render = (fun config ~svg_dir:_ -> render config) }
+
+let mst_baseline = "the MST routing"
+
+let rendered ~title ~baseline rows config =
+  Table.render ~title ~baseline (rows config)
+
+let figure n make =
+  { selector = Figure n;
+    section = "figures";
+    render =
+      (fun config ~svg_dir ->
+        let f = make config in
+        if not (Sys.file_exists svg_dir) then Sys.mkdir svg_dir 0o755;
+        render_figure f
+        ^ String.concat ""
+            (List.map (Printf.sprintf "svg: %s\n")
+               (save_figure_svgs ~dir:svg_dir f))) }
+
+let ext name run =
+  { selector = Ext name;
+    section = "ext";
+    render = (fun config ~svg_dir:_ -> run config) }
+
+let artefacts =
+  [ table 1 table1;
+    table 2
+      (rendered ~title:"Table 2: LDRG Algorithm Statistics"
+         ~baseline:mst_baseline table2);
+    table 3
+      (rendered ~title:"Table 3: SLDRG Algorithm Statistics"
+         ~baseline:"the Iterated-1-Steiner tree" table3);
+    table 4
+      (rendered ~title:"Table 4: H1 Heuristic Statistics"
+         ~baseline:mst_baseline table4);
+    table 5 (fun config ->
+        let h2, h3 = table5 config in
+        Table.render ~title:"Table 5a: H2 Heuristic Statistics"
+          ~baseline:mst_baseline h2
+        ^ Table.render ~title:"Table 5b: H3 Heuristic Statistics"
+            ~baseline:mst_baseline h3);
+    table 6
+      (rendered ~title:"Table 6: Elmore Routing Tree Statistics"
+         ~baseline:mst_baseline table6);
+    table 7
+      (rendered ~title:"Table 7: ERT-Based LDRG Algorithm Statistics"
+         ~baseline:"the ERT routing" table7);
+    figure 1 figure1;
+    figure 2 figure2;
+    figure 3 figure3;
+    figure 5 figure5;
+    ext "csorg" ext_csorg;
+    ext "wsorg" ext_wsorg;
+    ext "oracle" ext_oracle;
+    ext "rlc" ext_rlc;
+    ext "trees" ext_trees;
+    ext "budget" ext_budget;
+    ext "prune" ext_prune;
+    ext "sensitivity" ext_sensitivity ]
+
+let sections =
+  List.rev
+    (List.fold_left
+       (fun acc a -> if List.mem a.section acc then acc else a.section :: acc)
+       [] artefacts)
+
+(* More worker domains than cores only slows a run down: OCaml 5 minor
+   collections stop every domain, and the scoring path allocates. *)
+let clamp_jobs requested =
+  if requested < 1 then Error "--jobs must be >= 1"
+  else begin
+    let cores = Domain.recommended_domain_count () in
+    if requested > cores then
+      Logs.warn (fun m ->
+          m "--jobs %d exceeds the %d available cores; using %d" requested
+            cores cores);
+    Ok (min requested cores)
+  end

@@ -1,8 +1,11 @@
-(** One entry point per paper artefact (see DESIGN.md experiment index).
+(** Every paper artefact (see DESIGN.md experiment index): Tables 1-7,
+    Figures 1, 2, 3 and 5 and the Section 5 extensions, each defined
+    once in {!artefacts} with its title, baseline and output layout.
+    [bin/tables.exe] prints one of them; [bench/main.exe] prints them
+    section by section, the same bytes.
 
-    Tables take an {!Nontree.Experiment.config} so trial counts, sizes
-    and oracle fidelity can be scaled from the command line; each
-    returns rows ready for {!Table.render}. *)
+    Each run takes an {!Nontree.Experiment.config} so trial counts,
+    sizes and oracle fidelity can be scaled from the command line. *)
 
 type config = Nontree.Experiment.config
 
@@ -16,20 +19,12 @@ val robustness_summary : unit -> string option
     when nothing noteworthy (no faults, retries, fallbacks or drops)
     happened. *)
 
-val table1 : config -> string
-(** The Table 1 technology constants actually in use. *)
-
-val table2 : ?iterations:int -> config -> Table.iter_row list
-(** LDRG vs MST, with per-iteration rows: iteration k is the effect of
-    the k-th added wire relative to the routing after k−1 additions;
-    nets whose greedy loop stopped earlier contribute a 1.0 sample
-    (and a row is NA when no net reached that iteration). *)
-
-val table3 : config -> Table.iter_row list
-(** SLDRG vs the Iterated-1-Steiner tree. *)
-
-val table4 : ?iterations:int -> config -> Table.iter_row list
-(** H1 vs MST, per-iteration as in {!table2}. *)
+val table2 : config -> Table.iter_row list
+(** LDRG vs MST, with per-iteration rows (Table 4, H1, has the same
+    shape): iteration k is the effect of the k-th added wire relative
+    to the routing after k−1 additions; nets whose greedy loop stopped
+    earlier contribute a 1.0 sample (and a row is NA when no net
+    reached that iteration). *)
 
 val table5 : config -> Table.iter_row list * Table.iter_row list
 (** (H2 rows, H3 rows), both vs MST. H2/H3 apply their single edge
@@ -37,9 +32,6 @@ val table5 : config -> Table.iter_row list * Table.iter_row list
 
 val table6 : config -> Table.iter_row list
 (** ERT vs MST. *)
-
-val table7 : config -> Table.iter_row list
-(** ERT-seeded LDRG vs ERT. *)
 
 (** {1 Figures} *)
 
@@ -58,62 +50,45 @@ type figure = {
   added : (int * int) list;
 }
 
-val figure1 : config -> figure
-(** A 4-pin net where one extra wire gives a large SPICE delay
-    reduction at a small wirelength penalty (the paper's Figure 1 shows
-    −23 % delay for +9 % wire); found by deterministic search over the
-    config's net stream. *)
-
 val figure2 : config -> figure
-(** Same on a 10-pin net (paper: −33.3 % delay, +21.5 % wire). *)
-
-val figure3 : config -> figure
-(** A 10-pin LDRG run that performs two iterations, with the delay and
-    wirelength trajectory after each added edge (paper's Figure 3). *)
-
-val figure5 : config -> figure
-(** SLDRG on a 10-pin net: Steiner baseline, then added wires (paper:
-    −32 % delay, +25 % wire). *)
+(** A 10-pin net where one extra wire gives a large SPICE delay
+    reduction at a small wirelength penalty (paper: −33.3 % delay,
+    +21.5 % wire); found by deterministic search over the config's net
+    stream. *)
 
 val render_figure : figure -> string
 
 val save_figure_svgs : dir:string -> figure -> string list
 (** Writes before/after SVG renderings; returns the paths written. *)
 
-(** {1 Extension experiments (paper Section 5)} *)
+(** {1 The artefacts} *)
 
-val ext_csorg : config -> string
-(** Critical-sink routing: one-hot criticality on the farthest sink;
-    compares MST, plain LDRG, critical-sink LDRG and the weighted-ERT
-    seed on that sink's SPICE delay. *)
+type selector =
+  | Table of int  (** [--table N] *)
+  | Figure of int  (** [--figure N] *)
+  | Ext of string  (** [--ext NAME] *)
 
-val ext_wsorg : config -> string
-(** Wire sizing: greedy discrete sizing on the MST and on the LDRG
-    graph; reports delay vs MST and silicon area vs MST wirelength. *)
+type artefact = {
+  selector : selector;
+  section : string;
+      (** the bench section it belongs to ([--only]): ["1"]–["7"],
+          ["figures"] or ["ext"] *)
+  render : config -> svg_dir:string -> string;
+      (** runs the experiment and returns its report: a table's title,
+          baseline and rows (5a then 5b for Table 5); a figure's text
+          and one [svg: PATH] line per SVG it wrote into [svg_dir]
+          (created if missing); an extension's report *)
+}
 
-val ext_oracle : config -> string
-(** Oracle-fidelity ablation: LDRG steered by the first moment, the
-    two-pole estimate, or fast SPICE — all evaluated with SPICE. *)
+val artefacts : artefact list
+(** Tables 1–7, Figures 1, 2, 3 and 5, then the extensions csorg,
+    wsorg, oracle, rlc, trees, budget, prune and sensitivity, each
+    once, in bench order. *)
 
-val ext_rlc : config -> string
-(** RC vs RLC ablation: does the 492 fH/µm wire inductance change
-    either the measured delays or who wins? *)
+val sections : string list
+(** The distinct sections of {!artefacts}, in order. *)
 
-val ext_trees : config -> string
-(** Starting-tree ablation: seed LDRG with the MST, a Prim–Dijkstra
-    tradeoff tree (c = 0.5), a BRBC tree (ε = 0.5) and an ERT, and
-    report each seed's delay/cost and how much LDRG still improves it
-    — the "non-tree wires help any tree" claim generalised beyond
-    Tables 2 and 7. *)
-
-val ext_budget : config -> string
-(** Wirelength-budgeted LDRG sweep: the delay/wire tradeoff curve as
-    the admissible cost ratio grows from 1.05x to unconstrained. *)
-
-val ext_prune : config -> string
-(** LDRG followed by the delay-preserving prune pass: how much of the
-    wirelength penalty can be reclaimed for free. *)
-
-val ext_sensitivity : config -> string
-(** Driver-strength sweep: where the capacitance/resistance trade that
-    powers non-tree routing breaks even. *)
+val clamp_jobs : int -> (int, string) result
+(** The worker-domain count to run a [--jobs] request with: an error
+    below 1; above the core count, the core count, with a warning
+    logged. *)

@@ -68,6 +68,40 @@ dune exec bin/obs_check.exe -- BENCH_nontree.json
 echo "== bench_diff: the committed baseline against itself =="
 dune exec bin/bench_diff.exe -- BENCH_nontree.json BENCH_nontree.json
 
+echo "== bench prints every artefact as tables.exe does =="
+# Both drivers render from one list (Harness.Runs.artefacts); the bench
+# prints each section's artefacts a blank line apart after a four-line
+# header.
+small="--trials 2 --sizes 5,10 --svg-dir $tmpdir/svg"
+dune exec bench/main.exe -- --only 1,2,3,4,5,6,7,figures,ext $small \
+  --bench-json '' 2>/dev/null | tail -n +5 > "$tmpdir/bench.out"
+: > "$tmpdir/artefacts.out"
+for a in table:1 table:2 table:3 table:4 table:5 table:6 table:7 \
+  figure:1 figure:2 figure:3 figure:5 ext:csorg ext:wsorg ext:oracle \
+  ext:rlc ext:trees ext:budget ext:prune ext:sensitivity; do
+  _build/default/bin/tables.exe "--${a%%:*}" "${a#*:}" $small \
+    >> "$tmpdir/artefacts.out" 2>/dev/null
+  echo >> "$tmpdir/artefacts.out"
+done
+diff -u "$tmpdir/artefacts.out" "$tmpdir/bench.out"
+
+echo "== bench rejects an unknown --only section and a bad --sizes =="
+# A usage error exits 2 before anything runs, so no baseline is written.
+for bad in "--only foo" "--sizes 5,x"; do
+  status=0
+  dune exec bench/main.exe -- $bad --bench-json "$tmpdir/bad.json" \
+    > /dev/null 2> "$tmpdir/bad.err" || status=$?
+  head -n 1 "$tmpdir/bad.err"
+  [ "$status" -eq 2 ] && [ ! -e "$tmpdir/bad.json" ]
+done
+
+echo "== compare rejects an unknown --model =="
+dune exec bin/netgen.exe -- --pins 5 --seed 3 -o "$tmpdir/net5.txt"
+status=0
+dune exec bin/compare.exe -- "$tmpdir/net5.txt" --model bogus \
+  > /dev/null 2>&1 || status=$?
+[ "$status" -eq 124 ]
+
 echo "== smoke: observability manifest is valid, stdout unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --metrics-json "$tmpdir/obs.json" > "$tmpdir/obs.out" 2>/dev/null

@@ -120,15 +120,44 @@ let test_figure_machinery () =
     paths;
   Unix.rmdir dir
 
+let find selector =
+  List.find (fun a -> a.Harness.Runs.selector = selector) Harness.Runs.artefacts
+
 let test_extensions_render () =
   let tiny = { cheap_config with trials = 2 } in
   List.iter
-    (fun (name, f) ->
-      let text = f tiny in
+    (fun name ->
+      let text = (find (Harness.Runs.Ext name)).render tiny ~svg_dir:"unused" in
       Alcotest.(check bool) (name ^ " non-empty") true (String.length text > 50))
-    [ ("csorg", Harness.Runs.ext_csorg); ("wsorg", Harness.Runs.ext_wsorg);
-      ("rlc", Harness.Runs.ext_rlc); ("trees", Harness.Runs.ext_trees);
-      ("budget", Harness.Runs.ext_budget); ("prune", Harness.Runs.ext_prune) ]
+    [ "csorg"; "wsorg"; "rlc"; "trees"; "budget"; "prune" ]
+
+(* Both drivers print from the one list: every artefact of the paper
+   must be in it exactly once, and every section [--only] names must
+   hold at least one of them. *)
+let test_artefact_list () =
+  let selectors =
+    List.map (fun a -> a.Harness.Runs.selector) Harness.Runs.artefacts
+  in
+  let expected =
+    List.init 7 (fun i -> Harness.Runs.Table (i + 1))
+    @ List.map (fun n -> Harness.Runs.Figure n) [ 1; 2; 3; 5 ]
+    @ List.map
+        (fun e -> Harness.Runs.Ext e)
+        [ "csorg"; "wsorg"; "oracle"; "rlc"; "trees"; "budget"; "prune";
+          "sensitivity" ]
+  in
+  Alcotest.(check bool) "every artefact, exactly once" true
+    (List.sort compare selectors = List.sort compare expected);
+  Alcotest.(check (list string)) "sections"
+    [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "figures"; "ext" ]
+    Harness.Runs.sections;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " has an artefact") true
+        (List.exists
+           (fun a -> a.Harness.Runs.section = name)
+           Harness.Runs.artefacts))
+    Harness.Runs.sections
 
 (* Net files ------------------------------------------------------------- *)
 
@@ -192,6 +221,7 @@ let suites =
         Alcotest.test_case "table6 (cheap oracle)" `Quick test_table6_cheap;
         Alcotest.test_case "figure machinery" `Quick test_figure_machinery;
         Alcotest.test_case "extensions render" `Quick test_extensions_render;
+        Alcotest.test_case "artefact list" `Quick test_artefact_list;
         Alcotest.test_case "netfile roundtrip" `Quick test_netfile_roundtrip;
         Alcotest.test_case "netfile comments" `Quick
           test_netfile_comments_and_blanks;

@@ -408,15 +408,6 @@ let test_parallel_merge_equivalence () =
     true
     (abs_float (t_par -. t_wide) /. t_wide < 1e-9)
 
-let test_merge_parallel_delay () =
-  let r = Routing.mst_of_net (long_path_net ()) in
-  let model = Delay.Model.Elmore_tree in
-  let merged = Nontree.Wire_sizing.merge_parallel_delay ~model ~tech r (0, 1) in
-  let direct =
-    Delay.Model.max_delay model ~tech (Routing.set_width r 0 1 2.0)
-  in
-  Alcotest.(check (float 0.0)) "same as width 2" direct merged
-
 (* Stats --------------------------------------------------------------- *)
 
 let s d c = { Nontree.Stats.delay_ratio = d; cost_ratio = c }
@@ -526,8 +517,6 @@ let suites =
           test_size_greedy_validation;
         Alcotest.test_case "parallel merge equivalence" `Quick
           test_parallel_merge_equivalence;
-        Alcotest.test_case "merge parallel delay" `Quick
-          test_merge_parallel_delay;
         Alcotest.test_case "stats summarize" `Quick test_stats_summarize;
         Alcotest.test_case "stats no winners" `Quick test_stats_no_winners;
         Alcotest.test_case "stats empty" `Quick test_stats_empty_rejected;
