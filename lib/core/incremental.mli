@@ -7,7 +7,8 @@
     factors the base once per round and treats each edit as one
     conductance change between two existing unknowns
     ({!Numeric.Sparse.with_conductance}): first/second moments and the
-    SPICE operating and settled states become updated solves. At DC a
+    SPICE operating and settled states and window become updated
+    solves on the round's one {!Delay.Model.prepare_spice}. At DC a
     wire's capacitors are open, so its π-chain is one series
     conductance and its interior nodes lie evenly between its end
     voltages. The transient restamps the wire's π-chain as
@@ -50,6 +51,16 @@ val edit_key : edit -> string
 
 val apply : Routing.t -> edit -> Routing.t
 (** [r] with the edit applied ({!Routing.add_edge}, {!Routing.set_width}). *)
+
+val spice_window :
+  tech:Circuit.Technology.t ->
+  Delay.Model.spice_config ->
+  Routing.t ->
+  edit ->
+  float option
+(** The transient window a SPICE round on the base gives the edit
+    ({!Delay.Model.window} of the edited routing, up to rounding);
+    [None] where the round or the edit falls back. *)
 
 val set_enabled : bool -> unit
 (** On by default; when off, {!make_scorer} returns [None] and every

@@ -130,9 +130,3 @@ let settled_rhs sys =
 let voltage sys x node =
   let u = sys.unknown_of_node.(node) in
   if u < 0 then 0.0 else x.(u)
-
-(* G is factored in several places (DC operating point and settle,
-   incremental base) — one helper keeps them all on the precomputed
-   ordering. *)
-let factor_g_result sys = Numeric.Sparse.try_factor ~symbolic:sys.sym sys.g_csc
-let factor_g sys = Numeric.Sparse.factor ~symbolic:sys.sym sys.g_csc

@@ -47,9 +47,10 @@ type t = {
           so where C is diagonal (every lowered routing) it equals
           [Numeric.Sparse.analyze g_csc], which is what
           [Delay.Lumping.system] computes. {!build} gives a bare
-          ordering; the incremental scorer substitutes its round's
-          recorded G factorisation, which [Transient.compile] turns
-          into the plan its companions refactor on. *)
+          ordering; a threshold query's set-up
+          ([Engine.prepare_result]) substitutes its recorded G
+          factorisation, which [Transient.compile] turns into the plan
+          its companions refactor on. *)
 }
 
 val build : Circuit.Netlist.t -> t
@@ -70,13 +71,6 @@ val settled_rhs : t -> float array
     {!Circuit.Waveform.settled} level, summed as {!rhs_into} sums: the
     b whose DC solution is the state a threshold delay settles
     toward. *)
-
-val factor_g_result : t -> (Numeric.Sparse.t, int) result
-(** Factor G with {!Numeric.Sparse} on the precomputed [sym]
-    ordering; error codes as {!Numeric.Sparse.try_factor}. *)
-
-val factor_g : t -> Numeric.Sparse.t
-(** @raise Numeric.Sparse.Singular when G has no usable pivot. *)
 
 val voltage : t -> float array -> int -> float
 (** [voltage sys x node] extracts a node voltage from a solution

@@ -13,9 +13,6 @@ type chunk = {
 
 let steps_counter = Obs.Counter.make "spice.steps"
 
-let dc_operating_point (sys : Mna.t) =
-  Numeric.Sparse.solve (Mna.factor_g sys) (Mna.rhs sys 0.0)
-
 type companion = {
   sys : Mna.t;
   size : int;

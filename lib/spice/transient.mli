@@ -39,12 +39,6 @@ type chunk = {
   final : float array;  (** full state at the last step *)
 }
 
-val dc_operating_point : Mna.t -> float array
-(** Solves G·x = b(0): capacitors open, inductors shorted.
-
-    @raise Numeric.Sparse.Singular for a structurally defective circuit
-    (e.g. a node with no DC path to ground). *)
-
 type companion
 (** A system's factored iteration matrix for one timestep,
     plus the step loop's buffers. Mutable scratch: use from one domain

@@ -94,48 +94,48 @@ let check_lines label expected actual =
 let routing_pins =
   [ "seed 11 mst first-moment 0x1.7a079c168edfap-29";
     "seed 11 mst two-pole 0x1.1ee947d347dabp-29";
-    "seed 11 mst fast-spice 0x1.27de6d4b5ce3ep-29";
-    "seed 11 mst default-spice 0x1.27ad7bd321a9fp-29";
+    "seed 11 mst fast-spice 0x1.27de6d4b5ce24p-29";
+    "seed 11 mst default-spice 0x1.27ad7bd321ab8p-29";
     "seed 11 ldrg first-moment 0x1.3c8c22beb8a41p-29";
     "seed 11 ldrg two-pole 0x1.d079a5633a9cap-30";
-    "seed 11 ldrg fast-spice 0x1.d6b07c70f4643p-30";
-    "seed 11 ldrg default-spice 0x1.d5c1921ae6b84p-30";
+    "seed 11 ldrg fast-spice 0x1.d6b07c70f463dp-30";
+    "seed 11 ldrg default-spice 0x1.d5c1921ae6b02p-30";
     "seed 4242 mst first-moment 0x1.dbc9abe0a0924p-29";
     "seed 4242 mst two-pole 0x1.61ccc4baeab38p-29";
-    "seed 4242 mst fast-spice 0x1.67b5c2764c745p-29";
-    "seed 4242 mst default-spice 0x1.6774e81ee59bcp-29";
+    "seed 4242 mst fast-spice 0x1.67b5c2764c73dp-29";
+    "seed 4242 mst default-spice 0x1.6774e81ee5a45p-29";
     "seed 4242 ldrg first-moment 0x1.86a506e3ef892p-29";
     "seed 4242 ldrg two-pole 0x1.24150c9e10c82p-29";
-    "seed 4242 ldrg fast-spice 0x1.2927b40d168c6p-29";
-    "seed 4242 ldrg default-spice 0x1.28d342c2b390ep-29";
+    "seed 4242 ldrg fast-spice 0x1.2927b40d168c7p-29";
+    "seed 4242 ldrg default-spice 0x1.28d342c2b3987p-29";
     "seed 90210 mst first-moment 0x1.25830984ba9fcp-29";
     "seed 90210 mst two-pole 0x1.b7dfe4540302fp-30";
-    "seed 90210 mst fast-spice 0x1.c4381efa5f514p-30";
-    "seed 90210 mst default-spice 0x1.c3e2298af042fp-30";
+    "seed 90210 mst fast-spice 0x1.c4381efa5f4fdp-30";
+    "seed 90210 mst default-spice 0x1.c3e2298af0437p-30";
     "seed 90210 ldrg first-moment 0x1.04b0184780928p-29";
     "seed 90210 ldrg two-pole 0x1.7dcd128ad21d6p-30";
-    "seed 90210 ldrg fast-spice 0x1.8505573e1300dp-30";
-    "seed 90210 ldrg default-spice 0x1.846d8f463fbd2p-30" ]
+    "seed 90210 ldrg fast-spice 0x1.8505573e13013p-30";
+    "seed 90210 ldrg default-spice 0x1.846d8f463fbf9p-30" ]
 
 let ldrg_pins =
   [ "plain seed 11 two-pole step 0 (0,7) 0x1.cd7296661110bp-30";
-    "plain seed 11 fast-spice step 0 (0,7) 0x1.d7a21d0a7e72ap-30";
-    "plain seed 11 fast-spice step 1 (0,6) 0x1.d6b07c70f4643p-30";
+    "plain seed 11 fast-spice step 0 (0,7) 0x1.d7a21d0a7e71fp-30";
+    "plain seed 11 fast-spice step 1 (0,6) 0x1.d6b07c70f463dp-30";
     "plain seed 4242 two-pole step 0 (0,9) 0x1.25c16aac49158p-29";
     "plain seed 4242 two-pole step 1 (0,6) 0x1.24150c9e10c82p-29";
-    "plain seed 4242 fast-spice step 0 (0,9) 0x1.2c1ef39c9c482p-29";
-    "plain seed 4242 fast-spice step 1 (0,6) 0x1.2927b40d168c6p-29";
+    "plain seed 4242 fast-spice step 0 (0,9) 0x1.2c1ef39c9c48ep-29";
+    "plain seed 4242 fast-spice step 1 (0,6) 0x1.2927b40d168c7p-29";
     "plain seed 90210 two-pole step 0 (5,6) 0x1.7dcd128ad21d6p-30";
-    "plain seed 90210 fast-spice step 0 (5,6) 0x1.8505573e1300dp-30";
+    "plain seed 90210 fast-spice step 0 (5,6) 0x1.8505573e13013p-30";
     "incremental seed 11 two-pole step 0 (0,7) 0x1.cd7296661111p-30";
-    "incremental seed 11 fast-spice step 0 (0,7) 0x1.d7a21d0a7e732p-30";
-    "incremental seed 11 fast-spice step 1 (0,6) 0x1.d6b07c70f4651p-30";
+    "incremental seed 11 fast-spice step 0 (0,7) 0x1.d7a21d0a7e726p-30";
+    "incremental seed 11 fast-spice step 1 (0,6) 0x1.d6b07c70f464cp-30";
     "incremental seed 4242 two-pole step 0 (0,9) 0x1.25c16aac4915ap-29";
     "incremental seed 4242 two-pole step 1 (0,6) 0x1.24150c9e10c83p-29";
-    "incremental seed 4242 fast-spice step 0 (0,9) 0x1.2c1ef39c9c47ep-29";
-    "incremental seed 4242 fast-spice step 1 (0,6) 0x1.2927b40d168b7p-29";
+    "incremental seed 4242 fast-spice step 0 (0,9) 0x1.2c1ef39c9c477p-29";
+    "incremental seed 4242 fast-spice step 1 (0,6) 0x1.2927b40d168cfp-29";
     "incremental seed 90210 two-pole step 0 (5,6) 0x1.7dcd128ad21d9p-30";
-    "incremental seed 90210 fast-spice step 0 (5,6) 0x1.8505573e12fe2p-30" ]
+    "incremental seed 90210 fast-spice step 0 (5,6) 0x1.8505573e12fe1p-30" ]
 
 let ac_pins =
   [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6f1p-3 -0x1.48312f4cbd1b2p-2" ]

@@ -14,6 +14,13 @@ let rc_circuit () =
   Netlist.capacitor nl out Netlist.ground 1e-12;
   nl
 
+(* A system's set-up: G factored once, its operating point and settled
+   state. *)
+let prepared sys =
+  match Spice.Engine.prepare_result sys with
+  | Ok p -> p
+  | Error e -> Alcotest.fail (Nontree_error.to_string e)
+
 let test_dc_divider () =
   let nl = Netlist.create () in
   let a = Netlist.node nl "a" in
@@ -188,7 +195,7 @@ let test_transient_continuation () =
      boundary (continuation passes exact state). *)
   let nl = rc_circuit () in
   let sys = Spice.Mna.build nl in
-  let x0 = Spice.Transient.dc_operating_point sys in
+  let x0 = (prepared sys).Spice.Engine.x0 in
   let probes = [| 1 |] in
   let dt = 5e-9 /. 1000.0 in
   let companion () =
@@ -395,10 +402,7 @@ let test_steps_counter () =
     | Some node -> sys.Spice.Mna.unknown_of_node.(node)
     | None -> Alcotest.fail "no node out"
   in
-  let x0 = Spice.Transient.dc_operating_point sys in
-  let xf =
-    Numeric.Sparse.solve (Spice.Mna.factor_g sys) (Spice.Mna.settled_rhs sys)
-  in
+  let { Spice.Engine.x0; xf; _ } = prepared sys in
   let target = x0.(out) +. (0.5 *. (xf.(out) -. x0.(out))) in
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
   let full =
@@ -432,7 +436,7 @@ let test_steps_counter () =
    counted. *)
 let test_stopped_loop_prefix () =
   let sys = Spice.Mna.build (rc_circuit ()) in
-  let x0 = Spice.Transient.dc_operating_point sys in
+  let x0 = (prepared sys).Spice.Engine.x0 in
   let probes = Array.init sys.Spice.Mna.size Fun.id in
   let companion () =
     Spice.Transient.companion (Spice.Transient.compile sys) ~dt:5e-11
@@ -641,7 +645,7 @@ let test_companion_add_matches_dense () =
       (xu +. ((xv -. xu) *. float_of_int s /. float_of_int n_seg))
       x.(chain.(s))
   done;
-  let g_lu = Spice.Mna.factor_g sys in
+  let g_lu = (prepared sys).Spice.Engine.g_lu in
   match
     Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) g_lu iu iv
       (seg_g /. float_of_int n_seg)
