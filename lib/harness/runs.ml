@@ -347,15 +347,26 @@ let render_figure f =
        (100.0 *. ((f.final_cost /. f.base_cost) -. 1.0)));
   Buffer.contents buf
 
+exception Svg_unwritable of string
+
+let writing_svg f = try f () with Sys_error msg -> raise (Svg_unwritable msg)
+
+let ensure_svg_dir dir =
+  writing_svg (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+  if not (Sys.is_directory dir) then
+    raise (Svg_unwritable (dir ^ ": Not a directory"))
+
 let save_figure_svgs ~dir f =
   let slug =
     String.map (fun c -> if c = ' ' then '_' else Char.lowercase_ascii c) f.id
   in
   let before_path = Filename.concat dir (slug ^ "_before.svg") in
   let after_path = Filename.concat dir (slug ^ "_after.svg") in
-  Routing_svg.render_to_file ~title:(f.id ^ " (before)") before_path f.before;
-  Routing_svg.render_to_file ~title:(f.id ^ " (after)") ~highlight:f.added
-    after_path f.after;
+  writing_svg (fun () ->
+      Routing_svg.render_to_file ~title:(f.id ^ " (before)") before_path
+        f.before;
+      Routing_svg.render_to_file ~title:(f.id ^ " (after)") ~highlight:f.added
+        after_path f.after);
   [ before_path; after_path ]
 
 (* Extensions ------------------------------------------------------------ *)
@@ -769,8 +780,10 @@ let figure n make =
     section = "figures";
     render =
       (fun config ~svg_dir ->
+        (* Before the figure's search, so an unusable directory costs
+           nothing. *)
+        ensure_svg_dir svg_dir;
         let f = make config in
-        if not (Sys.file_exists svg_dir) then Sys.mkdir svg_dir 0o755;
         render_figure f
         ^ String.concat ""
             (List.map (Printf.sprintf "svg: %s\n")

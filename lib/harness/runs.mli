@@ -58,8 +58,20 @@ val figure2 : config -> figure
 
 val render_figure : figure -> string
 
+exception Svg_unwritable of string
+(** An SVG or its directory could not be written; the file system's
+    message. *)
+
+val ensure_svg_dir : string -> unit
+(** Creates the directory if missing.
+
+    @raise Svg_unwritable if it cannot, or the path is not a
+    directory. *)
+
 val save_figure_svgs : dir:string -> figure -> string list
-(** Writes before/after SVG renderings; returns the paths written. *)
+(** Writes before/after SVG renderings; returns the paths written.
+
+    @raise Svg_unwritable if one cannot be written. *)
 
 (** {1 The artefacts} *)
 
@@ -77,7 +89,8 @@ type artefact = {
       (** runs the experiment and returns its report: a table's title,
           baseline and rows (5a then 5b for Table 5); a figure's text
           and one [svg: PATH] line per SVG it wrote into [svg_dir]
-          (created if missing); an extension's report *)
+          ({!ensure_svg_dir}, before the figure runs; else
+          {!Svg_unwritable}); an extension's report *)
 }
 
 val artefacts : artefact list
