@@ -14,5 +14,3 @@ val measure :
 val ratio : t -> baseline:t -> t
 (** Element-wise normalisation: the paper reports every number relative
     to the corresponding baseline topology (MST, Steiner tree or ERT). *)
-
-val pp : Format.formatter -> t -> unit

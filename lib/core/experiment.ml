@@ -17,9 +17,6 @@ let default =
     search_model = Delay.Model.Spice Delay.Model.fast_spice;
     jobs = 1 }
 
-let accurate =
-  { default with eval_model = Delay.Model.Spice Delay.Model.accurate_spice }
-
 let nets config ~size =
   let side = config.tech.Circuit.Technology.layout_side in
   (* Offset the seed by the size so each size draws an independent,

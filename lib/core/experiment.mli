@@ -23,10 +23,7 @@ type config = {
 val default : config
 (** Seed 1994, 50 trials, sizes 5/10/20/30, Table 1 technology,
     fast-SPICE evaluation and search (the paper's setup, scaled for a
-    laptop run; use {!accurate} to tighten). *)
-
-val accurate : config
-(** Like {!default} with the accurate SPICE profile for evaluation. *)
+    laptop run). *)
 
 val nets : config -> size:int -> Geom.Net.t array
 (** The reproducible trial nets for one size. Independent of [trials]

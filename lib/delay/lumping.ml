@@ -16,7 +16,6 @@ let segments_for seg length =
       let n = int_of_float (ceil (length /. unit_length)) in
       Int.max 1 (Int.min max_segments n)
 
-let source_node_name = "n0"
 let vertex_node_name i = Printf.sprintf "n%d" i
 
 (* The single source of truth for how one wire lowers to π-segments:
