@@ -3,20 +3,14 @@
 
     A greedy round scores many one-wire edits of one base routing:
     LDRG adds wires, wire sizing widens them. Instead of rebuilding and
-    re-factoring the moment / MNA systems per trial, this module
-    factors the base once per round and treats each edit as one
-    conductance change between two existing unknowns
-    ({!Numeric.Sparse.with_conductance}): first/second moments and the
-    SPICE operating and settled states and window become updated
-    solves on the round's one {!Delay.Model.prepare_spice}. At DC a
-    wire's capacitors are open, so its π-chain is one series
-    conductance and its interior nodes lie evenly between its end
-    voltages. The transient restamps the wire's π-chain as
-    {!Spice.Transient.stamps}: on fresh interior unknowns for an added
-    wire, on the chain's existing unknowns for a resized one. Only its
-    companion matrix, tied to the trial's own horizon-derived timestep,
-    is written per trial, slot by slot into the pattern the round
-    compiled ({!Spice.Transient.compile}), and factored: refactored on
+    re-factoring the system per trial, a round is one
+    {!Delay.Model.prepare} of its base, and each edit is
+    {!Delay.Model.score} of the wire it changes: the scorer the plain
+    oracle runs with no edit, so both paths share one set-up, one fault
+    draw per query and one conversion of crossings to delays. A SPICE
+    trial's companion matrix, tied to the trial's own horizon-derived
+    timestep, is written slot by slot into the pattern the round
+    compiled ({!Spice.Transient.compile}) and factored: refactored on
     the plan compiled from the round's recorded G factorisation when
     the wire appends at most one unknown (every fast-profile trial), by
     the full kernel otherwise.
@@ -31,10 +25,11 @@
     scored afresh. A SPICE trial whose scan was cut is stored as its
     bound, which answers any later lookup with a lower cutoff; one with
     a cutoff at or above the bound scores the trial again and replaces
-    the entry. A plain-oracle lookup is never answered. Degenerate
-    updates, factorisations the sparse kernel refuses, injected faults
-    and unsettled probes fall back to the ordinary robust objective,
-    counted under [oracle.incremental_fallbacks]. *)
+    the entry. A plain-oracle lookup is never answered. A score that
+    comes back an error (a degenerate update, an injected fault, an
+    unsettled probe, a factorisation the sparse kernel refuses) falls
+    back to the ordinary robust objective, counted under
+    [oracle.incremental_fallbacks]. *)
 
 type edit =
   | Add of int * int
@@ -52,15 +47,11 @@ val edit_key : edit -> string
 val apply : Routing.t -> edit -> Routing.t
 (** [r] with the edit applied ({!Routing.add_edge}, {!Routing.set_width}). *)
 
-val spice_window :
-  tech:Circuit.Technology.t ->
-  Delay.Model.spice_config ->
-  Routing.t ->
-  edit ->
-  float option
-(** The transient window a SPICE round on the base gives the edit
-    ({!Delay.Model.window} of the edited routing, up to rounding);
-    [None] where the round or the edit falls back. *)
+val wire : Routing.t -> edit -> Delay.Model.wire
+(** The wire an edit of [r] stamps: an added wire at width 1 and its
+    Manhattan length, a resized one in canonical order (u < v) with its
+    current width as [was].
+    @raise Not_found when a [Resize] names a wire [r] lacks. *)
 
 val set_enabled : bool -> unit
 (** On by default; when off, {!make_scorer} returns [None] and every
@@ -88,15 +79,15 @@ val make_scorer :
   Routing.t ->
   scorer option
 (** [make_scorer ~model ~tech ~fallback base] prepares one greedy
-    round: factor [base]'s systems once and return a per-trial scorer
-    giving the max sink delay of [base] with an edit applied, or for
-    {!Cut}, a bound above the cutoff. No trial routing is built unless
-    it is read: on any
-    per-trial failure the scorer {!apply}s the edit and evaluates
-    [fallback] (the round's plain objective) on the result instead; an
-    exception from [fallback] propagates to the greedy loop. Returns
-    [None] — meaning "use the plain objective for this round" — when
-    scoring is disabled, the model is unsupported ([Elmore_tree], RLC
-    SPICE), or the base system fails to factor.
+    round ({!Delay.Model.prepare} of [base]) and returns a per-trial
+    scorer giving the max sink delay of [base] with an edit applied,
+    or for {!Cut}, a bound above the cutoff. No trial routing is built
+    unless it is read: on any per-trial error the scorer {!apply}s the
+    edit and evaluates [fallback] (the round's plain objective) on the
+    result instead; an exception from [fallback] propagates to the
+    greedy loop. Returns [None] — meaning "use the plain objective for
+    this round" — when scoring is disabled, the model is unsupported
+    ([Elmore_tree], RLC SPICE: not a failure, so no fallback is
+    counted), or the base fails to prepare (one fallback counted).
 
     @raise Not_found when a [Resize] names a wire [base] lacks. *)

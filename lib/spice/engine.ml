@@ -20,16 +20,16 @@ let check_finite ~stage arr =
   go 0
 
 (* Fault injection: the oracle stack's test harness asks this layer to
-   fail on purpose; see lib/fault. Consulted once per delay query. *)
+   fail on purpose; see lib/fault. Drawn once per threshold query. *)
 let injected_fault ~horizon =
   match Fault.draw ~stage:"spice" with
-  | None -> None
+  | None -> Ok ()
   | Some Fault.Singular_stamp ->
-      Some (Nontree_error.Singular_matrix { stage = "spice.injected"; column = 0 })
+      Error (Nontree_error.Singular_matrix { stage = "spice.injected"; column = 0 })
   | Some Fault.Nan_value ->
-      Some (Nontree_error.Non_finite { stage = "spice.injected"; value = Float.nan })
+      Error (Nontree_error.Non_finite { stage = "spice.injected"; value = Float.nan })
   | Some Fault.Never_settles ->
-      Some (Nontree_error.Probe_never_settled { probe = "(injected)"; horizon })
+      Error (Nontree_error.Probe_never_settled { probe = "(injected)"; horizon })
 
 let ( let* ) = Result.bind
 
@@ -209,7 +209,8 @@ type 'a bounded = Exact of 'a | Above of float
 let threshold_scan_result ?(options = default_options) ?stamps
     ?(cutoff = Float.infinity) pattern ~idx ~x0 ~xf ~horizon =
   if horizon <= 0.0 then
-    invalid_arg "Engine.threshold_scan: horizon must be positive";
+    invalid_arg "Engine.threshold_delays: horizon must be positive";
+  let* () = injected_fault ~horizon in
   let num_probes = Array.length idx in
   let target =
     Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
@@ -284,23 +285,16 @@ let threshold_scan_result ?(options = default_options) ?stamps
   in
   extend x0 0.0 options.steps_per_chunk 0
 
-let threshold_prepared_result ?(options = default_options) p ~idx ~horizon =
-  if horizon <= 0.0 then
-    invalid_arg "Engine.threshold_delays: horizon must be positive";
-  match injected_fault ~horizon with
-  | Some e -> Error e
-  | None ->
-      Result.map
-        (function Exact found -> found | Above _ -> assert false (* no cutoff *))
-        (threshold_scan_result ~options p.pattern ~idx ~x0:p.x0 ~xf:p.xf
-           ~horizon)
-
 let threshold_delays_result ?options nl ~probes ~horizon =
   let sys = Mna.build nl in
   let idx = probe_indices nl sys probes in
   let* p = prepare_result sys in
-  let* found = threshold_prepared_result ?options p ~idx ~horizon in
-  Ok (List.mapi (fun p name -> (name, found.(p))) probes)
+  let* found =
+    threshold_scan_result ?options p.pattern ~idx ~x0:p.x0 ~xf:p.xf ~horizon
+  in
+  match found with
+  | Exact found -> Ok (List.mapi (fun p name -> (name, found.(p))) probes)
+  | Above _ -> assert false (* no cutoff *)
 
 let threshold_delays ?options nl ~probes ~horizon =
   match threshold_delays_result ?options nl ~probes ~horizon with

@@ -8,11 +8,9 @@
     loop produces states, stopping at the last one, or, given a cutoff,
     once the largest delay is known to exceed it. The delay oracles
     skip the netlist: they {!prepare_result} an MNA system stamped
-    straight from the routing; the plain oracle hands it to
-    {!threshold_prepared_result}, and the incremental scorer hands
-    {!threshold_scan_result} a round's compiled base system, its
-    corrected operating point and settled state, and an edit's
-    stamps.
+    straight from the routing and hand {!threshold_scan_result} its
+    compiled pattern with its operating point and settled state, or,
+    for an edit of it, those states corrected and the edit's stamps.
 
     Every analysis comes in two flavours: a [_result] variant that
     reports operational failures (singular MNA matrices, non-finite
@@ -21,7 +19,8 @@
     {!Nontree_error.Error} instead. Argument-shape mistakes (unknown
     probe names, non-positive horizons) raise [Invalid_argument] in
     both. When fault injection ({!Fault}) is enabled, threshold-delay
-    queries occasionally fail on purpose. *)
+    queries occasionally fail on purpose: the scan draws once per
+    query. *)
 
 type options = {
   steps_per_chunk : int;
@@ -144,9 +143,10 @@ val threshold_scan_result :
     finiteness as at a chunk's end. Each crossing is reported relative to
     {!input_reference} (floored at 0); a probe that starts at its
     target reports 0. This is the core of {!threshold_delays_result},
-    exposed so the incremental oracle can scan an edited wire's stamps
-    without rebuilding the netlist. No fault is injected here: the
-    callers own that draw.
+    exposed so the delay oracles scan a routing's system, or an edited
+    wire's stamps on it, without a netlist. The scan draws the query's
+    fault ({!Fault}) once, after checking [horizon]: an injected fault
+    is its [Error].
 
     @raise Invalid_argument on a non-positive [horizon]. *)
 
@@ -176,18 +176,6 @@ val prepare_result : Mna.t -> (prepared, Nontree_error.t) result
     companions refactor on the plan. Every analysis here starts from
     it. *)
 
-val threshold_prepared_result :
-  ?options:options ->
-  prepared ->
-  idx:int array ->
-  horizon:float ->
-  (float option array, Nontree_error.t) result
-(** The threshold query on a prepared system: draws this query's fault
-    ({!Fault}), then runs {!threshold_scan_result} from [x0] toward
-    [xf] with no cutoff; delays come back in [idx]'s order.
-    @raise Invalid_argument on a non-positive [horizon], before the
-    fault draw. *)
-
 val threshold_delays_result :
   ?options:options ->
   Circuit.Netlist.t ->
@@ -195,8 +183,8 @@ val threshold_delays_result :
   horizon:float ->
   ((string * float option) list, Nontree_error.t) result
 (** [threshold_delays_result nl ~probes ~horizon] is
-    {!threshold_prepared_result} on [Mna.build nl], prepared, with the
-    named probes: each one's 50 % delay from the t = 0 operating point
+    {!threshold_scan_result} from [x0] toward [xf] of [Mna.build nl],
+    prepared, with the named probes and no cutoff: each one's 50 % delay from the t = 0 operating point
     toward the state with every source at its
     {!Circuit.Waveform.settled} level (a PULSE at its first plateau),
     measured from {!input_reference}; [None] for a probe that never

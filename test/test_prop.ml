@@ -908,6 +908,17 @@ let prop_system_matches_netlist g =
         [ false; true ])
     segmentations
 
+(* The transient window a SPICE round gives its routing or an edit of
+   it. *)
+let spice_window cfg r edit =
+  match
+    Result.bind
+      (Delay.Model.prepare (Delay.Model.Spice cfg) ~tech r)
+      (fun round -> Delay.Model.window round edit)
+  with
+  | Ok w -> w
+  | Error e -> failwith (Nontree_error.to_string e)
+
 (* The transient window comes from the system the oracle factors, with
    the moments system as its reference. On a random 5–30-pin routing
    with a resized wire and up to three chords, under the fast and the
@@ -935,8 +946,12 @@ let prop_window_from_mna g =
   in
   let m1_ref = Delay.Moments.first_moments ~tech r in
   let first_moments cfg r =
-    match Delay.Model.prepare_spice cfg ~tech r with
-    | Ok (_, p) -> p.Spice.Engine.m1
+    let l =
+      Delay.Lumping.system ~segmentation:cfg.Delay.Model.segmentation
+        ~include_inductance:cfg.Delay.Model.include_inductance ~tech r
+    in
+    match Spice.Engine.prepare_result l.Delay.Lumping.mna with
+    | Ok p -> p.Spice.Engine.m1
     | Error e -> failwith (Nontree_error.to_string e)
   in
   List.iter
@@ -949,10 +964,10 @@ let prop_window_from_mna g =
             (fun v ->
               close (Printf.sprintf "sink %d first moment" v) m1.(v) m1_ref.(v))
             (Routing.sinks r);
-          let plain = Delay.Model.window trial (first_moments cfg trial) in
-          match Nontree.Incremental.spice_window ~tech cfg r edit with
-          | None -> failwith (edit_to_string edit ^ " fell back")
-          | Some w -> close (edit_to_string edit ^ " window") w plain)
+          let plain = spice_window cfg trial None in
+          close (edit_to_string edit ^ " window")
+            (spice_window cfg r (Some (Nontree.Incremental.wire r edit)))
+            plain)
         [ false; true ])
     [ Delay.Model.fast_spice; Delay.Model.default_spice ]
 
@@ -981,11 +996,7 @@ let prop_plain_oracle_matches_netlist g =
               ~segmentation:cfg.Delay.Model.segmentation ~include_inductance
               ~tech r
           in
-          let horizon =
-            match Delay.Model.prepare_spice cfg ~tech r with
-            | Ok (_, p) -> Delay.Model.window r p.Spice.Engine.m1
-            | Error e -> failwith (Nontree_error.to_string e)
-          in
+          let horizon = spice_window cfg r None in
           let netlist =
             match
               Spice.Engine.threshold_delays_result
