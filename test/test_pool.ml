@@ -369,6 +369,46 @@ let scorer_exn ~model r =
   | Some (Nontree.Incremental.Cut score) -> score ~cutoff:Float.infinity
   | None -> Alcotest.fail "no incremental scorer"
 
+(* Elmore and RLC SPICE have no incremental scorer. That is not a
+   failure: [make_scorer] counts no fallback for them, and an LDRG
+   search under RLC SPICE takes the same trace with incremental scoring
+   on or off. *)
+let test_unsupported_models_have_no_scorer () =
+  Fault.disable ();
+  let fallbacks = Obs.Counter.make "oracle.incremental_fallbacks" in
+  let r = random_mst 23 6 in
+  let rlc = Delay.Model.Spice Delay.Model.rlc_spice in
+  with_incremental true (fun () ->
+      List.iter
+        (fun model ->
+          let name = Delay.Model.name model in
+          let f0 = Obs.Counter.value fallbacks in
+          (match
+             Nontree.Incremental.make_scorer ~model ~tech
+               ~fallback:(fun _ -> Alcotest.fail "the scorer fell back")
+               r
+           with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s: an incremental scorer" name);
+          Alcotest.(check int) (name ^ ": no fallback counted") f0
+            (Obs.Counter.value fallbacks))
+        [ Delay.Model.Elmore_tree; rlc ]);
+  let search incremental =
+    with_incremental incremental (fun () ->
+        with_cache (fun () ->
+            let f0 = Obs.Counter.value fallbacks in
+            let trace = Nontree.Ldrg.run ~max_edges:2 ~model:rlc ~tech r in
+            Alcotest.(check int) "no fallback in the search" f0
+              (Obs.Counter.value fallbacks);
+            trace))
+  in
+  let on = search true and off = search false in
+  Alcotest.(check bool) "the same trace, incremental on or off" true
+    (steps_of on = steps_of off
+    && Routing.widths on.Nontree.Ldrg.final
+       = Routing.widths off.Nontree.Ldrg.final
+    && on.Nontree.Ldrg.evaluations = off.Nontree.Ldrg.evaluations)
+
 (* The budget ladder's first round scores edits of the same MST that an
    unbounded run already scored: every one of them (and the baseline)
    is answered from the memo, and nothing is scored afresh. *)
@@ -718,6 +758,8 @@ let suites =
         Alcotest.test_case "cache key coverage" `Quick test_cache_key_coverage;
         Alcotest.test_case "edit keys: budget round one from memo" `Quick
           test_budget_round_one_from_memo;
+        Alcotest.test_case "no incremental scorer for elmore and rlc" `Quick
+          test_unsupported_models_have_no_scorer;
         Alcotest.test_case "edit keys: one trial, two bases" `Quick
           test_same_trial_two_bases;
         Alcotest.test_case "edit keys: disabled cache stores nothing" `Quick

@@ -296,6 +296,72 @@ let test_counters_summary_mentions_events () =
       Alcotest.(check bool) "summary mentions retries" true
         (contains line "1 retries"))
 
+(* One fault draw per evaluation, plain or incremental ------------------ *)
+
+(* Each evaluation draws exactly one fault: under the script [None;
+   fault] the first evaluation comes through and the second takes the
+   fault. A plain evaluation returns the injected error; an incremental
+   candidate falls back once to its plain objective, which draws past
+   the script's end. *)
+let test_one_draw_per_evaluation () =
+  let fallbacks = Obs.Counter.make "oracle.incremental_fallbacks" in
+  let r = random_routing 11 7 in
+  let edit =
+    let u, v = List.hd (Routing.candidate_edges r) in
+    Nontree.Incremental.Add (u, v)
+  in
+  let cache = Nontree.Oracle.Cache.enabled () in
+  Nontree.Oracle.Cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Nontree.Oracle.Cache.set_enabled cache)
+  @@ fun () ->
+  List.iter
+    (fun (model, stage) ->
+      let name = Delay.Model.name model in
+      with_clean_faults (fun () ->
+          Fault.script [ None; Some Fault.Nan_value ];
+          let plain () = Delay.Model.sink_delays_result model ~tech r in
+          Alcotest.(check bool) (name ^ ": the first comes through") true
+            (Result.is_ok (plain ()));
+          (match plain () with
+          | Error (Nontree_error.Non_finite { stage = s; _ }) ->
+              Alcotest.(check string) (name ^ ": the injected error") stage s
+          | Ok _ -> Alcotest.failf "%s: the second drew no fault" name
+          | Error e ->
+              Alcotest.failf "%s: %s" name (Nontree_error.to_string e));
+          Alcotest.(check int) (name ^ ": one fault") 1
+            (counters ()).faults_injected);
+      with_clean_faults (fun () ->
+          let called = ref 0 in
+          let fallback trial =
+            incr called;
+            Delay.Model.max_delay model ~tech trial
+          in
+          let score =
+            match
+              Nontree.Incremental.make_scorer ~model ~tech ~fallback r
+            with
+            | Some (Nontree.Incremental.Exact score) -> score
+            | Some (Nontree.Incremental.Cut score) ->
+                score ~cutoff:Float.infinity
+            | None -> Alcotest.failf "%s: no incremental scorer" name
+          in
+          Fault.script [ None; Some Fault.Nan_value ];
+          let f0 = Obs.Counter.value fallbacks in
+          let clean = score edit in
+          Alcotest.(check int) (name ^ ": the first is scored") 0 !called;
+          let faulted = score edit in
+          Alcotest.(check int) (name ^ ": the second falls back once") 1
+            !called;
+          Alcotest.(check int) (name ^ ": one fallback counted") (f0 + 1)
+            (Obs.Counter.value fallbacks);
+          Alcotest.(check int) (name ^ ": one fault") 1
+            (counters ()).faults_injected;
+          Alcotest.(check (float 1e-9)) (name ^ ": the plain objective")
+            1.0 (faulted /. clean)))
+    [ (Delay.Model.First_moment, "moments.injected");
+      (Delay.Model.Two_pole, "moments.injected");
+      (fast, "spice.injected") ]
+
 let suites =
   [ ( "robust",
       [ Alcotest.test_case "refinement schedule" `Quick test_refine_schedule;
@@ -312,6 +378,8 @@ let suites =
           test_fault_schedule_deterministic;
         Alcotest.test_case "fault off draws nothing" `Quick
           test_fault_off_draws_nothing;
+        Alcotest.test_case "one fault draw per evaluation" `Quick
+          test_one_draw_per_evaluation;
         QCheck_alcotest.to_alcotest prop_degenerate_nets_never_crash;
         QCheck_alcotest.to_alcotest prop_zero_length_edges_never_crash;
         Alcotest.test_case "fault-injected table run completes" `Quick
