@@ -16,16 +16,15 @@
 
 val node_capacitances : tech:Circuit.Technology.t -> Routing.t -> float array
 (** The right-hand side c: per-vertex capacitance under the π model —
-    pin loads plus half of every incident wire's capacitance. Exposed
-    for the incremental oracle, which adjusts it by a candidate wire's
-    half-capacitances instead of rebuilding. *)
+    pin loads plus half of every incident wire's capacitance; a moment
+    round's c ({!Model.prepare}). *)
 
 val conductance_matrix :
   tech:Circuit.Technology.t -> Routing.t -> Numeric.Sparse.Csc.t
 (** The system matrix G: wire conductances plus the driver conductance
-    on the source diagonal, over all vertices. A candidate wire is one
-    symmetric rank-1 term on top of this — the incremental oracle
-    factors it once per greedy round. *)
+    on the source diagonal, over all vertices; a moment round factors
+    it once ({!Model.prepare}), and an edited wire is one symmetric
+    rank-1 term on top of it. *)
 
 val first_moments : tech:Circuit.Technology.t -> Routing.t -> float array
 (** Per-vertex first moment (the generalised Elmore delay), for any
@@ -48,9 +47,8 @@ val higher_moments :
 
 val two_pole_fit : m1:float array -> m2:float array -> float array
 (** The two-pole 50 %-threshold fit from given first and second
-    moments — the per-vertex formula {!two_pole_delay} applies, split
-    out so incrementally updated moments go through the identical
-    arithmetic. *)
+    moments: the per-vertex formula of {!two_pole_delay} and of
+    {!Model.score}. *)
 
 val two_pole_delay : tech:Circuit.Technology.t -> Routing.t -> float array
 (** 50 %-threshold delay estimate per vertex from the first two

@@ -75,14 +75,20 @@ echo "== bench prints every artefact as tables.exe does =="
 small="--trials 2 --sizes 5,10 --svg-dir $tmpdir/svg"
 dune exec bench/main.exe -- --only 1,2,3,4,5,6,7,figures,ext $small \
   --bench-json '' 2>/dev/null | tail -n +5 > "$tmpdir/bench.out"
+# The artefacts are the goldens, test/golden/{table,figure}N.expected and
+# ext_NAME.expected, in the order test/golden/dune runs them (the
+# bench's); every golden must have its rule there.
+ls test/golden | sed -n -e 's/^\(table\|figure\)\([0-9]*\)\.expected$/--\1 \2/p' \
+  -e 's/^ext_\(.*\)\.expected$/--ext \1/p' | sort > "$tmpdir/goldens"
+sed -n 's/.*tables\.exe} \(--[a-z]* [a-z0-9]*\) .*/\1/p' test/golden/dune \
+  > "$tmpdir/flags"
+sort "$tmpdir/flags" | diff - "$tmpdir/goldens"
 : > "$tmpdir/artefacts.out"
-for a in table:1 table:2 table:3 table:4 table:5 table:6 table:7 \
-  figure:1 figure:2 figure:3 figure:5 ext:csorg ext:wsorg ext:oracle \
-  ext:rlc ext:trees ext:budget ext:prune ext:sensitivity; do
-  _build/default/bin/tables.exe "--${a%%:*}" "${a#*:}" $small \
+while read -r flag; do
+  _build/default/bin/tables.exe $flag $small \
     >> "$tmpdir/artefacts.out" 2>/dev/null
   echo >> "$tmpdir/artefacts.out"
-done
+done < "$tmpdir/flags"
 diff -u "$tmpdir/artefacts.out" "$tmpdir/bench.out"
 
 echo "== bench rejects an unknown --only section and a bad --sizes =="
