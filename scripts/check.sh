@@ -91,6 +91,16 @@ while read -r flag; do
 done < "$tmpdir/flags"
 diff -u "$tmpdir/artefacts.out" "$tmpdir/bench.out"
 
+echo "== full scale: the bench's artefacts at 5-30 pins match the golden =="
+# The paper-scale counterpart of test/golden (50 trials, sizes
+# 5,10,20,30), kept out of dune runtest for its ~20 s. The jobs line
+# and the SVG directory are normalised as test/golden/run.sh does.
+dune exec bench/main.exe -- --jobs 2 --only 1,2,3,4,5,6,7,figures,ext \
+  --svg-dir "$tmpdir/full_svg" --bench-json '' > "$tmpdir/full.raw" 2>/dev/null
+sed -e 's/^jobs [0-9]*$/jobs N/' -e "s|$tmpdir/full_svg|SVG|" \
+  "$tmpdir/full.raw" > "$tmpdir/full.out"
+diff -u test/full_scale.expected "$tmpdir/full.out"
+
 echo "== bench rejects an unknown --only section and a bad --sizes =="
 # A usage error exits 2 before anything runs, so no baseline is written.
 for bad in "--only foo" "--sizes 5,x"; do
