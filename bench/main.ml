@@ -61,7 +61,8 @@ let run_bechamel () =
           (Staged.stage (fun () -> ignore (Delay.Elmore.max_delay ~tech mst30)));
         Test.make ~name:"first-moment-30pin"
           (Staged.stage (fun () ->
-               ignore (Delay.Moments.max_delay ~tech mst30)));
+               ignore
+                 (Delay.Model.max_delay Delay.Model.First_moment ~tech mst30)));
         Test.make ~name:"spice-eval-10pin"
           (Staged.stage (fun () ->
                ignore (Delay.Model.max_delay spice_model ~tech mst10)));

@@ -8,7 +8,8 @@
     t_ED(n_i) = r_d·C_n0 + Σ_{e_j ∈ path(n0,n_i)} r_ej·(c_ej/2 + C_j)
 
     Computed in O(k) as Rubinstein–Penfield–Horowitz observed. Only
-    defined for trees; the non-tree generalisation is {!Moments}. *)
+    defined for trees; the non-tree generalisation is the first moment
+    of {!Model}'s [First_moment] oracle. *)
 
 val delays : tech:Circuit.Technology.t -> Routing.t -> float array
 (** Per-vertex Elmore delay (seconds), index-aligned with the routing's

@@ -39,9 +39,6 @@ let name = function
 let window_of sinks m1 =
   4.0 *. Array.fold_left (fun acc s -> Float.max acc m1.(s)) 0.0 sinks
 
-let spice_horizon ~tech r =
-  window_of (Array.of_list (Routing.sinks r)) (Moments.first_moments ~tech r)
-
 (* Inside [prepare] and [score] an error leaves by [Failed], and they
    return it as their [Error]: a candidate's path builds no result box
    or continuation closure per step. *)
@@ -88,6 +85,72 @@ type wire = {
 let change w f =
   match w.was with None -> f w.width | Some w0 -> f w.width -. f w0
 
+(* The moment models' system. With the ideal step source shorted, G
+   holds the wire conductances between vertices and the driver
+   conductance on the source pin's diagonal; c holds each vertex's
+   capacitance under the π model: its pin load plus half of every
+   incident wire's. The first moments m1 solve G·m1 = c, and on a tree
+   they are Elmore's delays. *)
+let node_capacitances ~tech r =
+  let n = Routing.num_vertices r in
+  let c = Array.make n 0.0 in
+  for v = 0 to Routing.num_terminals r - 1 do
+    c.(v) <- tech.Circuit.Technology.sink_capacitance
+  done;
+  List.iter
+    (fun (e : Graphs.Wgraph.edge) ->
+      let cap =
+        Circuit.Technology.wire_capacitance_of tech ~length:e.w
+          ~width:(Routing.width r e.u e.v)
+      in
+      c.(e.u) <- c.(e.u) +. (cap /. 2.0);
+      c.(e.v) <- c.(e.v) +. (cap /. 2.0))
+    (Graphs.Wgraph.edges (Routing.graph r));
+  c
+
+let conductance_matrix ~tech r =
+  let edges = Graphs.Wgraph.edges (Routing.graph r) in
+  let g =
+    Numeric.Sparse.Triplets.create ~capacity:((4 * List.length edges) + 1) ()
+  in
+  List.iter
+    (fun (e : Graphs.Wgraph.edge) ->
+      let cond =
+        1.0
+        /. Circuit.Technology.wire_resistance_of tech ~length:e.w
+             ~width:(Routing.width r e.u e.v)
+      in
+      Numeric.Sparse.Triplets.add g e.u e.u cond;
+      Numeric.Sparse.Triplets.add g e.v e.v cond;
+      Numeric.Sparse.Triplets.add g e.u e.v (-.cond);
+      Numeric.Sparse.Triplets.add g e.v e.u (-.cond))
+    edges;
+  Numeric.Sparse.Triplets.add g (Routing.source r) (Routing.source r)
+    (1.0 /. tech.Circuit.Technology.driver_resistance);
+  Numeric.Sparse.Csc.of_triplets ~n:(Routing.num_vertices r) g
+
+let moment_stage ~two_pole = if two_pole then "two-pole" else "moments"
+
+(* G factored, and c. *)
+let moment_system ~two_pole ~tech r =
+  match Numeric.Sparse.try_factor (conductance_matrix ~tech r) with
+  | Error k -> fail (Nontree_error.singular ~stage:(moment_stage ~two_pole) k)
+  | Ok g_lu -> (g_lu, node_capacitances ~tech r)
+
+(* The 50 % delay of a single dominant pole with a time shift,
+   exp(-s·delta)/(1 + s·tau), fitted to the first two moments: matching
+   series coefficients gives tau = sqrt(2·m2 - m1²) and
+   delta = m1 - tau. Where the fit degenerates, ln 2 · m1. *)
+let two_pole_fit ~m1 ~m2 =
+  Array.init (Array.length m1) (fun v ->
+      let disc = (2.0 *. m2.(v)) -. (m1.(v) *. m1.(v)) in
+      if disc <= 0.0 then m1.(v) *. log 2.0
+      else begin
+        let tau = sqrt disc in
+        if tau >= m1.(v) then m1.(v) *. log 2.0
+        else (m1.(v) -. tau) +. (tau *. log 2.0)
+      end)
+
 type system =
   | Tree of (int * float) list  (* Elmore's delays *)
   | Moments of { two_pole : bool; g_lu : Numeric.Sparse.t; cap : float array }
@@ -101,8 +164,6 @@ type system =
 (* Routing vertex i is unknown i of every system. *)
 type round = { tech : Circuit.Technology.t; sinks : int array; system : system }
 
-let moment_stage ~two_pole = if two_pole then "two-pole" else "moments"
-
 let prepare model ~tech r =
   protect @@ fun () ->
   let system =
@@ -114,13 +175,10 @@ let prepare model ~tech r =
         match Elmore.sink_delays ~tech r with
         | ds -> Tree (check_delays ~stage:"elmore" ds)
         | exception Invalid_argument msg -> fail (Nontree_error.Invalid_net msg))
-    | First_moment | Two_pole -> (
+    | First_moment | Two_pole ->
         let two_pole = model = Two_pole in
-        match Numeric.Sparse.try_factor (Moments.conductance_matrix ~tech r) with
-        | Error k ->
-            fail (Nontree_error.singular ~stage:(moment_stage ~two_pole) k)
-        | Ok g_lu ->
-            Moments { two_pole; g_lu; cap = Moments.node_capacitances ~tech r })
+        let g_lu, cap = moment_system ~two_pole ~tech r in
+        Moments { two_pole; g_lu; cap }
     | Spice config -> (
         match
           Lumping.system ~segmentation:config.segmentation
@@ -158,16 +216,17 @@ let update ~stage g_lu cap w ~g ~half =
       in
       (solve, correct, c)
 
-let moment_delays round ~two_pole g_lu cap edit =
+(* The delay at every vertex of a moment round's routing with [edit]
+   applied: m1, or the two-pole fit of m1 and m2 = G⁻¹·(c .* m1). *)
+let moment_delays ~tech ~two_pole g_lu cap edit =
   let stage = moment_stage ~two_pole in
-  injected ();
   let solve, c =
     match edit with
     | None ->
         let work = Array.make (Array.length cap) 0.0 in
         (Numeric.Sparse.solve_with ~work g_lu, cap)
     | Some w ->
-        let tech = round.tech and length = w.length in
+        let length = w.length in
         let g =
           change w (fun width ->
               1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width)
@@ -187,17 +246,12 @@ let moment_delays round ~two_pole g_lu cap edit =
   in
   let m1 = solved c in
   check_finite ~stage m1;
-  let d =
-    if not two_pole then m1
-    else begin
-      let m2 = solved (Array.mapi (fun i ci -> ci *. m1.(i)) c) in
-      check_finite ~stage m2;
-      Moments.two_pole_fit ~m1 ~m2
-    end
-  in
-  let sinks = round.sinks in
-  Spice.Engine.Exact
-    (List.init (Array.length sinks) (fun i -> (sinks.(i), d.(sinks.(i)))))
+  if not two_pole then m1
+  else begin
+    let m2 = solved (Array.mapi (fun i ci -> ci *. m1.(i)) c) in
+    check_finite ~stage m2;
+    two_pole_fit ~m1 ~m2
+  end
 
 (* A SPICE round's edit at DC, where a wire's capacitors are open: its
    π-chain of n_seg segments is one series conductance 1/(n_seg·seg_r)
@@ -312,7 +366,11 @@ let score ?(cutoff = Float.infinity) ?(horizon_scale = 1.0) round edit =
     match (round.system, edit) with
     | Tree ds, None -> Spice.Engine.Exact ds
     | Moments { two_pole; g_lu; cap }, _ ->
-        moment_delays round ~two_pole g_lu cap edit
+        injected ();
+        let d = moment_delays ~tech:round.tech ~two_pole g_lu cap edit in
+        let sinks = round.sinks in
+        Spice.Engine.Exact
+          (List.init (Array.length sinks) (fun i -> (sinks.(i), d.(sinks.(i)))))
     | ( Tree _
       | Transient { config = { include_inductance = true; _ }; _ } ),
         Some _ ->
@@ -336,6 +394,17 @@ let window round edit =
           in
           window_of round.sinks m1)
   | Tree _ | Moments _ -> invalid_arg "Model.window: not a SPICE round"
+
+let spice_horizon ~tech r =
+  match
+    protect (fun () ->
+        let g_lu, cap = moment_system ~two_pole:false ~tech r in
+        window_of
+          (Array.of_list (Routing.sinks r))
+          (moment_delays ~tech ~two_pole:false g_lu cap None))
+  with
+  | Ok horizon -> horizon
+  | Error e -> Nontree_error.raise_error e
 
 let sink_delays_result ?horizon_scale model ~tech r =
   match

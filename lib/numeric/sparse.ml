@@ -772,7 +772,7 @@ let factor_ordered ~recording (sym : Symbolic.t) (a : Csc.t) ~floor =
 
 let factor_symbolic ~recording ?symbolic (a : Csc.t) =
   let n = Csc.rows a in
-  if Csc.cols a <> n then invalid_arg "Sparse.factor: matrix not square";
+  if Csc.cols a <> n then invalid_arg "Sparse.try_factor: matrix not square";
   Obs.Counter.incr factorizations;
   let anz = Csc.nnz a in
   Obs.Counter.add nnz_counter anz;
@@ -786,7 +786,7 @@ let factor_symbolic ~recording ?symbolic (a : Csc.t) =
       match symbolic with
       | Some s ->
           if s.Symbolic.n <> n then
-            invalid_arg "Sparse.factor: symbolic size mismatch";
+            invalid_arg "Sparse.try_factor: symbolic size mismatch";
           s
       | None -> analyze a
     in
@@ -1239,13 +1239,6 @@ let solve t b =
   let x = Array.copy b in
   solve_in_place t x;
   x
-
-exception Singular of int
-
-let factor ?symbolic a =
-  match try_factor ?symbolic a with
-  | Ok f -> f
-  | Error k -> raise (Singular k)
 
 (* Sherman–Morrison for M = A + g·w·wᵀ, w = e_i − e_j: with z = A⁻¹w
    and s = 1/g + wᵀz, M⁻¹b = A⁻¹b − z·(wᵀA⁻¹b)/s. A non-finite or zero

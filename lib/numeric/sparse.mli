@@ -193,15 +193,6 @@ val refactor : plan -> float array -> n:int -> Csc.entries -> (t, int) result
     pattern's nonzeros or [n] is smaller than the plan's size, and
     (on the decline path) as {!Csc.grow}. *)
 
-exception Singular of int
-(** Raised by {!factor} with {!try_factor}'s error code: the pivot
-    column, or [-1] for a non-finite input entry. A singular MNA or
-    moment system means a malformed circuit, e.g. a floating node. *)
-
-val factor : ?symbolic:Symbolic.t -> Csc.t -> t
-(** {!try_factor}, raising.
-    @raise Singular when no usable pivot exists. *)
-
 val size : t -> int
 
 val factor_nnz : t -> int

@@ -78,16 +78,17 @@ val assemble :
     @raise Invalid_argument on a non-positive [dt], a negative [added]
     or a stamp index outside -1 .. size + added - 1. *)
 
-val companion : ?stamps:stamps -> pattern -> dt:float -> companion
+val companion :
+  ?stamps:stamps -> pattern -> dt:float -> (companion, int) result
 (** Factor {!assemble}'s iteration matrix on the system's [sym]
     ordering, appended unknowns eliminated last. With a plan the values
     are refactored on it without building the matrix
     ({!Numeric.Sparse.refactor}), bit-identical to a full
     factorisation, which runs when the plan declines or there is none.
+    [Error k] when the iteration matrix has no usable pivot, with
+    {!Numeric.Sparse.try_factor}'s code [k].
 
-    @raise Invalid_argument as {!assemble}.
-    @raise Numeric.Sparse.Singular when the iteration matrix has no usable
-    pivot. *)
+    @raise Invalid_argument as {!assemble}. *)
 
 val factor : companion -> Numeric.Sparse.t
 (** The companion's factored iteration matrix. *)

@@ -176,7 +176,7 @@ let test_routing_bandwidth_improves () =
       List.fold_left
         (fun (bv, bd) (v, d) -> if d > bd then (v, d) else (bv, bd))
         (1, 0.0)
-        (Delay.Moments.sink_delays ~tech mst)
+        (Delay.Model.sink_delays Delay.Model.First_moment ~tech mst)
       |> fst
     in
     let bandwidth r =

@@ -59,22 +59,23 @@ let test_total_capacitance () =
   Alcotest.(check bool) "C_n0" true
     (abs_float (Delay.Elmore.total_capacitance ~tech r -. expected) < 1e-20)
 
+(* The First_moment and Two_pole oracles' delay to every sink. *)
+let first_moment r = Delay.Model.sink_delays Delay.Model.First_moment ~tech r
+let two_pole r = Delay.Model.sink_delays Delay.Model.Two_pole ~tech r
+
+(* Every sink's Elmore delay is the First_moment oracle's to 1e-9. *)
+let elmore_is_first_moment r =
+  let e = Delay.Elmore.delays ~tech r in
+  List.for_all
+    (fun (v, m) -> abs_float (e.(v) -. m) /. Float.max e.(v) 1e-18 <= 1e-9)
+    (first_moment r)
+
 (* The repository's key invariant: the conductance-matrix first moment
    must equal the Elmore formula on every tree. *)
 let prop_elmore_equals_first_moment_on_trees =
   QCheck.Test.make ~name:"elmore = first moment on trees" ~count:60
     QCheck.(pair small_int (int_range 2 30))
-    (fun (seed, pins) ->
-      let r = random_routing seed pins in
-      let e = Delay.Elmore.delays ~tech r in
-      let m = Delay.Moments.first_moments ~tech r in
-      let ok = ref true in
-      Array.iteri
-        (fun v ev ->
-          let rel = abs_float (ev -. m.(v)) /. Float.max ev 1e-18 in
-          if rel > 1e-9 then ok := false)
-        e;
-      !ok)
+    (fun (seed, pins) -> elmore_is_first_moment (random_routing seed pins))
 
 let prop_elmore_equals_first_moment_with_widths =
   QCheck.Test.make ~name:"elmore = first moment with wire widths" ~count:30
@@ -92,12 +93,7 @@ let prop_elmore_equals_first_moment_with_widths =
           r
           (Graphs.Wgraph.edges (Routing.graph r))
       in
-      let e = Delay.Elmore.delays ~tech r in
-      let m = Delay.Moments.first_moments ~tech r in
-      Array.for_all Fun.id
-        (Array.mapi
-           (fun v ev -> abs_float (ev -. m.(v)) /. Float.max ev 1e-18 < 1e-9)
-           e))
+      elmore_is_first_moment r)
 
 (* Moments on non-tree graphs ----------------------------------------- *)
 
@@ -105,10 +101,9 @@ let test_moments_on_cycle () =
   let r = random_routing 11 10 in
   let u, v = List.hd (Routing.candidate_edges r) in
   let r' = Routing.add_edge r u v in
-  let m = Delay.Moments.first_moments ~tech r' in
-  Array.iter
-    (fun x -> Alcotest.(check bool) "positive moment" true (x > 0.0))
-    m
+  List.iter
+    (fun (_, x) -> Alcotest.(check bool) "positive moment" true (x > 0.0))
+    (first_moment r')
 
 let prop_extra_edge_never_hurts_its_endpoint_resistance =
   (* Adding an edge from the source lowers (or keeps) the first moment
@@ -122,24 +117,21 @@ let prop_extra_edge_never_hurts_its_endpoint_resistance =
       let g = Rng.create (seed + 1) in
       let candidates = Array.of_list (Routing.candidate_edges r) in
       let u, v = candidates.(Rng.int g (Array.length candidates)) in
-      let m = Delay.Moments.first_moments ~tech (Routing.add_edge r u v) in
-      Array.for_all (fun x -> Float.is_finite x && x > 0.0) m)
+      List.for_all
+        (fun (_, x) -> Float.is_finite x && x > 0.0)
+        (first_moment (Routing.add_edge r u v)))
 
 let test_two_pole_bounds () =
   let r = random_routing 13 20 in
-  let m1 = Delay.Moments.first_moments ~tech r in
-  let t2 = Delay.Moments.two_pole_delay ~tech r in
-  Array.iteri
-    (fun v t ->
-      if v > 0 then begin
-        Alcotest.(check bool) "positive" true (t > 0.0);
-        Alcotest.(check bool) "below m1" true (t <= m1.(v) +. 1e-18)
-      end)
-    t2
+  List.iter2
+    (fun (_, m1) (_, t) ->
+      Alcotest.(check bool) "positive" true (t > 0.0);
+      Alcotest.(check bool) "below m1" true (t <= m1 +. 1e-18))
+    (first_moment r) (two_pole r)
 
 let test_higher_moments_shape () =
   let r = random_routing 3 8 in
-  let ms = Delay.Moments.higher_moments ~tech r ~order:3 in
+  let ms = Moment_ref.higher_moments ~tech r ~order:3 in
   Alcotest.(check int) "order rows" 3 (Array.length ms);
   Array.iter
     (fun row ->
@@ -148,6 +140,53 @@ let test_higher_moments_shape () =
         (fun x -> Alcotest.(check bool) "positive" true (x > 0.0))
         row)
     ms
+
+(* The moment oracles against the dense reference, on an MST with
+   random widths plus up to three added wires: the First_moment
+   oracle's delays are the reference's m1 to 1e-12 relative, the
+   Two_pole oracle's the dominant-pole fit of its m1 and m2 to 1e-9
+   (the fit's square root of 2·m2 − m1² loses digits to cancellation). *)
+let prop_oracles_match_reference =
+  QCheck.Test.make ~name:"moment oracles match the dense reference" ~count:40
+    QCheck.(pair small_int (int_range 3 30))
+    (fun (seed, pins) ->
+      let g = Rng.create (seed + 7) and mst = random_routing seed pins in
+      let r =
+        List.fold_left
+          (fun acc (e : Graphs.Wgraph.edge) ->
+            if Rng.bool g then
+              Routing.set_width acc e.u e.v (Rng.float_in g 0.5 3.0)
+            else acc)
+          mst
+          (Graphs.Wgraph.edges (Routing.graph mst))
+      in
+      let r =
+        List.fold_left
+          (fun r _ ->
+            match Routing.candidate_edges r with
+            | [] -> r
+            | cands ->
+                let u, v = List.nth cands (Rng.int g (List.length cands)) in
+                Routing.add_edge r u v)
+          r
+          (List.init (Rng.int g 4) Fun.id)
+      in
+      let ms = Moment_ref.higher_moments ~tech r ~order:2 in
+      let m1 = ms.(0) and m2 = ms.(1) in
+      let fit v =
+        let disc = (2.0 *. m2.(v)) -. (m1.(v) *. m1.(v)) in
+        let tau = if disc > 0.0 then sqrt disc else Float.infinity in
+        if tau >= m1.(v) then m1.(v) *. log 2.0
+        else m1.(v) -. tau +. (tau *. log 2.0)
+      in
+      let close tol reference ds =
+        List.for_all
+          (fun (v, d) ->
+            abs_float (d -. reference v) <= tol *. abs_float (reference v))
+          ds
+      in
+      close 1e-12 (fun v -> m1.(v)) (first_moment r)
+      && close 1e-9 fit (two_pole r))
 
 (* Lumping ------------------------------------------------------------ *)
 
@@ -257,7 +296,7 @@ let prop_two_pole_at_least_as_good_as_ln2 =
       let spice =
         Delay.Model.max_delay (Delay.Model.Spice Delay.Model.fast_spice) ~tech r
       in
-      let m1 = Delay.Moments.max_delay ~tech r in
+      let m1 = Delay.Model.max_delay Delay.Model.First_moment ~tech r in
       let tp = Delay.Model.max_delay Delay.Model.Two_pole ~tech r in
       let err_ln2 = abs_float ((m1 *. log 2.0) -. spice) in
       let err_tp = abs_float (tp -. spice) in
@@ -307,6 +346,7 @@ let suites =
         Alcotest.test_case "moments on cycle" `Quick test_moments_on_cycle;
         QCheck_alcotest.to_alcotest
           prop_extra_edge_never_hurts_its_endpoint_resistance;
+        QCheck_alcotest.to_alcotest prop_oracles_match_reference;
         Alcotest.test_case "two-pole bounds" `Quick test_two_pole_bounds;
         Alcotest.test_case "higher moments shape" `Quick
           test_higher_moments_shape;

@@ -104,7 +104,9 @@ let test_weighted_critical_sink_favoured () =
     alphas.(critical - 1) <- 1.0;
     let weighted = Ert.construct_weighted ~tech ~alphas net in
     let plain = Ert.construct ~tech net in
-    let delay_of r v = (Delay.Moments.first_moments ~tech r).(v) in
+    let delay_of r v =
+      List.assoc v (Delay.Model.sink_delays Delay.Model.First_moment ~tech r)
+    in
     if delay_of weighted critical <= delay_of plain critical +. 1e-15 then
       incr improved
   done;
@@ -132,7 +134,10 @@ let test_sert_c_critical_fast () =
     let critical = 1 + (seed mod Net.num_sinks net) in
     let sert = Ert.construct_critical ~tech ~critical net in
     let plain = Ert.construct ~tech net in
-    let d r = (Delay.Moments.first_moments ~tech r).(critical) in
+    let d r =
+      List.assoc critical
+        (Delay.Model.sink_delays Delay.Model.First_moment ~tech r)
+    in
     if d sert <= d plain +. 1e-15 then incr wins
   done;
   Alcotest.(check bool)

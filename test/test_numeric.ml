@@ -142,6 +142,12 @@ let update f i j g =
   Sparse.with_conductance ~work:(Array.make (Sparse.size f) 0.0) f i j g
 
 (* A solve against [f], corrected for the added conductance. *)
+(* [Sparse.try_factor] of a matrix the test knows to be regular. *)
+let factor a =
+  match Sparse.try_factor (Matrix.to_csc a) with
+  | Ok f -> f
+  | Error k -> Alcotest.failf "singular at column %d" k
+
 let corrected_solve f correct b =
   let x = Sparse.solve f b in
   correct x;
@@ -151,7 +157,7 @@ let test_lu_update_known () =
   (* [[2,1],[1,3]] plus a unit conductance between 0 and 1 is
      [[3,0],[0,4]]; it maps [1,1] to [3,4]. *)
   let a = Matrix.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let f = Sparse.factor (Matrix.to_csc a) in
+  let f = factor a in
   (match update f 0 1 1.0 with
   | None -> Alcotest.fail "well-conditioned update refused"
   | Some correct ->
@@ -162,7 +168,7 @@ let test_lu_update_known () =
   List.iter
     (fun (seed, n, i, j, g) ->
       let a, b = random_dd_system seed n in
-      let base = Sparse.factor (Matrix.to_csc a) in
+      let base = factor a in
       match update base i j g with
       | None -> Alcotest.failf "seed %d: well-conditioned update refused" seed
       | Some correct ->
@@ -183,7 +189,7 @@ let test_lu_update_singularising_rejected () =
   (* g = −1/(wᵀA⁻¹w) zeroes the Sherman–Morrison denominator: the
      updated matrix is exactly singular and the helper must refuse. *)
   let a, _ = random_dd_system 17 6 in
-  let base = Sparse.factor (Matrix.to_csc a) in
+  let base = factor a in
   let i = 1 and j = 4 in
   let w = Array.make 6 0.0 in
   w.(i) <- 1.0;
@@ -199,7 +205,7 @@ let test_lu_update_singularising_rejected () =
     [ nan; infinity; neg_infinity ]
 
 let test_lu_update_length_mismatch () =
-  let base = Sparse.factor (Matrix.to_csc (Matrix.identity 2)) in
+  let base = factor (Matrix.identity 2) in
   let raises what f =
     match f () with
     | _ -> Alcotest.failf "%s accepted" what
@@ -267,11 +273,7 @@ let test_sparse_singular_rejected () =
   (* A structurally empty column can never produce a pivot. *)
   let z = Matrix.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
   (match Sparse.try_factor (Matrix.to_csc z) with
-  | Error k -> (
-      match Sparse.factor (Matrix.to_csc z) with
-      | exception Sparse.Singular k' ->
-          Alcotest.(check int) "factor raises the same column" k k'
-      | _ -> Alcotest.fail "factor accepted an empty column")
+  | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected Error on an empty column");
   let nan_m = Matrix.of_arrays [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |] in
   match Sparse.try_factor (Matrix.to_csc nan_m) with
@@ -336,7 +338,7 @@ let test_sparse_solve_with_buffer () =
    reference it is checked against. *)
 let test_sparse_solves_match_lu () =
   let a, b = random_dd_system 23 10 in
-  let x = Sparse.solve (Sparse.factor (Matrix.to_csc a)) b in
+  let x = Sparse.solve (factor a) b in
   Alcotest.(check bool) "solve matches Lu" true
     (Matrix.max_abs_diff x (Lu.solve_matrix a b) < 1e-9)
 

@@ -23,7 +23,7 @@ let check ?(seed = 0xD1FF) ~trials name prop =
 (* A random SPD-ish conductance matrix: the Laplacian of a random
    connected graph (spanning tree plus a few extra edges, conductances
    in [0.5, 2]) grounded by a positive diagonal load at every node —
-   exactly the shape [Delay.Moments.conductance_matrix] produces, and
+   exactly the shape of the moment oracles' G, and
    comfortably well-conditioned at these sizes. *)
 let gen_spd g n =
   let a = Matrix.create n n in
@@ -66,7 +66,10 @@ let rel_err x y =
   let scale = Array.fold_left (fun m v -> Float.max m (abs_float v)) 1.0 y in
   Matrix.max_abs_diff x y /. scale
 
-let factor_sparse a = Numeric.Sparse.factor (Matrix.to_csc a)
+let factor_sparse a =
+  match Numeric.Sparse.try_factor (Matrix.to_csc a) with
+  | Ok f -> f
+  | Error k -> failwith (Printf.sprintf "singular at column %d" k)
 
 (* Two distinct unknowns of an n-unknown system. *)
 let gen_pair g n =
@@ -278,7 +281,9 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
   in
   let dt = horizon /. float_of_int options.steps_per_chunk in
   let t_ref = Spice.Engine.input_reference sys ~dt in
-  let cp = Spice.Transient.companion (Spice.Transient.compile sys) ~dt in
+  let cp =
+    Result.get_ok (Spice.Transient.companion (Spice.Transient.compile sys) ~dt)
+  in
   let last = Array.map (fun u -> (x0.(u), 0.0)) idx in
   let rec go x t0 steps extensions =
     if Array.exists Option.is_none found && extensions <= options.max_extensions
@@ -753,7 +758,7 @@ let prop_cutoff_keeps_searches g =
 (* Sparse vs dense kernel differentials ---------------------------------- *)
 
 (* A random stamped system, built through the triplet log the way [Mna]
-   and [Moments] stamp: a random connected Laplacian plus ground loads.
+   and the moment oracles stamp: a random connected Laplacian plus ground loads.
    Duplicate stamps are deliberate — summation order is part of the
    contract. *)
 let gen_stamped g n =
@@ -920,12 +925,12 @@ let spice_window cfg r edit =
   | Error e -> failwith (Nontree_error.to_string e)
 
 (* The transient window comes from the system the oracle factors, with
-   the moments system as its reference. On a random 5–30-pin routing
-   with a resized wire and up to three chords, under the fast and the
-   default segmentation, RC and RLC: G⁻¹c of the MNA system is
-   [Moments.first_moments] at every sink, and a round's window for a
-   random edit (an added or a widened wire) is the plain window of the
-   edited routing, each to 1e-12 relative. *)
+   the dense moment reference ([Moment_ref]) as its check. On a random
+   5–30-pin routing with a resized wire and up to three chords, under
+   the fast and the default segmentation, RC and RLC: G⁻¹c of the MNA
+   system is the reference's first moment at every sink, and a round's
+   window for a random edit (an added or a widened wire) is the plain
+   window of the edited routing, each to 1e-12 relative. *)
 let prop_window_from_mna g =
   Fault.disable ();
   let r =
@@ -944,7 +949,7 @@ let prop_window_from_mna g =
     if not (abs_float (a -. b) <= 1e-12 *. abs_float b) then
       failwith (Printf.sprintf "%s: %h vs %h" what a b)
   in
-  let m1_ref = Delay.Moments.first_moments ~tech r in
+  let m1_ref = Moment_ref.first_moments ~tech r in
   let first_moments cfg r =
     let l =
       Delay.Lumping.system ~segmentation:cfg.Delay.Model.segmentation
@@ -1054,9 +1059,8 @@ let gen_round g =
 
 (* [cp]'s factor, or the column the kernel refused. *)
 let companion_factor ?stamps pattern ~dt =
-  match Spice.Transient.companion ?stamps pattern ~dt with
-  | cp -> Ok (Spice.Transient.factor cp)
-  | exception Numeric.Sparse.Singular k -> Error k
+  Result.map Spice.Transient.factor
+    (Spice.Transient.companion ?stamps pattern ~dt)
 
 (* Every companion an incremental round factors, refactored on the
    plan compiled from its round's G record, is the full kernel's
