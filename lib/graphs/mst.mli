@@ -10,15 +10,3 @@ val prim_complete : n:int -> weight:(int -> int -> float) -> Wgraph.t
     algorithm in O(n²) — optimal for complete (geometric) graphs.
 
     @raise Invalid_argument if [n < 1]. *)
-
-val kruskal : Wgraph.t -> Wgraph.t
-(** MST of an arbitrary connected graph by Kruskal's algorithm.
-
-    @raise Invalid_argument when the graph is disconnected. *)
-
-val prim : Wgraph.t -> Wgraph.t
-(** MST of an arbitrary connected graph by Prim's algorithm (adjacency
-    scan). Equivalent to {!kruskal}; both are exposed so tests can
-    cross-validate them.
-
-    @raise Invalid_argument when the graph is disconnected. *)
