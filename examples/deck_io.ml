@@ -35,8 +35,11 @@ let () =
       print_endline "deck round-trip: exact");
 
   (* Simulate and measure. *)
+  let ok = function Ok x -> x | Error e -> Nontree_error.raise_error e in
   let horizon = Delay.Model.spice_horizon ~tech routing in
-  let delays = Spice.Engine.threshold_delays nl ~probes:sinks ~horizon in
+  let delays =
+    ok (Spice.Engine.threshold_delays_result nl ~probes:sinks ~horizon)
+  in
   List.iter
     (fun (probe, d) ->
       match d with
@@ -52,7 +55,11 @@ let () =
            match d with Some t when t > bt -> (p, t) | _ -> (bp, bt))
          ("", 0.0) delays)
   in
-  let trace = Spice.Engine.transient nl ~tstop:(2.0 *. horizon) ~probes:[ slowest ] in
+  let trace =
+    ok
+      (Spice.Engine.transient_result nl ~tstop:(2.0 *. horizon)
+         ~probes:[ slowest ])
+  in
   Spice.Trace.write_csv "deck_io_wave.csv" trace;
   Printf.printf "wrote deck_io_wave.csv (%d samples)\n" (Spice.Trace.length trace);
   print_string (Spice.Trace.ascii_plot trace slowest)
