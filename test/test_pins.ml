@@ -11,7 +11,9 @@
    SPICE and default SPICE on three seeded 10-pin MSTs and on their
    LDRG outputs; the per-step objectives of LDRG runs under two pole
    and fast SPICE, with candidates scored both on the plain path and
-   on the incremental (rank-1 update) path; and one AC analysis point. *)
+   on the incremental (rank-1 update) path; [Delay.Model.spice_horizon],
+   which sets [route --deck]'s .tran stop, on the same routings; and
+   one AC analysis point. *)
 
 let tech = Circuit.Technology.table1
 let hex = Printf.sprintf "%h"
@@ -49,6 +51,27 @@ let routing_lines () =
             models)
         [ ("mst", m); ("ldrg", routed) ])
     seeds
+
+let horizon_lines () =
+  List.concat_map
+    (fun seed ->
+      let m = mst seed in
+      let routed = (ldrg ~model:fast_spice m).Nontree.Ldrg.final in
+      List.map
+        (fun (label, r) ->
+          Printf.sprintf "seed %d %s spice-horizon %s" seed label
+            (hex (Delay.Model.spice_horizon ~tech r)))
+        [ ("mst", m); ("ldrg", routed) ])
+    seeds
+
+(* The horizon is no oracle query: a scripted fault stays unconsumed. *)
+let test_horizon_draws_no_fault () =
+  Fault.script [ Some Fault.Singular_stamp ];
+  Fun.protect ~finally:Fault.disable (fun () ->
+      let h = Delay.Model.spice_horizon ~tech (mst 11) in
+      Alcotest.(check string) "horizon" "0x1.7a079c168edfap-27" (hex h);
+      Alcotest.(check bool) "the scripted fault is still pending" true
+        (Fault.draw ~stage:"test" = Some Fault.Singular_stamp))
 
 let with_incremental enabled f =
   let prev = Nontree.Incremental.enabled () in
@@ -137,6 +160,14 @@ let ldrg_pins =
     "incremental seed 90210 two-pole step 0 (5,6) 0x1.7dcd128ad21d9p-30";
     "incremental seed 90210 fast-spice step 0 (5,6) 0x1.8505573e12fe1p-30" ]
 
+let horizon_pins =
+  [ "seed 11 mst spice-horizon 0x1.7a079c168edfap-27";
+    "seed 11 ldrg spice-horizon 0x1.3c8c22beb8a41p-27";
+    "seed 4242 mst spice-horizon 0x1.dbc9abe0a0924p-27";
+    "seed 4242 ldrg spice-horizon 0x1.86a506e3ef892p-27";
+    "seed 90210 mst spice-horizon 0x1.25830984ba9fcp-27";
+    "seed 90210 ldrg spice-horizon 0x1.04b0184780928p-27" ]
+
 let ac_pins =
   [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6f1p-3 -0x1.48312f4cbd1b2p-2" ]
 
@@ -146,5 +177,9 @@ let suites =
           (fun () -> check_lines "max_delay" routing_pins (routing_lines ()));
         Alcotest.test_case "LDRG step objectives bits" `Quick (fun () ->
             check_lines "LDRG step" ldrg_pins (ldrg_lines ()));
+        Alcotest.test_case "spice_horizon bits" `Quick (fun () ->
+            check_lines "spice_horizon" horizon_pins (horizon_lines ()));
+        Alcotest.test_case "spice_horizon draws no fault" `Quick
+          test_horizon_draws_no_fault;
         Alcotest.test_case "AC point bits" `Quick (fun () ->
             check_lines "AC" ac_pins (ac_lines ())) ] ) ]
