@@ -1,5 +1,4 @@
 open Circuit
-module Triplets = Numeric.Sparse.Triplets
 
 type segmentation =
   | Fixed of int
@@ -28,7 +27,12 @@ let pi_segments ~segmentation ~tech ~length ~width =
   let seg_c = Technology.wire_capacitance_of tech ~length:seg_len ~width in
   (n_seg, seg_r, seg_c)
 
-(* One wire's lumped values, shared by the netlist and the system. *)
+(* The net's drive: an ideal 0→1 V step at t = 0 through [Rdrv] into
+   the source pin, as in the paper ("the root of the tree is driven by
+   a resistor connected to the source pin"). *)
+let drive_wave = Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 }
+
+(* One wire's lumped values. *)
 type wire = {
   u : int;
   v : int;
@@ -38,72 +42,113 @@ type wire = {
   seg_l : float;
 }
 
-let wires ~segmentation ~tech r =
-  List.map
-    (fun (e : Graphs.Wgraph.edge) ->
-      let n_seg, seg_r, seg_c =
-        pi_segments ~segmentation ~tech ~length:e.w
-          ~width:(Routing.width r e.u e.v)
-      in
-      let seg_len = e.w /. float_of_int n_seg in
-      let seg_l = Technology.wire_inductance_of tech ~length:seg_len in
-      { u = e.u; v = e.v; n_seg; seg_r; seg_c; seg_l })
-    (Graphs.Wgraph.edges (Routing.graph r))
+(* The wires of [r], in Wgraph.edges order, and the number of nodes
+   {!walk} numbers, ground included. Every value is checked here, so
+   both forms refuse the same routings. *)
+let lump ~segmentation ~include_inductance ~tech r =
+  let positive what v =
+    if not (Float.is_finite v && v > 0.0) then
+      invalid_arg (Printf.sprintf "Lumping: %s %g" what v)
+  in
+  positive "Rdrv" tech.Technology.driver_resistance;
+  positive "sink capacitance" tech.Technology.sink_capacitance;
+  let wire (e : Graphs.Wgraph.edge) =
+    let n_seg, seg_r, seg_c =
+      pi_segments ~segmentation ~tech ~length:e.w
+        ~width:(Routing.width r e.u e.v)
+    in
+    let seg_len = e.w /. float_of_int n_seg in
+    let seg_l = Technology.wire_inductance_of tech ~length:seg_len in
+    positive "segment resistance" seg_r;
+    positive "segment capacitance" (seg_c /. 2.0);
+    if include_inductance then positive "segment inductance" seg_l;
+    { u = e.u; v = e.v; n_seg; seg_r; seg_c; seg_l }
+  in
+  let wires =
+    Array.of_list (List.map wire (Graphs.Wgraph.edges (Routing.graph r)))
+  in
+  let nodes n w = n + w.n_seg - 1 + if include_inductance then w.n_seg else 0 in
+  (wires, Array.fold_left nodes (Routing.num_vertices r + 2) wires)
 
-(* The net's drive: an ideal 0→1 V step at t = 0 through [Rdrv] into
-   the source pin, as in the paper ("the root of the tree is driven by
-   a resistor connected to the source pin"). *)
-let drive_wave = Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 }
+(* What a node or an element of the walk is, for a consumer that names
+   it. *)
+type node_part = Vertex | Drive | Interior | Midpoint
+type part = Vin | Rdrv | Cpin | Seg_r | Seg_l | Seg_ca | Seg_cb
+
+(* The one walk over a lumped circuit. It numbers the nodes as a
+   netlist numbers them in order of creation: ground 0, vertex i at
+   i + 1, the drive, then each wire's interior nodes and then its R–L
+   midpoints. It tells [node part k] of every node after ground, in
+   that order ([k] the vertex or the wire), and [element part k s pos
+   neg value] of every element, in deck order: [Vin] (no value), [Rdrv],
+   each pin [k]'s load, then each wire [k]'s segments [s]: R, or R
+   then L through a midpoint, then half the segment's C at each end.
+   Returns each wire's chain of unknowns (node - 1). *)
+let walk ~include_inductance ~tech r wires ~node ~element =
+  let nv = Routing.num_vertices r in
+  for i = 0 to nv - 1 do
+    node Vertex i
+  done;
+  node Drive 0;
+  element Vin 0 0 (nv + 1) 0 0.0;
+  element Rdrv 0 0 (nv + 1) 1 tech.Technology.driver_resistance;
+  for i = 0 to Routing.num_terminals r - 1 do
+    element Cpin i 0 (i + 1) 0 tech.Technology.sink_capacitance
+  done;
+  let next = ref (nv + 2) in
+  Array.mapi
+    (fun k w ->
+      let chain =
+        Array.init (w.n_seg + 1) (fun s ->
+            if s = 0 then w.u
+            else if s = w.n_seg then w.v
+            else !next + s - 2)
+      in
+      for _ = 1 to w.n_seg - 1 do
+        node Interior k
+      done;
+      next := !next + w.n_seg - 1;
+      for s = 0 to w.n_seg - 1 do
+        let a = chain.(s) + 1 and b = chain.(s + 1) + 1 in
+        if include_inductance then begin
+          node Midpoint k;
+          element Seg_r k s a !next w.seg_r;
+          element Seg_l k s !next b w.seg_l;
+          incr next
+        end
+        else element Seg_r k s a b w.seg_r;
+        element Seg_ca k s a 0 (w.seg_c /. 2.0);
+        element Seg_cb k s b 0 (w.seg_c /. 2.0)
+      done;
+      ((w.u, w.v), chain))
+    wires
 
 let circuit_of_routing ?(segmentation = default_segmentation)
     ?(include_inductance = false) ~tech r =
+  let wires, _ = lump ~segmentation ~include_inductance ~tech r in
   let nl = Netlist.create () in
-  let vertex_nodes =
-    Array.init (Routing.num_vertices r) (fun i ->
-        Netlist.node nl (vertex_node_name i))
+  let prefix k = Printf.sprintf "e%d_%d" wires.(k).u wires.(k).v in
+  let node part k =
+    ignore
+      (match part with
+      | Vertex -> Netlist.node nl (vertex_node_name k)
+      | Drive -> Netlist.node nl "drive"
+      | Interior -> Netlist.fresh_node nl (prefix k)
+      | Midpoint -> Netlist.fresh_node nl (prefix k ^ "l"))
   in
-  let drive = Netlist.node nl "drive" in
-  Netlist.vsource nl ~name:"Vin" drive Netlist.ground drive_wave;
-  Netlist.resistor nl ~name:"Rdrv" drive vertex_nodes.(0)
-    tech.Technology.driver_resistance;
-  (* Sink loading capacitance at every pin of the net. *)
-  for i = 0 to Routing.num_terminals r - 1 do
-    Netlist.capacitor nl
-      ~name:(Printf.sprintf "Cpin%d" i)
-      vertex_nodes.(i) Netlist.ground tech.Technology.sink_capacitance
-  done;
-  (* Wires: chains of pi-segments. Each segment contributes half its
-     capacitance at each end, so interior nodes see the full per-segment
-     capacitance and edge endpoints see half. *)
-  List.iter
-    (fun w ->
-      let prefix = Printf.sprintf "e%d_%d" w.u w.v in
-      let nodes =
-        Array.init (w.n_seg + 1) (fun s ->
-            if s = 0 then vertex_nodes.(w.u)
-            else if s = w.n_seg then vertex_nodes.(w.v)
-            else Netlist.fresh_node nl prefix)
-      in
-      for s = 0 to w.n_seg - 1 do
-        let a = nodes.(s) and b = nodes.(s + 1) in
-        if include_inductance then begin
-          let mid = Netlist.fresh_node nl (prefix ^ "l") in
-          Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a mid
-            w.seg_r;
-          Netlist.inductor nl ~name:(Printf.sprintf "L%s_%d" prefix s) mid b
-            w.seg_l
-        end
-        else
-          Netlist.resistor nl ~name:(Printf.sprintf "R%s_%d" prefix s) a b
-            w.seg_r;
-        Netlist.capacitor nl
-          ~name:(Printf.sprintf "C%s_%da" prefix s)
-          a Netlist.ground (w.seg_c /. 2.0);
-        Netlist.capacitor nl
-          ~name:(Printf.sprintf "C%s_%db" prefix s)
-          b Netlist.ground (w.seg_c /. 2.0)
-      done)
-    (wires ~segmentation ~tech r);
+  let element part k s pos neg value =
+    let name fmt = Printf.sprintf fmt (prefix k) s in
+    match part with
+    | Vin -> Netlist.vsource nl ~name:"Vin" pos neg drive_wave
+    | Rdrv -> Netlist.resistor nl ~name:"Rdrv" pos neg value
+    | Cpin ->
+        Netlist.capacitor nl ~name:(Printf.sprintf "Cpin%d" k) pos neg value
+    | Seg_r -> Netlist.resistor nl ~name:(name "R%s_%d") pos neg value
+    | Seg_l -> Netlist.inductor nl ~name:(name "L%s_%d") pos neg value
+    | Seg_ca -> Netlist.capacitor nl ~name:(name "C%s_%da") pos neg value
+    | Seg_cb -> Netlist.capacitor nl ~name:(name "C%s_%db") pos neg value
+  in
+  ignore (walk ~include_inductance ~tech r wires ~node ~element);
   (nl, List.map vertex_node_name (Routing.sinks r))
 
 type system = {
@@ -111,99 +156,19 @@ type system = {
   chains : ((int * int) * int array) array;
 }
 
-(* The netlist above numbers its nodes ground, n0..n(V-1), drive, then
-   each wire's interior nodes (and with inductance its R–L midpoints,
-   after them); Mna.build gives node id k the unknown k - 1 and the
-   branches (Vin, then the inductors in element order) the unknowns
-   after the nodes. [system] numbers the same way and stamps each
-   element's entries in the order Mna.build stamps that element, so
-   every entry sums its stamps in the same order. *)
 let system ?(segmentation = default_segmentation) ?(include_inductance = false)
     ~tech r =
-  let positive what v =
-    if not (Float.is_finite v && v > 0.0) then
-      invalid_arg (Printf.sprintf "Lumping.system: %s %g" what v)
+  let wires, num_nodes = lump ~segmentation ~include_inductance ~tech r in
+  let module B = Spice.Mna.Builder in
+  let b = B.create ~num_nodes in
+  let element part _ _ pos neg value =
+    match part with
+    | Vin -> B.vsource b pos neg drive_wave
+    | Rdrv | Seg_r -> B.resistor b pos neg value
+    | Seg_l -> B.inductor b pos neg value
+    | Cpin | Seg_ca | Seg_cb -> B.capacitor b pos neg value
   in
-  let rdrv = tech.Technology.driver_resistance in
-  let cpin = tech.Technology.sink_capacitance in
-  positive "Rdrv" rdrv;
-  positive "sink capacitance" cpin;
-  let wires = Array.of_list (wires ~segmentation ~tech r) in
-  let nv = Routing.num_vertices r in
-  let interiors = ref 0 and segments = ref 0 in
-  Array.iter
-    (fun w ->
-      positive "segment resistance" w.seg_r;
-      positive "segment capacitance" (w.seg_c /. 2.0);
-      if include_inductance then positive "segment inductance" w.seg_l;
-      interiors := !interiors + w.n_seg - 1;
-      segments := !segments + w.n_seg)
-    wires;
-  let inductors = if include_inductance then !segments else 0 in
-  let drive = nv in
-  let num_node_unknowns = nv + 1 + !interiors + inductors in
-  let vin = num_node_unknowns in
-  let size = vin + 1 + inductors in
-  let elements = 2 + Routing.num_terminals r + (3 * !segments) + inductors in
-  let gt = Triplets.create ~capacity:(4 * elements) () in
-  let ct = Triplets.create ~capacity:(4 * elements) () in
-  (* Both terminals of every conductance here are non-ground. *)
-  let conductance m p n value =
-    Triplets.add m p p value;
-    Triplets.add m n n value;
-    Triplets.add m p n (-.value);
-    Triplets.add m n p (-.value)
-  in
-  Triplets.add gt drive vin 1.0;
-  Triplets.add gt vin drive 1.0;
-  (* Rdrv from the drive node to the source pin, vertex 0. *)
-  conductance gt drive 0 (1.0 /. rdrv);
-  for i = 0 to Routing.num_terminals r - 1 do
-    Triplets.add ct i i cpin
-  done;
-  let next_node = ref (nv + 1) and next_branch = ref (vin + 1) in
   let chains =
-    Array.map
-      (fun w ->
-        let chain =
-          Array.init (w.n_seg + 1) (fun s ->
-              if s = 0 then w.u
-              else if s = w.n_seg then w.v
-              else !next_node + s - 1)
-        in
-        next_node := !next_node + w.n_seg - 1;
-        for s = 0 to w.n_seg - 1 do
-          let a = chain.(s) and b = chain.(s + 1) in
-          if include_inductance then begin
-            let mid = !next_node and row = !next_branch in
-            incr next_node;
-            incr next_branch;
-            conductance gt a mid (1.0 /. w.seg_r);
-            Triplets.add gt mid row 1.0;
-            Triplets.add gt row mid 1.0;
-            Triplets.add gt b row (-1.0);
-            Triplets.add gt row b (-1.0);
-            Triplets.add ct row row (-.w.seg_l)
-          end
-          else conductance gt a b (1.0 /. w.seg_r);
-          Triplets.add ct a a (w.seg_c /. 2.0);
-          Triplets.add ct b b (w.seg_c /. 2.0)
-        done;
-        ((w.u, w.v), chain))
-      wires
+    walk ~include_inductance ~tech r wires ~node:(fun _ _ -> ()) ~element
   in
-  let g_csc = Numeric.Sparse.Csc.of_triplets ~n:size gt in
-  let mna =
-    {
-      Spice.Mna.size;
-      num_node_unknowns;
-      sources = [| { Spice.Mna.row = vin; sign = 1.0; wave = drive_wave } |];
-      unknown_of_node = Array.init (num_node_unknowns + 1) (fun i -> i - 1);
-      g_csc;
-      c_csc = Numeric.Sparse.Csc.of_triplets ~n:size ct;
-      (* C is diagonal and the ordering ignores the diagonal, so G's
-         ordering is Mna.build's G∪C ordering. *)
-      sym = Numeric.Sparse.analyze g_csc;
-    }
-  in
-  { mna; chains }
+  { mna = B.finish b; chains }

@@ -7,10 +7,12 @@
     sink loading capacitance sits at every pin. Wire widths from the
     WSORG formulation scale resistance down and capacitance up.
 
-    The lowering comes in two forms with one numbering: {!system}
-    stamps the MNA system straight from the routing, which is what
-    every delay oracle simulates, and {!circuit_of_routing} writes the
-    same circuit as a named netlist, for deck export ([route --deck]),
+    One walk over the lumped circuit decides its elements, their
+    order, the node numbering and the check that every value is finite
+    and positive. It has two consumers: {!system} stamps each element
+    straight into a {!Spice.Mna.Builder}, naming nothing, which is what
+    every delay oracle simulates; {!circuit_of_routing} names each
+    element and node into a netlist, for deck export ([route --deck]),
     [spice_run] and the tests. *)
 
 type segmentation =
@@ -35,9 +37,9 @@ val pi_segments :
   width:float ->
   int * float * float
 (** [(n_seg, seg_r, seg_c)] for one wire: the segment count and the
-    per-segment resistance and capacitance, computed exactly as
-    {!system} and {!circuit_of_routing} stamp them, and {!Model.score}
-    an edited wire. *)
+    per-segment resistance and capacitance, computed exactly as the
+    lowering's walk emits them, and {!Model.score} stamps an edited
+    wire. *)
 
 val circuit_of_routing :
   ?segmentation:segmentation ->
@@ -51,7 +53,9 @@ val circuit_of_routing :
     Defaults: {!default_segmentation}, no inductance (the RC model the
     Elmore comparisons assume; pass [~include_inductance:true] for the
     full Table 1 RLC model). The net is driven by a 0→1 V ideal step at
-    t = 0 (source ["Vin"]) through the driver resistance. *)
+    t = 0 (source ["Vin"]) through the driver resistance.
+
+    @raise Invalid_argument as {!system} does. *)
 
 type system = {
   mna : Spice.Mna.t;
@@ -74,13 +78,12 @@ val system :
   Routing.t ->
   system
 (** [system ~tech r] is [Spice.Mna.build (fst (circuit_of_routing ~tech
-    r))] (same defaults) built without the netlist: the same unknowns,
-    sources and [unknown_of_node], and G and C stamped in the same
-    order, so their CSC images and the ordering are bit for bit the
-    same. The ordering is [Numeric.Sparse.analyze] of G, which is the
-    G∪C ordering because C is diagonal.
+    r))] (same defaults) built without the netlist: the same walk
+    stamps the same elements in the same order through the same
+    {!Spice.Mna.Builder}, so the two are bit for bit the same by
+    construction.
 
     @raise Invalid_argument when an element value (a segment's R, C or
     L, [Rdrv] or the sink load) is not finite and positive — a
-    zero-length or overflowing wire — as the netlist refuses such an
-    element. *)
+    zero-length or overflowing wire. {!circuit_of_routing} refuses the
+    same routings with the same message. *)
