@@ -337,10 +337,10 @@ let edited round config chains (p : Spice.Engine.prepared) = function
       in
       (m1, Some stamps, x0, xf)
 
-let transient_delays round config chains p ~cutoff ~horizon_scale edit =
+let transient_delays round config chains p ~cutoff edit =
   let m1, stamps, x0, xf = edited round config chains p edit in
   let sinks = round.sinks in
-  let horizon = window_of sinks m1 *. horizon_scale in
+  let horizon = window_of sinks m1 in
   if not (Float.is_finite horizon && horizon > 0.0) then
     fail (Nontree_error.Non_finite { stage = "spice.window"; value = horizon });
   match
@@ -361,7 +361,7 @@ let transient_delays round config chains p ~cutoff ~horizon_scale edit =
                (List.init (Array.length sinks) (fun i ->
                     (sinks.(i), Option.get found.(i))))))
 
-let score ?(cutoff = Float.infinity) ?(horizon_scale = 1.0) round edit =
+let score ?(cutoff = Float.infinity) round edit =
   match
     match (round.system, edit) with
     | Tree ds, None -> Spice.Engine.Exact ds
@@ -376,7 +376,7 @@ let score ?(cutoff = Float.infinity) ?(horizon_scale = 1.0) round edit =
         Some _ ->
         invalid_arg "Model.score: an edit of an Elmore or RLC round"
     | Transient { config; chains; p }, _ ->
-        transient_delays round config chains p ~cutoff ~horizon_scale edit
+        transient_delays round config chains p ~cutoff edit
   with
   | s -> Ok s
   | exception Failed e -> Error e
@@ -406,11 +406,8 @@ let spice_horizon ~tech r =
   | Ok horizon -> horizon
   | Error e -> Nontree_error.raise_error e
 
-let sink_delays_result ?horizon_scale model ~tech r =
-  match
-    Result.bind (prepare model ~tech r) (fun round ->
-        score ?horizon_scale round None)
-  with
+let sink_delays_result model ~tech r =
+  match Result.bind (prepare model ~tech r) (fun round -> score round None) with
   | Ok (Spice.Engine.Exact ds) -> Ok ds
   | Ok (Spice.Engine.Above _) -> assert false (* no cutoff *)
   | Error e -> Error e

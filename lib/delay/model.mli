@@ -46,7 +46,6 @@ val name : t -> string
 (** Short label for tables ("elmore", "spice", ...). *)
 
 val sink_delays_result :
-  ?horizon_scale:float ->
   t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
@@ -54,9 +53,7 @@ val sink_delays_result :
 (** Delay to every sink, as (vertex, seconds): {!prepare} then {!score}
     with no edit. All returned delays are guaranteed finite; any
     NaN/Inf, singular factorisation, unsettled probe, or
-    tree-only-oracle-on-a-graph condition becomes an [Error].
-    [horizon_scale] (default 1) stretches the SPICE transient window —
-    the retry-with-refinement lever of {!Robust}. *)
+    tree-only-oracle-on-a-graph condition becomes an [Error]. *)
 
 val sink_delays :
   t -> tech:Circuit.Technology.t -> Routing.t -> (int * float) list
@@ -120,7 +117,6 @@ val prepare :
 
 val score :
   ?cutoff:float ->
-  ?horizon_scale:float ->
   round ->
   wire option ->
   ((int * float) list Spice.Engine.bounded, Nontree_error.t) result
@@ -133,7 +129,7 @@ val score :
     - Moment models: the first (and second) moments are corrected
       solves; [cutoff] is ignored.
     - SPICE: the corrected first moments give the transient window
-      (4 × the largest sink's, times [horizon_scale], default 1). At
+      (4 × the largest sink's). At
       DC a wire's π-chain is one series conductance and its interior
       nodes lie evenly between its ends, so the round's operating
       point and settled state are corrected and interpolated; the
@@ -147,7 +143,7 @@ val score :
 
 val window : round -> wire option -> (float, Nontree_error.t) result
 (** The transient window {!score} gives a SPICE round's routing or an
-    edit of it at [horizon_scale] 1: 4 × the largest of the corrected
+    edit of it: 4 × the largest of the corrected
     first moments over the sinks. On an RLC round too, where {!score}
     takes no edit.
     @raise Invalid_argument on an Elmore or moment round. *)

@@ -6,9 +6,10 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Attempts with the primary oracle before degrading. *)
 let max_attempts = 3
 
-(* Each refined attempt halves the timestep (doubling steps_per_chunk),
-   adds pi-segments, and doubles the transient horizon: the three knobs
-   that cure a non-settling or numerically rough SPICE probe. *)
+(* Each refined attempt halves the timestep (doubling steps_per_chunk
+   over the same window) and adds pi-segments: the knobs that cure a
+   numerically rough SPICE probe. A late crossing is the scan's own
+   business: it extends its window up to max_extensions times. *)
 let refine_spice (c : Model.spice_config) ~attempt =
   if attempt <= 1 then c
   else begin
@@ -78,12 +79,7 @@ let sink_delays ~model ~tech r =
      while other domains inject concurrently. *)
   let injected_before = Nontree_error.Counters.faults_injected_local () in
   let rec attempt n =
-    let scale = float_of_int (1 lsl (n - 1)) in
-    match
-      Model.sink_delays_result ~horizon_scale:scale
-        (refined_model model ~attempt:n)
-        ~tech r
-    with
+    match Model.sink_delays_result (refined_model model ~attempt:n) ~tech r with
     | Ok ds -> Ok ds
     | Error e when retryable e && n < max_attempts ->
         Nontree_error.Counters.incr_retries ();

@@ -7,8 +7,7 @@
     bad evaluation costs at most a logged fallback:
 
     + the primary oracle is attempted up to 3 times, each retry with
-      halved timestep, extra π-segments and a doubled transient horizon
-      ({!refine_spice});
+      halved timestep and extra π-segments ({!refine_spice});
     + on continued failure it degrades SPICE → first moment → Elmore
       (trees only), recording each degradation in
       {!Nontree_error.Counters};
@@ -22,9 +21,10 @@
 
 val refine_spice : Model.spice_config -> attempt:int -> Model.spice_config
 (** The refinement schedule (exposed for tests): attempt [n] runs with
-    [steps_per_chunk × 2^(n-1)], segmentation deepened by [2(n-1)]
-    segments, and — via [horizon_scale] — a [2^(n-1)]× transient
-    window. Attempt 1 is the unmodified configuration. *)
+    [steps_per_chunk × 2^(n-1)] and segmentation deepened by [2(n-1)]
+    segments. Its window is attempt 1's (a π-chain's first moments do
+    not depend on its segment count), so its timestep is [2^(n-1)]×
+    shorter. Attempt 1 is the unmodified configuration. *)
 
 val fallback_chain : Model.t -> Routing.t -> Model.t list
 (** The degradation order tried after the primary oracle is exhausted;

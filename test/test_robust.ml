@@ -150,6 +150,30 @@ let test_no_fault_identical_to_plain_oracle () =
       Alcotest.(check bool) "no events at all" false
         (Nontree_error.Counters.any ()))
 
+(* A retry runs the refined oracle and nothing else: after one scripted
+   fault, the robust delays are those of attempt 2's configuration, bit
+   for bit, on a tree and on a graph. *)
+let test_retry_is_refined_oracle () =
+  let tree = random_routing 13 9 in
+  let u, v = List.hd (Routing.candidate_edges tree) in
+  let refined =
+    Delay.Model.Spice
+      (Delay.Robust.refine_spice Delay.Model.fast_spice ~attempt:2)
+  in
+  let bits = List.map (fun (v, d) -> (v, Int64.bits_of_float d)) in
+  List.iter
+    (fun r ->
+      with_clean_faults (fun () ->
+          Fault.script [ Some Fault.Singular_stamp ];
+          let robust = Delay.Robust.sink_delays_exn ~model:fast ~tech r in
+          Alcotest.(check int) "one retry" 1 (counters ()).retries;
+          match Delay.Model.sink_delays_result refined ~tech r with
+          | Ok ds ->
+              Alcotest.(check bool) "attempt 2's delays" true
+                (bits robust = bits ds)
+          | Error e -> Alcotest.fail (Nontree_error.to_string e)))
+    [ tree; Routing.add_edge tree u v ]
+
 let test_single_sink_net () =
   with_clean_faults (fun () ->
       let r = Routing.mst_of_net (two_pin_net 1500.0) in
@@ -373,6 +397,8 @@ let suites =
           test_invalid_net_never_retried;
         Alcotest.test_case "no faults = plain oracle" `Quick
           test_no_fault_identical_to_plain_oracle;
+        Alcotest.test_case "retry is the refined oracle" `Quick
+          test_retry_is_refined_oracle;
         Alcotest.test_case "single-sink net" `Quick test_single_sink_net;
         Alcotest.test_case "fault schedule deterministic" `Quick
           test_fault_schedule_deterministic;
