@@ -227,6 +227,38 @@ let test_lumping_inductance () =
   Alcotest.(check int) "inductors" 3
     (count_elements nl (function Circuit.Element.Inductor _ -> true | _ -> false))
 
+(* A Steiner point on a pin makes a zero-length wire, whose segments
+   have zero R and C: both forms of the lowering refuse it through the
+   same check, and a SPICE oracle's set-up turns that into its typed
+   [spice.lumping] error. *)
+let test_lumping_one_refusal () =
+  let mst = random_routing 5 6 in
+  let pts = Routing.points mst in
+  let edges =
+    (1, Array.length pts)
+    :: List.map
+         (fun (e : Graphs.Wgraph.edge) -> (e.u, e.v))
+         (Graphs.Wgraph.edges (Routing.graph mst))
+  in
+  let r =
+    Routing.with_points ~source:0 ~num_terminals:(Routing.num_terminals mst)
+      (Array.append pts [| pts.(1) |])
+      edges
+  in
+  let refusal what lower =
+    match lower () with
+    | () -> Alcotest.failf "%s lowered a zero-length wire" what
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "one refusal"
+    (refusal "system" (fun () -> ignore (Delay.Lumping.system ~tech r)))
+    (refusal "circuit_of_routing" (fun () ->
+         ignore (Delay.Lumping.circuit_of_routing ~tech r)));
+  match Delay.Model.prepare (Delay.Model.Spice Delay.Model.fast_spice) ~tech r with
+  | Error (Nontree_error.Non_finite { stage = "spice.lumping"; _ }) -> ()
+  | Error e -> Alcotest.fail (Nontree_error.to_string e)
+  | Ok _ -> Alcotest.fail "prepare accepted a zero-length wire"
+
 let test_lumping_total_capacitance_matches () =
   (* The lumped circuit's total capacitance must equal the analytic
      C_n0 used by the Elmore formula. *)
@@ -353,6 +385,8 @@ let suites =
         Alcotest.test_case "segments_for" `Quick test_segments_for;
         Alcotest.test_case "lumping structure" `Quick test_lumping_structure;
         Alcotest.test_case "lumping inductance" `Quick test_lumping_inductance;
+        Alcotest.test_case "lumping one refusal for both forms" `Quick
+          test_lumping_one_refusal;
         Alcotest.test_case "lumped C total matches" `Quick
           test_lumping_total_capacitance_matches;
         Alcotest.test_case "model names" `Quick test_model_names;
