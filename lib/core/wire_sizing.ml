@@ -6,10 +6,15 @@ let wire_area r =
 let next_width widths current =
   List.find_opt (fun w -> w > current +. 1e-12) widths
 
+(* Routing.widths names each wire in canonical order (u < v). *)
 let resizes ~widths r =
   List.filter_map
-    (fun (edge, w) ->
-      Option.map (fun w' -> Incremental.Resize (edge, w')) (next_width widths w))
+    (fun ((u, v), w) ->
+      Option.map
+        (fun width ->
+          { Delay.Model.u; v; length = Routing.edge_length r u v; width;
+            was = Some w })
+        (next_width widths w))
     (Routing.widths r)
 
 let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
@@ -23,11 +28,9 @@ let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
       if not (increasing widths) then
         invalid_arg "Wire_sizing: widths must be strictly increasing"
   | _ -> invalid_arg "Wire_sizing: widths must start at 1");
-  let trace, edits =
+  let trace, wires =
     Ldrg.search_delay ~max_moves:max_changes ~moves:(resizes ~widths) ~model
       ~tech r
   in
   ( trace.Ldrg.final,
-    List.map
-      (function Incremental.Resize (e, w) -> (e, w) | Add _ -> assert false)
-      edits )
+    List.map (fun (w : Delay.Model.wire) -> ((w.u, w.v), w.width)) wires )

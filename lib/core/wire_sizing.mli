@@ -10,9 +10,10 @@ val wire_area : Routing.t -> float
 (** Σ length × width — the silicon area cost that replaces raw
     wirelength once widths vary. *)
 
-val resizes : widths:float list -> Routing.t -> Incremental.edit list
+val resizes : widths:float list -> Routing.t -> Delay.Model.wire list
 (** {!size_greedy}'s moves: each wire below the widest width bumped to
-    its next one, in {!Routing.widths} order. *)
+    its next one, in {!Routing.widths} order, with its length and
+    current width as [was]. *)
 
 val size_greedy :
   ?widths:float list ->
@@ -27,7 +28,7 @@ val size_greedy :
     sized routing and the applied (edge, new-width) changes in order.
 
     It is LDRG's loop, {!Ldrg.search_delay}, on {!resizes}: width
-    trials are scored incrementally as resize edits, on the plain
+    trials are scored incrementally as resized wires, on the plain
     oracle where the scorer gives up; a failed trial is dropped, a
     failed baseline raises, and ties keep the earliest edge.
 
