@@ -398,7 +398,8 @@ let ext_csorg config =
   let search = Delay.Model.First_moment in
   let spice_sink_delay r v =
     List.assoc v
-      (Delay.Model.sink_delays config.Nontree.Experiment.eval_model ~tech r)
+      (Nontree.Oracle.Cache.sink_delays
+         ~model:config.Nontree.Experiment.eval_model ~tech r)
   in
   let col =
     columns
@@ -452,7 +453,10 @@ let ext_wsorg config =
   let size = 10 in
   let nets = Nontree.Experiment.nets config ~size in
   let search = Delay.Model.First_moment in
-  let delay r = Delay.Model.max_delay config.Nontree.Experiment.eval_model ~tech r in
+  let delay =
+    Nontree.Oracle.Cache.max_delay ~model:config.Nontree.Experiment.eval_model
+      ~tech
+  in
   let col =
     columns
       (map_nets pool ~what:"ext wsorg"
@@ -554,7 +558,7 @@ let ext_rlc config =
                 ~model:config.Nontree.Experiment.search_model ~tech mst)
                .Nontree.Ldrg.final
            in
-           let d model r = Delay.Model.max_delay model ~tech r in
+           let d model = Nontree.Oracle.Cache.max_delay ~model ~tech in
            let mst_rc = d rc mst and mst_rlc = d rlc mst in
            let g_rc = d rc graph and g_rlc = d rlc graph in
            [ mst_rlc /. mst_rc;
