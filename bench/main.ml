@@ -196,7 +196,7 @@ let () =
   let accurate = ref false in
   let svg_dir = ref "figures" in
   let jobs = ref 1 in
-  let bench_json = ref "BENCH_nontree.json" in
+  let bench_json = ref "" in
   let metrics_json = ref "" in
   let csv s =
     String.split_on_char ',' s |> List.map String.trim
@@ -238,8 +238,9 @@ let () =
          identical for any value (default 1)" );
       ( "--bench-json",
         Arg.Set_string bench_json,
-        "PATH  machine-readable per-section stats (default \
-         BENCH_nontree.json; empty string disables)" );
+        "PATH  write machine-readable per-section stats (schema \
+         nontree-bench-v1) to PATH; re-baseline with a full run and \
+         --bench-json BENCH_nontree.json (default: none)" );
       ( "--metrics-json",
         Arg.Set_string metrics_json,
         "PATH  nontree-obs-v1 run manifest (counters, histograms, trace \

@@ -74,7 +74,7 @@ echo "== bench prints every artefact as tables.exe does =="
 # header.
 small="--trials 2 --sizes 5,10 --svg-dir $tmpdir/svg"
 dune exec bench/main.exe -- --only 1,2,3,4,5,6,7,figures,ext $small \
-  --bench-json '' 2>/dev/null | tail -n +5 > "$tmpdir/bench.out"
+  2>/dev/null | tail -n +5 > "$tmpdir/bench.out"
 # The artefacts are the goldens, test/golden/{table,figure}N.expected and
 # ext_NAME.expected, in the order test/golden/dune runs them (the
 # bench's); every golden must have its rule there.
@@ -96,10 +96,16 @@ echo "== full scale: the bench's artefacts at 5-30 pins match the golden =="
 # 5,10,20,30), kept out of dune runtest for its ~20 s. The jobs line
 # and the SVG directory are normalised as test/golden/run.sh does.
 dune exec bench/main.exe -- --jobs 2 --only 1,2,3,4,5,6,7,figures,ext \
-  --svg-dir "$tmpdir/full_svg" --bench-json '' > "$tmpdir/full.raw" 2>/dev/null
+  --svg-dir "$tmpdir/full_svg" > "$tmpdir/full.raw" 2>/dev/null
 sed -e 's/^jobs [0-9]*$/jobs N/' -e "s|$tmpdir/full_svg|SVG|" \
   "$tmpdir/full.raw" > "$tmpdir/full.out"
 diff -u test/full_scale.expected "$tmpdir/full.out"
+
+echo "== a bench run without --bench-json writes no baseline =="
+mkdir "$tmpdir/nobaseline"
+bench="$PWD/_build/default/bench/main.exe"
+(cd "$tmpdir/nobaseline" && "$bench" --only 1 > /dev/null 2>&1)
+[ ! -e "$tmpdir/nobaseline/BENCH_nontree.json" ]
 
 echo "== bench rejects an unknown --only section and a bad --sizes =="
 # A usage error exits 2 before anything runs, so no baseline is written.
