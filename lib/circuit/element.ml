@@ -43,16 +43,3 @@ let validate = function
       if pos = neg then Error "vsource: shorted terminals"
       else Waveform.validate wave
   | Isource { wave; _ } -> Waveform.validate wave
-
-let pp ppf e =
-  match e with
-  | Resistor { name; pos; neg; ohms } ->
-      Format.fprintf ppf "%s %d %d %g" name pos neg ohms
-  | Capacitor { name; pos; neg; farads } ->
-      Format.fprintf ppf "%s %d %d %g" name pos neg farads
-  | Inductor { name; pos; neg; henries } ->
-      Format.fprintf ppf "%s %d %d %g" name pos neg henries
-  | Vsource { name; pos; neg; wave } ->
-      Format.fprintf ppf "%s %d %d %a" name pos neg Waveform.pp wave
-  | Isource { name; pos; neg; wave } ->
-      Format.fprintf ppf "%s %d %d %a" name pos neg Waveform.pp wave

@@ -23,5 +23,3 @@ val validate : t -> (unit, string) result
     distinct terminals for R/L/V (a shorted source or zero-ohm loop is
     a modelling error; a capacitor across identical nodes is also
     rejected). *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,11 +16,6 @@ let table1 =
     (* 10^2 mm^2 layout area = 10 mm x 10 mm = 10^4 µm per side. *)
     layout_side = 10_000.0 }
 
-let scaled t ~resistance ~capacitance =
-  { t with
-    wire_resistance = t.wire_resistance *. resistance;
-    wire_capacitance = t.wire_capacitance *. capacitance }
-
 let wire_resistance_of t ~length ~width = t.wire_resistance *. length /. width
 
 let wire_capacitance_of t ~length ~width = t.wire_capacitance *. length *. width

@@ -19,10 +19,6 @@ val table1 : t
 (** 100 Ω driver, 0.03 Ω/µm, 0.352 fF/µm, 492 fH/µm, 15.3 fF sink
     loads, 10 mm × 10 mm layout area. *)
 
-val scaled : t -> resistance:float -> capacitance:float -> t
-(** [scaled t ~resistance ~capacitance] multiplies the per-unit wire
-    resistance and capacitance — used by sensitivity ablations. *)
-
 val wire_resistance_of : t -> length:float -> width:float -> float
 (** Total resistance of a wire of [length] µm and relative [width]
     (wider wires have proportionally lower resistance). *)

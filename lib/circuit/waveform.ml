@@ -89,16 +89,3 @@ let validate w =
         in
         if corners = [] then Error "pwl: empty corner list"
         else increasing corners
-
-let pp ppf = function
-  | Dc v -> Format.fprintf ppf "DC %g" v
-  | Step { t0; v0; v1 } -> Format.fprintf ppf "STEP(%g->%g @%g)" v0 v1 t0
-  | Ramp { t0; t1; v0; v1 } ->
-      Format.fprintf ppf "RAMP(%g->%g over [%g,%g])" v0 v1 t0 t1
-  | Pulse { v0; v1; delay; rise; fall; width; period } ->
-      Format.fprintf ppf "PULSE(%g %g %g %g %g %g %g)" v0 v1 delay rise fall
-        width period
-  | Pwl corners ->
-      Format.fprintf ppf "PWL(";
-      List.iter (fun (t, v) -> Format.fprintf ppf "%g %g " t v) corners;
-      Format.fprintf ppf ")"

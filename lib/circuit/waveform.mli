@@ -38,5 +38,3 @@ val settled : t -> float
 val validate : t -> (unit, string) result
 (** Checks structural invariants (finite parameters, increasing PWL
     times, positive pulse period, non-negative ramp duration). *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ let to_string = function
       Printf.sprintf "probe %s never settled within %.3g s" probe horizon
   | Invalid_net reason -> "invalid net: " ^ reason
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let protect f = try Ok (f ()) with Error e -> Result.Error e
 
 module Counters = struct

@@ -45,8 +45,6 @@ val to_string : t -> string
 (** One-line, human-readable rendering — what binaries print before
     exiting nonzero. *)
 
-val pp : Format.formatter -> t -> unit
-
 val protect : (unit -> 'a) -> ('a, t) result
 (** [protect f] runs [f], converting a raised {!Error} back into
     [Result]. Other exceptions pass through. *)

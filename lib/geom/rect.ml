@@ -30,6 +30,3 @@ let bounding_box points =
   !r
 
 let half_perimeter r = width r +. height r
-
-let pp ppf r =
-  Format.fprintf ppf "[%g,%g]x[%g,%g]" r.x0 r.x1 r.y0 r.y1

@@ -23,5 +23,3 @@ val bounding_box : Point.t array -> t
 
 val half_perimeter : t -> float
 (** Half-perimeter wirelength lower bound of the box. *)
-
-val pp : Format.formatter -> t -> unit

@@ -111,13 +111,3 @@ let widths t =
 let rooted t =
   if not (is_tree t) then invalid_arg "Routing.rooted: not a tree";
   Graphs.Rooted.of_tree t.graph ~root:0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<hov 2>routing(%d vertices, %d terminals,@ %d edges,@ cost %.1f):"
-    (num_vertices t) t.num_terminals
-    (Graphs.Wgraph.num_edges t.graph) (cost t);
-  List.iter
-    (fun (e : Graphs.Wgraph.edge) ->
-      Format.fprintf ppf "@ %d-%d(%.1f)" e.u e.v e.w)
-    (Graphs.Wgraph.edges t.graph);
-  Format.fprintf ppf "@]"

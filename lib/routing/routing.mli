@@ -91,5 +91,3 @@ val rooted : t -> Graphs.Rooted.t
 (** Rooted-at-source view for Elmore computations.
 
     @raise Invalid_argument when the routing is not a tree. *)
-
-val pp : Format.formatter -> t -> unit
