@@ -51,7 +51,7 @@ let render ~title ~baseline rows =
     (fun (label, group) ->
       List.iteri
         (fun i r ->
-          let tag = if i = 0 then Printf.sprintf "%-17s" label else String.make 17 ' ' in
+          let tag = if i = 0 then Printf.sprintf "%-15s" label else String.make 15 ' ' in
           Buffer.add_string buf
             (Printf.sprintf "  %s %3d |  %s\n" tag r.size (row_cells r.row)))
         group)
