@@ -16,12 +16,21 @@
    The bechamel section's count deltas print as "-": Bechamel repeats
    each kernel as often as its time quota allows, so its counts differ
    between two runs of one build. Its wall time is shown and gated like
-   any other section's. *)
+   any other section's.
+
+   Then it prints the run-level counts of the [incremental] block (rank-1
+   updates, incremental hits and fallbacks, sparse factorisations,
+   refactors and refactor fallbacks) in both files, with their change.
+   They are shown, not gated. *)
 
 let schema = "nontree-bench-v1"
 let usage = "usage: bench_diff [--threshold F] OLD.json NEW.json"
 let min_wall = 0.5
 let repeats_by_time name = name = "bechamel"
+
+let run_counts =
+  [ "rank1_updates"; "hits"; "fallbacks"; "sparse_factorizations";
+    "refactors"; "refactor_fallbacks" ]
 
 let die fmt =
   Printf.ksprintf (fun s -> prerr_endline ("bench_diff: " ^ s); exit 2) fmt
@@ -70,22 +79,29 @@ let load path =
   (match field "schema" json with
   | Obs.Json.String s when s = schema -> ()
   | _ -> die "%s: schema is not %S" path schema);
-  match field "sections" json with
-  | Obs.Json.List l ->
-      List.map
-        (fun s ->
-          match field "name" s with
-          | Obs.Json.String name ->
-              ( name,
-                { wall_s = number "wall_s" s;
-                  oracle_calls = int "oracle_calls" s;
-                  incremental_evals = int "incremental_evals" s;
-                  spice_steps = int "spice_steps" s;
-                  cache_hits = int "cache_hits" s;
-                  cache_misses = int "cache_misses" s } )
-          | _ -> die "%s: a section name is not a string" path)
-        l
-  | _ -> die "%s: \"sections\" is not a list" path
+  let incremental =
+    let block = field "incremental" json in
+    List.map (fun k -> (k, int k block)) run_counts
+  in
+  let sections =
+    match field "sections" json with
+    | Obs.Json.List l ->
+        List.map
+          (fun s ->
+            match field "name" s with
+            | Obs.Json.String name ->
+                ( name,
+                  { wall_s = number "wall_s" s;
+                    oracle_calls = int "oracle_calls" s;
+                    incremental_evals = int "incremental_evals" s;
+                    spice_steps = int "spice_steps" s;
+                    cache_hits = int "cache_hits" s;
+                    cache_misses = int "cache_misses" s } )
+            | _ -> die "%s: a section name is not a string" path)
+          l
+    | _ -> die "%s: \"sections\" is not a list" path
+  in
+  (incremental, sections)
 
 let () =
   let threshold = ref 0.25 and files = ref [] in
@@ -100,7 +116,7 @@ let () =
     | [ o; n ] -> (o, n)
     | _ -> die "%s" usage
   in
-  let old = load old_path and cur = load new_path in
+  let old_run, old = load old_path and cur_run, cur = load new_path in
   Printf.printf "%-10s %9s %9s %8s %13s %18s %14s %11s %17s\n" "section"
     "old_s" "new_s" "wall" "oracle_calls" "incremental_evals" "spice_steps"
     "cache_hits" "steps/eval";
@@ -140,6 +156,12 @@ let () =
       if not (List.mem_assoc name cur) then
         Printf.printf "%-10s (only in %s)\n" name old_path)
     old;
+  Printf.printf "\n%-22s %12s %12s %10s\n" "incremental" "old" "new" "delta";
+  List.iter
+    (fun k ->
+      let o = List.assoc k old_run and n = List.assoc k cur_run in
+      Printf.printf "%-22s %12d %12d %+10d\n" k o n (n - o))
+    run_counts;
   match regressions with
   | [] ->
       Printf.printf "ok: no section's wall time grew by more than %.0f%%\n"

@@ -6,7 +6,7 @@ let worst_sink delays =
       match best with Some (_, d') when d' >= d -> best | _ -> Some (v, d))
     None delays
 
-let h1 ?(max_iterations = max_int) ~model ~tech initial =
+let h1 ~model ~tech initial =
   let evaluations = ref 0 in
   let sink_delays r =
     incr evaluations;
@@ -15,37 +15,34 @@ let h1 ?(max_iterations = max_int) ~model ~tech initial =
   let max_of delays =
     List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 delays
   in
-  let rec loop current current_delays steps iter =
-    if iter >= max_iterations then (current, steps)
-    else begin
-      match worst_sink current_delays with
-      | None -> (current, steps)
-      | Some (w, _) ->
-          if Graphs.Wgraph.mem_edge (Routing.graph current) source w then
-            (current, steps)
-          else begin
-            let trial = Routing.add_edge current source w in
-            match Oracle.candidate (fun () -> sink_delays trial) with
-            | None -> (current, steps)
-            | Some trial_delays ->
-                let before = max_of current_delays in
-                let after = max_of trial_delays in
-                if after < before *. (1.0 -. 1e-9) then begin
-                  let step =
-                    { Ldrg.edge = (source, w);
-                      objective_before = before;
-                      objective_after = after;
-                      cost_before = Routing.cost current;
-                      cost_after = Routing.cost trial }
-                  in
-                  loop trial trial_delays (step :: steps) (iter + 1)
-                end
-                else (current, steps)
-          end
-    end
+  let rec loop current current_delays steps =
+    match worst_sink current_delays with
+    | None -> (current, steps)
+    | Some (w, _) ->
+        if Graphs.Wgraph.mem_edge (Routing.graph current) source w then
+          (current, steps)
+        else begin
+          let trial = Routing.add_edge current source w in
+          match Oracle.candidate (fun () -> sink_delays trial) with
+          | None -> (current, steps)
+          | Some trial_delays ->
+              let before = max_of current_delays in
+              let after = max_of trial_delays in
+              if after < before *. (1.0 -. 1e-9) then begin
+                let step =
+                  { Ldrg.edge = (source, w);
+                    objective_before = before;
+                    objective_after = after;
+                    cost_before = Routing.cost current;
+                    cost_after = Routing.cost trial }
+                in
+                loop trial trial_delays (step :: steps)
+              end
+              else (current, steps)
+        end
   in
   let initial_delays = sink_delays initial in
-  let final, steps = loop initial initial_delays [] 0 in
+  let final, steps = loop initial initial_delays [] in
   { Ldrg.initial;
     final;
     steps = List.rev steps;

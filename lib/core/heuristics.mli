@@ -16,16 +16,14 @@
     far cheaper than LDRG's quadratic candidate sweep. *)
 
 val h1 :
-  ?max_iterations:int ->
   model:Delay.Model.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   Ldrg.trace
 (** Iterated worst-sink connection. [model] is SPICE in the paper; any
     graph-capable oracle works (used by the oracle ablation). Stops
-    when connecting the worst sink no longer improves, when the worst
-    sink is already adjacent to the source, or after
-    [max_iterations] (default: unlimited). *)
+    when connecting the worst sink no longer improves or when the worst
+    sink is already adjacent to the source. *)
 
 val h2 : tech:Circuit.Technology.t -> Routing.t -> Routing.t * (int * int) option
 (** Adds source→(worst Elmore sink). Returns the edge added, or [None]

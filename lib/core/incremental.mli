@@ -11,7 +11,7 @@
     trial's companion matrix, tied to the trial's own horizon-derived
     timestep, is written slot by slot into the pattern the round
     compiled ({!Spice.Transient.compile}) and factored: refactored on
-    the plan compiled from the round's recorded G factorisation when
+    the plan of the round's G factorisation when
     the wire appends at most one unknown (every fast-profile trial), by
     the full kernel otherwise.
 

@@ -12,7 +12,10 @@ type trace = {
   evaluations : int;
 }
 
-let run ?(tolerance = 1e-3) ~model ~tech initial =
+(* The relative objective loss a removal may cost. *)
+let tolerance = 1e-3
+
+let run ~model ~tech initial =
   let evaluations = ref 0 in
   let objective r =
     incr evaluations;

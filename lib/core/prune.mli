@@ -4,7 +4,7 @@
     carry little current: removing them can reclaim wirelength with no
     (or bounded) delay loss. This post-pass greedily removes the
     longest edge whose deletion keeps the routing connected and keeps
-    the objective within [tolerance] of its current value, until no
+    the objective within 0.1% of its current value, until no
     edge qualifies. The result may be a different tree, or stay a
     graph — whatever the delay landscape supports.
 
@@ -27,13 +27,12 @@ type trace = {
 }
 
 val run :
-  ?tolerance:float ->
   model:Delay.Model.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   trace
 (** [run ~model ~tech r] removes edges greedily (longest candidate
-    first) while the model objective stays within a relative
-    [tolerance] (default 1e-3) of the objective before the pass.
+    first) while the model objective stays within a relative 1e-3 of
+    the objective before the pass.
     Edges whose removal would disconnect the routing are never
     candidates. The model must handle non-tree inputs. *)

@@ -707,10 +707,10 @@ let ext_prune config =
     "Extension X7 -- delay-preserving pruning after LDRG (%d nets of %d pins)\n\
     \  remove edges while the delay stays within 0.1%%; vs MST.\n\
     \    LDRG            : delay %s, cost %s\n\
-    \    LDRG + prune    : delay %s, cost %s  (%.1f edges removed/net)\n"
+    \    LDRG + prune    : delay %s, cost %s  (%s edges removed/net)\n"
     (Array.length nets) size (mean_fmt (col 0)) (mean_fmt (col 1))
     (mean_fmt (col 2)) (mean_fmt (col 3))
-    (sum (col 4) /. float_of_int (Array.length nets))
+    (mean_fmt ~decimals:1 (col 4))
 
 let ext_sensitivity config =
   Obs.span "harness.ext_sensitivity" @@ fun () ->

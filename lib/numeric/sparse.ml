@@ -277,21 +277,7 @@ module Csc = struct
 end
 
 module Symbolic = struct
-  (* A factorisation's symbolic record, for numeric-only
-     refactorisation: each step's pivot row and structural reach in
-     topological order (the reach as if no entry had cancelled to an
-     exact zero), with the pattern of the matrix it factored, which a
-     refactored column must repeat. *)
-  type record = {
-    steps : int;
-    colptr : int array;
-    rowind : int array;
-    pivots : int array;
-    rptr : int array;  (* step k's reach is reach.(rptr.(k) .. rptr.(k+1)-1) *)
-    reach : int array;
-  }
-
-  type t = { n : int; q : int array; record : record option }
+  type t = { n : int; q : int array }
 
   let order t = Array.copy t.q
   let size t = t.n
@@ -301,8 +287,7 @@ module Symbolic = struct
     if k = 0 then t
     else
       let n = t.n + k in
-      { n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i);
-        record = None }
+      { n; q = Array.init n (fun i -> if i < t.n then t.q.(i) else i) }
 end
 
 (* Reverse Cuthill–McKee on pattern(A + Aᵀ): BFS from a
@@ -434,7 +419,7 @@ let analyze (a : Csc.t) =
   for k = 0 to n - 1 do
     q.(k) <- order.(n - 1 - k)
   done;
-  { Symbolic.n; q = (if n = 0 then [||] else q); record = None }
+  { Symbolic.n; q = (if n = 0 then [||] else q) }
 
 type t = {
   n : int;
@@ -670,39 +655,6 @@ let factor_full w a ~q ~n ~floor ~lp ~up ~p ~udiag =
   in
   go 0
 
-(* The symbolic record of a finished factorisation with pivots [p]:
-   each step's reach by depth-first search through L's structural
-   pattern, in which every non-pivotal row of a reach is an entry even
-   where its value cancelled to zero. A companion G + hC has the
-   structure without the cancellation (G's floating routing tree
-   cancels exactly at the driven node), so this, not G's numeric
-   reach, is the reach its full factorisation would take. Reuses the
-   workspace's L buffer and [pinv]. *)
-let record_reach w (a : Csc.t) ~q ~p ~n =
-  Array.fill w.pinv 0 n (-1);
-  w.l.blen <- 0;
-  let lp = Array.make (n + 1) 0 and rptr = Array.make (n + 1) 0 in
-  let reach = buf_create (4 * n) in
-  for k = 0 to n - 1 do
-    let top = dfs_reach w a ~lp ~col:q.(k) ~n in
-    w.pinv.(p.(k)) <- k;
-    for t = top to n - 1 do
-      let i = w.topo.(t) in
-      buf_push reach i 0.0;
-      if w.pinv.(i) < 0 then buf_push w.l i 0.0
-    done;
-    lp.(k + 1) <- w.l.blen;
-    rptr.(k + 1) <- reach.blen
-  done;
-  {
-    Symbolic.steps = n;
-    colptr = a.Csc.colptr;
-    rowind = a.Csc.rowind;
-    pivots = p;
-    rptr;
-    reach = Array.sub reach.bi 0 reach.blen;
-  }
-
 let refactors = Obs.Counter.make "sparse.refactors"
 let refactor_fallbacks = Obs.Counter.make "sparse.refactor_fallbacks"
 
@@ -725,7 +677,7 @@ let pivot_floor_of amax =
 
 (* The full kernel on [a] in [sym]'s order, its factor packaged and its
    verdict counted. *)
-let factor_ordered ~recording (sym : Symbolic.t) (a : Csc.t) ~floor =
+let factor_ordered (sym : Symbolic.t) (a : Csc.t) ~floor =
   let n = Csc.rows a in
   let q = sym.Symbolic.q in
   let p = Array.make (max n 1) 0 in
@@ -763,14 +715,9 @@ let factor_ordered ~recording (sym : Symbolic.t) (a : Csc.t) ~floor =
       if Obs.enabled () && anz > 0 then
         Obs.Histogram.observe fill_hist
           (float_of_int (factor_nnz f) /. float_of_int anz);
-      let sym =
-        if recording then
-          { sym with Symbolic.record = Some (record_reach w a ~q ~p ~n) }
-        else sym
-      in
-      Ok (f, sym)
+      Ok f
 
-let factor_symbolic ~recording ?symbolic (a : Csc.t) =
+let try_factor ?symbolic (a : Csc.t) =
   let n = Csc.rows a in
   if Csc.cols a <> n then invalid_arg "Sparse.try_factor: matrix not square";
   Obs.Counter.incr factorizations;
@@ -790,18 +737,12 @@ let factor_symbolic ~recording ?symbolic (a : Csc.t) =
           s
       | None -> analyze a
     in
-    factor_ordered ~recording sym a ~floor:(pivot_floor_of !amax)
+    factor_ordered sym a ~floor:(pivot_floor_of !amax)
 
-let try_factor ?symbolic a =
-  Result.map fst (factor_symbolic ~recording:false ?symbolic a)
-
-let try_factor_recording ?symbolic a =
-  factor_symbolic ~recording:true ?symbolic a
-
-(* A record compiled into flat arrays of positions. Step k scatters
-   column q.(k) of [pattern]; updates through the L columns
+(* A factorisation compiled into flat arrays of positions. Step k
+   scatters column q.(k) of [pattern]; updates through the L columns
    ucol.(t) of the rows urow.(t) already pivotal, for t in
-   uptr.(k) .. uptr.(k+1)-1, in the record's topological order; picks
+   uptr.(k) .. uptr.(k+1)-1, in the reach's topological order; picks
    its pivot among the other rows of its reach, cand.(cptr.(k) ..
    cptr.(k+1)-1) in the same order (its own row among them when
    [diag.(k)]); and emits U at the update rows' steps and L for every
@@ -829,69 +770,64 @@ type plan = {
   q_grown : int array;
 }
 
-let same_pattern (a : Csc.t) (r : Symbolic.record) =
-  let n = r.Symbolic.steps in
-  a.Csc.cols = n
-  && Array.length r.Symbolic.colptr = n + 1
-  && (let same = ref true in
-      for j = 0 to n do
-        if a.Csc.colptr.(j) <> r.Symbolic.colptr.(j) then same := false
-      done;
-      if !same then
-        for t = 0 to a.Csc.colptr.(n) - 1 do
-          if a.Csc.rowind.(t) <> r.Symbolic.rowind.(t) then same := false
-        done;
-      !same)
+(* The plan of [f], the factorisation of [a]: each step's reach by
+   depth-first search through L's structural pattern, in which every
+   non-pivotal row of a reach is an entry even where its value
+   cancelled to zero. A companion G + hC has the structure without the
+   cancellation (G's floating routing tree cancels exactly at the
+   driven node), so this, not G's numeric reach, is the reach its full
+   factorisation would take. A reach row already pivotal is an update;
+   any other is a candidate, and every candidate but the pivot an L
+   entry, so the workspace's structural L is the plan's. *)
+let plan_of (a : Csc.t) (f : t) =
+  let n = f.n and q = f.q and pivots = f.p in
+  let qinv = Array.make n 0 in
+  Array.iteri (fun k c -> qinv.(c) <- k) q;
+  let w = workspace n in
+  let pinv = w.pinv in
+  let upd = buf_create (2 * n) and cand = buf_create (2 * n) in
+  let uptr = Array.make (n + 1) 0 and cptr = Array.make (n + 1) 0 in
+  let blp = Array.make (n + 1) 0 and diag = Array.make n false in
+  for k = 0 to n - 1 do
+    let top = dfs_reach w a ~lp:blp ~col:q.(k) ~n in
+    pinv.(pivots.(k)) <- k;
+    for t = top to n - 1 do
+      let i = w.topo.(t) in
+      if pinv.(i) >= 0 && pinv.(i) < k then buf_push upd i 0.0
+      else begin
+        buf_push cand i 0.0;
+        if i = q.(k) then diag.(k) <- true;
+        if pinv.(i) < 0 then buf_push w.l i 0.0
+      end
+    done;
+    uptr.(k + 1) <- upd.blen;
+    cptr.(k + 1) <- cand.blen;
+    blp.(k + 1) <- w.l.blen
+  done;
+  let rows b = Array.sub b.bi 0 (max b.blen 1) in
+  let steps_of b = Array.init (max b.blen 1) (fun t -> pinv.(b.bi.(t))) in
+  {
+    sym = { Symbolic.n; q };
+    pattern = a;
+    steps = n;
+    qinv;
+    pivots;
+    pinv = Array.sub pinv 0 n;
+    uptr;
+    urow = rows upd;
+    ucol = steps_of upd;
+    cptr;
+    cand = rows cand;
+    diag;
+    blp;
+    lrow = rows w.l;
+    lstep = steps_of w.l;
+    p_grown = Array.append pivots [| n |];
+    q_grown = Array.append q [| n |];
+  }
 
-let plan (s : Symbolic.t) (pattern : Csc.t) =
-  match s.Symbolic.record with
-  | Some r when r.Symbolic.steps > 0 && same_pattern pattern r ->
-      let n = r.Symbolic.steps in
-      let q = s.Symbolic.q and pivots = r.Symbolic.pivots in
-      let qinv = Array.make n 0 and pinv = Array.make n 0 in
-      Array.iteri (fun k c -> qinv.(c) <- k) q;
-      Array.iteri (fun k i -> pinv.(i) <- k) pivots;
-      let upd = buf_create (2 * n) and cand = buf_create (2 * n) in
-      let lb = buf_create (2 * n) in
-      let uptr = Array.make (n + 1) 0 and cptr = Array.make (n + 1) 0 in
-      let blp = Array.make (n + 1) 0 and diag = Array.make n false in
-      for k = 0 to n - 1 do
-        for t = r.Symbolic.rptr.(k) to r.Symbolic.rptr.(k + 1) - 1 do
-          let i = r.Symbolic.reach.(t) in
-          if pinv.(i) < k then buf_push upd i 0.0
-          else begin
-            buf_push cand i 0.0;
-            if i = q.(k) then diag.(k) <- true;
-            if i <> pivots.(k) then buf_push lb i 0.0
-          end
-        done;
-        uptr.(k + 1) <- upd.blen;
-        cptr.(k + 1) <- cand.blen;
-        blp.(k + 1) <- lb.blen
-      done;
-      let rows b = Array.sub b.bi 0 (max b.blen 1) in
-      let steps_of b = Array.init (max b.blen 1) (fun t -> pinv.(b.bi.(t))) in
-      Some
-        {
-          sym = { s with Symbolic.record = None };
-          pattern;
-          steps = n;
-          qinv;
-          pivots;
-          pinv;
-          uptr;
-          urow = rows upd;
-          ucol = steps_of upd;
-          cptr;
-          cand = rows cand;
-          diag;
-          blp;
-          lrow = rows lb;
-          lstep = steps_of lb;
-          p_grown = Array.append pivots [| n |];
-          q_grown = Array.append q [| n |];
-        }
-  | _ -> None
+let try_factor_with_plan ?symbolic a =
+  Result.map (fun f -> (f, plan_of a f)) (try_factor ?symbolic a)
 
 (* The plan run on [values] (the pattern's slots) and the entries [e]
    of at most one appended unknown a = steps: its row's entries in base
@@ -903,7 +839,7 @@ let plan (s : Symbolic.t) (pattern : Csc.t) =
    the new L as [dfs_reach] does. [None] declines: the appended row is
    not finite or reaches the base rows' maximum (it could win the pivot
    or move the threshold), the rule picks another pivot than the
-   record's, or an L entry of the record cancels to an exact zero (the
+   plan's, or an L entry of the plan cancels to an exact zero (the
    full kernel would drop it, and with it part of later reaches). A
    pivot below the floor is the full kernel's verdict too: up to it
    both computed the same. *)
@@ -934,8 +870,8 @@ let run_plan pl values (e : Csc.entries) ~n ~floor =
   let up = Array.make (n + 1) 0 and udiag = Array.make n 0.0 in
   (* x -= xi · L(:,j): its base rows, then the appended row's entry
      when the column holds one. Unchecked accesses: the plan's rows and
-     positions come from a record of this pattern, all below steps + 1
-     and within the L arrays sized from it. *)
+     positions come from a factorisation of this pattern, all below
+     steps + 1 and within the L arrays sized from it. *)
   let update j xi =
     let b = blp.(j) and f = lp.(j) in
     let len = blp.(j + 1) - b in
@@ -1187,10 +1123,7 @@ let refactor pl values ~n (e : Csc.entries) =
     | None ->
         Obs.Counter.incr refactor_fallbacks;
         let a = Csc.grow pl.pattern values ~n e in
-        Result.map fst
-          (factor_ordered ~recording:false
-             (Symbolic.extend pl.sym (n - steps))
-             a ~floor)
+        factor_ordered (Symbolic.extend pl.sym (n - steps)) a ~floor
   end
 
 (* PAQ = LU: permute b by P, solve Ly = b̄ then Uz = y in elimination

@@ -9,8 +9,8 @@
     (reusable across factorisations of the same pattern), and a
     left-looking (Gilbert–Peierls) LU with threshold partial pivoting
     whose factor and solve costs are proportional to the factor
-    nonzeros, not n³/n². A factorisation can be recorded (each step's
-    reach and pivot) and compiled into a flat {!plan} on which later
+    nonzeros, not n³/n². A factorisation can also return its flat
+    {!plan} (each step's reach and pivot, by position), on which later
     matrices of that pattern, grown by at most one appended unknown,
     refactor numerically, bit-identical to a full factorisation;
     anything the plan does not describe declines to the full kernel.
@@ -107,9 +107,7 @@ end
     computed once per sparsity pattern and reusable across every
     numeric factorisation of a same-sized system (the ordering is just a
     column permutation, so reuse is safe — merely suboptimal — even if
-    the pattern has drifted); and, when taken from a factorisation by
-    {!try_factor_recording}, that factorisation's record: each step's
-    reach in topological order and its pivot row. *)
+    the pattern has drifted). *)
 module Symbolic : sig
   type t
 
@@ -123,7 +121,7 @@ module Symbolic : sig
   val extend : t -> int -> t
   (** [extend s k] orders a system grown by [k > 0] unknowns, numbered
       [size s] to [size s + k - 1]: [s]'s order with the new unknowns
-      appended, eliminated last in index order, without a record. No
+      appended, eliminated last in index order. No
       pattern is examined, so a system grown by a few appended
       unknowns keeps its base ordering instead of paying {!analyze}
       again. [extend s 0] is [s].
@@ -144,38 +142,32 @@ type t
 
 val try_factor : ?symbolic:Symbolic.t -> Csc.t -> (t, int) result
 (** [try_factor csc] factors the matrix with the full kernel, running
-    {!analyze} first unless [symbolic] provides the ordering (a record
-    it carries is not used here; see {!plan}). [Error k] reports the
-    original column whose best available pivot fell below the
-    threshold, [Error (-1)] a non-finite input entry.
+    {!analyze} first unless [symbolic] provides the ordering. [Error k]
+    reports the original column whose best available pivot fell below
+    the threshold, [Error (-1)] a non-finite input entry.
     @raise Invalid_argument on a non-square matrix or a [symbolic] of
     the wrong size. *)
 
-val try_factor_recording :
-  ?symbolic:Symbolic.t -> Csc.t -> (t * Symbolic.t, int) result
-(** {!try_factor}, also returning the symbolic factorisation it took:
-    [symbolic]'s (or {!analyze}'s) order plus a record of each step's
-    pivot row and structural reach, the reach the factorisation would
-    take if no entry had cancelled to an exact zero, and the factored
-    matrix's pattern. A lowered routing's G records the reach of every
-    companion G + hC, since its C is diagonal (G's own floating tree
-    cancels exactly at the driven node, the companion does not). *)
-
 type plan
-(** A record compiled for numeric refactorisation: per step, the
-    scatter of its column, the L-column updates in the record's
+(** A factorisation compiled for numeric refactorisation: per step, the
+    scatter of its column, the L-column updates in its reach's
     topological order, the threshold-pivot check and the L/U emits,
     all by position. Read-only once built, so one plan serves every
     worker domain. *)
 
-val plan : Symbolic.t -> Csc.t -> plan option
-(** [plan s pattern] compiles [s]'s record for matrices stored in
-    [pattern]'s slots (values ignored). [None] when [s] carries no
-    record or [pattern] is not the recorded matrix's pattern. *)
+val try_factor_with_plan :
+  ?symbolic:Symbolic.t -> Csc.t -> (t * plan, int) result
+(** {!try_factor}, also returning the factorisation's plan for matrices
+    of the factored matrix's pattern: its order, each step's pivot row
+    and its structural reach, the reach the factorisation would take if
+    no entry had cancelled to an exact zero. A lowered routing's G
+    plans every companion G + hC, since its C is diagonal (G's own
+    floating tree cancels exactly at the driven node, the companion
+    does not). *)
 
 val refactor : plan -> float array -> n:int -> Csc.entries -> (t, int) result
 (** [refactor plan values ~n e] factors the n×n matrix
-    [Csc.grow pattern values ~n e] ([pattern] the plan's) as
+    [Csc.grow pattern values ~n e] ([pattern] the planned matrix's) as
     {!try_factor} would on the plan's order with the appended unknowns
     eliminated last, and with the same verdict, bit for bit. With at
     most one appended unknown it runs the plan straight through: the
@@ -185,8 +177,8 @@ val refactor : plan -> float array -> n:int -> Csc.entries -> (t, int) result
     input value is an exact zero, an entry of [e] lies outside the
     appended row and column, more than one unknown was appended, the
     appended row's value is not finite or reaches the base rows'
-    maximum, the pivot rule picks another row than the record's, or an
-    L entry of the record cancels to an exact zero. A plan run that
+    maximum, the pivot rule picks another row than the plan's, or an
+    L entry of the plan cancels to an exact zero. A plan run that
     gives the verdict counts under [sparse.refactors]; either way it
     counts once under [sparse.factorizations].
     @raise Invalid_argument when [values] is shorter than the

@@ -43,13 +43,14 @@ type prepared = {
 }
 
 let prepare_result (sys : Mna.t) =
-  match Numeric.Sparse.try_factor_recording ~symbolic:sys.Mna.sym sys.Mna.g_csc with
+  match
+    Numeric.Sparse.try_factor_with_plan ~symbolic:sys.Mna.sym sys.Mna.g_csc
+  with
   | Error k -> Error (Nontree_error.singular ~stage:"spice.dc" k)
-  | Ok (g_lu, sym) ->
+  | Ok (g_lu, plan) ->
       (* One factorisation of G serves the operating point and the
-         settled state; its record becomes the plan every companion of
-         the system refactors on. *)
-      let sys = { sys with Mna.sym } in
+         settled state; its plan is the one every companion of the
+         system refactors on. *)
       let x0 = Numeric.Sparse.solve g_lu (Mna.rhs sys 0.0) in
       let* () = check_finite ~stage:"spice.dc" x0 in
       let xf = Numeric.Sparse.solve g_lu (Mna.settled_rhs sys) in
@@ -61,7 +62,7 @@ let prepare_result (sys : Mna.t) =
       let cap = Array.make n 0.0 in
       Numeric.Sparse.Csc.mul_vec_into sys.Mna.c_csc (Array.make n 1.0) cap;
       Array.fill cap nodes (n - nodes) 0.0;
-      Ok { pattern = Transient.compile sys; g_lu; x0; xf; cap;
+      Ok { pattern = Transient.compile sys ~plan; g_lu; x0; xf; cap;
            m1 = Numeric.Sparse.solve g_lu cap }
 
 let dc_result nl =

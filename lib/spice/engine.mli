@@ -138,7 +138,7 @@ val threshold_scan_result :
 
 type prepared = {
   pattern : Transient.pattern;
-      (** the system compiled on its recorded G factorisation *)
+      (** the system compiled with its G factorisation's plan *)
   g_lu : Numeric.Sparse.t;
   x0 : float array;  (** the operating point, G⁻¹·b(0) *)
   xf : float array;  (** the settled state, G⁻¹·b(settled) *)
@@ -155,12 +155,12 @@ type prepared = {
     it. *)
 
 val prepare_result : Mna.t -> (prepared, Nontree_error.t) result
-(** Factors G once, recording it
-    ({!Numeric.Sparse.try_factor_recording}), solves [x0] (stage
+(** Factors G once with its plan
+    ({!Numeric.Sparse.try_factor_with_plan}), solves [x0] (stage
     ["spice.dc"], also that of a singular G), [xf] (["spice.settle"])
-    and [m1], and compiles the system with the record, so that its
-    companions refactor on the plan. Every analysis here starts from
-    it. *)
+    and [m1], and compiles the system with the plan
+    ({!Transient.compile}), so that its companions refactor on it.
+    Every analysis here starts from it. *)
 
 val threshold_delays_result :
   ?options:options ->

@@ -44,11 +44,7 @@ type t = {
       (** the reverse Cuthill–McKee ordering of the union pattern of G
           and C: used to factor G and the transient iteration matrix
           G + C/h at every timestep. The ordering ignores the diagonal,
-          so where C is diagonal (every lowered routing) it is G's own.
-          It is a bare ordering; a threshold query's set-up
-          ([Engine.prepare_result]) substitutes its recorded G
-          factorisation, which [Transient.compile] turns into the plan
-          its companions refactor on. *)
+          so where C is diagonal (every lowered routing) it is G's own. *)
 }
 
 (** The one stamper: elements in, G, C, the branch rows, the sources

@@ -32,9 +32,15 @@ type pattern = {
   plan : Numeric.Sparse.plan option;
 }
 
-let compile (sys : Mna.t) =
+let compile (sys : Mna.t) ~plan =
   let lhs, gsrc, csrc = Csc.union sys.Mna.g_csc sys.Mna.c_csc in
-  { base = sys; lhs; gsrc; csrc; plan = Numeric.Sparse.plan sys.Mna.sym lhs }
+  (* G's plan reads the slots of G's pattern, which is the union's
+     only when C adds no slot: the union holds G, so equal counts mean
+     equal patterns. *)
+  let plan =
+    if Csc.nnz lhs = Csc.nnz sys.Mna.g_csc then Some plan else None
+  in
+  { base = sys; lhs; gsrc; csrc; plan }
 
 let system p = p.base
 

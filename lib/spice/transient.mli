@@ -5,8 +5,8 @@
     each companion writes the iteration matrix and the explicit-side
     matrix (the scaled C) into it, optionally grown by a small set of
     {!stamps} (an edited wire), factors the former once with
-    {!Numeric.Sparse} into a {!companion} (refactored on a compiled
-    plan when the system's [sym] carries a record), and
+    {!Numeric.Sparse} into a {!companion} (refactored on G's plan when
+    C adds no slot to G), and
     back-substitutes per step. A simulation costs one near-O(nnz)
     sparse factorisation (near-tree MNA patterns produce little fill),
     however many chunks it is run in, plus an O(nnz(C)) product and
@@ -46,15 +46,17 @@ type companion
 
 type pattern
 (** A system compiled once for all its companions: the union pattern
-    of G and C with each slot's G and C source, and, when the system's
-    [sym] carries a record (see {!Numeric.Sparse.try_factor_recording})
-    of that pattern, the record's refactor plan
-    ({!Numeric.Sparse.plan}). Read-only: one pattern serves every
-    worker domain. *)
+    of G and C with each slot's G and C source, and, when that union is
+    G's own pattern, the plan of G's factorisation. Read-only: one
+    pattern serves every worker domain. *)
 
-val compile : Mna.t -> pattern
-(** One merge of G's and C's columns, and the plan when there is a
-    record. O(nnz). *)
+val compile : Mna.t -> plan:Numeric.Sparse.plan -> pattern
+(** [compile sys ~plan] merges G's and C's columns, O(nnz). [plan] is
+    the plan of G's factorisation in [sys]'s ordering
+    ({!Numeric.Sparse.try_factor_with_plan}); the pattern keeps it only
+    when the union has as many slots as G (C adds none, as on every
+    lowered routing without inductance), since the plan reads G's slot
+    positions. *)
 
 val system : pattern -> Mna.t
 

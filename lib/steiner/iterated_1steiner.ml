@@ -3,11 +3,6 @@ let mst_cost_of_points points =
   let weight i j = Geom.Point.manhattan points.(i) points.(j) in
   Graphs.Wgraph.total_weight (Graphs.Mst.prim_complete ~n ~weight)
 
-let mst_cost_with points extra =
-  match extra with
-  | None -> mst_cost_of_points points
-  | Some p -> mst_cost_of_points (Array.append points [| p |])
-
 (* Remove useless Steiner points from a tree over [points]: degree-1
    Steiner leaves are dropped, degree-2 Steiner through-points are
    spliced (their two edges replaced by one direct edge, never longer
@@ -72,16 +67,12 @@ let cleanup points num_terminals tree =
    savings; accepting them can spin the improvement loop forever. *)
 let min_gain = 1e-6
 
-let construct ?max_points net =
+let construct net =
   let terminals = Geom.Net.pins net in
   let num_terminals = Array.length terminals in
   (* A rectilinear SMT needs at most n-2 Steiner points, so cap the
-     loop there by default. *)
-  let max_points =
-    match max_points with
-    | Some m -> m
-    | None -> Int.max 0 (num_terminals - 2)
-  in
+     loop there. *)
+  let max_points = Int.max 0 (num_terminals - 2) in
   let chosen = ref [] in
   let num_chosen = ref 0 in
   let current_points () = Array.append terminals (Array.of_list (List.rev !chosen)) in

@@ -7,14 +7,10 @@
     splicing never increases cost). This is the Steiner engine the
     paper's SLDRG algorithm starts from (Figure 6, step 1). *)
 
-val construct : ?max_points:int -> Geom.Net.t -> Routing.t
+val construct : Geom.Net.t -> Routing.t
 (** [construct net] is a Steiner routing tree over the net: terminals
-    keep their indices (0 = source), chosen Steiner points follow.
-    [max_points] caps the number of Steiner points added; the default
-    is n−2, the maximum a rectilinear Steiner minimal tree can use.
+    keep their indices (0 = source), chosen Steiner points follow. It
+    adds at most n−2 Steiner points, the most a rectilinear Steiner
+    minimal tree can use.
     Candidate gains under 1e-6 µm are treated as float noise and
     rejected. *)
-
-val mst_cost_with : Geom.Point.t array -> Geom.Point.t option -> float
-(** [mst_cost_with points extra] is the MST cost of the points plus the
-    optional extra point — exposed for tests. *)

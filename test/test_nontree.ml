@@ -164,8 +164,8 @@ let test_prune_mst_noop () =
 
 let test_prune_reclaims_redundant_edge () =
   (* Square net with an added diagonal-ish shortcut: after adding a
-     much better source wire, some edge should become removable under
-     a generous tolerance. Construct explicitly: a long detour edge
+     much better source wire, some edge should become removable within
+     the 0.1% tolerance. Construct explicitly: a long detour edge
      plus a direct shortcut covering the same sink. *)
   let net =
     Net.of_list
@@ -174,7 +174,7 @@ let test_prune_reclaims_redundant_edge () =
   (* Path 0-1-2 plus direct 0-2: the 0-1 edge only serves sink 1;
      but edge 1-2 becomes removable for sink 2 if delay tolerates. *)
   let r = Routing.add_edge (Routing.mst_of_net net) 0 2 in
-  let trace = Nontree.Prune.run ~tolerance:0.2 ~model:moment_model ~tech r in
+  let trace = Nontree.Prune.run ~model:moment_model ~tech r in
   Alcotest.(check bool) "some removal happened" true
     (trace.Nontree.Prune.removals <> []);
   Alcotest.(check bool) "still connected" true
@@ -186,7 +186,7 @@ let test_prune_respects_tolerance () =
   let r = random_mst 9 10 in
   let ldrg = (Nontree.Ldrg.run ~model:moment_model ~tech r).Nontree.Ldrg.final in
   let d0 = Delay.Model.max_delay moment_model ~tech ldrg in
-  let trace = Nontree.Prune.run ~tolerance:1e-3 ~model:moment_model ~tech ldrg in
+  let trace = Nontree.Prune.run ~model:moment_model ~tech ldrg in
   let d1 = Delay.Model.max_delay moment_model ~tech trace.Nontree.Prune.final in
   Alcotest.(check bool) "delay within tolerance" true
     (d1 <= d0 *. 1.001 +. 1e-18);
@@ -212,14 +212,6 @@ let test_h1_improves_or_stops () =
     (fun (s : Nontree.Ldrg.step) ->
       Alcotest.(check int) "source edge" 0 (fst s.Nontree.Ldrg.edge))
     trace.Nontree.Ldrg.steps
-
-let test_h1_max_iterations () =
-  let r = random_mst 12 15 in
-  let trace =
-    Nontree.Heuristics.h1 ~max_iterations:1 ~model:moment_model ~tech r
-  in
-  Alcotest.(check bool) "at most one step" true
-    (List.length trace.Nontree.Ldrg.steps <= 1)
 
 let test_h2_adds_source_edge () =
   let r = random_mst 13 10 in
@@ -500,7 +492,6 @@ let suites =
         Alcotest.test_case "h1 keeps mst" `Quick test_h1_keeps_mst_when_no_gain;
         Alcotest.test_case "h1 improves or stops" `Quick
           test_h1_improves_or_stops;
-        Alcotest.test_case "h1 max iterations" `Quick test_h1_max_iterations;
         Alcotest.test_case "h2 adds source edge" `Quick test_h2_adds_source_edge;
         Alcotest.test_case "h2 none when adjacent" `Quick
           test_h2_none_when_adjacent;

@@ -362,7 +362,7 @@ let test_sparse_singular_verdicts () =
       ("non-finite", [| [| Float.nan; 0.0 |]; [| 0.0; 1.0 |] |]);
       ("regular", [| [| 2.0; 1.0 |]; [| 1.0; 0.0 |] |]) ]
 
-(* Refactorisation on a record ------------------------------------------ *)
+(* Refactorisation on a plan -------------------------------------------- *)
 
 (* Bit for bit the same factorisation: the same row and column orders,
    the same U diagonal bits, and per step the same (row, value bits)
@@ -433,21 +433,16 @@ let split (a : Sparse.Csc.t) (b : Sparse.Csc.t) =
       rows = Array.map (fun (_, i, _) -> i) e;
       vals = Array.map (fun (_, _, v) -> v) e } )
 
-(* [b] refactored on the plan of [a]'s record (grown by [extra]
+(* [b] refactored on the plan of [a]'s factorisation (grown by [extra]
    unknowns) and factored by the full kernel on the same order: the
    verdicts and factors must agree bit for bit. Returns the counter
    changes of the refactor. *)
 let refactor_against_full ?(extra = 0) ~what a b =
   let sym = Sparse.analyze a in
-  let recorded =
-    match Sparse.try_factor_recording ~symbolic:sym a with
-    | Ok (_, s) -> s
-    | Error k -> Alcotest.failf "%s: base refused at column %d" what k
-  in
   let plan =
-    match Sparse.plan recorded a with
-    | Some plan -> plan
-    | None -> Alcotest.failf "%s: no plan for the recorded pattern" what
+    match Sparse.try_factor_with_plan ~symbolic:sym a with
+    | Ok (_, plan) -> plan
+    | Error k -> Alcotest.failf "%s: base refused at column %d" what k
   in
   let full = Sparse.try_factor ~symbolic:(Sparse.Symbolic.extend sym extra) b in
   let values, entries = split a b in
@@ -475,7 +470,7 @@ let cancelling_3x3 a =
   Matrix.to_csc m
 
 (* Same pattern, new values, one appended unknown: refactored, no
-   decline. A record keeps an entry that cancelled in its own
+   decline. A plan keeps an entry that cancelled in its own
    factorisation, as G's floating tree does at the driven node, so a
    matrix without the cancellation refactors on it. *)
 let test_sparse_refactor_matches () =
@@ -493,7 +488,7 @@ let test_sparse_refactor_matches () =
        (ring ~diag:4.0 6)
        (ring ~extra:1 ~links:((6, 6, 3.0) :: chain) ~diag:5.0 6))
 
-(* Each case the record cannot describe declines to the full kernel,
+(* Each case the plan cannot describe declines to the full kernel,
    counted once, with the full kernel's factors. *)
 let test_sparse_refactor_declines () =
   let declines ~what ?extra a b =
@@ -520,7 +515,7 @@ let test_sparse_refactor_declines () =
        ~links:
          [ (6, 0, -100.0); (0, 6, -1.0); (6, 6, 3.0); (6, 5, -1.0);
            (5, 6, -1.0) ]);
-  declines ~what:"foreign record" base
+  declines ~what:"foreign pattern" base
     (ring ~links:[ (0, 3, 1.0); (3, 0, 1.0) ] ~diag:4.0 6);
   declines ~what:"two appended unknowns" ~extra:2 base
     (ring ~extra:2 ~diag:4.0 6
@@ -528,7 +523,7 @@ let test_sparse_refactor_declines () =
          [ (0, 6, -1.0); (6, 0, -1.0); (6, 6, 3.0); (6, 7, -1.0);
            (7, 6, -1.0); (7, 7, 3.0); (7, 5, -1.0); (5, 7, -1.0) ])
 
-(* A singular matrix on a record: the refactor gives the full kernel's
+(* A singular matrix on a plan: the refactor gives the full kernel's
    column and counts the singular verdict once. *)
 let test_sparse_refactor_singular () =
   let m rows = Matrix.to_csc (Matrix.of_arrays rows) in

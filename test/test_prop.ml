@@ -272,8 +272,8 @@ let prop_incremental_spice_matches_plain g =
    chunk's whole window (doubling, like the engine) and interpolates
    each probe's first sample at or above its 50 % target against the
    sample before it, exactly as [Engine.threshold_scan_result] does. *)
-let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
-    =
+let full_window_scan (options : Spice.Engine.options) pattern ~idx ~x0 ~xf
+    ~horizon =
   let target =
     Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
   in
@@ -283,10 +283,10 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
       idx
   in
   let dt = horizon /. float_of_int options.steps_per_chunk in
-  let t_ref = Spice.Engine.input_reference sys ~dt in
-  let cp =
-    Result.get_ok (Spice.Transient.companion (Spice.Transient.compile sys) ~dt)
+  let t_ref =
+    Spice.Engine.input_reference (Spice.Transient.system pattern) ~dt
   in
+  let cp = Result.get_ok (Spice.Transient.companion pattern ~dt) in
   let last = Array.map (fun u -> (x0.(u), 0.0)) idx in
   let rec go x t0 steps extensions =
     if Array.exists Option.is_none found && extensions <= options.max_extensions
@@ -326,7 +326,7 @@ let full_window_scan (options : Spice.Engine.options) sys ~idx ~x0 ~xf ~horizon
    value, so that probe is at its target from the first instant. *)
 type scan_case = {
   options : Spice.Engine.options;
-  sys : Spice.Mna.t;
+  pattern : Spice.Transient.pattern;
   idx : int array;
   x0 : float array;
   xf : float array;
@@ -370,7 +370,7 @@ let gen_scan_case g =
          sinks)
   in
   let horizon = Delay.Model.spice_horizon ~tech r in
-  let { Spice.Engine.x0; xf; _ } =
+  let { Spice.Engine.x0; xf; pattern; _ } =
     Result.get_ok (Spice.Engine.prepare_result sys)
   in
   let case = Rng.int g 4 in
@@ -383,13 +383,12 @@ let gen_scan_case g =
     end
     else x0
   in
-  { options; sys; idx; x0; xf; horizon; size; case }
+  { options; pattern; idx; x0; xf; horizon; size; case }
 
 let scan ?cutoff c =
   match
-    Spice.Engine.threshold_scan_result ~options:c.options ?cutoff
-      (Spice.Transient.compile c.sys) ~idx:c.idx ~x0:c.x0 ~xf:c.xf
-      ~horizon:c.horizon
+    Spice.Engine.threshold_scan_result ~options:c.options ?cutoff c.pattern
+      ~idx:c.idx ~x0:c.x0 ~xf:c.xf ~horizon:c.horizon
   with
   | Ok found -> found
   | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
@@ -397,7 +396,7 @@ let scan ?cutoff c =
 (* The engine's scan, whose chunks stop at the last crossing, reports
    crossings bit-identical to the full-window reference. *)
 let prop_scan_stops_without_moving_crossings g =
-  let ({ options; sys; idx; x0; xf; horizon; size; case } as c) =
+  let ({ options; pattern; idx; x0; xf; horizon; size; case } as c) =
     gen_scan_case g
   in
   let found =
@@ -405,7 +404,7 @@ let prop_scan_stops_without_moving_crossings g =
     | Spice.Engine.Exact found -> found
     | Spice.Engine.Above _ -> Alcotest.fail "a scan without cutoff was cut"
   in
-  let reference = full_window_scan options sys ~idx ~x0 ~xf ~horizon in
+  let reference = full_window_scan options pattern ~idx ~x0 ~xf ~horizon in
   let bits = Array.map (Option.map Int64.bits_of_float) in
   if Array.exists Option.is_none found then
     Alcotest.failf "size %d: a probe never crossed" size;
@@ -1067,8 +1066,17 @@ let companion_factor ?stamps pattern ~dt =
   Result.map Spice.Transient.factor
     (Spice.Transient.companion ?stamps pattern ~dt)
 
+(* A round's compiled pattern, with the plan of its G factorisation. *)
+let round_pattern (sys : Spice.Mna.t) =
+  match
+    Numeric.Sparse.try_factor_with_plan ~symbolic:sys.Spice.Mna.sym
+      sys.Spice.Mna.g_csc
+  with
+  | Ok (_, plan) -> Spice.Transient.compile sys ~plan
+  | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
+
 (* Every companion an incremental round factors, refactored on the
-   plan compiled from its round's G record, is the full kernel's
+   plan of its round's G factorisation, is the full kernel's
    factorisation bit for bit: each Add and Resize companion of a random
    5–30-pin base at a random timestep. Under the fast profile an added
    wire appends one unknown and refactors; under the default profile it
@@ -1085,21 +1093,13 @@ let prop_refactor_matches_full g =
   in
   let sys = l.Delay.Lumping.mna in
   let open Numeric.Sparse in
-  let recorded =
-    match
-      try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc
-    with
-    | Ok (_, s) -> s
-    | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
-  in
-  let plain = Spice.Transient.compile sys in
-  let round = Spice.Transient.compile { sys with Spice.Mna.sym = recorded } in
+  let round = round_pattern sys in
   let dt = 10.0 ** Rng.float_in g (-13.0) (-9.0) in
   let (), counts =
     Test_numeric.counting Test_numeric.refactor_counters (fun () ->
         List.iter
           (fun (stamps : Spice.Transient.stamps) ->
-            let lhs, _ = Spice.Transient.assemble ~stamps plain ~dt in
+            let lhs, _ = Spice.Transient.assemble ~stamps round ~dt in
             let grown s = Symbolic.extend s stamps.Spice.Transient.added in
             match
               ( try_factor ~symbolic:(grown sys.Spice.Mna.sym) lhs,
@@ -1149,16 +1149,7 @@ let prop_compiled_round_matches_reference g =
       in
       let sys = l.Delay.Lumping.mna in
       let n = sys.Spice.Mna.size in
-      let recorded =
-        match
-          try_factor_recording ~symbolic:sys.Spice.Mna.sym sys.Spice.Mna.g_csc
-        with
-        | Ok (_, s) -> s
-        | Error k -> failwith (Printf.sprintf "G refused at column %d" k)
-      in
-      let round =
-        Spice.Transient.compile { sys with Spice.Mna.sym = recorded }
-      in
+      let round = round_pattern sys in
       let check ?(declines = false) what (stamps : Spice.Transient.stamps) =
         let ref_lhs, ref_rhs = Assemble.companion ~stamps sys ~dt in
         let lhs, rhs = Spice.Transient.assemble ~stamps round ~dt in
@@ -1325,7 +1316,7 @@ let test_incremental_scores_stay_out_of_plain_lookups () =
         (cached = Delay.Robust.sink_delays_exn ~model ~tech trial))
 
 (* Full-kernel factorisations: a plan refactor (every fast-profile
-   companion, on both paths) replays a recorded factorisation instead. *)
+   companion, on both paths) replays its G factorisation's plan instead. *)
 let full_factorizations () =
   Obs.Counter.value (Obs.Counter.make "sparse.factorizations")
   - Obs.Counter.value (Obs.Counter.make "sparse.refactors")
@@ -1335,7 +1326,7 @@ let full_factorizations () =
    most a fifteenth of the full-kernel factorisations of the plain
    objective, whose every evaluation factors its own G (13 against 259
    as of this writing). Both paths also refactor one companion per
-   simulated evaluation on a recorded plan, so the plain objective, at
+   simulated evaluation on a plan, so the plain objective, at
    two factorisations per evaluation, must need at least 1.5x the
    incremental path's factorisations in all (518 against 272). *)
 let test_incremental_cuts_factorizations () =

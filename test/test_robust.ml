@@ -321,6 +321,26 @@ let test_ext_first_fault_keeps_net () =
             (contains out "all nets dropped")))
     [ "wsorg"; "csorg" ]
 
+(* Every mean of the pruning report is over the nets it kept. At
+   8 nets and fault rate 0.95 under [tables.exe]'s default fault seed,
+   3 nets drop and the 5 kept ones remove one edge between them, so the
+   report prints 1/5 = 0.2 edges removed per net, not 1/8 = 0.1. *)
+let test_ext_prune_mean_over_kept_nets () =
+  let config = { Nontree.Experiment.default with trials = 8 } in
+  let a =
+    List.find
+      (fun a -> a.Harness.Runs.selector = Harness.Runs.Ext "prune")
+      Harness.Runs.artefacts
+  in
+  with_clean_faults (fun () ->
+      Nontree.Oracle.Cache.reset ();
+      Fault.enable_uniform ~rate:0.95
+        ~seed:(config.Nontree.Experiment.seed + 0x5EED);
+      let out = a.Harness.Runs.render config ~svg_dir:"" in
+      Alcotest.(check int) "nets dropped" 3 (counters ()).dropped_nets;
+      Alcotest.(check bool) "mean over the kept nets" true
+        (contains out "(0.2 edges removed/net)"))
+
 let test_protect_net () =
   with_clean_faults (fun () ->
       (match
@@ -433,6 +453,8 @@ let suites =
           test_probabilistic_run_completes;
         Alcotest.test_case "a faulted first measurement keeps its net" `Quick
           test_ext_first_fault_keeps_net;
+        Alcotest.test_case "prune report averages over kept nets" `Quick
+          test_ext_prune_mean_over_kept_nets;
         Alcotest.test_case "protect_net" `Quick test_protect_net;
         Alcotest.test_case "counter summary" `Quick
           test_counters_summary_mentions_events ] ) ]

@@ -200,12 +200,10 @@ let test_transient_continuation () =
      boundary (continuation passes exact state). *)
   let nl = rc_circuit () in
   let sys = Spice.Mna.build nl in
-  let x0 = (prepared sys).Spice.Engine.x0 in
+  let { Spice.Engine.x0; pattern; _ } = prepared sys in
   let probes = [| 1 |] in
   let dt = 5e-9 /. 1000.0 in
-  let companion () =
-    Result.get_ok (Spice.Transient.companion (Spice.Transient.compile sys) ~dt)
-  in
+  let companion () = Result.get_ok (Spice.Transient.companion pattern ~dt) in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:0.0 ~steps:1000 ~probes
   in
@@ -406,13 +404,13 @@ let test_steps_counter () =
     | Some node -> sys.Spice.Mna.unknown_of_node.(node)
     | None -> Alcotest.fail "no node out"
   in
-  let { Spice.Engine.x0; xf; _ } = prepared sys in
+  let { Spice.Engine.x0; xf; pattern; _ } = prepared sys in
   let target = x0.(out) +. (0.5 *. (xf.(out) -. x0.(out))) in
   let steps_per_chunk = options.Spice.Engine.steps_per_chunk in
   let full =
     Spice.Transient.run
       (Result.get_ok
-         (Spice.Transient.companion (Spice.Transient.compile sys)
+         (Spice.Transient.companion pattern
             ~dt:(horizon /. float_of_int steps_per_chunk)))
       ~x0 ~t0:0.0 ~steps:steps_per_chunk ~probes:[| out |]
   in
@@ -439,11 +437,10 @@ let test_steps_counter () =
    counted. *)
 let test_stopped_loop_prefix () =
   let sys = Spice.Mna.build (rc_circuit ()) in
-  let x0 = (prepared sys).Spice.Engine.x0 in
+  let { Spice.Engine.x0; pattern; _ } = prepared sys in
   let probes = Array.init sys.Spice.Mna.size Fun.id in
   let companion () =
-    Result.get_ok
-      (Spice.Transient.companion (Spice.Transient.compile sys) ~dt:5e-11)
+    Result.get_ok (Spice.Transient.companion pattern ~dt:5e-11)
   in
   let full =
     Spice.Transient.run (companion ()) ~x0 ~t0:1e-9 ~steps:80 ~probes
@@ -565,7 +562,7 @@ let check_assembly ?stamps ~what sys =
       (Numeric.Sparse.Csc.nnz sparse)
   in
   let lhs, explicit =
-    Spice.Transient.assemble ?stamps (Spice.Transient.compile sys) ~dt
+    Spice.Transient.assemble ?stamps (prepared sys).Spice.Engine.pattern ~dt
   in
   let h = 2.0 /. dt in
   check "trapezoidal g + hc" lhs (Matrix.add gd (Matrix.scale h cd));
@@ -718,6 +715,56 @@ let test_single_order_is_g_order () =
         nets)
     [ 10; 30 ]
 
+(* When C adds slots to G the pattern keeps no plan, since G's plan
+   reads G's slot positions: an RLC lowering, whose inductors put C on
+   branch diagonals G does not store, and a deck with a node-to-node
+   capacitor. Their companions factor with the full kernel, bit for
+   bit [try_factor] on the assembled iteration matrix. *)
+let test_no_plan_when_c_adds_slots () =
+  let tech = Circuit.Technology.table1 in
+  let net =
+    (Geom.Netgen.uniform_batch ~seed:4252
+       ~region:(Geom.Rect.square tech.Circuit.Technology.layout_side)
+       ~pins:10 ~trials:1).(0)
+  in
+  let rlc =
+    Delay.Lumping.system ~include_inductance:true ~tech
+      (Routing.mst_of_net net)
+  in
+  let deck =
+    match
+      Deck.of_string
+        "* node-to-node capacitor\n\
+         V1 in 0 PULSE(0 1 0 0.01n 0.01n 50n 100n)\n\
+         R1 in a 1k\n\
+         C1 a b 0.3p\n\
+         R2 b 0 2k\n\
+         C2 b 0 1p\n\
+         .end\n"
+    with
+    | Ok nl -> Spice.Mna.build nl
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (what, sys) ->
+      let pattern = (prepared sys).Spice.Engine.pattern in
+      let dt = 1e-11 in
+      let lhs, _ = Spice.Transient.assemble pattern ~dt in
+      let full = Numeric.Sparse.try_factor ~symbolic:sys.Spice.Mna.sym lhs in
+      let companion, counts =
+        Test_numeric.counting Test_numeric.refactor_counters (fun () ->
+            Spice.Transient.companion pattern ~dt)
+      in
+      Alcotest.(check (list int)) (what ^ ": no refactor, no fallback")
+        [ 0; 0; 0 ] counts;
+      match (full, companion) with
+      | Ok f, Ok cp ->
+          Alcotest.(check bool) (what ^ ": the full kernel's factor") true
+            (Test_numeric.same_factors f (Spice.Transient.factor cp))
+      | _ -> Alcotest.failf "%s: a factorisation failed" what)
+    [ ("rlc lowering", rlc.Delay.Lumping.mna);
+      ("node-to-node capacitor", deck) ]
+
 let suites =
   [ ( "spice",
       [ Alcotest.test_case "dc divider" `Quick test_dc_divider;
@@ -764,6 +811,8 @@ let suites =
           test_companion_resize_matches_dense;
         Alcotest.test_case "one ordering serves G and companion" `Quick
           test_single_order_is_g_order;
+        Alcotest.test_case "no plan when C adds slots to G" `Quick
+          test_no_plan_when_c_adds_slots;
         Alcotest.test_case "rise time" `Quick test_rise_time;
         Alcotest.test_case "trace csv/append" `Quick test_trace_csv_and_append
       ] ) ]

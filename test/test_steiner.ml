@@ -52,13 +52,6 @@ let test_i1s_two_pins () =
   Alcotest.(check int) "no steiner points" 2 (Routing.num_vertices st);
   Alcotest.(check (float 1e-9)) "cost" 70.0 (Routing.cost st)
 
-let test_i1s_max_points () =
-  let g = Rng.create 77 in
-  let net = Netgen.uniform g ~region:(Rect.square 1000.0) ~pins:10 in
-  let st = Steiner.Iterated_1steiner.construct ~max_points:1 net in
-  Alcotest.(check bool) "at most one steiner point" true
-    (Routing.num_vertices st <= 11)
-
 let prop_i1s_cost_at_most_mst =
   QCheck.Test.make ~name:"I1S cost <= MST cost" ~count:25
     QCheck.(pair small_int (int_range 3 12))
@@ -115,13 +108,6 @@ let test_i1s_leaf_steiner_regression () =
   let st = Steiner.Iterated_1steiner.construct nets.(1) in
   Alcotest.(check bool) "terminates and is a tree" true (Routing.is_tree st)
 
-let test_mst_cost_with () =
-  let pts = [| Point.make 0.0 0.0; Point.make 100.0 0.0 |] in
-  Alcotest.(check (float 1e-9)) "base" 100.0
-    (Steiner.Iterated_1steiner.mst_cost_with pts None);
-  Alcotest.(check (float 1e-9)) "with midpoint unchanged" 100.0
-    (Steiner.Iterated_1steiner.mst_cost_with pts (Some (Point.make 50.0 0.0)))
-
 let suites =
   [ ( "steiner",
       [ Alcotest.test_case "hanan generic" `Quick test_hanan_generic;
@@ -129,11 +115,9 @@ let suites =
         Alcotest.test_case "hanan excludes pins" `Quick test_hanan_excludes_pins;
         Alcotest.test_case "i1s plus net" `Quick test_i1s_plus;
         Alcotest.test_case "i1s two pins" `Quick test_i1s_two_pins;
-        Alcotest.test_case "i1s max_points" `Quick test_i1s_max_points;
         QCheck_alcotest.to_alcotest prop_i1s_cost_at_most_mst;
         QCheck_alcotest.to_alcotest prop_i1s_structure;
         Alcotest.test_case "i1s average improvement" `Quick
           test_i1s_average_improvement;
         Alcotest.test_case "i1s leaf-steiner regression" `Quick
-          test_i1s_leaf_steiner_regression;
-        Alcotest.test_case "mst_cost_with" `Quick test_mst_cost_with ] ) ]
+          test_i1s_leaf_steiner_regression ] ) ]
