@@ -43,14 +43,24 @@ type prepared = {
 }
 
 let prepare_result (sys : Mna.t) =
+  let pattern = Transient.compile sys in
+  let symbolic = sys.Mna.sym and g = sys.Mna.g_csc in
+  (* G's plan serves the companions only when C adds no slot to G; a
+     system where it does factors G without building one. *)
   match
-    Numeric.Sparse.try_factor_with_plan ~symbolic:sys.Mna.sym sys.Mna.g_csc
+    if Transient.plannable pattern then
+      Result.map
+        (fun (g_lu, plan) -> (g_lu, Transient.with_plan pattern plan))
+        (Numeric.Sparse.try_factor_with_plan ~symbolic g)
+    else
+      Result.map (fun g_lu -> (g_lu, pattern))
+        (Numeric.Sparse.try_factor ~symbolic g)
   with
   | Error k -> Error (Nontree_error.singular ~stage:"spice.dc" k)
-  | Ok (g_lu, plan) ->
+  | Ok (g_lu, pattern) ->
       (* One factorisation of G serves the operating point and the
-         settled state; its plan is the one every companion of the
-         system refactors on. *)
+         settled state; its plan, when kept, is the one every companion
+         of the system refactors on. *)
       let x0 = Numeric.Sparse.solve g_lu (Mna.rhs sys 0.0) in
       let* () = check_finite ~stage:"spice.dc" x0 in
       let xf = Numeric.Sparse.solve g_lu (Mna.settled_rhs sys) in
@@ -62,8 +72,7 @@ let prepare_result (sys : Mna.t) =
       let cap = Array.make n 0.0 in
       Numeric.Sparse.Csc.mul_vec_into sys.Mna.c_csc (Array.make n 1.0) cap;
       Array.fill cap nodes (n - nodes) 0.0;
-      Ok { pattern = Transient.compile sys ~plan; g_lu; x0; xf; cap;
-           m1 = Numeric.Sparse.solve g_lu cap }
+      Ok { pattern; g_lu; x0; xf; cap; m1 = Numeric.Sparse.solve g_lu cap }
 
 let dc_result nl =
   let sys = Mna.build nl in
@@ -93,13 +102,13 @@ let transient_result ?(options = default_options) nl ~tstop ~probes =
   let idx = probe_indices nl sys probes in
   let* p = prepare_result sys in
   let dt = tstop /. float_of_int options.steps_per_chunk in
-  match Transient.companion p.pattern ~dt with
-  | Error k -> Error (Nontree_error.singular ~stage:"spice.transient" k)
-  | Ok cp ->
-      let chunk =
+  match
+    Transient.with_companion p.pattern ~dt (fun cp ->
         Transient.run cp ~x0:p.x0 ~t0:0.0 ~steps:options.steps_per_chunk
-          ~probes:idx
-      in
+          ~probes:idx)
+  with
+  | Error k -> Error (Nontree_error.singular ~stage:"spice.transient" k)
+  | Ok chunk ->
       let* () = check_finite ~stage:"spice.transient" chunk.Transient.final in
       (* Prepend the t=0 operating point so traces start at time zero. *)
       let times = Array.append [| 0.0 |] chunk.Transient.times in
@@ -199,28 +208,47 @@ let delay_origin ?(options = default_options) nl ~horizon =
 
 type 'a bounded = Exact of 'a | Above of float
 
+(* A scan's per-probe arrays, kept per domain between scans: each
+   probe's target, its delay once found (nan while pending) and its
+   previous sample, then the previous step's time. *)
+type scan = {
+  mutable target : float array;
+  mutable found : float array;
+  mutable prev : float array;
+}
+
+let scan_buffers =
+  Numeric.Scratch.make (fun () -> { target = [||]; found = [||]; prev = [||] })
+
 let threshold_scan_result ?(options = default_options) ?stamps
     ?(cutoff = Float.infinity) pattern ~idx ~x0 ~xf ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan_result: horizon must be positive";
   let* () = injected_fault ~horizon in
+  Numeric.Scratch.use scan_buffers @@ fun b ->
   let num_probes = Array.length idx in
-  let target =
-    Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
-  in
+  b.target <- Numeric.Scratch.floats b.target num_probes;
+  b.found <- Numeric.Scratch.floats b.found num_probes;
+  b.prev <- Numeric.Scratch.floats b.prev (num_probes + 1);
+  let target = b.target and found = b.found and prev = b.prev in
   let dt = scan_dt options ~horizon in
   let t_ref = input_reference (Transient.system pattern) ~dt in
-  (* Probes that start at their target (degenerate) report delay 0. *)
-  let found =
-    Array.mapi (fun p u -> if x0.(u) >= target.(p) then Some 0.0 else None) idx
-  in
-  let pending =
-    ref (Array.fold_left (fun n f -> if f = None then n + 1 else n) 0 found)
-  in
-  (* Each pending probe's previous sample; every probe shares its time,
-     the previous step's (t = 0 before the first). *)
-  let prev_v = Array.map (fun u -> x0.(u)) idx in
-  let prev_t = [| 0.0 |] in
+  (* Probes that start at their target (degenerate) report delay 0.
+     Each pending probe keeps its previous sample; every probe shares
+     its time, the previous step's (t = 0 before the first), in the
+     last slot of [prev]. *)
+  let pending = ref 0 in
+  for p = 0 to num_probes - 1 do
+    let u = idx.(p) in
+    target.(p) <- x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)));
+    prev.(p) <- x0.(u);
+    if x0.(u) >= target.(p) then found.(p) <- 0.0
+    else begin
+      found.(p) <- Float.nan;
+      incr pending
+    end
+  done;
+  prev.(num_probes) <- 0.0;
   (* Set when the scan stops before its last crossing: a pending probe
      crosses no earlier than the step it is still below its target at,
      so the largest delay is at least that step's time past [t_ref]. *)
@@ -230,12 +258,12 @@ let threshold_scan_result ?(options = default_options) ?stamps
      the sample before it. The loop ends at the step where the last
      pending probe crosses, or where a pending one's delay is already
      past [cutoff], so no later step is integrated. *)
-  let on_step t1 x =
+  let on_step t1 v =
     for p = 0 to num_probes - 1 do
-      if found.(p) = None then begin
-        let v1 = x.(idx.(p)) in
+      if Float.is_nan found.(p) then begin
+        let v1 = v.(p) in
         if v1 >= target.(p) then begin
-          let v0 = prev_v.(p) and t0 = prev_t.(0) in
+          let v0 = prev.(p) and t0 = prev.(num_probes) in
           let t_cross =
             if v1 = v0 then t1
             else t0 +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. t0))
@@ -243,38 +271,48 @@ let threshold_scan_result ?(options = default_options) ?stamps
           (* The floor absorbs rounding where a node follows the input
              within one step (the driven node itself crosses exactly
              at [t_ref]). *)
-          found.(p) <- Some (Float.max 0.0 (t_cross -. t_ref));
+          found.(p) <- Float.max 0.0 (t_cross -. t_ref);
           decr pending
         end
-        else prev_v.(p) <- v1
+        else prev.(p) <- v1
       end
     done;
-    prev_t.(0) <- t1;
+    prev.(num_probes) <- t1;
     if !pending > 0 && t1 -. t_ref > cutoff then above := Some (t1 -. t_ref);
     !pending = 0 || Option.is_some !above
+  in
+  let result () =
+    match !above with
+    | Some bound -> Above bound
+    | None ->
+        Exact
+          (Array.init num_probes (fun p ->
+               if Float.is_nan found.(p) then None else Some found.(p)))
   in
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
      targets never builds it. *)
-  let companion = lazy (Transient.companion ?stamps pattern ~dt) in
-  let rec extend x t0 steps extensions =
-    match !above with
-    | Some bound -> Ok (Above bound)
-    | None when !pending = 0 || extensions > options.max_extensions ->
-        Ok (Exact found)
-    | None -> (
-        match Lazy.force companion with
-        | Error k -> Error (Nontree_error.singular ~stage:"spice.transient" k)
-        | Ok cp ->
-            let x, taken = Transient.loop cp ~x0:x ~t0 ~steps ~on_step in
-            let* () = check_finite ~stage:"spice.transient" x in
-            (* Double the window each retry so n extensions cover 2^n
-               horizons. *)
-            extend x
-              (t0 +. (float_of_int taken *. dt))
-              (steps * 2) (extensions + 1))
+  let rec extend cp x t0 steps extensions =
+    if Option.is_some !above || !pending = 0 || extensions > options.max_extensions
+    then Ok (result ())
+    else begin
+      let x, taken = Transient.loop cp ~x0:x ~t0 ~steps ~probes:idx ~on_step in
+      let* () = check_finite ~stage:"spice.transient" x in
+      (* Double the window each retry so n extensions cover 2^n
+         horizons. *)
+      extend cp x
+        (t0 +. (float_of_int taken *. dt))
+        (steps * 2) (extensions + 1)
+    end
   in
-  extend x0 0.0 options.steps_per_chunk 0
+  if !pending = 0 then Ok (result ())
+  else
+    match
+      Transient.with_companion ?stamps pattern ~dt (fun cp ->
+          extend cp x0 0.0 options.steps_per_chunk 0)
+    with
+    | Error k -> Error (Nontree_error.singular ~stage:"spice.transient" k)
+    | Ok r -> r
 
 let threshold_delays_result ?options nl ~probes ~horizon =
   let sys = Mna.build nl in

@@ -703,6 +703,42 @@ let test_baseline_faults_drop_net ~incremental ~jobs () =
   fails "ldrg" (fun () -> Nontree.Ldrg.run ~pool ~model ~tech r);
   fails "wire sizing" (fun () -> Nontree.Wire_sizing.size_greedy ~model ~tech r)
 
+(* A fast-SPICE candidate allocates under 1,000 minor words: its
+   factor, filled values, step-loop state and scan arrays come from
+   per-domain buffers, so mostly its stamps and its result remain. One
+   warmed-up round of a seeded 12-pin MST's additions through the
+   incremental scorer, memo and observability off, each candidate
+   handed the round's running bound as the greedy loop hands it. *)
+let test_candidate_allocation () =
+  Fault.disable ();
+  let obs = Obs.enabled () in
+  Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled obs) @@ fun () ->
+  with_incremental true @@ fun () ->
+  with_cache_enabled false @@ fun () ->
+  let r = random_mst 2024 12 in
+  let score =
+    Nontree.Incremental.make_scorer
+      ~model:(Delay.Model.Spice Delay.Model.fast_spice) ~tech
+      ~fallback:(fun _ -> Alcotest.fail "the scorer fell back")
+      r
+  in
+  let moves = Array.of_list (Nontree.Ldrg.adds Routing.candidate_edges r) in
+  let best = [| Float.infinity |] in
+  let round () =
+    best.(0) <- Float.infinity;
+    for i = 0 to Array.length moves - 1 do
+      best.(0) <- Float.min best.(0) (score ~cutoff:best.(0) moves.(i))
+    done
+  in
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let words = (Gc.minor_words () -. before) /. float_of_int (Array.length moves) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per candidate, under 1,000" words)
+    true (words < 1000.0)
+
 let failure_rule_cases =
   List.concat_map
     (fun (kind, moves) ->
@@ -753,6 +789,8 @@ let suites =
         Alcotest.test_case "cache key coverage" `Quick test_cache_key_coverage;
         Alcotest.test_case "edit keys: budget round one from memo" `Quick
           test_budget_round_one_from_memo;
+        Alcotest.test_case "spice candidate allocates under 1k words" `Quick
+          test_candidate_allocation;
         Alcotest.test_case "no incremental scorer for elmore and rlc" `Quick
           test_unsupported_models_have_no_scorer;
         Alcotest.test_case "edit keys: one trial, two bases" `Quick
