@@ -107,16 +107,20 @@ val threshold_scan_result :
 (** The chunked threshold search on an already-built system, compiled
     ({!Transient.compile}) so that one round's candidates share its
     pattern and refactor plan, grown by [stamps] when given ([x0] and
-    [xf] then have the grown length):
+    [xf] then have the grown length; both are only read, so they may be
+    a caller's buffers):
     from state [x0], integrate at dt = [horizon] / [steps_per_chunk],
     doubling the window up to [max_extensions] times, until every
     probed unknown in [idx] crosses halfway from [x0] to its settled
     value [xf]; probes that never cross report [None].
-    {!Transient.loop} hands over each new state: a crossing is
-    interpolated linearly between a probe's first sample at or above
+    {!Transient.loop} hands over each step's probe values: a crossing
+    is interpolated linearly between a probe's first sample at or above
     its target and the sample before, and the loop stops at the step
-    where the last pending probe crosses, recording nothing. [horizon]
-    sets only dt.
+    where the last pending probe crosses, recording nothing. The
+    companion, the loop's buffers and the scan's own per-probe arrays
+    (targets, crossings, previous samples) are the calling domain's,
+    reused by the next scan; only the result is fresh. [horizon] sets
+    only dt.
 
     [cutoff] (default infinity) stops a scan that cannot come in at or
     under it: at the first step t_k where some probe is still below its
@@ -138,7 +142,8 @@ val threshold_scan_result :
 
 type prepared = {
   pattern : Transient.pattern;
-      (** the system compiled with its G factorisation's plan *)
+      (** the system compiled, with its G factorisation's plan when C
+          adds no slot to G *)
   g_lu : Numeric.Sparse.t;
   x0 : float array;  (** the operating point, G⁻¹·b(0) *)
   xf : float array;  (** the settled state, G⁻¹·b(settled) *)
@@ -155,12 +160,15 @@ type prepared = {
     it. *)
 
 val prepare_result : Mna.t -> (prepared, Nontree_error.t) result
-(** Factors G once with its plan
-    ({!Numeric.Sparse.try_factor_with_plan}), solves [x0] (stage
-    ["spice.dc"], also that of a singular G), [xf] (["spice.settle"])
-    and [m1], and compiles the system with the plan
-    ({!Transient.compile}), so that its companions refactor on it.
-    Every analysis here starts from it. *)
+(** Compiles the system ({!Transient.compile}), factors G once, solves
+    [x0] (stage ["spice.dc"], also that of a singular G), [xf]
+    (["spice.settle"]) and [m1]. Where C adds no slot to G
+    ({!Transient.plannable}) G is factored with its plan
+    ({!Numeric.Sparse.try_factor_with_plan}) and the pattern keeps it
+    ({!Transient.with_plan}), so that its companions refactor on it;
+    elsewhere (RLC lowerings, decks with a floating capacitor) G is
+    factored without building one. Every analysis here starts from
+    it. *)
 
 val threshold_delays_result :
   ?options:options ->
