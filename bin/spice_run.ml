@@ -6,25 +6,7 @@
 
 open Cmdliner
 
-let run_ac nl probes source =
-  let freqs =
-    Spice.Ac.log_frequencies ~f_start:1e5 ~f_stop:1e11 ~points_per_decade:10
-  in
-  List.iter2
-    (fun probe sweep ->
-      (match Spice.Ac.bandwidth_3db sweep with
-      | Some bw ->
-          Printf.printf "  %-12s 3dB bandwidth %.4g MHz\n" probe (bw /. 1e6)
-      | None -> Printf.printf "  %-12s no 3dB point in sweep\n" probe);
-      let path = Printf.sprintf "ac_%s.csv" probe in
-      let oc = open_out path in
-      output_string oc (Spice.Ac.to_csv sweep);
-      close_out oc;
-      Printf.printf "  sweep written to %s\n" path)
-    probes
-    (Spice.Ac.analyze nl ~source ~probes ~frequencies:freqs)
-
-let simulate deck_file probes tstop_s csv delay plot ac =
+let simulate deck_file probes tstop_s csv delay plot =
   match Circuit.Deck.read_file_full deck_file with
   | Error e -> `Error (false, deck_file ^ ": " ^ e)
   | Ok (nl, directives) -> (
@@ -37,15 +19,9 @@ let simulate deck_file probes tstop_s csv delay plot ac =
         match tstop_s with
         | Some s -> Circuit.Deck.parse_number s
         | None -> (
-            match
-              List.find_map
-                (function
-                  | Circuit.Deck.Tran { stop; _ } -> Some stop
-                  | Circuit.Deck.Ac _ -> None)
-                directives.Circuit.Deck.analyses
-            with
-            | Some stop -> Ok stop
-            | None -> Ok 10e-9)
+            match directives.Circuit.Deck.analyses with
+            | Circuit.Deck.Tran { stop; _ } :: _ -> Ok stop
+            | [] -> Ok 10e-9)
       in
       match tstop_result with
       | Error e -> `Error (false, "--tstop: " ^ e)
@@ -54,9 +30,6 @@ let simulate deck_file probes tstop_s csv delay plot ac =
             `Error (false, "need at least one --probe (or a .probe card)")
           else begin
             Printf.printf "deck: %s\n" (Circuit.Netlist.stats nl);
-            (match ac with
-            | Some source -> run_ac nl probes source
-            | None -> ());
             let delay_result =
               if not delay then Ok ()
               else
@@ -114,16 +87,12 @@ let simulate deck_file probes tstop_s csv delay plot ac =
                     `Ok ())
           end)
 
-(* The AC path still raises; fold every typed failure into one
-   diagnostic line and a nonzero exit. *)
-let run deck_file probes tstop_s csv delay plot ac =
-  try simulate deck_file probes tstop_s csv delay plot ac
-  with
-  | Nontree_error.Error e ->
-      `Error (false, "simulation failed: " ^ Nontree_error.to_string e)
-  | Invalid_argument msg ->
-      (* Bad probe names / horizons arrive from the command line here. *)
-      `Error (false, msg)
+(* Bad probe names / horizons arrive from the command line and raise
+   [Invalid_argument]; fold them into one diagnostic line and a nonzero
+   exit. *)
+let run deck_file probes tstop_s csv delay plot =
+  try simulate deck_file probes tstop_s csv delay plot
+  with Invalid_argument msg -> `Error (false, msg)
 
 let deck_file =
   Arg.(
@@ -157,19 +126,10 @@ let delay =
 let plot =
   Arg.(value & flag & info [ "plot" ] ~doc:"ASCII-plot each probe.")
 
-let ac =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ac" ] ~docv:"VSRC"
-        ~doc:
-          "Run an AC sweep (100 kHz - 100 GHz) driving the named voltage \
-           source; writes ac_<probe>.csv per probe.")
-
 let cmd =
   let doc = "transient-simulate a SPICE deck" in
   Cmd.v
     (Cmd.info "spice_run" ~doc)
-    Term.(ret (const run $ deck_file $ probes $ tstop $ csv $ delay $ plot $ ac))
+    Term.(ret (const run $ deck_file $ probes $ tstop $ csv $ delay $ plot))
 
 let () = exit (Cmd.eval cmd)

@@ -31,17 +31,15 @@ val write_file :
 
 val of_string : string -> (Netlist.t, string) result
 (** Parses a deck; on failure the error names the offending line.
-    Directives ([.tran], [.ac], ...) are accepted and ignored; use
-    {!of_string_full} to retrieve them. *)
+    Dot-cards are accepted and ignored; use {!of_string_full} to
+    retrieve the [.tran] and [.probe] cards. Other dot-cards ([.ac],
+    [.options], ...) are ignored by both. *)
 
 val read_file : string -> (Netlist.t, string) result
 
 (** {1 Analysis directives} *)
 
-type analysis =
-  | Tran of { step : float; stop : float }  (** [.tran tstep tstop] *)
-  | Ac of { points_per_decade : int; f_start : float; f_stop : float }
-      (** [.ac dec N fstart fstop] (only the DEC sweep is supported) *)
+type analysis = Tran of { step : float; stop : float }  (** [.tran tstep tstop] *)
 
 type directives = {
   analyses : analysis list;  (** in deck order *)

@@ -12,9 +12,6 @@ let h1 ~model ~tech initial =
     incr evaluations;
     Oracle.Cache.sink_delays ~model ~tech r
   in
-  let max_of delays =
-    List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 delays
-  in
   let rec loop current current_delays steps =
     match worst_sink current_delays with
     | None -> (current, steps)
@@ -26,8 +23,8 @@ let h1 ~model ~tech initial =
           match Oracle.candidate (fun () -> sink_delays trial) with
           | None -> (current, steps)
           | Some trial_delays ->
-              let before = max_of current_delays in
-              let after = max_of trial_delays in
+              let before = Delay.Sinks.max_delay current_delays in
+              let after = Delay.Sinks.max_delay trial_delays in
               if after < before *. (1.0 -. 1e-9) then begin
                 let step =
                   { Ldrg.edge = (source, w);

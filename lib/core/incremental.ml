@@ -21,9 +21,6 @@ let enabled () = Atomic.get enabled_flag
 let hits = Obs.Counter.make "oracle.incremental_hits"
 let fallbacks = Obs.Counter.make "oracle.incremental_fallbacks"
 
-let max_sink_delay ds =
-  List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 ds
-
 (* Fixed width, whatever the routing's size: a tag byte ('a' for an
    added wire, 'r' for a resized one), both endpoints as given, and for
    a resize the new width's bits. *)
@@ -93,7 +90,7 @@ let make_scorer ~model ~tech ~fallback r =
                   Oracle.Cache.memo_edit ~cutoff key (edit_key w) compute
               | None -> compute ()
             with
-            | Spice.Engine.Exact ds -> max_sink_delay ds
+            | Spice.Engine.Exact ds -> Delay.Sinks.max_delay ds
             | Spice.Engine.Above b -> b
             | exception Nontree_error.Error e ->
                 Obs.Counter.incr fallbacks;

@@ -177,9 +177,6 @@ module Cache = struct
     memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)
 
   let max_delay ~model ~tech r =
-    List.fold_left
-      (fun acc (_, d) -> Float.max acc d)
-      0.0
-      (sink_delays ~model ~tech r)
+    Delay.Sinks.max_delay (sink_delays ~model ~tech r)
 end
 

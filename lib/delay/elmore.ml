@@ -50,8 +50,7 @@ let sink_delays ~tech r =
   let t = delays ~tech r in
   List.map (fun v -> (v, t.(v))) (Routing.sinks r)
 
-let max_delay ~tech r =
-  List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 (sink_delays ~tech r)
+let max_delay ~tech r = Sinks.max_delay (sink_delays ~tech r)
 
 let total_capacitance ~tech r =
   let wire =

@@ -441,8 +441,4 @@ let sink_delays model ~tech r =
   | Ok ds -> ds
   | Error e -> Nontree_error.raise_error e
 
-let max_delay model ~tech r =
-  List.fold_left
-    (fun acc (_, d) -> Float.max acc d)
-    0.0
-    (sink_delays model ~tech r)
+let max_delay model ~tech r = Sinks.max_delay (sink_delays model ~tech r)

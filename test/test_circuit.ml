@@ -293,14 +293,12 @@ let test_deck_directives () =
       Alcotest.(check int) "elements" 3 (List.length (Netlist.elements nl));
       Alcotest.(check (list string)) "probes unwrapped" [ "out"; "in" ]
         d.Deck.probes;
+      (* The .ac card is accepted and ignored: only the .tran is kept. *)
       (match d.Deck.analyses with
-      | [ Deck.Tran { step; stop }; Deck.Ac { points_per_decade; f_start; f_stop } ] ->
+      | [ Deck.Tran { step; stop } ] ->
           Alcotest.(check (float 1e-18)) "tstep" 10e-12 step;
-          Alcotest.(check (float 1e-15)) "tstop" 5e-9 stop;
-          Alcotest.(check int) "ppd" 10 points_per_decade;
-          Alcotest.(check (float 1e-3)) "fstart" 1e6 f_start;
-          Alcotest.(check (float 1e3)) "fstop" 10e9 f_stop
-      | _ -> Alcotest.fail "expected tran then ac")
+          Alcotest.(check (float 1e-15)) "tstop" 5e-9 stop
+      | _ -> Alcotest.fail "expected the .tran alone")
 
 let test_deck_bad_directive_rejected () =
   Alcotest.(check bool) "bad .tran" true

@@ -18,7 +18,5 @@ let () =
          Test_harness.suites;
          Test_robust.suites;
          Test_trees.suites;
-         Test_ac.suites;
-         Test_plot.suites;
          Test_pins.suites;
          Test_reference.suites ])

@@ -335,13 +335,49 @@ let test_sparse_solve_with_buffer () =
       Alcotest.(check (float 0.0)) "solve_in_place = solve" 0.0
         (Matrix.max_abs_diff x z)
 
+(* [G −ωC; ωC G], the real image of G + jωC, for a random G and C.
+   At high ω the diagonal blocks are small next to ±ωC, so most
+   pivots must leave the diagonal; the diagonally dominant systems
+   never ask that of the kernel. *)
+let embedded_system seed n omega =
+  let g, b = random_dd_system seed n and c, _ = random_dd_system (seed + 1) n in
+  let a = Matrix.create (2 * n) (2 * n) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Matrix.set a i j (Matrix.get g i j);
+      Matrix.set a (n + i) (n + j) (Matrix.get g i j);
+      Matrix.set a i (n + j) (-.(omega *. Matrix.get c i j));
+      Matrix.set a (n + i) j (omega *. Matrix.get c i j)
+    done
+  done;
+  (a, Array.append b (Array.make n 0.0))
+
 (* The routing stack factors with [Sparse] alone; [Lu] is the
    reference it is checked against. *)
 let test_sparse_solves_match_lu () =
-  let a, b = random_dd_system 23 10 in
-  let x = Sparse.solve (factor a) b in
-  Alcotest.(check bool) "solve matches Lu" true
-    (Matrix.max_abs_diff x (Lu.solve_matrix a b) < 1e-9)
+  (* Relative to the solution's largest entry: at high ω it is small.
+     A diagonally dominant system's is at most max |b| = 10, so there
+     the bound is never looser than 1e-9. *)
+  let matches what (a, b) =
+    let f = factor a in
+    let x = Sparse.solve f b and r = Lu.solve_matrix a b in
+    let scale = Array.fold_left (fun m v -> Float.max m (abs_float v)) 0.0 r in
+    Alcotest.(check bool) (what ^ ": solve matches Lu") true
+      (Matrix.max_abs_diff x r <= 1e-10 *. scale);
+    f
+  in
+  ignore (matches "diagonally dominant" (random_dd_system 23 10));
+  List.iter
+    (fun omega ->
+      let f =
+        matches (Printf.sprintf "ω = %g" omega) (embedded_system 41 8 omega)
+      in
+      if omega >= 1e3 then begin
+        let p, q = Sparse.permutations f in
+        Alcotest.(check bool) "a pivot leaves the diagonal" true
+          (Array.exists2 ( <> ) p q)
+      end)
+    [ 1e-3; 1.0; 1e3; 1e6 ]
 
 (* On these clear-cut matrices both kernels must reach the same
    verdict. The column a refusal reports is each kernel's own: it

@@ -12,8 +12,7 @@
    LDRG outputs; the per-step objectives of LDRG runs under two pole
    and fast SPICE, with candidates scored both on the plain path and
    on the incremental (rank-1 update) path; [Delay.Model.spice_horizon],
-   which sets [route --deck]'s .tran stop, on the same routings; and
-   one AC analysis point. *)
+   which sets [route --deck]'s .tran stop, on the same routings. *)
 
 let tech = Circuit.Technology.table1
 let hex = Printf.sprintf "%h"
@@ -97,18 +96,6 @@ let ldrg_lines () =
             seeds))
     [ ("plain", false); ("incremental", true) ]
 
-let ac_lines () =
-  let nl, _ = Delay.Lumping.circuit_of_routing ~tech (mst 11) in
-  match
-    Spice.Ac.analyze nl ~source:"Vin"
-      ~probes:[ Delay.Lumping.vertex_node_name 3 ] ~frequencies:[ 3e8 ]
-  with
-  | [ [ p ] ] ->
-      [ Printf.sprintf "ac seed 11 n3 300MHz %s %s"
-          (hex p.Spice.Ac.response.Complex.re)
-          (hex p.Spice.Ac.response.Complex.im) ]
-  | _ -> Alcotest.fail "one AC point expected"
-
 let check_lines label expected actual =
   let e = String.concat "\n" expected and a = String.concat "\n" actual in
   if e <> a then
@@ -168,9 +155,6 @@ let horizon_pins =
     "seed 90210 mst spice-horizon 0x1.25830984ba9fcp-27";
     "seed 90210 ldrg spice-horizon 0x1.04b0184780928p-27" ]
 
-let ac_pins =
-  [ "ac seed 11 n3 300MHz 0x1.aae2c13b8a6f1p-3 -0x1.48312f4cbd1b2p-2" ]
-
 let suites =
   [ ( "pins",
       [ Alcotest.test_case "max_delay bits, MSTs and LDRG outputs" `Quick
@@ -180,6 +164,4 @@ let suites =
         Alcotest.test_case "spice_horizon bits" `Quick (fun () ->
             check_lines "spice_horizon" horizon_pins (horizon_lines ()));
         Alcotest.test_case "spice_horizon draws no fault" `Quick
-          test_horizon_draws_no_fault;
-        Alcotest.test_case "AC point bits" `Quick (fun () ->
-            check_lines "AC" ac_pins (ac_lines ())) ] ) ]
+          test_horizon_draws_no_fault ] ) ]
