@@ -71,8 +71,7 @@ let run_bechamel () =
     end;
     (match Delay.Model.score ~cutoff:!best round (Some moves.(!next)) with
     | Ok (Spice.Engine.Exact ds) ->
-        let d = List.fold_left (fun m (_, d) -> Float.max m d) 0.0 ds in
-        best := Float.min !best d
+        best := Float.min !best (Delay.Sinks.largest ds)
     | Ok (Spice.Engine.Above _) | Error _ -> ());
     incr next
   in
@@ -81,7 +80,9 @@ let run_bechamel () =
       [ Test.make ~name:"mst-30pin"
           (Staged.stage (fun () -> ignore (Routing.mst_of_net net30)));
         Test.make ~name:"elmore-30pin"
-          (Staged.stage (fun () -> ignore (Delay.Elmore.max_delay ~tech mst30)));
+          (Staged.stage (fun () ->
+               ignore
+                 (Delay.Model.max_delay Delay.Model.Elmore_tree ~tech mst30)));
         Test.make ~name:"first-moment-30pin"
           (Staged.stage (fun () ->
                ignore

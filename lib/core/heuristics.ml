@@ -52,7 +52,8 @@ let add_source_edge r = function
       else (Routing.add_edge r source v, Some (source, v))
 
 let h2 ~tech r =
-  let delays = Delay.Elmore.sink_delays ~tech r in
+  let t = Delay.Elmore.delays ~tech r in
+  let delays = List.map (fun v -> (v, t.(v))) (Routing.sinks r) in
   add_source_edge r (Option.map fst (worst_sink delays))
 
 let h3 ~tech r =

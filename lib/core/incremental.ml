@@ -77,9 +77,12 @@ let make_scorer ~model ~tech ~fallback r =
                nothing. *)
             let compute () =
               match Delay.Model.score ~cutoff round (Some w) with
-              | Ok s ->
+              | Ok (Spice.Engine.Exact ds) ->
                   Obs.Counter.incr hits;
-                  s
+                  Spice.Engine.Exact (Delay.Sinks.largest ds)
+              | Ok (Spice.Engine.Above b) ->
+                  Obs.Counter.incr hits;
+                  Spice.Engine.Above b
               | Error e -> Nontree_error.raise_error e
             in
             (* An edit entry, never a plain one: an updated solve may
@@ -90,8 +93,7 @@ let make_scorer ~model ~tech ~fallback r =
                   Oracle.Cache.memo_edit ~cutoff key (edit_key w) compute
               | None -> compute ()
             with
-            | Spice.Engine.Exact ds -> Delay.Sinks.max_delay ds
-            | Spice.Engine.Above b -> b
+            | Spice.Engine.Exact d | Spice.Engine.Above d -> d
             | exception Nontree_error.Error e ->
                 Obs.Counter.incr fallbacks;
                 Log.info (fun f ->

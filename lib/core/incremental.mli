@@ -22,14 +22,16 @@
     costs the same to build whatever the routing's size. Later rounds
     and runs that score the same edit of the same base (the budget
     ladder, a replayed search) hit. A trial reached from another base is
-    scored afresh. A SPICE trial whose scan was cut is stored as its
-    bound, which answers any later lookup with a lower cutoff; one with
-    a cutoff at or above the bound scores the trial again and replaces
-    the entry. A plain-oracle lookup is never answered. A score that
-    comes back an error (a degenerate update, an injected fault, an
-    unsettled probe, a factorisation the sparse kernel refuses) falls
-    back to the ordinary robust objective, counted under
-    [oracle.incremental_fallbacks].
+    scored afresh. The entry is one float: the largest of
+    {!Delay.Model.score}'s per-sink delays, folded before the memo sees
+    them ({!Delay.Sinks.largest}). A SPICE trial whose scan was cut is
+    stored as its bound, which answers any later lookup with a lower
+    cutoff; one with a cutoff at or above the bound scores the trial
+    again and replaces the entry. A plain-oracle lookup is never
+    answered. A score that comes back an error (a degenerate update, an
+    injected fault, an unsettled probe, a factorisation the sparse
+    kernel refuses) falls back to the ordinary robust objective,
+    counted under [oracle.incremental_fallbacks].
 
     A move is the {!Delay.Model.wire} it stamps, built where the moves
     are listed: an added wire at width 1 and its Manhattan length

@@ -31,6 +31,12 @@ module Cache = struct
   let generation = 100_000
   let lock = Mutex.create ()
 
+  type score = float Spice.Engine.bounded
+
+  (* Plain keys never meet edit keys, so a plain lookup only ever finds
+     [Plain] and an edit lookup [Edit]. *)
+  type entry = Plain of (int * float) list | Edit of score
+
   (* Both generations are read; results go into [young], which replaces
      [old] when it fills. *)
   let young = ref (Hashtbl.create 4096)
@@ -96,15 +102,13 @@ module Cache = struct
 
   let round = digest
 
-  type score = (int * float) list Spice.Engine.bounded
-
   let answers ~cutoff = function
-    | Spice.Engine.Exact _ -> true
-    | Spice.Engine.Above b -> b > cutoff
+    | Plain _ | Edit (Spice.Engine.Exact _) -> true
+    | Edit (Spice.Engine.Above b) -> b > cutoff
 
   (* What a lookup found: an entry that answers it, a bound too low to
      answer it in the generation that holds it, or nothing. *)
-  type found = Hit of score | Stale of (string, score) Hashtbl.t | Absent
+  type found = Hit of entry | Stale of (string, entry) Hashtbl.t | Absent
 
   (* A counted lookup: every probe is exactly one hit or one miss. An
      exact entry answers any cutoff, a bound only a lower one. *)
@@ -145,25 +149,22 @@ module Cache = struct
         Mutex.unlock lock;
         e
 
-  (* Plain keys never meet edit keys, and only edit entries are
-     bounds. *)
-  let exact = function
-    | Spice.Engine.Exact ds -> ds
-    | Spice.Engine.Above _ -> assert false
+  let plain = function Plain ds -> ds | Edit _ -> assert false
+  let edited = function Edit s -> s | Plain _ -> assert false
 
   let find_delays ~model ~tech r =
     if not (Atomic.get enabled_flag) then None
     else
       match lookup ~cutoff:Float.infinity (digest ~model ~tech r) with
-      | Hit e -> Some (exact e)
+      | Hit e -> Some (plain e)
       | Stale _ | Absent -> None
 
   let memo ~model ~tech r compute =
     if not (Atomic.get enabled_flag) then compute ()
     else
-      exact
+      plain
         (memo_under ~cutoff:Float.infinity (digest ~model ~tech r) (fun () ->
-             Spice.Engine.Exact (compute ())))
+             Plain (compute ())))
 
   (* A plain key is one digest; an edit key is a round's digest followed
      by the edit's non-empty encoding, so the two never meet. *)
@@ -171,7 +172,8 @@ module Cache = struct
     if String.length edit = 0 then
       invalid_arg "Oracle.Cache.memo_edit: empty edit";
     if not (Atomic.get enabled_flag) then compute ()
-    else memo_under ~cutoff (round ^ edit) compute
+    else
+      edited (memo_under ~cutoff (round ^ edit) (fun () -> Edit (compute ())))
 
   let sink_delays ~model ~tech r =
     memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)

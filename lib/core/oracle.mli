@@ -35,13 +35,14 @@ val candidate : (unit -> 'a) -> 'a option
       constants, the vertex geometry and the edge set with widths.
       Floats enter bit-exactly, and structurally equal routings share a
       key however they were built.
-    - {e edit} entries ({!memo_edit}) hold an incremental score of one
-      edit of a greedy round's base, keyed by the base's {!round}
-      digest (taken once per round) plus a fixed-width encoding of the
-      edit, so building a key costs the same whatever the routing's
-      size. A hit is an exact recomputation: the same base, model,
-      technology and edit. The same trial reached from two different
-      bases has two entries. A SPICE trial whose scan was cut at a
+    - {e edit} entries ({!memo_edit}) hold one float, the largest sink
+      delay of one edit of a greedy round's base as the incremental
+      scorer computes it, keyed by the base's {!round} digest (taken
+      once per round) plus a fixed-width encoding of the edit, so
+      building a key costs the same whatever the routing's size. A hit
+      is an exact recomputation: the same base, model, technology and
+      edit. The same trial reached from two different bases has two
+      entries. A SPICE trial whose scan was cut at a
       cutoff holds the bound it was cut at, which answers lookups
       with lower cutoffs only ({!memo_edit}).
 
@@ -100,10 +101,10 @@ module Cache : sig
       It serialises the whole routing, so take it once per round, and
       only when the cache is {!enabled}. *)
 
-  type score = (int * float) list Spice.Engine.bounded
-  (** An edit entry: a trial's exact per-sink delays, or [Above b], a
-      lower bound on its largest delay from a scan cut at a cutoff
-      under [b] ({!Spice.Engine.threshold_scan_result}). *)
+  type score = float Spice.Engine.bounded
+  (** An edit entry: a trial's largest sink delay, or [Above b], a
+      lower bound on it from a scan cut at a cutoff under [b]
+      ({!Spice.Engine.threshold_scan_result}). *)
 
   val memo_edit :
     cutoff:float -> round -> string -> (unit -> score) -> score
@@ -111,10 +112,10 @@ module Cache : sig
       entry: its key is [round] followed by [edit], the caller's
       encoding of one edit of the round's base. An exact entry answers
       any lookup, and [Above b] one whose [cutoff] is below [b]: a
-      hit (an infinite [cutoff] asks for exact delays). Otherwise the lookup is a miss, and
-      [compute ()] runs and replaces the entry, in the generation that
-      held it. So every call is one hit or one miss. Capacity and
-      failure behaviour are {!memo}'s.
+      hit (an infinite [cutoff] asks for the exact delay). Otherwise
+      the lookup is a miss, and [compute ()] runs and replaces the
+      entry, in the generation that held it. So every call is one hit
+      or one miss. Capacity and failure behaviour are {!memo}'s.
       @raise Invalid_argument if [edit] is empty. *)
 
   val find_delays :

@@ -46,12 +46,6 @@ let delays ~tech r =
     rooted.Graphs.Rooted.order;
   t
 
-let sink_delays ~tech r =
-  let t = delays ~tech r in
-  List.map (fun v -> (v, t.(v))) (Routing.sinks r)
-
-let max_delay ~tech r = Sinks.max_delay (sink_delays ~tech r)
-
 let total_capacitance ~tech r =
   let wire =
     List.fold_left

@@ -13,15 +13,10 @@
 
 val delays : tech:Circuit.Technology.t -> Routing.t -> float array
 (** Per-vertex Elmore delay (seconds), index-aligned with the routing's
-    vertices; the source reads the common r_d·C_n0 term.
+    vertices; the source reads the common r_d·C_n0 term. Their largest
+    over the sinks, t_ED(T), is {!Model.max_delay} [Elmore_tree].
 
     @raise Invalid_argument when the routing is not a tree. *)
-
-val sink_delays : tech:Circuit.Technology.t -> Routing.t -> (int * float) list
-(** Delays restricted to the net's sinks, as (vertex, delay) pairs. *)
-
-val max_delay : tech:Circuit.Technology.t -> Routing.t -> float
-(** The tree objective t_ED(T) = max over sinks. *)
 
 val total_capacitance : tech:Circuit.Technology.t -> Routing.t -> float
 (** C_n0: all wire capacitance plus every pin's load capacitance. *)

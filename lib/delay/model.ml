@@ -36,8 +36,12 @@ let name = function
 
 (* t50 of a single-pole response is ~0.69 m1; a 4x window comfortably
    covers realistic pole spreads, and the engine doubles on demand. *)
-let window_of sinks m1 =
-  4.0 *. Array.fold_left (fun acc s -> Float.max acc m1.(s)) 0.0 sinks
+let window_of sinks (m1 : float array) =
+  let m = ref 0.0 in
+  for i = 0 to Array.length sinks - 1 do
+    m := Float.max !m m1.(sinks.(i))
+  done;
+  4.0 *. !m
 
 (* Inside [prepare] and [score] an error leaves by [Failed], and they
    return it as their [Error]: a candidate's path builds no result box
@@ -47,19 +51,15 @@ exception Failed of Nontree_error.t
 let fail e = raise_notrace (Failed e)
 let get = function Ok x -> x | Error e -> fail e
 let protect f = match f () with v -> Ok v | exception Failed e -> Error e
+let or_raise = function Ok x -> x | Error e -> Nontree_error.raise_error e
 
-let check_finite ~stage a =
-  match Array.find_opt (fun x -> not (Float.is_finite x)) a with
-  | None -> ()
-  | Some value -> fail (Nontree_error.Non_finite { stage; value })
-
-let check_delays ~stage ds =
-  List.iter
-    (fun (_, d) ->
-      if not (Float.is_finite d) then
-        fail (Nontree_error.Non_finite { stage; value = d }))
-    ds;
-  ds
+(* Loops, here and in [window_of]: an [Array] fold or search boxes floats. *)
+let check_finite ~stage (a : float array) =
+  for i = 0 to Array.length a - 1 do
+    if not (Float.is_finite a.(i)) then
+      fail (Nontree_error.Non_finite { stage; value = a.(i) })
+  done;
+  a
 
 (* Fault injection point for the moment-based oracles, drawn once per
    evaluation (the SPICE oracle's is the engine's scan). *)
@@ -152,7 +152,7 @@ let two_pole_fit ~m1 ~m2 =
       end)
 
 type system =
-  | Tree of (int * float) list  (* Elmore's delays *)
+  | Tree of float array  (* Elmore's delays at the sinks *)
   | Moments of { two_pole : bool; g_lu : Numeric.Sparse.t; cap : float array }
       (* the moment G factored, and c *)
   | Transient of {
@@ -166,14 +166,17 @@ type round = { tech : Circuit.Technology.t; sinks : int array; system : system }
 
 let prepare model ~tech r =
   protect @@ fun () ->
+  let sinks = Array.of_list (Routing.sinks r) in
   let system =
     match model with
     | Elmore_tree -> (
         if not (Routing.is_tree r) then
           fail
             (Nontree_error.Invalid_net "Elmore oracle requires a tree routing");
-        match Elmore.sink_delays ~tech r with
-        | ds -> Tree (check_delays ~stage:"elmore" ds)
+        match Elmore.delays ~tech r with
+        | t ->
+            let ds = Array.map (fun s -> t.(s)) sinks in
+            Tree (check_finite ~stage:"elmore" ds)
         | exception Invalid_argument msg -> fail (Nontree_error.Invalid_net msg))
     | First_moment | Two_pole ->
         let two_pole = model = Two_pole in
@@ -192,7 +195,7 @@ let prepare model ~tech r =
             Transient
               { config; chains; p = get (Spice.Engine.prepare_result mna) })
   in
-  { tech; sinks = Array.of_list (Routing.sinks r); system }
+  { tech; sinks; system }
 
 (* A trial's arrays, kept per domain between trials: the solves'
    workspace, the correction's z = G⁻¹w, the trial's c (a SPICE trial
@@ -265,14 +268,11 @@ let moment_delays b ~tech ~two_pole g_lu cap edit =
     solve x;
     x
   in
-  let m1 = solved c in
-  check_finite ~stage m1;
+  let m1 = check_finite ~stage (solved c) in
   if not two_pole then m1
-  else begin
+  else
     let m2 = solved (Array.mapi (fun i ci -> ci *. m1.(i)) c) in
-    check_finite ~stage m2;
-    two_pole_fit ~m1 ~m2
-  end
+    two_pole_fit ~m1 ~m2:(check_finite ~stage m2)
 
 (* A SPICE round's edit at DC, where a wire's capacitors are open: its
    π-chain of n_seg segments is one series conductance 1/(n_seg·seg_r)
@@ -343,10 +343,8 @@ let edited b round config chains (p : Spice.Engine.prepared) = function
         done;
         x
       in
-      let x0 = dc_state b.x0 p.x0 in
-      check_finite ~stage:"spice.dc" x0;
-      let xf = dc_state b.xf p.xf in
-      check_finite ~stage:"spice.settle" xf;
+      let x0 = check_finite ~stage:"spice.dc" (dc_state b.x0 p.x0) in
+      let xf = check_finite ~stage:"spice.settle" (dc_state b.xf p.xf) in
       let seg_g = per_chain (fun r _ -> 1.0 /. r) in
       let half_c = per_chain (fun _ c -> c) /. 2.0 in
       let stamp i j value = { Spice.Transient.i; j; value } in
@@ -373,29 +371,25 @@ let transient_delays b round config chains p ~cutoff edit =
          ~cutoff p.Spice.Engine.pattern ~idx:sinks ~x0 ~xf ~horizon)
   with
   | Spice.Engine.Above b -> Spice.Engine.Above b
-  | Spice.Engine.Exact found -> (
-      match Array.find_index Option.is_none found with
-      | Some i ->
+  | Spice.Engine.Exact ds as exact ->
+      for i = 0 to Array.length ds - 1 do
+        if Float.is_nan ds.(i) then
           fail
             (Nontree_error.Probe_never_settled
                { probe = Lumping.vertex_node_name sinks.(i); horizon })
-      | None ->
-          Spice.Engine.Exact
-            (check_delays ~stage:"spice.delays"
-               (List.init (Array.length sinks) (fun i ->
-                    (sinks.(i), Option.get found.(i))))))
+      done;
+      ignore (check_finite ~stage:"spice.delays" ds);
+      exact
 
 let score ?(cutoff = Float.infinity) round edit =
   match
     Numeric.Scratch.use trials @@ fun b ->
     match (round.system, edit) with
-    | Tree ds, None -> Spice.Engine.Exact ds
+    | Tree ds, None -> Spice.Engine.Exact (Array.copy ds)
     | Moments { two_pole; g_lu; cap }, _ ->
         injected ();
         let d = moment_delays b ~tech:round.tech ~two_pole g_lu cap edit in
-        let sinks = round.sinks in
-        Spice.Engine.Exact
-          (List.init (Array.length sinks) (fun i -> (sinks.(i), d.(sinks.(i)))))
+        Spice.Engine.Exact (Array.map (fun s -> d.(s)) round.sinks)
     | ( Tree _
       | Transient { config = { include_inductance = true; _ }; _ } ),
         Some _ ->
@@ -419,26 +413,23 @@ let window round edit =
   | Tree _ | Moments _ -> invalid_arg "Model.window: not a SPICE round"
 
 let spice_horizon ~tech r =
-  match
-    protect (fun () ->
-        let g_lu, cap = moment_system ~two_pole:false ~tech r in
-        Numeric.Scratch.use trials (fun b ->
-            window_of
-              (Array.of_list (Routing.sinks r))
-              (moment_delays b ~tech ~two_pole:false g_lu cap None)))
-  with
-  | Ok horizon -> horizon
-  | Error e -> Nontree_error.raise_error e
+  or_raise @@ protect @@ fun () ->
+  let g_lu, cap = moment_system ~two_pole:false ~tech r in
+  Numeric.Scratch.use trials (fun b ->
+      window_of
+        (Array.of_list (Routing.sinks r))
+        (moment_delays b ~tech ~two_pole:false g_lu cap None))
 
-let sink_delays_result model ~tech r =
+let delays model ~tech r =
   match Result.bind (prepare model ~tech r) (fun round -> score round None) with
   | Ok (Spice.Engine.Exact ds) -> Ok ds
   | Ok (Spice.Engine.Above _) -> assert false (* no cutoff *)
   | Error e -> Error e
 
-let sink_delays model ~tech r =
-  match sink_delays_result model ~tech r with
-  | Ok ds -> ds
-  | Error e -> Nontree_error.raise_error e
+let sink_delays_result model ~tech r =
+  Result.map
+    (fun ds -> List.mapi (fun i s -> (s, ds.(i))) (Routing.sinks r))
+    (delays model ~tech r)
 
-let max_delay model ~tech r = Sinks.max_delay (sink_delays model ~tech r)
+let sink_delays model ~tech r = or_raise (sink_delays_result model ~tech r)
+let max_delay model ~tech r = Sinks.largest (or_raise (delays model ~tech r))

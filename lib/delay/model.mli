@@ -119,9 +119,11 @@ val score :
   ?cutoff:float ->
   round ->
   wire option ->
-  ((int * float) list Spice.Engine.bounded, Nontree_error.t) result
+  (float array Spice.Engine.bounded, Nontree_error.t) result
 (** [score round edit] is the delay to every sink of the round's
-    routing with [edit] applied ([None]: the routing itself). Each call
+    routing with [edit] applied ([None]: the routing itself), in
+    seconds, one per sink in {!Routing.sinks} order, each finite; the
+    array is fresh. Its largest is {!Sinks.largest}. Each call
     is one query: the moment models draw their fault ({!Fault}) here,
     SPICE in its scan. An edit adds Δg = 1/R_new − 1/R_old between
     the wire's ends to G and half its capacitance change to c at each

@@ -952,11 +952,14 @@ let run_plan b pl values (e : Csc.entries) ~n ~floor =
   let up = b.fup and udiag = b.fdiag in
   lp.(0) <- 0;
   up.(0) <- 0;
-  (* x -= xi · L(:,j): its base rows, then the appended row's entry
-     when the column holds one. Unchecked accesses: the plan's rows and
-     positions come from a factorisation of this pattern, all below
+  (* x -= xi · L(:,j), xi = x.(i) of the row i pivotal at step j, which
+     L(:,j) does not hold: its base rows, then the appended row's entry
+     when the column holds one. The row, not its value, is passed, so
+     no float is boxed per call. Unchecked accesses: the plan's rows
+     and positions come from a factorisation of this pattern, all below
      steps + 1 and within the L arrays sized from it. *)
-  let update j xi =
+  let update j i =
+    let xi = x.(i) in
     let b = blp.(j) and f = lp.(j) in
     let len = blp.(j + 1) - b in
     for t = 0 to len - 1 do
@@ -980,8 +983,8 @@ let run_plan b pl values (e : Csc.entries) ~n ~floor =
       if qinv.(ecols.(t)) = k' then x.(a) <- evals.(t)
     done;
     for t = uptr.(k') to uptr.(k' + 1) - 1 do
-      let xi = x.(urow.(t)) in
-      if xi <> 0.0 then update ucol.(t) xi
+      let i = urow.(t) in
+      if x.(i) <> 0.0 then update ucol.(t) i
     done;
     let piv = ref (-1) and pmax = ref 0.0 in
     for t = cptr.(k') to cptr.(k' + 1) - 1 do
@@ -1101,10 +1104,7 @@ let run_plan b pl values (e : Csc.entries) ~n ~floor =
     for t = !top to n - 1 do
       let i = topo.(t) in
       if i = a then diagonal := true
-      else begin
-        let xi = x.(i) in
-        if xi <> 0.0 then update pinv.(i) xi
-      end
+      else if x.(i) <> 0.0 then update pinv.(i) i
     done;
     (* The appended row is the only non-pivotal one left. *)
     let pivot = x.(a) in

@@ -284,10 +284,7 @@ let threshold_scan_result ?(options = default_options) ?stamps
   let result () =
     match !above with
     | Some bound -> Above bound
-    | None ->
-        Exact
-          (Array.init num_probes (fun p ->
-               if Float.is_nan found.(p) then None else Some found.(p)))
+    | None -> Exact (Array.sub found 0 num_probes)
   in
   (* dt is fixed for the whole scan, so every chunk extension reuses
      one factored companion; a scan whose probes all start at their
@@ -321,6 +318,7 @@ let threshold_delays_result ?options nl ~probes ~horizon =
   let* found =
     threshold_scan_result ?options p.pattern ~idx ~x0:p.x0 ~xf:p.xf ~horizon
   in
+  let crossed d = if Float.is_nan d then None else Some d in
   match found with
-  | Exact found -> Ok (List.mapi (fun p name -> (name, found.(p))) probes)
+  | Exact ds -> Ok (List.mapi (fun p name -> (name, crossed ds.(p))) probes)
   | Above _ -> assert false (* no cutoff *)

@@ -103,7 +103,7 @@ val threshold_scan_result :
   x0:float array ->
   xf:float array ->
   horizon:float ->
-  (float option array bounded, Nontree_error.t) result
+  (float array bounded, Nontree_error.t) result
 (** The chunked threshold search on an already-built system, compiled
     ({!Transient.compile}) so that one round's candidates share its
     pattern and refactor plan, grown by [stamps] when given ([x0] and
@@ -112,7 +112,8 @@ val threshold_scan_result :
     from state [x0], integrate at dt = [horizon] / [steps_per_chunk],
     doubling the window up to [max_extensions] times, until every
     probed unknown in [idx] crosses halfway from [x0] to its settled
-    value [xf]; probes that never cross report [None].
+    value [xf]. The result holds one delay per probe, in [idx]'s
+    order; a probe that never crosses reads nan.
     {!Transient.loop} hands over each step's probe values: a crossing
     is interpolated linearly between a probe's first sample at or above
     its target and the sample before, and the loop stops at the step

@@ -42,6 +42,17 @@ for ext in budget wsorg; do
   diff -u "$tmpdir/$ext.seq.out" "$tmpdir/$ext.jobs2.out"
 done
 
+echo "== budget ladder memo traffic is pinned =="
+# Later budgets re-read the edit entries, exact or refined bounds, that
+# earlier ones stored; a change to what an edit entry holds must not
+# move a hit, a miss or an entry.
+dune exec bin/tables.exe -- --ext budget --trials 2 --jobs 1 \
+  2> "$tmpdir/budget.err" > /dev/null
+cache_line=$(grep "^oracle cache:" "$tmpdir/budget.err")
+echo "$cache_line"
+[ "$cache_line" = \
+  "oracle cache: 131 hits, 250 misses (34.4% hit rate), 250 entries" ]
+
 echo "== smoke: --jobs above the core count is clamped, output unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null

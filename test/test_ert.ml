@@ -45,13 +45,12 @@ let test_ert_beats_mst_elmore_on_average () =
      0.71 at 30). Check the mean Elmore ratio over a batch. *)
   let trials = 15 in
   let sum = ref 0.0 in
+  let elmore = Delay.Model.max_delay Delay.Model.Elmore_tree ~tech in
   for seed = 1 to trials do
     let net = random_net (seed * 7) 15 in
     let mst = Routing.mst_of_net net in
     let ert = Ert.construct ~tech net in
-    sum :=
-      !sum
-      +. (Delay.Elmore.max_delay ~tech ert /. Delay.Elmore.max_delay ~tech mst)
+    sum := !sum +. (elmore ert /. elmore mst)
   done;
   let avg = !sum /. float_of_int trials in
   Alcotest.(check bool)

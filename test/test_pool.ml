@@ -291,12 +291,12 @@ let test_cache_key_coverage () =
       let edit = Nontree.Incremental.edit_key (add_wire r (a, b)) in
       let inc =
         C.memo_edit ~cutoff:infinity (C.round ~model ~tech r) edit (fun () ->
-            Spice.Engine.Exact [ (1, -1.0) ])
+            Spice.Engine.Exact (-1.0))
       in
       Alcotest.(check int) "edit entry misses" (misses + 1) (C.stats ()).C.misses;
       Alcotest.(check (float 0.0)) "plain entry kept" 0.0 (snd (List.hd plain));
       Alcotest.(check bool) "edit entry" true
-        (inc = Spice.Engine.Exact [ (1, -1.0) ]);
+        (inc = Spice.Engine.Exact (-1.0));
       Alcotest.(check bool) "plain lookup unchanged" true
         (C.find_delays ~model ~tech r = Some plain);
       Alcotest.(check bool) "the edited trial has no plain entry" true
@@ -318,10 +318,10 @@ let test_cache_key_coverage () =
         (fun i e ->
           let ds =
             C.memo_edit ~cutoff:infinity round (Nontree.Incremental.edit_key e)
-              (fun () -> Spice.Engine.Exact [ (1, float_of_int i) ])
+              (fun () -> Spice.Engine.Exact (float_of_int i))
           in
           Alcotest.(check bool) "edit computed" true
-            (ds = Spice.Engine.Exact [ (1, float_of_int i) ]))
+            (ds = Spice.Engine.Exact (float_of_int i)))
         edits;
       Alcotest.(check int) "one entry per edit"
         (entries + List.length edits) (C.stats ()).C.entries)
@@ -514,7 +514,7 @@ let test_cache_bound_entries () =
             incr computed;
             value)
       in
-      let exact = Spice.Engine.Exact [ (1, 3.0) ] in
+      let exact = Spice.Engine.Exact 3.0 in
       let check what ~hits ~misses ~computes ?(entries = 1) result expected =
         let s = C.stats () in
         Alcotest.(check bool) (what ^ ": answer") true (result = expected);
@@ -551,7 +551,7 @@ let test_cache_bounded_generations () =
   with_cache (fun () ->
       let module C = Nontree.Oracle.Cache in
       let round = C.round ~model:moment_model ~tech (random_mst 3 4) in
-      let value i = Spice.Engine.Exact [ (1, float_of_int i) ] in
+      let value i = Spice.Engine.Exact (float_of_int i) in
       let store i =
         ignore
           (C.memo_edit ~cutoff:infinity round (string_of_int i) (fun () ->
@@ -703,20 +703,18 @@ let test_baseline_faults_drop_net ~incremental ~jobs () =
   fails "ldrg" (fun () -> Nontree.Ldrg.run ~pool ~model ~tech r);
   fails "wire sizing" (fun () -> Nontree.Wire_sizing.size_greedy ~model ~tech r)
 
-(* A fast-SPICE candidate allocates under 1,000 minor words: its
-   factor, filled values, step-loop state and scan arrays come from
-   per-domain buffers, so mostly its stamps and its result remain. One
-   warmed-up round of a seeded 12-pin MST's additions through the
-   incremental scorer, memo and observability off, each candidate
-   handed the round's running bound as the greedy loop hands it. *)
-let test_candidate_allocation () =
+(* The minor words a fast-SPICE candidate allocates: one warmed-up
+   round of a seeded [pins]-pin MST's additions through the incremental
+   scorer, memo and observability off, each candidate handed the
+   round's running bound as the greedy loop hands it. *)
+let candidate_words pins =
   Fault.disable ();
   let obs = Obs.enabled () in
   Obs.set_enabled false;
   Fun.protect ~finally:(fun () -> Obs.set_enabled obs) @@ fun () ->
   with_incremental true @@ fun () ->
   with_cache_enabled false @@ fun () ->
-  let r = random_mst 2024 12 in
+  let r = random_mst 2024 pins in
   let score =
     Nontree.Incremental.make_scorer
       ~model:(Delay.Model.Spice Delay.Model.fast_spice) ~tech
@@ -734,10 +732,28 @@ let test_candidate_allocation () =
   round ();
   let before = Gc.minor_words () in
   round ();
-  let words = (Gc.minor_words () -. before) /. float_of_int (Array.length moves) in
+  (Gc.minor_words () -. before) /. float_of_int (Array.length moves)
+
+(* A fast-SPICE candidate allocates under 1,000 minor words: its
+   factor, filled values, step-loop state and scan arrays come from
+   per-domain buffers, so mostly its stamps and its result remain. *)
+let test_candidate_allocation () =
+  let words = candidate_words 12 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per candidate, under 1,000" words)
     true (words < 1000.0)
+
+(* What a candidate allocates barely grows with the net: its result is
+   one float per sink, its solves, stamps and scan work in per-domain
+   buffers, and what else grows is mostly the step loop's final state,
+   one float per unknown. A 30-pin candidate allocates at most 64 words
+   more than a 12-pin one. *)
+let test_candidate_allocation_flat () =
+  let w12 = candidate_words 12 and w30 = candidate_words 30 in
+  Printf.printf "candidate minor words: %.1f at 12 pins, %.1f at 30\n" w12 w30;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words at 30 pins, %.0f at 12: within 64" w30 w12)
+    true (w30 <= w12 +. 64.0)
 
 let failure_rule_cases =
   List.concat_map
@@ -791,6 +807,8 @@ let suites =
           test_budget_round_one_from_memo;
         Alcotest.test_case "spice candidate allocates under 1k words" `Quick
           test_candidate_allocation;
+        Alcotest.test_case "spice candidate allocation flat in pins" `Quick
+          test_candidate_allocation_flat;
         Alcotest.test_case "no incremental scorer for elmore and rlc" `Quick
           test_unsupported_models_have_no_scorer;
         Alcotest.test_case "edit keys: one trial, two bases" `Quick

@@ -176,10 +176,23 @@ let gen_base g net =
       Routing.add_edge r u v
   | _ -> r
 
-(* The per-sink delays the scorer gives one edit of [r], read back from
-   its memo entry, keyed by [r]'s round digest and the edit (a fresh
-   memo, so the entry is this score's); fails the test on a fallback. *)
+(* The per-sink delays of one edit of [r], in [Routing.sinks] order:
+   [Delay.Model.score] of the edit on [r]'s round. The scorer's memo
+   entry for the edit, keyed by [r]'s round digest and the edit (a
+   fresh memo, so the entry is this score's), must be their largest bit
+   for bit; fails the test on a fallback. *)
 let incremental_delays ~model r edit =
+  let ds =
+    match
+      Result.bind (Delay.Model.prepare model ~tech r) (fun round ->
+          Delay.Model.score round (Some edit))
+    with
+    | Ok (Spice.Engine.Exact ds) -> ds
+    | Ok (Spice.Engine.Above _) -> Alcotest.fail "an uncut score was a bound"
+    | Error e ->
+        Alcotest.failf "%s failed: %s" (edit_to_string edit)
+          (Nontree_error.to_string e)
+  in
   let fallback _ = Alcotest.failf "%s fell back" (edit_to_string edit) in
   let module C = Nontree.Oracle.Cache in
   let prev = C.enabled () in
@@ -197,7 +210,12 @@ let incremental_delays ~model r edit =
           (Nontree.Incremental.edit_key edit)
           (fun () -> Alcotest.fail "the score was not memoised")
       with
-      | Spice.Engine.Exact ds -> ds
+      | Spice.Engine.Exact d ->
+          let largest = Delay.Sinks.largest ds in
+          if Int64.bits_of_float d <> Int64.bits_of_float largest then
+            Alcotest.failf "%s: memo entry %h, largest sink delay %h"
+              (edit_to_string edit) d largest;
+          ds
       | Spice.Engine.Above _ -> Alcotest.fail "an uncut score was a bound")
 
 (* Every sink's incremental delay matches the plain oracle's on the
@@ -206,14 +224,18 @@ let check_edit_delays ~model ~what r edit trial =
   let inc = incremental_delays ~model r edit in
   let plain = Delay.Robust.sink_delays_exn ~model ~tech trial in
   let scale = List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 plain in
-  List.iter2
-    (fun (s, di) (s', dp) ->
+  if Array.length inc <> List.length plain then
+    Alcotest.failf "%d incremental delays, %d sinks" (Array.length inc)
+      (List.length plain);
+  List.iteri
+    (fun i ((s, dp), s') ->
       if s <> s' then Alcotest.failf "sink order %d vs %d" s s';
+      let di = inc.(i) in
       let err = abs_float (di -. dp) /. scale in
       if err > 1e-9 then
         Alcotest.failf "%s %s, %s, sink %d: incremental %h vs plain %h (%.3e)"
           what (Delay.Model.name model) (edit_to_string edit) s di dp err)
-    inc plain
+    (List.combine plain (Routing.sinks r))
 
 (* The moment stamp algebra end to end on random point nets. Every
    trial checks an added wire on the MST under the first moment, then
@@ -392,7 +414,11 @@ let scan ?cutoff c =
     Spice.Engine.threshold_scan_result ~options:c.options ?cutoff c.pattern
       ~idx:c.idx ~x0:c.x0 ~xf:c.xf ~horizon:c.horizon
   with
-  | Ok found -> found
+  | Ok (Spice.Engine.Exact found) ->
+      (* Crossings as the reference reports them: [None] for nan. *)
+      Spice.Engine.Exact
+        (Array.map (fun d -> if Float.is_nan d then None else Some d) found)
+  | Ok (Spice.Engine.Above b) -> Spice.Engine.Above b
   | Error e -> Alcotest.failf "scan failed: %s" (Nontree_error.to_string e)
 
 (* The engine's scan, whose chunks stop at the last crossing, reports

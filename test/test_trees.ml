@@ -155,10 +155,11 @@ let test_pd_improves_elmore_on_average () =
   let tech = Circuit.Technology.table1 in
   let total = ref 0.0 in
   let trials = 12 in
+  let elmore = Delay.Model.max_delay Delay.Model.Elmore_tree ~tech in
   for seed = 1 to trials do
     let net = random_net (seed * 3) 15 in
-    let mst_d = Delay.Elmore.max_delay ~tech (Routing.mst_of_net net) in
-    let pd_d = Delay.Elmore.max_delay ~tech (Trees.Pd.construct ~c:0.5 net) in
+    let mst_d = elmore (Routing.mst_of_net net) in
+    let pd_d = elmore (Trees.Pd.construct ~c:0.5 net) in
     total := !total +. (pd_d /. mst_d)
   done;
   let avg = !total /. float_of_int trials in
