@@ -12,7 +12,10 @@
    LDRG outputs; the per-step objectives of LDRG runs under two pole
    and fast SPICE, with candidates scored both on the plain path and
    on the incremental (rank-1 update) path; [Delay.Model.spice_horizon],
-   which sets [route --deck]'s .tran stop, on the same routings. *)
+   which sets [route --deck]'s .tran stop, on the same routings; and,
+   as one digest per moment model, every sink delay of every round-1
+   candidate of a seeded 20-pin MST, scored through [Delay.Model.score]
+   as the greedy loop scores it. *)
 
 let tech = Circuit.Technology.table1
 let hex = Printf.sprintf "%h"
@@ -26,10 +29,12 @@ let models =
 
 let seeds = [ 11; 4242; 90210 ]
 
-let mst seed =
+let mst_pins seed pins =
   let g = Rng.create seed in
   Routing.mst_of_net
-    (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins:10)
+    (Geom.Netgen.uniform g ~region:(Geom.Rect.square 10_000.0) ~pins)
+
+let mst seed = mst_pins seed 10
 
 let ldrg ~model r = Nontree.Ldrg.run ~model ~tech r
 
@@ -96,6 +101,30 @@ let ldrg_lines () =
             seeds))
     [ ("plain", false); ("incremental", true) ]
 
+(* Every sink delay of a seeded 20-pin MST (the plain oracle, no edit)
+   and of each of its round-1 candidates, scored on the round's
+   factored system: the winners alone pin few of these bits. *)
+let candidate_lines () =
+  Fault.disable ();
+  let r = mst_pins 2024 20 in
+  let moves = Nontree.Ldrg.adds Routing.candidate_edges r in
+  List.map
+    (fun (name, model) ->
+      let round = Result.get_ok (Delay.Model.prepare model ~tech r) in
+      let bits = Buffer.create 4096 in
+      List.iter
+        (fun edit ->
+          match Delay.Model.score round edit with
+          | Ok (Spice.Engine.Exact ds) ->
+              Array.iter (fun d -> Buffer.add_string bits (hex d ^ " ")) ds
+          | Ok (Spice.Engine.Above _) | Error _ ->
+              Alcotest.failf "%s: a candidate did not score" name)
+        (None :: List.map Option.some moves);
+      Printf.sprintf "seed 2024 20-pin %s base and %d candidates %s" name
+        (List.length moves)
+        (Digest.to_hex (Digest.string (Buffer.contents bits))))
+    Delay.Model.[ ("first-moment", First_moment); ("two-pole", Two_pole) ]
+
 let check_lines label expected actual =
   let e = String.concat "\n" expected and a = String.concat "\n" actual in
   if e <> a then
@@ -155,6 +184,12 @@ let horizon_pins =
     "seed 90210 mst spice-horizon 0x1.25830984ba9fcp-27";
     "seed 90210 ldrg spice-horizon 0x1.04b0184780928p-27" ]
 
+let candidate_pins =
+  [ "seed 2024 20-pin first-moment base and 171 candidates \
+     4101b9c658169a61da61822492926180";
+    "seed 2024 20-pin two-pole base and 171 candidates \
+     8427f726c949f2652dd788b6cf71585c" ]
+
 let suites =
   [ ( "pins",
       [ Alcotest.test_case "max_delay bits, MSTs and LDRG outputs" `Quick
@@ -163,5 +198,8 @@ let suites =
             check_lines "LDRG step" ldrg_pins (ldrg_lines ()));
         Alcotest.test_case "spice_horizon bits" `Quick (fun () ->
             check_lines "spice_horizon" horizon_pins (horizon_lines ()));
+        Alcotest.test_case "moment round-1 candidate score bits" `Quick
+          (fun () ->
+            check_lines "candidate score" candidate_pins (candidate_lines ()));
         Alcotest.test_case "spice_horizon draws no fault" `Quick
           test_horizon_draws_no_fault ] ) ]
