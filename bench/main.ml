@@ -75,6 +75,24 @@ let run_bechamel () =
     | Ok (Spice.Engine.Above _) | Error _ -> ());
     incr next
   in
+  (* One prepared two-pole round of a 20-pin MST: each run scores its
+     next addition, one incremental moment candidate. *)
+  let mst20 = Routing.mst_of_net (net 20) in
+  let moment_round =
+    match Delay.Model.prepare Delay.Model.Two_pole ~tech mst20 with
+    | Ok round -> round
+    | Error e -> Nontree_error.raise_error e
+  in
+  let moment_moves =
+    Array.of_list (Nontree.Ldrg.adds Routing.candidate_edges mst20)
+  in
+  let moment_next = ref 0 in
+  let moment_candidate () =
+    if !moment_next = Array.length moment_moves then moment_next := 0;
+    ignore
+      (Delay.Model.score moment_round (Some moment_moves.(!moment_next)));
+    incr moment_next
+  in
   let tests =
     Test.make_grouped ~name:"kernels"
       [ Test.make ~name:"mst-30pin"
@@ -88,6 +106,8 @@ let run_bechamel () =
                ignore
                  (Delay.Model.max_delay Delay.Model.First_moment ~tech mst30)));
         Test.make ~name:"spice-candidate-12pin" (Staged.stage candidate);
+        Test.make ~name:"two-pole-candidate-20pin"
+          (Staged.stage moment_candidate);
         Test.make ~name:"spice-eval-10pin"
           (Staged.stage (fun () ->
                ignore (Delay.Model.max_delay spice_model ~tech mst10)));
@@ -127,9 +147,9 @@ let run_bechamel () =
   |> List.iter (fun (name, r) ->
          match (Analyze.OLS.estimates r, Analyze.OLS.r_square r) with
          | Some [ ns ], Some r2 ->
-             Printf.printf "  %-28s %12.0f ns  r² %.4f\n" name ns r2
-         | Some [ ns ], None -> Printf.printf "  %-28s %12.0f ns\n" name ns
-         | _ -> Printf.printf "  %-28s (no estimate)\n" name)
+             Printf.printf "  %-32s %12.0f ns  r² %.4f\n" name ns r2
+         | Some [ ns ], None -> Printf.printf "  %-32s %12.0f ns\n" name ns
+         | _ -> Printf.printf "  %-32s (no estimate)\n" name)
 
 let counter_value name = Obs.Counter.value (Obs.Counter.make name)
 

@@ -137,20 +137,6 @@ let moment_system ~two_pole ~tech r =
   | Error k -> fail (Nontree_error.singular ~stage:(moment_stage ~two_pole) k)
   | Ok g_lu -> (g_lu, node_capacitances ~tech r)
 
-(* The 50 % delay of a single dominant pole with a time shift,
-   exp(-s·delta)/(1 + s·tau), fitted to the first two moments: matching
-   series coefficients gives tau = sqrt(2·m2 - m1²) and
-   delta = m1 - tau. Where the fit degenerates, ln 2 · m1. *)
-let two_pole_fit ~m1 ~m2 =
-  Array.init (Array.length m1) (fun v ->
-      let disc = (2.0 *. m2.(v)) -. (m1.(v) *. m1.(v)) in
-      if disc <= 0.0 then m1.(v) *. log 2.0
-      else begin
-        let tau = sqrt disc in
-        if tau >= m1.(v) then m1.(v) *. log 2.0
-        else (m1.(v) -. tau) +. (tau *. log 2.0)
-      end)
-
 type system =
   | Tree of float array  (* Elmore's delays at the sinks *)
   | Moments of { two_pole : bool; g_lu : Numeric.Sparse.t; cap : float array }
@@ -199,9 +185,9 @@ let prepare model ~tech r =
 
 (* A trial's arrays, kept per domain between trials: the solves'
    workspace, the correction's z = G⁻¹w, the trial's c (a SPICE trial
-   solves it in place into its first moments) and its DC states. A
-   round is shared with every worker domain, so its factorisation is
-   only ever solved in these. *)
+   solves it in place into its first moments) and its DC states, or a
+   moment trial's m1 and m2. A round is shared with every worker
+   domain, so its factorisation is only ever solved in these. *)
 type trial = {
   mutable work : float array;
   mutable z : float array;
@@ -215,16 +201,15 @@ let trials =
       { work = [||]; z = [||]; c = [||]; x0 = [||]; xf = [||] })
 
 (* The round's G with the wire's conductance change [g] between its
-   ends, and its c with [half] added at each: the updated solve, in
-   place (Sherman–Morrison on the round's factorisation), the
-   correction of a solution against G alone, and the new c, all in
-   [b]. *)
+   ends, and its c with [half] added at each, in [b]: [update] writes
+   the new c in [b.c] and returns the correction of a solution against
+   G alone (Sherman–Morrison on the round's factorisation), so a solve
+   against the updated G is a solve in [b.work], then the correction. *)
 let update b ~stage g_lu cap w ~g ~half =
   let n = Array.length cap in
   b.work <- Numeric.Scratch.floats b.work n;
   b.z <- Numeric.Scratch.exact_floats b.z n;
-  let work = b.work in
-  match Numeric.Sparse.with_conductance ~work ~z:b.z g_lu w.u w.v g with
+  match Numeric.Sparse.with_conductance ~work:b.work ~z:b.z g_lu w.u w.v g with
   | None ->
       fail
         (Nontree_error.Singular_matrix { stage = stage ^ ".update"; column = w.u })
@@ -234,21 +219,29 @@ let update b ~stage g_lu cap w ~g ~half =
       Array.blit cap 0 c 0 n;
       c.(w.u) <- c.(w.u) +. half;
       c.(w.v) <- c.(w.v) +. half;
-      let solve x =
-        Numeric.Sparse.solve_with ~work g_lu x;
-        correct x
-      in
-      (solve, correct, c)
+      correct
 
-(* The delay at every vertex of a moment round's routing with [edit]
-   applied: m1, or the two-pole fit of m1 and m2 = G⁻¹·(c .* m1). *)
-let moment_delays b ~tech ~two_pole g_lu cap edit =
+let ln2 = log 2.0
+let no_correction (_ : float array) = ()
+
+(* The delay at each of [sinks] of a moment round's routing with [edit]
+   applied, fresh: m1, or the two-pole fit of m1 and m2 = G⁻¹·(c .* m1).
+   Every vertex's moments are solved and checked, m1 in [b.x0] and m2
+   in [b.xf], but only the sinks are fitted.
+
+   The fit is the 50 % delay of a single dominant pole with a time
+   shift, exp(-s·delta)/(1 + s·tau), fitted to the first two moments:
+   matching series coefficients gives tau = sqrt(2·m2 - m1²) and
+   delta = m1 - tau. Where the fit degenerates, ln 2 · m1. Loops, as
+   in [check_finite]: an [Array] map boxes floats. *)
+let moment_delays b ~tech ~two_pole g_lu cap sinks edit =
   let stage = moment_stage ~two_pole in
-  let solve, c =
+  let n = Array.length cap in
+  b.work <- Numeric.Scratch.floats b.work n;
+  b.x0 <- Numeric.Scratch.exact_floats b.x0 n;
+  let c, correct =
     match edit with
-    | None ->
-        let work = Array.make (Array.length cap) 0.0 in
-        (Numeric.Sparse.solve_with ~work g_lu, cap)
+    | None -> (cap, no_correction)
     | Some w ->
         let length = w.length in
         let g =
@@ -260,19 +253,40 @@ let moment_delays b ~tech ~two_pole g_lu cap edit =
               Circuit.Technology.wire_capacitance_of tech ~length ~width)
           /. 2.0
         in
-        let solve, _, c = update b ~stage g_lu cap w ~g ~half in
-        (solve, c)
+        (b.c, update b ~stage g_lu cap w ~g ~half)
   in
-  let solved rhs =
-    let x = Array.copy rhs in
-    solve x;
-    x
-  in
-  let m1 = check_finite ~stage (solved c) in
-  if not two_pole then m1
-  else
-    let m2 = solved (Array.mapi (fun i ci -> ci *. m1.(i)) c) in
-    two_pole_fit ~m1 ~m2:(check_finite ~stage m2)
+  let m1 = b.x0 in
+  Array.blit c 0 m1 0 n;
+  Numeric.Sparse.solve_with ~work:b.work g_lu m1;
+  correct m1;
+  ignore (check_finite ~stage m1);
+  let k = Array.length sinks in
+  let ds = Array.create_float k in
+  if not two_pole then
+    for i = 0 to k - 1 do
+      ds.(i) <- m1.(sinks.(i))
+    done
+  else begin
+    b.xf <- Numeric.Scratch.exact_floats b.xf n;
+    let m2 = b.xf in
+    for v = 0 to n - 1 do
+      m2.(v) <- c.(v) *. m1.(v)
+    done;
+    Numeric.Sparse.solve_with ~work:b.work g_lu m2;
+    correct m2;
+    ignore (check_finite ~stage m2);
+    for i = 0 to k - 1 do
+      let v = sinks.(i) in
+      let m1v = m1.(v) in
+      let disc = (2.0 *. m2.(v)) -. (m1v *. m1v) in
+      ds.(i) <-
+        (if disc <= 0.0 then m1v *. ln2
+         else
+           let tau = sqrt disc in
+           if tau >= m1v then m1v *. ln2 else (m1v -. tau) +. (tau *. ln2))
+    done
+  end;
+  ds
 
 (* A SPICE round's edit at DC, where a wire's capacitors are open: its
    π-chain of n_seg segments is one series conductance 1/(n_seg·seg_r)
@@ -294,12 +308,14 @@ let spice_update b round config (p : Spice.Engine.prepared) w =
     | Some (_, r0, c0) -> f seg_r seg_c -. f r0 c0
   in
   let segs = float_of_int n_seg in
-  let solve, correct, m1 =
+  let correct =
     update b ~stage:"spice" p.g_lu p.cap w
       ~g:(per_chain (fun r _ -> 1.0 /. (segs *. r)))
       ~half:(per_chain (fun _ c -> segs *. c) /. 2.0)
   in
-  solve m1;
+  let m1 = b.c in
+  Numeric.Sparse.solve_with ~work:b.work p.g_lu m1;
+  correct m1;
   (n_seg, per_chain, correct, m1)
 
 (* The unknowns of wire (u, v)'s chain, u < v. *)
@@ -388,8 +404,9 @@ let score ?(cutoff = Float.infinity) round edit =
     | Tree ds, None -> Spice.Engine.Exact (Array.copy ds)
     | Moments { two_pole; g_lu; cap }, _ ->
         injected ();
-        let d = moment_delays b ~tech:round.tech ~two_pole g_lu cap edit in
-        Spice.Engine.Exact (Array.map (fun s -> d.(s)) round.sinks)
+        Spice.Engine.Exact
+          (moment_delays b ~tech:round.tech ~two_pole g_lu cap round.sinks
+             edit)
     | ( Tree _
       | Transient { config = { include_inductance = true; _ }; _ } ),
         Some _ ->
@@ -415,10 +432,11 @@ let window round edit =
 let spice_horizon ~tech r =
   or_raise @@ protect @@ fun () ->
   let g_lu, cap = moment_system ~two_pole:false ~tech r in
+  let sinks = Array.of_list (Routing.sinks r) in
+  (* [window_of]'s 4 × the largest, over the sinks' first moments. *)
   Numeric.Scratch.use trials (fun b ->
-      window_of
-        (Array.of_list (Routing.sinks r))
-        (moment_delays b ~tech ~two_pole:false g_lu cap None))
+      let m1 = moment_delays b ~tech ~two_pole:false g_lu cap sinks None in
+      4.0 *. Sinks.largest m1)
 
 let delays model ~tech r =
   match Result.bind (prepare model ~tech r) (fun round -> score round None) with

@@ -68,7 +68,8 @@ val max_delay : t -> tech:Circuit.Technology.t -> Routing.t -> float
 
 val spice_horizon : tech:Circuit.Technology.t -> Routing.t -> float
 (** 4 × the [First_moment] oracle's largest sink delay, computed as
-    that oracle computes it but drawing no fault ({!Fault}): the window
+    that oracle computes it (its first moments solved at every vertex,
+    taken only at the sinks) but drawing no fault ({!Fault}): the window
     for simulating a routing's netlist ([route --deck], the examples).
     The perfbench layer replay calls it too.
 
@@ -129,7 +130,10 @@ val score :
     the wire's ends to G and half its capacitance change to c at each
     end.
     - Moment models: the first (and second) moments are corrected
-      solves; [cutoff] is ignored.
+      solves at every vertex, each checked finite, in per-domain
+      buffers; the delays (m1, or the two-pole fit) are taken or
+      fitted only at the sinks, and the result is all a candidate
+      allocates beyond a few fixed words. [cutoff] is ignored.
     - SPICE: the corrected first moments give the transient window
       (4 × the largest sink's). At
       DC a wire's π-chain is one series conductance and its interior

@@ -703,11 +703,11 @@ let test_baseline_faults_drop_net ~incremental ~jobs () =
   fails "ldrg" (fun () -> Nontree.Ldrg.run ~pool ~model ~tech r);
   fails "wire sizing" (fun () -> Nontree.Wire_sizing.size_greedy ~model ~tech r)
 
-(* The minor words a fast-SPICE candidate allocates: one warmed-up
+(* The minor words a candidate of [model] allocates: one warmed-up
    round of a seeded [pins]-pin MST's additions through the incremental
    scorer, memo and observability off, each candidate handed the
    round's running bound as the greedy loop hands it. *)
-let candidate_words pins =
+let candidate_words model pins =
   Fault.disable ();
   let obs = Obs.enabled () in
   Obs.set_enabled false;
@@ -716,8 +716,7 @@ let candidate_words pins =
   with_cache_enabled false @@ fun () ->
   let r = random_mst 2024 pins in
   let score =
-    Nontree.Incremental.make_scorer
-      ~model:(Delay.Model.Spice Delay.Model.fast_spice) ~tech
+    Nontree.Incremental.make_scorer ~model ~tech
       ~fallback:(fun _ -> Alcotest.fail "the scorer fell back")
       r
   in
@@ -734,11 +733,13 @@ let candidate_words pins =
   round ();
   (Gc.minor_words () -. before) /. float_of_int (Array.length moves)
 
+let fast_spice = Delay.Model.Spice Delay.Model.fast_spice
+
 (* A fast-SPICE candidate allocates under 1,000 minor words: its
    factor, filled values, step-loop state and scan arrays come from
    per-domain buffers, so mostly its stamps and its result remain. *)
 let test_candidate_allocation () =
-  let words = candidate_words 12 in
+  let words = candidate_words fast_spice 12 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per candidate, under 1,000" words)
     true (words < 1000.0)
@@ -749,11 +750,35 @@ let test_candidate_allocation () =
    one float per unknown. A 30-pin candidate allocates at most 64 words
    more than a 12-pin one. *)
 let test_candidate_allocation_flat () =
-  let w12 = candidate_words 12 and w30 = candidate_words 30 in
+  let w12 = candidate_words fast_spice 12
+  and w30 = candidate_words fast_spice 30 in
   Printf.printf "candidate minor words: %.1f at 12 pins, %.1f at 30\n" w12 w30;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words at 30 pins, %.0f at 12: within 64" w30 w12)
     true (w30 <= w12 +. 64.0)
+
+(* A moment candidate solves and checks its moments in per-domain
+   buffers and fits only its sinks: it allocates its result, one float
+   per sink, and a few fixed words. At most 96 words at 20 pins, and at
+   most 24 more at 30 pins than at 10 (20 more sinks, and slack). *)
+let test_moment_candidate_allocation () =
+  List.iter
+    (fun model ->
+      let name = Delay.Model.name model in
+      let w10 = candidate_words model 10
+      and w20 = candidate_words model 20
+      and w30 = candidate_words model 30 in
+      Printf.printf
+        "%s candidate minor words: %.1f / %.1f / %.1f at 10 / 20 / 30 pins\n"
+        name w10 w20 w30;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words at 20 pins, at most 96" name w20)
+        true (w20 <= 96.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words at 30 pins, %.0f at 10: within 24"
+           name w30 w10)
+        true (w30 <= w10 +. 24.0))
+    Delay.Model.[ Two_pole; First_moment ]
 
 let failure_rule_cases =
   List.concat_map
@@ -809,6 +834,8 @@ let suites =
           test_candidate_allocation;
         Alcotest.test_case "spice candidate allocation flat in pins" `Quick
           test_candidate_allocation_flat;
+        Alcotest.test_case "moment candidate allocation" `Quick
+          test_moment_candidate_allocation;
         Alcotest.test_case "no incremental scorer for elmore and rlc" `Quick
           test_unsupported_models_have_no_scorer;
         Alcotest.test_case "edit keys: one trial, two bases" `Quick
