@@ -21,17 +21,10 @@ let enabled () = Atomic.get enabled_flag
 let hits = Obs.Counter.make "oracle.incremental_hits"
 let fallbacks = Obs.Counter.make "oracle.incremental_fallbacks"
 
-(* Fixed width, whatever the routing's size: a tag byte ('a' for an
-   added wire, 'r' for a resized one), both endpoints as given, and for
-   a resize the new width's bits. *)
 let edit_key (w : Delay.Model.wire) =
-  let added = Option.is_none w.was in
-  let b = Bytes.create (if added then 17 else 25) in
-  Bytes.set b 0 (if added then 'a' else 'r');
-  Bytes.set_int64_le b 1 (Int64.of_int w.u);
-  Bytes.set_int64_le b 9 (Int64.of_int w.v);
-  if not added then Bytes.set_int64_le b 17 (Int64.bits_of_float w.width);
-  Bytes.unsafe_to_string b
+  match w.was with
+  | None -> Oracle.Cache.Add (w.u, w.v)
+  | Some _ -> Oracle.Cache.Resize (w.u, w.v, w.width)
 
 let apply r (w : Delay.Model.wire) =
   match w.was with
@@ -62,11 +55,11 @@ let make_scorer ~model ~tech ~fallback r =
           Obs.Counter.incr fallbacks;
           plain
       | Ok round ->
-          (* The base is digested once, here on the calling domain: a
-             score depends only on the base, the model, the technology
-             and the edit, so a trial's key is this digest plus the
-             edit's. Eager, not lazy: the scorer runs on worker domains,
-             which must not force one shared suspension. *)
+          (* The base is digested and hashed once, here on the calling
+             domain: a score depends only on the base, the model, the
+             technology and the edit, so a trial's key is this round
+             and the edit. Eager, not lazy: the scorer runs on worker
+             domains, which must not force one shared suspension. *)
           let key =
             if Oracle.Cache.enabled () then
               Some (Oracle.Cache.round ~model ~tech r)

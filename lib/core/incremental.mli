@@ -18,8 +18,10 @@
     Every incremental evaluation is memoised through
     {!Oracle.Cache.memo_edit}. A score depends only on the round's base,
     the model, the technology and the move, so its key is exactly that:
-    the base's digest, taken once per round, plus {!edit_key}. A key
-    costs the same to build whatever the routing's size. Later rounds
+    the round's {!Oracle.Cache.round} (the base's digest and its hash,
+    taken once per round) and {!edit_key}, a typed value hashed with
+    integer arithmetic. A key costs the same to build and hash whatever
+    the routing's size. Later rounds
     and runs that score the same edit of the same base (the budget
     ladder, a replayed search) hit. A trial reached from another base is
     scored afresh. The entry is one float: the largest of
@@ -38,11 +40,10 @@
     ([was = None]), a resized one in canonical order (u < v) with its
     length and current width as [was]. *)
 
-val edit_key : Delay.Model.wire -> string
-(** The fixed-width encoding of a move in its memo key: a tag byte
-    (['a'] for an added wire, [was = None]; ['r'] for a resized one),
-    both endpoints as given, and for a resize the bits of the new
-    width. *)
+val edit_key : Delay.Model.wire -> Oracle.Cache.edit
+(** A move's part of its memo key: [Add (u, v)] for an added wire
+    ([was = None]), [Resize (u, v, width)] for a resized one, both
+    endpoints as given and the new width compared by its bits. *)
 
 val apply : Routing.t -> Delay.Model.wire -> Routing.t
 (** [r] with the move applied: a new width-1 wire

@@ -124,8 +124,10 @@ let run ?pool ?max_edges ?(candidates = Routing.candidate_edges) ~model ~tech
          ~tech initial)
 
 let run_budgeted ?pool ?max_edges ~max_cost_ratio ~model ~tech initial =
-  if max_cost_ratio < 1.0 then
-    invalid_arg "Ldrg.run_budgeted: max_cost_ratio < 1";
+  (* Not [< 1.0]: nan fails every comparison, and a nan budget would
+     filter out every candidate of a round it had prepared. *)
+  if not (max_cost_ratio >= 1.0) then
+    invalid_arg "Ldrg.run_budgeted: max_cost_ratio not >= 1";
   let budget = max_cost_ratio *. Routing.cost initial in
   let candidates r =
     let slack = budget -. Routing.cost r in

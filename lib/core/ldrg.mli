@@ -122,7 +122,8 @@ val run_budgeted :
     LDRG spends wire freely (its cost columns are uncontrolled
     outputs); this is the production knob that caps the spend.
 
-    @raise Invalid_argument when [max_cost_ratio < 1]. *)
+    @raise Invalid_argument unless [max_cost_ratio >= 1] (so also
+    when it is nan). *)
 
 val routing_after : trace -> int -> Routing.t
 (** [routing_after trace k] replays only the first [k] additions onto

@@ -37,25 +37,72 @@ module Cache = struct
      [Plain] and an edit lookup [Edit]. *)
   type entry = Plain of (int * float) list | Edit of score
 
+  type round = { digest : Digest.t; hash : int }
+  type edit = Add of int * int | Resize of int * int * float
+
+  type key = Plain_key of Digest.t | Edit_key of round * edit
+
+  (* One step of an integer hash: the multiply spreads each input bit
+     upward, the shift folds the high bits back into the low ones the
+     table indexes by. *)
+  let mix h x =
+    let h = (h lxor x) * 0x2127599bf4325c37 in
+    h lxor (h lsr 32)
+
+  let bits w = Int64.bits_of_float w
+
+  (* A resize's width enters by its bits: widths one ulp apart are two
+     keys, and a key always equals itself. *)
+  let same_edit a b =
+    match (a, b) with
+    | Add (u, v), Add (u', v') -> u = u' && v = v'
+    | Resize (u, v, w), Resize (u', v', w') ->
+        u = u' && v = v' && bits w = bits w'
+    | Add _, Resize _ | Resize _, Add _ -> false
+
+  module Key = struct
+    type t = key
+
+    let equal a b =
+      match (a, b) with
+      | Plain_key d, Plain_key d' -> String.equal d d'
+      | Edit_key (r, e), Edit_key (r', e') ->
+          (r == r' || String.equal r.digest r'.digest) && same_edit e e'
+      | Plain_key _, Edit_key _ | Edit_key _, Plain_key _ -> false
+
+    let hash = function
+      | Plain_key d -> Hashtbl.hash d
+      | Edit_key (r, Add (u, v)) -> mix (mix (mix r.hash 1) u) v
+      | Edit_key (r, Resize (u, v, w)) ->
+          let b = bits w in
+          mix
+            (mix
+               (mix (mix (mix r.hash 2) u) v)
+               (Int64.to_int b))
+            (Int64.to_int (Int64.shift_right_logical b 32))
+  end
+
+  module Tbl = Hashtbl.Make (Key)
+
   (* Both generations are read; results go into [young], which replaces
      [old] when it fills. *)
-  let young = ref (Hashtbl.create 4096)
-  let old = ref (Hashtbl.create 0)
+  let young = ref (Tbl.create 4096)
+  let old = ref (Tbl.create 0)
 
   let set_enabled b = Atomic.set enabled_flag b
   let enabled () = Atomic.get enabled_flag
 
   let reset () =
     Mutex.lock lock;
-    Hashtbl.reset !young;
-    Hashtbl.reset !old;
+    Tbl.reset !young;
+    Tbl.reset !old;
     Mutex.unlock lock;
     Obs.Counter.set hits 0;
     Obs.Counter.set misses 0
 
   let stats () =
     Mutex.lock lock;
-    let entries = Hashtbl.length !young + Hashtbl.length !old in
+    let entries = Tbl.length !young + Tbl.length !old in
     Mutex.unlock lock;
     { hits = Obs.Counter.value hits;
       misses = Obs.Counter.value misses;
@@ -98,9 +145,9 @@ module Cache = struct
            Routing.widths r )
          [ Marshal.No_sharing ])
 
-  type round = Digest.t
-
-  let round = digest
+  let round ~model ~tech r =
+    let digest = digest ~model ~tech r in
+    { digest; hash = Hashtbl.hash digest }
 
   let answers ~cutoff = function
     | Plain _ | Edit (Spice.Engine.Exact _) -> true
@@ -108,17 +155,17 @@ module Cache = struct
 
   (* What a lookup found: an entry that answers it, a bound too low to
      answer it in the generation that holds it, or nothing. *)
-  type found = Hit of entry | Stale of (string, entry) Hashtbl.t | Absent
+  type found = Hit of entry | Stale of entry Tbl.t | Absent
 
   (* A counted lookup: every probe is exactly one hit or one miss. An
      exact entry answers any cutoff, a bound only a lower one. *)
   let lookup ~cutoff k =
     Mutex.lock lock;
     let found =
-      match Hashtbl.find_opt !young k with
+      match Tbl.find_opt !young k with
       | Some e -> if answers ~cutoff e then Hit e else Stale !young
       | None -> (
-          match Hashtbl.find_opt !old k with
+          match Tbl.find_opt !old k with
           | Some e -> if answers ~cutoff e then Hit e else Stale !old
           | None -> Absent)
     in
@@ -140,12 +187,12 @@ module Cache = struct
         | Stale tbl when tbl == !young || tbl == !old ->
             (* A refined bound stays in its generation, so refining
                never moves the generations' turnover. *)
-            Hashtbl.replace tbl k e
+            Tbl.replace tbl k e
         | _ ->
-            if Hashtbl.length !young >= generation then (
+            if Tbl.length !young >= generation then (
               old := !young;
-              young := Hashtbl.create 4096);
-            Hashtbl.replace !young k e);
+              young := Tbl.create 4096);
+            Tbl.replace !young k e);
         Mutex.unlock lock;
         e
 
@@ -155,7 +202,9 @@ module Cache = struct
   let find_delays ~model ~tech r =
     if not (Atomic.get enabled_flag) then None
     else
-      match lookup ~cutoff:Float.infinity (digest ~model ~tech r) with
+      match
+        lookup ~cutoff:Float.infinity (Plain_key (digest ~model ~tech r))
+      with
       | Hit e -> Some (plain e)
       | Stale _ | Absent -> None
 
@@ -163,17 +212,18 @@ module Cache = struct
     if not (Atomic.get enabled_flag) then compute ()
     else
       plain
-        (memo_under ~cutoff:Float.infinity (digest ~model ~tech r) (fun () ->
-             Plain (compute ())))
+        (memo_under ~cutoff:Float.infinity
+           (Plain_key (digest ~model ~tech r))
+           (fun () -> Plain (compute ())))
 
-  (* A plain key is one digest; an edit key is a round's digest followed
-     by the edit's non-empty encoding, so the two never meet. *)
+  (* A plain key is a routing's digest, an edit key a round and an
+     edit: two constructors, so the two never meet. *)
   let memo_edit ~cutoff round edit compute =
-    if String.length edit = 0 then
-      invalid_arg "Oracle.Cache.memo_edit: empty edit";
     if not (Atomic.get enabled_flag) then compute ()
     else
-      edited (memo_under ~cutoff (round ^ edit) (fun () -> Edit (compute ())))
+      edited
+        (memo_under ~cutoff (Edit_key (round, edit)) (fun () ->
+             Edit (compute ())))
 
   let sink_delays ~model ~tech r =
     memo ~model ~tech r (fun () -> Delay.Robust.sink_delays_exn ~model ~tech r)

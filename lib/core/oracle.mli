@@ -37,9 +37,9 @@ val candidate : (unit -> 'a) -> 'a option
       key however they were built.
     - {e edit} entries ({!memo_edit}) hold one float, the largest sink
       delay of one edit of a greedy round's base as the incremental
-      scorer computes it, keyed by the base's {!round} digest (taken
-      once per round) plus a fixed-width encoding of the edit, so
-      building a key costs the same whatever the routing's size. A hit
+      scorer computes it, keyed by the base's {!round} (its digest and
+      hash, taken once per round) and a typed {!edit}, so building and
+      hashing a key costs the same whatever the routing's size. A hit
       is an exact recomputation: the same base, model, technology and
       edit. The same trial reached from two different bases has two
       entries. A SPICE trial whose scan was cut at a
@@ -92,8 +92,9 @@ module Cache : sig
       the older one. *)
 
   type round
-  (** The digest of one greedy round's base routing under one model and
-      technology: the prefix of the round's edit keys. *)
+  (** One greedy round's base routing under one model and technology:
+      its digest, as a plain key would take it, and an int hash of that
+      digest, both computed once. *)
 
   val round :
     model:Delay.Model.t -> tech:Circuit.Technology.t -> Routing.t -> round
@@ -101,22 +102,33 @@ module Cache : sig
       It serialises the whole routing, so take it once per round, and
       only when the cache is {!enabled}. *)
 
+  type edit =
+    | Add of int * int  (** a new wire between u and v, as given *)
+    | Resize of int * int * float
+        (** wire (u, v), as given, set to this width *)
+  (** One edit of a round's base, the rest of an edit entry's key. Two
+      edits are the same key when their constructors and endpoints are
+      equal and, for a resize, the bits of their widths: (u, v) and
+      (v, u) are two keys, and so are widths one ulp apart. *)
+
   type score = float Spice.Engine.bounded
   (** An edit entry: a trial's largest sink delay, or [Above b], a
       lower bound on it from a scan cut at a cutoff under [b]
       ({!Spice.Engine.threshold_scan_result}). *)
 
   val memo_edit :
-    cutoff:float -> round -> string -> (unit -> score) -> score
+    cutoff:float -> round -> edit -> (unit -> score) -> score
   (** [memo_edit ~cutoff round edit compute] is {!memo} for an edit
-      entry: its key is [round] followed by [edit], the caller's
-      encoding of one edit of the round's base. An exact entry answers
-      any lookup, and [Above b] one whose [cutoff] is below [b]: a
-      hit (an infinite [cutoff] asks for the exact delay). Otherwise
-      the lookup is a miss, and [compute ()] runs and replaces the
-      entry, in the generation that held it. So every call is one hit
-      or one miss. Capacity and failure behaviour are {!memo}'s.
-      @raise Invalid_argument if [edit] is empty. *)
+      entry, keyed by [round] and [edit]. The key is hashed with integer
+      arithmetic from the round's hash, the constructor, the endpoints
+      and the width's bits, and compared field by field (the round by
+      its digest), so a probe builds no string and costs the same
+      whatever the routing's size. An exact entry answers any lookup,
+      and [Above b] one whose [cutoff] is below [b]: a hit (an infinite
+      [cutoff] asks for the exact delay). Otherwise the lookup is a
+      miss, and [compute ()] runs and replaces the entry, in the
+      generation that held it. So every call is one hit or one miss.
+      Capacity and failure behaviour are {!memo}'s. *)
 
   val find_delays :
     model:Delay.Model.t ->

@@ -80,10 +80,20 @@ type wire = {
   was : float option;
 }
 
-(* [f new - f old] for a per-width quantity of the wire. A new wire's
-   old values are zero, so its change is [f new] bit for bit. *)
-let change w f =
-  match w.was with None -> f w.width | Some w0 -> f w.width -. f w0
+(* [f new - f old] for a per-width quantity [f tech length width] of
+   the wire. A new wire's old values are zero, so its change is [f new]
+   bit for bit. The quantities are top-level functions, so a change
+   builds no closure. *)
+let change w f tech =
+  match w.was with
+  | None -> f tech w.length w.width
+  | Some w0 -> f tech w.length w.width -. f tech w.length w0
+
+let wire_conductance tech length width =
+  1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width
+
+let wire_capacitance tech length width =
+  Circuit.Technology.wire_capacitance_of tech ~length ~width
 
 (* The moment models' system. With the ideal step source shorted, G
    holds the wire conductances between vertices and the driver
@@ -202,27 +212,30 @@ let trials =
 
 (* The round's G with the wire's conductance change [g] between its
    ends, and its c with [half] added at each, in [b]: [update] writes
-   the new c in [b.c] and returns the correction of a solution against
-   G alone (Sherman–Morrison on the round's factorisation), so a solve
-   against the updated G is a solve in [b.work], then the correction. *)
+   the new c in [b.c] and z = G⁻¹w in [b.z], and returns the
+   Sherman–Morrison denominator s on the round's factorisation, so a
+   solve against the updated G is a solve in [b.work], then
+   [correct b w s] of the result. *)
 let update b ~stage g_lu cap w ~g ~half =
   let n = Array.length cap in
   b.work <- Numeric.Scratch.floats b.work n;
   b.z <- Numeric.Scratch.exact_floats b.z n;
-  match Numeric.Sparse.with_conductance ~work:b.work ~z:b.z g_lu w.u w.v g with
-  | None ->
-      fail
-        (Nontree_error.Singular_matrix { stage = stage ^ ".update"; column = w.u })
-  | Some correct ->
-      b.c <- Numeric.Scratch.exact_floats b.c n;
-      let c = b.c in
-      Array.blit cap 0 c 0 n;
-      c.(w.u) <- c.(w.u) +. half;
-      c.(w.v) <- c.(w.v) +. half;
-      correct
+  let s = Numeric.Sparse.with_conductance ~work:b.work ~z:b.z g_lu w.u w.v g in
+  if Float.is_nan s then
+    fail
+      (Nontree_error.Singular_matrix { stage = stage ^ ".update"; column = w.u })
+  else begin
+    b.c <- Numeric.Scratch.exact_floats b.c n;
+    let c = b.c in
+    Array.blit cap 0 c 0 n;
+    c.(w.u) <- c.(w.u) +. half;
+    c.(w.v) <- c.(w.v) +. half;
+    s
+  end
+
+let correct b w s x = Numeric.Sparse.apply_conductance ~z:b.z w.u w.v s x
 
 let ln2 = log 2.0
-let no_correction (_ : float array) = ()
 
 (* The delay at each of [sinks] of a moment round's routing with [edit]
    applied, fresh: m1, or the two-pole fit of m1 and m2 = G⁻¹·(c .* m1).
@@ -239,26 +252,20 @@ let moment_delays b ~tech ~two_pole g_lu cap sinks edit =
   let n = Array.length cap in
   b.work <- Numeric.Scratch.floats b.work n;
   b.x0 <- Numeric.Scratch.exact_floats b.x0 n;
-  let c, correct =
+  (* The denominator s is unused without an edit. *)
+  let s =
     match edit with
-    | None -> (cap, no_correction)
+    | None -> Float.nan
     | Some w ->
-        let length = w.length in
-        let g =
-          change w (fun width ->
-              1.0 /. Circuit.Technology.wire_resistance_of tech ~length ~width)
-        in
-        let half =
-          change w (fun width ->
-              Circuit.Technology.wire_capacitance_of tech ~length ~width)
-          /. 2.0
-        in
-        (b.c, update b ~stage g_lu cap w ~g ~half)
+        let g = change w wire_conductance tech in
+        let half = change w wire_capacitance tech /. 2.0 in
+        update b ~stage g_lu cap w ~g ~half
   in
+  let c = match edit with None -> cap | Some _ -> b.c in
   let m1 = b.x0 in
   Array.blit c 0 m1 0 n;
   Numeric.Sparse.solve_with ~work:b.work g_lu m1;
-  correct m1;
+  (match edit with Some w -> correct b w s m1 | None -> ());
   ignore (check_finite ~stage m1);
   let k = Array.length sinks in
   let ds = Array.create_float k in
@@ -273,7 +280,7 @@ let moment_delays b ~tech ~two_pole g_lu cap sinks edit =
       m2.(v) <- c.(v) *. m1.(v)
     done;
     Numeric.Sparse.solve_with ~work:b.work g_lu m2;
-    correct m2;
+    (match edit with Some w -> correct b w s m2 | None -> ());
     ignore (check_finite ~stage m2);
     for i = 0 to k - 1 do
       let v = sinks.(i) in
@@ -293,8 +300,9 @@ let moment_delays b ~tech ~two_pole g_lu cap sinks edit =
    between its ends, and a chain's interior capacitances split evenly
    to its ends, so the wire adds half its capacitance change at each.
    Returns n_seg, [per_chain f] (the change in [f seg_r seg_c]; the
-   count depends only on length), the correction of the round's states
-   for the conductance, and the first moments m1 (in [b.c]). *)
+   count depends only on length), the denominator s that corrects the
+   round's states for the conductance ([correct b w s]), and the first
+   moments m1 (in [b.c]). *)
 let spice_update b round config (p : Spice.Engine.prepared) w =
   let segments width =
     Lumping.pi_segments ~segmentation:config.segmentation ~tech:round.tech
@@ -308,15 +316,15 @@ let spice_update b round config (p : Spice.Engine.prepared) w =
     | Some (_, r0, c0) -> f seg_r seg_c -. f r0 c0
   in
   let segs = float_of_int n_seg in
-  let correct =
+  let s =
     update b ~stage:"spice" p.g_lu p.cap w
       ~g:(per_chain (fun r _ -> 1.0 /. (segs *. r)))
       ~half:(per_chain (fun _ c -> segs *. c) /. 2.0)
   in
   let m1 = b.c in
   Numeric.Sparse.solve_with ~work:b.work p.g_lu m1;
-  correct m1;
-  (n_seg, per_chain, correct, m1)
+  correct b w s m1;
+  (n_seg, per_chain, s, m1)
 
 (* The unknowns of wire (u, v)'s chain, u < v. *)
 let chain_of chains u v =
@@ -336,7 +344,7 @@ let chain_of chains u v =
 let edited b round config chains (p : Spice.Engine.prepared) = function
   | None -> (p.m1, None, p.x0, p.xf)
   | Some w ->
-      let n_seg, per_chain, correct, m1 = spice_update b round config p w in
+      let n_seg, per_chain, s, m1 = spice_update b round config p w in
       let n = Array.length p.x0 in
       let added = if Option.is_none w.was then n_seg - 1 else 0 in
       let chain =
@@ -351,7 +359,7 @@ let edited b round config chains (p : Spice.Engine.prepared) = function
       let dc_state x base =
         Array.blit base 0 x 0 n;
         Array.fill x n added 0.0;
-        correct x;
+        correct b w s x;
         let xu = x.(w.u) and xv = x.(w.v) in
         for s = 1 to n_seg - 1 do
           x.(chain.(s)) <-

@@ -3,7 +3,10 @@ type edge = { u : int; v : int; w : float }
 module Key = struct
   type t = int * int
 
-  let compare = compare
+  (* Lexicographic, as polymorphic [compare] orders int pairs, but
+     without a [caml_compare] call per map node. *)
+  let compare ((a, b) : t) ((c, d) : t) =
+    if a <> c then Int.compare a c else Int.compare b d
 end
 
 module Emap = Map.Make (Key)

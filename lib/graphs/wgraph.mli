@@ -7,6 +7,10 @@
 
 type edge = { u : int; v : int; w : float }
 
+module Key : Map.OrderedType with type t = int * int
+(** Vertex pairs in lexicographic order, the order polymorphic
+    [compare] gives them, compared on ints alone: the edge maps' key. *)
+
 type t
 
 val create : int -> t

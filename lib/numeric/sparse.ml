@@ -1277,7 +1277,7 @@ let with_conductance ~work ~z t i j g =
   let n = size t in
   if i < 0 || i >= n || j < 0 || j >= n || i = j then
     invalid_arg "Sparse.with_conductance: bad unknown";
-  if not (Float.is_finite g) then None
+  if not (Float.is_finite g) then Float.nan
   else begin
     Obs.Counter.incr rank1_updates;
     if Array.length z <> n then
@@ -1293,14 +1293,15 @@ let with_conductance ~work ~z t i j g =
       (not (Float.is_finite s))
       || s = 0.0
       || abs_float s < 1e-10 *. Float.max (abs_float inv_g) (abs_float wz)
-    then None
-    else
-      Some
-        (fun x ->
-          if Array.length x < n then
-            invalid_arg "Sparse.with_conductance: array too short";
-          let c = (x.(i) -. x.(j)) /. s in
-          for k = 0 to n - 1 do
-            x.(k) <- x.(k) -. (z.(k) *. c)
-          done)
+    then Float.nan
+    else s
   end
+
+let apply_conductance ~z i j s x =
+  let n = Array.length z in
+  if Array.length x < n then
+    invalid_arg "Sparse.apply_conductance: array too short";
+  let c = (x.(i) -. x.(j)) /. s in
+  for k = 0 to n - 1 do
+    x.(k) <- x.(k) -. (z.(k) *. c)
+  done

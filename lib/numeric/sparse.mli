@@ -261,34 +261,34 @@ val solve_in_place : t -> float array -> unit
 val solve : t -> float array -> float array
 
 val with_conductance :
-  work:float array ->
-  z:float array ->
-  t ->
-  int ->
-  int ->
-  float ->
-  (float array -> unit) option
-(** [with_conductance ~work ~z f i j g] corrects solves against the factored
-    matrix A into solves against A plus one conductance [g] between
-    unknowns [i] and [j], i.e. A + g·w·wᵀ with w = e{_i} − e{_j}, by
-    Sherman–Morrison: one solve against [f] (z = A⁻¹w) builds the
-    correction, and applying it to x = A⁻¹b, which overwrites the
-    first n entries of [x] with (A + g·w·wᵀ)⁻¹b, costs O(n) and no
-    solve. So a right-hand side shared by many conductance changes is
-    solved against [f] once; entries of [x] past n are left alone. No
-    full matrix is factored. [f] stays read-only: the one solve runs in
-    the caller's [work] (length at least n), as {!solve_with}'s do, so
-    a factorisation shared between domains may be updated from each of
-    them, one workspace per domain. The correction keeps z = A⁻¹w in
-    [z] (length n, overwritten; the correction reads it, so keep it
-    untouched while the correction is in use).
+  work:float array -> z:float array -> t -> int -> int -> float -> float
+(** [with_conductance ~work ~z f i j g] prepares the correction of
+    solves against the factored matrix A into solves against A plus one
+    conductance [g] between unknowns [i] and [j], i.e. A + g·w·wᵀ with
+    w = e{_i} − e{_j}, by Sherman–Morrison: one solve against [f] writes
+    z = A⁻¹w into [z] (length n, overwritten), and the result is the
+    denominator s = 1/g + wᵀz. {!apply_conductance} with that [z] and
+    [s] then corrects any x = A⁻¹b in O(n) and no solve. So a
+    right-hand side shared by many conductance changes is solved
+    against [f] once. No full matrix is factored. [f] stays read-only:
+    the one solve runs in the caller's [work] (length at least n), as
+    {!solve_with}'s do, so a factorisation shared between domains may
+    be updated from each of them, one workspace per domain.
 
-    [None] means the updated matrix is numerically singular: [g] is
-    not finite, or the Sherman–Morrison denominator s = 1/g + wᵀA⁻¹w
-    is not finite, zero, or below 1e-10 of max(|1/g|, |wᵀA⁻¹w|).
-    Counts one [lu.rank1_updates] per finite [g].
+    A nan result means the updated matrix is numerically singular: [g]
+    is not finite, or s is not finite, zero, or below 1e-10 of
+    max(|1/g|, |wᵀA⁻¹w|). Counts one [lu.rank1_updates] per finite
+    [g].
 
-    @raise Invalid_argument when [i] or [j] is out of range,
-    [i = j], [work] is shorter than n or [z] is not of length n, and
-    (from the correction)
-    when [x] is shorter than n. *)
+    @raise Invalid_argument when [i] or [j] is out of range, [i = j],
+    [work] is shorter than n or [z] is not of length n. *)
+
+val apply_conductance :
+  z:float array -> int -> int -> float -> float array -> unit
+(** [apply_conductance ~z i j s x] overwrites the first n entries of
+    x = A⁻¹b with (A + g·w·wᵀ)⁻¹b, given the [z] and the non-nan [s]
+    that {!with_conductance}[ ~z f i j g] left: x − z·(x{_i} − x{_j})/s,
+    where n is [z]'s length. Entries of [x] past n are left alone; keep
+    [z] untouched between the two calls.
+
+    @raise Invalid_argument when [x] is shorter than n. *)

@@ -1,8 +1,4 @@
-module Emap = Map.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
+module Emap = Map.Make (Graphs.Wgraph.Key)
 
 type t = {
   points : Geom.Point.t array;
@@ -82,15 +78,23 @@ let remove_edge t u v =
     invalid_arg "Routing.remove_edge: would disconnect";
   { t with graph = g; widths = Emap.remove (canon u v) t.widths }
 
+(* One pass over the edges marks each present pair in an n × n byte
+   array; the pairs are then listed from the last, so the list comes
+   out in increasing (u, v) order without a reversal. *)
 let candidate_edges t =
   let n = num_vertices t in
+  let present = Bytes.make (n * n) '\000' in
+  Graphs.Wgraph.fold_edges
+    (fun e () -> Bytes.set present ((e.u * n) + e.v) '\001')
+    t.graph ();
   let acc = ref [] in
-  for u = 0 to n - 2 do
-    for v = u + 1 to n - 1 do
-      if not (Graphs.Wgraph.mem_edge t.graph u v) then acc := (u, v) :: !acc
+  for u = n - 2 downto 0 do
+    for v = n - 1 downto u + 1 do
+      if Bytes.get present ((u * n) + v) = '\000' then
+        acc := (u, v) :: !acc
     done
   done;
-  List.rev !acc
+  !acc
 
 let width t u v =
   if not (Graphs.Wgraph.mem_edge t.graph u v) then raise Not_found;

@@ -53,6 +53,16 @@ echo "$cache_line"
 [ "$cache_line" = \
   "oracle cache: 131 hits, 250 misses (34.4% hit rate), 250 entries" ]
 
+echo "== wire-sizing memo traffic is pinned =="
+# Wire sizing's edit entries are resizes, keyed by the new width's
+# bits: the other edit shape, pinned the same way.
+dune exec bin/tables.exe -- --ext wsorg --trials 2 --jobs 1 \
+  2> "$tmpdir/wsorg.err" > /dev/null
+cache_line=$(grep "^oracle cache:" "$tmpdir/wsorg.err")
+echo "$cache_line"
+[ "$cache_line" = \
+  "oracle cache: 4 hits, 413 misses (1.0% hit rate), 413 entries" ]
+
 echo "== smoke: --jobs above the core count is clamped, output unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null

@@ -146,10 +146,20 @@ let test_ldrg_budgeted_monotone () =
 let test_ldrg_budgeted_validation () =
   let r = random_mst 7 5 in
   Alcotest.check_raises "ratio < 1"
-    (Invalid_argument "Ldrg.run_budgeted: max_cost_ratio < 1") (fun () ->
+    (Invalid_argument "Ldrg.run_budgeted: max_cost_ratio not >= 1") (fun () ->
       ignore
         (Nontree.Ldrg.run_budgeted ~max_cost_ratio:0.9 ~model:moment_model
            ~tech r))
+
+(* A nan ratio passes a [< 1] guard, and its nan slack filters out
+   every candidate: the search would return its input unscored. *)
+let test_ldrg_budgeted_rejects_nan () =
+  let r = random_mst 7 5 in
+  Alcotest.check_raises "nan ratio"
+    (Invalid_argument "Ldrg.run_budgeted: max_cost_ratio not >= 1") (fun () ->
+      ignore
+        (Nontree.Ldrg.run_budgeted ~max_cost_ratio:Float.nan
+           ~model:moment_model ~tech r))
 
 (* Prune ---------------------------------------------------------------- *)
 
@@ -485,6 +495,8 @@ let suites =
           test_ldrg_budgeted_monotone;
         Alcotest.test_case "ldrg budgeted validation" `Quick
           test_ldrg_budgeted_validation;
+        Alcotest.test_case "ldrg budgeted rejects nan ratio" `Quick
+          test_ldrg_budgeted_rejects_nan;
         Alcotest.test_case "prune mst noop" `Quick test_prune_mst_noop;
         Alcotest.test_case "prune reclaims edge" `Quick
           test_prune_reclaims_redundant_edge;

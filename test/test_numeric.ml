@@ -137,10 +137,14 @@ let with_conductance_dense a i j g =
   Matrix.add_to m j i (-.g);
   m
 
-(* The update, its one solve in a fresh workspace. *)
+(* The update, its one solve in a fresh workspace: the correction to
+   apply, or [None] for a singular update. *)
 let update f i j g =
   let n = Sparse.size f in
-  Sparse.with_conductance ~work:(Array.make n 0.0) ~z:(Array.make n 0.0) f i j g
+  let z = Array.make n 0.0 in
+  let s = Sparse.with_conductance ~work:(Array.make n 0.0) ~z f i j g in
+  if Float.is_nan s then None
+  else Some (fun x -> Sparse.apply_conductance ~z i j s x)
 
 (* A solve against [f], corrected for the added conductance. *)
 (* [Sparse.try_factor] of a matrix the test knows to be regular. *)

@@ -480,6 +480,54 @@ let test_same_trial_two_bases () =
           Alcotest.(check int) "both scored" (i0 + 2)
             (Obs.Counter.value incremental_scored)))
 
+(* What an edit key tells apart and what it does not: an add and a
+   resize of one (u, v), the two orientations of a pair and two widths
+   one ulp apart are separate entries; the rounds of two structurally
+   equal routings built along different paths share their entries. *)
+let test_edit_key_identity () =
+  with_cache (fun () ->
+      let module C = Nontree.Oracle.Cache in
+      let model = Delay.Model.Two_pole in
+      let r = random_mst 41 6 in
+      let round = C.round ~model ~tech r in
+      let probe round edit value =
+        C.memo_edit ~cutoff:infinity round edit (fun () ->
+            Spice.Engine.Exact value)
+      in
+      let (u, v), _ = List.hd (Routing.widths r) in
+      let two = 2.0 in
+      let edits =
+        [ C.Add (u, v); C.Resize (u, v, two); C.Add (v, u);
+          C.Resize (v, u, two); C.Resize (u, v, Float.succ two) ]
+      in
+      List.iteri (fun i e -> ignore (probe round e (float_of_int i))) edits;
+      let s = C.stats () in
+      Alcotest.(check int) "every edit misses" (List.length edits) s.C.misses;
+      Alcotest.(check int) "one entry per edit" (List.length edits)
+        s.C.entries;
+      List.iteri
+        (fun i e ->
+          Alcotest.(check bool) "each edit reads its own entry" true
+            (probe round e Float.nan = Spice.Engine.Exact (float_of_int i)))
+        edits;
+      Alcotest.(check int) "every re-read hits" (List.length edits)
+        (C.stats ()).C.hits;
+      (* Two paths to one routing: two round values, one key. *)
+      let (a, b), (c, d) =
+        match Routing.candidate_edges r with
+        | e1 :: e2 :: _ -> (e1, e2)
+        | _ -> Alcotest.fail "need two candidate edges"
+      in
+      let one_way = Routing.add_edge (Routing.add_edge r a b) c d in
+      let other_way = Routing.add_edge (Routing.add_edge r c d) a b in
+      let edit = C.Resize (a, b, 3.0) in
+      ignore (probe (C.round ~model ~tech one_way) edit 7.0);
+      let hits = (C.stats ()).C.hits in
+      Alcotest.(check bool) "the other path's round finds the entry" true
+        (probe (C.round ~model ~tech other_way) edit Float.nan
+        = Spice.Engine.Exact 7.0);
+      Alcotest.(check int) "one hit" (hits + 1) (C.stats ()).C.hits)
+
 (* With the cache off the scorer still scores, but stores and counts
    nothing. *)
 let test_scorer_without_cache () =
@@ -508,7 +556,7 @@ let test_cache_bound_entries () =
       let module C = Nontree.Oracle.Cache in
       let round = C.round ~model:moment_model ~tech (random_mst 5 4) in
       let lookups = ref 0 and computed = ref 0 in
-      let lookup ?(key = "edit") ~cutoff value =
+      let lookup ?(key = C.Add (0, 1)) ~cutoff value =
         incr lookups;
         C.memo_edit ~cutoff round key (fun () ->
             incr computed;
@@ -535,10 +583,10 @@ let test_cache_bound_entries () =
       check "the exact entry replaced the bound" ~hits:2 ~misses:2 ~computes:2
         (lookup ~cutoff:Float.infinity (Spice.Engine.Above 9.0)) exact;
       (* No bound answers an infinite cutoff. *)
-      ignore (lookup ~cutoff:3.0 (Spice.Engine.Above 5.0) ~key:"other");
+      ignore (lookup ~cutoff:3.0 (Spice.Engine.Above 5.0) ~key:(C.Add (0, 2)));
       check "a bound never answers an infinite cutoff" ~hits:2 ~misses:4
         ~computes:4 ~entries:2
-        (lookup ~cutoff:Float.infinity exact ~key:"other")
+        (lookup ~cutoff:Float.infinity exact ~key:(C.Add (0, 2)))
         exact)
 
 (* Memo bound -------------------------------------------------------------- *)
@@ -554,7 +602,7 @@ let test_cache_bounded_generations () =
       let value i = Spice.Engine.Exact (float_of_int i) in
       let store i =
         ignore
-          (C.memo_edit ~cutoff:infinity round (string_of_int i) (fun () ->
+          (C.memo_edit ~cutoff:infinity round (C.Add (0, i)) (fun () ->
                value i))
       in
       let keys = 200_001 in
@@ -568,7 +616,7 @@ let test_cache_bounded_generations () =
       let hits key =
         let s0 = C.stats () in
         let ds =
-          C.memo_edit ~cutoff:infinity round (string_of_int key) (fun () ->
+          C.memo_edit ~cutoff:infinity round (C.Add (0, key)) (fun () ->
               Alcotest.failf "key %d was not kept" key)
         in
         Alcotest.(check bool) "the stored value" true (ds = value key);
@@ -840,6 +888,7 @@ let suites =
           test_unsupported_models_have_no_scorer;
         Alcotest.test_case "edit keys: one trial, two bases" `Quick
           test_same_trial_two_bases;
+        Alcotest.test_case "edit keys: identity" `Quick test_edit_key_identity;
         Alcotest.test_case "edit keys: disabled cache stores nothing" `Quick
           test_scorer_without_cache;
         Alcotest.test_case "cache disabled passthrough" `Quick

@@ -93,21 +93,19 @@ let prop_woodbury_matches_fresh g =
   let c = if Rng.bool g then c else -.c in
   let b = gen_vec g n in
   let f = factor_sparse a in
-  match
-    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0)
-      ~z:(Array.make n 0.0) f i j c
-  with
-  | None -> ()
-  | Some correct ->
-      let x = Numeric.Sparse.solve f b in
-      correct x;
-      let fresh =
-        Lu.solve_matrix (dense_with_conductance a i j c) b
-      in
-      let err = rel_err x fresh in
-      if err > 1e-9 then
-        Alcotest.failf "rank-1 vs fresh: n=%d (%d,%d) g=%g rel err %.3e" n i
-          j c err
+  let z = Array.make n 0.0 in
+  let s =
+    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0) ~z f i j c
+  in
+  if not (Float.is_nan s) then begin
+    let x = Numeric.Sparse.solve f b in
+    Numeric.Sparse.apply_conductance ~z i j s x;
+    let fresh = Lu.solve_matrix (dense_with_conductance a i j c) b in
+    let err = rel_err x fresh in
+    if err > 1e-9 then
+      Alcotest.failf "rank-1 vs fresh: n=%d (%d,%d) g=%g rel err %.3e" n i j
+        c err
+  end
 
 (* The deterministic near-singular construction: g = -1/(wᵀA⁻¹w) makes
    the Sherman–Morrison denominator exactly zero, which the helper must
@@ -122,14 +120,13 @@ let prop_near_singular_rejected g =
   w.(j) <- -1.0;
   let z = Numeric.Sparse.solve f w in
   let c = -1.0 /. (z.(i) -. z.(j)) in
-  match
-    Numeric.Sparse.with_conductance ~work:(Array.make n 0.0)
-      ~z:(Array.make n 0.0) f i j c
-  with
-  | None -> ()
-  | Some _ ->
-      Alcotest.failf "singularising update accepted: n=%d (%d,%d) g=%h" n i j
-        c
+  if
+    not
+      (Float.is_nan
+         (Numeric.Sparse.with_conductance ~work:(Array.make n 0.0)
+            ~z:(Array.make n 0.0) f i j c))
+  then
+    Alcotest.failf "singularising update accepted: n=%d (%d,%d) g=%h" n i j c
 
 (* The move adding the absent wire (u,v) to [r], and the one setting
    its existing wire (u,v) to [width], as the greedy loops list them. *)
@@ -1534,6 +1531,74 @@ let test_sizing_cuts_factorizations () =
        plain %.2f (%.2f full)"
       incremental incremental_full plain plain_full
 
+(* Edge-map order ----------------------------------------------------- *)
+
+(* A random connected routing on 2-12 vertices: a random spanning tree
+   plus a few extra wires, each added with its endpoints in either
+   order, and a random width on about a third of its wires. The
+   reference orders every vertex pair by polymorphic [compare]: the
+   edge maps' int-pair order must list edges, widths and candidates
+   exactly so. *)
+let prop_edge_order_matches_compare g =
+  let n = Rng.int_in g 2 12 in
+  let points =
+    Array.init n (fun i ->
+        Geom.Point.make (float_of_int i *. 7.0) (Rng.float_in g 0.0 100.0))
+  in
+  let pairs = ref [] in
+  let connect u v =
+    let key = (min u v, max u v) in
+    if u <> v && not (List.mem key (List.map fst !pairs)) then
+      pairs := (key, if Rng.bool g then (u, v) else (v, u)) :: !pairs
+  in
+  for v = 1 to n - 1 do
+    connect (Rng.int g v) v
+  done;
+  for _ = 1 to Rng.int g (n + 1) do
+    connect (Rng.int g n) (Rng.int g n)
+  done;
+  let added = Array.of_list (List.map snd !pairs) in
+  Rng.shuffle g added;
+  let r =
+    Routing.with_points ~source:0 ~num_terminals:n points
+      (Array.to_list added)
+  in
+  let r, widths =
+    List.fold_left
+      (fun (r, acc) (u, v) ->
+        if Rng.int g 3 = 0 then begin
+          let w = Rng.float_in g 0.5 3.0 in
+          let a, b = if Rng.bool g then (u, v) else (v, u) in
+          (Routing.set_width r a b w, ((u, v), w) :: acc)
+        end
+        else (r, acc))
+      (r, [])
+      (List.map fst !pairs)
+  in
+  let canon = List.sort compare (List.map fst !pairs) in
+  let listed =
+    List.map
+      (fun (e : Graphs.Wgraph.edge) -> (e.u, e.v))
+      (Graphs.Wgraph.edges (Routing.graph r))
+  in
+  if listed <> canon then Alcotest.fail "Wgraph.edges out of compare order";
+  let expected_widths =
+    List.map
+      (fun key ->
+        (key, Option.value (List.assoc_opt key widths) ~default:1.0))
+      canon
+  in
+  if Routing.widths r <> expected_widths then
+    Alcotest.fail "Routing.widths out of compare order";
+  let absent = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u < v && not (List.mem (u, v) canon) then absent := (u, v) :: !absent
+    done
+  done;
+  if Routing.candidate_edges r <> List.sort compare !absent then
+    Alcotest.fail "Routing.candidate_edges out of compare order"
+
 let suites =
   [ ( "prop",
       [ Alcotest.test_case "woodbury matches fresh LU (200 pairs)" `Quick
@@ -1584,6 +1649,9 @@ let suites =
           `Quick (fun () ->
             check ~trials:6 "oracle-vs-netlist"
               prop_plain_oracle_matches_netlist);
+        Alcotest.test_case "edge maps list in compare order" `Quick
+          (fun () ->
+            check ~trials:200 "edge-order" prop_edge_order_matches_compare);
         Alcotest.test_case "sparse ordering is a permutation" `Quick
           (fun () ->
             check ~trials:200 "ordering-permutation"
