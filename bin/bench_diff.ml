@@ -13,10 +13,11 @@
    time is under [min_wall] seconds in both files are shown but not
    gated: at that size a quarter is timer noise.
 
-   The bechamel section's count deltas print as "-": Bechamel repeats
-   each kernel as often as its time quota allows, so its counts differ
-   between two runs of one build. Its wall time is shown and gated like
-   any other section's.
+   The bechamel section is shown but never gated, and its count deltas
+   print as "-": Bechamel repeats each kernel as often as its time quota
+   allows, so its wall time is the quota times the number of kernels,
+   not the code's speed, and its counts differ between two runs of one
+   build.
 
    Then it prints the run-level counts of the [incremental] block (rank-1
    updates, incremental hits and fallbacks, sparse factorisations,
@@ -133,7 +134,10 @@ let () =
               else if n.wall_s > 0.0 then infinity
               else 0.0
             in
-            let gated = Float.max o.wall_s n.wall_s >= min_wall in
+            let gated =
+              (not (repeats_by_time name))
+              && Float.max o.wall_s n.wall_s >= min_wall
+            in
             let regressed = gated && growth > !threshold in
             let delta count =
               if repeats_by_time name then "-"

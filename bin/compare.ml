@@ -55,7 +55,8 @@ let run net_file model_name metrics_json trace =
       let search, eval = List.assoc model_name models in
       let rows = algorithms tech search net in
       let mst = List.assoc "MST" rows in
-      let base_delay = Delay.Model.max_delay eval ~tech mst in
+      let delay r = Nontree.Oracle.Cache.max_delay ~model:eval ~tech r in
+      let base_delay = delay mst in
       let base_cost = Routing.cost mst in
       Printf.printf
         "net %s: %d pins; delays via %s; normalised to MST\n\n" net_file
@@ -64,7 +65,7 @@ let run net_file model_name metrics_json trace =
         "ratio" "wire/mm" "ratio" "radius" "kind";
       List.iter
         (fun (name, r) ->
-          let d = Delay.Model.max_delay eval ~tech r in
+          let d = delay r in
           Printf.printf "  %-16s %9.3f %7.3f %9.2f %7.3f %8.2f %s\n" name
             (d *. 1e9) (d /. base_delay)
             (Routing.cost r /. 1e3)

@@ -70,8 +70,12 @@ let run_exn net_file algorithm model_name svg deck =
           | Ok routing ->
               let mst = Routing.mst_of_net net in
               let report = eval_model_for_report search_model in
-              let delay = Delay.Model.max_delay report ~tech routing in
-              let mst_delay = Delay.Model.max_delay report ~tech mst in
+              let delay =
+                Nontree.Oracle.Cache.max_delay ~model:report ~tech routing
+              in
+              let mst_delay =
+                Nontree.Oracle.Cache.max_delay ~model:report ~tech mst
+              in
               Printf.printf "net: %d pins, algorithm %s, search model %s\n"
                 (Geom.Net.size net) algorithm
                 (Delay.Model.name search_model);
@@ -89,7 +93,7 @@ let run_exn net_file algorithm model_name svg deck =
               List.iter
                 (fun (v, d) ->
                   Printf.printf "  sink n%-2d delay %.4g ns\n" v (d *. 1e9))
-                (Delay.Model.sink_delays report ~tech routing);
+                (Nontree.Oracle.Cache.sink_delays ~model:report ~tech routing);
               (match svg with
               | Some path ->
                   Routing_svg.render_to_file ~title:algorithm path routing;

@@ -73,7 +73,7 @@ let simulate deck_file probes tstop_s csv delay plot =
                       (fun p ->
                         let v = Spice.Trace.signal trace p in
                         Printf.printf "  %-12s final %.4g V\n" p
-                          (Spice.Measure.final_value ~values:v))
+                          v.(Array.length v - 1))
                       probes;
                     (match csv with
                     | Some path ->

@@ -84,6 +84,11 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
     jobs_requested metrics_json trace log_level =
   Logs.set_reporter (Logs.format_reporter ~dst:Format.err_formatter ());
   Logs.set_level log_level;
+  (* Written so that nan fails too. *)
+  if not (fault_rate >= 0.0 && fault_rate <= 1.0) then
+    `Error
+      (false, Printf.sprintf "--fault-rate must be in [0, 1], got %g" fault_rate)
+  else
   match Harness.Runs.clamp_jobs jobs_requested with
   | Error e -> `Error (false, e)
   | Ok jobs ->
@@ -93,7 +98,7 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
       if fault_rate > 0.0 then
         (* Derive the fault schedule from the experiment seed unless pinned,
            so --seed alone reproduces the whole run, faults included. *)
-        Fault.enable_uniform ~rate:fault_rate
+        Fault.enable ~rate:fault_rate
           ~seed:(match fault_seed with Some s -> s | None -> seed + 0x5EED)
       else Fault.disable ();
       let config = config_of trials sizes seed jobs in
@@ -177,7 +182,7 @@ let fault_rate =
         ~doc:
           "Inject oracle faults with total probability $(docv) per \
            evaluation (split evenly over singular-stamp, NaN-waveform and \
-           stalled-probe faults). 0 disables injection.")
+           stalled-probe faults), in [0, 1]. 0 disables injection.")
 
 let fault_seed =
   Arg.(

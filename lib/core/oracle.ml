@@ -2,11 +2,6 @@ let src = Logs.Src.create "nontree.oracle" ~doc:"Greedy-loop delay oracle"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let net_of_points points =
-  match Geom.Net.of_list points with
-  | net -> Ok net
-  | exception Invalid_argument msg -> Error (Nontree_error.Invalid_net msg)
-
 let candidate score =
   match Nontree_error.protect score with
   | Ok v -> Some v

@@ -9,12 +9,6 @@
     every failure has already survived retry-with-refinement and model
     degradation before reaching this rule. *)
 
-val net_of_points :
-  Geom.Point.t list -> (Geom.Net.t, Nontree_error.t) result
-(** Safe net construction: coincident pins, too few pins and similar
-    degeneracies come back as [Invalid_net] instead of
-    [Invalid_argument]. *)
-
 val candidate : (unit -> 'a) -> 'a option
 (** [candidate score] is [Some (score ())], or [None] when it raises
     {!Nontree_error.Error}: logged, counted once under

@@ -29,11 +29,3 @@ let summarize samples =
     win_cost =
       (if winners = [] then None else Some (mean (fun s -> s.cost_ratio) winners))
   }
-
-let pp_opt ppf = function
-  | None -> Format.fprintf ppf "   NA"
-  | Some x -> Format.fprintf ppf "%5.2f" x
-
-let pp_row ppf r =
-  Format.fprintf ppf "%5.2f %5.2f  %4.0f  %a %a" r.all_delay r.all_cost
-    r.pct_winners pp_opt r.win_delay pp_opt r.win_cost

@@ -25,7 +25,3 @@ val winner : sample -> bool
 
 val summarize : sample list -> row
 (** @raise Invalid_argument on an empty list. *)
-
-val pp_row : Format.formatter -> row -> unit
-(** Formats as [0.84  1.23   90   0.82  1.25] with NA for missing
-    winners-only entries, matching the paper's columns. *)

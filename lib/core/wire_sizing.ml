@@ -17,20 +17,11 @@ let resizes ~widths r =
         (next_width widths w))
     (Routing.widths r)
 
-let size_greedy ?(widths = [ 1.0; 2.0; 3.0 ]) ?(max_changes = max_int) ~model
-    ~tech r =
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> b > a && increasing rest
-    | _ -> true
-  in
-  (match widths with
-  | first :: _ when abs_float (first -. 1.0) < 1e-12 ->
-      if not (increasing widths) then
-        invalid_arg "Wire_sizing: widths must be strictly increasing"
-  | _ -> invalid_arg "Wire_sizing: widths must start at 1");
+let size_greedy ?(max_changes = max_int) ~model ~tech r =
   let trace, wires =
-    Ldrg.search_delay ~max_moves:max_changes ~moves:(resizes ~widths) ~model
-      ~tech r
+    Ldrg.search_delay ~max_moves:max_changes
+      ~moves:(resizes ~widths:[ 1.0; 2.0; 3.0 ])
+      ~model ~tech r
   in
   ( trace.Ldrg.final,
     List.map (fun (w : Delay.Model.wire) -> ((w.u, w.v), w.width)) wires )

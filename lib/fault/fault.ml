@@ -2,12 +2,7 @@ type kind = Singular_stamp | Nan_value | Never_settles
 
 type mode =
   | Off
-  | Probabilistic of {
-      rng : Rng.t;
-      p_singular : float;
-      p_nan : float;
-      p_stall : float;
-    }
+  | Probabilistic of { rng : Rng.t; p : float }  (* [p] per kind *)
   | Scripted of kind option list ref
 
 (* The schedule state (RNG position, scripted queue) is shared by every
@@ -24,22 +19,11 @@ let mode = ref Off
 
 let disable () = with_lock (fun () -> mode := Off)
 
-let check_p name p =
-  if p < 0.0 || p > 1.0 || not (Float.is_finite p) then
-    invalid_arg ("Fault.enable: " ^ name ^ " must be in [0, 1]")
-
-let enable ?(p_singular = 0.0) ?(p_nan = 0.0) ?(p_stall = 0.0) ~seed () =
-  check_p "p_singular" p_singular;
-  check_p "p_nan" p_nan;
-  check_p "p_stall" p_stall;
-  if p_singular +. p_nan +. p_stall > 1.0 then
-    invalid_arg "Fault.enable: probabilities sum past 1";
+let enable ~rate ~seed =
+  if not (rate >= 0.0 && rate <= 1.0) then
+    invalid_arg "Fault.enable: rate must be in [0, 1]";
   with_lock (fun () ->
-      mode := Probabilistic { rng = Rng.create seed; p_singular; p_nan; p_stall })
-
-let enable_uniform ~rate ~seed =
-  let p = rate /. 3.0 in
-  enable ~p_singular:p ~p_nan:p ~p_stall:p ~seed ()
+      mode := Probabilistic { rng = Rng.create seed; p = rate /. 3.0 })
 
 let script kinds = with_lock (fun () -> mode := Scripted (ref kinds))
 
@@ -62,12 +46,11 @@ let draw ~stage:_ =
         (with_lock (fun () ->
              match !mode with
              | Off -> None
-             | Probabilistic { rng; p_singular; p_nan; p_stall } ->
+             | Probabilistic { rng; p } ->
                  let u = Rng.float rng 1.0 in
-                 if u < p_singular then Some Singular_stamp
-                 else if u < p_singular +. p_nan then Some Nan_value
-                 else if u < p_singular +. p_nan +. p_stall then
-                   Some Never_settles
+                 if u < p then Some Singular_stamp
+                 else if u < p +. p then Some Nan_value
+                 else if u < p +. p +. p then Some Never_settles
                  else None
              | Scripted queue -> (
                  match !queue with

@@ -24,16 +24,12 @@ type kind =
 val disable : unit -> unit
 (** Turn injection off (the default). *)
 
-val enable :
-  ?p_singular:float -> ?p_nan:float -> ?p_stall:float -> seed:int -> unit ->
-  unit
-(** Probabilistic mode: each {!draw} independently injects
-    [Singular_stamp] with probability [p_singular], [Nan_value] with
-    [p_nan], [Never_settles] with [p_stall] (all default 0). *)
+val enable : rate:float -> seed:int -> unit
+(** Probabilistic mode, the [--fault-rate] switch of [bin/tables]: each
+    {!draw} independently injects a fault with probability [rate],
+    split evenly over the three kinds ([rate / 3] each).
 
-val enable_uniform : rate:float -> seed:int -> unit
-(** [enable_uniform ~rate ~seed] splits [rate] evenly over the three
-    kinds — the [--fault-rate] switch of [bin/tables]. *)
+    @raise Invalid_argument unless [0 <= rate <= 1] (so also for nan). *)
 
 val script : kind option list -> unit
 (** Deterministic mode: successive {!draw} calls consume the list

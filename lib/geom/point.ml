@@ -6,16 +6,10 @@ let origin = { x = 0.0; y = 0.0 }
 
 let manhattan p q = abs_float (p.x -. q.x) +. abs_float (p.y -. q.y)
 
-let euclidean p q =
-  let dx = p.x -. q.x and dy = p.y -. q.y in
-  sqrt ((dx *. dx) +. (dy *. dy))
-
 let equal p q = p.x = q.x && p.y = q.y
 
 let close ?(eps = 1e-9) p q =
   abs_float (p.x -. q.x) <= eps && abs_float (p.y -. q.y) <= eps
-
-let midpoint p q = { x = (p.x +. q.x) /. 2.0; y = (p.y +. q.y) /. 2.0 }
 
 let compare p q =
   let c = Float.compare p.x q.x in

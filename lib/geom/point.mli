@@ -15,17 +15,12 @@ val manhattan : t -> t -> float
     i.e. the wirelength of a shortest rectilinear connection of [p] and
     [q]. This is the edge cost d_ij of the paper. *)
 
-val euclidean : t -> t -> float
-(** [euclidean p q] is the L2 distance, used only for reporting. *)
-
 val equal : t -> t -> bool
 (** Exact coordinate equality. *)
 
 val close : ?eps:float -> t -> t -> bool
 (** [close p q] holds when both coordinates agree within [eps]
     (default 1e-9 µm). *)
-
-val midpoint : t -> t -> t
 
 val compare : t -> t -> int
 (** Lexicographic order on (x, y); a total order usable in sets/maps. *)

@@ -10,7 +10,6 @@ let square side = make 0.0 0.0 side side
 
 let width r = r.x1 -. r.x0
 let height r = r.y1 -. r.y0
-let area r = width r *. height r
 
 let contains r (p : Point.t) =
   p.x >= r.x0 && p.x <= r.x1 && p.y >= r.y0 && p.y <= r.y1
@@ -28,5 +27,3 @@ let bounding_box points =
           y1 = Float.max !r.y1 p.y })
     points;
   !r
-
-let half_perimeter r = width r +. height r

@@ -11,7 +11,6 @@ val square : float -> t
 
 val width : t -> float
 val height : t -> float
-val area : t -> float
 
 val contains : t -> Point.t -> bool
 (** Closed containment test. *)
@@ -20,6 +19,3 @@ val bounding_box : Point.t array -> t
 (** Smallest rectangle containing all points.
 
     @raise Invalid_argument on an empty array. *)
-
-val half_perimeter : t -> float
-(** Half-perimeter wirelength lower bound of the box. *)

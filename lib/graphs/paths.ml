@@ -36,35 +36,3 @@ let dijkstra g src =
         adj.(u)
   done;
   (dist, pred)
-
-let shortest_path g src dst =
-  let dist, pred = dijkstra g src in
-  if dist.(dst) = infinity then raise Not_found;
-  let rec walk v acc = if v = src then src :: acc else walk pred.(v) (v :: acc) in
-  walk dst []
-
-let path_length g src dst =
-  let dist, _ = dijkstra g src in
-  if dist.(dst) = infinity then raise Not_found;
-  dist.(dst)
-
-let hops g src =
-  let n = Wgraph.num_vertices g in
-  let adj = adjacency g in
-  let d = Array.make n max_int in
-  d.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun (v, _) ->
-        if d.(v) = max_int then begin
-          d.(v) <- d.(u) + 1;
-          Queue.add v q
-        end)
-      adj.(u)
-  done;
-  d
-
-let tree_path = shortest_path

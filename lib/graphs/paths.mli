@@ -1,25 +1,7 @@
-(** Shortest paths and path extraction in weighted graphs. *)
+(** Shortest paths in weighted graphs. *)
 
 val dijkstra : Wgraph.t -> int -> float array * int array
 (** [dijkstra g src] is [(dist, pred)]: [dist.(v)] the shortest weighted
     distance from [src] (infinity when unreachable) and [pred.(v)] the
     predecessor on one shortest path (-1 for [src] and unreachable
     vertices). *)
-
-val shortest_path : Wgraph.t -> int -> int -> int list
-(** Vertex sequence of a shortest path from [src] to [dst], inclusive.
-
-    @raise Not_found when [dst] is unreachable. *)
-
-val path_length : Wgraph.t -> int -> int -> float
-(** Weighted length of the shortest path.
-
-    @raise Not_found when unreachable. *)
-
-val hops : Wgraph.t -> int -> int array
-(** [hops g src] is the minimum number of edges from [src] to each
-    vertex (max_int when unreachable): breadth-first search. *)
-
-val tree_path : Wgraph.t -> int -> int -> int list
-(** [tree_path t src dst] is the unique path in a tree [t]. Identical to
-    {!shortest_path} but named for intent; callers must pass a tree. *)

@@ -57,9 +57,3 @@ let fold_subtree_sums t leaf_value =
     (fun v -> if v <> t.root then s.(t.parent.(v)) <- s.(t.parent.(v)) +. s.(v))
     (postorder t);
   s
-
-let path_to_root t v =
-  let rec walk v acc =
-    if v = -1 then List.rev acc else walk t.parent.(v) (v :: acc)
-  in
-  walk v []

@@ -23,13 +23,6 @@ val of_tree : Wgraph.t -> root:int -> t
 
     @raise Invalid_argument when the graph is not a spanning tree. *)
 
-val postorder : t -> int array
-(** Vertices ordered so every vertex appears after all its children
-    (reverse preorder), suitable for bottom-up subtree accumulation. *)
-
 val fold_subtree_sums : t -> (int -> float) -> float array
 (** [fold_subtree_sums t leaf_value] returns [s] with
     [s.(i) = sum over j in subtree(i) of leaf_value j]. Linear time. *)
-
-val path_to_root : t -> int -> int list
-(** [path_to_root t v] is [v; parent v; ...; root]. *)

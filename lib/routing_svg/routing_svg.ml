@@ -12,7 +12,9 @@ let buffer_add_edge buf scale ox oy (p : Geom.Point.t) (q : Geom.Point.t)
         stroke=\"%s\" stroke-width=\"%.1f\"%s/>\n"
        x0 y0 x1 y0 x1 y1 stroke width dash_attr)
 
-let render ?(width_px = 480) ?(title = "") ?(highlight = []) r =
+let width_px = 480
+
+let render ?(title = "") ?(highlight = []) r =
   let pts = Routing.points r in
   let box = Geom.Rect.bounding_box pts in
   let margin = 24.0 in
@@ -75,8 +77,8 @@ let render ?(width_px = 480) ?(title = "") ?(highlight = []) r =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let render_to_file ?width_px ?title ?highlight path r =
+let render_to_file ?title ?highlight path r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?width_px ?title ?highlight r))
+    (fun () -> output_string oc (render ?title ?highlight r))

@@ -14,12 +14,6 @@ let signal t name =
 
 let length t = Array.length t.times
 
-let append a b =
-  if a.names <> b.names then invalid_arg "Trace.append: probe mismatch";
-  { times = Array.append a.times b.times;
-    names = a.names;
-    data = Array.map2 Array.append a.data b.data }
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "time";
@@ -40,7 +34,8 @@ let write_csv path t =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_csv t))
 
-let ascii_plot ?(width = 72) ?(height = 16) t name =
+let ascii_plot t name =
+  let width = 72 and height = 16 in
   let v = signal t name in
   let n = Array.length v in
   if n = 0 then "(empty trace)"

@@ -11,17 +11,13 @@ val signal : t -> string -> float array
 
 val length : t -> int
 
-val append : t -> t -> t
-(** Concatenates two traces of the same probes in time order.
-
-    @raise Invalid_argument when probe names differ. *)
-
 val to_csv : t -> string
 (** Header row [time,name1,...]; one row per sample. *)
 
 val write_csv : string -> t -> unit
 
-val ascii_plot : ?width:int -> ?height:int -> t -> string -> string
-(** Quick terminal plot of one signal, for the examples and debugging.
+val ascii_plot : t -> string -> string
+(** Quick terminal plot of one signal, 72 columns by 16 rows, for the
+    examples and debugging.
 
     @raise Not_found for an unknown probe name. *)

@@ -13,8 +13,3 @@ let points pins =
           if is_pin p then None else Some p)
         ys)
     xs
-
-let grid_size pins =
-  ( List.length (distinct_coords (fun (p : Geom.Point.t) -> p.Geom.Point.x) pins),
-    List.length (distinct_coords (fun (p : Geom.Point.t) -> p.Geom.Point.y) pins)
-  )

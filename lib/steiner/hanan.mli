@@ -8,6 +8,3 @@
 val points : Geom.Point.t array -> Geom.Point.t list
 (** [points pins] is every Hanan grid point that does not coincide with
     a pin, in lexicographic order. At most n² − n points. *)
-
-val grid_size : Geom.Point.t array -> int * int
-(** Distinct x- and y-coordinate counts. *)

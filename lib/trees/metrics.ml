@@ -1,26 +1,3 @@
-let source_path_lengths r =
-  let dist, _ = Graphs.Paths.dijkstra (Routing.graph r) (Routing.source r) in
-  dist
-
 let radius r =
-  let dist = source_path_lengths r in
+  let dist, _ = Graphs.Paths.dijkstra (Routing.graph r) (Routing.source r) in
   List.fold_left (fun acc v -> Float.max acc dist.(v)) 0.0 (Routing.sinks r)
-
-let max_path_ratio r =
-  let dist = source_path_lengths r in
-  let src = Routing.point r (Routing.source r) in
-  List.fold_left
-    (fun acc v ->
-      let direct = Geom.Point.manhattan src (Routing.point r v) in
-      if direct <= 0.0 then acc else Float.max acc (dist.(v) /. direct))
-    1.0 (Routing.sinks r)
-
-let average_sink_path r =
-  let dist = source_path_lengths r in
-  let sinks = Routing.sinks r in
-  List.fold_left (fun acc v -> acc +. dist.(v)) 0.0 sinks
-  /. float_of_int (List.length sinks)
-
-let summary r =
-  Printf.sprintf "cost %.0f um, radius %.0f um, max detour %.2fx, avg path %.0f um"
-    (Routing.cost r) (radius r) (max_path_ratio r) (average_sink_path r)

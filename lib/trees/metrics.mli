@@ -9,18 +9,3 @@
 
 val radius : Routing.t -> float
 (** Longest shortest-path distance from the source to any sink, µm. *)
-
-val source_path_lengths : Routing.t -> float array
-(** Shortest-path distance from the source to every vertex. *)
-
-val max_path_ratio : Routing.t -> float
-(** Worst sink detour: max over sinks of (path length / Manhattan
-    distance from source); 1.0 means every sink is reached by a
-    shortest possible route. Infinite-free: sinks coincident with the
-    source are skipped. *)
-
-val average_sink_path : Routing.t -> float
-(** Mean source→sink shortest-path length, µm. *)
-
-val summary : Routing.t -> string
-(** One-line cost/radius/detour summary for logs and examples. *)

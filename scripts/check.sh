@@ -63,6 +63,19 @@ echo "$cache_line"
 [ "$cache_line" = \
   "oracle cache: 4 hits, 413 misses (1.0% hit rate), 413 entries" ]
 
+echo "== tables rejects a --fault-rate outside [0, 1] =="
+# One diagnostic line and exit 124 before any table runs; nan and a
+# negative rate would otherwise run silently with no faults.
+for rate in 1.5 inf nan -0.5; do
+  status=0
+  _build/default/bin/tables.exe --table 2 --trials 2 --sizes 5 \
+    --fault-rate="$rate" > "$tmpdir/rate.out" 2> "$tmpdir/rate.err" \
+    || status=$?
+  cat "$tmpdir/rate.err"
+  [ "$status" -eq 124 ] && [ ! -s "$tmpdir/rate.out" ]
+  [ "$(wc -l < "$tmpdir/rate.err")" -eq 1 ]
+done
+
 echo "== smoke: --jobs above the core count is clamped, output unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 64 \
   > "$tmpdir/jobs64.out" 2>/dev/null
@@ -88,6 +101,31 @@ dune exec bin/obs_check.exe -- BENCH_nontree.json
 
 echo "== bench_diff: the committed baseline against itself =="
 dune exec bin/bench_diff.exe -- BENCH_nontree.json BENCH_nontree.json
+
+echo "== bench_diff gates a paper section's wall time, not bechamel's =="
+# Bechamel's wall time is its per-kernel time quota times the number of
+# kernels, so tripling it must pass; tripling section 3 must fail.
+for section in bechamel 3; do
+  python3 - "$section" BENCH_nontree.json "$tmpdir/slow_$section.json" <<'PY'
+import json, sys
+name, src, dst = sys.argv[1:]
+with open(src) as f:
+    run = json.load(f)
+for s in run["sections"]:
+    if s["name"] == name:
+        s["wall_s"] *= 3
+with open(dst, "w") as f:
+    json.dump(run, f)
+PY
+done
+dune exec bin/bench_diff.exe -- BENCH_nontree.json \
+  "$tmpdir/slow_bechamel.json" > "$tmpdir/slow_bechamel.out"
+grep "^bechamel" "$tmpdir/slow_bechamel.out"
+status=0
+dune exec bin/bench_diff.exe -- BENCH_nontree.json "$tmpdir/slow_3.json" \
+  > "$tmpdir/slow_3.out" || status=$?
+grep "REGRESSED" "$tmpdir/slow_3.out"
+[ "$status" -eq 1 ]
 
 echo "== bench prints every artefact as tables.exe does =="
 # Both drivers render from one list (Harness.Runs.artefacts); the bench

@@ -21,33 +21,9 @@ let index m i j =
 
 let get m i j = m.a.(index m i j)
 let set m i j x = m.a.(index m i j) <- x
-let update m i j f = m.a.(index m i j) <- f m.a.(index m i j)
 let add_to m i j x = m.a.(index m i j) <- m.a.(index m i j) +. x
 
 let copy m = { m with a = Array.copy m.a }
-
-let transpose m =
-  let t = create m.c m.r in
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      t.a.((j * t.c) + i) <- m.a.((i * m.c) + j)
-    done
-  done;
-  t
-
-let mul x y =
-  if x.c <> y.r then invalid_arg "Matrix.mul: dimension mismatch";
-  let z = create x.r y.c in
-  for i = 0 to x.r - 1 do
-    for k = 0 to x.c - 1 do
-      let xik = x.a.((i * x.c) + k) in
-      if xik <> 0.0 then
-        for j = 0 to y.c - 1 do
-          z.a.((i * z.c) + j) <- z.a.((i * z.c) + j) +. (xik *. y.a.((k * y.c) + j))
-        done
-    done
-  done;
-  z
 
 let mul_vec m v =
   if m.c <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
@@ -62,15 +38,7 @@ let add x y =
   if x.r <> y.r || x.c <> y.c then invalid_arg "Matrix.add: dimension mismatch";
   { x with a = Array.mapi (fun i v -> v +. y.a.(i)) x.a }
 
-let sub x y =
-  if x.r <> y.r || x.c <> y.c then invalid_arg "Matrix.sub: dimension mismatch";
-  { x with a = Array.mapi (fun i v -> v -. y.a.(i)) x.a }
-
 let scale s m = { m with a = Array.map (fun v -> s *. v) m.a }
-
-let map f m = { m with a = Array.map f m.a }
-
-let data m = m.a
 
 let of_arrays rows_arr =
   let r = Array.length rows_arr in
@@ -91,11 +59,6 @@ let of_arrays rows_arr =
 
 let to_arrays m =
   Array.init m.r (fun i -> Array.sub m.a (i * m.c) m.c)
-
-let max_abs m = Array.fold_left (fun acc x -> Float.max acc (abs_float x)) 0.0 m.a
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.a)
 
 module Csc = Numeric.Sparse.Csc
 

@@ -16,30 +16,17 @@ val cols : t -> int
 
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-val update : t -> int -> int -> (float -> float) -> unit
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j x] performs [m.(i,j) <- m.(i,j) + x] — the "stamping"
     primitive of MNA assembly. *)
 
 val copy : t -> t
-val transpose : t -> t
-val mul : t -> t -> t
 val mul_vec : t -> float array -> float array
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
-val map : (float -> float) -> t -> t
-
-val data : t -> float array
-(** The underlying row-major storage (entry (i,j) at [i*cols + j]).
-    Exposed for performance-critical inner loops; mutating it mutates
-    the matrix. *)
 
 val of_arrays : float array array -> t
 val to_arrays : t -> float array array
-
-val max_abs : t -> float
-val frobenius : t -> float
 
 val of_csc : Numeric.Sparse.Csc.t -> t
 (** The dense image of a sparse matrix. *)

@@ -148,23 +148,18 @@ let test_dijkstra_known () =
     Wgraph.of_edges 5
       [ (0, 1, 2.0); (1, 2, 2.0); (0, 3, 1.0); (3, 4, 1.0); (4, 2, 1.0) ]
   in
-  let dist, _ = Paths.dijkstra g 0 in
+  let dist, pred = Paths.dijkstra g 0 in
   Alcotest.(check (float 1e-12)) "to 2 via bottom" 3.0 dist.(2);
   Alcotest.(check (float 1e-12)) "to 1" 2.0 dist.(1);
-  Alcotest.(check (list int)) "path" [ 0; 3; 4; 2 ] (Paths.shortest_path g 0 2)
+  (* The path 0-3-4-2, read back from 2. *)
+  Alcotest.(check (list int)) "predecessors" [ 4; 3; 0; -1 ]
+    [ pred.(2); pred.(4); pred.(3); pred.(0) ]
 
 let test_dijkstra_unreachable () =
   let g = Wgraph.of_edges 3 [ (0, 1, 1.0) ] in
-  let dist, _ = Paths.dijkstra g 0 in
+  let dist, pred = Paths.dijkstra g 0 in
   Alcotest.(check bool) "unreachable = inf" true (dist.(2) = infinity);
-  Alcotest.check_raises "path raises" Not_found (fun () ->
-      ignore (Paths.shortest_path g 0 2))
-
-let test_hops () =
-  let g = Wgraph.of_edges 4 [ (0, 1, 5.0); (1, 2, 5.0); (0, 3, 100.0) ] in
-  let h = Paths.hops g 0 in
-  Alcotest.(check int) "hop to 2" 2 h.(2);
-  Alcotest.(check int) "hop to 3" 1 h.(3)
+  Alcotest.(check int) "no predecessor" (-1) pred.(2)
 
 let prop_dijkstra_triangle =
   QCheck.Test.make ~name:"dijkstra distances obey edge relaxation" ~count:40
@@ -189,9 +184,7 @@ let test_rooted_structure () =
   Alcotest.(check int) "parent of 2" 1 r.Rooted.parent.(2);
   Alcotest.(check int) "parent of 0" (-1) r.Rooted.parent.(0);
   Alcotest.(check (float 0.0)) "depth of 3" 4.0 r.Rooted.depth.(3);
-  Alcotest.(check (float 0.0)) "edge weight of 2" 2.0 r.Rooted.edge_weight.(2);
-  Alcotest.(check (list int)) "path to root" [ 2; 1; 0 ]
-    (Rooted.path_to_root r 2)
+  Alcotest.(check (float 0.0)) "edge weight of 2" 2.0 r.Rooted.edge_weight.(2)
 
 let test_rooted_subtree_sums () =
   let t =
@@ -221,15 +214,10 @@ let prop_rooted_depth_is_dijkstra =
       Array.for_all Fun.id
         (Array.init n (fun v -> abs_float (dist.(v) -. r.Rooted.depth.(v)) < 1e-9)))
 
-let test_fold_edges_and_tree_path () =
+let test_fold_edges () =
   let g = Wgraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 3.0) ] in
   let total = Wgraph.fold_edges (fun e acc -> acc +. e.Wgraph.w) g 0.0 in
-  Alcotest.(check (float 0.0)) "fold sums weights" 6.0 total;
-  Alcotest.(check (list int)) "tree path" [ 0; 1; 2; 3 ] (Paths.tree_path g 0 3)
-
-let test_path_length () =
-  let g = Wgraph.of_edges 3 [ (0, 1, 5.0); (1, 2, 7.0) ] in
-  Alcotest.(check (float 0.0)) "length" 12.0 (Paths.path_length g 0 2)
+  Alcotest.(check (float 0.0)) "fold sums weights" 6.0 total
 
 let suites =
   [ ( "graphs",
@@ -247,13 +235,10 @@ let suites =
           test_mst_disconnected_rejected;
         Alcotest.test_case "dijkstra known" `Quick test_dijkstra_known;
         Alcotest.test_case "dijkstra unreachable" `Quick test_dijkstra_unreachable;
-        Alcotest.test_case "hops" `Quick test_hops;
         QCheck_alcotest.to_alcotest prop_dijkstra_triangle;
         Alcotest.test_case "rooted structure" `Quick test_rooted_structure;
         Alcotest.test_case "rooted subtree sums" `Quick test_rooted_subtree_sums;
         Alcotest.test_case "rooted rejects non-tree" `Quick
           test_rooted_rejects_nontree;
         QCheck_alcotest.to_alcotest prop_rooted_depth_is_dijkstra;
-        Alcotest.test_case "fold_edges + tree_path" `Quick
-          test_fold_edges_and_tree_path;
-        Alcotest.test_case "path_length" `Quick test_path_length ] ) ]
+        Alcotest.test_case "fold_edges" `Quick test_fold_edges ] ) ]

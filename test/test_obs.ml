@@ -249,49 +249,6 @@ let test_manifest_roundtrip () =
           Alcotest.(check bool) "extra section survives" true
             (Obs.Json.member "cache" json <> None))
 
-(* Regression: Measure.first_crossing ------------------------------------ *)
-
-let test_first_crossing_initially_above () =
-  (* A falling waveform that starts above the level never crosses from
-     below; the old code reported a spurious times.(0). *)
-  let times = [| 0.0; 1.0; 2.0 |] and values = [| 2.0; 1.5; 1.2 |] in
-  Alcotest.(check (option (float 1e-12))) "no crossing" None
-    (Spice.Measure.first_crossing ~times ~values ~level:1.0)
-
-let test_first_crossing_starts_at_level () =
-  let times = [| 3.0; 4.0 |] and values = [| 1.0; 2.0 |] in
-  Alcotest.(check (option (float 1e-12))) "exact first sample" (Some 3.0)
-    (Spice.Measure.first_crossing ~times ~values ~level:1.0)
-
-let test_first_crossing_dip_then_rise () =
-  (* Starts high, dips below, rises back through the level: the crossing
-     is the *second* rise, interpolated between t=2 (0.5) and t=3 (1.5),
-     i.e. t = 2.5. *)
-  let times = [| 0.0; 1.0; 2.0; 3.0 |] in
-  let values = [| 2.0; 0.8; 0.5; 1.5 |] in
-  Alcotest.(check (option (float 1e-12))) "interpolated rise" (Some 2.5)
-    (Spice.Measure.first_crossing ~times ~values ~level:1.0)
-
-let test_first_crossing_plain_rise () =
-  (* The common case must be unchanged: interpolate in the first
-     below→above interval. *)
-  let times = [| 0.0; 1.0 |] and values = [| 0.0; 2.0 |] in
-  Alcotest.(check (option (float 1e-12))) "midpoint" (Some 0.5)
-    (Spice.Measure.first_crossing ~times ~values ~level:1.0)
-
-(* Regression: Measure.overshoot on empty waveforms ----------------------- *)
-
-let test_overshoot_empty_rejected () =
-  Alcotest.check_raises "empty waveform"
-    (Invalid_argument "Measure.overshoot: empty waveform") (fun () ->
-      ignore (Spice.Measure.overshoot ~values:[||] ~vfinal:1.0))
-
-let test_overshoot_values () =
-  Alcotest.(check (float 1e-12)) "underdamped peak" 0.5
-    (Spice.Measure.overshoot ~values:[| 0.0; 1.5; 1.0 |] ~vfinal:1.0);
-  Alcotest.(check (float 1e-12)) "monotone rise has none" 0.0
-    (Spice.Measure.overshoot ~values:[| 0.0; 0.5; 1.0 |] ~vfinal:1.0)
-
 (* Regression: cache summary hit rate ------------------------------------ *)
 
 let test_cache_summary_idle () =
@@ -378,18 +335,7 @@ let suites =
         Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip ]
     );
     ( "obs.bugfixes",
-      [ Alcotest.test_case "first_crossing: initially above" `Quick
-          test_first_crossing_initially_above;
-        Alcotest.test_case "first_crossing: starts at level" `Quick
-          test_first_crossing_starts_at_level;
-        Alcotest.test_case "first_crossing: dip then rise" `Quick
-          test_first_crossing_dip_then_rise;
-        Alcotest.test_case "first_crossing: plain rise" `Quick
-          test_first_crossing_plain_rise;
-        Alcotest.test_case "overshoot: empty rejected" `Quick
-          test_overshoot_empty_rejected;
-        Alcotest.test_case "overshoot: values" `Quick test_overshoot_values;
-        Alcotest.test_case "cache summary: idle never NaN" `Quick
+      [ Alcotest.test_case "cache summary: idle never NaN" `Quick
           test_cache_summary_idle;
         Alcotest.test_case "render: non-contiguous labels" `Quick
           test_render_non_contiguous_labels ] ) ]

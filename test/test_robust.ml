@@ -196,16 +196,26 @@ let test_single_sink_net () =
 let test_fault_schedule_deterministic () =
   with_clean_faults (fun () ->
       let draws n = List.init n (fun _ -> Fault.draw ~stage:"spice") in
-      Fault.enable_uniform ~rate:0.5 ~seed:77;
+      Fault.enable ~rate:0.5 ~seed:77;
       let a = draws 200 in
-      Fault.enable_uniform ~rate:0.5 ~seed:77;
+      Fault.enable ~rate:0.5 ~seed:77;
       let b = draws 200 in
-      Fault.enable_uniform ~rate:0.5 ~seed:78;
+      Fault.enable ~rate:0.5 ~seed:78;
       let c = draws 200 in
       Alcotest.(check bool) "same seed, same schedule" true (a = b);
       Alcotest.(check bool) "schedule actually fires" true
         (List.exists Option.is_some a);
       Alcotest.(check bool) "different seed, different schedule" true (a <> c))
+
+let test_fault_rate_validated () =
+  with_clean_faults (fun () ->
+      List.iter
+        (fun rate ->
+          Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+            (Invalid_argument "Fault.enable: rate must be in [0, 1]")
+            (fun () -> Fault.enable ~rate ~seed:1))
+        [ -0.5; 1.5; infinity; nan ];
+      Alcotest.(check bool) "still off" false (Fault.active ()))
 
 let test_fault_off_draws_nothing () =
   with_clean_faults (fun () ->
@@ -231,16 +241,15 @@ let arb_grid_points =
     Gen.(list_size (int_range 1 8) point)
 
 (* Duplicate and collinear pins abound on a 4x4 grid; construction must
-   answer Invalid_net (never Invalid_argument), and any net that does
-   construct must evaluate to finite positive delays. *)
+   reject them with Invalid_argument and nothing else, and any net that
+   does construct must evaluate to finite positive delays. *)
 let prop_degenerate_nets_never_crash =
   QCheck.Test.make ~name:"degenerate nets: Ok or Invalid_net" ~count:120
     arb_grid_points (fun pts ->
       Fault.disable ();
-      match Nontree.Oracle.net_of_points pts with
-      | Error (Nontree_error.Invalid_net _) -> true
-      | Error _ -> false
-      | Ok net -> (
+      match Geom.Net.of_list pts with
+      | exception Invalid_argument _ -> true
+      | net -> (
           let r = Routing.mst_of_net net in
           match
             Delay.Robust.sink_delays ~model:Delay.Model.First_moment ~tech r
@@ -285,7 +294,7 @@ let prop_zero_length_edges_never_crash =
 
 let test_probabilistic_run_completes () =
   with_clean_faults (fun () ->
-      Fault.enable_uniform ~rate:0.3 ~seed:2024;
+      Fault.enable ~rate:0.3 ~seed:2024;
       let config =
         { Nontree.Experiment.default with trials = 2; sizes = [ 5 ] }
       in
@@ -334,7 +343,7 @@ let test_ext_prune_mean_over_kept_nets () =
   in
   with_clean_faults (fun () ->
       Nontree.Oracle.Cache.reset ();
-      Fault.enable_uniform ~rate:0.95
+      Fault.enable ~rate:0.95
         ~seed:(config.Nontree.Experiment.seed + 0x5EED);
       let out = a.Harness.Runs.render config ~svg_dir:"" in
       Alcotest.(check int) "nets dropped" 3 (counters ()).dropped_nets;
@@ -443,6 +452,8 @@ let suites =
         Alcotest.test_case "single-sink net" `Quick test_single_sink_net;
         Alcotest.test_case "fault schedule deterministic" `Quick
           test_fault_schedule_deterministic;
+        Alcotest.test_case "fault rate outside [0, 1] rejected" `Quick
+          test_fault_rate_validated;
         Alcotest.test_case "fault off draws nothing" `Quick
           test_fault_off_draws_nothing;
         Alcotest.test_case "one fault draw per evaluation" `Quick

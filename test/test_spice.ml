@@ -159,7 +159,7 @@ let test_rlc_underdamped () =
       ~options:Spice.Engine.accurate_options
   in
   let v = Spice.Trace.signal trace "out" in
-  let overshoot = Spice.Measure.overshoot ~values:v ~vfinal:1.0 in
+  let overshoot = Array.fold_left Float.max v.(0) v -. 1.0 in
   (* Analytic peak overshoot = exp(-pi*zeta/sqrt(1-zeta^2)) ~ 0.729. *)
   Alcotest.(check bool)
     (Printf.sprintf "overshoot %.3f" overshoot)
@@ -473,55 +473,17 @@ let test_stopped_loop_prefix () =
   Alcotest.(check bool) "final is the stop step's state" true
     (final = Array.map (fun col -> col.(stop - 1)) full.Spice.Transient.states)
 
-(* Measure ------------------------------------------------------------ *)
-
-let test_first_crossing_interpolates () =
-  let times = [| 0.0; 1.0; 2.0 |] and values = [| 0.0; 0.4; 0.8 |] in
-  match Spice.Measure.first_crossing ~times ~values ~level:0.6 with
-  | Some t -> Alcotest.(check (float 1e-12)) "interp" 1.5 t
-  | None -> Alcotest.fail "expected crossing"
-
-let test_first_crossing_none () =
-  let times = [| 0.0; 1.0 |] and values = [| 0.0; 0.3 |] in
-  Alcotest.(check bool) "no crossing" true
-    (Spice.Measure.first_crossing ~times ~values ~level:0.5 = None)
-
-let test_first_crossing_exact_sample () =
-  let times = [| 0.0; 1.0; 2.0 |] and values = [| 0.0; 0.5; 1.0 |] in
-  match Spice.Measure.first_crossing ~times ~values ~level:0.5 with
-  | Some t -> Alcotest.(check (float 0.0)) "exact" 1.0 t
-  | None -> Alcotest.fail "expected crossing"
-
-let test_rise_time () =
-  (* Linear ramp 0..1 over [0,1]: 10-90 rise time is 0.8. *)
-  let n = 101 in
-  let times = Array.init n (fun i -> float_of_int i /. 100.0) in
-  let values = Array.copy times in
-  match Spice.Measure.rise_time ~times ~values ~vfinal:1.0 with
-  | Some rt -> Alcotest.(check (float 1e-9)) "rise" 0.8 rt
-  | None -> Alcotest.fail "expected rise time"
-
 (* Trace -------------------------------------------------------------- *)
 
-let test_trace_csv_and_append () =
-  let t1 =
-    { Spice.Trace.times = [| 0.0; 1.0 |]; names = [| "a" |];
-      data = [| [| 0.1; 0.2 |] |] }
+let test_trace_csv () =
+  let t =
+    { Spice.Trace.times = [| 0.0; 1.0; 2.0 |]; names = [| "a" |];
+      data = [| [| 0.1; 0.2; 0.3 |] |] }
   in
-  let t2 =
-    { Spice.Trace.times = [| 2.0 |]; names = [| "a" |]; data = [| [| 0.3 |] |] }
-  in
-  let t = Spice.Trace.append t1 t2 in
   Alcotest.(check int) "length" 3 (Spice.Trace.length t);
   let csv = Spice.Trace.to_csv t in
   Alcotest.(check bool) "header" true
-    (String.length csv > 7 && String.sub csv 0 7 = "time,a\n");
-  let mismatched =
-    { Spice.Trace.times = [| 0.0 |]; names = [| "b" |]; data = [| [| 0.0 |] |] }
-  in
-  Alcotest.check_raises "probe mismatch"
-    (Invalid_argument "Trace.append: probe mismatch") (fun () ->
-      ignore (Spice.Trace.append t1 mismatched))
+    (String.length csv > 7 && String.sub csv 0 7 = "time,a\n")
 
 (* Companion assembly ------------------------------------------------ *)
 
@@ -816,11 +778,6 @@ let suites =
           test_steps_counter;
         Alcotest.test_case "stopped loop is a prefix of run" `Quick
           test_stopped_loop_prefix;
-        Alcotest.test_case "crossing interpolates" `Quick
-          test_first_crossing_interpolates;
-        Alcotest.test_case "crossing none" `Quick test_first_crossing_none;
-        Alcotest.test_case "crossing exact sample" `Quick
-          test_first_crossing_exact_sample;
         Alcotest.test_case "plain companion matches dense" `Quick
           test_companion_plain_matches_dense;
         Alcotest.test_case "added-wire companion matches dense" `Quick
@@ -831,6 +788,5 @@ let suites =
           test_single_order_is_g_order;
         Alcotest.test_case "no plan when C adds slots to G" `Quick
           test_no_plan_when_c_adds_slots;
-        Alcotest.test_case "rise time" `Quick test_rise_time;
-        Alcotest.test_case "trace csv/append" `Quick test_trace_csv_and_append
+        Alcotest.test_case "trace csv" `Quick test_trace_csv
       ] ) ]

@@ -14,24 +14,11 @@ let path_net () =
 
 let test_metrics_path () =
   let r = Routing.mst_of_net (path_net ()) in
-  Alcotest.(check (float 1e-9)) "radius" 300.0 (Trees.Metrics.radius r);
-  Alcotest.(check (float 1e-9)) "avg path" 200.0
-    (Trees.Metrics.average_sink_path r);
-  Alcotest.(check (float 1e-9)) "no detour" 1.0 (Trees.Metrics.max_path_ratio r)
+  Alcotest.(check (float 1e-9)) "radius" 300.0 (Trees.Metrics.radius r)
 
-let test_metrics_detour () =
-  (* Force a detour: connect sink 2 through sink 1 although it is
-     close to the source. Pins: src (0,0), far (1000,0), near (990, 10):
-     MST chains near to far. *)
-  let net =
-    Net.of_list
-      [ Point.origin; Point.make 1000.0 0.0; Point.make 990.0 10.0 ]
-  in
-  let r = Routing.mst_of_net net in
-  Alcotest.(check bool) "detour > 1" true (Trees.Metrics.max_path_ratio r > 1.0);
-  let sum = Trees.Metrics.summary r in
-  Alcotest.(check bool) "summary mentions radius" true
-    (String.length sum > 0)
+(* Shortest-path distance from the source to every vertex. *)
+let source_distances r =
+  fst (Graphs.Paths.dijkstra (Routing.graph r) (Routing.source r))
 
 (* PD -------------------------------------------------------------------- *)
 
@@ -47,7 +34,7 @@ let test_pd_c1_is_spt () =
      complete graph that is the star (up to ties). *)
   let net = random_net 6 12 in
   let pd1 = Trees.Pd.construct ~c:1.0 net in
-  let dist = Trees.Metrics.source_path_lengths pd1 in
+  let dist = source_distances pd1 in
   let src = Net.source net in
   List.iter
     (fun v ->
@@ -107,7 +94,7 @@ let prop_pd_is_spanning_tree =
 let test_brbc_epsilon_zero_is_star_radius () =
   let net = random_net 8 12 in
   let r = Trees.Brbc.construct ~epsilon:0.0 net in
-  let dist = Trees.Metrics.source_path_lengths r in
+  let dist = source_distances r in
   let src = Net.source net in
   List.iter
     (fun v ->
@@ -170,7 +157,6 @@ let test_pd_improves_elmore_on_average () =
 let suites =
   [ ( "trees",
       [ Alcotest.test_case "metrics path" `Quick test_metrics_path;
-        Alcotest.test_case "metrics detour" `Quick test_metrics_detour;
         Alcotest.test_case "pd c=0 is mst" `Quick test_pd_c0_is_mst;
         Alcotest.test_case "pd c=1 is spt" `Quick test_pd_c1_is_spt;
         Alcotest.test_case "pd rejects bad c" `Quick test_pd_rejects_bad_c;
